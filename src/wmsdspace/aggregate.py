@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import kendalltau
 
 from .errors import IdSetMismatch, NonFiniteScore
 from .model import WeightVector
@@ -159,7 +158,12 @@ class RankingComparison:
     means the alternative dropped.  ``reversals`` lists pairs whose strict
     relative order flips; pairs tied in either ranking do not count.
     ``kendall_tau`` is the tau-b correlation of the two rank vectors,
-    which corrects for tied pairs.
+    which corrects for tied pairs (Knight 1966, as in scipy).  Of the
+    n0 = m(m-1)/2 pairs, n1 are tied in the first ranking, n2 in the
+    second and n3 in both; the discordant pairs are the reversals, so
+    tau-b = (n0 - n1 - n2 + n3 - 2 * len(reversals))
+    / sqrt((n0 - n1) * (n0 - n2)), and NaN when the denominator is 0
+    (fewer than two ids, or a ranking that is one tie).
     """
 
     deltas: dict[str, int]
@@ -189,7 +193,23 @@ def compare_rankings(r1: Ranking, r2: Ranking) -> RankingComparison:
                 pair = (a, b) if d1 < 0 else (b, a)
                 reversals.append(pair)
 
-    tau = kendalltau([rank1[i] for i in ordered],
-                     [rank2[i] for i in ordered]).statistic
-    return RankingComparison(deltas=deltas, kendall_tau=float(tau),
+    ranks = np.array([[rank1[i], rank2[i]] for i in ordered],
+                     dtype=np.int64).reshape(-1, 2)
+    n0 = len(ordered) * (len(ordered) - 1) // 2
+    n1 = _tied_pairs(ranks[:, 0])
+    n2 = _tied_pairs(ranks[:, 1])
+    n3 = _tied_pairs(ranks)
+    denom = (n0 - n1) * (n0 - n2)
+    if denom == 0:
+        tau = math.nan
+    else:
+        tau = (n0 - n1 - n2 + n3 - 2 * len(reversals)) / math.sqrt(denom)
+        tau = min(1.0, max(-1.0, tau))
+    return RankingComparison(deltas=deltas, kendall_tau=tau,
                              reversals=tuple(reversals))
+
+
+def _tied_pairs(keys: np.ndarray) -> int:
+    """Number of unordered pairs of equal entries (rows, for 2-D keys)."""
+    counts = np.unique(keys, axis=0, return_counts=True)[1]
+    return int((counts * (counts - 1) // 2).sum())

@@ -30,7 +30,6 @@ from .aggregate import (
     rank,
 )
 from .errors import (
-    ComputationError,
     IdSetMismatch,
     BadNumber,
     HeaderMismatch,
@@ -498,9 +497,6 @@ def main(argv=None) -> int:
     except ValidationError as e:
         sys.stderr.write(json.dumps(e.details(), sort_keys=True) + "\n")
         return 1
-    except ComputationError as e:
-        sys.stderr.write(json.dumps(e.details(), sort_keys=True) + "\n")
-        return 2
     except WmsdError as e:
         sys.stderr.write(json.dumps(e.details(), sort_keys=True) + "\n")
         return 2

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -202,6 +203,84 @@ class TestCompareRankings:
         cmp = compare_rankings(unweighted, weighted)
         assert ("S8", "S9") in cmp.reversals
         assert cmp.kendall_tau < 1.0
+
+
+def tau_b_reference(x, y):
+    """Tau-b from pairwise signs: sum(sx*sy) / sqrt(sum(sx^2) sum(sy^2))."""
+    s = t1 = t2 = 0
+    for i in range(len(x)):
+        for j in range(i + 1, len(x)):
+            sx = (x[i] > x[j]) - (x[i] < x[j])
+            sy = (y[i] > y[j]) - (y[i] < y[j])
+            s += sx * sy
+            t1 += sx * sx
+            t2 += sy * sy
+    return s / math.sqrt(t1 * t2) if t1 * t2 else math.nan
+
+
+def compare_quietly(r1, r2):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return compare_rankings(r1, r2)
+
+
+class TestKendallTau:
+    def test_ties_in_each_ranking(self):
+        # ranks (1,2,2,4,5) vs (2,1,3,3,3): C = 5, D = 1, n1 = 1, n2 = 3,
+        # n3 = 0, so tau-b = (10 - 1 - 3 - 2) / sqrt(9 * 7) = 4 / sqrt(63)
+        r1 = rank({"a": 5, "b": 4, "c": 4, "d": 2, "e": 1})
+        r2 = rank({"a": 4, "b": 5, "c": 3, "d": 3, "e": 3})
+        assert [r1.position(k) for k in "abcde"] == [1, 2, 2, 4, 5]
+        assert [r2.position(k) for k in "abcde"] == [2, 1, 3, 3, 3]
+        cmp = compare_quietly(r1, r2)
+        assert cmp.reversals == (("a", "b"),)
+        assert cmp.kendall_tau == pytest.approx(4 / math.sqrt(63), abs=1e-15)
+        assert round(cmp.kendall_tau, 6) == 0.503953
+
+    def test_pair_tied_in_both(self):
+        # ranks (1,1,3,4) vs (1,1,4,3): n0 = 6, n1 = n2 = n3 = 1, D = 1,
+        # so tau-b = (6 - 1 - 1 + 1 - 2) / sqrt(5 * 5) = 3 / 5
+        r1 = rank({"a": 2, "b": 2, "c": 1, "d": 0})
+        r2 = rank({"a": 2, "b": 2, "c": 0, "d": 1})
+        cmp = compare_quietly(r1, r2)
+        assert cmp.reversals == (("c", "d"),)
+        assert cmp.kendall_tau == pytest.approx(0.6, abs=1e-15)
+
+    def test_full_reversal(self):
+        r1 = rank({"a": 3, "b": 2, "c": 1})
+        r2 = rank({"a": 1, "b": 2, "c": 3})
+        cmp = compare_quietly(r1, r2)
+        assert len(cmp.reversals) == 3
+        assert cmp.kendall_tau == -1.0
+
+    def test_single_alternative_is_nan(self):
+        r = rank({"a": 0.5})
+        assert math.isnan(compare_quietly(r, r).kendall_tau)
+
+    def test_all_one_tie_is_nan(self):
+        r1 = rank({"a": 1, "b": 1, "c": 1})
+        r2 = rank({"a": 3, "b": 2, "c": 1})
+        cmp = compare_quietly(r1, r2)
+        assert cmp.reversals == ()
+        assert math.isnan(cmp.kendall_tau)
+
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                    max_size=25))
+    def test_matches_pairwise_sign_reference(self, scores):
+        ids = [f"x{i}" for i in range(len(scores))]
+        r1 = rank([(k, s) for k, (s, _) in zip(ids, scores)])
+        r2 = rank([(k, s) for k, (_, s) in zip(ids, scores)])
+        x = [r1.position(k) for k in ids]
+        y = [r2.position(k) for k in ids]
+        cmp = compare_quietly(r1, r2)
+        expected = tau_b_reference(x, y)
+        if math.isnan(expected):
+            assert math.isnan(cmp.kendall_tau)
+        else:
+            assert abs(cmp.kendall_tau - expected) < 1e-12
+        assert len(cmp.reversals) == sum(
+            (x[i] - x[j]) * (y[i] - y[j]) < 0
+            for i in range(len(x)) for j in range(i + 1, len(x)))
 
 
 @st.composite

@@ -1,9 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wmsdspace
 from conftest import FIXTURES
 from wmsdspace.aggregate import AggregationKind
 from wmsdspace.errors import (
@@ -381,3 +386,15 @@ class TestGoldenFiles:
             "--config", FIXTURES / "students_config.json")
         assert code == 0
         assert out == golden.read_text()
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(wmsdspace.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("import sys, wmsdspace.cli; print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"
