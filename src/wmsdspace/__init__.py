@@ -12,11 +12,13 @@ from .aggregate import (
     Ranking,
     RankingComparison,
     agg_from_wmsd,
+    agg_rows,
     agg_unweighted,
     agg_values,
     agg_weighted,
     compare_rankings,
     rank,
+    rank_array,
 )
 from .errors import WmsdError
 from .geometry import (
@@ -54,13 +56,16 @@ from .spaces import (
     rescaled_euclid,
     to_utility,
     to_weighted,
+    utility_array,
     weighted_rescaled_euclid,
 )
 from .wmsd import (
     ProjectionPair,
     WmsdPoint,
     ia_distances,
+    mean_sd,
     msd,
+    plane,
     project,
     wm,
     wmsd_point,
@@ -73,13 +78,13 @@ __all__ = [
     "AggregationKind", "BoundaryEnvelope", "CriterionSpec", "DecisionMatrix",
     "Isoline", "PlotSpec", "ProjectionPair", "Ranking", "RankingComparison",
     "UtilityPoint", "WeightVector", "WeightedPoint", "WmsdError", "WmsdPoint",
-    "agg_from_wmsd", "agg_unweighted", "agg_values", "agg_weighted",
-    "boundary", "boundary_sampled", "color_hex", "color_rgb",
-    "compare_rankings", "envelope_wsd", "euclid", "ia_distances",
-    "is_attainable", "isoline", "matrix_to_utility", "msd",
-    "normalize_weights", "project", "rank", "render_overlay",
-    "render_panel_grid", "render_wmsd_plot", "rescaled_euclid",
-    "scaling_coefficient", "to_utility", "to_weighted", "uniform_weights",
-    "validate_criteria", "vertex_images", "weighted_rescaled_euclid", "wm",
-    "wmsd_point", "wsd",
+    "agg_from_wmsd", "agg_rows", "agg_unweighted", "agg_values",
+    "agg_weighted", "boundary", "boundary_sampled", "color_hex",
+    "color_rgb", "compare_rankings", "envelope_wsd", "euclid",
+    "ia_distances", "is_attainable", "isoline", "matrix_to_utility",
+    "mean_sd", "msd", "normalize_weights", "plane", "project", "rank",
+    "rank_array", "render_overlay", "render_panel_grid", "render_wmsd_plot",
+    "rescaled_euclid", "scaling_coefficient", "to_utility", "to_weighted",
+    "uniform_weights", "utility_array", "validate_criteria",
+    "vertex_images", "weighted_rescaled_euclid", "wm", "wmsd_point", "wsd",
 ]

@@ -2,12 +2,16 @@
 
 Three classic aggregations are supported, each scaled to [0, 1] and
 maximized: I (closeness to the ideal), A (distance from the anti-ideal),
-and R (relative closeness, the usual TOPSIS score).  Every aggregation
-exists in three equivalent forms: unweighted on utility points, weighted
-on weighted points, and as a function of the (WM, WSD) plane coordinates
-plus mean(w).  The weighted form with all-ones weights equals the
-unweighted form, and the plane form equals the weighted form for any
-point, both up to floating noise.
+and R (relative closeness, the usual TOPSIS score).  One batched core,
+:func:`agg_rows`, scores every row of an (m, n) array of weighted points
+from its distances to the anti-ideal and ideal corners of the box.
+Unweighted scoring is that core under all-ones weights, and
+:func:`agg_weighted` and :func:`agg_unweighted` are its one-point views.
+:func:`agg_values` gives the same aggregations from the (WM, WSD) plane
+coordinates plus mean(w), equal to the core up to floating noise; the
+renderer uses it to color the plane.  Rankings are computed on score
+arrays by :func:`rank_array`, with :func:`rank` as its view over
+``(id, score)`` pairs.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import IdSetMismatch, NonFiniteScore
-from .model import WeightVector
-from .spaces import _coords
+from .model import WeightVector, _frozen, uniform_weights
+from .spaces import _coords, _row_norms
 from .wmsd import WmsdPoint
 
 
@@ -34,16 +38,8 @@ class AggregationKind(str, enum.Enum):
         return self.value
 
 
-def agg_values(kind: AggregationKind, wm, wsd, mean_w: float):
-    """Vectorized aggregation over plane coordinates.
-
-    ``wm`` and ``wsd`` may be scalars or arrays.  R's denominator is
-    always positive: both distances vanish only if the anti-ideal and
-    ideal images coincide, which mean(w) > 0 rules out.
-    """
-    kind = AggregationKind(kind)
-    d_anti = np.hypot(wm, wsd)
-    d_ideal = np.hypot(mean_w - np.asarray(wm, dtype=float), wsd)
+def _combine(kind: AggregationKind, d_anti, d_ideal, mean_w: float):
+    """I, A or R from the scaled distances to the anti-ideal and ideal."""
     if kind is AggregationKind.I:
         return 1.0 - d_ideal / mean_w
     if kind is AggregationKind.A:
@@ -51,40 +47,46 @@ def agg_values(kind: AggregationKind, wm, wsd, mean_w: float):
     return d_anti / (d_ideal + d_anti)
 
 
+def agg_rows(kind: AggregationKind, v: np.ndarray,
+             w: WeightVector) -> np.ndarray:
+    """Aggregation of every row of an (m, n) array of weighted points.
+
+    The distances to the anti-ideal (all zeros) and the ideal (``w``
+    itself) are measured in the box and divided by ``s``.  This is the
+    primary scoring path; under :func:`uniform_weights` it is the
+    unweighted aggregation of utility rows, bit for bit.
+    """
+    d_ideal = _row_norms(v - w.weights) / w.s
+    d_anti = _row_norms(v) / w.s
+    return _combine(AggregationKind(kind), d_anti, d_ideal, w.mean_w)
+
+
+def agg_values(kind: AggregationKind, wm, wsd, mean_w: float):
+    """Vectorized aggregation over plane coordinates.
+
+    ``wm`` and ``wsd`` may be scalars or arrays.  R's denominator is
+    always positive: both distances vanish only if the anti-ideal and
+    ideal images coincide, which mean(w) > 0 rules out.
+    """
+    d_anti = np.hypot(wm, wsd)
+    d_ideal = np.hypot(mean_w - np.asarray(wm, dtype=float), wsd)
+    return _combine(AggregationKind(kind), d_anti, d_ideal, mean_w)
+
+
 def agg_from_wmsd(kind: AggregationKind, p: WmsdPoint, mean_w: float) -> float:
     """Aggregation value of a plane point; equals the weighted form."""
     return float(agg_values(kind, p.wm, p.wsd, mean_w))
 
 
+def agg_weighted(kind: AggregationKind, v, w: WeightVector) -> float:
+    """Aggregation of one weighted point (see :func:`agg_rows`)."""
+    return float(agg_rows(kind, _coords(v).reshape(1, -1), w)[0])
+
+
 def agg_unweighted(kind: AggregationKind, u) -> float:
     """Aggregation of a utility point under equally important criteria."""
-    kind = AggregationKind(kind)
     uc = _coords(u)
-    root_n = math.sqrt(uc.size)
-    d_ideal = float(np.linalg.norm(uc - 1.0)) / root_n
-    d_anti = float(np.linalg.norm(uc)) / root_n
-    if kind is AggregationKind.I:
-        return 1.0 - d_ideal
-    if kind is AggregationKind.A:
-        return d_anti
-    return d_anti / (d_ideal + d_anti)
-
-
-def agg_weighted(kind: AggregationKind, v, w: WeightVector) -> float:
-    """Aggregation of a weighted point, from distances in the box.
-
-    This direct route is the primary scoring path; the plane form exists
-    for cross-validation and rendering.
-    """
-    kind = AggregationKind(kind)
-    vc = _coords(v)
-    d_ideal = float(np.linalg.norm(vc - w.weights)) / w.s
-    d_anti = float(np.linalg.norm(vc)) / w.s
-    if kind is AggregationKind.I:
-        return 1.0 - d_ideal / w.mean_w
-    if kind is AggregationKind.A:
-        return d_anti / w.mean_w
-    return d_anti / (d_ideal + d_anti)
+    return agg_weighted(kind, uc, uniform_weights(uc.size))
 
 
 @dataclass(frozen=True)
@@ -94,60 +96,80 @@ class RankEntry:
     rank: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ranking:
     """Scores sorted non-increasing, with competition ranks (1, 2, 2, 4).
 
-    ``groups`` partitions the ids into indifference groups in rank order;
-    ids whose scores differ from the group leader by at most the tie
-    tolerance share the leader's rank.
+    ``ids``, ``scores`` and ``ranks`` are aligned and in rank order.  Ids
+    whose scores differ from their group leader's by at most the tie
+    tolerance share the leader's rank, so each indifference group is a
+    run of equal ranks; ``group_numbers`` numbers the runs from 1.
     """
 
-    entries: tuple[RankEntry, ...]
-    groups: tuple[tuple[str, ...], ...]
-
-    def position(self, alt_id: str) -> int:
-        for e in self.entries:
-            if e.id == alt_id:
-                return e.rank
-        raise KeyError(alt_id)
+    ids: tuple[str, ...]
+    scores: np.ndarray
+    ranks: np.ndarray
 
     @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(e.id for e in self.entries)
+    def group_numbers(self) -> np.ndarray:
+        starts = np.diff(self.ranks, prepend=0) != 0
+        return np.cumsum(starts)
+
+    @property
+    def entries(self) -> tuple[RankEntry, ...]:
+        return tuple(RankEntry(id=i, score=s, rank=r) for i, s, r in
+                     zip(self.ids, self.scores.tolist(), self.ranks.tolist()))
+
+    @property
+    def groups(self) -> tuple[tuple[str, ...], ...]:
+        """The ids partitioned into indifference groups, in rank order."""
+        starts = np.flatnonzero(np.diff(self.ranks, prepend=0)).tolist()
+        return tuple(self.ids[a:b]
+                     for a, b in zip(starts, starts[1:] + [len(self.ids)]))
+
+    def position(self, alt_id: str) -> int:
+        try:
+            return int(self.ranks[self.ids.index(alt_id)])
+        except ValueError:
+            raise KeyError(alt_id) from None
+
+
+def rank_array(ids: Sequence[str], scores: np.ndarray,
+               tie_tolerance: float = 1e-9) -> Ranking:
+    """Order alternatives by score, grouping near-equal scores as ties.
+
+    ``scores[k]`` is the score of ``ids[k]``.  Exact ties keep their
+    input order.  A new group starts when a score drops more than
+    ``tie_tolerance`` below the group leader's score.
+    """
+    scores = np.asarray(scores, dtype=float)
+    bad = ~np.isfinite(scores)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise NonFiniteScore(f"score of {ids[k]!r} is {float(scores[k])}")
+    order = np.argsort(-scores, kind="stable")
+    ranked = scores[order]
+    ranks = []
+    leader_score = math.inf
+    leader_rank = 1
+    for pos, score in enumerate(ranked.tolist(), start=1):
+        if leader_score - score > tie_tolerance:
+            leader_score = score
+            leader_rank = pos
+        ranks.append(leader_rank)
+    ranks = np.array(ranks, dtype=np.int64)
+    ranks.flags.writeable = False
+    return Ranking(ids=tuple(ids[k] for k in order.tolist()),
+                   scores=_frozen(ranked), ranks=ranks)
 
 
 def rank(scores: Mapping[str, float] | Sequence[tuple[str, float]],
          tie_tolerance: float = 1e-9) -> Ranking:
-    """Order alternatives by score, grouping near-equal scores as ties.
-
-    Exact ties keep their input order.  A new group starts when a score
-    drops more than ``tie_tolerance`` below the group leader's score.
-    """
+    """Rank a mapping or sequence of ``(id, score)`` pairs (see
+    :func:`rank_array`)."""
     items = list(scores.items()) if isinstance(scores, Mapping) else list(scores)
-    for alt_id, score in items:
-        if not math.isfinite(score):
-            raise NonFiniteScore(f"score of {alt_id!r} is {score}")
-    order = sorted(range(len(items)), key=lambda i: (-items[i][1], i))
-
-    entries: list[RankEntry] = []
-    groups: list[tuple[str, ...]] = []
-    group: list[str] = []
-    leader_score = math.inf
-    leader_rank = 1
-    for pos, i in enumerate(order, start=1):
-        alt_id, score = items[i]
-        if leader_score - score > tie_tolerance:
-            if group:
-                groups.append(tuple(group))
-            group = []
-            leader_score = score
-            leader_rank = pos
-        group.append(alt_id)
-        entries.append(RankEntry(id=alt_id, score=score, rank=leader_rank))
-    if group:
-        groups.append(tuple(group))
-    return Ranking(entries=tuple(entries), groups=tuple(groups))
+    return rank_array([i for i, _ in items], [s for _, s in items],
+                      tie_tolerance)
 
 
 @dataclass(frozen=True)
@@ -179,8 +201,8 @@ def compare_rankings(r1: Ranking, r2: Ranking) -> RankingComparison:
         missing = sorted(ids1 ^ ids2)
         raise IdSetMismatch(f"rankings cover different ids: {missing}")
 
-    rank1 = {e.id: e.rank for e in r1.entries}
-    rank2 = {e.id: e.rank for e in r2.entries}
+    rank1 = dict(zip(r1.ids, r1.ranks.tolist()))
+    rank2 = dict(zip(r2.ids, r2.ranks.tolist()))
     ordered = list(r1.ids)
     deltas = {alt_id: rank2[alt_id] - rank1[alt_id] for alt_id in ordered}
 

@@ -17,17 +17,19 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .aggregate import (
     AggregationKind,
     Ranking,
-    agg_unweighted,
-    agg_weighted,
+    agg_rows,
     compare_rankings,
-    rank,
+    rank_array,
 )
 from .errors import (
     IdSetMismatch,
@@ -37,7 +39,7 @@ from .errors import (
     ValidationError,
     WmsdError,
 )
-from .geometry import boundary
+from .geometry import boundary, plane_coordinates
 from .model import (
     COST,
     GAIN,
@@ -55,8 +57,8 @@ from .render import (
     render_panel_grid,
     render_wmsd_plot,
 )
-from .spaces import matrix_to_utility, to_weighted
-from .wmsd import msd, wmsd_point
+from .spaces import utility_array
+from .wmsd import WmsdPoint, mean_sd, plane
 
 DEFAULT_TIE_TOLERANCE = 1e-9
 
@@ -173,27 +175,26 @@ def read_matrix(csv_text: str, config: RunConfig) -> DecisionMatrix:
             raise HeaderMismatch(
                 f"row {r}: expected {len(expected)} fields, "
                 f"got {len(record)}")
-        values = []
-        for name, cell in zip(config.names, record[1:]):
-            try:
-                values.append(float(cell))
-            except ValueError:
-                raise BadNumber(f"row {r}, column {name!r}: "
-                                f"cannot parse {cell!r} as a number",
-                                row=r, column=name)
-        rows.append((record[0], values))
+        try:
+            rows.append((record[0], list(map(float, record[1:]))))
+        except ValueError:
+            for name, cell in zip(config.names, record[1:]):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise BadNumber(f"row {r}, column {name!r}: "
+                                    f"cannot parse {cell!r} as a number",
+                                    row=r, column=name) from None
     return DecisionMatrix.from_rows(rows, config.criteria, clamp=config.clamp)
 
 
 def _scores(matrix: DecisionMatrix, w: WeightVector,
-            kind: AggregationKind, weighted: bool) -> dict[str, float]:
-    out = {}
-    for alt_id, u in zip(matrix.ids, matrix_to_utility(matrix)):
-        if weighted:
-            out[alt_id] = agg_weighted(kind, to_weighted(u, w), w)
-        else:
-            out[alt_id] = agg_unweighted(kind, u)
-    return out
+            kind: AggregationKind, weighted: bool) -> np.ndarray:
+    """Scores of all alternatives, in matrix order, as one array."""
+    if not weighted:
+        w = uniform_weights(matrix.n)
+    u = utility_array(matrix.values, matrix.criteria)
+    return agg_rows(kind, u * w.weights, w)
 
 
 def _r6(x: float) -> float:
@@ -201,15 +202,13 @@ def _r6(x: float) -> float:
 
 
 def _ranking_rows(ranking: Ranking) -> list[dict]:
-    group_of = {}
-    for gi, group in enumerate(ranking.groups, start=1):
-        for alt_id in group:
-            group_of[alt_id] = gi
-    return [{"id": e.id, "score": _r6(e.score), "rank": e.rank,
-             "group": group_of[e.id]} for e in ranking.entries]
+    return [{"id": i, "score": _r6(s), "rank": r, "group": g}
+            for i, s, r, g in zip(ranking.ids, ranking.scores.tolist(),
+                                  ranking.ranks.tolist(),
+                                  ranking.group_numbers.tolist())]
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _csv_text(header: list[str], rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -224,15 +223,17 @@ def _json_text(payload) -> str:
 def cmd_rank(matrix: DecisionMatrix, config: RunConfig,
              kind: AggregationKind, weighted: bool, tie_tolerance: float,
              fmt: str) -> str:
-    scores = _scores(matrix, config.weight_vector, kind, weighted)
-    ranking = rank(scores, tie_tolerance)
-    rows = _ranking_rows(ranking)
+    ranking = rank_array(
+        matrix.ids, _scores(matrix, config.weight_vector, kind, weighted),
+        tie_tolerance)
     if fmt == "json":
-        return _json_text({"entries": rows,
+        return _json_text({"entries": _ranking_rows(ranking),
                            "groups": [list(g) for g in ranking.groups]})
     return _csv_text(["id", "score", "rank", "group"],
-                     [[r["id"], f"{r['score']:.6f}", r["rank"], r["group"]]
-                      for r in rows])
+                     zip(ranking.ids,
+                         [f"{x:.6f}" for x in ranking.scores.tolist()],
+                         ranking.ranks.tolist(),
+                         ranking.group_numbers.tolist()))
 
 
 def cmd_transform(matrix: DecisionMatrix, config: RunConfig,
@@ -242,20 +243,18 @@ def cmd_transform(matrix: DecisionMatrix, config: RunConfig,
     names = config.names
     header = (["id"] + [f"u_{n}" for n in names] + [f"v_{n}" for n in names]
               + ["m", "sd", "wm", "wsd", "i", "a", "r", "i_w", "a_w", "r_w"])
-    rows = []
-    for alt_id, u in zip(matrix.ids, matrix_to_utility(matrix)):
-        v = to_weighted(u, w)
-        mp = msd(u)
-        wp = wmsd_point(v, w)
-        cells = (list(u.coords) + list(v.coords) + [mp.wm, mp.wsd, wp.wm,
-                 wp.wsd]
-                 + [agg_unweighted(k, u) for k in AggregationKind]
-                 + [agg_weighted(k, v, w) for k in AggregationKind])
-        rows.append([alt_id] + [_r6(x) for x in cells])
+    u = utility_array(matrix.values, matrix.criteria)
+    v = u * w.weights
+    ones = uniform_weights(matrix.n)  # u * ones.weights is u itself
+    table = np.column_stack(
+        [u, v, *mean_sd(u), *plane(v, w)]
+        + [agg_rows(k, u, ones) for k in AggregationKind]
+        + [agg_rows(k, v, w) for k in AggregationKind]).tolist()
     if fmt == "json":
-        return _json_text([dict(zip(header, row)) for row in rows])
-    return _csv_text(header, [[row[0]] + [f"{x:.6f}" for x in row[1:]]
-                              for row in rows])
+        return _json_text([dict(zip(header, [alt_id, *map(_r6, row)]))
+                           for alt_id, row in zip(matrix.ids, table)])
+    return _csv_text(header, ([alt_id] + [f"{x:.6f}" for x in row]
+                              for alt_id, row in zip(matrix.ids, table)))
 
 
 def cmd_boundary(config: RunConfig, resolution: int, fmt: str) -> str:
@@ -275,10 +274,10 @@ def cmd_boundary(config: RunConfig, resolution: int, fmt: str) -> str:
 
 def _plot_points(matrix: DecisionMatrix, w: WeightVector,
                  style: str) -> tuple:
-    pts = []
-    for alt_id, u in zip(matrix.ids, matrix_to_utility(matrix)):
-        pts.append((alt_id, wmsd_point(to_weighted(u, w), w), style))
-    return tuple(pts)
+    wm, wsd = plane_coordinates(
+        utility_array(matrix.values, matrix.criteria), w)
+    return tuple((alt_id, WmsdPoint(a, b), style) for alt_id, a, b
+                 in zip(matrix.ids, wm.tolist(), wsd.tolist()))
 
 
 def _plot_spec(matrix: DecisionMatrix, config: RunConfig,
@@ -343,16 +342,18 @@ def cmd_compare(args: argparse.Namespace) -> str:
         kind = _effective_kind(args, config)
         weighted = _effective_weighted(args, config)
         tie = args.tie_tol if args.tie_tol is not None else config.tie_tolerance
-        scores = _scores(matrix, config.weight_vector, kind, weighted)
-        rankings.append(rank(scores, tie))
+        rankings.append(rank_array(
+            matrix.ids,
+            _scores(matrix, config.weight_vector, kind, weighted), tie))
     ra, rb = rankings
     cmp = compare_rankings(ra, rb)
 
     if args.format == "csv":
-        rank_b = {e.id: e for e in rb.entries}
-        rows = [[e.id, f"{_r6(e.score):.6f}", e.rank,
-                 f"{_r6(rank_b[e.id].score):.6f}", rank_b[e.id].rank,
-                 cmp.deltas[e.id]] for e in ra.entries]
+        b_of = {i: (s, r) for i, s, r in zip(rb.ids, rb.scores.tolist(),
+                                             rb.ranks.tolist())}
+        rows = [[i, f"{s:.6f}", r, f"{b_of[i][0]:.6f}", b_of[i][1],
+                 cmp.deltas[i]] for i, s, r in
+                zip(ra.ids, ra.scores.tolist(), ra.ranks.tolist())]
         text = _csv_text(
             ["id", "score_a", "rank_a", "score_b", "rank_b", "delta"], rows)
         text += f"# kendall_tau={cmp.kendall_tau:.6f}\n"
@@ -363,7 +364,8 @@ def cmd_compare(args: argparse.Namespace) -> str:
         "ranking_a": _ranking_rows(ra),
         "ranking_b": _ranking_rows(rb),
         "deltas": {k: v for k, v in cmp.deltas.items()},
-        "kendall_tau": _r6(cmp.kendall_tau),
+        "kendall_tau": (None if math.isnan(cmp.kendall_tau)
+                        else _r6(cmp.kendall_tau)),
         "reversals": [list(p) for p in cmp.reversals],
     })
 

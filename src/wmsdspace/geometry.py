@@ -35,7 +35,7 @@ import numpy as np
 from .aggregate import AggregationKind
 from .errors import LevelOutOfRange, TooManyCriteria
 from .model import WeightVector, _frozen
-from .wmsd import WmsdPoint
+from .wmsd import WmsdPoint, plane
 
 EXACT_LIMIT = 20
 
@@ -161,11 +161,6 @@ class BoundaryEnvelope:
     def __post_init__(self):
         object.__setattr__(self, "wm", _frozen(self.wm))
         object.__setattr__(self, "wsd", _frozen(self.wsd))
-
-    def wsd_at(self, wm) -> np.ndarray:
-        """Linear interpolation of the sampled envelope (rendering aid;
-        use :func:`is_attainable` for exact membership tests)."""
-        return np.interp(np.asarray(wm, dtype=float), self.wm, self.wsd)
 
 
 def boundary(w: WeightVector, resolution: int = 512) -> BoundaryEnvelope:
@@ -327,12 +322,7 @@ def edge_sweep_utilities(w: WeightVector, per_edge: int,
 def plane_coordinates(u: np.ndarray, w: WeightVector
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (WM, WSD) for a batch of utility rows."""
-    v = u * w.weights
-    dots = v @ w.weights
-    wm = dots / (w.norm * w.s)
-    proj = np.outer(dots / (w.norm * w.norm), w.weights)
-    wsd = np.linalg.norm(v - proj, axis=1) / w.s
-    return wm, wsd
+    return plane(u * w.weights, w)
 
 
 def boundary_sampled(w: WeightVector, resolution: int = 512,

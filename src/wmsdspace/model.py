@@ -29,6 +29,7 @@ from .errors import (
     NonFiniteBound,
     NonFiniteWeight,
     OutOfDomain,
+    ValidationError,
 )
 
 GAIN = "gain"
@@ -203,39 +204,53 @@ class DecisionMatrix:
     ) -> "DecisionMatrix":
         """Build and validate a matrix from ``(id, values)`` pairs.
 
-        Every value must lie inside its criterion's domain.  With
-        ``clamp=True`` out-of-domain values are mapped to the nearest
-        bound instead of raising :class:`OutOfDomain`.
+        Every value must be finite and lie inside its criterion's domain.
+        With ``clamp=True`` finite out-of-domain values are mapped to the
+        nearest bound instead of raising :class:`OutOfDomain`; NaN and
+        infinite values are refused either way.  Of several faults the
+        first in row-major order is reported.
         """
         validate_criteria(criteria)
         n = len(criteria)
-        ids = []
-        seen = set()
-        data = np.empty((len(rows), n), dtype=float)
-        for i, (alt_id, values) in enumerate(rows):
-            if alt_id in seen:
-                raise DuplicateName(f"duplicate alternative id {alt_id!r}")
-            seen.add(alt_id)
-            ids.append(alt_id)
-            if len(values) != n:
-                raise LengthMismatch(
-                    f"alternative {alt_id!r}: expected {n} values, "
-                    f"got {len(values)}")
-            for j, (value, spec) in enumerate(zip(values, criteria)):
-                v = float(value)
-                if not spec.contains(v):
-                    if clamp:
-                        v = min(max(v, spec.v_min), spec.v_max)
-                    else:
-                        raise OutOfDomain(
-                            f"alternative {alt_id!r}, criterion "
-                            f"{spec.name!r}: value {v} outside "
-                            f"[{spec.v_min}, {spec.v_max}]",
-                            row=i + 1, column=spec.name)
-                data[i, j] = v
-        return cls(ids=tuple(ids), values=_frozen(data),
-                   criteria=tuple(criteria))
+        ids = tuple(alt_id for alt_id, _ in rows)
+        values = [vals for _, vals in rows]
+        stop, row_fault = _first_row_fault(ids, values, n)
+        data = np.array(values[:stop], dtype=float).reshape(stop, n)
+
+        lo = np.array([c.v_min for c in criteria])
+        hi = np.array([c.v_max for c in criteria])
+        finite = np.isfinite(data)
+        bad = ~finite if clamp else ~finite | (data < lo) | (data > hi)
+        if bad.any():
+            i, j = divmod(int(np.argmax(bad)), n)
+            spec, v = criteria[j], float(data[i, j])
+            problem = ("is not finite" if not finite[i, j] else
+                       f"outside [{spec.v_min}, {spec.v_max}]")
+            raise OutOfDomain(
+                f"alternative {ids[i]!r}, criterion {spec.name!r}: "
+                f"value {v} {problem}", row=i + 1, column=spec.name)
+        if row_fault is not None:
+            raise row_fault
+        if clamp:
+            data = np.where(data < lo, lo, np.where(data > hi, hi, data))
+        return cls(ids=ids, values=_frozen(data), criteria=tuple(criteria))
 
     def weight_vector(self) -> WeightVector:
         """Weights taken from the criteria, max-normalized."""
         return normalize_weights([c.raw_weight for c in self.criteria])
+
+
+def _first_row_fault(ids: Sequence[str], values: Sequence[Sequence[float]],
+                     n: int) -> tuple[int, ValidationError | None]:
+    """Index and error of the first row that repeats an earlier id or
+    does not hold ``n`` values; ``(len(ids), None)`` if there is none."""
+    seen = set()
+    for i, (alt_id, vals) in enumerate(zip(ids, values)):
+        if alt_id in seen:
+            return i, DuplicateName(f"duplicate alternative id {alt_id!r}")
+        seen.add(alt_id)
+        if len(vals) != n:
+            return i, LengthMismatch(
+                f"alternative {alt_id!r}: expected {n} values, "
+                f"got {len(vals)}")
+    return len(ids), None

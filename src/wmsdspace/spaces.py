@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
 import numpy as np
 
 from .errors import LengthMismatch, OutOfDomain, WeightMismatch
@@ -50,31 +52,44 @@ def _coords(p) -> np.ndarray:
     return np.asarray(p, dtype=float)
 
 
-def to_utility(value: float, spec: CriterionSpec, clamp: bool = False) -> float:
-    """Min-max rescale one raw value into [0, 1].
+def utility_array(values: np.ndarray,
+                  criteria: Sequence[CriterionSpec]) -> np.ndarray:
+    """Min-max rescale an (m, n) array of in-domain raw values into [0, 1].
 
-    Gain criteria map v_min to 0 and v_max to 1; cost criteria map
-    v_min to 1 and v_max to 0.
+    Column j is rescaled by criterion j: gain criteria map v_min to 0
+    and v_max to 1; cost criteria map v_min to 1 and v_max to 0.
     """
+    lo = np.array([c.v_min for c in criteria])
+    hi = np.array([c.v_max for c in criteria])
+    cost = np.array([c.kind == COST for c in criteria])
+    return np.where(cost, hi - values, values - lo) / (hi - lo)
+
+
+def to_utility(value: float, spec: CriterionSpec, clamp: bool = False) -> float:
+    """Min-max rescale one raw value (see :func:`utility_array`)."""
     if not spec.contains(value):
         if not clamp:
             raise OutOfDomain(
                 f"criterion {spec.name!r}: value {value} outside "
                 f"[{spec.v_min}, {spec.v_max}]", column=spec.name)
         value = min(max(value, spec.v_min), spec.v_max)
-    span = spec.v_max - spec.v_min
-    if spec.kind == COST:
-        return (spec.v_max - value) / span
-    return (value - spec.v_min) / span
+    return float(utility_array(np.array([[float(value)]]), [spec])[0, 0])
 
 
 def matrix_to_utility(matrix: DecisionMatrix) -> list[UtilityPoint]:
     """Rescale every alternative; order is preserved."""
-    return [
-        UtilityPoint(np.array([to_utility(v, c)
-                               for v, c in zip(row, matrix.criteria)]))
-        for row in matrix.values
-    ]
+    return [UtilityPoint(u)
+            for u in utility_array(matrix.values, matrix.criteria)]
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row of ``a`` with ``b`` (a vector or rows)."""
+    return np.einsum("ij,ij->i", a, np.broadcast_to(b, a.shape))
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of an (m, n) array."""
+    return np.sqrt(_row_dots(a, a))
 
 
 def to_weighted(u, w: WeightVector) -> WeightedPoint:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from wmsdspace.aggregate import (
     AggregationKind,
     agg_from_wmsd,
+    agg_rows,
     agg_unweighted,
     agg_weighted,
     compare_rankings,
@@ -17,7 +18,7 @@ from wmsdspace.aggregate import (
 from wmsdspace.errors import IdSetMismatch, NonFiniteScore
 from wmsdspace.model import normalize_weights, uniform_weights
 from wmsdspace.spaces import matrix_to_utility, to_weighted
-from wmsdspace.wmsd import WmsdPoint, wmsd_point
+from wmsdspace.wmsd import WmsdPoint, plane, wmsd_point
 
 W3 = normalize_weights([0.5, 0.6, 1.0])
 KINDS = list(AggregationKind)
@@ -303,6 +304,22 @@ class TestAggregationProperties:
         for kind in KINDS:
             assert abs(agg_weighted(kind, v, w)
                        - agg_from_wmsd(kind, p, w.mean_w)) < 1e-12
+
+    @given(utility_and_weights())
+    def test_one_point_views_equal_batched_rows(self, uw):
+        u, w = uw
+        rows = np.array([u, u[::-1], u])
+        v = rows * w.weights
+        ones = uniform_weights(len(u))
+        wm, wsd = plane(v, w)
+        for kind in KINDS:
+            weighted = agg_rows(kind, v, w)
+            unweighted = agg_rows(kind, rows, ones)
+            for i in range(len(rows)):
+                assert agg_weighted(kind, v[i], w) == weighted[i]
+                assert agg_unweighted(kind, rows[i]) == unweighted[i]
+        for i in range(len(rows)):
+            assert wmsd_point(v[i], w).as_tuple() == (wm[i], wsd[i])
 
     @given(st.lists(st.floats(min_value=0, max_value=1, allow_nan=False),
                     min_size=2, max_size=8))

@@ -1,16 +1,20 @@
 import csv
+import hashlib
+import importlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wmsdspace
 from conftest import FIXTURES
-from wmsdspace.aggregate import AggregationKind
+from wmsdspace.aggregate import AggregationKind, agg_rows
 from wmsdspace.errors import (
     AllZeroWeights,
     BadNumber,
@@ -19,7 +23,8 @@ from wmsdspace.errors import (
     SchemaError,
 )
 from wmsdspace.cli import parse_config, read_matrix
-from wmsdspace.wmsd import WmsdPoint
+from wmsdspace.model import normalize_weights
+from wmsdspace.wmsd import WmsdPoint, plane
 from wmsdspace.aggregate import agg_from_wmsd
 
 STUDENTS_CONFIG = (FIXTURES / "students_config.json").read_text()
@@ -322,6 +327,25 @@ class TestCompareCommand:
         assert out.startswith("id,score_a,rank_a,score_b,rank_b,delta")
         assert "# kendall_tau=" in out
 
+    @pytest.mark.parametrize("rows", [
+        ["only,50,3,4"],                              # a single alternative
+        ["a,50,3,4", "b,50,3,4", "c,50,3,4"],         # one tie in both
+    ])
+    def test_undefined_tau_is_null(self, run_cli, tmp_path, rows):
+        data = tmp_path / "tied.csv"
+        data.write_text("id,Math,Bio,Art\n" + "\n".join(rows) + "\n")
+        args = ("compare", "--data", data,
+                "--config", FIXTURES / "students_config.json",
+                "--config-b", FIXTURES / "students_config_equal.json")
+        code, out, _ = run_cli(*args)
+        assert code == 0
+        doc = json.loads(out, parse_constant=lambda name: pytest.fail(
+            f"{name} is not valid JSON"))
+        assert doc["kendall_tau"] is None
+        assert doc["reversals"] == []
+        code, out, _ = run_cli(*args, "--format", "csv")
+        assert code == 0 and "# kendall_tau=nan\n" in out
+
 
 class TestErrorStream:
     def test_validation_exit_code_and_record(self, run_cli, tmp_path):
@@ -359,6 +383,20 @@ class TestErrorStream:
         assert record["error"] == "OutOfDomain"
         assert record["row"] == 1 and record["column"] == "Math"
 
+    @pytest.mark.parametrize("clamp", [[], ["--clamp"]])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_refused(self, run_cli, tmp_path, cell, clamp):
+        data = tmp_path / "nonfinite.csv"
+        data.write_text(f"id,Math,Bio,Art\nS1,50,3,4\nS2,50,{cell},4\n")
+        code, out, err = run_cli(
+            "rank", "--data", data,
+            "--config", FIXTURES / "students_config.json", *clamp)
+        assert code == 1 and out == ""
+        record = json.loads(err)
+        assert record["error"] == "OutOfDomain"
+        assert record["row"] == 2 and record["column"] == "Bio"
+        assert "not finite" in record["message"]
+
     def test_clamp_flag_rescues(self, run_cli, tmp_path):
         data = tmp_path / "oob.csv"
         data.write_text("id,Math,Bio,Art\nS1,150,3,4\n")
@@ -386,6 +424,201 @@ class TestGoldenFiles:
             "--config", FIXTURES / "students_config.json")
         assert code == 0
         assert out == golden.read_text()
+
+    # SHA-256 of the three README plots, recorded from the per-row plot
+    # path that preceded the batched core.
+    README_PLOTS = {
+        "students": (
+            ["--data", FIXTURES / "students.csv",
+             "--config", FIXTURES / "students_config.json",
+             "--isolines", "0.25,0.5,0.75", "--labels"],
+            "af11a57a8eac02c4b302f88f58fe29251357691ad65f368f2a0c2e612d783c3b"),
+        "panels": (
+            ["--data", FIXTURES / "countries.csv"]
+            + [a for k in (1, 2, 3, 4)
+               for a in ("--config", FIXTURES / f"countries_w{k}.json")]
+            + ["--columns", "2"],
+            "a796fbf99f40603d38d0993ff6c940c42fa2f6cef3a93b0be2fd01b70e8faad2"),
+        "overlay": (
+            ["--data", FIXTURES / "countries_2019_subset.csv",
+             "--config", FIXTURES / "countries_w3.json",
+             "--overlay", FIXTURES / "countries_2023_synthetic.csv"],
+            "c18a1dc22b0d83a45ef2ad13057abb21b1040e19dfd08e65e7763fc7d837e4c8"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(README_PLOTS))
+    def test_readme_plot_bytes_frozen(self, run_cli, name):
+        args, digest = self.README_PLOTS[name]
+        code, out, err = run_cli("plot", *args)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+class TestBatchedCore:
+    """Every command scores all rows in one batched pass.
+
+    The per-row helpers are made to raise, and the outputs are checked
+    against a per-row numpy reference: unrounded core values within
+    1e-12, printed values within half a unit of the 6th decimal plus
+    1e-12, ranks and groups exactly.
+    """
+
+    PER_ROW = [("spaces", "to_utility"), ("spaces", "to_weighted"),
+               ("aggregate", "agg_weighted"), ("aggregate", "agg_unweighted"),
+               ("wmsd", "wmsd_point")]
+    M, N = 500, 8
+    PRINTED = 0.5e-6 + 1e-12
+
+    @pytest.fixture(autouse=True)
+    def no_per_row(self, monkeypatch):
+        for mod_name, attr in self.PER_ROW:
+            fn = getattr(importlib.import_module(f"wmsdspace.{mod_name}"),
+                         attr)
+
+            def refuse(*args, _name=f"{mod_name}.{attr}", **kwargs):
+                raise AssertionError(f"per-row {_name} was called")
+            for name, module in list(sys.modules.items()):
+                if name == "wmsdspace" or name.startswith("wmsdspace."):
+                    for key, val in list(vars(module).items()):
+                        if val is fn:
+                            monkeypatch.setattr(module, key, refuse)
+
+    @pytest.fixture
+    def case(self, tmp_path):
+        """Cost criteria, a zero weight, duplicate rows, cells at bounds."""
+        rng = np.random.default_rng(20231)
+        m, n = self.M, self.N
+        lo = np.round(rng.uniform(-50.0, 50.0, n), 1)
+        hi = np.round(lo + rng.uniform(1.0, 500.0, n), 1)
+        cost = np.isin(np.arange(n), [1, 4, 6])
+        weights = []
+        for _ in range(2):
+            w = np.round(rng.uniform(0.05, 1.0, n), 4)
+            w[3] = 0.0
+            weights.append(w)
+        x = np.round(lo + rng.random((m, n)) * (hi - lo), 4)
+        x = np.where(rng.random((m, n)) < 0.03,
+                     np.where(rng.random((m, n)) < 0.5, lo, hi), x)
+        dst, src = rng.choice(m, (2, 10), replace=False)
+        x[dst] = x[src]
+        ids = [f"a{i:03d}" for i in range(m)]
+        data = tmp_path / "synthetic.csv"
+        data.write_text(
+            "id," + ",".join(f"c{j + 1}" for j in range(n)) + "\n"
+            + "".join(f"{i}," + ",".join(map(repr, row)) + "\n"
+                      for i, row in zip(ids, x.tolist())))
+        configs = []
+        for k, w in enumerate(weights):
+            path = tmp_path / f"config_{k}.json"
+            path.write_text(json.dumps({"criteria": [
+                {"name": f"c{j + 1}", "kind": "cost" if cost[j] else "gain",
+                 "min": lo[j], "max": hi[j], "weight": w[j]}
+                for j in range(n)]}))
+            configs.append(path)
+        u = np.array([[(h - v) / (h - lo_) if c else (v - lo_) / (h - lo_)
+                       for v, lo_, h, c in zip(row, lo, hi, cost)]
+                      for row in x])
+        assert (u == 0.0).any() and (u == 1.0).any()
+        assert len({tuple(row) for row in x.tolist()}) < m
+        return {"ids": ids, "data": data, "configs": configs, "u": u,
+                "weights": weights}
+
+    @staticmethod
+    def reference(u, raw_weights):
+        """Per-row I, A, R, WM, WSD and the weighted rows, one at a time."""
+        w = raw_weights / raw_weights.max()
+        norm = np.linalg.norm(w)
+        mean_w = w.mean()
+        s = norm / mean_w
+        out = []
+        for ur in u:
+            v = ur * w
+            d_ideal = np.linalg.norm(v - w) / s
+            d_anti = np.linalg.norm(v) / s
+            dot = float(v @ w)
+            out.append([1.0 - d_ideal / mean_w, d_anti / mean_w,
+                        d_anti / (d_ideal + d_anti), dot / (norm * s),
+                        np.linalg.norm(v - dot / (norm * norm) * w) / s])
+        return np.array(out), u * w
+
+    @staticmethod
+    def reference_ranking(ids, scores, tol=1e-9):
+        """(id, rank, group) in rank order by the leader rule."""
+        order = sorted(range(len(ids)), key=lambda i: (-scores[i], i))
+        out, leader, lead_rank, group = [], math.inf, 0, 0
+        for pos, i in enumerate(order, start=1):
+            if leader - scores[i] > tol:
+                leader, lead_rank, group = scores[i], pos, group + 1
+            out.append((ids[i], lead_rank, group))
+        return out
+
+    def check_ranking(self, entries, ids, scores):
+        """``entries``: (id, printed score, rank, group) in output order."""
+        expected = self.reference_ranking(ids, scores)
+        assert [(e[0], e[2], e[3]) for e in entries] == expected
+        assert expected[-1][2] < len(ids)  # the duplicates tie
+        by_id = dict(zip(ids, scores))
+        assert max(abs(e[1] - by_id[e[0]]) for e in entries) <= self.PRINTED
+
+    def test_core_matches_reference(self, case):
+        u = case["u"]
+        for raw in case["weights"] + [np.ones(self.N)]:
+            w = normalize_weights(raw)
+            ref, v = self.reference(u, raw)
+            got = [agg_rows(k, v, w) for k in AggregationKind]
+            got += list(plane(v, w))
+            assert np.max(np.abs(np.column_stack(got) - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("unweighted", [False, True])
+    def test_rank(self, run_cli, case, unweighted):
+        flag = ["--unweighted"] if unweighted else []
+        code, out, err = run_cli("rank", "--data", case["data"],
+                                 "--config", case["configs"][0], *flag)
+        assert code == 0, err
+        raw = np.ones(self.N) if unweighted else case["weights"][0]
+        scores = self.reference(case["u"], raw)[0][:, 2].tolist()
+        entries = [(r["id"], float(r["score"]), int(r["rank"]),
+                    int(r["group"]))
+                   for r in csv.DictReader(io.StringIO(out))]
+        self.check_ranking(entries, case["ids"], scores)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_transform(self, run_cli, case, fmt):
+        code, out, err = run_cli("transform", "--data", case["data"],
+                                 "--config", case["configs"][0],
+                                 "--format", fmt)
+        assert code == 0, err
+        rows = (json.loads(out) if fmt == "json"
+                else list(csv.DictReader(io.StringIO(out))))
+        assert [r["id"] for r in rows] == case["ids"]
+        names = [f"c{j + 1}" for j in range(self.N)]
+        u = case["u"]
+        weighted, v = self.reference(u, case["weights"][0])
+        unweighted, _ = self.reference(u, np.ones(self.N))
+        expected = np.column_stack(
+            [u, v, u.mean(axis=1), u.std(axis=1), weighted[:, 3:],
+             unweighted[:, :3], weighted[:, :3]])
+        columns = ([f"u_{c}" for c in names] + [f"v_{c}" for c in names]
+                   + ["m", "sd", "wm", "wsd", "i", "a", "r",
+                      "i_w", "a_w", "r_w"])
+        got = np.array([[float(r[c]) for c in columns] for r in rows])
+        assert np.max(np.abs(got - expected)) <= self.PRINTED
+
+    def test_compare(self, run_cli, case):
+        code, out, err = run_cli("compare", "--data", case["data"],
+                                 "--config", case["configs"][0],
+                                 "--config-b", case["configs"][1])
+        assert code == 0, err
+        doc = json.loads(out)
+        ranks = []
+        for key, raw in zip(("ranking_a", "ranking_b"), case["weights"]):
+            scores = self.reference(case["u"], raw)[0][:, 2].tolist()
+            entries = [(e["id"], e["score"], e["rank"], e["group"])
+                       for e in doc[key]]
+            self.check_ranking(entries, case["ids"], scores)
+            ranks.append({e["id"]: e["rank"] for e in doc[key]})
+        assert doc["deltas"] == {i: ranks[1][i] - ranks[0][i]
+                                 for i in ranks[0]}
 
 
 def test_cli_import_does_not_load_scipy():

@@ -190,6 +190,40 @@ class TestDecisionMatrix:
         assert m.values[0, 0] == 100.0
         assert m.values[0, 1] == 1.0
 
+    @pytest.mark.parametrize("clamp", [False, True])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_refused(self, value, clamp):
+        with pytest.raises(OutOfDomain, match="not finite") as exc:
+            DecisionMatrix.from_rows(
+                [("S1", [50.0, 3.0, 4.0]), ("S2", [50.0, value, 4.0])],
+                self.CRITERIA, clamp=clamp)
+        assert exc.value.row == 2
+        assert exc.value.column == "Bio"
+
+    def test_first_fault_in_row_major_order(self):
+        rows = [("S1", [50.0, 3.0, 4.0]),
+                ("S2", [50.0, 3.0, 9.0]),         # Art out of domain
+                ("S3", [math.nan, 3.0, 4.0]),
+                ("S2", [50.0, 3.0, 4.0])]         # duplicate id
+        with pytest.raises(OutOfDomain) as exc:
+            DecisionMatrix.from_rows(rows, self.CRITERIA)
+        assert (exc.value.row, exc.value.column) == (2, "Art")
+        with pytest.raises(OutOfDomain) as exc:
+            DecisionMatrix.from_rows(rows, self.CRITERIA, clamp=True)
+        assert (exc.value.row, exc.value.column) == (3, "Math")
+        with pytest.raises(DuplicateName):
+            DecisionMatrix.from_rows(rows[:2] + rows[3:], self.CRITERIA,
+                                     clamp=True)
+        # row 2 repeats an id and is short: it faults before row 3's inf
+        with pytest.raises(DuplicateName):
+            DecisionMatrix.from_rows(
+                [("S1", [50.0, 3.0, 4.0]), ("S1", [1.0, 2.0]),
+                 ("S2", [50.0, 3.0, math.inf])], self.CRITERIA)
+        with pytest.raises(LengthMismatch):
+            DecisionMatrix.from_rows(
+                [("S1", [50.0, 3.0, 4.0]), ("S2", [1.0, 2.0]),
+                 ("S3", [50.0, 3.0, math.inf])], self.CRITERIA)
+
     def test_duplicate_id(self):
         with pytest.raises(DuplicateName):
             DecisionMatrix.from_rows(
