@@ -24,6 +24,7 @@ from .errors import WmsdError
 from .geometry import (
     BoundaryEnvelope,
     Isoline,
+    attainable,
     boundary,
     boundary_sampled,
     envelope_wsd,
@@ -79,7 +80,7 @@ __all__ = [
     "Isoline", "PlotSpec", "ProjectionPair", "Ranking", "RankingComparison",
     "UtilityPoint", "WeightVector", "WeightedPoint", "WmsdError", "WmsdPoint",
     "agg_from_wmsd", "agg_rows", "agg_unweighted", "agg_values",
-    "agg_weighted", "boundary", "boundary_sampled", "color_hex",
+    "agg_weighted", "attainable", "boundary", "boundary_sampled", "color_hex",
     "color_rgb", "compare_rankings", "envelope_wsd", "euclid",
     "ia_distances", "is_attainable", "isoline", "matrix_to_utility",
     "mean_sd", "msd", "normalize_weights", "plane", "project", "rank",

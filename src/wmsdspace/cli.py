@@ -168,9 +168,11 @@ def read_matrix(csv_text: str, config: RunConfig) -> DecisionMatrix:
         raise HeaderMismatch(
             f"header {header} does not match expected {expected}")
     rows = []
-    for r, record in enumerate(reader, start=1):
+    r = 0  # 1-based data row: blank lines are not counted
+    for record in reader:
         if not record:
             continue
+        r += 1
         if len(record) != len(expected):
             raise HeaderMismatch(
                 f"row {r}: expected {len(expected)} fields, "
@@ -259,17 +261,20 @@ def cmd_transform(matrix: DecisionMatrix, config: RunConfig,
 
 def cmd_boundary(config: RunConfig, resolution: int, fmt: str) -> str:
     env = boundary(config.weight_vector, resolution)
+    wm, wsd = env.wm.tolist(), env.wsd.tolist()
+    vertices = env.vertex_images.tolist()
     if fmt == "json":
         return _json_text({
-            "wm": [_r6(x) for x in env.wm],
-            "wsd": [_r6(x) for x in env.wsd],
-            "vertices": [[_r6(a), _r6(b)] for a, b in env.vertex_images],
+            "wm": [_r6(x) for x in wm],
+            "wsd": [_r6(x) for x in wsd],
+            "vertices": [[_r6(a), _r6(b)] for a, b in vertices],
         })
-    rows = [["envelope", f"{a:.6f}", f"{b:.6f}"]
-            for a, b in zip(env.wm, env.wsd)]
-    rows += [["vertex", f"{a:.6f}", f"{b:.6f}"]
-             for a, b in env.vertex_images]
-    return _csv_text(["section", "wm", "wsd"], rows)
+    # No field holds a comma, quote or newline, so plain joins give the
+    # bytes csv.writer would.
+    lines = ["section,wm,wsd"]
+    lines += [f"envelope,{a:.6f},{b:.6f}" for a, b in zip(wm, wsd)]
+    lines += [f"vertex,{a:.6f},{b:.6f}" for a, b in vertices]
+    return "\n".join(lines) + "\n"
 
 
 def _plot_points(matrix: DecisionMatrix, w: WeightVector,

@@ -19,6 +19,20 @@ it ``v . w = q + alpha * w_j`` and ``|v|^2 = q + alpha^2`` with
 largest feasible subset sums need to be inspected; with the subset sums
 of each "all but j" weight multiset precomputed and sorted, evaluating the
 envelope at any WM costs two binary searches per distinct weight value.
+:func:`attainable` tests a whole array of plane points against the region
+with one envelope evaluation; :func:`is_attainable` and the isoline
+clipping are views of it.
+
+A vertex of the box has its dot product with ``w`` equal to its squared
+norm, so its image depends only on its subset sum ``q``: every vertex
+image lies on the Thales semicircle over the segment from the anti-ideal
+to the ideal image.  :func:`vertex_images` therefore works on the sorted
+1-D array of subset sums: it rounds WM and WSD to 12 places, sorts by
+(WM, WSD) and drops each row equal to its predecessor, without forming
+or sorting a 2-D array of rows.
+
+The edge tables of recently used weight vectors are kept in an LRU cache
+bounded by ``CACHE_BYTES``.
 
 The exact path enumerates 2^(n_p - 1) subset sums per distinct positive
 weight and is capped at ``EXACT_LIMIT`` positive weights; beyond the cap
@@ -38,6 +52,10 @@ from .model import WeightVector, _frozen
 from .wmsd import WmsdPoint, plane
 
 EXACT_LIMIT = 20
+# Upper bound on the bytes of edge tables kept between calls; one
+# n_p = 20 weight vector with distinct weights takes about 88 MiB.  The most recently built
+# entry is kept even when it alone exceeds the bound.
+CACHE_BYTES = 256 * 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,8 +74,42 @@ class _EdgeTables:
     per_free: tuple[tuple[float, np.ndarray], ...]
     vertex_sums: np.ndarray
 
+    @property
+    def nbytes(self) -> int:
+        return (self.sq.nbytes + self.vertex_sums.nbytes
+                + sum(qs.nbytes for _, qs in self.per_free))
 
-_TABLE_CACHE: dict[bytes, _EdgeTables] = {}
+
+class _TableCache:
+    """Least-recently-used edge tables, bounded by the bytes they hold.
+
+    Keys are the bytes of the sorted squared positive weights.  ``hits``
+    counts lookups served from the cache and ``nbytes`` the bytes of the
+    arrays currently held.
+    """
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.entries: dict[bytes, _EdgeTables] = {}  # oldest use first
+        self.nbytes = 0
+        self.hits = 0
+
+    def get(self, key: bytes) -> _EdgeTables | None:
+        entry = self.entries.pop(key, None)
+        if entry is not None:
+            self.entries[key] = entry
+            self.hits += 1
+        return entry
+
+    def put(self, key: bytes, entry: _EdgeTables) -> None:
+        self.entries[key] = entry
+        self.nbytes += entry.nbytes
+        while self.nbytes > self.limit and len(self.entries) > 1:
+            oldest = next(iter(self.entries))
+            self.nbytes -= self.entries.pop(oldest).nbytes
+
+
+_TABLE_CACHE = _TableCache(CACHE_BYTES)
 
 
 def _subset_sums(values: np.ndarray) -> np.ndarray:
@@ -79,18 +131,21 @@ def _edge_tables(w: WeightVector) -> _EdgeTables:
             f"{sq.size} positive weights exceed the exact-envelope cap of "
             f"{EXACT_LIMIT}; drop criteria or use boundary_sampled")
     key = sq.tobytes()
-    cached = _TABLE_CACHE.get(key)
-    if cached is not None:
-        return cached
+    entry = _TABLE_CACHE.get(key)
+    if entry is None:
+        entry = _build_tables(sq)
+        _TABLE_CACHE.put(key, entry)
+    return entry
+
+
+def _build_tables(sq: np.ndarray) -> _EdgeTables:
     per_free = []
     _, first = np.unique(sq, return_index=True)
     for idx in first:
         per_free.append((float(sq[idx]), _subset_sums(np.delete(sq, idx))))
     vertex_sums = _subset_sums(sq)
-    entry = _EdgeTables(sq=sq, norm2=float(vertex_sums[-1]),
-                        per_free=tuple(per_free), vertex_sums=vertex_sums)
-    _TABLE_CACHE[key] = entry
-    return entry
+    return _EdgeTables(sq=sq, norm2=float(vertex_sums[-1]),
+                       per_free=tuple(per_free), vertex_sums=vertex_sums)
 
 
 def envelope_wsd(w: WeightVector, wm) -> np.ndarray:
@@ -128,15 +183,20 @@ def vertex_images(w: WeightVector) -> np.ndarray:
     A vertex has every coordinate at 0 or w_i, so its dot product and
     squared norm coincide: both equal the subset sum q of the squared
     weights held high, giving WM = mean(w) * q / |w|^2 and
-    WSD = mean(w) * sqrt(t (1 - t)) with t = q / |w|^2.  Rows are sorted
-    by (WM, WSD); values equal within 1e-12 are merged.
+    WSD = mean(w) * sqrt(t (1 - t)) with t = q / |w|^2.  Both are rounded
+    to 12 decimal places; rows are sorted by (WM, WSD) and duplicates
+    dropped.  WM is monotone in the sorted subset sums but WSD is not
+    within rounded WM ties, hence the two-key sort.
     """
     tables = _edge_tables(w)
     t = tables.vertex_sums / tables.norm2
-    wm = w.mean_w * t
-    wsd = w.mean_w * np.sqrt(np.maximum(t * (1.0 - t), 0.0))
-    pairs = np.round(np.column_stack([wm, wsd]), 12)
-    return _frozen(np.unique(pairs, axis=0))
+    wm = np.round(w.mean_w * t, 12)
+    wsd = np.round(w.mean_w * np.sqrt(np.maximum(t * (1.0 - t), 0.0)), 12)
+    order = np.lexsort((wsd, wm))
+    wm, wsd = wm[order], wsd[order]
+    keep = np.ones(wm.size, dtype=bool)
+    keep[1:] = (wm[1:] != wm[:-1]) | (wsd[1:] != wsd[:-1])
+    return _frozen(np.column_stack([wm[keep], wsd[keep]]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,19 +235,26 @@ def boundary(w: WeightVector, resolution: int = 512) -> BoundaryEnvelope:
                             weights=w)
 
 
+def attainable(w: WeightVector, wm, wsd, tol: float = 1e-9) -> np.ndarray:
+    """Whether each plane point lies inside the attainable region.
+
+    True where WM is within [0, mean(w)] and WSD is within
+    [0, envelope(WM)], each extended by ``tol``.  ``wm`` and ``wsd`` are
+    scalars or equal-shape arrays; the envelope is evaluated once for all
+    points.  Returns a 1-D boolean array.
+    """
+    wm = np.atleast_1d(np.asarray(wm, dtype=float))
+    wsd = np.atleast_1d(np.asarray(wsd, dtype=float))
+    inside = (wm >= -tol) & (wm <= w.mean_w + tol) & (wsd >= -tol)
+    return inside & (wsd <= envelope_wsd(w, wm) + tol)
+
+
 def is_attainable(p: WmsdPoint | tuple, w: WeightVector,
                   tol: float = 1e-9) -> bool:
-    """Whether a plane point lies inside the attainable region.
-
-    True iff WM is within [0, mean(w)] and WSD is within [0, envelope(WM)],
-    each extended by ``tol``.
-    """
+    """Whether one plane point lies inside the attainable region (see
+    :func:`attainable`)."""
     wm_v, wsd_v = (p.wm, p.wsd) if isinstance(p, WmsdPoint) else (p[0], p[1])
-    if wm_v < -tol or wm_v > w.mean_w + tol:
-        return False
-    if wsd_v < -tol:
-        return False
-    return wsd_v <= float(envelope_wsd(w, wm_v)[0]) + tol
+    return bool(attainable(w, wm_v, wsd_v, tol)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,11 +282,7 @@ def _clip_attainable(pts: np.ndarray, w: WeightVector,
                      tol: float = 1e-9) -> np.ndarray:
     if pts.size == 0:
         return pts.reshape(0, 2)
-    wm_v, wsd_v = pts[:, 0], pts[:, 1]
-    keep = (wm_v >= -tol) & (wm_v <= w.mean_w + tol) & (wsd_v >= -tol)
-    env = envelope_wsd(w, np.clip(wm_v, 0.0, w.mean_w))
-    keep &= wsd_v <= env + tol
-    return pts[keep]
+    return pts[attainable(w, pts[:, 0], pts[:, 1], tol)]
 
 
 def isoline(kind: AggregationKind, level: float, w: WeightVector,

@@ -26,7 +26,7 @@ from .errors import (
     UnattainablePoint,
     WmsdError,
 )
-from .geometry import boundary, envelope_wsd, is_attainable, isoline
+from .geometry import attainable, boundary, envelope_wsd, isoline
 from .model import WeightVector
 from .wmsd import WmsdPoint
 
@@ -47,19 +47,41 @@ COLOR_ANCHORS = (
 COLOR_QUANT_STEP = 0.25 / 191.0
 
 
+_ANCHOR_VALUES = np.array([v for v, _ in COLOR_ANCHORS])
+_ANCHOR_RGB = np.array([c for _, c in COLOR_ANCHORS], dtype=float)
+
+
+def colors_rgb(values) -> np.ndarray:
+    """RGB rows (k, 3) for an array of aggregation values (clipped to [0, 1]).
+
+    Each value is interpolated within the first anchor interval whose
+    upper end it does not exceed; channels round half to even, as
+    Python's ``round`` does.  NaN maps to the last anchor.
+    """
+    v = np.clip(np.atleast_1d(np.asarray(values, dtype=float)), 0.0, 1.0)
+    seg = np.searchsorted(_ANCHOR_VALUES[1:], v)
+    k = np.minimum(seg, len(COLOR_ANCHORS) - 2)
+    v0, v1 = _ANCHOR_VALUES[k], _ANCHOR_VALUES[k + 1]
+    t = ((v - v0) / (v1 - v0))[:, None]
+    c0, c1 = _ANCHOR_RGB[k], _ANCHOR_RGB[k + 1]
+    rgb = np.rint(c0 + t * (c1 - c0))
+    rgb[seg > k] = _ANCHOR_RGB[-1]
+    return rgb.astype(np.int64)
+
+
+def colors_hex(values) -> list[str]:
+    """``#rrggbb`` strings for an array of aggregation values."""
+    return [f"#{r:02x}{g:02x}{b:02x}"
+            for r, g, b in colors_rgb(values).tolist()]
+
+
 def color_rgb(value: float) -> tuple[int, int, int]:
     """RGB triple for an aggregation value in [0, 1] (clipped)."""
-    v = min(max(value, 0.0), 1.0)
-    for (v0, c0), (v1, c1) in zip(COLOR_ANCHORS, COLOR_ANCHORS[1:]):
-        if v <= v1:
-            t = (v - v0) / (v1 - v0)
-            return tuple(round(a + t * (b - a)) for a, b in zip(c0, c1))
-    return COLOR_ANCHORS[-1][1]
+    return tuple(colors_rgb(value)[0].tolist())
 
 
 def color_hex(value: float) -> str:
-    r, g, b = color_rgb(value)
-    return f"#{r:02x}{g:02x}{b:02x}"
+    return colors_hex(value)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,22 +169,18 @@ def field_cells(spec: PlotSpec) -> list[FieldCell]:
     env = envelope_wsd(w, wm_centers)
     cell_w = frame.plot_w / nx
     cell_h = frame.plot_h / ny
-    cells = []
-    for i in range(nx):
-        wm_c = wm_centers[i]
-        top = env[i]
-        vals = agg_values(spec.kind, wm_c, wsd_centers, w.mean_w)
-        for j in range(ny):
-            wsd_c = wsd_centers[j]
-            if wsd_c > top:
-                break
-            cells.append(FieldCell(
-                wm=float(wm_c), wsd=float(wsd_c), value=float(vals[j]),
-                color=color_hex(float(vals[j])),
-                x=frame.x(wm_c - wm_step / 2),
-                y=frame.y(wsd_c + wsd_step / 2),
-                w=cell_w, h=cell_h))
-    return cells
+    # Column i holds the cells below its envelope; a NaN envelope keeps
+    # the whole column.  np.nonzero yields them column by column.
+    ii, jj = np.nonzero(~(wsd_centers[None, :] > env[:, None]))
+    wm_c, wsd_c = wm_centers[ii], wsd_centers[jj]
+    vals = agg_values(spec.kind, wm_c, wsd_c, w.mean_w)
+    return [FieldCell(wm=a, wsd=b, value=v, color=c, x=x, y=y,
+                      w=cell_w, h=cell_h)
+            for a, b, v, c, x, y in zip(
+                wm_c.tolist(), wsd_c.tolist(), vals.tolist(),
+                colors_hex(vals),
+                frame.x(wm_c - wm_step / 2).tolist(),
+                frame.y(wsd_c + wsd_step / 2).tolist())]
 
 
 def _esc(text: str) -> str:
@@ -190,13 +208,17 @@ def _polyline_runs(points: np.ndarray, gap: float) -> list[np.ndarray]:
 
 def _check_points(spec: PlotSpec,
                   pts: Sequence[tuple[str, WmsdPoint, str]]) -> None:
-    if spec.force:
+    """Raise for the first point, in input order, outside the region."""
+    if spec.force or not pts:
         return
-    for pid, p, _style in pts:
-        if not is_attainable(p, spec.weights, 1e-9):
-            raise UnattainablePoint(
-                f"point {pid!r} at ({p.wm:.6f}, {p.wsd:.6f}) lies outside "
-                f"the attainable region", point_id=pid)
+    wm = np.array([p.wm for _, p, _ in pts], dtype=float)
+    wsd = np.array([p.wsd for _, p, _ in pts], dtype=float)
+    outside = np.flatnonzero(~attainable(spec.weights, wm, wsd, 1e-9))
+    if outside.size:
+        pid, p, _style = pts[outside[0]]
+        raise UnattainablePoint(
+            f"point {pid!r} at ({p.wm:.6f}, {p.wsd:.6f}) lies outside "
+            f"the attainable region", point_id=pid)
 
 
 def _marker_svg(frame: PlotFrame, pid: str, p: WmsdPoint, style: str,

@@ -14,6 +14,7 @@ import pytest
 
 import wmsdspace
 from conftest import FIXTURES
+from wmsdspace import geometry
 from wmsdspace.aggregate import AggregationKind, agg_rows
 from wmsdspace.errors import (
     AllZeroWeights,
@@ -240,6 +241,24 @@ class TestPlotCommand:
         assert svg.count("<g transform") == 4
         assert svg.count('class="marker"') == 48
 
+    def test_repeated_configs_build_two_tables(self, run_cli, monkeypatch):
+        monkeypatch.setattr(geometry, "_TABLE_CACHE",
+                            geometry._TableCache(geometry.CACHE_BYTES))
+        built = []
+        build = geometry._build_tables
+
+        def counted(sq):
+            built.append(sq)
+            return build(sq)
+        monkeypatch.setattr(geometry, "_build_tables", counted)
+        code, out, err = run_cli(
+            "plot", "--data", FIXTURES / "countries.csv",
+            *[a for k in (1, 2, 1, 2)
+              for a in ("--config", FIXTURES / f"countries_w{k}.json")])
+        assert code == 0, err
+        assert out.count("<g transform") == 4
+        assert len(built) == 2 and geometry._TABLE_CACHE.hits > 0
+
     def test_overlay_id_mismatch(self, run_cli):
         code, _, err = run_cli(
             "plot", "--data", FIXTURES / "countries.csv",
@@ -383,6 +402,29 @@ class TestErrorStream:
         assert record["error"] == "OutOfDomain"
         assert record["row"] == 1 and record["column"] == "Math"
 
+    @pytest.mark.parametrize("cell,error", [("150", "OutOfDomain"),
+                                            ("abc", "BadNumber")])
+    def test_rows_after_blank_line_are_data_rows(self, run_cli, tmp_path,
+                                                 cell, error):
+        data = tmp_path / "blank.csv"
+        data.write_text(f"id,Math,Bio,Art\n\nS1,{cell},3,4\n")
+        code, _, err = run_cli("rank", "--data", data,
+                               "--config", FIXTURES / "students_config.json")
+        assert code == 1
+        record = json.loads(err)
+        assert record["error"] == error
+        assert record["row"] == 1 and record["column"] == "Math"
+
+    def test_field_count_row_skips_blank_lines(self, run_cli, tmp_path):
+        data = tmp_path / "short.csv"
+        data.write_text("id,Math,Bio,Art\nS1,50,3,4\n\nS2,50,3\n")
+        code, _, err = run_cli("rank", "--data", data,
+                               "--config", FIXTURES / "students_config.json")
+        assert code == 1
+        record = json.loads(err)
+        assert record["error"] == "HeaderMismatch"
+        assert record["message"].startswith("row 2:")
+
     @pytest.mark.parametrize("clamp", [[], ["--clamp"]])
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_cell_refused(self, run_cli, tmp_path, cell, clamp):
@@ -425,31 +467,49 @@ class TestGoldenFiles:
         assert code == 0
         assert out == golden.read_text()
 
-    # SHA-256 of the three README plots, recorded from the per-row plot
-    # path that preceded the batched core.
-    README_PLOTS = {
+    # SHA-256 of CLI outputs: the three README plots, recorded from the
+    # per-row plot path that preceded the batched core, and the boundary
+    # tables, recorded from the 2-D vertex dedup and csv.writer path that
+    # preceded the 1-D dedup and joined rows.
+    FROZEN_OUTPUTS = {
         "students": (
-            ["--data", FIXTURES / "students.csv",
+            ["plot", "--data", FIXTURES / "students.csv",
              "--config", FIXTURES / "students_config.json",
              "--isolines", "0.25,0.5,0.75", "--labels"],
             "af11a57a8eac02c4b302f88f58fe29251357691ad65f368f2a0c2e612d783c3b"),
         "panels": (
-            ["--data", FIXTURES / "countries.csv"]
+            ["plot", "--data", FIXTURES / "countries.csv"]
             + [a for k in (1, 2, 3, 4)
                for a in ("--config", FIXTURES / f"countries_w{k}.json")]
             + ["--columns", "2"],
             "a796fbf99f40603d38d0993ff6c940c42fa2f6cef3a93b0be2fd01b70e8faad2"),
         "overlay": (
-            ["--data", FIXTURES / "countries_2019_subset.csv",
+            ["plot", "--data", FIXTURES / "countries_2019_subset.csv",
              "--config", FIXTURES / "countries_w3.json",
              "--overlay", FIXTURES / "countries_2023_synthetic.csv"],
             "c18a1dc22b0d83a45ef2ad13057abb21b1040e19dfd08e65e7763fc7d837e4c8"),
+        "boundary-countries_w2-csv": (
+            ["boundary", "--config", FIXTURES / "countries_w2.json",
+             "--resolution", "512", "--format", "csv"],
+            "bf7310958a484444d685b23befdf4653890826be90de50ec0e90b491d2f6cf36"),
+        "boundary-countries_w2-json": (
+            ["boundary", "--config", FIXTURES / "countries_w2.json",
+             "--resolution", "512", "--format", "json"],
+            "2119c597d078ca709f8a1cbfd5aad3bb6ec64a797ef6d02db9ceb063f166478e"),
+        "boundary-students-csv": (
+            ["boundary", "--config", FIXTURES / "students_config.json",
+             "--resolution", "512", "--format", "csv"],
+            "256a2a7cd91262d9f23384399074f6f92dc15cbd33475ba0be9b7017d8196962"),
+        "boundary-students-json": (
+            ["boundary", "--config", FIXTURES / "students_config.json",
+             "--resolution", "512", "--format", "json"],
+            "166bbd8e16cf79a397911ad2f913058eafe14198b578767b5da68962d6e4e2de"),
     }
 
-    @pytest.mark.parametrize("name", sorted(README_PLOTS))
-    def test_readme_plot_bytes_frozen(self, run_cli, name):
-        args, digest = self.README_PLOTS[name]
-        code, out, err = run_cli("plot", *args)
+    @pytest.mark.parametrize("name", sorted(FROZEN_OUTPUTS))
+    def test_output_bytes_frozen(self, run_cli, name):
+        args, digest = self.FROZEN_OUTPUTS[name]
+        code, out, err = run_cli(*args)
         assert code == 0, err
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from wmsdspace import geometry
 from wmsdspace.aggregate import agg_values
 from wmsdspace.errors import LevelOutOfRange, TooManyCriteria
 from wmsdspace.geometry import (
+    attainable,
     boundary,
     boundary_sampled,
     edge_sweep_utilities,
@@ -85,6 +89,23 @@ class TestVertexImages:
         ref = vertex_images(W15) * (w_pad.mean_w / W15.mean_w)
         assert np.allclose(pts, ref, atol=1e-12)
 
+    @given(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 0.3, 0.7, 0.9,
+                                     1e-7, 3e-8]),
+                    min_size=1, max_size=12)
+           .filter(lambda raw: max(raw) > 0.1))
+    def test_matches_2d_unique(self, raw):
+        # reference: the 2-D row dedup the sorted 1-D path replaced.  A
+        # tiny weight puts subset sums within 1e-12 of each other, so WM
+        # ties after rounding while WSD, decreasing for t > 1/2, differs.
+        w = normalize_weights(raw)
+        tables = geometry._edge_tables(w)
+        t = tables.vertex_sums / tables.norm2
+        pairs = np.column_stack([
+            w.mean_w * t, w.mean_w * np.sqrt(np.maximum(t * (1.0 - t), 0.0))])
+        ref = np.unique(np.round(pairs, 12), axis=0)
+        got = vertex_images(w)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
 
 class TestAttainability:
     def test_ideal_image(self):
@@ -106,11 +127,51 @@ class TestAttainability:
             for c in rng.random(20):
                 assert is_attainable(WmsdPoint(c * w.mean_w, 0.0), w)
 
+    def test_batch_matches_single_points(self):
+        rng = np.random.default_rng(8)
+        for w in (W11, W15, W3):
+            wm = rng.uniform(-0.05, w.mean_w + 0.05, 400)
+            wsd = rng.uniform(-0.05, w.mean_w / 2 + 0.05, 400)
+            got = attainable(w, wm, wsd)
+            assert got.dtype == bool and 0 < got.sum() < got.size
+            assert got.tolist() == [is_attainable((a, b), w)
+                                    for a, b in zip(wm, wsd)]
+
     def test_msd_shape_for_two_criteria(self):
         # equal weights, n=2: the region is the triangle with peak (.5,.5)
         for m in np.linspace(0.05, 0.95, 19):
             top = envelope_wsd(W11, m)[0]
             assert top == pytest.approx(min(m, 1 - m), abs=1e-12)
+
+
+class TestTableCache:
+    def test_lru_eviction_by_bytes(self):
+        a, b, c = (geometry._build_tables(np.arange(1.0, k + 1.0) ** 2)
+                   for k in (6, 7, 8))
+        cache = geometry._TableCache(a.nbytes + b.nbytes + c.nbytes - 1)
+        cache.put(b"a", a)
+        cache.put(b"b", b)
+        assert cache.get(b"a") is a  # "b" is now least recently used
+        cache.put(b"c", c)
+        assert list(cache.entries) == [b"a", b"c"]
+        assert cache.nbytes == a.nbytes + c.nbytes
+        assert cache.get(b"b") is None and cache.hits == 1
+
+    def test_oversized_entry_kept_alone(self):
+        a, b = (geometry._build_tables(np.arange(1.0, k + 1.0) ** 2)
+                for k in (4, 9))
+        cache = geometry._TableCache(b.nbytes - 1)
+        cache.put(b"a", a)
+        cache.put(b"b", b)
+        assert list(cache.entries) == [b"b"] and cache.nbytes == b.nbytes
+
+    def test_repeated_weights_hit(self, monkeypatch):
+        cache = geometry._TableCache(geometry.CACHE_BYTES)
+        monkeypatch.setattr(geometry, "_TABLE_CACHE", cache)
+        envelope_wsd(W3, 0.3)
+        envelope_wsd(normalize_weights([1.0, 0.5, 0.6]), 0.3)  # same multiset
+        assert cache.hits == 1 and len(cache.entries) == 1
+        assert cache.nbytes == next(iter(cache.entries.values())).nbytes
 
 
 class TestOracle:

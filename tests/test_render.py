@@ -1,9 +1,12 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
 
+from conftest import FIXTURES
+from wmsdspace import geometry
 from wmsdspace.aggregate import agg_from_wmsd, agg_values
 from wmsdspace.errors import DegenerateCanvas, UnattainablePoint
 from wmsdspace.geometry import is_attainable
@@ -17,7 +20,10 @@ from wmsdspace.render import (
     SOLID,
     color_hex,
     color_rgb,
+    COLOR_ANCHORS,
     COLOR_QUANT_STEP,
+    colors_hex,
+    colors_rgb,
     field_cells,
     render_overlay,
     render_panel_grid,
@@ -60,6 +66,41 @@ class TestColormap:
     def test_clipping(self):
         assert color_hex(-0.2) == color_hex(0.0)
         assert color_hex(1.4) == color_hex(1.0)
+
+    @staticmethod
+    def reference_rgb(value):
+        """The scalar colormap: first interval whose top is not exceeded."""
+        v = min(max(value, 0.0), 1.0)
+        for (v0, c0), (v1, c1) in zip(COLOR_ANCHORS, COLOR_ANCHORS[1:]):
+            if v <= v1:
+                t = (v - v0) / (v1 - v0)
+                return tuple(round(a + t * (b - a)) for a, b in zip(c0, c1))
+        return COLOR_ANCHORS[-1][1]
+
+    @staticmethod
+    def half_ties():
+        """Values where some channel lands exactly on k + 0.5."""
+        out = []
+        for (v0, c0), (v1, c1) in zip(COLOR_ANCHORS, COLOR_ANCHORS[1:]):
+            for a, b in zip(c0, c1):
+                for k in range(min(a, b), max(a, b)):
+                    guess = v0 + (k + 0.5 - a) / (b - a) * (v1 - v0)
+                    for v in (np.nextafter(guess, -1.0), guess,
+                              np.nextafter(guess, 2.0)):
+                        t = (v - v0) / (v1 - v0)
+                        if a + t * (b - a) == k + 0.5 and v0 < v <= v1:
+                            out.append(float(v))
+        return out
+
+    def test_vectorized_matches_scalar(self):
+        ties = self.half_ties()
+        assert len(ties) > 100
+        values = ([0.0, 1.0, -0.5, 1.5, 0.125, float("nan")]
+                  + [v for v, _ in COLOR_ANCHORS] + ties)
+        expected = [self.reference_rgb(v) for v in values]
+        assert [tuple(r) for r in colors_rgb(values).tolist()] == expected
+        assert [color_rgb(v) for v in values] == expected
+        assert colors_hex(values) == [color_hex(v) for v in values]
 
 
 class TestSinglePlot:
@@ -126,6 +167,108 @@ class TestSinglePlot:
     def test_grid_floor(self):
         with pytest.raises(ValueError):
             PlotSpec(weights=W3, kind="R", grid=8)
+
+
+class TestBatchedChecks:
+    """Every point set is checked with one envelope evaluation."""
+
+    GOOD = (("g1", WmsdPoint(0.20, 0.05), SOLID),
+            ("g2", WmsdPoint(0.40, 0.02), SOLID))
+    BAD = (("b1", WmsdPoint(0.69, 0.3), SOLID),
+           ("b2", WmsdPoint(0.2, 0.3), SOLID))
+
+    @staticmethod
+    def message(pid, p):
+        return (f"point {pid!r} at ({p.wm:.6f}, {p.wsd:.6f}) lies outside "
+                f"the attainable region")
+
+    @pytest.fixture
+    def envelope_calls(self, monkeypatch):
+        """Counts envelope_wsd calls; is_attainable must not be used."""
+        calls = []
+        env_fn, single_fn = geometry.envelope_wsd, geometry.is_attainable
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return env_fn(*args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-point is_attainable was called")
+        for name, module in list(sys.modules.items()):
+            if name == "wmsdspace" or name.startswith("wmsdspace."):
+                for key, val in list(vars(module).items()):
+                    if val is env_fn:
+                        monkeypatch.setattr(module, key, counted)
+                    elif val is single_fn and name != "wmsdspace.geometry":
+                        monkeypatch.setattr(module, key, refuse)
+        return calls
+
+    def test_calls_independent_of_marker_count(self, run_cli, tmp_path,
+                                               envelope_calls):
+        rng = np.random.default_rng(4)
+        counts = []
+        for m in (20, 2000):
+            data = tmp_path / f"students_{m}.csv"
+            x = np.column_stack([rng.uniform(0, 100, m), rng.uniform(1, 6, m),
+                                 rng.uniform(1, 6, m)])
+            data.write_text("id,Math,Bio,Art\n" + "".join(
+                f"s{i}," + ",".join(map(repr, row)) + "\n"
+                for i, row in enumerate(x.tolist())))
+            envelope_calls.clear()
+            code, out, err = run_cli(
+                "plot", "--data", data,
+                "--config", FIXTURES / "students_config.json",
+                "--isolines", "0.25,0.5")
+            assert code == 0, err
+            assert out.count('class="marker"') == m
+            counts.append(len(envelope_calls))
+        assert counts[0] == counts[1]
+
+    def test_plot_reports_first_in_input_order(self):
+        pts = self.GOOD[:1] + self.BAD[::-1] + self.GOOD[1:]
+        spec = PlotSpec(weights=W3, kind="R", points=pts, grid=16)
+        with pytest.raises(UnattainablePoint) as exc:
+            render_wmsd_plot(spec)
+        pid, p, _ = self.BAD[1]
+        assert exc.value.point_id == pid
+        assert str(exc.value) == self.message(pid, p)
+
+    def test_overlay_checks_first_then_second_snapshot(self):
+        base = PlotSpec(weights=W3, kind="R", grid=16)
+        snap = [(pid, p) for pid, p, _ in self.GOOD + self.BAD[:1]]
+        later = [(pid, p) for pid, p, _ in self.BAD[1:] + self.GOOD]
+        for a, b, (pid, p) in ((snap, later, snap[2]), (later, snap, later[0]),
+                               (snap[:2], later, later[0])):
+            with pytest.raises(UnattainablePoint) as exc:
+                render_overlay(base, a, b)
+            assert exc.value.point_id == pid
+            assert str(exc.value) == self.message(pid, p)
+
+    def test_panel_grid_reports_first_bad_panel(self):
+        specs = [PlotSpec(weights=W3, kind="R", grid=16, points=pts)
+                 for pts in (self.GOOD, self.GOOD + self.BAD[1:],
+                             self.BAD)]
+        with pytest.raises(UnattainablePoint) as exc:
+            render_panel_grid(specs, columns=2)
+        pid, p, _ = self.BAD[1]
+        assert exc.value.point_id == pid
+        assert str(exc.value) == f"panel 1: {self.message(pid, p)}"
+
+    def test_force_skips_check(self, envelope_calls):
+        pts = self.GOOD + self.BAD
+        forced = PlotSpec(weights=W3, kind="R", grid=16, points=pts,
+                          force=True)
+        plain = PlotSpec(weights=W3, kind="R", grid=16)
+        assert render_wmsd_plot(forced).count('class="marker"') == 4
+        forced_calls = len(envelope_calls)
+        envelope_calls.clear()
+        render_wmsd_plot(plain)  # no points, so no check
+        assert len(envelope_calls) == forced_calls
+        svg = render_overlay(PlotSpec(weights=W3, kind="R", grid=16,
+                                      force=True),
+                             [(pid, p) for pid, p, _ in self.BAD],
+                             [(pid, p) for pid, p, _ in self.BAD])
+        assert svg.count('class="marker"') == 4
 
 
 class TestPanelGrid:
