@@ -27,6 +27,7 @@ from .geometry import (
     attainable,
     boundary,
     boundary_sampled,
+    envelope,
     envelope_wsd,
     is_attainable,
     isoline,
@@ -81,7 +82,7 @@ __all__ = [
     "UtilityPoint", "WeightVector", "WeightedPoint", "WmsdError", "WmsdPoint",
     "agg_from_wmsd", "agg_rows", "agg_unweighted", "agg_values",
     "agg_weighted", "attainable", "boundary", "boundary_sampled", "color_hex",
-    "color_rgb", "compare_rankings", "envelope_wsd", "euclid",
+    "color_rgb", "compare_rankings", "envelope", "envelope_wsd", "euclid",
     "ia_distances", "is_attainable", "isoline", "matrix_to_utility",
     "mean_sd", "msd", "normalize_weights", "plane", "project", "rank",
     "rank_array", "render_overlay", "render_panel_grid", "render_wmsd_plot",

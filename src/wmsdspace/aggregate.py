@@ -28,6 +28,10 @@ from .model import WeightVector, _frozen, uniform_weights
 from .spaces import _coords, _row_norms
 from .wmsd import WmsdPoint
 
+# Pair differences per block in :func:`_reversals`: a few MB of arrays
+# whatever the number of alternatives.
+_PAIR_BLOCK = 1 << 18
+
 
 class AggregationKind(str, enum.Enum):
     I = "I"
@@ -140,8 +144,11 @@ def rank_array(ids: Sequence[str], scores: np.ndarray,
 
     ``scores[k]`` is the score of ``ids[k]``.  Exact ties keep their
     input order.  A new group starts when a score drops more than
-    ``tie_tolerance`` below the group leader's score.
+    ``tie_tolerance`` below the group leader's score.  The tolerance
+    must be finite.
     """
+    if not math.isfinite(tie_tolerance):
+        raise ValueError(f"tie_tolerance must be finite, got {tie_tolerance}")
     scores = np.asarray(scores, dtype=float)
     bad = ~np.isfinite(scores)
     if bad.any():
@@ -149,17 +156,28 @@ def rank_array(ids: Sequence[str], scores: np.ndarray,
         raise NonFiniteScore(f"score of {ids[k]!r} is {float(scores[k])}")
     order = np.argsort(-scores, kind="stable")
     ranked = scores[order]
-    ranks = []
-    leader_score = math.inf
-    leader_rank = 1
-    for pos, score in enumerate(ranked.tolist(), start=1):
-        if leader_score - score > tie_tolerance:
-            leader_score = score
-            leader_rank = pos
-        ranks.append(leader_rank)
-    ranks = np.array(ranks, dtype=np.int64)
+    # A score more than the tolerance below its predecessor is more than
+    # the tolerance below any earlier leader, so it starts a group.  Only
+    # runs of close gaps need the sequential leader rule.
+    start = np.ones(ranked.size, dtype=bool)
+    start[1:] = ranked[:-1] - ranked[1:] > tie_tolerance
+    close = np.flatnonzero(~start)
+    if close.size:
+        firsts = close[np.diff(close, prepend=-2) != 1]
+        lasts = close[np.append(np.diff(close) != 1, True)]
+        vals = ranked.tolist()
+        late = []
+        for first, last in zip(firsts.tolist(), lasts.tolist()):
+            leader = vals[first - 1]  # the group start just before the run
+            for pos in range(first, last + 1):
+                if leader - vals[pos] > tie_tolerance:
+                    leader = vals[pos]
+                    late.append(pos)
+        start[late] = True
+    ranks = np.maximum.accumulate(
+        np.where(start, np.arange(1, ranked.size + 1), 0))
     ranks.flags.writeable = False
-    return Ranking(ids=tuple(ids[k] for k in order.tolist()),
+    return Ranking(ids=tuple(np.array(ids, dtype=object)[order].tolist()),
                    scores=_frozen(ranked), ranks=ranks)
 
 
@@ -206,17 +224,9 @@ def compare_rankings(r1: Ranking, r2: Ranking) -> RankingComparison:
     ordered = list(r1.ids)
     deltas = {alt_id: rank2[alt_id] - rank1[alt_id] for alt_id in ordered}
 
-    reversals = []
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1:]:
-            d1 = rank1[a] - rank1[b]
-            d2 = rank2[a] - rank2[b]
-            if d1 * d2 < 0:
-                pair = (a, b) if d1 < 0 else (b, a)
-                reversals.append(pair)
-
     ranks = np.array([[rank1[i], rank2[i]] for i in ordered],
                      dtype=np.int64).reshape(-1, 2)
+    reversals = _reversals(ordered, ranks)
     n0 = len(ordered) * (len(ordered) - 1) // 2
     n1 = _tied_pairs(ranks[:, 0])
     n2 = _tied_pairs(ranks[:, 1])
@@ -228,7 +238,36 @@ def compare_rankings(r1: Ranking, r2: Ranking) -> RankingComparison:
         tau = (n0 - n1 - n2 + n3 - 2 * len(reversals)) / math.sqrt(denom)
         tau = min(1.0, max(-1.0, tau))
     return RankingComparison(deltas=deltas, kendall_tau=tau,
-                             reversals=tuple(reversals))
+                             reversals=reversals)
+
+
+def _reversals(ids: Sequence[str], ranks: np.ndarray
+               ) -> tuple[tuple[str, str], ...]:
+    """Pairs ``i < j`` whose two ranks order them strictly and oppositely,
+    in row-major order, each as (better in the first ranking, other).
+
+    Rows are taken ``_PAIR_BLOCK // m`` at a time, so each block of pair
+    differences holds about ``_PAIR_BLOCK`` entries.
+    """
+    m = len(ids)
+    ids_arr = np.array(ids, dtype=object)
+    step = max(1, _PAIR_BLOCK // max(m, 1))
+    firsts, seconds = [], []
+    for a in range(0, m, step):
+        b = min(a + step, m)
+        d1 = ranks[a:b, None, 0] - ranks[None, a:, 0]
+        d2 = ranks[a:b, None, 1] - ranks[None, a:, 1]
+        flip = (d1 * d2 < 0) & (np.arange(a, m) > np.arange(a, b)[:, None])
+        i, j = np.nonzero(flip)
+        lead = d1[i, j] < 0
+        i += a
+        j += a
+        firsts.append(ids_arr[np.where(lead, i, j)])
+        seconds.append(ids_arr[np.where(lead, j, i)])
+    if not firsts:
+        return ()
+    return tuple(zip(np.concatenate(firsts).tolist(),
+                     np.concatenate(seconds).tolist()))
 
 
 def _tied_pairs(keys: np.ndarray) -> int:

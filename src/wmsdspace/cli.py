@@ -20,7 +20,9 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -61,6 +63,9 @@ from .spaces import utility_array
 from .wmsd import WmsdPoint, mean_sd, plane
 
 DEFAULT_TIE_TOLERANCE = 1e-9
+# Rows per block when splitting input and formatting output, so the
+# transient cell lists and argument tuples stay bounded.
+_CHUNK_ROWS = 4096
 
 _CRITERION_KEYS = {"name", "kind", "min", "max", "weight"}
 _CONFIG_KEYS = {"criteria", "aggregation", "weighted", "tie_tolerance",
@@ -141,9 +146,10 @@ def parse_config(text: str) -> RunConfig:
         raise SchemaError("clamp must be a boolean", path="clamp")
     tie_tolerance = doc.get("tie_tolerance", DEFAULT_TIE_TOLERANCE)
     if not isinstance(tie_tolerance, (int, float)) \
-            or isinstance(tie_tolerance, bool) or tie_tolerance < 0:
-        raise SchemaError("tie_tolerance must be a non-negative number",
-                          path="tie_tolerance")
+            or isinstance(tie_tolerance, bool) \
+            or not 0 <= tie_tolerance < math.inf:
+        raise SchemaError("tie_tolerance must be a finite non-negative "
+                          "number", path="tie_tolerance")
 
     try:
         weight_vector = normalize_weights([c.raw_weight for c in specs])
@@ -157,7 +163,51 @@ def parse_config(text: str) -> RunConfig:
 
 
 def read_matrix(csv_text: str, config: RunConfig) -> DecisionMatrix:
-    """Parse a dataset CSV against the configured criteria."""
+    """Parse a dataset CSV against the configured criteria.
+
+    Plain text (no ``"``, CR or NUL) with the expected header is split on
+    commas in one pass and its cells converted with ``float()``.  Other
+    text, and any text with a ragged row or a cell ``float()`` rejects,
+    goes through :func:`_read_matrix_csv`, which is the only path that
+    raises ingest errors; both give the same matrix.
+    """
+    split = _split_plain(csv_text, config.names)
+    if split is None:
+        return _read_matrix_csv(csv_text, config)
+    ids, values = split
+    return DecisionMatrix.from_array(ids, values, config.criteria,
+                                     clamp=config.clamp)
+
+
+def _split_plain(csv_text: str, names: tuple[str, ...]):
+    """``(ids, values)`` of plain CSV text, or None to use the csv module."""
+    if '"' in csv_text or "\r" in csv_text or "\0" in csv_text:
+        return None
+    header, _, body = csv_text.partition("\n")
+    if header.split(",") != ["id", *names]:
+        return None
+    lines = body.split("\n")
+    if "" in lines:
+        lines = [line for line in lines if line]
+    n = len(names)
+    if set(map(str.count, lines, repeat(","))) - {n}:
+        return None
+    ids = []
+    values = np.empty((len(lines), n))
+    for a in range(0, len(lines), _CHUNK_ROWS):
+        cells = ",".join(lines[a:a + _CHUNK_ROWS]).split(",")
+        ids += cells[::n + 1]
+        del cells[::n + 1]
+        try:
+            block = np.fromiter(map(float, cells), float, len(cells))
+        except ValueError:
+            return None
+        values[a:a + _CHUNK_ROWS] = block.reshape(-1, n)
+    return ids, values
+
+
+def _read_matrix_csv(csv_text: str, config: RunConfig) -> DecisionMatrix:
+    """Parse a dataset with the csv module; raises every ingest error."""
     reader = csv.reader(io.StringIO(csv_text))
     try:
         header = next(reader)
@@ -167,7 +217,7 @@ def read_matrix(csv_text: str, config: RunConfig) -> DecisionMatrix:
     if header != expected:
         raise HeaderMismatch(
             f"header {header} does not match expected {expected}")
-    rows = []
+    ids, rows = [], []
     r = 0  # 1-based data row: blank lines are not counted
     for record in reader:
         if not record:
@@ -178,7 +228,7 @@ def read_matrix(csv_text: str, config: RunConfig) -> DecisionMatrix:
                 f"row {r}: expected {len(expected)} fields, "
                 f"got {len(record)}")
         try:
-            rows.append((record[0], list(map(float, record[1:]))))
+            rows.append(list(map(float, record[1:])))
         except ValueError:
             for name, cell in zip(config.names, record[1:]):
                 try:
@@ -187,7 +237,10 @@ def read_matrix(csv_text: str, config: RunConfig) -> DecisionMatrix:
                     raise BadNumber(f"row {r}, column {name!r}: "
                                     f"cannot parse {cell!r} as a number",
                                     row=r, column=name) from None
-    return DecisionMatrix.from_rows(rows, config.criteria, clamp=config.clamp)
+        ids.append(record[0])
+    values = np.array(rows, dtype=float).reshape(len(ids), len(config.names))
+    return DecisionMatrix.from_array(ids, values, config.criteria,
+                                     clamp=config.clamp)
 
 
 def _scores(matrix: DecisionMatrix, w: WeightVector,
@@ -199,27 +252,102 @@ def _scores(matrix: DecisionMatrix, w: WeightVector,
     return agg_rows(kind, u * w.weights, w)
 
 
-def _r6(x: float) -> float:
-    return round(float(x), 6)
+_json_str = json.encoder.encode_basestring_ascii
 
 
-def _ranking_rows(ranking: Ranking) -> list[dict]:
-    return [{"id": i, "score": _r6(s), "rank": r, "group": g}
-            for i, s, r, g in zip(ranking.ids, ranking.scores.tolist(),
-                                  ranking.ranks.tolist(),
-                                  ranking.group_numbers.tolist())]
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes a field (minimal quoting)."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
-def _csv_text(header: list[str], rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _csv_fields(texts: Sequence[str]) -> Sequence[str]:
+    """:func:`_csv_field` of each text; the texts themselves if none
+    needs quotes."""
+    joined = "".join(texts)
+    if "," in joined or '"' in joined or "\n" in joined:
+        return list(map(_csv_field, texts))
+    return texts
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+def _rows(template: str, columns: Sequence, round6: bool = False) -> str:
+    """``template % row`` for every row of equal-length columns, joined.
+
+    A column is a sequence or a numpy array; a 2-D array gives one column
+    per array column.  With ``round6`` float arrays go through
+    ``round(x, 6)``, as the JSON writers print them.  Rows are formatted
+    ``_CHUNK_ROWS`` at a time with one ``%`` over the repeated template,
+    so the flat argument tuple stays bounded.
+    """
+    m = len(columns[0])
+    full = template * _CHUNK_ROWS
+    out = []
+    for a in range(0, m, _CHUNK_ROWS):
+        cols = []
+        for col in columns:
+            part = col[a:a + _CHUNK_ROWS]
+            if not isinstance(part, np.ndarray):
+                cols.append(part)
+                continue
+            part_cols = part.T.tolist() if part.ndim == 2 else [part.tolist()]
+            if round6 and part.dtype.kind == "f":
+                part_cols = [list(map(round, c, repeat(6))) for c in part_cols]
+            cols += part_cols
+        k = len(cols[0])
+        out.append((full if k == _CHUNK_ROWS else template * k)
+                   % tuple(chain.from_iterable(zip(*cols))))
+    return "".join(out)
+
+
+def _json_block(item: str, columns: Sequence, depth: int,
+                brackets: str = "[]") -> str:
+    """A JSON array, or an object with ``brackets="{}"``, laid out as
+    ``json.dumps(indent=2)`` does at nesting ``depth``, with one ``item``
+    per row; floats print as ``repr(round(x, 6))``."""
+    body = _rows(item + ",\n", columns, round6=True)
+    if not body:
+        return brackets
+    return f"{brackets[0]}\n{body[:-2]}\n{'  ' * depth}{brackets[1]}"
+
+
+def _json_fields(fields: Sequence[tuple[str, str]], depth: int) -> str:
+    """Row template of a JSON object at ``depth`` from ``(key, format)``."""
+    pad = "  " * depth
+    lines = ",\n".join(f"{pad}  {_json_str(key).replace('%', '%%')}: {spec}"
+                       for key, spec in fields)
+    return f"{pad}{{\n{lines}\n{pad}}}"
+
+
+def _json_pair(spec: str, depth: int) -> str:
+    """Row template of a two-element JSON array at ``depth``."""
+    pad = "  " * depth
+    return f"{pad}[\n{pad}  {spec},\n{pad}  {spec}\n{pad}]"
+
+
+def _entries_json(ranking: Ranking, depth: int) -> str:
+    """A ranking's ``{id, score, rank, group}`` objects as a JSON array."""
+    fields = [("id", "%s"), ("score", "%r"), ("rank", "%d"), ("group", "%d")]
+    return _json_block(
+        _json_fields(fields, depth + 1),
+        [list(map(_json_str, ranking.ids)), ranking.scores, ranking.ranks,
+         ranking.group_numbers], depth)
+
+
+def _groups_json(ranking: Ranking, depth: int) -> str:
+    """A ranking's indifference groups as a JSON array of id arrays."""
+    if not ranking.ids:
+        return "[]"
+    pad = "  " * (depth + 1)
+    starts = np.diff(ranking.ranks, prepend=0) != 0
+    ends = np.append(starts[1:], True)
+    opens = np.array(["", f"{pad}[\n"], dtype=object)[starts.astype(int)]
+    closes = np.array([",\n", f"\n{pad}],\n"], dtype=object)[
+        ends.astype(int)]
+    closes[-1] = f"\n{pad}]"
+    body = _rows(f"%s{pad}  %s%s", [opens, list(map(_json_str, ranking.ids)),
+                                    closes])
+    return f"[\n{body}\n{'  ' * depth}]"
 
 
 def cmd_rank(matrix: DecisionMatrix, config: RunConfig,
@@ -229,13 +357,11 @@ def cmd_rank(matrix: DecisionMatrix, config: RunConfig,
         matrix.ids, _scores(matrix, config.weight_vector, kind, weighted),
         tie_tolerance)
     if fmt == "json":
-        return _json_text({"entries": _ranking_rows(ranking),
-                           "groups": [list(g) for g in ranking.groups]})
-    return _csv_text(["id", "score", "rank", "group"],
-                     zip(ranking.ids,
-                         [f"{x:.6f}" for x in ranking.scores.tolist()],
-                         ranking.ranks.tolist(),
-                         ranking.group_numbers.tolist()))
+        return (f'{{\n  "entries": {_entries_json(ranking, 1)},\n'
+                f'  "groups": {_groups_json(ranking, 1)}\n}}\n')
+    return "id,score,rank,group\n" + _rows(
+        "%s,%.6f,%d,%d\n", [_csv_fields(ranking.ids), ranking.scores,
+                            ranking.ranks, ranking.group_numbers])
 
 
 def cmd_transform(matrix: DecisionMatrix, config: RunConfig,
@@ -251,30 +377,28 @@ def cmd_transform(matrix: DecisionMatrix, config: RunConfig,
     table = np.column_stack(
         [u, v, *mean_sd(u), *plane(v, w)]
         + [agg_rows(k, u, ones) for k in AggregationKind]
-        + [agg_rows(k, v, w) for k in AggregationKind]).tolist()
+        + [agg_rows(k, v, w) for k in AggregationKind])
     if fmt == "json":
-        return _json_text([dict(zip(header, [alt_id, *map(_r6, row)]))
-                           for alt_id, row in zip(matrix.ids, table)])
-    return _csv_text(header, ([alt_id] + [f"{x:.6f}" for x in row]
-                              for alt_id, row in zip(matrix.ids, table)))
+        item = _json_fields([("id", "%s")] + [(h, "%r") for h in header[1:]],
+                            1)
+        return _json_block(item, [list(map(_json_str, matrix.ids)), table],
+                           0) + "\n"
+    return ",".join(map(_csv_field, header)) + "\n" + _rows(
+        "%s" + ",%.6f" * (len(header) - 1) + "\n",
+        [_csv_fields(matrix.ids), table])
 
 
 def cmd_boundary(config: RunConfig, resolution: int, fmt: str) -> str:
     env = boundary(config.weight_vector, resolution)
-    wm, wsd = env.wm.tolist(), env.wsd.tolist()
-    vertices = env.vertex_images.tolist()
     if fmt == "json":
-        return _json_text({
-            "wm": [_r6(x) for x in wm],
-            "wsd": [_r6(x) for x in wsd],
-            "vertices": [[_r6(a), _r6(b)] for a, b in vertices],
-        })
-    # No field holds a comma, quote or newline, so plain joins give the
-    # bytes csv.writer would.
-    lines = ["section,wm,wsd"]
-    lines += [f"envelope,{a:.6f},{b:.6f}" for a, b in zip(wm, wsd)]
-    lines += [f"vertex,{a:.6f},{b:.6f}" for a, b in vertices]
-    return "\n".join(lines) + "\n"
+        return (f'{{\n  "wm": {_json_block("    %r", [env.wm], 1)},\n'
+                f'  "wsd": {_json_block("    %r", [env.wsd], 1)},\n'
+                f'  "vertices": '
+                f'{_json_block(_json_pair("%r", 2), [env.vertex_images], 1)}'
+                f'\n}}\n')
+    return ("section,wm,wsd\n"
+            + _rows("envelope,%.6f,%.6f\n", [env.wm, env.wsd])
+            + _rows("vertex,%.6f,%.6f\n", [env.vertex_images]))
 
 
 def _plot_points(matrix: DecisionMatrix, w: WeightVector,
@@ -353,26 +477,30 @@ def cmd_compare(args: argparse.Namespace) -> str:
     ra, rb = rankings
     cmp = compare_rankings(ra, rb)
 
+    # b's row of each id, in a's order; deltas are cmp.deltas as an array
+    b_at = dict(zip(rb.ids, range(len(rb.ids))))
+    b_order = np.array([b_at[i] for i in ra.ids], dtype=np.intp)
+    ranks_b = rb.ranks[b_order]
+    deltas = ranks_b - ra.ranks
     if args.format == "csv":
-        b_of = {i: (s, r) for i, s, r in zip(rb.ids, rb.scores.tolist(),
-                                             rb.ranks.tolist())}
-        rows = [[i, f"{s:.6f}", r, f"{b_of[i][0]:.6f}", b_of[i][1],
-                 cmp.deltas[i]] for i, s, r in
-                zip(ra.ids, ra.scores.tolist(), ra.ranks.tolist())]
-        text = _csv_text(
-            ["id", "score_a", "rank_a", "score_b", "rank_b", "delta"], rows)
-        text += f"# kendall_tau={cmp.kendall_tau:.6f}\n"
-        for a, b in cmp.reversals:
-            text += f"# reversal={a},{b}\n"
-        return text
-    return _json_text({
-        "ranking_a": _ranking_rows(ra),
-        "ranking_b": _ranking_rows(rb),
-        "deltas": {k: v for k, v in cmp.deltas.items()},
-        "kendall_tau": (None if math.isnan(cmp.kendall_tau)
-                        else _r6(cmp.kendall_tau)),
-        "reversals": [list(p) for p in cmp.reversals],
-    })
+        revs = list(zip(*cmp.reversals)) or [(), ()]
+        return ("id,score_a,rank_a,score_b,rank_b,delta\n"
+                + _rows("%s,%.6f,%d,%.6f,%d,%d\n",
+                        [_csv_fields(ra.ids), ra.scores, ra.ranks,
+                         rb.scores[b_order], ranks_b, deltas])
+                + f"# kendall_tau={cmp.kendall_tau:.6f}\n"
+                + _rows("# reversal=%s,%s\n", revs))
+    tau = ("null" if math.isnan(cmp.kendall_tau)
+           else repr(round(cmp.kendall_tau, 6)))
+    revs = [list(map(_json_str, c)) for c in zip(*cmp.reversals)] or [[], []]
+    deltas_json = _json_block("    %s: %d",
+                              [list(map(_json_str, ra.ids)), deltas], 1, "{}")
+    return (f'{{\n  "ranking_a": {_entries_json(ra, 1)},\n'
+            f'  "ranking_b": {_entries_json(rb, 1)},\n'
+            f'  "deltas": {deltas_json},\n'
+            f'  "kendall_tau": {tau},\n'
+            f'  "reversals": {_json_block(_json_pair("%s", 2), revs, 1)}'
+            f'\n}}\n')
 
 
 def _effective_kind(args, config: RunConfig) -> AggregationKind:
@@ -467,8 +595,9 @@ def _validate_args(args: argparse.Namespace) -> None:
         raise SchemaError("--columns must be positive")
     if getattr(args, "resolution", 2) < 2:
         raise SchemaError("--resolution must be at least 2")
-    if getattr(args, "tie_tol", None) is not None and args.tie_tol < 0:
-        raise SchemaError("--tie-tol must be non-negative")
+    if getattr(args, "tie_tol", None) is not None \
+            and not 0 <= args.tie_tol < math.inf:
+        raise SchemaError("--tie-tol must be a finite non-negative number")
 
 
 def _dispatch(args: argparse.Namespace) -> str:

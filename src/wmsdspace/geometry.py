@@ -223,14 +223,22 @@ class BoundaryEnvelope:
         object.__setattr__(self, "wsd", _frozen(self.wsd))
 
 
-def boundary(w: WeightVector, resolution: int = 512) -> BoundaryEnvelope:
-    """Exact attainable-region envelope on a uniform WM grid."""
+def envelope(w: WeightVector, resolution: int = 512
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Exact upper envelope on a uniform WM grid from 0 to mean(w), as
+    ``(wm, wsd)``; both ends sit on WSD = 0."""
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     grid = np.linspace(0.0, w.mean_w, resolution)
     vals = envelope_wsd(w, grid)
     vals[0] = 0.0
     vals[-1] = 0.0
+    return grid, vals
+
+
+def boundary(w: WeightVector, resolution: int = 512) -> BoundaryEnvelope:
+    """The :func:`envelope` plus the box's :func:`vertex_images`."""
+    grid, vals = envelope(w, resolution)
     return BoundaryEnvelope(wm=grid, wsd=vals, vertex_images=vertex_images(w),
                             weights=w)
 

@@ -29,7 +29,6 @@ from .errors import (
     NonFiniteBound,
     NonFiniteWeight,
     OutOfDomain,
-    ValidationError,
 )
 
 GAIN = "gain"
@@ -196,34 +195,46 @@ class DecisionMatrix:
         return zip(self.ids, self.values)
 
     @classmethod
-    def from_rows(
+    def from_array(
         cls,
-        rows: Sequence[tuple[str, Sequence[float]]],
+        ids: Sequence[str],
+        values: np.ndarray,
         criteria: Sequence[CriterionSpec],
         clamp: bool = False,
     ) -> "DecisionMatrix":
-        """Build and validate a matrix from ``(id, values)`` pairs.
+        """Build and validate a matrix from ids and an (m, n) value array.
 
         Every value must be finite and lie inside its criterion's domain.
         With ``clamp=True`` finite out-of-domain values are mapped to the
         nearest bound instead of raising :class:`OutOfDomain`; NaN and
-        infinite values are refused either way.  Of several faults the
-        first in row-major order is reported.
+        infinite values are refused either way.  Ids must be distinct.
+        Of several faults the first in row-major order is reported: a bad
+        cell in a row before the first repeated id, else the repeat.
         """
         validate_criteria(criteria)
-        n = len(criteria)
-        ids = tuple(alt_id for alt_id, _ in rows)
-        values = [vals for _, vals in rows]
-        stop, row_fault = _first_row_fault(ids, values, n)
-        data = np.array(values[:stop], dtype=float).reshape(stop, n)
+        ids = tuple(ids)
+        m, n = len(ids), len(criteria)
+        data = np.asarray(values, dtype=float)
+        if data.shape != (m, n):
+            raise LengthMismatch(
+                f"values have shape {data.shape}, expected {(m, n)}")
+        stop, row_fault = m, None
+        if len(set(ids)) < m:
+            seen = set()
+            for stop, alt_id in enumerate(ids):
+                if alt_id in seen:
+                    break
+                seen.add(alt_id)
+            row_fault = DuplicateName(f"duplicate alternative id {alt_id!r}")
 
         lo = np.array([c.v_min for c in criteria])
         hi = np.array([c.v_max for c in criteria])
-        finite = np.isfinite(data)
-        bad = ~finite if clamp else ~finite | (data < lo) | (data > hi)
+        head = data[:stop]
+        finite = np.isfinite(head)
+        bad = ~finite if clamp else ~finite | (head < lo) | (head > hi)
         if bad.any():
             i, j = divmod(int(np.argmax(bad)), n)
-            spec, v = criteria[j], float(data[i, j])
+            spec, v = criteria[j], float(head[i, j])
             problem = ("is not finite" if not finite[i, j] else
                        f"outside [{spec.v_min}, {spec.v_max}]")
             raise OutOfDomain(
@@ -235,22 +246,33 @@ class DecisionMatrix:
             data = np.where(data < lo, lo, np.where(data > hi, hi, data))
         return cls(ids=ids, values=_frozen(data), criteria=tuple(criteria))
 
+    @classmethod
+    def from_rows(
+        cls,
+        rows: Sequence[tuple[str, Sequence[float]]],
+        criteria: Sequence[CriterionSpec],
+        clamp: bool = False,
+    ) -> "DecisionMatrix":
+        """Build a matrix from ``(id, values)`` pairs (see
+        :meth:`from_array`); a row without ``n`` values raises
+        :class:`LengthMismatch` in its place in the fault order."""
+        n = len(criteria)
+        ids = [alt_id for alt_id, _ in rows]
+        values = [vals for _, vals in rows]
+        stop = next((i for i, vals in enumerate(values) if len(vals) != n),
+                    len(values))
+        matrix = cls.from_array(
+            ids[:stop], np.array(values[:stop], dtype=float).reshape(stop, n),
+            criteria, clamp)
+        if stop == len(values):
+            return matrix
+        alt_id = ids[stop]
+        if alt_id in set(ids[:stop]):
+            raise DuplicateName(f"duplicate alternative id {alt_id!r}")
+        raise LengthMismatch(f"alternative {alt_id!r}: expected {n} values, "
+                             f"got {len(values[stop])}")
+
     def weight_vector(self) -> WeightVector:
         """Weights taken from the criteria, max-normalized."""
         return normalize_weights([c.raw_weight for c in self.criteria])
 
-
-def _first_row_fault(ids: Sequence[str], values: Sequence[Sequence[float]],
-                     n: int) -> tuple[int, ValidationError | None]:
-    """Index and error of the first row that repeats an earlier id or
-    does not hold ``n`` values; ``(len(ids), None)`` if there is none."""
-    seen = set()
-    for i, (alt_id, vals) in enumerate(zip(ids, values)):
-        if alt_id in seen:
-            return i, DuplicateName(f"duplicate alternative id {alt_id!r}")
-        seen.add(alt_id)
-        if len(vals) != n:
-            return i, LengthMismatch(
-                f"alternative {alt_id!r}: expected {n} values, "
-                f"got {len(vals)}")
-    return len(ids), None

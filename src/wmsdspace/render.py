@@ -26,7 +26,7 @@ from .errors import (
     UnattainablePoint,
     WmsdError,
 )
-from .geometry import attainable, boundary, envelope_wsd, isoline
+from .geometry import attainable, envelope, envelope_wsd, isoline
 from .model import WeightVector
 from .wmsd import WmsdPoint
 
@@ -250,9 +250,9 @@ def _panel_body(spec: PlotSpec) -> list[str]:
                    f'width="{_fmt(cell.w + 0.3)}" '
                    f'height="{_fmt(cell.h + 0.3)}" fill="{cell.color}"/>')
 
-    env = boundary(w, resolution=512)
-    path = [f'M {_fmt(frame.x(env.wm[0]))} {_fmt(frame.y(env.wsd[0]))}']
-    for wm_v, wsd_v in zip(env.wm[1:], env.wsd[1:]):
+    env_wm, env_wsd = envelope(w, resolution=512)
+    path = [f'M {_fmt(frame.x(env_wm[0]))} {_fmt(frame.y(env_wsd[0]))}']
+    for wm_v, wsd_v in zip(env_wm[1:], env_wsd[1:]):
         path.append(f'L {_fmt(frame.x(wm_v))} {_fmt(frame.y(wsd_v))}')
     path.append("Z")
     out.append(f'<path d="{" ".join(path)}" fill="none" stroke="#000000" '

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wmsdspace import aggregate
 from wmsdspace.aggregate import (
     AggregationKind,
     agg_from_wmsd,
@@ -14,6 +15,7 @@ from wmsdspace.aggregate import (
     agg_weighted,
     compare_rankings,
     rank,
+    rank_array,
 )
 from wmsdspace.errors import IdSetMismatch, NonFiniteScore
 from wmsdspace.model import normalize_weights, uniform_weights
@@ -156,6 +158,39 @@ class TestRank:
         with pytest.raises(NonFiniteScore):
             rank({"a": math.nan})
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tolerance(self, tol):
+        with pytest.raises(ValueError, match="tie_tolerance"):
+            rank_array(["a", "b"], [0.5, 0.4], tol)
+
+    @staticmethod
+    def leader_loop(ids, scores, tie_tolerance):
+        """The sequential leader rule, one score at a time."""
+        order = sorted(range(len(ids)), key=lambda k: (-scores[k], k))
+        ranks, leader_score, leader_rank = [], math.inf, 1
+        for pos, k in enumerate(order, start=1):
+            if leader_score - scores[k] > tie_tolerance:
+                leader_score, leader_rank = scores[k], pos
+            ranks.append(leader_rank)
+        return [ids[k] for k in order], ranks
+
+    @given(st.sampled_from([0.0, 1e-9, 1e-3, 0.05]),
+           st.floats(0.0, 1.0),
+           st.lists(st.sampled_from([0.0, 0.3, 0.5, 0.99, 1.0, 1.01, 2.0,
+                                     40.0]), max_size=60),
+           st.randoms(use_true_random=False))
+    def test_vectorized_equals_leader_loop(self, tol, top, gaps, rnd):
+        # Runs of gaps below, at and just above the tolerance, so group
+        # leaders drift through close runs; tol 0 uses a fixed small unit.
+        unit = tol or 1e-12
+        scores = (top - np.cumsum([0.0] + gaps) * unit).tolist()
+        rnd.shuffle(scores)
+        ids = [f"x{k}" for k in range(len(scores))]
+        got = rank_array(ids, scores, tol)
+        want_ids, want_ranks = self.leader_loop(ids, scores, tol)
+        assert list(got.ids) == want_ids
+        assert got.ranks.tolist() == want_ranks
+
     def test_country_order(self, countries_matrix, countries_configs):
         scores = scores_for(countries_matrix,
                             countries_configs["w1"].weight_vector, "R")
@@ -204,6 +239,27 @@ class TestCompareRankings:
         cmp = compare_rankings(unweighted, weighted)
         assert ("S8", "S9") in cmp.reversals
         assert cmp.kendall_tau < 1.0
+
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                    max_size=30),
+           st.sampled_from([1, 7, 64, aggregate._PAIR_BLOCK]))
+    def test_reversals_equal_pair_loop(self, scores, block):
+        """Every block size lists the pairs of the i < j loop over the
+        first ranking's order, in loop order and orientation."""
+        ids = [f"x{i}" for i in range(len(scores))]
+        r1 = rank([(k, s) for k, (s, _) in zip(ids, scores)])
+        r2 = rank([(k, s) for k, (_, s) in zip(ids, scores)])
+        rank1 = dict(zip(r1.ids, r1.ranks.tolist()))
+        rank2 = dict(zip(r2.ids, r2.ranks.tolist()))
+        expected = []
+        for i, a in enumerate(r1.ids):
+            for b in r1.ids[i + 1:]:
+                d1, d2 = rank1[a] - rank1[b], rank2[a] - rank2[b]
+                if d1 * d2 < 0:
+                    expected.append((a, b) if d1 < 0 else (b, a))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(aggregate, "_PAIR_BLOCK", block)
+            assert compare_quietly(r1, r2).reversals == tuple(expected)
 
 
 def tau_b_reference(x, y):

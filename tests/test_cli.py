@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import importlib
 import io
@@ -11,10 +12,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import wmsdspace
 from conftest import FIXTURES
-from wmsdspace import geometry
+from wmsdspace import cli, geometry
 from wmsdspace.aggregate import AggregationKind, agg_rows
 from wmsdspace.errors import (
     AllZeroWeights,
@@ -22,6 +25,7 @@ from wmsdspace.errors import (
     HeaderMismatch,
     OutOfDomain,
     SchemaError,
+    WmsdError,
 )
 from wmsdspace.cli import parse_config, read_matrix
 from wmsdspace.model import normalize_weights
@@ -99,6 +103,71 @@ class TestReadMatrix:
             read_matrix(text, students_config)
 
 
+def _outcome(read, text, config):
+    """Ids and values of a parsed dataset, or its error's details."""
+    try:
+        m = read(text, config)
+    except WmsdError as e:
+        return (type(e).__name__, getattr(e, "row", None),
+                getattr(e, "column", None), str(e))
+    return m.ids, m.values.tolist()
+
+
+# Cells in domain for every students criterion repeat, so that about half
+# the generated datasets parse.
+_CELLS = (["3", "4.5", "2", "5.25", "1", "6"] * 8
+          + [" 3", "3 ", "\t2", "1_0", "2_5", "nan", "NaN", "inf", "-inf",
+             "Infinity", "-Infinity", "\u0663", "\uff14", "\u00a05", "", "abc",
+             "150", "-5", "+3.5", "1e0", '"4"', '"1,5"', "0x1"])
+_IDS = ["a", "b", "c", "d", "a b", "\u00e9t\u00e9", "", " pad ", '"q,1"',
+        '"x""y"', '"two\nlines"']
+
+
+@st.composite
+def _dataset_texts(draw):
+    """Dataset texts around the students header: blank, whitespace-only,
+    ragged and CRLF lines, quoted ids and cells, repeated ids."""
+    header = draw(st.sampled_from(["id,Math,Bio,Art"] * 6
+                                  + ['"id",Math,Bio,Art', "id,Math,Bio"]))
+    lines = [header]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row"] * 12 + ["blank"] * 2
+                                    + ["space", "ragged"]))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "space":
+            lines.append(draw(st.sampled_from([" ", "\t", "  "])))
+        else:
+            width = 3 if kind == "row" else draw(st.sampled_from([2, 4]))
+            cells = draw(st.lists(st.sampled_from(_CELLS), min_size=width,
+                                  max_size=width))
+            lines.append(",".join([draw(st.sampled_from(_IDS)), *cells]))
+    end = draw(st.sampled_from(["\n"] * 3 + ["\r\n"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+class TestPlainIngest:
+    """The one-split reader against the csv-module reader it falls back to."""
+
+    @given(_dataset_texts(), st.booleans())
+    def test_equals_csv_path(self, students_config, text, clamp):
+        config = dataclasses.replace(students_config, clamp=clamp)
+        assert _outcome(read_matrix, text, config) == \
+            _outcome(cli._read_matrix_csv, text, config)
+
+    def test_plain_text_skips_csv_module(self, students_config, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("csv path used")
+        monkeypatch.setattr(cli, "_read_matrix_csv", refuse)
+        # more rows than one split block, after a blank line
+        rows = [f"s{i},{i % 100},{1 + i % 5},{6 - i % 5}" for i in range(9000)]
+        text = "id,Math,Bio,Art\n\n" + "\n".join(rows) + "\n"
+        m = read_matrix(text, students_config)
+        assert m.m == 9000 and m.ids[-1] == "s8999"
+        assert m.values[1].tolist() == [1.0, 2.0, 5.0]
+        assert m.values[-1].tolist() == [99.0, 5.0, 2.0]
+
+
 class TestRankCommand:
     def test_countries_w1_csv(self, run_cli):
         code, out, err = run_cli(
@@ -125,6 +194,26 @@ class TestRankCommand:
                                "--config", FIXTURES / "students_config.json")
         rows = list(csv.DictReader(io.StringIO(out)))
         assert code == 0 and len(rows) == 1 and rows[0]["rank"] == "1"
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tie_tolerance_flag(self, run_cli, tol):
+        code, out, err = run_cli(
+            "rank", "--data", FIXTURES / "countries.csv",
+            "--config", FIXTURES / "countries_w1.json", f"--tie-tol={tol}")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "SchemaError"
+
+    @pytest.mark.parametrize("tol", ["NaN", "Infinity", "-1"])
+    def test_bad_tie_tolerance_config(self, run_cli, tmp_path, tol):
+        text = (FIXTURES / "countries_w1.json").read_text()
+        config = tmp_path / "tol.json"
+        config.write_text(text.rstrip()[:-1] + f', "tie_tolerance": {tol}}}')
+        code, out, err = run_cli("rank", "--data", FIXTURES / "countries.csv",
+                                 "--config", config)
+        assert code == 1 and out == ""
+        record = json.loads(err)
+        assert record["error"] == "SchemaError"
+        assert record["path"] == "tie_tolerance"
 
     def test_deterministic_bytes(self, run_cli):
         args = ("rank", "--data", FIXTURES / "countries.csv",
@@ -449,6 +538,82 @@ class TestErrorStream:
         assert "S1" in out
 
 
+class TestTableWriter:
+    """The row-template writer against csv.writer and json.dumps(indent=2)."""
+
+    IDS = ["plain", "a,b", 'say "hi"', "two\nlines", "na\u00efve \u2603", "",
+           " pad ", "50%"]
+    # -0.000000 and -0.0, 6th-decimal ties and a float repr prints with
+    # an exponent
+    VALUES = [[-1e-9, 0.5], [-0.0, -4e-7], [2.5e-7, 0.0078125],
+              [1.0, -1.5e-6], [0.1234565, 123456.7891235], [3.0, 1e-7],
+              [-5e-7, 7.0], [0.25, 1e20]]
+
+    def test_csv(self):
+        header = ["id", "x,1", 'y"2']
+        got = ",".join(map(cli._csv_field, header)) + "\n" + cli._rows(
+            "%s,%.6f,%.6f\n",
+            [cli._csv_fields(self.IDS), np.array(self.VALUES)])
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([i, f"{a:.6f}", f"{b:.6f}"]
+                         for i, (a, b) in zip(self.IDS, self.VALUES))
+        assert got == buf.getvalue()
+        assert "plain,-0.000000,0.500000\n" in got
+
+    def test_json(self):
+        ids = list(map(cli._json_str, self.IDS))
+        item = cli._json_fields([("id", "%s"), ("x%", "%r"), ("\u00e9", "%r")],
+                                1)
+        got = cli._json_block(item, [ids, np.array(self.VALUES)], 0)
+        assert got == json.dumps(
+            [{"id": i, "x%": round(a, 6), "\u00e9": round(b, 6)}
+             for i, (a, b) in zip(self.IDS, self.VALUES)], indent=2)
+        assert '"x%": -0.0,' in got
+        doc = ('{\n  "pairs": '
+               + cli._json_block(cli._json_pair("%r", 2),
+                                 [np.array(self.VALUES)], 1)
+               + ',\n  "ints": '
+               + cli._json_block("    %s: %d", [ids, np.arange(8)], 1, "{}")
+               + ',\n  "none": '
+               + cli._json_block("    %r", [np.empty(0)], 1)
+               + ',\n  "empty": '
+               + cli._json_block("    %s: %d", [[], []], 1, "{}") + "\n}")
+        assert doc == json.dumps(
+            {"pairs": [[round(a, 6), round(b, 6)] for a, b in self.VALUES],
+             "ints": dict(zip(self.IDS, range(8))), "none": [], "empty": {}},
+            indent=2)
+
+    @pytest.mark.parametrize("command", ["rank", "transform", "compare"])
+    def test_cli_tables(self, run_cli, tmp_path, command):
+        """Quoted ids with ties; every table reads back and re-serializes
+        to the same bytes."""
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["id", "Math", "Bio", "Art"])
+        writer.writerows([i, 50 + k % 3, 3, 4] for k, i in enumerate(self.IDS))
+        data = tmp_path / "quoted.csv"
+        data.write_text(buf.getvalue())
+        args = [command, "--data", data,
+                "--config", FIXTURES / "students_config.json"]
+        if command == "compare":
+            args += ["--config-b", FIXTURES / "students_config_equal.json"]
+        code, out, err = run_cli(*args, "--format", "csv")
+        assert code == 0, err
+        table = out.split("# kendall_tau=")[0]
+        rows = list(csv.reader(io.StringIO(table)))
+        again = io.StringIO()
+        csv.writer(again, lineterminator="\n").writerows(rows)
+        assert again.getvalue() == table
+        assert sorted(r[0] for r in rows[1:]) == sorted(self.IDS)
+        code, out, err = run_cli(*args, "--format", "json")
+        assert code == 0, err
+        assert json.dumps(json.loads(out), indent=2) + "\n" == out
+        if command == "rank":
+            assert [len(g) for g in json.loads(out)["groups"]] == [2, 3, 3]
+
+
 class TestGoldenFiles:
     @pytest.mark.parametrize("name", ["w1", "w2", "w3", "w4"])
     def test_country_rank_outputs_frozen(self, run_cli, name):
@@ -468,10 +633,38 @@ class TestGoldenFiles:
         assert out == golden.read_text()
 
     # SHA-256 of CLI outputs: the three README plots, recorded from the
-    # per-row plot path that preceded the batched core, and the boundary
+    # per-row plot path that preceded the batched core; the boundary
     # tables, recorded from the 2-D vertex dedup and csv.writer path that
-    # preceded the 1-D dedup and joined rows.
+    # preceded the 1-D dedup and joined rows; and the rank, transform and
+    # compare tables, recorded from the csv.writer and json.dumps writers
+    # that preceded the row-template writer.
     FROZEN_OUTPUTS = {
+        "rank-countries_w1-json": (
+            ["rank", "--data", FIXTURES / "countries.csv",
+             "--config", FIXTURES / "countries_w1.json", "--format", "json"],
+            "03270b196a60c8ef1c60beaf7b817605cccee00ec2d973fb67da2af7dd795ad8"),
+        "transform-students-csv": (
+            ["transform", "--data", FIXTURES / "students.csv",
+             "--config", FIXTURES / "students_config.json",
+             "--format", "csv"],
+            "f46ee2bc95816bd5889a09b7c9304f017ea79d1e3b7b99cf4a0a315f002a1b22"),
+        "transform-students-json": (
+            ["transform", "--data", FIXTURES / "students.csv",
+             "--config", FIXTURES / "students_config.json",
+             "--format", "json"],
+            "e13c1bba36e2fe1e1d2b860909dc4bf36137ba18201d39767573c997f20676fa"),
+        "compare-countries_w1_w2-json": (
+            ["compare", "--data", FIXTURES / "countries.csv",
+             "--config", FIXTURES / "countries_w1.json",
+             "--config-b", FIXTURES / "countries_w2.json",
+             "--format", "json"],
+            "fc9b1e23425a153c3ff7c78f9101db7e5aaef0e4355013f6edb47cf26b6473a0"),
+        "compare-countries_w1_w2-csv": (
+            ["compare", "--data", FIXTURES / "countries.csv",
+             "--config", FIXTURES / "countries_w1.json",
+             "--config-b", FIXTURES / "countries_w2.json",
+             "--format", "csv"],
+            "5bba467f2575c4120b18905dc14660f1aaf8ab783a19d9da9e2aaa0ea7c6a435"),
         "students": (
             ["plot", "--data", FIXTURES / "students.csv",
              "--config", FIXTURES / "students_config.json",

@@ -224,6 +224,27 @@ class TestDecisionMatrix:
                 [("S1", [50.0, 3.0, 4.0]), ("S2", [1.0, 2.0]),
                  ("S3", [50.0, 3.0, math.inf])], self.CRITERIA)
 
+    def test_from_array(self):
+        rows = [("S1", [50.0, 3.0, 4.0]), ("S2", [70.0, 2.0, 5.0])]
+        m = DecisionMatrix.from_array(["S1", "S2"],
+                                      np.array([v for _, v in rows]),
+                                      self.CRITERIA)
+        assert m.ids == ("S1", "S2")
+        assert m.values.tolist() == DecisionMatrix.from_rows(
+            rows, self.CRITERIA).values.tolist()
+        with pytest.raises(LengthMismatch):
+            DecisionMatrix.from_array(["S1"], np.ones((1, 2)), self.CRITERIA)
+        # a bad cell before the first repeated id is reported first
+        values = np.array([[50.0, 3.0, 4.0], [50.0, 3.0, 9.0],
+                           [50.0, 3.0, 4.0]])
+        with pytest.raises(OutOfDomain) as exc:
+            DecisionMatrix.from_array(["S1", "S2", "S1"], values,
+                                      self.CRITERIA)
+        assert (exc.value.row, exc.value.column) == (2, "Art")
+        with pytest.raises(DuplicateName, match="'S1'"):
+            DecisionMatrix.from_array(["S1", "S2", "S1"], values,
+                                      self.CRITERIA, clamp=True)
+
     def test_duplicate_id(self):
         with pytest.raises(DuplicateName):
             DecisionMatrix.from_rows(

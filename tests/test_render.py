@@ -287,6 +287,23 @@ class TestPanelGrid:
         svg = render_panel_grid(self.make_specs(4), columns=2)
         assert len(re.findall(r"<g transform", svg)) == 4
 
+    def test_outline_builds_no_vertex_images(self, monkeypatch):
+        calls = []
+        fn = geometry.vertex_images
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+        for name, module in list(sys.modules.items()):
+            if name == "wmsdspace" or name.startswith("wmsdspace."):
+                for key, val in list(vars(module).items()):
+                    if val is fn:
+                        monkeypatch.setattr(module, key, counted)
+        svg = render_panel_grid(self.make_specs(4), columns=2)
+        assert svg.count("<g transform") == 4 and calls == []
+        geometry.boundary(W3, resolution=16)
+        assert len(calls) == 1
+
     def test_single_panel_keeps_content_adds_legend(self):
         spec = PlotSpec(weights=W3, kind="R", grid=16)
         single = render_wmsd_plot(spec)
