@@ -20,7 +20,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -37,6 +37,7 @@ from .errors import (
     IdSetMismatch,
     BadNumber,
     HeaderMismatch,
+    MalformedCsv,
     SchemaError,
     ValidationError,
     WmsdError,
@@ -59,13 +60,14 @@ from .render import (
     render_panel_grid,
     render_wmsd_plot,
 )
+from ._text import _CHUNK_ROWS, rows as _rows
 from .spaces import utility_array
 from .wmsd import WmsdPoint, mean_sd, plane
 
 DEFAULT_TIE_TOLERANCE = 1e-9
-# Rows per block when splitting input and formatting output, so the
-# transient cell lists and argument tuples stay bounded.
-_CHUNK_ROWS = 4096
+# Largest plot --grid: the field has grid * grid / 2 cells, so 1024 gives
+# 524,288 rectangles (about 40 MB of SVG).
+MAX_GRID = 1024
 
 _CRITERION_KEYS = {"name", "kind", "min", "max", "weight"}
 _CONFIG_KEYS = {"criteria", "aggregation", "weighted", "tie_tolerance",
@@ -122,15 +124,13 @@ def parse_config(text: str) -> RunConfig:
             raise SchemaError(
                 f"kind must be 'gain' or 'cost', got {entry['kind']!r}",
                 path=f"{path}.kind")
-        for key in ("min", "max", "weight"):
-            if not isinstance(entry[key], (int, float)) \
-                    or isinstance(entry[key], bool):
-                raise SchemaError(f"{key} must be a number",
-                                  path=f"{path}.{key}")
+        v_min, v_max, weight = (
+            _config_float(entry[key], f"{key} must be a number",
+                          f"{path}.{key}")
+            for key in ("min", "max", "weight"))
         specs.append(CriterionSpec(
-            name=entry["name"], v_min=float(entry["min"]),
-            v_max=float(entry["max"]), kind=entry["kind"],
-            raw_weight=float(entry["weight"])))
+            name=entry["name"], v_min=v_min, v_max=v_max,
+            kind=entry["kind"], raw_weight=weight))
 
     validate_criteria(specs)
 
@@ -144,12 +144,12 @@ def parse_config(text: str) -> RunConfig:
     clamp = doc.get("clamp", False)
     if not isinstance(clamp, bool):
         raise SchemaError("clamp must be a boolean", path="clamp")
-    tie_tolerance = doc.get("tie_tolerance", DEFAULT_TIE_TOLERANCE)
-    if not isinstance(tie_tolerance, (int, float)) \
-            or isinstance(tie_tolerance, bool) \
-            or not 0 <= tie_tolerance < math.inf:
-        raise SchemaError("tie_tolerance must be a finite non-negative "
-                          "number", path="tie_tolerance")
+    message = "tie_tolerance must be a finite non-negative number"
+    tie_tolerance = _config_float(
+        doc.get("tie_tolerance", DEFAULT_TIE_TOLERANCE), message,
+        "tie_tolerance")
+    if not 0 <= tie_tolerance < math.inf:
+        raise SchemaError(message, path="tie_tolerance")
 
     try:
         weight_vector = normalize_weights([c.raw_weight for c in specs])
@@ -158,8 +158,20 @@ def parse_config(text: str) -> RunConfig:
         raise
     return RunConfig(criteria=tuple(specs), weight_vector=weight_vector,
                      aggregation=AggregationKind(aggregation),
-                     weighted=weighted, tie_tolerance=float(tie_tolerance),
+                     weighted=weighted, tie_tolerance=tie_tolerance,
                      clamp=clamp)
+
+
+def _config_float(value, message: str, path: str) -> float:
+    """A JSON number as a float; SchemaError with ``message`` for anything
+    else, and for an integer too large for a float."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise SchemaError(message, path=path)
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError("number is too large for a float",
+                          path=path) from None
 
 
 def read_matrix(csv_text: str, config: RunConfig) -> DecisionMatrix:
@@ -208,39 +220,57 @@ def _split_plain(csv_text: str, names: tuple[str, ...]):
 
 def _read_matrix_csv(csv_text: str, config: RunConfig) -> DecisionMatrix:
     """Parse a dataset with the csv module; raises every ingest error."""
+    # The plain path reads cells of any length, so this one must too.  The
+    # limit is process-wide, so it is put back.
+    limit = csv.field_size_limit()
+    csv.field_size_limit(max(limit, len(csv_text)))
+    try:
+        ids, values = _csv_cells(csv_text, config.names)
+    finally:
+        csv.field_size_limit(limit)
+    return DecisionMatrix.from_array(ids, values, config.criteria,
+                                     clamp=config.clamp)
+
+
+def _csv_cells(csv_text: str, names: tuple[str, ...]):
+    """``(ids, values)`` of a dataset read with the csv module."""
     reader = csv.reader(io.StringIO(csv_text))
     try:
-        header = next(reader)
-    except StopIteration:
+        header = next(reader, None)
+    except csv.Error as e:
+        raise MalformedCsv(f"header: {e}") from None
+    if header is None:
         raise HeaderMismatch("dataset is empty; expected a header row")
-    expected = ["id", *config.names]
+    expected = ["id", *names]
     if header != expected:
         raise HeaderMismatch(
             f"header {header} does not match expected {expected}")
     ids, rows = [], []
     r = 0  # 1-based data row: blank lines are not counted
-    for record in reader:
-        if not record:
-            continue
-        r += 1
-        if len(record) != len(expected):
-            raise HeaderMismatch(
-                f"row {r}: expected {len(expected)} fields, "
-                f"got {len(record)}")
-        try:
-            rows.append(list(map(float, record[1:])))
-        except ValueError:
-            for name, cell in zip(config.names, record[1:]):
-                try:
-                    float(cell)
-                except ValueError:
-                    raise BadNumber(f"row {r}, column {name!r}: "
-                                    f"cannot parse {cell!r} as a number",
-                                    row=r, column=name) from None
-        ids.append(record[0])
-    values = np.array(rows, dtype=float).reshape(len(ids), len(config.names))
-    return DecisionMatrix.from_array(ids, values, config.criteria,
-                                     clamp=config.clamp)
+    try:
+        for record in reader:
+            if not record:
+                continue
+            r += 1
+            if len(record) != len(expected):
+                raise HeaderMismatch(
+                    f"row {r}: expected {len(expected)} fields, "
+                    f"got {len(record)}")
+            try:
+                rows.append(list(map(float, record[1:])))
+            except ValueError:
+                for name, cell in zip(names, record[1:]):
+                    try:
+                        float(cell)
+                    except ValueError:
+                        raise BadNumber(
+                            f"row {r}, column {name!r}: cannot parse "
+                            f"{cell!r} as a number", row=r,
+                            column=name) from None
+            ids.append(record[0])
+    except csv.Error as e:
+        raise MalformedCsv(f"row {r + 1}: {e}", row=r + 1) from None
+    return ids, np.array(rows, dtype=float).reshape(len(ids), len(names))
 
 
 def _scores(matrix: DecisionMatrix, w: WeightVector,
@@ -271,41 +301,12 @@ def _csv_fields(texts: Sequence[str]) -> Sequence[str]:
     return texts
 
 
-def _rows(template: str, columns: Sequence, round6: bool = False) -> str:
-    """``template % row`` for every row of equal-length columns, joined.
-
-    A column is a sequence or a numpy array; a 2-D array gives one column
-    per array column.  With ``round6`` float arrays go through
-    ``round(x, 6)``, as the JSON writers print them.  Rows are formatted
-    ``_CHUNK_ROWS`` at a time with one ``%`` over the repeated template,
-    so the flat argument tuple stays bounded.
-    """
-    m = len(columns[0])
-    full = template * _CHUNK_ROWS
-    out = []
-    for a in range(0, m, _CHUNK_ROWS):
-        cols = []
-        for col in columns:
-            part = col[a:a + _CHUNK_ROWS]
-            if not isinstance(part, np.ndarray):
-                cols.append(part)
-                continue
-            part_cols = part.T.tolist() if part.ndim == 2 else [part.tolist()]
-            if round6 and part.dtype.kind == "f":
-                part_cols = [list(map(round, c, repeat(6))) for c in part_cols]
-            cols += part_cols
-        k = len(cols[0])
-        out.append((full if k == _CHUNK_ROWS else template * k)
-                   % tuple(chain.from_iterable(zip(*cols))))
-    return "".join(out)
-
-
 def _json_block(item: str, columns: Sequence, depth: int,
                 brackets: str = "[]") -> str:
     """A JSON array, or an object with ``brackets="{}"``, laid out as
     ``json.dumps(indent=2)`` does at nesting ``depth``, with one ``item``
-    per row; floats print as ``repr(round(x, 6))``."""
-    body = _rows(item + ",\n", columns, round6=True)
+    per row; ``%r`` floats print as ``repr(round(x, 6))``."""
+    body = _rows(item + ",\n", columns)
     if not body:
         return brackets
     return f"{brackets[0]}\n{body[:-2]}\n{'  ' * depth}{brackets[1]}"
@@ -488,7 +489,7 @@ def cmd_compare(args: argparse.Namespace) -> str:
                 + _rows("%s,%.6f,%d,%.6f,%d,%d\n",
                         [_csv_fields(ra.ids), ra.scores, ra.ranks,
                          rb.scores[b_order], ranks_b, deltas])
-                + f"# kendall_tau={cmp.kendall_tau:.6f}\n"
+                + _rows("# kendall_tau=%.6f\n", [[cmp.kendall_tau]])
                 + _rows("# reversal=%s,%s\n", revs))
     tau = ("null" if math.isnan(cmp.kendall_tau)
            else repr(round(cmp.kendall_tau, 6)))
@@ -560,7 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot = sub.add_parser("plot", help="SVG plot of the plane")
     common(p_plot, fmt=("svg",), default_fmt="svg")
     p_plot.add_argument("--grid", type=int, default=128,
-                        help="color-field resolution")
+                        help="color-field resolution: cells across, from "
+                             f"16 to {MAX_GRID} (default 128)")
     p_plot.add_argument("--columns", type=int, default=2,
                         help="panel-grid columns for repeated --config")
     p_plot.add_argument("--overlay", default=None,
@@ -591,6 +593,8 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
 def _validate_args(args: argparse.Namespace) -> None:
     if getattr(args, "grid", 16) < 16:
         raise SchemaError("--grid must be at least 16")
+    if getattr(args, "grid", 16) > MAX_GRID:
+        raise SchemaError(f"--grid must be at most {MAX_GRID}")
     if getattr(args, "columns", 1) < 1:
         raise SchemaError("--columns must be positive")
     if getattr(args, "resolution", 2) < 2:

@@ -140,6 +140,20 @@ class HeaderMismatch(ValidationError):
     """CSV header does not match the configured criteria."""
 
 
+class MalformedCsv(ValidationError):
+    """Dataset text the csv module cannot split into records."""
+
+    def __init__(self, message: str, *, row: int | None = None):
+        super().__init__(message)
+        self.row = row
+
+    def details(self) -> dict:
+        d = super().details()
+        if self.row is not None:
+            d["row"] = self.row
+        return d
+
+
 class BadNumber(ValidationError):
     """A CSV cell that should be numeric is not."""
 

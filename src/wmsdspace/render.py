@@ -28,6 +28,7 @@ from .errors import (
 )
 from .geometry import attainable, envelope, envelope_wsd, isoline
 from .model import WeightVector
+from ._text import rows
 from .wmsd import WmsdPoint
 
 SOLID = "solid"
@@ -156,7 +157,30 @@ class FieldCell:
     h: float
 
 
-def field_cells(spec: PlotSpec) -> list[FieldCell]:
+class FieldCells:
+    """The color field as columns: one entry per cell of ``wm``, ``wsd``,
+    ``value``, ``rgb`` (rows of 8-bit channels) and pixel corner ``x``,
+    ``y``; every cell is ``w`` by ``h`` pixels.  Iterating yields
+    :class:`FieldCell` objects.  (A plain class: a dataclass would add
+    about a millisecond to every command's start.)"""
+
+    def __init__(self, wm: np.ndarray, wsd: np.ndarray, value: np.ndarray,
+                 rgb: np.ndarray, x: np.ndarray, y: np.ndarray, w: float,
+                 h: float):
+        self.wm, self.wsd, self.value, self.rgb = wm, wsd, value, rgb
+        self.x, self.y, self.w, self.h = x, y, w, h
+
+    def __len__(self) -> int:
+        return self.wm.size
+
+    def __iter__(self):
+        for a, b, v, c, x, y in zip(
+                self.wm.tolist(), self.wsd.tolist(), self.value.tolist(),
+                colors_hex(self.value), self.x.tolist(), self.y.tolist()):
+            yield FieldCell(a, b, v, c, x, y, self.w, self.h)
+
+
+def field_cells(spec: PlotSpec) -> FieldCells:
     """Color-field cells whose centers lie inside the attainable region."""
     w = spec.weights
     frame = PlotFrame(spec)
@@ -167,20 +191,15 @@ def field_cells(spec: PlotSpec) -> list[FieldCell]:
     wm_centers = (np.arange(nx) + 0.5) * wm_step
     wsd_centers = (np.arange(ny) + 0.5) * wsd_step
     env = envelope_wsd(w, wm_centers)
-    cell_w = frame.plot_w / nx
-    cell_h = frame.plot_h / ny
     # Column i holds the cells below its envelope; a NaN envelope keeps
     # the whole column.  np.nonzero yields them column by column.
     ii, jj = np.nonzero(~(wsd_centers[None, :] > env[:, None]))
     wm_c, wsd_c = wm_centers[ii], wsd_centers[jj]
     vals = agg_values(spec.kind, wm_c, wsd_c, w.mean_w)
-    return [FieldCell(wm=a, wsd=b, value=v, color=c, x=x, y=y,
-                      w=cell_w, h=cell_h)
-            for a, b, v, c, x, y in zip(
-                wm_c.tolist(), wsd_c.tolist(), vals.tolist(),
-                colors_hex(vals),
-                frame.x(wm_c - wm_step / 2).tolist(),
-                frame.y(wsd_c + wsd_step / 2).tolist())]
+    return FieldCells(wm=wm_c, wsd=wsd_c, value=vals, rgb=colors_rgb(vals),
+                      x=frame.x(wm_c - wm_step / 2),
+                      y=frame.y(wsd_c + wsd_step / 2),
+                      w=frame.plot_w / nx, h=frame.plot_h / ny)
 
 
 def _esc(text: str) -> str:
@@ -188,31 +207,39 @@ def _esc(text: str) -> str:
             .replace(">", "&gt;"))
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.2f}"
+def _svg(template: str, *columns) -> str:
+    """``template`` for each row of the broadcast numeric columns, as
+    lines."""
+    cols = np.broadcast_arrays(*map(np.atleast_1d, columns))
+    return rows(template + "\n", cols)[:-1]
+
+
+def _path_data(x: np.ndarray, y: np.ndarray) -> str:
+    """SVG path data ``M x0 y0 L x1 y1 ...`` through the pixel points."""
+    return "M " + rows("%.2f %.2f L ", [x, y])[:-3]
 
 
 def _polyline_runs(points: np.ndarray, gap: float) -> list[np.ndarray]:
     """Split clipped samples into contiguous runs at large jumps."""
     if len(points) == 0:
         return []
-    runs = []
-    start = 0
-    for i in range(1, len(points)):
-        if np.hypot(*(points[i] - points[i - 1])) > gap:
-            runs.append(points[start:i])
-            start = i
-    runs.append(points[start:])
-    return [r for r in runs if len(r) >= 2]
+    step = np.diff(points, axis=0)
+    jumps = np.flatnonzero(np.hypot(step[:, 0], step[:, 1]) > gap) + 1
+    return [r for r in np.split(points, jumps) if len(r) >= 2]
 
 
-def _check_points(spec: PlotSpec,
-                  pts: Sequence[tuple[str, WmsdPoint, str]]) -> None:
+def _coords(pts: Sequence[tuple[str, WmsdPoint, str]]
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """``(wm, wsd)`` arrays of the points."""
+    return (np.array([p.wm for _, p, _ in pts], dtype=float),
+            np.array([p.wsd for _, p, _ in pts], dtype=float))
+
+
+def _check_points(spec: PlotSpec, pts: Sequence[tuple[str, WmsdPoint, str]],
+                  wm: np.ndarray, wsd: np.ndarray) -> None:
     """Raise for the first point, in input order, outside the region."""
     if spec.force or not pts:
         return
-    wm = np.array([p.wm for _, p, _ in pts], dtype=float)
-    wsd = np.array([p.wsd for _, p, _ in pts], dtype=float)
     outside = np.flatnonzero(~attainable(spec.weights, wm, wsd, 1e-9))
     if outside.size:
         pid, p, _style = pts[outside[0]]
@@ -221,132 +248,134 @@ def _check_points(spec: PlotSpec,
             f"the attainable region", point_id=pid)
 
 
-def _marker_svg(frame: PlotFrame, pid: str, p: WmsdPoint, style: str,
-                labels: bool) -> list[str]:
-    cx, cy = _fmt(frame.x(p.wm)), _fmt(frame.y(p.wsd))
-    if style == HOLLOW:
-        paint = 'fill="#ffffff" stroke="#000000" stroke-width="1.5"'
-    else:
-        paint = 'fill="#000000"'
-    out = [f'<circle class="marker" cx="{cx}" cy="{cy}" r="4" {paint}/>']
-    if labels:
-        tx = _fmt(frame.x(p.wm) + 6)
-        ty = _fmt(frame.y(p.wsd) - 6)
-        out.append(f'<text x="{tx}" y="{ty}" font-family="sans-serif" '
-                   f'font-size="11">{_esc(pid)}</text>')
-    return out
+_PAINT = {HOLLOW: 'fill="#ffffff" stroke="#000000" stroke-width="1.5"'}
+_MARKER = '<circle class="marker" cx="%.2f" cy="%.2f" r="4" %s/>'
+_LABEL = ('\n<text x="%.2f" y="%.2f" font-family="sans-serif" '
+          'font-size="11">%s</text>')
 
 
-def _panel_body(spec: PlotSpec) -> list[str]:
-    """All drawing elements of a single plot, in local coordinates."""
+def _markers_svg(frame: PlotFrame, pts: Sequence[tuple[str, WmsdPoint, str]],
+                 wm: np.ndarray, wsd: np.ndarray, labels: bool) -> str:
+    """One marker per point, each followed by its label with ``labels``."""
+    x, y = frame.x(wm), frame.y(wsd)
+    paint = [_PAINT.get(style, 'fill="#000000"') for _, _, style in pts]
+    if not labels:
+        return rows(_MARKER + "\n", [x, y, paint])[:-1]
+    return rows(_MARKER + _LABEL + "\n",
+                [x, y, paint, x + 6, y - 6,
+                 [_esc(pid) for pid, _, _ in pts]])[:-1]
+
+
+def _region_svg(spec: PlotSpec, frame: PlotFrame) -> list[str]:
+    """The color field and the region outline."""
+    cells = field_cells(spec)
+    env_wm, env_wsd = envelope(spec.weights, resolution=512)
+    return [_svg('<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" '
+                 'fill="#%02x%02x%02x"/>', cells.x, cells.y, cells.w + 0.3,
+                 cells.h + 0.3, *cells.rgb.T),
+            f'<path d="{_path_data(frame.x(env_wm), frame.y(env_wsd))} Z" '
+            f'fill="none" stroke="#000000" stroke-width="1.2"/>']
+
+
+def _panel_body(spec: PlotSpec, regions: dict) -> list[str]:
+    """All drawing elements of a single plot, in local coordinates.
+
+    ``regions`` maps a (weights, kind, grid, size) key to its field and
+    outline text, so panels of one document share it.
+    """
     w = spec.weights
     frame = PlotFrame(spec)
-    _check_points(spec, spec.points)
+    wm, wsd = _coords(spec.points)
+    _check_points(spec, spec.points, wm, wsd)
     out = [f'<rect x="0" y="0" width="{spec.width}" '
            f'height="{spec.height}" fill="#ffffff"/>']
-
-    for cell in field_cells(spec):
-        out.append(f'<rect x="{_fmt(cell.x)}" y="{_fmt(cell.y)}" '
-                   f'width="{_fmt(cell.w + 0.3)}" '
-                   f'height="{_fmt(cell.h + 0.3)}" fill="{cell.color}"/>')
-
-    env_wm, env_wsd = envelope(w, resolution=512)
-    path = [f'M {_fmt(frame.x(env_wm[0]))} {_fmt(frame.y(env_wsd[0]))}']
-    for wm_v, wsd_v in zip(env_wm[1:], env_wsd[1:]):
-        path.append(f'L {_fmt(frame.x(wm_v))} {_fmt(frame.y(wsd_v))}')
-    path.append("Z")
-    out.append(f'<path d="{" ".join(path)}" fill="none" stroke="#000000" '
-               f'stroke-width="1.2"/>')
+    key = (w.weights.tobytes(), spec.kind, spec.grid, spec.width,
+           spec.height)
+    if key not in regions:
+        regions[key] = _region_svg(spec, frame)
+    out.extend(regions[key])
 
     for level in spec.show_isolines:
         iso = isoline(spec.kind, level, w, samples=361)
         gap = (frame.wm_max / 20 if iso.shape != "arc"
                else max(iso.radius * math.pi / 36, frame.wm_max / 50))
         for run in _polyline_runs(iso.points, gap):
-            seg = [f'M {_fmt(frame.x(run[0, 0]))} {_fmt(frame.y(run[0, 1]))}']
-            for wm_v, wsd_v in run[1:]:
-                seg.append(f'L {_fmt(frame.x(wm_v))} {_fmt(frame.y(wsd_v))}')
-            out.append(f'<path class="isoline" d="{" ".join(seg)}" '
-                       f'fill="none" stroke="#555555" stroke-width="1" '
+            out.append(f'<path class="isoline" d="'
+                       f'{_path_data(frame.x(run[:, 0]), frame.y(run[:, 1]))}'
+                       f'" fill="none" stroke="#555555" stroke-width="1" '
                        f'stroke-dasharray="4 3"/>')
 
     out.extend(_axes_svg(spec, frame))
-    for pid, p, style in spec.points:
-        out.extend(_marker_svg(frame, pid, p, style, spec.labels))
+    out.append(_markers_svg(frame, spec.points, wm, wsd, spec.labels))
     return out
+
+
+_LINE = ('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="#000000" '
+         'stroke-width="1"/>')
+_TICK = ('\n<text x="%.2f" y="%.2f" font-family="sans-serif" font-size="10" '
+         'text-anchor="{}">%.2f</text>')
 
 
 def _axes_svg(spec: PlotSpec, frame: PlotFrame) -> list[str]:
     x0, x1 = frame.x(0.0), frame.x(frame.wm_max)
     y0, y1 = frame.y(0.0), frame.y(frame.wsd_max)
-    out = [
-        f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" '
-        f'y2="{_fmt(y0)}" stroke="#000000" stroke-width="1"/>',
-        f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x0)}" '
-        f'y2="{_fmt(y1)}" stroke="#000000" stroke-width="1"/>',
-    ]
-    for t in np.linspace(0.0, frame.wm_max, 5):
-        px = frame.x(t)
-        out.append(f'<line x1="{_fmt(px)}" y1="{_fmt(y0)}" x2="{_fmt(px)}" '
-                   f'y2="{_fmt(y0 + 4)}" stroke="#000000" stroke-width="1"/>')
-        out.append(f'<text x="{_fmt(px)}" y="{_fmt(y0 + 16)}" '
-                   f'font-family="sans-serif" font-size="10" '
-                   f'text-anchor="middle">{t:.2f}</text>')
-    for t in np.linspace(0.0, frame.wsd_max, 5):
-        py = frame.y(t)
-        out.append(f'<line x1="{_fmt(x0 - 4)}" y1="{_fmt(py)}" '
-                   f'x2="{_fmt(x0)}" y2="{_fmt(py)}" stroke="#000000" '
-                   f'stroke-width="1"/>')
-        out.append(f'<text x="{_fmt(x0 - 7)}" y="{_fmt(py + 3)}" '
-                   f'font-family="sans-serif" font-size="10" '
-                   f'text-anchor="end">{t:.2f}</text>')
+    tx = np.linspace(0.0, frame.wm_max, 5)
+    ty = np.linspace(0.0, frame.wsd_max, 5)
+    px, py = frame.x(tx), frame.y(ty)
     cx = (x0 + x1) / 2
     cy = (y0 + y1) / 2
-    out.append(f'<text x="{_fmt(cx)}" y="{_fmt(y0 + 32)}" '
-               f'font-family="sans-serif" font-size="12" '
-               f'text-anchor="middle">WM</text>')
-    out.append(f'<text x="{_fmt(x0 - 40)}" y="{_fmt(cy)}" '
-               f'font-family="sans-serif" font-size="12" '
-               f'text-anchor="middle" transform="rotate(-90 {_fmt(x0 - 40)} '
-               f'{_fmt(cy)})">WSD</text>')
-    ws = ", ".join(f"{v:.2f}" for v in spec.weights.weights)
-    out.append(f'<text x="{_fmt(x0)}" y="{_fmt(MARGIN_T - 5)}" '
-               f'font-family="sans-serif" font-size="11">{spec.kind} '
-               f'w=[{ws}]</text>')
-    return out
+    ws = rows("%.2f, ", [spec.weights.weights])[:-2]
+    return [
+        _svg(_LINE, x0, y0, [x1, x0], [y0, y1]),
+        _svg(_LINE + _TICK.format("middle"), px, y0, px, y0 + 4, px, y0 + 16,
+             tx),
+        _svg(_LINE + _TICK.format("end"), x0 - 4, py, x0, py, x0 - 7, py + 3,
+             ty),
+        _svg('<text x="%.2f" y="%.2f" font-family="sans-serif" '
+             'font-size="12" text-anchor="middle">WM</text>\n'
+             '<text x="%.2f" y="%.2f" font-family="sans-serif" '
+             'font-size="12" text-anchor="middle" '
+             'transform="rotate(-90 %.2f %.2f)">WSD</text>\n'
+             '<text x="%.2f" y="%.2f" font-family="sans-serif" '
+             'font-size="11">' + f"{spec.kind} w=[{ws}]".replace("%", "%%")
+             + '</text>', cx, y0 + 32, x0 - 40, cy, x0 - 40, cy, x0,
+             MARGIN_T - 5),
+    ]
 
 
 def _document(width: int, height: int, body: list[str]) -> str:
+    """The SVG document of ``body``, one element or element group per
+    entry; empty entries (a field or marker layer with no rows) are
+    left out."""
     head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
             f'height="{height}" viewBox="0 0 {width} {height}">')
-    return "\n".join([head, *body, "</svg>"]) + "\n"
+    return "\n".join(filter(None, [head, *body, "</svg>"])) + "\n"
 
 
 def render_wmsd_plot(spec: PlotSpec) -> str:
     """One plane plot as an SVG document."""
-    return _document(spec.width, spec.height, _panel_body(spec))
+    return _document(spec.width, spec.height, _panel_body(spec, {}))
 
 
 def _legend_svg(ox: float, oy: float, h: float) -> list[str]:
     steps = 64
     bar_h = h - 30
     step_h = bar_h / steps
-    out = []
-    for i in range(steps):
-        v = (i + 0.5) / steps
-        y = oy + 10 + bar_h - (i + 1) * step_h
-        out.append(f'<rect x="{_fmt(ox + 12)}" y="{_fmt(y)}" width="18" '
-                   f'height="{_fmt(step_h + 0.3)}" fill="{color_hex(v)}"/>')
-    out.append(f'<rect x="{_fmt(ox + 12)}" y="{_fmt(oy + 10)}" width="18" '
-               f'height="{_fmt(bar_h)}" fill="none" stroke="#000000" '
-               f'stroke-width="1"/>')
-    for v in (0.0, 0.5, 1.0):
-        y = oy + 10 + bar_h * (1.0 - v)
-        out.append(f'<text x="{_fmt(ox + 34)}" y="{_fmt(y + 3)}" '
-                   f'font-family="sans-serif" font-size="10">{v:.1f}</text>')
-    out.append(f'<text x="{_fmt(ox + 12)}" y="{_fmt(oy + h - 6)}" '
-               f'font-family="sans-serif" font-size="11">score</text>')
-    return out
+    i = np.arange(steps)
+    rgb = colors_rgb((i + 0.5) / steps)
+    y = oy + 10 + bar_h - (i + 1) * step_h
+    v = np.array([0.0, 0.5, 1.0])
+    return [
+        _svg('<rect x="%.2f" y="%.2f" width="18" height="%.2f" '
+             'fill="#%02x%02x%02x"/>', ox + 12, y, step_h + 0.3, *rgb.T),
+        _svg('<rect x="%.2f" y="%.2f" width="18" height="%.2f" fill="none" '
+             'stroke="#000000" stroke-width="1"/>', ox + 12, oy + 10, bar_h),
+        _svg('<text x="%.2f" y="%.2f" font-family="sans-serif" '
+             'font-size="10">%.1f</text>', ox + 34,
+             oy + 10 + bar_h * (1.0 - v) + 3, v),
+        _svg('<text x="%.2f" y="%.2f" font-family="sans-serif" '
+             'font-size="11">score</text>', ox + 12, oy + h - 6),
+    ]
 
 
 def render_panel_grid(specs: Sequence[PlotSpec], columns: int = 2) -> str:
@@ -362,11 +391,12 @@ def render_panel_grid(specs: Sequence[PlotSpec], columns: int = 2) -> str:
     total_h = rows * panel_h
     body = [f'<rect x="0" y="0" width="{total_w}" height="{total_h}" '
             f'fill="#ffffff"/>']
+    regions = {}
     for i, spec in enumerate(specs):
         ox = (i % columns) * panel_w
         oy = (i // columns) * panel_h
         try:
-            panel = _panel_body(spec)
+            panel = _panel_body(spec, regions)
         except WmsdError as e:
             e.args = (f"panel {i}: {e}",)
             raise
@@ -387,16 +417,20 @@ def render_overlay(base: PlotSpec,
     """
     pts_a = tuple((pid, p, SOLID) for pid, p in snapshot_a)
     pts_b = tuple((pid, p, HOLLOW) for pid, p in snapshot_b)
-    _check_points(base, pts_a + pts_b)
+    wm_a, wsd_a = _coords(pts_a)
+    wm_b, wsd_b = _coords(pts_b)
+    _check_points(base, pts_a + pts_b, np.concatenate([wm_a, wm_b]),
+                  np.concatenate([wsd_a, wsd_b]))
 
     frame = PlotFrame(base)
     field_spec = PlotSpec(
         weights=base.weights, kind=base.kind, points=(), grid=base.grid,
         width=base.width, height=base.height,
         show_isolines=base.show_isolines, labels=False, force=base.force)
-    body = _panel_body(field_spec)
+    body = _panel_body(field_spec, {})
 
     b_by_id = {pid: p for pid, p in snapshot_b}
+    arrows = []
     for pid, pa in snapshot_a:
         pb = b_by_id.get(pid)
         if pb is None:
@@ -408,17 +442,16 @@ def render_overlay(base: PlotSpec,
         d = math.hypot(x2 - x1, y2 - y1)
         ux, uy = ((x2 - x1) / d, (y2 - y1) / d) if d > 0 else (1.0, 0.0)
         tipx, tipy = x2 - 5 * ux, y2 - 5 * uy
-        body.append(f'<line class="arrow" x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
-                    f'x2="{_fmt(tipx)}" y2="{_fmt(tipy)}" stroke="#444444" '
-                    f'stroke-width="1"/>')
         hx, hy = tipx - 5 * ux, tipy - 5 * uy
         px, py = -uy * 2.5, ux * 2.5
-        body.append(f'<polygon class="arrow-head" points="'
-                    f'{_fmt(tipx)},{_fmt(tipy)} {_fmt(hx + px)},{_fmt(hy + py)} '
-                    f'{_fmt(hx - px)},{_fmt(hy - py)}" fill="#444444"/>')
-
-    for pid, p, style in pts_a:
-        body.extend(_marker_svg(frame, pid, p, style, labels=False))
-    for pid, p, style in pts_b:
-        body.extend(_marker_svg(frame, pid, p, style, labels=base.labels))
+        arrows.append((x1, y1, tipx, tipy, tipx, tipy, hx + px, hy + py,
+                       hx - px, hy - py))
+    if arrows:
+        body.append(_svg(
+            '<line class="arrow" x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
+            'stroke="#444444" stroke-width="1"/>\n'
+            '<polygon class="arrow-head" points="%.2f,%.2f %.2f,%.2f '
+            '%.2f,%.2f" fill="#444444"/>', *zip(*arrows)))
+    body.append(_markers_svg(frame, pts_a, wm_a, wsd_a, labels=False))
+    body.append(_markers_svg(frame, pts_b, wm_b, wsd_b, labels=base.labels))
     return _document(base.width, base.height, body)

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,7 @@ from wmsdspace.errors import (
     AllZeroWeights,
     BadNumber,
     HeaderMismatch,
+    MalformedCsv,
     OutOfDomain,
     SchemaError,
     WmsdError,
@@ -33,6 +35,61 @@ from wmsdspace.wmsd import WmsdPoint, plane
 from wmsdspace.aggregate import agg_from_wmsd
 
 STUDENTS_CONFIG = (FIXTURES / "students_config.json").read_text()
+
+# Stands for the directory :func:`write_seeded_inputs` fills in a test.
+SEEDED = Path("<seeded>")
+
+
+def write_seeded_inputs(d: Path) -> None:
+    """Seeded datasets and configs for the frozen seeded documents.
+
+    ``plot.csv`` has 2,000 rows over five criteria (two costs, negative
+    domains, uneven weights) with bound cells, repeated rows and ids that
+    need quoting or escaping; ``snap_a.csv``/``snap_b.csv`` are 300 rows
+    moved between two snapshots, every tenth row left in place; ``np12``
+    has twelve positive weights.
+    """
+    rng = np.random.default_rng(20261018)
+    lo = np.array([-40.0, 0.0, -5.5, 10.0, -200.0])
+    hi = np.array([60.0, 1.0, 5.5, 12.5, 900.0])
+    criteria = [{"name": f"c{j}", "kind": "cost" if j in (1, 3) else "gain",
+                 "min": float(lo[j]), "max": float(hi[j]), "weight": w}
+                for j, w in enumerate([1.0, 0.35, 0.8, 0.05, 0.6])]
+    for name, kind in (("plot", "R"), ("snap", "A")):
+        (d / f"{name}.json").write_text(json.dumps(
+            {"criteria": criteria, "aggregation": kind}))
+    (d / "np12.json").write_text(json.dumps({"criteria": [
+        {"name": f"k{j}", "kind": "gain", "min": 0, "max": 1,
+         "weight": round(float(w), 3)}
+        for j, w in enumerate(rng.uniform(0.05, 1.0, 12))]}))
+
+    def values(m):
+        vals = np.round(lo + rng.random((m, lo.size)) * (hi - lo), 3)
+        at_bound = rng.random(vals.shape) < 0.02
+        vals = np.where(at_bound, np.where(rng.random(vals.shape) < 0.5,
+                                           hi, lo), vals)
+        vals[rng.choice(m, m // 100, replace=False)] = \
+            vals[rng.choice(m, m // 100, replace=False)]
+        return vals
+
+    def write(name, ids, vals):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["id"] + [c["name"] for c in criteria])
+        writer.writerows([i, *map(repr, row)]
+                         for i, row in zip(ids, vals.tolist()))
+        (d / name).write_text(buf.getvalue(), encoding="utf-8")
+
+    odd = ["a&b<{}>", "na\u00efve {}", 'q"{}"', "c,{}", "{}%s", " {} "]
+    ids = [odd[i // 97 % len(odd)].format(i) if i % 97 == 0 else f"a{i}"
+           for i in range(2000)]
+    write("plot.csv", ids, values(2000))
+    snap = values(300)
+    moved = np.clip(snap + rng.uniform(-0.08, 0.08, snap.shape) * (hi - lo),
+                    lo, hi)
+    moved[::10] = snap[::10]
+    write("snap_a.csv", ids[:300], snap)
+    write("snap_b.csv", ids[:300], np.round(moved, 3))
 
 
 class TestParseConfig:
@@ -72,6 +129,22 @@ class TestParseConfig:
     def test_invalid_json(self):
         with pytest.raises(SchemaError):
             parse_config("{not json")
+
+    @pytest.mark.parametrize("field", ["min", "max", "weight",
+                                       "tie_tolerance"])
+    def test_integer_beyond_float_range(self, run_cli, tmp_path, field):
+        doc = json.loads(STUDENTS_CONFIG)
+        if field == "tie_tolerance":
+            doc[field], path = 10 ** 400, field
+        else:
+            doc["criteria"][1][field], path = 10 ** 400, f"criteria[1].{field}"
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps(doc))
+        code, out, err = run_cli("rank", "--data", FIXTURES / "students.csv",
+                                 "--config", config)
+        assert code == 1 and out == ""
+        record = json.loads(err)
+        assert record["error"] == "SchemaError" and record["path"] == path
 
 
 class TestReadMatrix:
@@ -386,6 +459,19 @@ class TestPlotCommand:
         assert code == 1
         assert json.loads(err)["error"] == "SchemaError"
 
+    def test_grid_cap(self, run_cli, capsys):
+        code, out, err = run_cli(
+            "plot", "--data", FIXTURES / "students.csv",
+            "--config", FIXTURES / "students_config.json",
+            "--grid", str(cli.MAX_GRID + 1))
+        assert code == 1 and out == ""
+        record = json.loads(err)
+        assert record["error"] == "SchemaError"
+        assert str(cli.MAX_GRID) in record["message"]
+        with pytest.raises(SystemExit):
+            cli.main(["plot", "--help"])
+        assert re.search(rf"16\s+to\s+{cli.MAX_GRID}", capsys.readouterr().out)
+
     def test_bad_isoline_level(self, run_cli):
         code, _, err = run_cli(
             "plot", "--data", FIXTURES / "students.csv",
@@ -456,6 +542,33 @@ class TestCompareCommand:
 
 
 class TestErrorStream:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_quoted_id_beyond_csv_field_limit(self, run_cli, tmp_path, fmt):
+        long_id = "x," + "y" * 140_000
+        data = tmp_path / "long.csv"
+        data.write_text(f'id,Math,Bio,Art\n"{long_id}",50,3,4\nS2,60,3,4\n')
+        limit = csv.field_size_limit()
+        code, out, err = run_cli("rank", "--data", data, "--format", fmt,
+                                 "--config", FIXTURES / "students_config.json")
+        assert code == 0, err
+        assert csv.field_size_limit() == limit
+        if fmt == "json":
+            assert {e["id"] for e in json.loads(out)["entries"]} == {
+                long_id, "S2"}
+        else:
+            assert f'\n"{long_id}",' in out
+
+    def test_malformed_csv_record(self, students_config):
+        """A csv.Error becomes a record with its data row.  The CLI reads
+        files with universal newlines, so this CR inside a field reaches
+        the csv module only through read_matrix."""
+        text = 'id,Math,Bio,Art\n"S1",50,3,4\n\nS2,6\r0,3,4\n'
+        with pytest.raises(MalformedCsv) as exc:
+            read_matrix(text, students_config)
+        record = exc.value.details()
+        assert record["error"] == "MalformedCsv" and record["row"] == 2
+        assert "\n" not in json.dumps(record)
+
     def test_validation_exit_code_and_record(self, run_cli, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"criteria": []}')
@@ -637,8 +750,25 @@ class TestGoldenFiles:
     # tables, recorded from the 2-D vertex dedup and csv.writer path that
     # preceded the 1-D dedup and joined rows; and the rank, transform and
     # compare tables, recorded from the csv.writer and json.dumps writers
-    # that preceded the row-template writer.
+    # that preceded the row-template writer; and the seeded documents
+    # (paths under SEEDED), recorded from the per-element f-string plot
+    # writer and the %-template table writer that preceded the array text
+    # writer.
     FROZEN_OUTPUTS = {
+        "seeded-plot-labels-isolines": (
+            ["plot", "--data", SEEDED / "plot.csv",
+             "--config", SEEDED / "plot.json", "--labels",
+             "--isolines", "0.1,0.25,0.5,0.75,0.9"],
+            "a867475c16f184e3f64cafa2e6189165d552cdda23c35364a9e60c16cb853042"),
+        "seeded-overlay-arrows": (
+            ["plot", "--data", SEEDED / "snap_a.csv",
+             "--config", SEEDED / "snap.json",
+             "--overlay", SEEDED / "snap_b.csv", "--labels",
+             "--isolines", "0.3,0.6", "--grid", "96"],
+            "b597ca9bb8d5e9e157a0fa355adf48f57cd5e4ea13ac244452e8c1abf4b4c861"),
+        "seeded-boundary-np12-csv": (
+            ["boundary", "--config", SEEDED / "np12.json", "--format", "csv"],
+            "4162f97903824b4c2715294d5884677c689b7b174e04e9658e58af64be493a8c"),
         "rank-countries_w1-json": (
             ["rank", "--data", FIXTURES / "countries.csv",
              "--config", FIXTURES / "countries_w1.json", "--format", "json"],
@@ -700,9 +830,12 @@ class TestGoldenFiles:
     }
 
     @pytest.mark.parametrize("name", sorted(FROZEN_OUTPUTS))
-    def test_output_bytes_frozen(self, run_cli, name):
+    def test_output_bytes_frozen(self, run_cli, tmp_path, name):
         args, digest = self.FROZEN_OUTPUTS[name]
-        code, out, err = run_cli(*args)
+        if any(str(SEEDED) in str(a) for a in args):
+            write_seeded_inputs(tmp_path)
+        code, out, err = run_cli(*[str(a).replace(str(SEEDED), str(tmp_path))
+                                   for a in args])
         assert code == 0, err
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 

@@ -4,9 +4,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import FIXTURES
-from wmsdspace import geometry
+from wmsdspace import geometry, render
 from wmsdspace.aggregate import agg_from_wmsd, agg_values
 from wmsdspace.errors import DegenerateCanvas, UnattainablePoint
 from wmsdspace.geometry import is_attainable
@@ -362,6 +364,33 @@ class TestOverlay:
         bad = (("p1", WmsdPoint(0.69, 0.3)),)
         with pytest.raises(UnattainablePoint):
             render_overlay(self.BASE, bad, bad)
+
+
+def polyline_runs_loop(points, gap):
+    """The per-pair loop that render._polyline_runs replaced."""
+    if len(points) == 0:
+        return []
+    runs = []
+    start = 0
+    for i in range(1, len(points)):
+        if np.hypot(*(points[i] - points[i - 1])) > gap:
+            runs.append(points[start:i])
+            start = i
+    runs.append(points[start:])
+    return [r for r in runs if len(r) >= 2]
+
+
+COORD = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, 0.1, 0.3]))
+
+
+@given(st.lists(st.tuples(COORD, COORD), max_size=40),
+       st.sampled_from([0.0, 0.05, 0.1, 0.2, 1.0]))
+def test_polyline_runs_equal_loop(coords, gap):
+    points = np.array(coords, dtype=float).reshape(-1, 2)
+    got = render._polyline_runs(points, gap)
+    expected = polyline_runs_loop(points, gap)
+    assert len(got) == len(expected)
+    assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
 
 class TestQuantizationStep:

@@ -1,0 +1,87 @@
+"""The array text writer against Python's ``%`` operator."""
+
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from wmsdspace import _text
+
+DECIMALS = (1, 2, 6)
+# One row per block, a few rows per block, and the production size.
+CHUNKS = st.sampled_from([1, 3, _text._CHUNK_ROWS])
+
+
+def fixed_point_values(n: int):
+    """Floats whose ``%.nf`` text is hard to get right."""
+    limit = 2.0 ** 52 / 10 ** n
+    return st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+        # exact binary ties: odd multiples of 2^-(n+1), times 10^n, end in .5
+        st.integers(-2 ** 40, 2 ** 40).map(lambda i: (2 * i + 1)
+                                           / 2 ** (n + 1)),
+        # decimal ties (j + 1/2) / 10^n, which binary holds only nearly
+        st.integers(-10 ** 9, 10 ** 9).map(lambda j: (j + 0.5) / 10 ** n),
+        st.sampled_from([0.0, -0.0, -1e-9, -4e-7, -5e-7, 5e-324, -5e-324,
+                         2.2250738585072014e-308, -1e-300]),
+        st.floats(0.999, 1.001).map(lambda f: f * limit),
+        st.sampled_from([limit, -limit, math.nextafter(limit, 0.0),
+                         math.nextafter(limit, math.inf), 1e300, -1e300]),
+    ).flatmap(lambda x: st.sampled_from([x, math.nextafter(x, math.inf),
+                                         math.nextafter(x, -math.inf)]))
+
+
+@given(st.sampled_from(DECIMALS).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(fixed_point_values(n),
+                                             max_size=30))), CHUNKS)
+def test_fixed_point_equals_percent(case, chunk):
+    n, xs = case
+    with mock.patch.object(_text, "_CHUNK_ROWS", chunk):
+        got = _text.rows(f"%.{n}f\n", [np.array(xs, dtype=float)])
+    assert got == "".join("%.*f\n" % (n, x) for x in xs)
+
+
+@given(st.lists(st.one_of(st.integers(-2 ** 63, 2 ** 63 - 1),
+                          st.integers(-10 ** 6, 10 ** 6)), max_size=30),
+       CHUNKS)
+def test_integers_equal_percent(ints, chunk):
+    with mock.patch.object(_text, "_CHUNK_ROWS", chunk):
+        got = _text.rows("%d;", [np.array(ints, dtype=np.int64)])
+    assert got == "".join("%d;" % i for i in ints)
+
+
+IDS = st.text(st.sampled_from(["\0", "%", '"', ",", "\n", "a", "Z", "7",
+                               "é", "☃", "\U0001f600", " "]))
+
+
+@given(st.lists(st.tuples(IDS, fixed_point_values(6), fixed_point_values(2),
+                          st.integers(-10 ** 12, 10 ** 12),
+                          st.integers(0, 255), st.floats(-1e6, 1e6), IDS),
+                max_size=20),
+       CHUNKS)
+def test_rows_equal_template(records, chunk):
+    template = "%s,%.6f;%.2f %d#%02x[%r]%% %s\n"
+    cols = list(zip(*records)) or [[]] * 7
+    with mock.patch.object(_text, "_CHUNK_ROWS", chunk):
+        got = _text.rows(template, [
+            list(cols[0]), np.array(cols[1], dtype=float),
+            np.array(cols[2], dtype=float), np.array(cols[3], dtype=np.int64),
+            np.array(cols[4], dtype=np.int64), np.array(cols[5], dtype=float),
+            list(cols[6])])
+    assert got == "".join(template % (a, b, c, d, e, round(f, 6), g)
+                          for a, b, c, d, e, f, g in records)
+
+
+def test_two_dimensional_columns():
+    table = np.array([[0.5, -0.0], [1e-7, 2.5e-7], [123.456789, -9.99]])
+    assert _text.rows("%s:%.1f,%.6f\n", [["a", "b", "c"], table]) == \
+        "a:0.5,-0.000000\nb:0.0,0.000000\nc:123.5,-9.990000\n"
+
+
+@pytest.mark.parametrize("template", ["%f", "%x", "%5.2f", "%.10f", "%"])
+def test_unsupported_conversion(template):
+    with pytest.raises(ValueError):
+        _text.rows(template, [[1.0]])
