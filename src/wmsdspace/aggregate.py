@@ -4,14 +4,12 @@ Three classic aggregations are supported, each scaled to [0, 1] and
 maximized: I (closeness to the ideal), A (distance from the anti-ideal),
 and R (relative closeness, the usual TOPSIS score).  One batched core,
 :func:`agg_rows`, scores every row of an (m, n) array of weighted points
-from its distances to the anti-ideal and ideal corners of the box.
-Unweighted scoring is that core under all-ones weights, and
-:func:`agg_weighted` and :func:`agg_unweighted` are its one-point views.
+from its distances to the anti-ideal and ideal corners of the box;
+unweighted scoring is that core under all-ones weights.
 :func:`agg_values` gives the same aggregations from the (WM, WSD) plane
 coordinates plus mean(w), equal to the core up to floating noise; the
 renderer uses it to color the plane.  Rankings are computed on score
-arrays by :func:`rank_array`, with :func:`rank` as its view over
-``(id, score)`` pairs.
+arrays by :func:`rank_array`.
 """
 
 from __future__ import annotations
@@ -19,14 +17,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import IdSetMismatch, NonFiniteScore
-from .model import WeightVector, _frozen, uniform_weights
-from .spaces import _coords, _row_norms
-from .wmsd import WmsdPoint
+from .model import WeightVector, _frozen
+from .spaces import _row_norms
 
 # Pair differences per block in :func:`_reversals`: a few MB of arrays
 # whatever the number of alternatives.
@@ -77,29 +74,6 @@ def agg_values(kind: AggregationKind, wm, wsd, mean_w: float):
     return _combine(AggregationKind(kind), d_anti, d_ideal, mean_w)
 
 
-def agg_from_wmsd(kind: AggregationKind, p: WmsdPoint, mean_w: float) -> float:
-    """Aggregation value of a plane point; equals the weighted form."""
-    return float(agg_values(kind, p.wm, p.wsd, mean_w))
-
-
-def agg_weighted(kind: AggregationKind, v, w: WeightVector) -> float:
-    """Aggregation of one weighted point (see :func:`agg_rows`)."""
-    return float(agg_rows(kind, _coords(v).reshape(1, -1), w)[0])
-
-
-def agg_unweighted(kind: AggregationKind, u) -> float:
-    """Aggregation of a utility point under equally important criteria."""
-    uc = _coords(u)
-    return agg_weighted(kind, uc, uniform_weights(uc.size))
-
-
-@dataclass(frozen=True)
-class RankEntry:
-    id: str
-    score: float
-    rank: int
-
-
 @dataclass(frozen=True, eq=False)
 class Ranking:
     """Scores sorted non-increasing, with competition ranks (1, 2, 2, 4).
@@ -118,11 +92,6 @@ class Ranking:
     def group_numbers(self) -> np.ndarray:
         starts = np.diff(self.ranks, prepend=0) != 0
         return np.cumsum(starts)
-
-    @property
-    def entries(self) -> tuple[RankEntry, ...]:
-        return tuple(RankEntry(id=i, score=s, rank=r) for i, s, r in
-                     zip(self.ids, self.scores.tolist(), self.ranks.tolist()))
 
     @property
     def groups(self) -> tuple[tuple[str, ...], ...]:
@@ -179,15 +148,6 @@ def rank_array(ids: Sequence[str], scores: np.ndarray,
     ranks.flags.writeable = False
     return Ranking(ids=tuple(np.array(ids, dtype=object)[order].tolist()),
                    scores=_frozen(ranked), ranks=ranks)
-
-
-def rank(scores: Mapping[str, float] | Sequence[tuple[str, float]],
-         tie_tolerance: float = 1e-9) -> Ranking:
-    """Rank a mapping or sequence of ``(id, score)`` pairs (see
-    :func:`rank_array`)."""
-    items = list(scores.items()) if isinstance(scores, Mapping) else list(scores)
-    return rank_array([i for i, _ in items], [s for _, s in items],
-                      tie_tolerance)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from .errors import (
     ValidationError,
     WmsdError,
 )
-from .geometry import boundary, plane_coordinates
+from .geometry import boundary
 from .model import (
     COST,
     GAIN,
@@ -55,19 +55,21 @@ from .model import (
 )
 from .render import (
     PlotSpec,
-    SOLID,
     render_overlay,
     render_panel_grid,
     render_wmsd_plot,
 )
 from ._text import _CHUNK_ROWS, rows as _rows
 from .spaces import utility_array
-from .wmsd import WmsdPoint, mean_sd, plane
+from .wmsd import mean_sd, plane
 
 DEFAULT_TIE_TOLERANCE = 1e-9
 # Largest plot --grid: the field has grid * grid / 2 cells, so 1024 gives
 # 524,288 rectangles (about 40 MB of SVG).
 MAX_GRID = 1024
+# Largest boundary --resolution: 65,536 envelope rows are about 1.8 MB of
+# CSV, where an uncapped 1e7 wrote 270 MB and 1e8 ran out of memory.
+MAX_RESOLUTION = 65536
 
 _CRITERION_KEYS = {"name", "kind", "min", "max", "weight"}
 _CONFIG_KEYS = {"criteria", "aggregation", "weighted", "tie_tolerance",
@@ -172,6 +174,13 @@ def _config_float(value, message: str, path: str) -> float:
     except OverflowError:
         raise SchemaError("number is too large for a float",
                           path=path) from None
+
+
+def _read_data(path) -> str:
+    """The text of a dataset file with its line endings untranslated, so a
+    carriage return inside a quoted field stays part of the field."""
+    with open(path, encoding="utf-8", newline="") as f:
+        return f.read()
 
 
 def read_matrix(csv_text: str, config: RunConfig) -> DecisionMatrix:
@@ -402,20 +411,19 @@ def cmd_boundary(config: RunConfig, resolution: int, fmt: str) -> str:
             + _rows("vertex,%.6f,%.6f\n", [env.vertex_images]))
 
 
-def _plot_points(matrix: DecisionMatrix, w: WeightVector,
-                 style: str) -> tuple:
-    wm, wsd = plane_coordinates(
-        utility_array(matrix.values, matrix.criteria), w)
-    return tuple((alt_id, WmsdPoint(a, b), style) for alt_id, a, b
-                 in zip(matrix.ids, wm.tolist(), wsd.tolist()))
+def _plot_points(matrix: DecisionMatrix, w: WeightVector) -> tuple:
+    """Marker columns ``(ids, wm, wsd)`` of every alternative."""
+    u = utility_array(matrix.values, matrix.criteria)
+    return (matrix.ids, *plane(u * w.weights, w))
 
 
 def _plot_spec(matrix: DecisionMatrix, config: RunConfig,
                kind: AggregationKind, weighted: bool,
                args: argparse.Namespace) -> PlotSpec:
     w = config.weight_vector if weighted else uniform_weights(len(config.criteria))
+    ids, wm, wsd = _plot_points(matrix, w)
     return PlotSpec(
-        weights=w, kind=kind, points=_plot_points(matrix, w, SOLID),
+        weights=w, kind=kind, ids=ids, wm=wm, wsd=wsd,
         grid=args.grid, show_isolines=tuple(args.isolines),
         labels=args.labels, force=args.force)
 
@@ -427,7 +435,7 @@ def _load_config(path, args) -> RunConfig:
 
 def cmd_plot(args: argparse.Namespace) -> str:
     configs = [_load_config(p, args) for p in args.config]
-    data_text = Path(args.data).read_text(encoding="utf-8")
+    data_text = _read_data(args.data)
 
     if args.overlay is not None:
         config = configs[0]
@@ -436,18 +444,16 @@ def cmd_plot(args: argparse.Namespace) -> str:
         w = config.weight_vector if weighted \
             else uniform_weights(len(config.criteria))
         matrix_a = read_matrix(data_text, config)
-        matrix_b = read_matrix(Path(args.overlay).read_text(encoding="utf-8"),
-                               config)
+        matrix_b = read_matrix(_read_data(args.overlay), config)
         if set(matrix_a.ids) != set(matrix_b.ids):
             diff = sorted(set(matrix_a.ids) ^ set(matrix_b.ids))
             raise IdSetMismatch(
                 f"overlay ids differ from dataset ids: {diff}")
-        base = PlotSpec(weights=w, kind=kind, points=(), grid=args.grid,
+        base = PlotSpec(weights=w, kind=kind, grid=args.grid,
                         show_isolines=tuple(args.isolines),
                         labels=args.labels, force=args.force)
-        snap_a = [(pid, p) for pid, p, _ in _plot_points(matrix_a, w, SOLID)]
-        snap_b = [(pid, p) for pid, p, _ in _plot_points(matrix_b, w, SOLID)]
-        return render_overlay(base, snap_a, snap_b)
+        return render_overlay(base, _plot_points(matrix_a, w),
+                              _plot_points(matrix_b, w))
 
     specs = []
     for config in configs:
@@ -463,7 +469,7 @@ def cmd_plot(args: argparse.Namespace) -> str:
 def cmd_compare(args: argparse.Namespace) -> str:
     config_a = _load_config(args.config[0], args)
     config_b = _load_config(args.config_b, args)
-    data_text = Path(args.data).read_text(encoding="utf-8")
+    data_text = _read_data(args.data)
     matrix_a = read_matrix(data_text, config_a)
     matrix_b = read_matrix(data_text, config_b)
 
@@ -556,7 +562,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bd = sub.add_parser("boundary",
                           help="attainable-region envelope as CSV/JSON")
     common(p_bd, data=False)
-    p_bd.add_argument("--resolution", type=int, default=512)
+    p_bd.add_argument("--resolution", type=int, default=512,
+                      help="envelope rows, from 2 to "
+                           f"{MAX_RESOLUTION} (default 512)")
 
     p_plot = sub.add_parser("plot", help="SVG plot of the plane")
     common(p_plot, fmt=("svg",), default_fmt="svg")
@@ -567,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="panel-grid columns for repeated --config")
     p_plot.add_argument("--overlay", default=None,
                         help="second snapshot CSV; draws arrows")
-    p_plot.add_argument("--isolines", type=_levels, default=[],
+    p_plot.add_argument("--isolines", default="",
                         help="comma-separated aggregation levels")
     p_plot.add_argument("--labels", action="store_true")
     p_plot.add_argument("--force", action="store_true",
@@ -599,6 +607,10 @@ def _validate_args(args: argparse.Namespace) -> None:
         raise SchemaError("--columns must be positive")
     if getattr(args, "resolution", 2) < 2:
         raise SchemaError("--resolution must be at least 2")
+    if getattr(args, "resolution", 2) > MAX_RESOLUTION:
+        raise SchemaError(f"--resolution must be at most {MAX_RESOLUTION}")
+    if getattr(args, "isolines", None) is not None:
+        args.isolines = _levels(args.isolines)
     if getattr(args, "tie_tol", None) is not None \
             and not 0 <= args.tie_tol < math.inf:
         raise SchemaError("--tie-tol must be a finite non-negative number")
@@ -615,7 +627,7 @@ def _dispatch(args: argparse.Namespace) -> str:
     if args.command == "boundary":
         return cmd_boundary(config, args.resolution, args.format)
 
-    matrix = read_matrix(Path(args.data).read_text(encoding="utf-8"), config)
+    matrix = read_matrix(_read_data(args.data), config)
     kind = _effective_kind(args, config)
     weighted = _effective_weighted(args, config)
     if args.command == "rank":

@@ -70,14 +70,10 @@ class OutOfDomain(ValidationError):
         return d
 
 
-# -- spaces / wmsd ----------------------------------------------------------
+# -- shapes -----------------------------------------------------------------
 
 class LengthMismatch(ValidationError):
     """Vectors of unequal length where equal length is required."""
-
-
-class WeightMismatch(ValidationError):
-    """Weighted points built from different weight vectors."""
 
 
 # -- aggregate --------------------------------------------------------------

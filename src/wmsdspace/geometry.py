@@ -20,8 +20,7 @@ largest feasible subset sums need to be inspected; with the subset sums
 of each "all but j" weight multiset precomputed and sorted, evaluating the
 envelope at any WM costs two binary searches per distinct weight value.
 :func:`attainable` tests a whole array of plane points against the region
-with one envelope evaluation; :func:`is_attainable` and the isoline
-clipping are views of it.
+with one envelope evaluation; the isoline clipping uses it too.
 
 A vertex of the box has its dot product with ``w`` equal to its squared
 norm, so its image depends only on its subset sum ``q``: every vertex
@@ -49,7 +48,7 @@ import numpy as np
 from .aggregate import AggregationKind
 from .errors import LevelOutOfRange, TooManyCriteria
 from .model import WeightVector, _frozen
-from .wmsd import WmsdPoint, plane
+from .wmsd import plane
 
 EXACT_LIMIT = 20
 # Upper bound on the bytes of edge tables kept between calls; one
@@ -257,14 +256,6 @@ def attainable(w: WeightVector, wm, wsd, tol: float = 1e-9) -> np.ndarray:
     return inside & (wsd <= envelope_wsd(w, wm) + tol)
 
 
-def is_attainable(p: WmsdPoint | tuple, w: WeightVector,
-                  tol: float = 1e-9) -> bool:
-    """Whether one plane point lies inside the attainable region (see
-    :func:`attainable`)."""
-    wm_v, wsd_v = (p.wm, p.wsd) if isinstance(p, WmsdPoint) else (p[0], p[1])
-    return bool(attainable(w, wm_v, wsd_v, tol)[0])
-
-
 @dataclass(frozen=True, eq=False)
 class Isoline:
     """One level set of an aggregation, clipped to the attainable region.
@@ -390,12 +381,6 @@ def edge_sweep_utilities(w: WeightVector, per_edge: int,
     return np.vstack(rows)
 
 
-def plane_coordinates(u: np.ndarray, w: WeightVector
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (WM, WSD) for a batch of utility rows."""
-    return plane(u * w.weights, w)
-
-
 def boundary_sampled(w: WeightVector, resolution: int = 512,
                      samples: int = 200_000,
                      seed: int = 0) -> BoundaryEnvelope:
@@ -423,7 +408,7 @@ def boundary_sampled(w: WeightVector, resolution: int = 512,
     u[np.arange(k), free] = rng.random(k)
     batches.append(u)
 
-    wm, wsd = plane_coordinates(np.vstack(batches), w)
+    wm, wsd = plane(np.vstack(batches) * w.weights, w)
     grid = np.linspace(0.0, w.mean_w, resolution)
     step = grid[1] - grid[0]
     idx = np.clip(np.rint(wm / step).astype(int), 0, resolution - 1)

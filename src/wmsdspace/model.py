@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -125,10 +125,6 @@ class WeightVector:
     def n(self) -> int:
         return self.weights.size
 
-    def matches(self, other: "WeightVector") -> bool:
-        """True when both vectors hold identical normalized weights."""
-        return np.array_equal(self.weights, other.weights)
-
     def __repr__(self) -> str:  # compact; raw vector omitted
         ws = ", ".join(f"{w:g}" for w in self.weights)
         return f"WeightVector([{ws}], n_p={self.n_p}, s={self.s:.6g})"
@@ -169,11 +165,6 @@ def uniform_weights(n: int) -> WeightVector:
     return normalize_weights(np.ones(n))
 
 
-def scaling_coefficient(w: WeightVector) -> float:
-    """Distance scaling coefficient ``norm / mean``; sqrt(n) for all ones."""
-    return w.norm / w.mean_w
-
-
 @dataclass(frozen=True, eq=False)
 class DecisionMatrix:
     """m alternatives by n criteria of raw, in-domain values."""
@@ -189,10 +180,6 @@ class DecisionMatrix:
     @property
     def n(self) -> int:
         return len(self.criteria)
-
-    @property
-    def alternatives(self) -> Iterable[tuple[str, np.ndarray]]:
-        return zip(self.ids, self.values)
 
     @classmethod
     def from_array(
@@ -245,32 +232,6 @@ class DecisionMatrix:
         if clamp:
             data = np.where(data < lo, lo, np.where(data > hi, hi, data))
         return cls(ids=ids, values=_frozen(data), criteria=tuple(criteria))
-
-    @classmethod
-    def from_rows(
-        cls,
-        rows: Sequence[tuple[str, Sequence[float]]],
-        criteria: Sequence[CriterionSpec],
-        clamp: bool = False,
-    ) -> "DecisionMatrix":
-        """Build a matrix from ``(id, values)`` pairs (see
-        :meth:`from_array`); a row without ``n`` values raises
-        :class:`LengthMismatch` in its place in the fault order."""
-        n = len(criteria)
-        ids = [alt_id for alt_id, _ in rows]
-        values = [vals for _, vals in rows]
-        stop = next((i for i, vals in enumerate(values) if len(vals) != n),
-                    len(values))
-        matrix = cls.from_array(
-            ids[:stop], np.array(values[:stop], dtype=float).reshape(stop, n),
-            criteria, clamp)
-        if stop == len(values):
-            return matrix
-        alt_id = ids[stop]
-        if alt_id in set(ids[:stop]):
-            raise DuplicateName(f"duplicate alternative id {alt_id!r}")
-        raise LengthMismatch(f"alternative {alt_id!r}: expected {n} values, "
-                             f"got {len(values[stop])}")
 
     def weight_vector(self) -> WeightVector:
         """Weights taken from the criteria, max-normalized."""

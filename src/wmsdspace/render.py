@@ -3,8 +3,10 @@
 A plot shows the attainable region filled with a color field encoding the
 chosen aggregation (dark blue = worst, through cyan, green, and yellow,
 to dark red = best), the exact region outline, optional isolines, and one
-marker per alternative.  Output is plain SVG 1.1 text with no external
-resources; identical inputs produce byte-identical documents.
+marker per alternative.  Markers come in as columns (ids, WM, WSD), as
+:func:`wmsdspace.wmsd.plane` returns them.  Output is plain SVG 1.1 text
+with no external resources; identical inputs produce byte-identical
+documents.
 
 The color field is a grid of filled rectangles whose centers lie strictly
 inside the attainable region, so no paint ever extends beyond the
@@ -14,7 +16,7 @@ boundary by more than one cell.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -22,6 +24,7 @@ import numpy as np
 from .aggregate import AggregationKind, agg_values
 from .errors import (
     DegenerateCanvas,
+    LengthMismatch,
     LevelOutOfRange,
     UnattainablePoint,
     WmsdError,
@@ -29,10 +32,11 @@ from .errors import (
 from .geometry import attainable, envelope, envelope_wsd, isoline
 from .model import WeightVector
 from ._text import rows
-from .wmsd import WmsdPoint
 
-SOLID = "solid"
-HOLLOW = "hollow"
+# Marker paint of a layer: plots and first snapshots are solid, second
+# snapshots hollow.
+SOLID = 'fill="#000000"'
+HOLLOW = 'fill="#ffffff" stroke="#000000" stroke-width="1.5"'
 
 # Colormap anchors: value -> RGB, interpolated linearly per channel.
 COLOR_ANCHORS = (
@@ -70,28 +74,19 @@ def colors_rgb(values) -> np.ndarray:
     return rgb.astype(np.int64)
 
 
-def colors_hex(values) -> list[str]:
-    """``#rrggbb`` strings for an array of aggregation values."""
-    return [f"#{r:02x}{g:02x}{b:02x}"
-            for r, g, b in colors_rgb(values).tolist()]
-
-
-def color_rgb(value: float) -> tuple[int, int, int]:
-    """RGB triple for an aggregation value in [0, 1] (clipped)."""
-    return tuple(colors_rgb(value)[0].tolist())
-
-
-def color_hex(value: float) -> str:
-    return colors_hex(value)[0]
-
-
 @dataclass(frozen=True, eq=False)
 class PlotSpec:
-    """Everything needed to draw one plane plot."""
+    """Everything needed to draw one plane plot.
+
+    ``ids``, ``wm`` and ``wsd`` are the marker columns: marker k is
+    alternative ``ids[k]`` at plane point ``(wm[k], wsd[k])``.
+    """
 
     weights: WeightVector
     kind: AggregationKind
-    points: tuple[tuple[str, WmsdPoint, str], ...] = ()
+    ids: Sequence[str] = ()
+    wm: np.ndarray = ()
+    wsd: np.ndarray = ()
     grid: int = 128
     width: int = 640
     height: int = 480
@@ -100,6 +95,12 @@ class PlotSpec:
     force: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "wm", np.asarray(self.wm, dtype=float))
+        object.__setattr__(self, "wsd", np.asarray(self.wsd, dtype=float))
+        if not len(self.ids) == self.wm.size == self.wsd.size:
+            raise LengthMismatch(
+                f"{len(self.ids)} ids, {self.wm.size} WM and "
+                f"{self.wsd.size} WSD values")
         if self.width <= 0 or self.height <= 0:
             raise DegenerateCanvas(
                 f"canvas {self.width}x{self.height} is not positive")
@@ -143,26 +144,11 @@ class PlotFrame:
         return MARGIN_T + (1.0 - wsd / self.wsd_max) * self.plot_h
 
 
-@dataclass(frozen=True)
-class FieldCell:
-    """One rectangle of the color field (plane and pixel coordinates)."""
-
-    wm: float
-    wsd: float
-    value: float
-    color: str
-    x: float
-    y: float
-    w: float
-    h: float
-
-
 class FieldCells:
     """The color field as columns: one entry per cell of ``wm``, ``wsd``,
     ``value``, ``rgb`` (rows of 8-bit channels) and pixel corner ``x``,
-    ``y``; every cell is ``w`` by ``h`` pixels.  Iterating yields
-    :class:`FieldCell` objects.  (A plain class: a dataclass would add
-    about a millisecond to every command's start.)"""
+    ``y``; every cell is ``w`` by ``h`` pixels.  (A plain class: a
+    dataclass would add about a millisecond to every command's start.)"""
 
     def __init__(self, wm: np.ndarray, wsd: np.ndarray, value: np.ndarray,
                  rgb: np.ndarray, x: np.ndarray, y: np.ndarray, w: float,
@@ -172,12 +158,6 @@ class FieldCells:
 
     def __len__(self) -> int:
         return self.wm.size
-
-    def __iter__(self):
-        for a, b, v, c, x, y in zip(
-                self.wm.tolist(), self.wsd.tolist(), self.value.tolist(),
-                colors_hex(self.value), self.x.tolist(), self.y.tolist()):
-            yield FieldCell(a, b, v, c, x, y, self.w, self.h)
 
 
 def field_cells(spec: PlotSpec) -> FieldCells:
@@ -228,42 +208,35 @@ def _polyline_runs(points: np.ndarray, gap: float) -> list[np.ndarray]:
     return [r for r in np.split(points, jumps) if len(r) >= 2]
 
 
-def _coords(pts: Sequence[tuple[str, WmsdPoint, str]]
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """``(wm, wsd)`` arrays of the points."""
-    return (np.array([p.wm for _, p, _ in pts], dtype=float),
-            np.array([p.wsd for _, p, _ in pts], dtype=float))
-
-
-def _check_points(spec: PlotSpec, pts: Sequence[tuple[str, WmsdPoint, str]],
-                  wm: np.ndarray, wsd: np.ndarray) -> None:
+def _check_points(spec: PlotSpec, ids: Sequence[str], wm: np.ndarray,
+                  wsd: np.ndarray) -> None:
     """Raise for the first point, in input order, outside the region."""
-    if spec.force or not pts:
+    if spec.force or not len(ids):
         return
     outside = np.flatnonzero(~attainable(spec.weights, wm, wsd, 1e-9))
     if outside.size:
-        pid, p, _style = pts[outside[0]]
+        k = outside[0]
+        pid = str(ids[k])  # a plain str, also for a numpy string column
         raise UnattainablePoint(
-            f"point {pid!r} at ({p.wm:.6f}, {p.wsd:.6f}) lies outside "
+            f"point {pid!r} at ({wm[k]:.6f}, {wsd[k]:.6f}) lies outside "
             f"the attainable region", point_id=pid)
 
 
-_PAINT = {HOLLOW: 'fill="#ffffff" stroke="#000000" stroke-width="1.5"'}
-_MARKER = '<circle class="marker" cx="%.2f" cy="%.2f" r="4" %s/>'
+_MARKER = '<circle class="marker" cx="%.2f" cy="%.2f" r="4" {}/>'
 _LABEL = ('\n<text x="%.2f" y="%.2f" font-family="sans-serif" '
           'font-size="11">%s</text>')
 
 
-def _markers_svg(frame: PlotFrame, pts: Sequence[tuple[str, WmsdPoint, str]],
-                 wm: np.ndarray, wsd: np.ndarray, labels: bool) -> str:
-    """One marker per point, each followed by its label with ``labels``."""
+def _markers_svg(frame: PlotFrame, ids: Sequence[str], wm: np.ndarray,
+                 wsd: np.ndarray, paint: str, labels: bool) -> str:
+    """One ``paint`` marker per point, each followed by its label with
+    ``labels``."""
     x, y = frame.x(wm), frame.y(wsd)
-    paint = [_PAINT.get(style, 'fill="#000000"') for _, _, style in pts]
+    marker = _MARKER.format(paint)
     if not labels:
-        return rows(_MARKER + "\n", [x, y, paint])[:-1]
-    return rows(_MARKER + _LABEL + "\n",
-                [x, y, paint, x + 6, y - 6,
-                 [_esc(pid) for pid, _, _ in pts]])[:-1]
+        return rows(marker + "\n", [x, y])[:-1]
+    return rows(marker + _LABEL + "\n",
+                [x, y, x + 6, y - 6, [_esc(pid) for pid in ids]])[:-1]
 
 
 def _region_svg(spec: PlotSpec, frame: PlotFrame) -> list[str]:
@@ -285,8 +258,7 @@ def _panel_body(spec: PlotSpec, regions: dict) -> list[str]:
     """
     w = spec.weights
     frame = PlotFrame(spec)
-    wm, wsd = _coords(spec.points)
-    _check_points(spec, spec.points, wm, wsd)
+    _check_points(spec, spec.ids, spec.wm, spec.wsd)
     out = [f'<rect x="0" y="0" width="{spec.width}" '
            f'height="{spec.height}" fill="#ffffff"/>']
     key = (w.weights.tobytes(), spec.kind, spec.grid, spec.width,
@@ -306,7 +278,8 @@ def _panel_body(spec: PlotSpec, regions: dict) -> list[str]:
                        f'stroke-dasharray="4 3"/>')
 
     out.extend(_axes_svg(spec, frame))
-    out.append(_markers_svg(frame, spec.points, wm, wsd, spec.labels))
+    out.append(_markers_svg(frame, spec.ids, spec.wm, spec.wsd, SOLID,
+                            spec.labels))
     return out
 
 
@@ -407,38 +380,40 @@ def render_panel_grid(specs: Sequence[PlotSpec], columns: int = 2) -> str:
     return _document(total_w, total_h, body)
 
 
-def render_overlay(base: PlotSpec,
-                   snapshot_a: Sequence[tuple[str, WmsdPoint]],
-                   snapshot_b: Sequence[tuple[str, WmsdPoint]]) -> str:
+def render_overlay(base: PlotSpec, snapshot_a: tuple, snapshot_b: tuple
+                   ) -> str:
     """Two point snapshots on one plot: solid = first, hollow = second.
 
-    Matching ids are joined by an arrow from the first to the second
-    position; arrows of negligible length are suppressed.
+    Each snapshot is an ``(ids, wm, wsd)`` triple of marker columns; the
+    markers of ``base`` are not drawn.  Matching ids are joined by an
+    arrow from the first to the second position; arrows of negligible
+    length are suppressed.
     """
-    pts_a = tuple((pid, p, SOLID) for pid, p in snapshot_a)
-    pts_b = tuple((pid, p, HOLLOW) for pid, p in snapshot_b)
-    wm_a, wsd_a = _coords(pts_a)
-    wm_b, wsd_b = _coords(pts_b)
-    _check_points(base, pts_a + pts_b, np.concatenate([wm_a, wm_b]),
+    ids_a, wm_a, wsd_a = snapshot_a
+    ids_b, wm_b, wsd_b = snapshot_b
+    wm_a, wsd_a, wm_b, wsd_b = (np.asarray(c, dtype=float)
+                                for c in (wm_a, wsd_a, wm_b, wsd_b))
+    _check_points(base, [*ids_a, *ids_b], np.concatenate([wm_a, wm_b]),
                   np.concatenate([wsd_a, wsd_b]))
 
     frame = PlotFrame(base)
     field_spec = PlotSpec(
-        weights=base.weights, kind=base.kind, points=(), grid=base.grid,
+        weights=base.weights, kind=base.kind, grid=base.grid,
         width=base.width, height=base.height,
         show_isolines=base.show_isolines, labels=False, force=base.force)
     body = _panel_body(field_spec, {})
 
-    b_by_id = {pid: p for pid, p in snapshot_b}
+    b_by_id = {pid: (b_wm, b_wsd) for pid, b_wm, b_wsd
+               in zip(ids_b, wm_b.tolist(), wsd_b.tolist())}
     arrows = []
-    for pid, pa in snapshot_a:
-        pb = b_by_id.get(pid)
-        if pb is None:
+    for pid, a_wm, a_wsd in zip(ids_a, wm_a.tolist(), wsd_a.tolist()):
+        if pid not in b_by_id:
             continue
-        if math.hypot(pb.wm - pa.wm, pb.wsd - pa.wsd) <= 1e-12:
+        b_wm, b_wsd = b_by_id[pid]
+        if math.hypot(b_wm - a_wm, b_wsd - a_wsd) <= 1e-12:
             continue
-        x1, y1 = frame.x(pa.wm), frame.y(pa.wsd)
-        x2, y2 = frame.x(pb.wm), frame.y(pb.wsd)
+        x1, y1 = frame.x(a_wm), frame.y(a_wsd)
+        x2, y2 = frame.x(b_wm), frame.y(b_wsd)
         d = math.hypot(x2 - x1, y2 - y1)
         ux, uy = ((x2 - x1) / d, (y2 - y1) / d) if d > 0 else (1.0, 0.0)
         tipx, tipy = x2 - 5 * ux, y2 - 5 * uy
@@ -452,6 +427,7 @@ def render_overlay(base: PlotSpec,
             'stroke="#444444" stroke-width="1"/>\n'
             '<polygon class="arrow-head" points="%.2f,%.2f %.2f,%.2f '
             '%.2f,%.2f" fill="#444444"/>', *zip(*arrows)))
-    body.append(_markers_svg(frame, pts_a, wm_a, wsd_a, labels=False))
-    body.append(_markers_svg(frame, pts_b, wm_b, wsd_b, labels=base.labels))
+    body.append(_markers_svg(frame, ids_a, wm_a, wsd_a, SOLID, labels=False))
+    body.append(_markers_svg(frame, ids_b, wm_b, wsd_b, HOLLOW,
+                             labels=base.labels))
     return _document(base.width, base.height, body)

@@ -14,18 +14,16 @@ import pytest
 from conftest import load_config, load_matrix
 from wmsdspace.aggregate import (
     AggregationKind,
-    agg_from_wmsd,
-    agg_unweighted,
-    agg_weighted,
+    agg_rows,
+    agg_values,
     compare_rankings,
-    rank,
+    rank_array,
 )
 from wmsdspace.geometry import (
+    attainable,
     boundary,
     edge_sweep_utilities,
     envelope_wsd,
-    is_attainable,
-    plane_coordinates,
     uniform_utilities,
 )
 from wmsdspace.model import normalize_weights, uniform_weights
@@ -34,16 +32,20 @@ from wmsdspace.render import (
     MARGIN_T,
     PlotFrame,
     PlotSpec,
-    SOLID,
-    color_rgb,
+    colors_rgb,
     field_cells,
     render_panel_grid,
 )
-from wmsdspace.spaces import matrix_to_utility, to_weighted, \
-    weighted_rescaled_euclid
-from wmsdspace.wmsd import WmsdPoint, ia_distances, msd, project, wmsd_point
+from wmsdspace.spaces import utility_array
+from wmsdspace.wmsd import _split, mean_sd, plane
 
 KINDS = list(AggregationKind)
+
+
+def weighted_scores(matrix, w, kind="R"):
+    """Scores of every alternative of ``matrix`` under ``w``."""
+    u = utility_array(matrix.values, matrix.criteria)
+    return agg_rows(kind, u * w.weights, w)
 
 
 def report(num, name, failures):
@@ -142,14 +144,15 @@ def test_c01_students_reference_table(students):
     """
     matrix, w = students
     failures = []
-    for alt_id, u in zip(matrix.ids, matrix_to_utility(matrix)):
-        v = to_weighted(u, w)
-        mp = msd(u)
-        wp = wmsd_point(v, w)
-        computed = dict(zip(STUDENT_COLUMNS, (
-            *u.coords, *v.coords, mp.wm, mp.wsd, wp.wm, wp.wsd,
-            *(agg_unweighted(k, u) for k in KINDS),
-            *(agg_weighted(k, v, w) for k in KINDS))))
+    u = utility_array(matrix.values, matrix.criteria)
+    v = u * w.weights
+    ones = uniform_weights(matrix.n)
+    table = np.column_stack(
+        [u, v, *mean_sd(u), *plane(v, w)]
+        + [agg_rows(k, u, ones) for k in KINDS]
+        + [agg_rows(k, v, w) for k in KINDS])
+    for alt_id, row in zip(matrix.ids, table.tolist()):
+        computed = dict(zip(STUDENT_COLUMNS, row))
         for col, ref in zip(STUDENT_COLUMNS, STUDENT_REFERENCE[alt_id]):
             dev = abs(computed[col] - ref)
             if dev > 0.005:
@@ -163,21 +166,21 @@ def test_c02_worked_example():
     """Projection pair, scaling coefficient, plane point, distances."""
     failures = []
     w = normalize_weights([1.0, 0.5])
-    v = to_weighted([0.75, 0.50], w)
-    pair = project(v, w)
-    if np.max(np.abs(pair.proj - [0.70, 0.35])) > 1e-12:
-        failures.append(f"projection {pair.proj.tolist()} != [0.70, 0.35]")
-    if np.max(np.abs(pair.rej - [0.05, -0.10])) > 1e-12:
-        failures.append(f"rejection {pair.rej.tolist()} != [0.05, -0.10]")
+    v = np.array([[0.75, 0.50]]) * w.weights
+    _, (proj,), (rej,) = _split(v, w)
+    if np.max(np.abs(proj - [0.70, 0.35])) > 1e-12:
+        failures.append(f"projection {proj.tolist()} != [0.70, 0.35]")
+    if np.max(np.abs(rej - [0.05, -0.10])) > 1e-12:
+        failures.append(f"rejection {rej.tolist()} != [0.05, -0.10]")
     if abs(w.s - 1.4907) > 1e-3:
         failures.append(f"s {w.s:.6f} not within 1e-3 of 1.4907")
-    p = wmsd_point(v, w)
-    if abs(p.wm - 0.525) > 1e-3:
-        failures.append(f"wm {p.wm:.6f} not within 1e-3 of 0.525")
-    if abs(p.wsd - 0.075) > 1e-3:
-        failures.append(f"wsd {p.wsd:.6f} not within 1e-3 of 0.075")
-    d_anti = weighted_rescaled_euclid(v, [0.0, 0.0], w)
-    d_ideal = weighted_rescaled_euclid(v, w.weights, w)
+    (wm,), (wsd,) = plane(v, w)
+    if abs(wm - 0.525) > 1e-3:
+        failures.append(f"wm {wm:.6f} not within 1e-3 of 0.525")
+    if abs(wsd - 0.075) > 1e-3:
+        failures.append(f"wsd {wsd:.6f} not within 1e-3 of 0.075")
+    d_anti = agg_rows("A", v, w)[0] * w.mean_w
+    d_ideal = (1 - agg_rows("I", v, w)[0]) * w.mean_w
     if abs(d_anti - 0.53) > 0.005:
         failures.append(f"distance to anti-ideal {d_anti:.6f} vs 0.53")
     if abs(d_ideal - 0.24) > 0.005:
@@ -191,16 +194,15 @@ def test_c03_country_scores_and_orderings(countries):
     failures = []
     for name, reference in COUNTRY_REFERENCE.items():
         w = configs[name].weight_vector
-        scores = {}
-        for alt_id, u in zip(matrix.ids, matrix_to_utility(matrix)):
-            scores[alt_id] = agg_weighted("R", to_weighted(u, w), w)
+        score_array = weighted_scores(matrix, w)
+        scores = dict(zip(matrix.ids, score_array.tolist()))
         for alt_id, ref in reference:
             dev = abs(scores[alt_id] - ref)
             if dev > 0.001:
                 failures.append(f"{name} {alt_id}: {scores[alt_id]:.6f} vs "
                                 f"{ref:.3f} (dev {dev:.5f})")
         expected_order = [alt_id for alt_id, _ in reference]
-        got_order = list(rank(scores).ids)
+        got_order = list(rank_array(matrix.ids, score_array).ids)
         if got_order != expected_order:
             failures.append(f"{name} ordering {got_order} != "
                             f"{expected_order}")
@@ -217,11 +219,12 @@ def test_c04_ia_identity_suite():
         raw = rng.random(n)
         raw[int(rng.integers(n))] = 1.0
         w = normalize_weights(raw)
-        v = to_weighted(u, w)
-        p = wmsd_point(v, w)
-        d_anti, d_ideal = ia_distances(p, w.mean_w)
-        r_anti = abs(d_anti - weighted_rescaled_euclid(v, np.zeros(n), w))
-        r_ideal = abs(d_ideal - weighted_rescaled_euclid(v, w.weights, w))
+        v = u[None] * w.weights
+        wm, wsd = plane(v, w)
+        d_anti = agg_values("A", wm, wsd, w.mean_w)[0] * w.mean_w
+        d_ideal = (1 - agg_values("I", wm, wsd, w.mean_w)[0]) * w.mean_w
+        r_anti = abs(d_anti - agg_rows("A", v, w)[0] * w.mean_w)
+        r_ideal = abs(d_ideal - (1 - agg_rows("I", v, w)[0]) * w.mean_w)
         if max(r_anti, r_ideal) >= 1e-12:
             failures.append(f"trial {trial}: residuals {r_anti:.2e}, "
                             f"{r_ideal:.2e}")
@@ -236,14 +239,14 @@ def test_c05_msd_reduction_suite():
         n = int(rng.integers(2, 11))
         u = rng.random(n)
         w = uniform_weights(n)
-        v = to_weighted(u, w)
-        p = wmsd_point(v, w)
-        m = msd(u)
-        if abs(p.wm - m.wm) >= 1e-12 or abs(p.wsd - m.wsd) >= 1e-12:
+        v = u[None] * w.weights
+        (wm,), (wsd,) = plane(v, w)
+        (m,), (sd,) = mean_sd(u[None])
+        if abs(wm - m) >= 1e-12 or abs(wsd - sd) >= 1e-12:
             failures.append(f"trial {trial}: plane point off")
         for kind in KINDS:
-            if abs(agg_weighted(kind, v, w)
-                   - agg_unweighted(kind, u)) >= 1e-12:
+            if abs(agg_rows(kind, v, w)[0]
+                   - agg_values(kind, m, sd, 1.0)) >= 1e-12:
                 failures.append(f"trial {trial}: {kind} mismatch")
     report(5, "reduction to mean/std", failures)
 
@@ -270,9 +273,8 @@ def test_c06_interplay_suite():
         pts = _interior_points(w, rng, 200)
 
         def d(kind, wm_v, wsd_v, dwm, dwsd):
-            a = agg_from_wmsd(kind, WmsdPoint(wm_v, wsd_v), mean_w)
-            b = agg_from_wmsd(kind, WmsdPoint(wm_v + dwm * h,
-                                              wsd_v + dwsd * h), mean_w)
+            a, b = agg_values(kind, np.array([wm_v, wm_v + dwm * h]),
+                              np.array([wsd_v, wsd_v + dwsd * h]), mean_w)
             return b - a
 
         for wm_v, wsd_v in pts:
@@ -294,9 +296,9 @@ def test_c06_interplay_suite():
 
         # neutrality: along the vertical wm = mean/2, R is constant
         wm_mid = mean_w * 0.5
-        r_ref = agg_from_wmsd("R", WmsdPoint(wm_mid, 0.01), mean_w)
-        for wsd_v in np.linspace(0.02, 0.4 * mean_w, 25):
-            r = agg_from_wmsd("R", WmsdPoint(wm_mid, float(wsd_v)), mean_w)
+        r_ref = agg_values("R", wm_mid, 0.01, mean_w)
+        wsd_vs = np.linspace(0.02, 0.4 * mean_w, 25)
+        for wsd_v, r in zip(wsd_vs, agg_values("R", wm_mid, wsd_vs, mean_w)):
             if abs(r - r_ref) >= 1e-12:
                 failures.append(f"neutrality broken at wsd={wsd_v:.3f}")
     report(6, "score-field interplay", failures)
@@ -319,7 +321,7 @@ def test_c07_boundary_oracle():
             sweeps,
         ])
         assert len(u) == 100_000
-        wm_s, wsd_s = plane_coordinates(u, w)
+        wm_s, wsd_s = plane(u * w.weights, w)
 
         overshoot = wsd_s - envelope_wsd(w, wm_s)
         bad = int(np.count_nonzero(overshoot > 1e-9))
@@ -356,17 +358,18 @@ def test_c08_zero_weight_elimination():
         raw[int(rng.integers(n))] = 1.0
         w = normalize_weights(raw)
         w_pad = normalize_weights(list(raw) + [0.0])
-        v = to_weighted(u, w)
-        v_pad = to_weighted(list(u) + [float(rng.random())], w_pad)
+        v = u[None] * w.weights
+        v_pad = np.append(u, rng.random())[None] * w_pad.weights
         for kind in KINDS:
-            dev = abs(agg_weighted(kind, v_pad, w_pad)
-                      - agg_weighted(kind, v, w))
+            dev = abs(agg_rows(kind, v_pad, w_pad)[0]
+                      - agg_rows(kind, v, w)[0])
             if dev >= 1e-12:
                 failures.append(f"trial {trial}: {kind} moved {dev:.2e}")
-        p, p_pad = wmsd_point(v, w), wmsd_point(v_pad, w_pad)
+        (wm,), (wsd,) = plane(v, w)
+        (wm_pad,), (wsd_pad,) = plane(v_pad, w_pad)
         scale = n / (n + 1)
-        if abs(p_pad.wm - p.wm * scale) >= 1e-12 \
-                or abs(p_pad.wsd - p.wsd * scale) >= 1e-12:
+        if abs(wm_pad - wm * scale) >= 1e-12 \
+                or abs(wsd_pad - wsd * scale) >= 1e-12:
             failures.append(f"trial {trial}: plane point not scaled by "
                             f"{n}/{n + 1}")
     report(8, "zero-weight elimination", failures)
@@ -384,10 +387,10 @@ def test_c09_rendering(countries):
     specs = []
     for name in ("w1", "w2", "w3", "w4"):
         w = configs[name].weight_vector
-        pts = tuple((alt_id, wmsd_point(to_weighted(u, w), w), SOLID)
-                    for alt_id, u in zip(matrix.ids,
-                                         matrix_to_utility(matrix)))
-        specs.append(PlotSpec(weights=w, kind="R", points=pts, grid=40))
+        wm, wsd = plane(utility_array(matrix.values, matrix.criteria)
+                        * w.weights, w)
+        specs.append(PlotSpec(weights=w, kind="R", ids=matrix.ids, wm=wm,
+                              wsd=wsd, grid=40))
 
     if render_panel_grid(specs, 2) != render_panel_grid(specs, 2):
         failures.append("panel grid not byte-deterministic")
@@ -408,9 +411,8 @@ def test_c09_rendering(countries):
             * frame.wm_max
         wsd_v = (1.0 - (float(y) + cell_h / 2 - MARGIN_T) / frame.plot_h) \
             * frame.wsd_max
-        value = agg_from_wmsd("R", WmsdPoint(wm_v, wsd_v),
-                              spec.weights.mean_w)
-        expected = color_rgb(value)
+        value = agg_values("R", wm_v, wsd_v, spec.weights.mean_w)
+        expected = tuple(colors_rgb(value)[0].tolist())
         got = tuple(int(fill[k:k + 2], 16) for k in (1, 3, 5))
         if max(abs(a - b) for a, b in zip(expected, got)) > 1:
             failures.append(f"cell at ({wm_v:.4f},{wsd_v:.4f}): {got} vs "
@@ -418,11 +420,11 @@ def test_c09_rendering(countries):
 
     for spec in specs:
         diag = math.hypot(frame.wm_max / nx, frame.wsd_max / ny)
-        for cell in field_cells(spec):
-            if not is_attainable(WmsdPoint(cell.wm, cell.wsd), spec.weights,
-                                 tol=diag):
-                failures.append(f"cell outside region at "
-                                f"({cell.wm:.4f},{cell.wsd:.4f})")
+        cells = field_cells(spec)
+        inside = attainable(spec.weights, cells.wm, cells.wsd, tol=diag)
+        for wm_v, wsd_v in zip(cells.wm[~inside], cells.wsd[~inside]):
+            failures.append(f"cell outside region at "
+                            f"({wm_v:.4f},{wsd_v:.4f})")
     report(9, "rendering determinism and correctness", failures)
 
 
@@ -430,11 +432,10 @@ def test_c10_ranking_reversals(students, countries):
     """Weight-induced reversals are detected and quantified."""
     failures = []
     matrix, w = students
-    scores_u, scores_w = {}, {}
-    for alt_id, u in zip(matrix.ids, matrix_to_utility(matrix)):
-        scores_u[alt_id] = agg_unweighted("R", u)
-        scores_w[alt_id] = agg_weighted("R", to_weighted(u, w), w)
-    cmp = compare_rankings(rank(scores_u), rank(scores_w))
+    scores_u = weighted_scores(matrix, uniform_weights(matrix.n))
+    scores_w = weighted_scores(matrix, w)
+    cmp = compare_rankings(rank_array(matrix.ids, scores_u),
+                           rank_array(matrix.ids, scores_w))
     if ("S8", "S9") not in cmp.reversals:
         failures.append("(S8, S9) reversal not flagged")
 
@@ -442,10 +443,8 @@ def test_c10_ranking_reversals(students, countries):
     rankings = {}
     for name in ("w1", "w2"):
         wv = configs[name].weight_vector
-        scores = {alt_id: agg_weighted("R", to_weighted(u, wv), wv)
-                  for alt_id, u in zip(matrix_c.ids,
-                                       matrix_to_utility(matrix_c))}
-        rankings[name] = rank(scores)
+        rankings[name] = rank_array(matrix_c.ids,
+                                    weighted_scores(matrix_c, wv))
     cmp = compare_rankings(rankings["w1"], rankings["w2"])
     if rankings["w1"].position("URY") != 2:
         failures.append("URY not 2nd under uniform weights")

@@ -9,92 +9,92 @@ from hypothesis import strategies as st
 from wmsdspace import aggregate
 from wmsdspace.aggregate import (
     AggregationKind,
-    agg_from_wmsd,
     agg_rows,
-    agg_unweighted,
-    agg_weighted,
+    agg_values,
     compare_rankings,
-    rank,
     rank_array,
 )
 from wmsdspace.errors import IdSetMismatch, NonFiniteScore
 from wmsdspace.model import normalize_weights, uniform_weights
-from wmsdspace.spaces import matrix_to_utility, to_weighted
-from wmsdspace.wmsd import WmsdPoint, plane, wmsd_point
+from wmsdspace.spaces import utility_array
+from wmsdspace.wmsd import mean_sd, plane
 
 W3 = normalize_weights([0.5, 0.6, 1.0])
 KINDS = list(AggregationKind)
+ONES3 = uniform_weights(3)
 
 
 def scores_for(matrix, w, kind, weighted=True):
-    out = {}
-    for alt_id, u in zip(matrix.ids, matrix_to_utility(matrix)):
-        if weighted:
-            out[alt_id] = agg_weighted(kind, to_weighted(u, w), w)
-        else:
-            out[alt_id] = agg_unweighted(kind, u)
-    return out
+    """Scores of every alternative, in matrix order."""
+    u = utility_array(matrix.values, matrix.criteria)
+    if not weighted:
+        w = uniform_weights(matrix.n)
+    return agg_rows(kind, u * w.weights, w)
 
 
 class TestUnweighted:
-    S8 = [0.9367, 0.81, 0.278]
+    S8 = np.array([[0.9367, 0.81, 0.278]])
 
     def test_student_row(self):
-        assert agg_unweighted("I", self.S8) == pytest.approx(0.57, abs=0.005)
-        assert agg_unweighted("A", self.S8) == pytest.approx(0.73, abs=0.005)
-        assert agg_unweighted("R", self.S8) == pytest.approx(0.63, abs=0.005)
+        assert agg_rows("I", self.S8, ONES3)[0] == pytest.approx(0.57,
+                                                                 abs=0.005)
+        assert agg_rows("A", self.S8, ONES3)[0] == pytest.approx(0.73,
+                                                                 abs=0.005)
+        assert agg_rows("R", self.S8, ONES3)[0] == pytest.approx(0.63,
+                                                                 abs=0.005)
 
     def test_extremes(self):
         for kind in KINDS:
-            assert agg_unweighted(kind, [1, 1, 1]) == pytest.approx(1.0)
-            assert agg_unweighted(kind, [0, 0, 0]) == pytest.approx(0.0)
+            top, bottom = agg_rows(kind, np.array([[1.0, 1, 1], [0, 0, 0]]),
+                                   ONES3)
+            assert top == pytest.approx(1.0)
+            assert bottom == pytest.approx(0.0)
 
     def test_near_constant_midpoint(self):
-        u = [0.4937, 0.506, 0.494]
+        u = np.array([[0.4937, 0.506, 0.494]])
         for kind in KINDS:
-            assert agg_unweighted(kind, u) == pytest.approx(0.50, abs=0.005)
+            assert agg_rows(kind, u, ONES3)[0] == pytest.approx(0.50,
+                                                                abs=0.005)
 
 
 class TestWeighted:
     def test_student_relative_score(self):
-        v = to_weighted([0.9367, 0.81, 0.278], W3)
-        assert agg_weighted("R", v, W3) == pytest.approx(0.50, abs=0.005)
+        v = np.array([[0.9367, 0.81, 0.278]]) * W3.weights
+        assert agg_rows("R", v, W3)[0] == pytest.approx(0.50, abs=0.005)
 
     def test_student_cross_route(self):
         # the direct-distance route and the plane route must agree far
         # below the table-rounding level
-        v = to_weighted([0.9367, 0.81, 0.278], W3)
-        p = wmsd_point(v, W3)
+        v = np.array([[0.9367, 0.81, 0.278]]) * W3.weights
+        wm, wsd = plane(v, W3)
         for kind in KINDS:
-            assert agg_weighted(kind, v, W3) == pytest.approx(
-                agg_from_wmsd(kind, p, W3.mean_w), abs=1e-12)
+            assert agg_rows(kind, v, W3)[0] == pytest.approx(
+                agg_values(kind, wm, wsd, W3.mean_w)[0], abs=1e-12)
 
     def test_chile_under_skewed_weights(self):
         w = normalize_weights([0.25, 1.0, 0.25, 0.5])
-        v = to_weighted([0.6243, 0.8243, 0.7537, 0.8127], w)
-        assert agg_weighted("R", v, w) == pytest.approx(0.806, abs=0.001)
+        v = np.array([[0.6243, 0.8243, 0.7537, 0.8127]]) * w.weights
+        assert agg_rows("R", v, w)[0] == pytest.approx(0.806, abs=0.001)
 
     def test_ideal_image(self):
         for kind in KINDS:
-            assert agg_weighted(kind, W3.weights, W3) == pytest.approx(
+            assert agg_rows(kind, W3.weights[None], W3)[0] == pytest.approx(
                 1.0, abs=1e-12)
 
 
 class TestFromWmsd:
     def test_student_point(self):
-        assert agg_from_wmsd("R", WmsdPoint(0.35, 0.20), 0.7) == \
+        assert agg_values("R", 0.35, 0.20, 0.7) == \
             pytest.approx(0.50, abs=0.005)
 
     def test_neutrality_line(self):
         mean_w = 0.7
-        r1 = agg_from_wmsd("R", WmsdPoint(mean_w / 2, 0.05), mean_w)
-        r2 = agg_from_wmsd("R", WmsdPoint(mean_w / 2, 0.15), mean_w)
+        r1, r2 = agg_values("R", mean_w / 2, np.array([0.05, 0.15]), mean_w)
         assert r1 == 0.5 and r2 == 0.5
 
     def test_ideal_point(self):
         for kind in KINDS:
-            assert agg_from_wmsd(kind, WmsdPoint(0.7, 0.0), 0.7) == \
-                pytest.approx(1.0)
+            assert agg_values(kind, 0.7, 0.0, 0.7) == pytest.approx(1.0)
 
 
 class TestInterplay:
@@ -111,9 +111,8 @@ class TestInterplay:
         self.points = pts
 
     def diff(self, kind, wm_v, wsd_v, dwm, dwsd, h=1e-6):
-        a = agg_from_wmsd(kind, WmsdPoint(wm_v, wsd_v), self.mean_w)
-        b = agg_from_wmsd(kind, WmsdPoint(wm_v + dwm * h, wsd_v + dwsd * h),
-                          self.mean_w)
+        a, b = agg_values(kind, np.array([wm_v, wm_v + dwm * h]),
+                          np.array([wsd_v, wsd_v + dwsd * h]), self.mean_w)
         return b - a
 
     def test_wm_always_gain(self):
@@ -134,29 +133,29 @@ class TestInterplay:
 
 class TestRank:
     def test_sorted_with_competition_ranks(self):
-        r = rank({"a": 0.9, "b": 0.5, "c": 0.5, "d": 0.1})
-        assert [e.id for e in r.entries] == ["a", "b", "c", "d"]
-        assert [e.rank for e in r.entries] == [1, 2, 2, 4]
+        r = rank_array(["a", "b", "c", "d"], [0.9, 0.5, 0.5, 0.1])
+        assert list(r.ids) == ["a", "b", "c", "d"]
+        assert r.ranks.tolist() == [1, 2, 2, 4]
         assert r.groups == (("a",), ("b", "c"), ("d",))
 
     def test_exact_ties_keep_input_order(self):
-        r = rank({"z": 0.5, "a": 0.5, "m": 0.5})
-        assert [e.id for e in r.entries] == ["z", "a", "m"]
-        assert all(e.rank == 1 for e in r.entries)
+        r = rank_array(["z", "a", "m"], [0.5, 0.5, 0.5])
+        assert list(r.ids) == ["z", "a", "m"]
+        assert all(r.ranks == 1)
 
     def test_tolerance_groups(self):
-        r = rank({"a": 0.500000, "b": 0.499999}, tie_tolerance=1e-5)
+        r = rank_array(["a", "b"], [0.500000, 0.499999], tie_tolerance=1e-5)
         assert r.groups == (("a", "b"),)
-        r = rank({"a": 0.500000, "b": 0.499999}, tie_tolerance=1e-9)
+        r = rank_array(["a", "b"], [0.500000, 0.499999], tie_tolerance=1e-9)
         assert r.groups == (("a",), ("b",))
 
     def test_single(self):
-        r = rank({"only": 0.4})
-        assert r.entries[0].rank == 1
+        r = rank_array(["only"], [0.4])
+        assert r.ranks[0] == 1
 
     def test_non_finite(self):
         with pytest.raises(NonFiniteScore):
-            rank({"a": math.nan})
+            rank_array(["a"], [math.nan])
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf])
     def test_non_finite_tolerance(self, tol):
@@ -194,7 +193,7 @@ class TestRank:
     def test_country_order(self, countries_matrix, countries_configs):
         scores = scores_for(countries_matrix,
                             countries_configs["w1"].weight_vector, "R")
-        r = rank(scores)
+        r = rank_array(countries_matrix.ids, scores)
         assert list(r.ids) == ["CHL", "URY", "PER", "COL", "PRY", "GUY",
                                "ARG", "BRA", "SUR", "ECU", "BOL", "VEN"]
 
@@ -202,17 +201,19 @@ class TestRank:
             self, students_matrix):
         # S6 and S15 coincide in the plane only after 2-decimal rounding;
         # a loose tolerance groups them, the default keeps them apart.
+        ids = students_matrix.ids
         scores = scores_for(students_matrix, W3, "R")
-        assert scores["S6"] == pytest.approx(scores["S15"], abs=1e-3)
-        loose = rank(scores, tie_tolerance=2e-3)
-        tight = rank(scores, tie_tolerance=1e-9)
+        by_id = dict(zip(ids, scores.tolist()))
+        assert by_id["S6"] == pytest.approx(by_id["S15"], abs=1e-3)
+        loose = rank_array(ids, scores, tie_tolerance=2e-3)
+        tight = rank_array(ids, scores, tie_tolerance=1e-9)
         assert loose.position("S6") == loose.position("S15")
         assert tight.position("S6") != tight.position("S15")
 
 
 class TestCompareRankings:
     def test_identical(self):
-        r = rank({"a": 0.9, "b": 0.5})
+        r = rank_array(["a", "b"], [0.9, 0.5])
         cmp = compare_rankings(r, r)
         assert cmp.kendall_tau == pytest.approx(1.0)
         assert cmp.reversals == ()
@@ -220,22 +221,25 @@ class TestCompareRankings:
 
     def test_id_mismatch(self):
         with pytest.raises(IdSetMismatch):
-            compare_rankings(rank({"a": 0.9}), rank({"b": 0.9}))
+            compare_rankings(rank_array(["a"], [0.9]),
+                             rank_array(["b"], [0.9]))
 
     def test_uruguay_shift(self, countries_matrix, countries_configs):
-        r1 = rank(scores_for(countries_matrix,
-                             countries_configs["w1"].weight_vector, "R"))
-        r2 = rank(scores_for(countries_matrix,
-                             countries_configs["w2"].weight_vector, "R"))
+        ids = countries_matrix.ids
+        r1 = rank_array(ids, scores_for(
+            countries_matrix, countries_configs["w1"].weight_vector, "R"))
+        r2 = rank_array(ids, scores_for(
+            countries_matrix, countries_configs["w2"].weight_vector, "R"))
         cmp = compare_rankings(r1, r2)
         assert r1.position("URY") == 2
         assert r2.position("URY") == 5
         assert cmp.deltas["URY"] == 3
 
     def test_student_reversal(self, students_matrix):
-        unweighted = rank(scores_for(students_matrix, W3, "R",
-                                     weighted=False))
-        weighted = rank(scores_for(students_matrix, W3, "R"))
+        ids = students_matrix.ids
+        unweighted = rank_array(ids, scores_for(students_matrix, W3, "R",
+                                                weighted=False))
+        weighted = rank_array(ids, scores_for(students_matrix, W3, "R"))
         cmp = compare_rankings(unweighted, weighted)
         assert ("S8", "S9") in cmp.reversals
         assert cmp.kendall_tau < 1.0
@@ -247,8 +251,8 @@ class TestCompareRankings:
         """Every block size lists the pairs of the i < j loop over the
         first ranking's order, in loop order and orientation."""
         ids = [f"x{i}" for i in range(len(scores))]
-        r1 = rank([(k, s) for k, (s, _) in zip(ids, scores)])
-        r2 = rank([(k, s) for k, (_, s) in zip(ids, scores)])
+        r1 = rank_array(ids, [s for s, _ in scores])
+        r2 = rank_array(ids, [s for _, s in scores])
         rank1 = dict(zip(r1.ids, r1.ranks.tolist()))
         rank2 = dict(zip(r2.ids, r2.ranks.tolist()))
         expected = []
@@ -285,8 +289,8 @@ class TestKendallTau:
     def test_ties_in_each_ranking(self):
         # ranks (1,2,2,4,5) vs (2,1,3,3,3): C = 5, D = 1, n1 = 1, n2 = 3,
         # n3 = 0, so tau-b = (10 - 1 - 3 - 2) / sqrt(9 * 7) = 4 / sqrt(63)
-        r1 = rank({"a": 5, "b": 4, "c": 4, "d": 2, "e": 1})
-        r2 = rank({"a": 4, "b": 5, "c": 3, "d": 3, "e": 3})
+        r1 = rank_array(list("abcde"), [5, 4, 4, 2, 1])
+        r2 = rank_array(list("abcde"), [4, 5, 3, 3, 3])
         assert [r1.position(k) for k in "abcde"] == [1, 2, 2, 4, 5]
         assert [r2.position(k) for k in "abcde"] == [2, 1, 3, 3, 3]
         cmp = compare_quietly(r1, r2)
@@ -297,26 +301,26 @@ class TestKendallTau:
     def test_pair_tied_in_both(self):
         # ranks (1,1,3,4) vs (1,1,4,3): n0 = 6, n1 = n2 = n3 = 1, D = 1,
         # so tau-b = (6 - 1 - 1 + 1 - 2) / sqrt(5 * 5) = 3 / 5
-        r1 = rank({"a": 2, "b": 2, "c": 1, "d": 0})
-        r2 = rank({"a": 2, "b": 2, "c": 0, "d": 1})
+        r1 = rank_array(list("abcd"), [2, 2, 1, 0])
+        r2 = rank_array(list("abcd"), [2, 2, 0, 1])
         cmp = compare_quietly(r1, r2)
         assert cmp.reversals == (("c", "d"),)
         assert cmp.kendall_tau == pytest.approx(0.6, abs=1e-15)
 
     def test_full_reversal(self):
-        r1 = rank({"a": 3, "b": 2, "c": 1})
-        r2 = rank({"a": 1, "b": 2, "c": 3})
+        r1 = rank_array(list("abc"), [3, 2, 1])
+        r2 = rank_array(list("abc"), [1, 2, 3])
         cmp = compare_quietly(r1, r2)
         assert len(cmp.reversals) == 3
         assert cmp.kendall_tau == -1.0
 
     def test_single_alternative_is_nan(self):
-        r = rank({"a": 0.5})
+        r = rank_array(["a"], [0.5])
         assert math.isnan(compare_quietly(r, r).kendall_tau)
 
     def test_all_one_tie_is_nan(self):
-        r1 = rank({"a": 1, "b": 1, "c": 1})
-        r2 = rank({"a": 3, "b": 2, "c": 1})
+        r1 = rank_array(list("abc"), [1, 1, 1])
+        r2 = rank_array(list("abc"), [3, 2, 1])
         cmp = compare_quietly(r1, r2)
         assert cmp.reversals == ()
         assert math.isnan(cmp.kendall_tau)
@@ -325,8 +329,8 @@ class TestKendallTau:
                     max_size=25))
     def test_matches_pairwise_sign_reference(self, scores):
         ids = [f"x{i}" for i in range(len(scores))]
-        r1 = rank([(k, s) for k, (s, _) in zip(ids, scores)])
-        r2 = rank([(k, s) for k, (_, s) in zip(ids, scores)])
+        r1 = rank_array(ids, [s for s, _ in scores])
+        r2 = rank_array(ids, [s for _, s in scores])
         x = [r1.position(k) for k in ids]
         y = [r2.position(k) for k in ids]
         cmp = compare_quietly(r1, r2)
@@ -355,44 +359,31 @@ class TestAggregationProperties:
     @given(utility_and_weights())
     def test_cross_formulation(self, uw):
         u, w = uw
-        v = to_weighted(u, w)
-        p = wmsd_point(v, w)
-        for kind in KINDS:
-            assert abs(agg_weighted(kind, v, w)
-                       - agg_from_wmsd(kind, p, w.mean_w)) < 1e-12
-
-    @given(utility_and_weights())
-    def test_one_point_views_equal_batched_rows(self, uw):
-        u, w = uw
-        rows = np.array([u, u[::-1], u])
-        v = rows * w.weights
-        ones = uniform_weights(len(u))
+        v = np.array([u]) * w.weights
         wm, wsd = plane(v, w)
         for kind in KINDS:
-            weighted = agg_rows(kind, v, w)
-            unweighted = agg_rows(kind, rows, ones)
-            for i in range(len(rows)):
-                assert agg_weighted(kind, v[i], w) == weighted[i]
-                assert agg_unweighted(kind, rows[i]) == unweighted[i]
-        for i in range(len(rows)):
-            assert wmsd_point(v[i], w).as_tuple() == (wm[i], wsd[i])
+            assert abs(agg_rows(kind, v, w)[0]
+                       - agg_values(kind, wm, wsd, w.mean_w)[0]) < 1e-12
 
     @given(st.lists(st.floats(min_value=0, max_value=1, allow_nan=False),
                     min_size=2, max_size=8))
     def test_reduction_to_unweighted(self, u):
-        w = uniform_weights(len(u))
-        v = to_weighted(u, w)
+        u = np.array([u])
+        w = uniform_weights(u.shape[1])
+        m, sd = mean_sd(u)
         for kind in KINDS:
-            assert abs(agg_weighted(kind, v, w)
-                       - agg_unweighted(kind, u)) < 1e-12
+            assert abs(agg_rows(kind, u * w.weights, w)[0]
+                       - agg_values(kind, m, sd, 1.0)[0]) < 1e-12
 
     @given(utility_and_weights())
     def test_range(self, uw):
         u, w = uw
-        v = to_weighted(u, w)
+        u = np.array([u])
         for kind in KINDS:
-            assert -1e-12 <= agg_weighted(kind, v, w) <= 1.0 + 1e-12
-            assert -1e-12 <= agg_unweighted(kind, u) <= 1.0 + 1e-12
+            assert -1e-12 <= agg_rows(kind, u * w.weights, w)[0] \
+                <= 1.0 + 1e-12
+            assert -1e-12 <= agg_rows(kind, u, uniform_weights(w.n))[0] \
+                <= 1.0 + 1e-12
 
     @given(utility_and_weights(),
            st.floats(min_value=0, max_value=1, allow_nan=False))
@@ -400,8 +391,8 @@ class TestAggregationProperties:
     def test_zero_weight_criterion_invariance(self, uw, extra_u):
         u, w = uw
         w_pad = normalize_weights(list(w.weights) + [0.0])
-        v = to_weighted(u, w)
-        v_pad = to_weighted(list(u) + [extra_u], w_pad)
+        v = np.array([u]) * w.weights
+        v_pad = np.array([list(u) + [extra_u]]) * w_pad.weights
         for kind in KINDS:
-            assert abs(agg_weighted(kind, v_pad, w_pad)
-                       - agg_weighted(kind, v, w)) < 1e-12
+            assert abs(agg_rows(kind, v_pad, w_pad)[0]
+                       - agg_rows(kind, v, w)[0]) < 1e-12

@@ -1,7 +1,6 @@
 import csv
 import dataclasses
 import hashlib
-import importlib
 import io
 import json
 import math
@@ -19,7 +18,7 @@ from hypothesis import strategies as st
 import wmsdspace
 from conftest import FIXTURES
 from wmsdspace import cli, geometry
-from wmsdspace.aggregate import AggregationKind, agg_rows
+from wmsdspace.aggregate import AggregationKind, agg_rows, agg_values
 from wmsdspace.errors import (
     AllZeroWeights,
     BadNumber,
@@ -31,8 +30,7 @@ from wmsdspace.errors import (
 )
 from wmsdspace.cli import parse_config, read_matrix
 from wmsdspace.model import normalize_weights
-from wmsdspace.wmsd import WmsdPoint, plane
-from wmsdspace.aggregate import agg_from_wmsd
+from wmsdspace.wmsd import plane
 
 STUDENTS_CONFIG = (FIXTURES / "students_config.json").read_text()
 
@@ -337,8 +335,8 @@ class TestTransformCommand:
         scores = {r["id"]: float(r["score"])
                   for r in csv.DictReader(io.StringIO(rk))}
         for row in csv.DictReader(io.StringIO(tr)):
-            rebuilt = agg_from_wmsd(
-                "R", WmsdPoint(float(row["wm"]), float(row["wsd"])), 0.7)
+            rebuilt = agg_values("R", float(row["wm"]), float(row["wsd"]),
+                                 0.7)
             assert rebuilt == pytest.approx(scores[row["id"]], abs=5e-6)
 
 
@@ -374,6 +372,22 @@ class TestBoundaryCommand:
                                "--resolution", "1")
         assert code == 1
         assert json.loads(err)["error"] == "SchemaError"
+
+    def test_resolution_cap(self, run_cli, capsys):
+        args = ["boundary", "--config", FIXTURES / "countries_w2.json",
+                "--resolution"]
+        code, out, err = run_cli(*args, cli.MAX_RESOLUTION)
+        assert code == 0, err
+        assert out.count("\nenvelope,") == cli.MAX_RESOLUTION == 65536
+        code, out, err = run_cli(*args, cli.MAX_RESOLUTION + 1)
+        assert code == 1 and out == ""
+        record = json.loads(err)
+        assert record["error"] == "SchemaError"
+        assert str(cli.MAX_RESOLUTION) in record["message"]
+        with pytest.raises(SystemExit):
+            cli.main(["boundary", "--help"])
+        assert re.search(rf"2\s+to\s+{cli.MAX_RESOLUTION}",
+                         capsys.readouterr().out)
 
     def test_permuted_weights_identical_output(self, run_cli, tmp_path):
         def config_for(weights):
@@ -480,6 +494,25 @@ class TestPlotCommand:
         assert code == 1
         assert json.loads(err)["error"] == "LevelOutOfRange"
 
+    @pytest.mark.parametrize("levels", ["abc", "0.5,,0.7"])
+    def test_unparseable_isolines_are_schema_errors(self, run_cli, levels):
+        code, out, err = run_cli(
+            "plot", "--data", FIXTURES / "students.csv",
+            "--config", FIXTURES / "students_config.json",
+            "--grid", "16", "--isolines", levels)
+        assert code == 1 and out == ""
+        record = json.loads(err)
+        assert record["error"] == "SchemaError"
+        assert repr(levels) in record["message"]
+
+    def test_empty_isolines_draw_none(self, run_cli):
+        code, out, err = run_cli(
+            "plot", "--data", FIXTURES / "students.csv",
+            "--config", FIXTURES / "students_config.json",
+            "--grid", "16", "--isolines", "")
+        assert code == 0, err
+        assert 'class="marker"' in out and 'class="isoline"' not in out
+
     def test_snapshot_fixture_narrative(self, run_cli):
         # the synthetic second snapshot moves VEN and URY up, CHL and
         # SUR down, flipping the VEN/SUR and URY/CHL orders
@@ -559,15 +592,42 @@ class TestErrorStream:
             assert f'\n"{long_id}",' in out
 
     def test_malformed_csv_record(self, students_config):
-        """A csv.Error becomes a record with its data row.  The CLI reads
-        files with universal newlines, so this CR inside a field reaches
-        the csv module only through read_matrix."""
+        """A csv.Error becomes a record with its data row."""
         text = 'id,Math,Bio,Art\n"S1",50,3,4\n\nS2,6\r0,3,4\n'
         with pytest.raises(MalformedCsv) as exc:
             read_matrix(text, students_config)
         record = exc.value.details()
         assert record["error"] == "MalformedCsv" and record["row"] == 2
         assert "\n" not in json.dumps(record)
+
+    def test_carriage_returns_in_quoted_ids_kept(self, run_cli, tmp_path):
+        data = tmp_path / "cr.csv"
+        data.write_bytes(b'id,Math,Bio,Art\n"a\rb",50,3,4\n'
+                         b'"c\r\nd",60,3,4\n')
+        code, out, err = run_cli("rank", "--data", data, "--format", "json",
+                                 "--config", FIXTURES / "students_config.json")
+        assert code == 0, err
+        assert [e["id"] for e in json.loads(out)["entries"]] == [
+            "c\r\nd", "a\rb"]
+
+    def test_crlf_dataset_ranks_like_lf(self, run_cli, tmp_path):
+        lf = FIXTURES / "students.csv"
+        crlf = tmp_path / "students_crlf.csv"
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        assert b"\r\n" in crlf.read_bytes()
+        outs = [run_cli("rank", "--data", path,
+                        "--config", FIXTURES / "students_config.json")
+                for path in (lf, crlf)]
+        assert outs[0][0] == 0 and outs[0] == outs[1]
+
+    def test_carriage_return_in_unquoted_cell(self, run_cli, tmp_path):
+        data = tmp_path / "cr_cell.csv"
+        data.write_bytes(b"id,Math,Bio,Art\nS1,6\r0,3,4\n")
+        code, out, err = run_cli("rank", "--data", data,
+                                 "--config", FIXTURES / "students_config.json")
+        assert code == 1 and out == ""
+        record = json.loads(err)
+        assert record["error"] == "MalformedCsv" and record["row"] == 1
 
     def test_validation_exit_code_and_record(self, run_cli, tmp_path):
         bad = tmp_path / "bad.json"
@@ -753,7 +813,8 @@ class TestGoldenFiles:
     # that preceded the row-template writer; and the seeded documents
     # (paths under SEEDED), recorded from the per-element f-string plot
     # writer and the %-template table writer that preceded the array text
-    # writer.
+    # writer; and the unweighted-I and aggregation-A panel plots, recorded
+    # from the per-marker point objects that preceded the marker columns.
     FROZEN_OUTPUTS = {
         "seeded-plot-labels-isolines": (
             ["plot", "--data", SEEDED / "plot.csv",
@@ -811,6 +872,17 @@ class TestGoldenFiles:
              "--config", FIXTURES / "countries_w3.json",
              "--overlay", FIXTURES / "countries_2023_synthetic.csv"],
             "c18a1dc22b0d83a45ef2ad13057abb21b1040e19dfd08e65e7763fc7d837e4c8"),
+        "students-unweighted-I-labels": (
+            ["plot", "--data", FIXTURES / "students.csv",
+             "--config", FIXTURES / "students_config.json",
+             "--unweighted", "--aggregation", "I", "--labels"],
+            "d18f11b3ce5a9513cbab429b2079afb832d80fa73590ff5d4bed06cbd7310af9"),
+        "panels-countries_w2_w4-A": (
+            ["plot", "--data", FIXTURES / "countries.csv",
+             "--config", FIXTURES / "countries_w2.json",
+             "--config", FIXTURES / "countries_w4.json",
+             "--aggregation", "A"],
+            "a31b6dc2ca0a58c83f47c1e729eac6826baab4ab833f60a893659936c179734f"),
         "boundary-countries_w2-csv": (
             ["boundary", "--config", FIXTURES / "countries_w2.json",
              "--resolution", "512", "--format", "csv"],
@@ -841,33 +913,15 @@ class TestGoldenFiles:
 
 
 class TestBatchedCore:
-    """Every command scores all rows in one batched pass.
+    """Every command scores all rows with the batched core.
 
-    The per-row helpers are made to raise, and the outputs are checked
-    against a per-row numpy reference: unrounded core values within
-    1e-12, printed values within half a unit of the 6th decimal plus
-    1e-12, ranks and groups exactly.
+    The outputs are checked against a per-row numpy reference: unrounded
+    core values within 1e-12, printed values within half a unit of the
+    6th decimal plus 1e-12, ranks and groups exactly.
     """
 
-    PER_ROW = [("spaces", "to_utility"), ("spaces", "to_weighted"),
-               ("aggregate", "agg_weighted"), ("aggregate", "agg_unweighted"),
-               ("wmsd", "wmsd_point")]
     M, N = 500, 8
     PRINTED = 0.5e-6 + 1e-12
-
-    @pytest.fixture(autouse=True)
-    def no_per_row(self, monkeypatch):
-        for mod_name, attr in self.PER_ROW:
-            fn = getattr(importlib.import_module(f"wmsdspace.{mod_name}"),
-                         attr)
-
-            def refuse(*args, _name=f"{mod_name}.{attr}", **kwargs):
-                raise AssertionError(f"per-row {_name} was called")
-            for name, module in list(sys.modules.items()):
-                if name == "wmsdspace" or name.startswith("wmsdspace."):
-                    for key, val in list(vars(module).items()):
-                        if val is fn:
-                            monkeypatch.setattr(module, key, refuse)
 
     @pytest.fixture
     def case(self, tmp_path):

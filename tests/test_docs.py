@@ -1,0 +1,82 @@
+"""README "Library" examples run, and the package exports what it says."""
+
+import importlib
+import pkgutil
+import re
+
+import numpy as np
+
+import wmsdspace
+from conftest import FIXTURES
+
+README = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
+
+
+def section(title: str, level: str = "##") -> str:
+    """The README text under the heading ``title``, up to the next heading
+    of the same level."""
+    start = README.index(f"\n{level} {title}\n")
+    end = README.find(f"\n{level} ", start + 1)
+    return README[start:end if end >= 0 else len(README)]
+
+
+def removed_names() -> list[str]:
+    """The names in the first column of the "Removed names" table, each as
+    a dotted path without its call arguments."""
+    table = section("Removed names", "###")
+    names = []
+    for line in table.splitlines():
+        if line.startswith("| `"):
+            first = line.split("|")[1]
+            names += re.findall(r"`([A-Za-z_][\w.]*)", first)
+    return names
+
+
+def package_modules():
+    return [wmsdspace] + [
+        importlib.import_module(f"wmsdspace.{info.name}")
+        for info in pkgutil.iter_modules(wmsdspace.__path__)]
+
+
+def resolves(dotted: str) -> bool:
+    """Whether some package module defines ``dotted``, attribute by
+    attribute; the first part must exist for the rest to be looked up."""
+    head, *rest = dotted.split(".")
+    for module in package_modules():
+        obj = vars(module).get(head)
+        if obj is None:
+            continue
+        for attr in rest:
+            if attr not in vars(obj):
+                break
+            obj = vars(obj)[attr]
+        else:
+            return True
+    return False
+
+
+def test_library_blocks_run_in_order():
+    blocks = re.findall(r"```python\n(.*?)```", section("Library"), re.S)
+    assert len(blocks) >= 3
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    ranking, scores = namespace["ranking"], namespace["scores"]
+    assert list(ranking.ids) == ["S9", "S8"]  # the weights favour Art
+    assert ranking.scores.tolist() == sorted(scores.tolist(), reverse=True)
+    assert np.allclose(namespace["same"], scores, atol=1e-12)
+    assert namespace["inside"].all()
+    assert namespace["svg"].count('class="marker"') == 2
+    assert namespace["moved"].count('class="arrow"') == 2
+
+
+def test_exports_resolve_and_removed_names_are_gone():
+    for name in wmsdspace.__all__:
+        assert hasattr(wmsdspace, name), name
+    removed = removed_names()
+    assert len(removed) >= 30 and any("." in name for name in removed)
+    for dotted in removed:
+        assert dotted not in wmsdspace.__all__, dotted
+        assert not resolves(dotted), dotted
+    # the check can see a name that is there
+    assert resolves("DecisionMatrix.from_array") and resolves("plane")

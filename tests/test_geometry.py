@@ -14,14 +14,12 @@ from wmsdspace.geometry import (
     boundary_sampled,
     edge_sweep_utilities,
     envelope_wsd,
-    is_attainable,
     isoline,
-    plane_coordinates,
     uniform_utilities,
     vertex_images,
 )
 from wmsdspace.model import normalize_weights, uniform_weights
-from wmsdspace.wmsd import WmsdPoint, msd
+from wmsdspace.wmsd import mean_sd, plane
 
 W11 = uniform_weights(2)
 W15 = normalize_weights([1.0, 0.5])
@@ -109,23 +107,21 @@ class TestVertexImages:
 
 class TestAttainability:
     def test_ideal_image(self):
-        assert is_attainable(WmsdPoint(W3.mean_w, 0.0), W3)
+        assert attainable(W3, W3.mean_w, 0.0).tolist() == [True]
 
     def test_beyond_max_wm(self):
-        assert not is_attainable(WmsdPoint(W3.mean_w + 0.01, 0.0), W3)
+        assert attainable(W3, W3.mean_w + 0.01, 0.0).tolist() == [False]
 
     def test_square_corner(self):
-        assert is_attainable(WmsdPoint(0.5, 0.5), W11)
-        assert not is_attainable(WmsdPoint(0.5, 0.51), W11)
+        assert attainable(W11, 0.5, [0.5, 0.51]).tolist() == [True, False]
 
     def test_negative_wsd(self):
-        assert not is_attainable(WmsdPoint(0.3, -0.01), W11)
+        assert attainable(W11, 0.3, -0.01).tolist() == [False]
 
     def test_diagonal_always_attainable(self):
         rng = np.random.default_rng(5)
         for w in (W11, W15, W3):
-            for c in rng.random(20):
-                assert is_attainable(WmsdPoint(c * w.mean_w, 0.0), w)
+            assert attainable(w, rng.random(20) * w.mean_w, 0.0).all()
 
     def test_batch_matches_single_points(self):
         rng = np.random.default_rng(8)
@@ -134,7 +130,7 @@ class TestAttainability:
             wsd = rng.uniform(-0.05, w.mean_w / 2 + 0.05, 400)
             got = attainable(w, wm, wsd)
             assert got.dtype == bool and 0 < got.sum() < got.size
-            assert got.tolist() == [is_attainable((a, b), w)
+            assert got.tolist() == [bool(attainable(w, a, b)[0])
                                     for a, b in zip(wm, wsd)]
 
     def test_msd_shape_for_two_criteria(self):
@@ -187,7 +183,7 @@ class TestOracle:
             uniform_utilities(w.n, 10000, rng, bound_bias=0.45),
             edge_sweep_utilities(w, 2000, rng),
         ])
-        wm_s, wsd_s = plane_coordinates(u, w)
+        wm_s, wsd_s = plane(u * w.weights, w)
         assert np.all(wsd_s <= envelope_wsd(w, wm_s) + 1e-9)
 
         res = 256
@@ -220,11 +216,11 @@ class TestIsolines:
         # level set of A through a country's plane position passes
         # through that very position
         w4 = uniform_weights(4)
-        p = msd([0.6243, 0.8243, 0.7537, 0.8127])
-        level = float(agg_values("A", p.wm, p.wsd, 1.0))
+        (m,), (sd,) = mean_sd(np.array([[0.6243, 0.8243, 0.7537, 0.8127]]))
+        level = float(agg_values("A", m, sd, 1.0))
         iso = isoline("A", level, w4)
         assert iso.shape == "arc"
-        assert math.hypot(p.wm - iso.center_wm, p.wsd) == pytest.approx(
+        assert math.hypot(m - iso.center_wm, sd) == pytest.approx(
             iso.radius, abs=1e-12)
 
     @pytest.mark.parametrize("kind", ["I", "A", "R"])
@@ -239,8 +235,8 @@ class TestIsolines:
 
     def test_clipped_to_region(self):
         iso = isoline("A", 0.9, W3, samples=257)
-        for wm_v, wsd_v in iso.points:
-            assert is_attainable(WmsdPoint(wm_v, wsd_v), W3, tol=1e-6)
+        assert attainable(W3, iso.points[:, 0], iso.points[:, 1],
+                          tol=1e-6).all()
 
     def test_level_out_of_range(self):
         with pytest.raises(LevelOutOfRange):

@@ -19,7 +19,6 @@ from wmsdspace.model import (
     CriterionSpec,
     DecisionMatrix,
     normalize_weights,
-    scaling_coefficient,
     uniform_weights,
     validate_criteria,
 )
@@ -112,15 +111,15 @@ class TestNormalizeWeights:
 
 class TestScalingCoefficient:
     def test_worked_pair(self):
-        assert scaling_coefficient(normalize_weights([1.0, 0.5])) == \
+        assert normalize_weights([1.0, 0.5]).s == \
             pytest.approx(1.4907, abs=5e-5)
 
     def test_four_ones(self):
-        assert scaling_coefficient(normalize_weights([1, 1, 1, 1])) == \
+        assert normalize_weights([1, 1, 1, 1]).s == \
             pytest.approx(2.0, abs=1e-12)
 
     def test_students_weights(self):
-        assert scaling_coefficient(normalize_weights([0.5, 0.6, 1.0])) == \
+        assert normalize_weights([0.5, 0.6, 1.0]).s == \
             pytest.approx(1.8127, abs=5e-5)
 
 
@@ -170,23 +169,23 @@ class TestDecisionMatrix:
     CRITERIA = [gain("Math", 0, 100), gain("Bio", 1, 6), gain("Art", 1, 6)]
 
     def test_from_rows(self):
-        m = DecisionMatrix.from_rows(
-            [("S1", [50.0, 3.0, 4.0]), ("S2", [70.0, 2.0, 5.0])],
+        m = DecisionMatrix.from_array(
+            ["S1", "S2"], [[50.0, 3.0, 4.0], [70.0, 2.0, 5.0]],
             self.CRITERIA)
         assert m.m == 2 and m.n == 3
         assert m.ids == ("S1", "S2")
-        assert [i for i, _ in m.alternatives] == ["S1", "S2"]
+        assert m.values.shape == (2, 3)
 
     def test_out_of_domain(self):
         with pytest.raises(OutOfDomain) as exc:
-            DecisionMatrix.from_rows([("S1", [120.0, 3.0, 4.0])],
-                                     self.CRITERIA)
+            DecisionMatrix.from_array(["S1"], [[120.0, 3.0, 4.0]],
+                                      self.CRITERIA)
         assert exc.value.row == 1
         assert exc.value.column == "Math"
 
     def test_clamp(self):
-        m = DecisionMatrix.from_rows([("S1", [120.0, 0.5, 4.0])],
-                                     self.CRITERIA, clamp=True)
+        m = DecisionMatrix.from_array(["S1"], [[120.0, 0.5, 4.0]],
+                                      self.CRITERIA, clamp=True)
         assert m.values[0, 0] == 100.0
         assert m.values[0, 1] == 1.0
 
@@ -194,44 +193,35 @@ class TestDecisionMatrix:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_refused(self, value, clamp):
         with pytest.raises(OutOfDomain, match="not finite") as exc:
-            DecisionMatrix.from_rows(
-                [("S1", [50.0, 3.0, 4.0]), ("S2", [50.0, value, 4.0])],
+            DecisionMatrix.from_array(
+                ["S1", "S2"], [[50.0, 3.0, 4.0], [50.0, value, 4.0]],
                 self.CRITERIA, clamp=clamp)
         assert exc.value.row == 2
         assert exc.value.column == "Bio"
 
     def test_first_fault_in_row_major_order(self):
-        rows = [("S1", [50.0, 3.0, 4.0]),
-                ("S2", [50.0, 3.0, 9.0]),         # Art out of domain
-                ("S3", [math.nan, 3.0, 4.0]),
-                ("S2", [50.0, 3.0, 4.0])]         # duplicate id
+        ids = ["S1", "S2", "S3", "S2"]     # S2 repeats in row 4
+        values = np.array([[50.0, 3.0, 4.0],
+                           [50.0, 3.0, 9.0],    # Art out of domain
+                           [math.nan, 3.0, 4.0],
+                           [50.0, 3.0, 4.0]])
         with pytest.raises(OutOfDomain) as exc:
-            DecisionMatrix.from_rows(rows, self.CRITERIA)
+            DecisionMatrix.from_array(ids, values, self.CRITERIA)
         assert (exc.value.row, exc.value.column) == (2, "Art")
         with pytest.raises(OutOfDomain) as exc:
-            DecisionMatrix.from_rows(rows, self.CRITERIA, clamp=True)
+            DecisionMatrix.from_array(ids, values, self.CRITERIA, clamp=True)
         assert (exc.value.row, exc.value.column) == (3, "Math")
         with pytest.raises(DuplicateName):
-            DecisionMatrix.from_rows(rows[:2] + rows[3:], self.CRITERIA,
-                                     clamp=True)
-        # row 2 repeats an id and is short: it faults before row 3's inf
-        with pytest.raises(DuplicateName):
-            DecisionMatrix.from_rows(
-                [("S1", [50.0, 3.0, 4.0]), ("S1", [1.0, 2.0]),
-                 ("S2", [50.0, 3.0, math.inf])], self.CRITERIA)
-        with pytest.raises(LengthMismatch):
-            DecisionMatrix.from_rows(
-                [("S1", [50.0, 3.0, 4.0]), ("S2", [1.0, 2.0]),
-                 ("S3", [50.0, 3.0, math.inf])], self.CRITERIA)
+            DecisionMatrix.from_array(ids[:2] + ids[3:], values[[0, 1, 3]],
+                                      self.CRITERIA, clamp=True)
 
     def test_from_array(self):
-        rows = [("S1", [50.0, 3.0, 4.0]), ("S2", [70.0, 2.0, 5.0])]
         m = DecisionMatrix.from_array(["S1", "S2"],
-                                      np.array([v for _, v in rows]),
+                                      np.array([[50.0, 3.0, 4.0],
+                                                [70.0, 2.0, 5.0]]),
                                       self.CRITERIA)
         assert m.ids == ("S1", "S2")
-        assert m.values.tolist() == DecisionMatrix.from_rows(
-            rows, self.CRITERIA).values.tolist()
+        assert m.values.tolist() == [[50.0, 3.0, 4.0], [70.0, 2.0, 5.0]]
         with pytest.raises(LengthMismatch):
             DecisionMatrix.from_array(["S1"], np.ones((1, 2)), self.CRITERIA)
         # a bad cell before the first repeated id is reported first
@@ -247,21 +237,21 @@ class TestDecisionMatrix:
 
     def test_duplicate_id(self):
         with pytest.raises(DuplicateName):
-            DecisionMatrix.from_rows(
-                [("S1", [1.0, 2, 3]), ("S1", [2.0, 3, 4])], self.CRITERIA)
+            DecisionMatrix.from_array(
+                ["S1", "S1"], [[1.0, 2, 3], [2.0, 3, 4]], self.CRITERIA)
 
     def test_row_length(self):
         with pytest.raises(LengthMismatch):
-            DecisionMatrix.from_rows([("S1", [1.0, 2])], self.CRITERIA)
+            DecisionMatrix.from_array(["S1"], [[1.0, 2]], self.CRITERIA)
 
     def test_values_read_only(self):
-        m = DecisionMatrix.from_rows([("S1", [50.0, 3.0, 4.0])],
-                                     self.CRITERIA)
+        m = DecisionMatrix.from_array(["S1"], [[50.0, 3.0, 4.0]],
+                                      self.CRITERIA)
         with pytest.raises(ValueError):
             m.values[0, 0] = 0.0
 
     def test_weight_vector(self):
         criteria = [gain("a", weight=2.0), gain("b", weight=1.0)]
-        w = DecisionMatrix.from_rows([("x", [1.0, 2.0])],
-                                     criteria).weight_vector()
+        w = DecisionMatrix.from_array(["x"], [[1.0, 2.0]],
+                                      criteria).weight_vector()
         assert w.weights.tolist() == [1.0, 0.5]

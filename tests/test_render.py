@@ -9,30 +9,29 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES
 from wmsdspace import geometry, render
-from wmsdspace.aggregate import agg_from_wmsd, agg_values
-from wmsdspace.errors import DegenerateCanvas, UnattainablePoint
-from wmsdspace.geometry import is_attainable
+from wmsdspace.aggregate import agg_values
+from wmsdspace.errors import (
+    DegenerateCanvas,
+    LengthMismatch,
+    UnattainablePoint,
+)
+from wmsdspace.geometry import attainable
 from wmsdspace.model import normalize_weights
 from wmsdspace.render import (
-    HOLLOW,
     MARGIN_L,
     MARGIN_T,
     PlotFrame,
     PlotSpec,
-    SOLID,
-    color_hex,
-    color_rgb,
     COLOR_ANCHORS,
     COLOR_QUANT_STEP,
-    colors_hex,
     colors_rgb,
     field_cells,
     render_overlay,
     render_panel_grid,
     render_wmsd_plot,
 )
-from wmsdspace.spaces import matrix_to_utility, to_weighted
-from wmsdspace.wmsd import WmsdPoint, wmsd_point
+from wmsdspace.spaces import utility_array
+from wmsdspace.wmsd import plane
 
 W3 = normalize_weights([0.5, 0.6, 1.0])
 
@@ -41,33 +40,37 @@ RECT_RE = re.compile(r'<rect x="([0-9.]+)" y="([0-9.]+)" '
                      r'fill="(#[0-9a-f]{6})"/>')
 
 
-def student_points(matrix, w):
-    return tuple(
-        (alt_id, wmsd_point(to_weighted(u, w), w), SOLID)
-        for alt_id, u in zip(matrix.ids, matrix_to_utility(matrix)))
+def columns(points):
+    """``ids``, ``wm`` and ``wsd`` keywords of ``(id, wm, wsd)`` triples."""
+    return {"ids": [p[0] for p in points], "wm": [p[1] for p in points],
+            "wsd": [p[2] for p in points]}
+
+
+def rgb(value):
+    """The colormap's RGB triple of one value."""
+    return tuple(colors_rgb(value)[0].tolist())
 
 
 @pytest.fixture(scope="module")
 def students_spec(students_matrix):
-    return PlotSpec(weights=W3, kind="R",
-                    points=student_points(students_matrix, W3),
-                    grid=64, show_isolines=(0.5,))
+    u = utility_array(students_matrix.values, students_matrix.criteria)
+    wm, wsd = plane(u * W3.weights, W3)
+    return PlotSpec(weights=W3, kind="R", ids=students_matrix.ids, wm=wm,
+                    wsd=wsd, grid=64, show_isolines=(0.5,))
 
 
 class TestColormap:
     def test_anchors(self):
-        assert color_hex(0.0) == "#00008b"
-        assert color_hex(0.25) == "#00bfbf"
-        assert color_hex(0.5) == "#008b00"
-        assert color_hex(0.75) == "#bfbf00"
-        assert color_hex(1.0) == "#8b0000"
+        assert colors_rgb([0.0, 0.25, 0.5, 0.75, 1.0]).tolist() == [
+            [0x00, 0x00, 0x8B], [0x00, 0xBF, 0xBF], [0x00, 0x8B, 0x00],
+            [0xBF, 0xBF, 0x00], [0x8B, 0x00, 0x00]]
 
     def test_interpolation_midpoint(self):
-        assert color_rgb(0.125) == (0, 96, 165)
+        assert rgb(0.125) == (0, 96, 165)
 
     def test_clipping(self):
-        assert color_hex(-0.2) == color_hex(0.0)
-        assert color_hex(1.4) == color_hex(1.0)
+        assert rgb(-0.2) == rgb(0.0)
+        assert rgb(1.4) == rgb(1.0)
 
     @staticmethod
     def reference_rgb(value):
@@ -101,8 +104,7 @@ class TestColormap:
                   + [v for v, _ in COLOR_ANCHORS] + ties)
         expected = [self.reference_rgb(v) for v in values]
         assert [tuple(r) for r in colors_rgb(values).tolist()] == expected
-        assert [color_rgb(v) for v in values] == expected
-        assert colors_hex(values) == [color_hex(v) for v in values]
+        assert [rgb(v) for v in values] == expected
 
 
 class TestSinglePlot:
@@ -139,7 +141,7 @@ class TestSinglePlot:
             wsd_v = (1.0 - (float(y) + cell_h / 2 - MARGIN_T)
                      / frame.plot_h) * frame.wsd_max
             value = float(agg_values("R", wm_v, wsd_v, W3.mean_w))
-            expected = color_rgb(value)
+            expected = rgb(value)
             got = tuple(int(fill[k:k + 2], 16) for k in (1, 3, 5))
             assert max(abs(a - b) for a, b in zip(expected, got)) <= 1
 
@@ -147,20 +149,33 @@ class TestSinglePlot:
         frame = PlotFrame(students_spec)
         nx = students_spec.grid
         diag = math.hypot(frame.wm_max / nx, frame.wsd_max / max(8, nx // 2))
-        for cell in field_cells(students_spec):
-            assert is_attainable(WmsdPoint(cell.wm, cell.wsd), W3, tol=diag)
+        cells = field_cells(students_spec)
+        assert attainable(W3, cells.wm, cells.wsd, tol=diag).all()
 
     def test_unattainable_point_raises(self):
-        bad = (("ghost", WmsdPoint(W3.mean_w, 0.3), SOLID),)
-        spec = PlotSpec(weights=W3, kind="R", points=bad, grid=16)
+        bad = columns([("ghost", W3.mean_w, 0.3)])
+        spec = PlotSpec(weights=W3, kind="R", grid=16, **bad)
         with pytest.raises(UnattainablePoint) as exc:
             render_wmsd_plot(spec)
         assert exc.value.point_id == "ghost"
 
     def test_force_plots_anyway(self):
-        bad = (("ghost", WmsdPoint(W3.mean_w, 0.3), SOLID),)
-        spec = PlotSpec(weights=W3, kind="R", points=bad, grid=16, force=True)
+        bad = columns([("ghost", W3.mean_w, 0.3)])
+        spec = PlotSpec(weights=W3, kind="R", grid=16, force=True, **bad)
         assert render_wmsd_plot(spec).count('class="marker"') == 1
+
+    def test_array_ids_reported_as_str(self):
+        spec = PlotSpec(weights=W3, kind="R", grid=16, ids=np.array(["a"]),
+                        wm=[0.69], wsd=[0.3])
+        with pytest.raises(UnattainablePoint) as exc:
+            render_wmsd_plot(spec)
+        assert type(exc.value.point_id) is str
+        assert str(exc.value).startswith("point 'a' at")
+
+    def test_marker_columns_of_equal_length(self):
+        with pytest.raises(LengthMismatch):
+            PlotSpec(weights=W3, kind="R", ids=["a", "b"], wm=[0.2, 0.3],
+                     wsd=[0.05])
 
     def test_degenerate_canvas(self):
         with pytest.raises(DegenerateCanvas):
@@ -174,35 +189,28 @@ class TestSinglePlot:
 class TestBatchedChecks:
     """Every point set is checked with one envelope evaluation."""
 
-    GOOD = (("g1", WmsdPoint(0.20, 0.05), SOLID),
-            ("g2", WmsdPoint(0.40, 0.02), SOLID))
-    BAD = (("b1", WmsdPoint(0.69, 0.3), SOLID),
-           ("b2", WmsdPoint(0.2, 0.3), SOLID))
+    GOOD = (("g1", 0.20, 0.05), ("g2", 0.40, 0.02))
+    BAD = (("b1", 0.69, 0.3), ("b2", 0.2, 0.3))
 
     @staticmethod
-    def message(pid, p):
-        return (f"point {pid!r} at ({p.wm:.6f}, {p.wsd:.6f}) lies outside "
+    def message(pid, wm, wsd):
+        return (f"point {pid!r} at ({wm:.6f}, {wsd:.6f}) lies outside "
                 f"the attainable region")
 
     @pytest.fixture
     def envelope_calls(self, monkeypatch):
-        """Counts envelope_wsd calls; is_attainable must not be used."""
+        """Counts envelope_wsd calls."""
         calls = []
-        env_fn, single_fn = geometry.envelope_wsd, geometry.is_attainable
+        env_fn = geometry.envelope_wsd
 
         def counted(*args, **kwargs):
             calls.append(1)
             return env_fn(*args, **kwargs)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("per-point is_attainable was called")
         for name, module in list(sys.modules.items()):
             if name == "wmsdspace" or name.startswith("wmsdspace."):
                 for key, val in list(vars(module).items()):
                     if val is env_fn:
                         monkeypatch.setattr(module, key, counted)
-                    elif val is single_fn and name != "wmsdspace.geometry":
-                        monkeypatch.setattr(module, key, refuse)
         return calls
 
     def test_calls_independent_of_marker_count(self, run_cli, tmp_path,
@@ -228,48 +236,48 @@ class TestBatchedChecks:
 
     def test_plot_reports_first_in_input_order(self):
         pts = self.GOOD[:1] + self.BAD[::-1] + self.GOOD[1:]
-        spec = PlotSpec(weights=W3, kind="R", points=pts, grid=16)
+        spec = PlotSpec(weights=W3, kind="R", grid=16, **columns(pts))
         with pytest.raises(UnattainablePoint) as exc:
             render_wmsd_plot(spec)
-        pid, p, _ = self.BAD[1]
+        pid = self.BAD[1][0]
         assert exc.value.point_id == pid
-        assert str(exc.value) == self.message(pid, p)
+        assert str(exc.value) == self.message(*self.BAD[1])
 
     def test_overlay_checks_first_then_second_snapshot(self):
         base = PlotSpec(weights=W3, kind="R", grid=16)
-        snap = [(pid, p) for pid, p, _ in self.GOOD + self.BAD[:1]]
-        later = [(pid, p) for pid, p, _ in self.BAD[1:] + self.GOOD]
-        for a, b, (pid, p) in ((snap, later, snap[2]), (later, snap, later[0]),
-                               (snap[:2], later, later[0])):
+        snap = self.GOOD + self.BAD[:1]
+        later = self.BAD[1:] + self.GOOD
+        for a, b, bad in ((snap, later, snap[2]), (later, snap, later[0]),
+                          (snap[:2], later, later[0])):
             with pytest.raises(UnattainablePoint) as exc:
-                render_overlay(base, a, b)
-            assert exc.value.point_id == pid
-            assert str(exc.value) == self.message(pid, p)
+                render_overlay(base, tuple(columns(a).values()),
+                               tuple(columns(b).values()))
+            assert exc.value.point_id == bad[0]
+            assert str(exc.value) == self.message(*bad)
 
     def test_panel_grid_reports_first_bad_panel(self):
-        specs = [PlotSpec(weights=W3, kind="R", grid=16, points=pts)
+        specs = [PlotSpec(weights=W3, kind="R", grid=16, **columns(pts))
                  for pts in (self.GOOD, self.GOOD + self.BAD[1:],
                              self.BAD)]
         with pytest.raises(UnattainablePoint) as exc:
             render_panel_grid(specs, columns=2)
-        pid, p, _ = self.BAD[1]
+        pid = self.BAD[1][0]
         assert exc.value.point_id == pid
-        assert str(exc.value) == f"panel 1: {self.message(pid, p)}"
+        assert str(exc.value) == f"panel 1: {self.message(*self.BAD[1])}"
 
     def test_force_skips_check(self, envelope_calls):
         pts = self.GOOD + self.BAD
-        forced = PlotSpec(weights=W3, kind="R", grid=16, points=pts,
-                          force=True)
+        forced = PlotSpec(weights=W3, kind="R", grid=16, force=True,
+                          **columns(pts))
         plain = PlotSpec(weights=W3, kind="R", grid=16)
         assert render_wmsd_plot(forced).count('class="marker"') == 4
         forced_calls = len(envelope_calls)
         envelope_calls.clear()
         render_wmsd_plot(plain)  # no points, so no check
         assert len(envelope_calls) == forced_calls
+        bad = tuple(columns(self.BAD).values())
         svg = render_overlay(PlotSpec(weights=W3, kind="R", grid=16,
-                                      force=True),
-                             [(pid, p) for pid, p, _ in self.BAD],
-                             [(pid, p) for pid, p, _ in self.BAD])
+                                      force=True), bad, bad)
         assert svg.count('class="marker"') == 4
 
 
@@ -322,17 +330,17 @@ class TestPanelGrid:
     def test_cell_error_carries_index(self):
         specs = self.make_specs(2)
         bad = PlotSpec(weights=W3, kind="R", grid=16,
-                       points=(("x", WmsdPoint(0.69, 0.3), SOLID),))
+                       **columns([("x", 0.69, 0.3)]))
         with pytest.raises(UnattainablePoint, match="panel 2"):
             render_panel_grid(specs + [bad], columns=2)
 
 
 class TestOverlay:
     BASE = PlotSpec(weights=W3, kind="R", grid=16)
-    A = (("p1", WmsdPoint(0.20, 0.05)), ("p2", WmsdPoint(0.40, 0.02)),
-         ("p3", WmsdPoint(0.55, 0.01)), ("p4", WmsdPoint(0.10, 0.04)))
-    B = (("p1", WmsdPoint(0.25, 0.06)), ("p2", WmsdPoint(0.35, 0.01)),
-         ("p3", WmsdPoint(0.60, 0.02)), ("p4", WmsdPoint(0.12, 0.08)))
+    A = (("p1", "p2", "p3", "p4"), [0.20, 0.40, 0.55, 0.10],
+         [0.05, 0.02, 0.01, 0.04])
+    B = (("p1", "p2", "p3", "p4"), [0.25, 0.35, 0.60, 0.12],
+         [0.06, 0.01, 0.02, 0.08])
 
     def test_marker_and_arrow_counts(self):
         svg = render_overlay(self.BASE, self.A, self.B)
@@ -353,15 +361,13 @@ class TestOverlay:
 
     def test_left_region_spread_gain(self):
         # moving a left-half point up in WSD raises its relative score
-        old = WmsdPoint(0.20, 0.05)
-        new = WmsdPoint(0.20, 0.15)
-        r_old = agg_from_wmsd("R", old, W3.mean_w)
-        r_new = agg_from_wmsd("R", new, W3.mean_w)
+        r_old, r_new = agg_values("R", 0.20, np.array([0.05, 0.15]),
+                                  W3.mean_w)
         assert r_new > r_old
-        assert color_rgb(r_new) != color_rgb(r_old)
+        assert rgb(r_new) != rgb(r_old)
 
     def test_unattainable_snapshot_point(self):
-        bad = (("p1", WmsdPoint(0.69, 0.3)),)
+        bad = (("p1",), [0.69], [0.3])
         with pytest.raises(UnattainablePoint):
             render_overlay(self.BASE, bad, bad)
 
@@ -398,6 +404,6 @@ class TestQuantizationStep:
         # two values one quantization step apart differ by at most one
         # 8-bit unit per channel
         for v in (0.1, 0.3, 0.6, 0.9):
-            a = color_rgb(v)
-            b = color_rgb(v + COLOR_QUANT_STEP)
+            a = rgb(v)
+            b = rgb(v + COLOR_QUANT_STEP)
             assert max(abs(x - y) for x, y in zip(a, b)) <= 1

@@ -5,17 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wmsdspace.errors import LengthMismatch, OutOfDomain, WeightMismatch
+from wmsdspace.aggregate import agg_rows
+from wmsdspace.errors import OutOfDomain
 from wmsdspace.model import CriterionSpec, DecisionMatrix, normalize_weights, \
     uniform_weights
-from wmsdspace.spaces import (
-    euclid,
-    matrix_to_utility,
-    rescaled_euclid,
-    to_utility,
-    to_weighted,
-    weighted_rescaled_euclid,
-)
+from wmsdspace.spaces import utility_array
+from wmsdspace.wmsd import plane
 
 MATH = CriterionSpec("Math", 0, 100, "gain", 0.5)
 BIO = CriterionSpec("Bio", 1, 6, "gain", 0.6)
@@ -23,22 +18,36 @@ ART = CriterionSpec("Art", 1, 6, "gain", 1.0)
 COST16 = CriterionSpec("cost", 1, 6, "cost", 1.0)
 
 
+def utilities(values, spec):
+    """``utility_array`` of one column of raw values under ``spec``."""
+    return utility_array(np.array(values, dtype=float)[:, None], [spec])[:, 0]
+
+
+def scaled_distance(a, b, w):
+    """|a - b| / s: the anti-ideal distance ``agg_rows`` measures for the
+    difference rows, rescaled from A."""
+    diff = np.atleast_2d(np.asarray(a, dtype=float) - np.asarray(b, float))
+    return agg_rows("A", diff, w) * w.mean_w
+
+
 class TestToUtility:
     def test_gain_examples(self):
-        assert to_utility(93.67, MATH) == pytest.approx(0.9367, abs=1e-12)
-        assert to_utility(5.05, BIO) == pytest.approx(0.81, abs=1e-12)
+        assert utilities([93.67], MATH)[0] == pytest.approx(0.9367,
+                                                            abs=1e-12)
+        assert utilities([5.05], BIO)[0] == pytest.approx(0.81, abs=1e-12)
 
     def test_cost_worst(self):
-        assert to_utility(6, COST16) == 0.0
-        assert to_utility(1, COST16) == 1.0
+        assert utilities([6, 1], COST16).tolist() == [0.0, 1.0]
 
     def test_out_of_domain(self):
         with pytest.raises(OutOfDomain):
-            to_utility(101, MATH)
+            DecisionMatrix.from_array(["x"], [[101.0]], [MATH])
 
     def test_clamp(self):
-        assert to_utility(101, MATH, clamp=True) == 1.0
-        assert to_utility(-5, MATH, clamp=True) == 0.0
+        m = DecisionMatrix.from_array(["x", "y"], [[101.0], [-5.0]], [MATH],
+                                      clamp=True)
+        assert utility_array(m.values, m.criteria)[:, 0].tolist() == \
+            [1.0, 0.0]
 
     @given(st.floats(min_value=0, max_value=100, allow_nan=False),
            st.floats(min_value=0, max_value=100, allow_nan=False))
@@ -46,97 +55,93 @@ class TestToUtility:
         lo, hi = min(a, b), max(a, b)
         if hi - lo < 1e-9:  # below the rescaling's resolution
             return
-        assert to_utility(lo, MATH) < to_utility(hi, MATH)
+        u_lo, u_hi = utilities([lo, hi], MATH)
+        assert u_lo < u_hi
         spec = CriterionSpec("c", 0, 100, "cost", 1.0)
-        assert to_utility(lo, spec) > to_utility(hi, spec)
+        u_lo, u_hi = utilities([lo, hi], spec)
+        assert u_lo > u_hi
 
 
 class TestMatrixToUtility:
     def test_extremes(self):
-        m = DecisionMatrix.from_rows(
-            [("S10", [0.0, 1.0, 1.0]), ("S12", [100.0, 6.0, 6.0])],
+        m = DecisionMatrix.from_array(
+            ["S10", "S12"], [[0.0, 1.0, 1.0], [100.0, 6.0, 6.0]],
             [MATH, BIO, ART])
-        us = matrix_to_utility(m)
-        assert us[0].coords.tolist() == [0.0, 0.0, 0.0]
-        assert us[1].coords.tolist() == [1.0, 1.0, 1.0]
+        us = utility_array(m.values, m.criteria)
+        assert us[0].tolist() == [0.0, 0.0, 0.0]
+        assert us[1].tolist() == [1.0, 1.0, 1.0]
 
     def test_percent_domains(self):
         crit = [CriterionSpec(n, 0, 100, "gain", 1.0)
                 for n in ("a", "b", "c", "d")]
-        m = DecisionMatrix.from_rows(
-            [("CHL", [62.43, 82.43, 75.37, 81.27])], crit)
-        u = matrix_to_utility(m)[0]
-        assert np.allclose(u.coords, [0.6243, 0.8243, 0.7537, 0.8127],
-                           atol=1e-12)
+        m = DecisionMatrix.from_array(["CHL"], [[62.43, 82.43, 75.37, 81.27]],
+                                      crit)
+        u = utility_array(m.values, m.criteria)[0]
+        assert np.allclose(u, [0.6243, 0.8243, 0.7537, 0.8127], atol=1e-12)
 
 
 class TestToWeighted:
     def test_worked_example(self):
         w = normalize_weights([1.0, 0.5])
-        v = to_weighted([0.75, 0.50], w)
-        assert v.coords.tolist() == [0.75, 0.25]
+        v = np.array([0.75, 0.50]) * w.weights
+        assert v.tolist() == [0.75, 0.25]
 
     def test_identity_weights(self):
         w = uniform_weights(3)
         u = [0.2, 0.9, 0.4]
-        assert to_weighted(u, w).coords.tolist() == u
+        assert (np.array(u) * w.weights).tolist() == u
 
     def test_students_row(self):
         w = normalize_weights([0.5, 0.6, 1.0])
-        v = to_weighted([0.9367, 0.81, 0.278], w)
-        assert np.allclose(v.coords, [0.47, 0.49, 0.28], atol=0.005)
+        v = np.array([0.9367, 0.81, 0.278]) * w.weights
+        assert np.allclose(v, [0.47, 0.49, 0.28], atol=0.005)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            to_weighted([0.1, 0.2, 0.3], normalize_weights([1.0, 0.5]))
+        with pytest.raises(ValueError):
+            plane(np.array([[0.1, 0.2, 0.3]]), normalize_weights([1.0, 0.5]))
 
 
 class TestDistances:
+    ONES2 = uniform_weights(2)
+
     def test_euclid_diagonal(self):
-        assert euclid([0, 0], [1, 1]) == pytest.approx(math.sqrt(2))
+        # |a - b| = s * scaled distance; s = sqrt(n) under all-ones weights
+        d = scaled_distance([0, 0], [1, 1], self.ONES2)[0] * self.ONES2.s
+        assert d == pytest.approx(math.sqrt(2))
 
     def test_euclid_norm(self):
-        assert euclid([1.0, 0.5], [0, 0]) == pytest.approx(1.1180, abs=5e-5)
+        d = scaled_distance([1.0, 0.5], [0, 0], self.ONES2)[0] * self.ONES2.s
+        assert d == pytest.approx(1.1180, abs=5e-5)
 
     def test_euclid_identity(self):
-        assert euclid([0.3, 0.7], [0.3, 0.7]) == 0.0
+        assert scaled_distance([0.3, 0.7], [0.3, 0.7], self.ONES2)[0] == 0.0
 
     def test_rescaled_extremes(self):
-        assert rescaled_euclid([1, 1, 1], [0, 0, 0]) == pytest.approx(1.0)
-        assert rescaled_euclid([0.4, 0.2], [0.4, 0.2]) == 0.0
+        assert agg_rows("A", np.array([[1.0, 1, 1]]), uniform_weights(3))[0] \
+            == pytest.approx(1.0)
+        assert scaled_distance([0.4, 0.2], [0.4, 0.2], self.ONES2)[0] == 0.0
 
     def test_rescaled_student(self):
-        u = [0.9367, 0.81, 0.278]
-        assert 1 - rescaled_euclid(u, [1, 1, 1]) == pytest.approx(0.57,
-                                                                  abs=0.005)
+        u = np.array([[0.9367, 0.81, 0.278]])
+        assert agg_rows("I", u, uniform_weights(3))[0] == pytest.approx(
+            0.57, abs=0.005)
 
     def test_weighted_worked_example(self):
         w = normalize_weights([1.0, 0.5])
-        v = to_weighted([0.75, 0.50], w)
-        assert weighted_rescaled_euclid(v, [0, 0], w) == pytest.approx(
+        v = np.array([[0.75, 0.50]]) * w.weights
+        assert agg_rows("A", v, w)[0] * w.mean_w == pytest.approx(
             0.53, abs=0.005)
-        assert weighted_rescaled_euclid(v, w.weights, w) == pytest.approx(
+        assert (1 - agg_rows("I", v, w)[0]) * w.mean_w == pytest.approx(
             0.24, abs=0.005)
 
     def test_weighted_full_span(self):
         w = normalize_weights([0.3, 0.8, 1.0])
-        assert weighted_rescaled_euclid(w.weights, [0, 0, 0], w) == \
+        assert agg_rows("A", w.weights[None], w)[0] * w.mean_w == \
             pytest.approx(w.mean_w, abs=1e-12)
 
-    def test_weight_mismatch(self):
-        w1 = normalize_weights([1.0, 0.5])
-        w2 = normalize_weights([1.0, 1.0])
-        v = to_weighted([0.5, 0.5], w1)
-        with pytest.raises(WeightMismatch):
-            weighted_rescaled_euclid(v, v, w2)
-
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            euclid([1, 2], [1, 2, 3])
-
-
-coords = st.lists(st.floats(min_value=0, max_value=1, allow_nan=False),
-                  min_size=2, max_size=8)
+        with pytest.raises(ValueError):
+            agg_rows("A", np.array([[1.0, 2.0, 3.0]]), self.ONES2)
 
 
 @st.composite
@@ -150,18 +155,16 @@ def utility_pairs(draw):
 class TestDistanceProperties:
     @given(utility_pairs())
     def test_all_ones_reduction(self, pair):
-        a, b = pair
+        a, b = map(np.array, pair)
         w = uniform_weights(len(a))
-        va, vb = to_weighted(a, w), to_weighted(b, w)
-        assert abs(weighted_rescaled_euclid(va, vb, w)
-                   - rescaled_euclid(a, b)) < 1e-12
+        d = scaled_distance(a * w.weights, b * w.weights, w)[0]
+        assert abs(d - np.linalg.norm(a - b) / math.sqrt(len(a))) < 1e-12
 
     @given(utility_pairs())
     def test_weighted_range(self, pair):
-        a, b = pair
+        a, b = map(np.array, pair)
         w = normalize_weights(np.linspace(0.2, 1.0, len(a)))
-        va, vb = to_weighted(a, w), to_weighted(b, w)
-        d = weighted_rescaled_euclid(va, vb, w)
+        d = scaled_distance(a * w.weights, b * w.weights, w)[0]
         assert 0.0 <= d <= w.mean_w + 1e-12
 
     def test_symmetry_and_triangle(self):
@@ -170,7 +173,8 @@ class TestDistanceProperties:
             n = rng.integers(2, 7)
             a, b, c = rng.random((3, n))
             w = normalize_weights(rng.random(n) + 0.05)
-            for dist in (euclid, rescaled_euclid,
-                         lambda x, y: weighted_rescaled_euclid(x, y, w)):
+            for ww in (uniform_weights(n), w):
+                def dist(x, y):
+                    return scaled_distance(x, y, ww)[0]
                 assert dist(a, b) == pytest.approx(dist(b, a), abs=1e-15)
                 assert dist(a, c) <= dist(a, b) + dist(b, c) + 1e-12

@@ -3,99 +3,102 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wmsdspace.aggregate import AggregationKind, agg_weighted
+from wmsdspace.aggregate import AggregationKind, agg_rows, agg_values
 from wmsdspace.model import normalize_weights, uniform_weights
-from wmsdspace.spaces import to_weighted, weighted_rescaled_euclid
-from wmsdspace.wmsd import (
-    WmsdPoint,
-    ia_distances,
-    msd,
-    project,
-    wm,
-    wmsd_point,
-    wsd,
-)
+from wmsdspace.wmsd import _split, mean_sd, plane
 
 W2 = normalize_weights([1.0, 0.5])
-V2 = to_weighted([0.75, 0.50], W2)
+V2 = np.array([[0.75, 0.50]]) * W2.weights
 W3 = normalize_weights([0.5, 0.6, 1.0])
+
+
+def distances(wm, wsd, mean_w):
+    """(d_anti, d_ideal) from plane coordinates, via A and I."""
+    return (agg_values("A", wm, wsd, mean_w) * mean_w,
+            (1 - agg_values("I", wm, wsd, mean_w)) * mean_w)
+
+
+def box_distances(v, w):
+    """(d_anti, d_ideal) of weighted rows, measured in the box."""
+    return (agg_rows("A", v, w) * w.mean_w,
+            (1 - agg_rows("I", v, w)) * w.mean_w)
 
 
 class TestWorkedExample:
     def test_projection(self):
-        pair = project(V2, W2)
-        assert np.max(np.abs(pair.proj - [0.70, 0.35])) < 1e-12
+        _, proj, _ = _split(V2, W2)
+        assert np.max(np.abs(proj[0] - [0.70, 0.35])) < 1e-12
 
     def test_rejection(self):
-        pair = project(V2, W2)
-        assert np.max(np.abs(pair.rej - [0.05, -0.10])) < 1e-12
+        _, _, rej = _split(V2, W2)
+        assert np.max(np.abs(rej[0] - [0.05, -0.10])) < 1e-12
 
     def test_wm(self):
-        assert wm(V2, W2) == pytest.approx(0.525, abs=1e-12)
+        assert plane(V2, W2)[0][0] == pytest.approx(0.525, abs=1e-12)
 
     def test_wsd(self):
-        assert wsd(V2, W2) == pytest.approx(0.075, abs=1e-12)
+        assert plane(V2, W2)[1][0] == pytest.approx(0.075, abs=1e-12)
 
     def test_ia_distances(self):
-        d_anti, d_ideal = ia_distances(WmsdPoint(0.525, 0.075), 0.75)
+        d_anti, d_ideal = distances(0.525, 0.075, 0.75)
         assert d_anti == pytest.approx(0.53, abs=0.005)
         assert d_ideal == pytest.approx(0.24, abs=0.005)
 
 
 class TestProjection:
     def test_diagonal_point_has_no_rejection(self):
-        v = 0.37 * W2.weights
-        pair = project(v, W2)
-        assert np.max(np.abs(pair.rej)) < 1e-15
+        v = 0.37 * W2.weights[None]
+        _, _, rej = _split(v, W2)
+        assert np.max(np.abs(rej)) < 1e-15
 
     def test_ideal_image(self):
-        assert wm(W3.weights, W3) == pytest.approx(W3.mean_w, abs=1e-12)
-        assert wsd(W3.weights, W3) == pytest.approx(0.0, abs=1e-15)
+        wm, wsd = plane(W3.weights[None], W3)
+        assert wm[0] == pytest.approx(W3.mean_w, abs=1e-12)
+        assert wsd[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_anti_ideal_image(self):
-        assert wm([0, 0, 0], W3) == 0.0
-        assert wsd([0, 0, 0], W3) == 0.0
+        wm, wsd = plane(np.zeros((1, 3)), W3)
+        assert wm[0] == 0.0
+        assert wsd[0] == 0.0
 
     def test_student_row(self):
-        v = to_weighted([0.9367, 0.81, 0.278], W3)
-        p = wmsd_point(v, W3)
-        assert p.wm == pytest.approx(0.35, abs=0.005)
-        assert p.wsd == pytest.approx(0.20, abs=0.005)
+        v = np.array([[0.9367, 0.81, 0.278]]) * W3.weights
+        wm, wsd = plane(v, W3)
+        assert wm[0] == pytest.approx(0.35, abs=0.005)
+        assert wsd[0] == pytest.approx(0.20, abs=0.005)
 
 
 class TestMsd:
     def test_mid_dispersion_row(self):
-        p = msd([0.5949, 0.494, 0.822])
-        assert p.wm == pytest.approx(0.64, abs=0.005)
-        assert p.wsd == pytest.approx(0.14, abs=0.005)
+        m, sd = mean_sd(np.array([[0.5949, 0.494, 0.822]]))
+        assert m[0] == pytest.approx(0.64, abs=0.005)
+        assert sd[0] == pytest.approx(0.14, abs=0.005)
 
     def test_high_dispersion_row(self):
-        p = msd([1.0, 0.088, 0.974])
-        assert p.wm == pytest.approx(0.69, abs=0.005)
-        assert p.wsd == pytest.approx(0.42, abs=0.005)
+        m, sd = mean_sd(np.array([[1.0, 0.088, 0.974]]))
+        assert m[0] == pytest.approx(0.69, abs=0.005)
+        assert sd[0] == pytest.approx(0.42, abs=0.005)
 
     def test_constant_vector(self):
-        p = msd([0.3, 0.3, 0.3, 0.3])
-        assert p.wm == pytest.approx(0.3, abs=1e-15)
-        assert p.wsd == 0.0
+        m, sd = mean_sd(np.array([[0.3, 0.3, 0.3, 0.3]]))
+        assert m[0] == pytest.approx(0.3, abs=1e-15)
+        assert sd[0] == 0.0
 
     def test_population_variance(self):
-        u = [0.0, 1.0]
-        assert msd(u).wsd == pytest.approx(0.5, abs=1e-15)  # not 1/sqrt(2)
+        u = np.array([[0.0, 1.0]])
+        assert mean_sd(u)[1][0] == pytest.approx(0.5, abs=1e-15)  # not 1/sqrt(2)
 
 
 class TestIaDistances:
     def test_ideal_point(self):
-        assert ia_distances(WmsdPoint(0.7, 0.0), 0.7) == (0.7, 0.0)
+        assert distances(0.7, 0.0, 0.7) == (0.7, 0.0)
 
     def test_matches_direct_distances(self):
-        v = to_weighted([0.9367, 0.81, 0.278], W3)
-        p = wmsd_point(v, W3)
-        d_anti, d_ideal = ia_distances(p, W3.mean_w)
-        assert d_anti == pytest.approx(
-            weighted_rescaled_euclid(v, np.zeros(3), W3), abs=1e-12)
-        assert d_ideal == pytest.approx(
-            weighted_rescaled_euclid(v, W3.weights, W3), abs=1e-12)
+        v = np.array([[0.9367, 0.81, 0.278]]) * W3.weights
+        d_anti, d_ideal = distances(*plane(v, W3), W3.mean_w)
+        direct_anti, direct_ideal = box_distances(v, W3)
+        assert d_anti[0] == pytest.approx(direct_anti[0], abs=1e-12)
+        assert d_ideal[0] == pytest.approx(direct_ideal[0], abs=1e-12)
 
 
 @st.composite
@@ -106,46 +109,45 @@ def utility_and_weights(draw):
     w_raw = draw(st.lists(
         st.floats(min_value=0, max_value=1, allow_nan=False),
         min_size=n, max_size=n).filter(lambda xs: max(xs) > 1e-6))
-    return u, normalize_weights(w_raw)
+    return np.array([u]), normalize_weights(w_raw)
 
 
 class TestProperties:
     @given(utility_and_weights())
     def test_reconstruction_and_orthogonality(self, uw):
         u, w = uw
-        v = to_weighted(u, w)
-        pair = project(v, w)
-        assert np.max(np.abs((pair.proj + pair.rej) - v.coords)) < 1e-12
-        assert abs(float(pair.proj @ pair.rej)) < 1e-12
+        v = u * w.weights
+        _, proj, rej = _split(v, w)
+        assert np.max(np.abs((proj + rej) - v)) < 1e-12
+        assert abs(float(proj[0] @ rej[0])) < 1e-12
 
     @given(utility_and_weights())
     def test_pythagoras(self, uw):
         u, w = uw
-        pair = project(to_weighted(u, w), w)
-        lhs = float(pair.proj @ pair.proj) + float(pair.rej @ pair.rej)
-        rhs = float(np.dot(to_weighted(u, w).coords,
-                           to_weighted(u, w).coords))
+        v = u * w.weights
+        _, proj, rej = _split(v, w)
+        lhs = float(proj[0] @ proj[0]) + float(rej[0] @ rej[0])
+        rhs = float(np.dot(v[0], v[0]))
         assert abs(lhs - rhs) < 1e-10
 
     @given(utility_and_weights())
     def test_ia_identity(self, uw):
         u, w = uw
-        v = to_weighted(u, w)
-        p = wmsd_point(v, w)
-        d_anti, d_ideal = ia_distances(p, w.mean_w)
-        assert abs(d_anti - weighted_rescaled_euclid(
-            v, np.zeros(w.n), w)) < 1e-12
-        assert abs(d_ideal - weighted_rescaled_euclid(
-            v, w.weights, w)) < 1e-12
+        v = u * w.weights
+        d_anti, d_ideal = distances(*plane(v, w), w.mean_w)
+        direct_anti, direct_ideal = box_distances(v, w)
+        assert abs(d_anti[0] - direct_anti[0]) < 1e-12
+        assert abs(d_ideal[0] - direct_ideal[0]) < 1e-12
 
     @given(st.lists(st.floats(min_value=0, max_value=1, allow_nan=False),
                     min_size=2, max_size=10))
     def test_msd_reduction(self, u):
-        w = uniform_weights(len(u))
-        p = wmsd_point(to_weighted(u, w), w)
-        m = msd(u)
-        assert abs(p.wm - m.wm) < 1e-12
-        assert abs(p.wsd - m.wsd) < 1e-12
+        u = np.array([u])
+        w = uniform_weights(u.shape[1])
+        wm, wsd = plane(u * w.weights, w)
+        m, sd = mean_sd(u)
+        assert abs(wm[0] - m[0]) < 1e-12
+        assert abs(wsd[0] - sd[0]) < 1e-12
 
     @given(utility_and_weights(),
            st.floats(min_value=0, max_value=1, allow_nan=False))
@@ -154,13 +156,13 @@ class TestProperties:
         u, w = uw
         n = w.n
         w_pad = normalize_weights(list(w.weights) + [0.0])
-        v = to_weighted(u, w)
-        v_pad = to_weighted(list(u) + [extra_u], w_pad)
-        p = wmsd_point(v, w)
-        p_pad = wmsd_point(v_pad, w_pad)
+        v = u * w.weights
+        v_pad = np.append(u, [[extra_u]], axis=1) * w_pad.weights
+        wm, wsd = plane(v, w)
+        wm_pad, wsd_pad = plane(v_pad, w_pad)
         scale = n / (n + 1)
-        assert abs(p_pad.wm - p.wm * scale) < 1e-12
-        assert abs(p_pad.wsd - p.wsd * scale) < 1e-12
+        assert abs(wm_pad[0] - wm[0] * scale) < 1e-12
+        assert abs(wsd_pad[0] - wsd[0] * scale) < 1e-12
         for kind in AggregationKind:
-            assert abs(agg_weighted(kind, v_pad, w_pad)
-                       - agg_weighted(kind, v, w)) < 1e-12
+            assert abs(agg_rows(kind, v_pad, w_pad)[0]
+                       - agg_rows(kind, v, w)[0]) < 1e-12
