@@ -5,55 +5,52 @@ aggregations under arbitrary non-negative criteria weights and maps every
 alternative to a weight-scaled mean / weight-scaled standard deviation
 pair, where scores, attainable regions, and score level sets all have
 exact geometric form.
+
+Public names are imported from their modules on first use (PEP 562), so
+``import wmsdspace`` loads no submodule and a CLI command loads only the
+modules it runs.
 """
 
-from .aggregate import (
-    AggregationKind,
-    Ranking,
-    RankingComparison,
-    agg_rows,
-    agg_values,
-    compare_rankings,
-    rank_array,
-)
-from .errors import WmsdError
-from .geometry import (
-    BoundaryEnvelope,
-    Isoline,
-    attainable,
-    boundary,
-    boundary_sampled,
-    envelope,
-    envelope_wsd,
-    isoline,
-    vertex_images,
-)
-from .model import (
-    CriterionSpec,
-    DecisionMatrix,
-    WeightVector,
-    normalize_weights,
-    uniform_weights,
-    validate_criteria,
-)
-from .render import (
-    PlotSpec,
-    colors_rgb,
-    render_overlay,
-    render_panel_grid,
-    render_wmsd_plot,
-)
-from .spaces import utility_array
-from .wmsd import mean_sd, plane
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AggregationKind", "BoundaryEnvelope", "CriterionSpec", "DecisionMatrix",
-    "Isoline", "PlotSpec", "Ranking", "RankingComparison", "WeightVector",
-    "WmsdError", "agg_rows", "agg_values", "attainable", "boundary",
-    "boundary_sampled", "colors_rgb", "compare_rankings", "envelope",
-    "envelope_wsd", "isoline", "mean_sd", "normalize_weights", "plane",
-    "rank_array", "render_overlay", "render_panel_grid", "render_wmsd_plot",
-    "uniform_weights", "utility_array", "validate_criteria", "vertex_images",
-]
+# Every public name and the submodule that defines it.
+_HOME = {
+    "AggregationKind": "aggregate", "Ranking": "aggregate",
+    "RankingComparison": "aggregate", "agg_rows": "aggregate",
+    "agg_values": "aggregate", "compare_rankings": "aggregate",
+    "rank_array": "aggregate",
+    "WmsdError": "errors",
+    "BoundaryEnvelope": "geometry", "Isoline": "geometry",
+    "attainable": "geometry", "boundary": "geometry",
+    "boundary_sampled": "geometry", "envelope": "geometry",
+    "envelope_wsd": "geometry", "isoline": "geometry",
+    "vertex_images": "geometry",
+    "CriterionSpec": "model", "DecisionMatrix": "model",
+    "WeightVector": "model", "normalize_weights": "model",
+    "uniform_weights": "model", "validate_criteria": "model",
+    "PlotSpec": "render", "colors_rgb": "render",
+    "render_overlay": "render", "render_panel_grid": "render",
+    "render_wmsd_plot": "render",
+    "utility_array": "spaces",
+    "mean_sd": "wmsd", "plane": "wmsd",
+}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    """Import a public name, or a submodule that defines one, on first
+    access; a public name is then cached in the package namespace."""
+    if name in _HOME.values():
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

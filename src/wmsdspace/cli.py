@@ -9,12 +9,14 @@ rounded to 6 decimal places.
 Errors are emitted as single-line JSON records on stderr; the exit code
 is 0 on success, 1 for validation errors, 2 for refused computations,
 and 3 for I/O failures.
+
+Geometry, rendering and the ``csv`` module are imported inside the
+functions that use them, so each command loads only what it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -22,7 +24,7 @@ import sys
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -42,7 +44,6 @@ from .errors import (
     ValidationError,
     WmsdError,
 )
-from .geometry import boundary
 from .model import (
     COST,
     GAIN,
@@ -53,15 +54,12 @@ from .model import (
     uniform_weights,
     validate_criteria,
 )
-from .render import (
-    PlotSpec,
-    render_overlay,
-    render_panel_grid,
-    render_wmsd_plot,
-)
 from ._text import _CHUNK_ROWS, rows as _rows
 from .spaces import utility_array
 from .wmsd import mean_sd, plane
+
+if TYPE_CHECKING:
+    from .render import PlotSpec
 
 DEFAULT_TIE_TOLERANCE = 1e-9
 # Largest plot --grid: the field has grid * grid / 2 cells, so 1024 gives
@@ -229,6 +227,8 @@ def _split_plain(csv_text: str, names: tuple[str, ...]):
 
 def _read_matrix_csv(csv_text: str, config: RunConfig) -> DecisionMatrix:
     """Parse a dataset with the csv module; raises every ingest error."""
+    import csv
+
     # The plain path reads cells of any length, so this one must too.  The
     # limit is process-wide, so it is put back.
     limit = csv.field_size_limit()
@@ -243,6 +243,8 @@ def _read_matrix_csv(csv_text: str, config: RunConfig) -> DecisionMatrix:
 
 def _csv_cells(csv_text: str, names: tuple[str, ...]):
     """``(ids, values)`` of a dataset read with the csv module."""
+    import csv
+
     reader = csv.reader(io.StringIO(csv_text))
     try:
         header = next(reader, None)
@@ -282,11 +284,16 @@ def _csv_cells(csv_text: str, names: tuple[str, ...]):
     return ids, np.array(rows, dtype=float).reshape(len(ids), len(names))
 
 
+def _weights(config: RunConfig, weighted: bool) -> WeightVector:
+    """The config's weights, or all ones when scoring unweighted."""
+    if weighted:
+        return config.weight_vector
+    return uniform_weights(len(config.criteria))
+
+
 def _scores(matrix: DecisionMatrix, w: WeightVector,
-            kind: AggregationKind, weighted: bool) -> np.ndarray:
+            kind: AggregationKind) -> np.ndarray:
     """Scores of all alternatives, in matrix order, as one array."""
-    if not weighted:
-        w = uniform_weights(matrix.n)
     u = utility_array(matrix.values, matrix.criteria)
     return agg_rows(kind, u * w.weights, w)
 
@@ -364,7 +371,7 @@ def cmd_rank(matrix: DecisionMatrix, config: RunConfig,
              kind: AggregationKind, weighted: bool, tie_tolerance: float,
              fmt: str) -> str:
     ranking = rank_array(
-        matrix.ids, _scores(matrix, config.weight_vector, kind, weighted),
+        matrix.ids, _scores(matrix, _weights(config, weighted), kind),
         tie_tolerance)
     if fmt == "json":
         return (f'{{\n  "entries": {_entries_json(ranking, 1)},\n'
@@ -398,8 +405,11 @@ def cmd_transform(matrix: DecisionMatrix, config: RunConfig,
         [_csv_fields(matrix.ids), table])
 
 
-def cmd_boundary(config: RunConfig, resolution: int, fmt: str) -> str:
-    env = boundary(config.weight_vector, resolution)
+def cmd_boundary(config: RunConfig, weighted: bool, resolution: int,
+                 fmt: str) -> str:
+    from .geometry import boundary
+
+    env = boundary(_weights(config, weighted), resolution)
     if fmt == "json":
         return (f'{{\n  "wm": {_json_block("    %r", [env.wm], 1)},\n'
                 f'  "wsd": {_json_block("    %r", [env.wsd], 1)},\n'
@@ -420,7 +430,9 @@ def _plot_points(matrix: DecisionMatrix, w: WeightVector) -> tuple:
 def _plot_spec(matrix: DecisionMatrix, config: RunConfig,
                kind: AggregationKind, weighted: bool,
                args: argparse.Namespace) -> PlotSpec:
-    w = config.weight_vector if weighted else uniform_weights(len(config.criteria))
+    from .render import PlotSpec
+
+    w = _weights(config, weighted)
     ids, wm, wsd = _plot_points(matrix, w)
     return PlotSpec(
         weights=w, kind=kind, ids=ids, wm=wm, wsd=wsd,
@@ -434,15 +446,20 @@ def _load_config(path, args) -> RunConfig:
 
 
 def cmd_plot(args: argparse.Namespace) -> str:
+    from .render import (
+        PlotSpec,
+        render_overlay,
+        render_panel_grid,
+        render_wmsd_plot,
+    )
+
     configs = [_load_config(p, args) for p in args.config]
     data_text = _read_data(args.data)
 
     if args.overlay is not None:
         config = configs[0]
         kind = _effective_kind(args, config)
-        weighted = _effective_weighted(args, config)
-        w = config.weight_vector if weighted \
-            else uniform_weights(len(config.criteria))
+        w = _weights(config, _effective_weighted(args, config))
         matrix_a = read_matrix(data_text, config)
         matrix_b = read_matrix(_read_data(args.overlay), config)
         if set(matrix_a.ids) != set(matrix_b.ids):
@@ -480,7 +497,7 @@ def cmd_compare(args: argparse.Namespace) -> str:
         tie = args.tie_tol if args.tie_tol is not None else config.tie_tolerance
         rankings.append(rank_array(
             matrix.ids,
-            _scores(matrix, config.weight_vector, kind, weighted), tie))
+            _scores(matrix, _weights(config, weighted), kind), tie))
     ra, rb = rankings
     cmp = compare_rankings(ra, rb)
 
@@ -599,6 +616,11 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
 
 
 def _validate_args(args: argparse.Namespace) -> None:
+    if len(args.config) > 1 and (args.command != "plot"
+                                 or args.overlay is not None):
+        command = "plot --overlay" if args.command == "plot" else args.command
+        raise SchemaError(f"{command} reads one --config, "
+                          f"got {len(args.config)}")
     if getattr(args, "grid", 16) < 16:
         raise SchemaError("--grid must be at least 16")
     if getattr(args, "grid", 16) > MAX_GRID:
@@ -624,12 +646,12 @@ def _dispatch(args: argparse.Namespace) -> str:
         return cmd_compare(args)
 
     config = _load_config(args.config[0], args)
+    weighted = _effective_weighted(args, config)
     if args.command == "boundary":
-        return cmd_boundary(config, args.resolution, args.format)
+        return cmd_boundary(config, weighted, args.resolution, args.format)
 
     matrix = read_matrix(_read_data(args.data), config)
     kind = _effective_kind(args, config)
-    weighted = _effective_weighted(args, config)
     if args.command == "rank":
         tie = args.tie_tol if args.tie_tol is not None else config.tie_tolerance
         return cmd_rank(matrix, config, kind, weighted, tie, args.format)

@@ -1,15 +1,30 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
+import wmsdspace
 from wmsdspace.cli import main as cli_main, parse_config, read_matrix
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def fresh_python(code: str) -> str:
+    """Stdout of ``code`` run in a new interpreter that imports this
+    checkout's package."""
+    src = str(Path(wmsdspace.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=60).stdout
 
 
 def load_config(name):

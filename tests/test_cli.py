@@ -4,10 +4,7 @@ import hashlib
 import io
 import json
 import math
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import wmsdspace
-from conftest import FIXTURES
+from conftest import FIXTURES, fresh_python
 from wmsdspace import cli, geometry
 from wmsdspace.aggregate import AggregationKind, agg_rows, agg_values
 from wmsdspace.errors import (
@@ -401,6 +397,22 @@ class TestBoundaryCommand:
         out2 = run_cli("boundary", "--config", config_for([1.0, 0.5, 0.6]))
         assert out1[1] == out2[1]
 
+    def test_unweighted_is_the_uniform_weight_envelope(self, run_cli,
+                                                       tmp_path):
+        equal = run_cli("boundary", "--config",
+                        FIXTURES / "students_config_equal.json")
+        flag = run_cli("boundary", "--config",
+                       FIXTURES / "students_config.json", "--unweighted")
+        doc = json.loads(STUDENTS_CONFIG)
+        doc["weighted"] = False
+        config = tmp_path / "unweighted.json"
+        config.write_text(json.dumps(doc))
+        key = run_cli("boundary", "--config", config)
+        weighted = run_cli("boundary", "--config",
+                           FIXTURES / "students_config.json")
+        assert equal[0] == 0 and flag == equal and key == equal
+        assert weighted[1] != equal[1]
+
 
 class TestPlotCommand:
     def test_two_by_two_panel(self, run_cli, tmp_path):
@@ -572,6 +584,34 @@ class TestCompareCommand:
         assert doc["reversals"] == []
         code, out, _ = run_cli(*args, "--format", "csv")
         assert code == 0 and "# kendall_tau=nan\n" in out
+
+
+class TestRepeatedConfig:
+    """A command that reads one config refuses a second --config."""
+
+    W1, W2 = FIXTURES / "countries_w1.json", FIXTURES / "countries_w2.json"
+    DATA = ["--data", FIXTURES / "countries.csv"]
+    COMMANDS = {
+        "rank": ["rank", *DATA],
+        "transform": ["transform", *DATA],
+        "boundary": ["boundary"],
+        "compare": ["compare", *DATA, "--config-b", W1],
+        "plot --overlay": [
+            "plot", "--data", FIXTURES / "countries_2019_subset.csv",
+            "--overlay", FIXTURES / "countries_2023_synthetic.csv"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_refused(self, run_cli, command):
+        args = self.COMMANDS[command]
+        code, _, err = run_cli(*args, "--config", self.W1)
+        assert code == 0, err
+        code, out, err = run_cli(*args, "--config", self.W1,
+                                 "--config", self.W2)
+        assert code == 1 and out == ""
+        record = json.loads(err)
+        assert record["error"] == "SchemaError"
+        assert record["message"] == f"{command} reads one --config, got 2"
 
 
 class TestErrorStream:
@@ -1061,13 +1101,31 @@ class TestBatchedCore:
                                  for i in ranks[0]}
 
 
-def test_cli_import_does_not_load_scipy():
-    src = str(Path(wmsdspace.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    code = ("import sys, wmsdspace.cli; print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=60).stdout
-    assert out.strip() == "[]"
+def test_commands_import_only_what_they_run():
+    # rank, transform and compare run on plain CSV, which needs no csv
+    # module; only plot draws, so only plot loads render.
+    code = f"""
+import contextlib, io, json, sys
+import wmsdspace.cli as cli
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                  or m in ("csv", "wmsdspace.geometry", "wmsdspace.render"))
+seen = {{"import": loaded()}}
+for argv in {[
+    ["rank", "--data", str(FIXTURES / "countries.csv"),
+     "--config", str(FIXTURES / "countries_w1.json")],
+    ["transform", "--data", str(FIXTURES / "students.csv"),
+     "--config", str(FIXTURES / "students_config.json")],
+    ["compare", "--data", str(FIXTURES / "countries.csv"),
+     "--config", str(FIXTURES / "countries_w1.json"),
+     "--config-b", str(FIXTURES / "countries_w2.json")],
+    ["boundary", "--config", str(FIXTURES / "countries_w2.json")],
+]!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    seen[argv[0]] = loaded()
+print(json.dumps(seen))
+"""
+    seen = json.loads(fresh_python(code))
+    assert seen == {"import": [], "rank": [], "transform": [], "compare": [],
+                    "boundary": ["wmsdspace.geometry"]}

@@ -1,13 +1,16 @@
-"""README "Library" examples run, and the package exports what it says."""
+"""README "Library" examples run, and the package exports what it says,
+loading each name from its module on first use."""
 
 import importlib
+import json
 import pkgutil
 import re
 
 import numpy as np
+import pytest
 
 import wmsdspace
-from conftest import FIXTURES
+from conftest import FIXTURES, fresh_python
 
 README = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
 
@@ -80,3 +83,34 @@ def test_exports_resolve_and_removed_names_are_gone():
         assert not resolves(dotted), dotted
     # the check can see a name that is there
     assert resolves("DecisionMatrix.from_array") and resolves("plane")
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from wmsdspace import *", namespace)
+    for name in wmsdspace.__all__:
+        home = importlib.import_module(f"wmsdspace.{wmsdspace._HOME[name]}")
+        assert namespace[name] is vars(home)[name], name
+    assert set(wmsdspace.__all__) <= set(dir(wmsdspace))
+
+
+def test_bare_import_loads_nothing_until_asked():
+    code = """
+import json, sys
+import wmsdspace
+before = sorted(m for m in sys.modules
+                if m == "numpy" or m.startswith("wmsdspace."))
+module = wmsdspace.geometry
+print(json.dumps([before, module.__name__, "numpy" in sys.modules,
+                  "wmsdspace.render" in sys.modules]))
+"""
+    assert json.loads(fresh_python(code)) == [[], "wmsdspace.geometry",
+                                              True, False]
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "to_utility"])
+def test_unknown_name_is_attribute_error(name):
+    with pytest.raises(AttributeError) as info:
+        getattr(wmsdspace, name)
+    assert str(info.value) == f"module 'wmsdspace' has no attribute {name!r}"
+    assert name not in dir(wmsdspace)
