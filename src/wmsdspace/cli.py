@@ -17,6 +17,7 @@ functions that use them, so each command loads only what it runs.
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import json
 import math
@@ -68,6 +69,9 @@ MAX_GRID = 1024
 # Largest boundary --resolution: 65,536 envelope rows are about 1.8 MB of
 # CSV, where an uncapped 1e7 wrote 270 MB and 1e8 ran out of memory.
 MAX_RESOLUTION = 65536
+# Most markers in one plot document, over every panel and both overlay
+# snapshots: 100,000 circles are about 7.5 MB of SVG.
+MAX_MARKERS = 100_000
 
 _CRITERION_KEYS = {"name", "kind", "min", "max", "weight"}
 _CONFIG_KEYS = {"criteria", "aggregation", "weighted", "tie_tolerance",
@@ -445,6 +449,12 @@ def _load_config(path, args) -> RunConfig:
         parse_config(Path(path).read_text(encoding="utf-8")), args)
 
 
+def _check_markers(count: int) -> None:
+    if count > MAX_MARKERS:
+        raise SchemaError(f"plot draws at most {MAX_MARKERS} markers, "
+                          f"got {count}")
+
+
 def cmd_plot(args: argparse.Namespace) -> str:
     from .render import (
         PlotSpec,
@@ -469,12 +479,16 @@ def cmd_plot(args: argparse.Namespace) -> str:
         base = PlotSpec(weights=w, kind=kind, grid=args.grid,
                         show_isolines=tuple(args.isolines),
                         labels=args.labels, force=args.force)
+        _check_markers(matrix_a.m + matrix_b.m)
         return render_overlay(base, _plot_points(matrix_a, w),
                               _plot_points(matrix_b, w))
 
     specs = []
+    markers = 0
     for config in configs:
         matrix = read_matrix(data_text, config)
+        markers += matrix.m
+        _check_markers(markers)
         kind = _effective_kind(args, config)
         weighted = _effective_weighted(args, config)
         specs.append(_plot_spec(matrix, config, kind, weighted, args))
@@ -556,7 +570,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, data=True, fmt=("csv", "json"), default_fmt="csv"):
         if data:
-            p.add_argument("--data", required=True, help="dataset CSV")
+            p.add_argument("--data", action="append", required=True,
+                           help="dataset CSV")
         p.add_argument("--config", action="append", required=True,
                        help="JSON config (repeatable for plot panels)")
         p.add_argument("--out", default=None, help="output file (stdout "
@@ -583,14 +598,18 @@ def build_parser() -> argparse.ArgumentParser:
                       help="envelope rows, from 2 to "
                            f"{MAX_RESOLUTION} (default 512)")
 
-    p_plot = sub.add_parser("plot", help="SVG plot of the plane")
+    p_plot = sub.add_parser(
+        "plot", help="SVG plot of the plane",
+        description=f"SVG plot of the plane: at most {MAX_MARKERS} markers "
+                    "per document, over every panel and both overlay "
+                    "snapshots.")
     common(p_plot, fmt=("svg",), default_fmt="svg")
     p_plot.add_argument("--grid", type=int, default=128,
                         help="color-field resolution: cells across, from "
                              f"16 to {MAX_GRID} (default 128)")
     p_plot.add_argument("--columns", type=int, default=2,
                         help="panel-grid columns for repeated --config")
-    p_plot.add_argument("--overlay", default=None,
+    p_plot.add_argument("--overlay", action="append",
                         help="second snapshot CSV; draws arrows")
     p_plot.add_argument("--isolines", default="",
                         help="comma-separated aggregation levels")
@@ -601,7 +620,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare",
                            help="compare rankings under two configs")
     common(p_cmp, fmt=("csv", "json"), default_fmt="json")
-    p_cmp.add_argument("--config-b", required=True, dest="config_b")
+    p_cmp.add_argument("--config-b", action="append", required=True,
+                       dest="config_b")
     return parser
 
 
@@ -616,11 +636,23 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
 
 
 def _validate_args(args: argparse.Namespace) -> None:
+    """Refuse what the parser lets through, and unwrap each single-value
+    flag: argparse appends every repeat of a flag, so a repeat can be
+    refused here with a record rather than kept silently."""
     if len(args.config) > 1 and (args.command != "plot"
                                  or args.overlay is not None):
         command = "plot --overlay" if args.command == "plot" else args.command
         raise SchemaError(f"{command} reads one --config, "
                           f"got {len(args.config)}")
+    for dest in ("data", "config_b", "overlay"):
+        values = getattr(args, dest, None)
+        if values is None:
+            continue
+        if len(values) > 1:
+            flag = "--" + dest.replace("_", "-")
+            raise SchemaError(f"{args.command} reads one {flag}, "
+                              f"got {len(values)}")
+        setattr(args, dest, values[0])
     if getattr(args, "grid", 16) < 16:
         raise SchemaError("--grid must be at least 16")
     if getattr(args, "grid", 16) > MAX_GRID:
@@ -661,6 +693,17 @@ def _dispatch(args: argparse.Namespace) -> str:
 
 
 def main(argv=None) -> int:
+    """Run one command; return its exit code.
+
+    The first call in a process freezes every object alive at that moment
+    (numpy, the standard library and this package, as imported) into the
+    collector's permanent generation, so neither a full collection during
+    the command nor interpreter exit traverses them.  Later calls freeze
+    nothing more, so a caller that runs many commands in one process keeps
+    only what was alive at its first call out of collection.
+    """
+    if gc.get_freeze_count() == 0:
+        gc.freeze()
     args = build_parser().parse_args(argv)
     try:
         text = _dispatch(args)
@@ -668,12 +711,9 @@ def main(argv=None) -> int:
             sys.stdout.write(text)
         else:
             Path(args.out).write_text(text, encoding="utf-8")
-    except ValidationError as e:
-        sys.stderr.write(json.dumps(e.details(), sort_keys=True) + "\n")
-        return 1
     except WmsdError as e:
         sys.stderr.write(json.dumps(e.details(), sort_keys=True) + "\n")
-        return 2
+        return 1 if isinstance(e, ValidationError) else 2
     except OSError as e:
         sys.stderr.write(json.dumps(
             {"error": "IOError", "message": str(e)}, sort_keys=True) + "\n")

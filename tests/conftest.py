@@ -16,15 +16,24 @@ settings.load_profile("suite")
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
+def run_python(*args) -> subprocess.CompletedProcess:
+    """``python ARGS`` in a new interpreter that imports this checkout's
+    package, with buffered standard streams; output is captured as bytes."""
+    src = str(Path(wmsdspace.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, *map(str, args)], env=env,
+                          capture_output=True, timeout=60)
+
+
 def fresh_python(code: str) -> str:
     """Stdout of ``code`` run in a new interpreter that imports this
     checkout's package."""
-    src = str(Path(wmsdspace.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True, timeout=60).stdout
+    result = run_python("-c", code)
+    result.check_returncode()
+    return result.stdout.decode()
 
 
 def load_config(name):

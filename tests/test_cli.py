@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, fresh_python
+from conftest import FIXTURES, fresh_python, run_python
 from wmsdspace import cli, geometry
 from wmsdspace.aggregate import AggregationKind, agg_rows, agg_values
 from wmsdspace.errors import (
@@ -498,6 +498,43 @@ class TestPlotCommand:
             cli.main(["plot", "--help"])
         assert re.search(rf"16\s+to\s+{cli.MAX_GRID}", capsys.readouterr().out)
 
+    @pytest.mark.parametrize("force", [False, True])
+    def test_marker_cap(self, run_cli, capsys, monkeypatch, force):
+        """Every panel and both overlay snapshots count; --force does not
+        lift the cap, and the refusal comes before any SVG and before the
+        panel that passes the cap is laid out."""
+        specs = []
+        plot_spec = cli._plot_spec
+
+        def counted(*a):
+            specs.append(a)
+            return plot_spec(*a)
+        monkeypatch.setattr(cli, "_plot_spec", counted)
+        one = ["--config", FIXTURES / "countries_w1.json"]
+        grid = ["plot", "--data", FIXTURES / "countries.csv", *one, *one,
+                "--grid", "16", *(["--force"] if force else [])]
+        overlay = ["plot", "--data", FIXTURES / "countries_2019_subset.csv",
+                   "--config", FIXTURES / "countries_w3.json", "--grid", "16",
+                   "--overlay", FIXTURES / "countries_2023_synthetic.csv"]
+        for args, markers in ((grid, 24), (overlay, 8)):
+            monkeypatch.setattr(cli, "MAX_MARKERS", markers)
+            code, out, err = run_cli(*args)
+            assert code == 0, err
+            assert out.count('class="marker"') == markers
+            monkeypatch.setattr(cli, "MAX_MARKERS", markers - 1)
+            specs.clear()
+            code, out, err = run_cli(*args)
+            assert code == 1 and out == ""
+            assert len(specs) == (1 if args is grid else 0)
+            assert json.loads(err) == {
+                "error": "SchemaError",
+                "message": f"plot draws at most {markers - 1} markers, "
+                           f"got {markers}"}
+        with pytest.raises(SystemExit):
+            cli.main(["plot", "--help"])
+        assert re.search(rf"at most\s+{markers - 1}\s+markers",
+                         capsys.readouterr().out)
+
     def test_bad_isoline_level(self, run_cli):
         code, _, err = run_cli(
             "plot", "--data", FIXTURES / "students.csv",
@@ -584,6 +621,41 @@ class TestCompareCommand:
         assert doc["reversals"] == []
         code, out, _ = run_cli(*args, "--format", "csv")
         assert code == 0 and "# kendall_tau=nan\n" in out
+
+
+class TestRepeatedFlag:
+    """A repeated --data, --config-b or --overlay is refused with a record;
+    argparse alone would keep the last value."""
+
+    W1 = FIXTURES / "countries_w1.json"
+    DATA = FIXTURES / "countries.csv"
+    CASES = {
+        ("--data", "rank"): ["rank", "--config", W1, "--data", DATA],
+        ("--data", "transform"): ["transform", "--config", W1, "--data",
+                                  DATA],
+        ("--data", "plot"): ["plot", "--config", W1, "--config", W1,
+                             "--grid", "16", "--data", DATA],
+        ("--data", "compare"): ["compare", "--config", W1, "--config-b", W1,
+                                "--data", DATA],
+        ("--config-b", "compare"): [
+            "compare", "--config", W1, "--data", DATA,
+            "--config-b", FIXTURES / "countries_w2.json"],
+        ("--overlay", "plot"): [
+            "plot", "--config", FIXTURES / "countries_w3.json",
+            "--data", FIXTURES / "countries_2019_subset.csv", "--grid", "16",
+            "--overlay", FIXTURES / "countries_2023_synthetic.csv"],
+    }
+
+    @pytest.mark.parametrize("flag,command", sorted(CASES))
+    def test_refused(self, run_cli, flag, command):
+        args = self.CASES[flag, command]
+        code, _, err = run_cli(*args)
+        assert code == 0, err
+        code, out, err = run_cli(*args, flag, FIXTURES / "students.csv")
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "SchemaError",
+            "message": f"{command} reads one {flag}, got 2"}
 
 
 class TestRepeatedConfig:
@@ -1129,3 +1201,43 @@ print(json.dumps(seen))
     seen = json.loads(fresh_python(code))
     assert seen == {"import": [], "rank": [], "transform": [], "compare": [],
                     "boundary": ["wmsdspace.geometry"]}
+
+
+def test_first_main_call_freezes_the_heap_once():
+    code = f"""
+import contextlib, gc, io, json
+import wmsdspace.cli as cli
+argv = {["rank", "--data", str(FIXTURES / "countries.csv"),
+         "--config", str(FIXTURES / "countries_w1.json")]!r}
+counts = [gc.get_freeze_count()]
+for _ in range(2):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    counts.append(gc.get_freeze_count())
+print(json.dumps(counts))
+"""
+    before, first, second = json.loads(fresh_python(code))
+    assert before == 0 < first == second
+
+
+def test_frozen_heap_loses_no_output(tmp_path):
+    """``python -m wmsdspace.cli`` with buffered streams writes every byte
+    to stdout, to ``--out`` and, for a refused run, to stderr."""
+    golden = (FIXTURES / "golden" / "countries_w1_rank.csv").read_bytes()
+    rank = ["-m", "wmsdspace.cli", "rank",
+            "--data", FIXTURES / "countries.csv",
+            "--config", FIXTURES / "countries_w1.json"]
+    result = run_python(*rank)
+    assert (result.returncode, result.stdout, result.stderr) == (0, golden,
+                                                                 b"")
+    out = tmp_path / "rank.csv"
+    result = run_python(*rank, "--out", out)
+    assert (result.returncode, result.stdout, result.stderr) == (0, b"", b"")
+    assert out.read_bytes() == golden
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"criteria": []}')
+    result = run_python(*rank[:-1], bad)
+    assert result.returncode == 1 and result.stdout == b""
+    assert json.loads(result.stderr) == {
+        "error": "SchemaError", "path": "criteria",
+        "message": "criteria: must be a non-empty list"}

@@ -11,6 +11,7 @@ import pytest
 
 import wmsdspace
 from conftest import FIXTURES, fresh_python
+from wmsdspace import cli
 
 README = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
 
@@ -56,6 +57,15 @@ def resolves(dotted: str) -> bool:
         else:
             return True
     return False
+
+
+def test_cli_states_each_cap():
+    # whitespace collapsed and thousands separators dropped: 65,536 -> 65536
+    text = re.sub(r"(\d),(\d{3})\b", r"\1\2",
+                  " ".join(section("CLI").split()))
+    assert f"N must be between 16 and {cli.MAX_GRID}," in text
+    assert f"N must be between 2 and {cli.MAX_RESOLUTION}," in text
+    assert f"at most {cli.MAX_MARKERS} markers per document" in text
 
 
 def test_library_blocks_run_in_order():
