@@ -10,6 +10,11 @@ Errors are emitted as single-line JSON records on stderr; the exit code
 is 0 on success, 1 for validation errors, 2 for refused computations,
 and 3 for I/O failures.
 
+Each command declares only the flags it reads.  A flag that overrides a
+config key is applied when the config is loaded, so a command sees one
+:class:`RunConfig` with its weights, aggregation, tie tolerance and
+clamping resolved.
+
 Geometry, rendering and the ``csv`` module are imported inside the
 functions that use them, so each command loads only what it runs.
 """
@@ -22,7 +27,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
@@ -92,6 +97,13 @@ class RunConfig:
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.criteria)
+
+    @property
+    def weights(self) -> WeightVector:
+        """The weights to score with: all ones when unweighted."""
+        if self.weighted:
+            return self.weight_vector
+        return uniform_weights(len(self.criteria))
 
 
 def parse_config(text: str) -> RunConfig:
@@ -288,18 +300,29 @@ def _csv_cells(csv_text: str, names: tuple[str, ...]):
     return ids, np.array(rows, dtype=float).reshape(len(ids), len(names))
 
 
-def _weights(config: RunConfig, weighted: bool) -> WeightVector:
-    """The config's weights, or all ones when scoring unweighted."""
-    if weighted:
-        return config.weight_vector
-    return uniform_weights(len(config.criteria))
+def _load_config(path, args: argparse.Namespace) -> RunConfig:
+    """The config at ``path`` with every override flag the command
+    declares, when given, applied over its config key."""
+    config = parse_config(Path(path).read_text(encoding="utf-8"))
+    flags = vars(args)
+    changes = {}
+    if flags.get("aggregation") is not None:
+        changes["aggregation"] = AggregationKind(flags["aggregation"])
+    if flags.get("unweighted"):
+        changes["weighted"] = False
+    if flags.get("clamp"):
+        changes["clamp"] = True
+    if flags.get("tie_tol") is not None:
+        changes["tie_tolerance"] = flags["tie_tol"]
+    return replace(config, **changes)
 
 
-def _scores(matrix: DecisionMatrix, w: WeightVector,
-            kind: AggregationKind) -> np.ndarray:
-    """Scores of all alternatives, in matrix order, as one array."""
+def _ranking(matrix: DecisionMatrix, config: RunConfig) -> Ranking:
+    """The alternatives ranked by the config's aggregation and weights."""
+    w = config.weights
     u = utility_array(matrix.values, matrix.criteria)
-    return agg_rows(kind, u * w.weights, w)
+    scores = agg_rows(config.aggregation, u * w.weights, w)
+    return rank_array(matrix.ids, scores, config.tie_tolerance)
 
 
 _json_str = json.encoder.encode_basestring_ascii
@@ -371,13 +394,10 @@ def _groups_json(ranking: Ranking, depth: int) -> str:
     return f"[\n{body}\n{'  ' * depth}]"
 
 
-def cmd_rank(matrix: DecisionMatrix, config: RunConfig,
-             kind: AggregationKind, weighted: bool, tie_tolerance: float,
-             fmt: str) -> str:
-    ranking = rank_array(
-        matrix.ids, _scores(matrix, _weights(config, weighted), kind),
-        tie_tolerance)
-    if fmt == "json":
+def cmd_rank(args: argparse.Namespace) -> str:
+    config = _load_config(args.config[0], args)
+    ranking = _ranking(read_matrix(_read_data(args.data), config), config)
+    if args.format == "json":
         return (f'{{\n  "entries": {_entries_json(ranking, 1)},\n'
                 f'  "groups": {_groups_json(ranking, 1)}\n}}\n')
     return "id,score,rank,group\n" + _rows(
@@ -385,9 +405,10 @@ def cmd_rank(matrix: DecisionMatrix, config: RunConfig,
                             ranking.ranks, ranking.group_numbers])
 
 
-def cmd_transform(matrix: DecisionMatrix, config: RunConfig,
-                  fmt: str) -> str:
+def cmd_transform(args: argparse.Namespace) -> str:
     """Full per-alternative coordinate and score table."""
+    config = _load_config(args.config[0], args)
+    matrix = read_matrix(_read_data(args.data), config)
     w = config.weight_vector
     names = config.names
     header = (["id"] + [f"u_{n}" for n in names] + [f"v_{n}" for n in names]
@@ -399,7 +420,7 @@ def cmd_transform(matrix: DecisionMatrix, config: RunConfig,
         [u, v, *mean_sd(u), *plane(v, w)]
         + [agg_rows(k, u, ones) for k in AggregationKind]
         + [agg_rows(k, v, w) for k in AggregationKind])
-    if fmt == "json":
+    if args.format == "json":
         item = _json_fields([("id", "%s")] + [(h, "%r") for h in header[1:]],
                             1)
         return _json_block(item, [list(map(_json_str, matrix.ids)), table],
@@ -409,12 +430,12 @@ def cmd_transform(matrix: DecisionMatrix, config: RunConfig,
         [_csv_fields(matrix.ids), table])
 
 
-def cmd_boundary(config: RunConfig, weighted: bool, resolution: int,
-                 fmt: str) -> str:
+def cmd_boundary(args: argparse.Namespace) -> str:
     from .geometry import boundary
 
-    env = boundary(_weights(config, weighted), resolution)
-    if fmt == "json":
+    config = _load_config(args.config[0], args)
+    env = boundary(config.weights, args.resolution)
+    if args.format == "json":
         return (f'{{\n  "wm": {_json_block("    %r", [env.wm], 1)},\n'
                 f'  "wsd": {_json_block("    %r", [env.wsd], 1)},\n'
                 f'  "vertices": '
@@ -432,21 +453,15 @@ def _plot_points(matrix: DecisionMatrix, w: WeightVector) -> tuple:
 
 
 def _plot_spec(matrix: DecisionMatrix, config: RunConfig,
-               kind: AggregationKind, weighted: bool,
                args: argparse.Namespace) -> PlotSpec:
     from .render import PlotSpec
 
-    w = _weights(config, weighted)
+    w = config.weights
     ids, wm, wsd = _plot_points(matrix, w)
     return PlotSpec(
-        weights=w, kind=kind, ids=ids, wm=wm, wsd=wsd,
+        weights=w, kind=config.aggregation, ids=ids, wm=wm, wsd=wsd,
         grid=args.grid, show_isolines=tuple(args.isolines),
         labels=args.labels, force=args.force)
-
-
-def _load_config(path, args) -> RunConfig:
-    return _apply_overrides(
-        parse_config(Path(path).read_text(encoding="utf-8")), args)
 
 
 def _check_markers(count: int) -> None:
@@ -468,15 +483,14 @@ def cmd_plot(args: argparse.Namespace) -> str:
 
     if args.overlay is not None:
         config = configs[0]
-        kind = _effective_kind(args, config)
-        w = _weights(config, _effective_weighted(args, config))
+        w = config.weights
         matrix_a = read_matrix(data_text, config)
         matrix_b = read_matrix(_read_data(args.overlay), config)
         if set(matrix_a.ids) != set(matrix_b.ids):
             diff = sorted(set(matrix_a.ids) ^ set(matrix_b.ids))
             raise IdSetMismatch(
                 f"overlay ids differ from dataset ids: {diff}")
-        base = PlotSpec(weights=w, kind=kind, grid=args.grid,
+        base = PlotSpec(weights=w, kind=config.aggregation, grid=args.grid,
                         show_isolines=tuple(args.isolines),
                         labels=args.labels, force=args.force)
         _check_markers(matrix_a.m + matrix_b.m)
@@ -489,9 +503,7 @@ def cmd_plot(args: argparse.Namespace) -> str:
         matrix = read_matrix(data_text, config)
         markers += matrix.m
         _check_markers(markers)
-        kind = _effective_kind(args, config)
-        weighted = _effective_weighted(args, config)
-        specs.append(_plot_spec(matrix, config, kind, weighted, args))
+        specs.append(_plot_spec(matrix, config, args))
     if len(specs) == 1:
         return render_wmsd_plot(specs[0])
     return render_panel_grid(specs, columns=args.columns)
@@ -504,15 +516,8 @@ def cmd_compare(args: argparse.Namespace) -> str:
     matrix_a = read_matrix(data_text, config_a)
     matrix_b = read_matrix(data_text, config_b)
 
-    rankings = []
-    for matrix, config in ((matrix_a, config_a), (matrix_b, config_b)):
-        kind = _effective_kind(args, config)
-        weighted = _effective_weighted(args, config)
-        tie = args.tie_tol if args.tie_tol is not None else config.tie_tolerance
-        rankings.append(rank_array(
-            matrix.ids,
-            _scores(matrix, _weights(config, weighted), kind), tie))
-    ra, rb = rankings
+    ra = _ranking(matrix_a, config_a)
+    rb = _ranking(matrix_b, config_b)
     cmp = compare_rankings(ra, rb)
 
     # b's row of each id, in a's order; deltas are cmp.deltas as an array
@@ -541,18 +546,6 @@ def cmd_compare(args: argparse.Namespace) -> str:
             f'\n}}\n')
 
 
-def _effective_kind(args, config: RunConfig) -> AggregationKind:
-    if getattr(args, "aggregation", None):
-        return AggregationKind(args.aggregation)
-    return config.aggregation
-
-
-def _effective_weighted(args, config: RunConfig) -> bool:
-    if getattr(args, "unweighted", False):
-        return False
-    return config.weighted
-
-
 def _levels(text: str) -> list[float]:
     if not text:
         return []
@@ -568,7 +561,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="TOPSIS rankings with 2-D (WM, WSD) explanations.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, data=True, fmt=("csv", "json"), default_fmt="csv"):
+    # The flags that override a config key; each command declares the ones
+    # it reads, in this order.
+    overrides = {
+        "--aggregation": dict(choices=["I", "A", "R"], default=None),
+        "--unweighted": dict(action="store_true", help="score with all "
+                             "criteria equally important"),
+        "--clamp": dict(action="store_true",
+                        help="clamp out-of-domain values to the bounds"),
+        "--tie-tol": dict(type=float, default=None, dest="tie_tol"),
+    }
+
+    def command(name, run, flags, data=True, fmt=("csv", "json"),
+                default_fmt="csv", **kwargs):
+        p = sub.add_parser(name, **kwargs)
+        p.set_defaults(run=run)
         if data:
             p.add_argument("--data", action="append", required=True,
                            help="dataset CSV")
@@ -577,33 +584,26 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output file (stdout "
                        "when omitted)")
         p.add_argument("--format", choices=fmt, default=default_fmt)
-        p.add_argument("--aggregation", choices=["I", "A", "R"], default=None)
-        p.add_argument("--unweighted", action="store_true",
-                       help="score with all criteria equally important")
-        p.add_argument("--clamp", action="store_true",
-                       help="clamp out-of-domain values to the bounds")
-        p.add_argument("--tie-tol", type=float, default=None, dest="tie_tol")
+        for flag in flags:
+            p.add_argument(flag, **overrides[flag])
+        return p
 
-    p_rank = sub.add_parser("rank", help="score and rank alternatives")
-    common(p_rank)
-
-    p_tr = sub.add_parser("transform",
-                          help="full coordinate table per alternative")
-    common(p_tr)
-
-    p_bd = sub.add_parser("boundary",
-                          help="attainable-region envelope as CSV/JSON")
-    common(p_bd, data=False)
+    command("rank", cmd_rank, list(overrides),
+            help="score and rank alternatives")
+    command("transform", cmd_transform, ["--clamp"],
+            help="full coordinate table per alternative")
+    p_bd = command("boundary", cmd_boundary, ["--unweighted"], data=False,
+                   help="attainable-region envelope as CSV/JSON")
     p_bd.add_argument("--resolution", type=int, default=512,
                       help="envelope rows, from 2 to "
                            f"{MAX_RESOLUTION} (default 512)")
 
-    p_plot = sub.add_parser(
-        "plot", help="SVG plot of the plane",
+    p_plot = command(
+        "plot", cmd_plot, ["--aggregation", "--unweighted", "--clamp"],
+        fmt=("svg",), default_fmt="svg", help="SVG plot of the plane",
         description=f"SVG plot of the plane: at most {MAX_MARKERS} markers "
                     "per document, over every panel and both overlay "
                     "snapshots.")
-    common(p_plot, fmt=("svg",), default_fmt="svg")
     p_plot.add_argument("--grid", type=int, default=128,
                         help="color-field resolution: cells across, from "
                              f"16 to {MAX_GRID} (default 128)")
@@ -617,22 +617,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--force", action="store_true",
                         help="plot points even if unattainable")
 
-    p_cmp = sub.add_parser("compare",
-                           help="compare rankings under two configs")
-    common(p_cmp, fmt=("csv", "json"), default_fmt="json")
+    p_cmp = command("compare", cmd_compare, list(overrides),
+                    default_fmt="json",
+                    help="compare rankings under two configs")
     p_cmp.add_argument("--config-b", action="append", required=True,
                        dest="config_b")
     return parser
-
-
-def _apply_overrides(config: RunConfig, args) -> RunConfig:
-    clamp = config.clamp or getattr(args, "clamp", False)
-    if clamp == config.clamp:
-        return config
-    return RunConfig(criteria=config.criteria,
-                     weight_vector=config.weight_vector,
-                     aggregation=config.aggregation, weighted=config.weighted,
-                     tie_tolerance=config.tie_tolerance, clamp=clamp)
 
 
 def _validate_args(args: argparse.Namespace) -> None:
@@ -670,28 +660,6 @@ def _validate_args(args: argparse.Namespace) -> None:
         raise SchemaError("--tie-tol must be a finite non-negative number")
 
 
-def _dispatch(args: argparse.Namespace) -> str:
-    _validate_args(args)
-    if args.command == "plot":
-        return cmd_plot(args)
-    if args.command == "compare":
-        return cmd_compare(args)
-
-    config = _load_config(args.config[0], args)
-    weighted = _effective_weighted(args, config)
-    if args.command == "boundary":
-        return cmd_boundary(config, weighted, args.resolution, args.format)
-
-    matrix = read_matrix(_read_data(args.data), config)
-    kind = _effective_kind(args, config)
-    if args.command == "rank":
-        tie = args.tie_tol if args.tie_tol is not None else config.tie_tolerance
-        return cmd_rank(matrix, config, kind, weighted, tie, args.format)
-    if args.command == "transform":
-        return cmd_transform(matrix, config, args.format)
-    raise AssertionError(f"unhandled command {args.command}")
-
-
 def main(argv=None) -> int:
     """Run one command; return its exit code.
 
@@ -706,7 +674,8 @@ def main(argv=None) -> int:
         gc.freeze()
     args = build_parser().parse_args(argv)
     try:
-        text = _dispatch(args)
+        _validate_args(args)
+        text = args.run(args)
         if args.out is None:
             sys.stdout.write(text)
         else:

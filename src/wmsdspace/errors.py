@@ -11,11 +11,33 @@ from __future__ import annotations
 
 
 class WmsdError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    An error may name where it happened: the 1-based data ``row``, the
+    ``column``, the plot point's ``point_id`` or the config ``path``.
+    The fields live in one dict, not among the exception's attributes, so
+    nothing else set on it (a ``__notes__`` entry, say) reaches the record.
+    """
+
+    def __init__(self, message: str, *, row: int | None = None,
+                 column: str | None = None, point_id: str | None = None,
+                 path: str | None = None):
+        super().__init__(message)
+        # record key -> value; a point's id is recorded as "id"
+        self._fields = {"row": row, "column": column, "id": point_id,
+                        "path": path}
+
+    row = property(lambda self: self._fields["row"])
+    column = property(lambda self: self._fields["column"])
+    point_id = property(lambda self: self._fields["id"])
+    path = property(lambda self: self._fields["path"])
 
     def details(self) -> dict:
-        """Machine-readable payload used by the CLI error stream."""
-        return {"error": type(self).__name__, "message": str(self)}
+        """Machine-readable payload used by the CLI error stream: the class
+        name, the message and every field that is not None."""
+        d = {"error": type(self).__name__, "message": str(self)}
+        d.update((k, v) for k, v in self._fields.items() if v is not None)
+        return d
 
 
 class ValidationError(WmsdError):
@@ -55,20 +77,6 @@ class NonFiniteWeight(ValidationError):
 class OutOfDomain(ValidationError):
     """A raw value lies outside its criterion's declared domain."""
 
-    def __init__(self, message: str, *, row: int | None = None,
-                 column: str | None = None):
-        super().__init__(message)
-        self.row = row
-        self.column = column
-
-    def details(self) -> dict:
-        d = super().details()
-        if self.row is not None:
-            d["row"] = self.row
-        if self.column is not None:
-            d["column"] = self.column
-        return d
-
 
 # -- shapes -----------------------------------------------------------------
 
@@ -101,20 +109,6 @@ class LevelOutOfRange(ValidationError):
 class UnattainablePoint(ComputationError):
     """A point to plot lies outside the attainable region."""
 
-    def __init__(self, message: str, *, point_id: str | None = None):
-        super().__init__(message)
-        self.point_id = point_id
-
-    def details(self) -> dict:
-        d = super().details()
-        if self.point_id is not None:
-            d["id"] = self.point_id
-        return d
-
-
-class DegenerateCanvas(ValidationError):
-    """Canvas with non-positive width or height."""
-
 
 # -- cli --------------------------------------------------------------------
 
@@ -122,14 +116,8 @@ class SchemaError(ValidationError):
     """Config JSON does not match the expected schema."""
 
     def __init__(self, message: str, *, path: str | None = None):
-        super().__init__(message if path is None else f"{path}: {message}")
-        self.path = path
-
-    def details(self) -> dict:
-        d = super().details()
-        if self.path is not None:
-            d["path"] = self.path
-        return d
+        super().__init__(message if path is None else f"{path}: {message}",
+                         path=path)
 
 
 class HeaderMismatch(ValidationError):
@@ -139,27 +127,6 @@ class HeaderMismatch(ValidationError):
 class MalformedCsv(ValidationError):
     """Dataset text the csv module cannot split into records."""
 
-    def __init__(self, message: str, *, row: int | None = None):
-        super().__init__(message)
-        self.row = row
-
-    def details(self) -> dict:
-        d = super().details()
-        if self.row is not None:
-            d["row"] = self.row
-        return d
-
 
 class BadNumber(ValidationError):
     """A CSV cell that should be numeric is not."""
-
-    def __init__(self, message: str, *, row: int, column: str):
-        super().__init__(message)
-        self.row = row
-        self.column = column
-
-    def details(self) -> dict:
-        d = super().details()
-        d["row"] = self.row
-        d["column"] = self.column
-        return d

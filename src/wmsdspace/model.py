@@ -57,17 +57,6 @@ class CriterionSpec:
     kind: str  # GAIN or COST
     raw_weight: float = 1.0
 
-    @property
-    def least_preferred(self) -> float:
-        return self.v_max if self.kind == COST else self.v_min
-
-    @property
-    def most_preferred(self) -> float:
-        return self.v_min if self.kind == COST else self.v_max
-
-    def contains(self, value: float) -> bool:
-        return self.v_min <= value <= self.v_max
-
 
 def validate_criteria(specs: Sequence[CriterionSpec]) -> Sequence[CriterionSpec]:
     """Check every criterion invariant; return the specs unchanged.

@@ -23,7 +23,6 @@ import numpy as np
 
 from .aggregate import AggregationKind, agg_values
 from .errors import (
-    DegenerateCanvas,
     LengthMismatch,
     LevelOutOfRange,
     UnattainablePoint,
@@ -88,8 +87,6 @@ class PlotSpec:
     wm: np.ndarray = ()
     wsd: np.ndarray = ()
     grid: int = 128
-    width: int = 640
-    height: int = 480
     show_isolines: tuple[float, ...] = ()
     labels: bool = False
     force: bool = False
@@ -101,9 +98,6 @@ class PlotSpec:
             raise LengthMismatch(
                 f"{len(self.ids)} ids, {self.wm.size} WM and "
                 f"{self.wsd.size} WSD values")
-        if self.width <= 0 or self.height <= 0:
-            raise DegenerateCanvas(
-                f"canvas {self.width}x{self.height} is not positive")
         if self.grid < 16:
             raise ValueError("grid resolution must be at least 16")
         for level in self.show_isolines:
@@ -111,6 +105,8 @@ class PlotSpec:
                 raise LevelOutOfRange(f"isoline level {level} outside [0, 1]")
 
 
+# Size of one plot in pixels; a panel grid is a grid of plots this size.
+WIDTH, HEIGHT = 640, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 56, 16, 18, 44
 LEGEND_W = 74
 
@@ -123,11 +119,11 @@ class PlotFrame:
 
     @property
     def plot_w(self) -> float:
-        return self.spec.width - MARGIN_L - MARGIN_R
+        return WIDTH - MARGIN_L - MARGIN_R
 
     @property
     def plot_h(self) -> float:
-        return self.spec.height - MARGIN_T - MARGIN_B
+        return HEIGHT - MARGIN_T - MARGIN_B
 
     @property
     def wm_max(self) -> float:
@@ -253,16 +249,15 @@ def _region_svg(spec: PlotSpec, frame: PlotFrame) -> list[str]:
 def _panel_body(spec: PlotSpec, regions: dict) -> list[str]:
     """All drawing elements of a single plot, in local coordinates.
 
-    ``regions`` maps a (weights, kind, grid, size) key to its field and
+    ``regions`` maps a (weights, kind, grid) key to its field and
     outline text, so panels of one document share it.
     """
     w = spec.weights
     frame = PlotFrame(spec)
     _check_points(spec, spec.ids, spec.wm, spec.wsd)
-    out = [f'<rect x="0" y="0" width="{spec.width}" '
-           f'height="{spec.height}" fill="#ffffff"/>']
-    key = (w.weights.tobytes(), spec.kind, spec.grid, spec.width,
-           spec.height)
+    out = [f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" '
+           f'fill="#ffffff"/>']
+    key = (w.weights.tobytes(), spec.kind, spec.grid)
     if key not in regions:
         regions[key] = _region_svg(spec, frame)
     out.extend(regions[key])
@@ -327,7 +322,7 @@ def _document(width: int, height: int, body: list[str]) -> str:
 
 def render_wmsd_plot(spec: PlotSpec) -> str:
     """One plane plot as an SVG document."""
-    return _document(spec.width, spec.height, _panel_body(spec, {}))
+    return _document(WIDTH, HEIGHT, _panel_body(spec, {}))
 
 
 def _legend_svg(ox: float, oy: float, h: float) -> list[str]:
@@ -358,16 +353,14 @@ def render_panel_grid(specs: Sequence[PlotSpec], columns: int = 2) -> str:
     if columns < 1:
         raise ValueError("columns must be positive")
     rows = math.ceil(len(specs) / columns)
-    panel_w = max(s.width for s in specs)
-    panel_h = max(s.height for s in specs)
-    total_w = columns * panel_w + LEGEND_W
-    total_h = rows * panel_h
+    total_w = columns * WIDTH + LEGEND_W
+    total_h = rows * HEIGHT
     body = [f'<rect x="0" y="0" width="{total_w}" height="{total_h}" '
             f'fill="#ffffff"/>']
     regions = {}
     for i, spec in enumerate(specs):
-        ox = (i % columns) * panel_w
-        oy = (i // columns) * panel_h
+        ox = (i % columns) * WIDTH
+        oy = (i // columns) * HEIGHT
         try:
             panel = _panel_body(spec, regions)
         except WmsdError as e:
@@ -376,7 +369,7 @@ def render_panel_grid(specs: Sequence[PlotSpec], columns: int = 2) -> str:
         body.append(f'<g transform="translate({ox} {oy})">')
         body.extend(panel)
         body.append("</g>")
-    body.extend(_legend_svg(columns * panel_w, 0, min(panel_h, 300)))
+    body.extend(_legend_svg(columns * WIDTH, 0, 300))
     return _document(total_w, total_h, body)
 
 
@@ -399,7 +392,6 @@ def render_overlay(base: PlotSpec, snapshot_a: tuple, snapshot_b: tuple
     frame = PlotFrame(base)
     field_spec = PlotSpec(
         weights=base.weights, kind=base.kind, grid=base.grid,
-        width=base.width, height=base.height,
         show_isolines=base.show_isolines, labels=False, force=base.force)
     body = _panel_body(field_spec, {})
 
@@ -430,4 +422,4 @@ def render_overlay(base: PlotSpec, snapshot_a: tuple, snapshot_b: tuple
     body.append(_markers_svg(frame, ids_a, wm_a, wsd_a, SOLID, labels=False))
     body.append(_markers_svg(frame, ids_b, wm_b, wsd_b, HOLLOW,
                              labels=base.labels))
-    return _document(base.width, base.height, body)
+    return _document(WIDTH, HEIGHT, body)

@@ -22,6 +22,7 @@ from wmsdspace.errors import (
     MalformedCsv,
     OutOfDomain,
     SchemaError,
+    UnattainablePoint,
     WmsdError,
 )
 from wmsdspace.cli import parse_config, read_matrix
@@ -686,6 +687,93 @@ class TestRepeatedConfig:
         assert record["message"] == f"{command} reads one --config, got 2"
 
 
+# Each flag that overrides a config key, with the value a test gives it.
+OVERRIDES = {"--aggregation": ["I"], "--unweighted": [], "--clamp": [],
+             "--tie-tol": ["0.05"]}
+DECLARED = {
+    "rank": ["--aggregation", "--unweighted", "--clamp", "--tie-tol"],
+    "transform": ["--clamp"],
+    "boundary": ["--unweighted"],
+    "plot": ["--aggregation", "--unweighted", "--clamp"],
+    "compare": ["--aggregation", "--unweighted", "--clamp", "--tie-tol"],
+}
+DECLARED_PAIRS = [(c, f) for c in sorted(DECLARED) for f in DECLARED[c]]
+REMOVED_PAIRS = [(c, f) for c in sorted(DECLARED) for f in OVERRIDES
+                 if f not in DECLARED[c]]
+
+
+class TestCommandFlags:
+    """Each command declares the config-overriding flags it reads, each of
+    them changes its output, and any other one is a usage error."""
+
+    S = FIXTURES / "students_config.json"
+    DATA = FIXTURES / "students.csv"
+    COMMANDS = {
+        "rank": ["rank", "--data", DATA, "--config", S],
+        "transform": ["transform", "--data", DATA, "--config", S],
+        "boundary": ["boundary", "--config", S, "--resolution", "16"],
+        "plot": ["plot", "--data", DATA, "--config", S, "--grid", "16"],
+        "compare": ["compare", "--data", DATA, "--config", S, "--config-b",
+                    FIXTURES / "students_config_equal.json"],
+    }
+
+    @pytest.mark.parametrize("command,flag",
+                             [p for p in DECLARED_PAIRS
+                              if p[1] != "--clamp"])
+    def test_declared_flag_changes_output(self, run_cli, command, flag):
+        args = self.COMMANDS[command]
+        code, plain, err = run_cli(*args)
+        assert code == 0, err
+        code, out, err = run_cli(*args, flag, *OVERRIDES[flag])
+        assert code == 0, err
+        assert out != plain
+
+    @pytest.mark.parametrize("command", [c for c, f in DECLARED_PAIRS
+                                         if f == "--clamp"])
+    def test_clamp_rescues_an_out_of_domain_cell(self, run_cli, tmp_path,
+                                                 command):
+        """Refused without the flag; with it, the output of the same data
+        with the cell at its bound."""
+        text = self.DATA.read_text()
+        assert "\nS2,49.37," in text
+        outside, bound = tmp_path / "outside.csv", tmp_path / "bound.csv"
+        outside.write_text(text.replace("\nS2,49.37,", "\nS2,149.37,"))
+        bound.write_text(text.replace("\nS2,49.37,", "\nS2,100,"))
+        args = self.COMMANDS[command]
+        at = args.index("--data") + 1
+
+        def run(data, *flags):
+            return run_cli(*args[:at], data, *args[at + 1:], *flags)
+
+        code, out, err = run(outside)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "OutOfDomain"
+        code, clamped, err = run(outside, "--clamp")
+        assert code == 0, err
+        assert clamped == run(bound)[1]
+
+    def test_seven_pairings_are_not_declared(self):
+        assert len(DECLARED_PAIRS) == 13 and len(REMOVED_PAIRS) == 7
+
+    @pytest.mark.parametrize("command,flag", REMOVED_PAIRS)
+    def test_undeclared_flag_is_a_usage_error(self, capsys, command, flag):
+        given = [flag, *OVERRIDES[flag]]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*map(str, self.COMMANDS[command]), *given])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: wmsdspace ")
+        assert err.endswith("wmsdspace: error: unrecognized arguments: "
+                            f"{' '.join(given)}\n")
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_command_runs_its_function(self, command):
+        args = cli.build_parser().parse_args(
+            [str(a) for a in self.COMMANDS[command]])
+        assert args.run is getattr(cli, f"cmd_{command}")
+
+
 class TestErrorStream:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_quoted_id_beyond_csv_field_limit(self, run_cli, tmp_path, fmt):
@@ -711,6 +799,22 @@ class TestErrorStream:
         record = exc.value.details()
         assert record["error"] == "MalformedCsv" and record["row"] == 2
         assert "\n" not in json.dumps(record)
+
+    def test_record_holds_only_the_error_fields(self):
+        """The record has the fields that are set, a point's id as "id",
+        and nothing else the exception carries, such as a note."""
+        e = SchemaError("must be an object", path="criteria[0]")
+        e.add_note("while reading a config")
+        assert e.details() == {"error": "SchemaError",
+                               "message": "criteria[0]: must be an object",
+                               "path": "criteria[0]"}
+        assert UnattainablePoint("outside", point_id="p").details() == {
+            "error": "UnattainablePoint", "message": "outside", "id": "p"}
+        bad = BadNumber("cannot parse", row=3, column="Bio")
+        assert (bad.row, bad.column, bad.point_id, bad.path) == (
+            3, "Bio", None, None)
+        assert WmsdError("plain").details() == {"error": "WmsdError",
+                                                "message": "plain"}
 
     def test_carriage_returns_in_quoted_ids_kept(self, run_cli, tmp_path):
         data = tmp_path / "cr.csv"

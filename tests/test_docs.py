@@ -1,6 +1,8 @@
-"""README "Library" examples run, and the package exports what it says,
-loading each name from its module on first use."""
+"""README "Library" examples run, the package exports what it says,
+loading each name from its module on first use, and the README flag table
+matches the CLI parser."""
 
+import argparse
 import importlib
 import json
 import pkgutil
@@ -66,6 +68,35 @@ def test_cli_states_each_cap():
     assert f"N must be between 16 and {cli.MAX_GRID}," in text
     assert f"N must be between 2 and {cli.MAX_RESOLUTION}," in text
     assert f"at most {cli.MAX_MARKERS} markers per document" in text
+
+
+def subparsers() -> dict:
+    """Each CLI command's argparse parser, by command name."""
+    parser = cli.build_parser()
+    (action,) = [a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_flag_table_matches_each_parser():
+    """The README "Flags" table lists, for each command, exactly the
+    optional flags its parser declares, apart from ``--help``."""
+    table = {}
+    for line in section("Flags", "###").splitlines():
+        cells = line.split("|")[1:-1]
+        if line.startswith("| `") and len(cells) == 3:
+            command = cells[0].strip().strip("`")
+            table[command] = [re.findall(r"`(--[\w-]+)`", cell)
+                              for cell in cells[1:]]
+    parsers = subparsers()
+    assert sorted(table) == sorted(parsers)
+    overrides = {"--aggregation", "--unweighted", "--clamp", "--tie-tol"}
+    for command, parser in parsers.items():
+        declared = {flag for a in parser._actions for flag in a.option_strings
+                    if flag.startswith("--")} - {"--help"}
+        first, rest = table[command]
+        assert set(first) <= overrides and not set(rest) & overrides, command
+        assert sorted(first + rest) == sorted(declared), command
 
 
 def test_library_blocks_run_in_order():

@@ -58,11 +58,6 @@ class TestValidateCriteria:
         with pytest.raises(DegenerateDomain):
             validate_criteria([CriterionSpec("x", 0, 1, "maximize", 1.0)])
 
-    def test_cost_preferred_values(self):
-        spec = CriterionSpec("price", 1, 6, "cost", 1.0)
-        assert spec.least_preferred == 6
-        assert spec.most_preferred == 1
-
 
 class TestNormalizeWeights:
     def test_divides_by_max(self):

@@ -10,11 +10,7 @@ from hypothesis import strategies as st
 from conftest import FIXTURES
 from wmsdspace import geometry, render
 from wmsdspace.aggregate import agg_values
-from wmsdspace.errors import (
-    DegenerateCanvas,
-    LengthMismatch,
-    UnattainablePoint,
-)
+from wmsdspace.errors import LengthMismatch, UnattainablePoint
 from wmsdspace.geometry import attainable
 from wmsdspace.model import normalize_weights
 from wmsdspace.render import (
@@ -176,10 +172,6 @@ class TestSinglePlot:
         with pytest.raises(LengthMismatch):
             PlotSpec(weights=W3, kind="R", ids=["a", "b"], wm=[0.2, 0.3],
                      wsd=[0.05])
-
-    def test_degenerate_canvas(self):
-        with pytest.raises(DegenerateCanvas):
-            PlotSpec(weights=W3, kind="R", width=0)
 
     def test_grid_floor(self):
         with pytest.raises(ValueError):
