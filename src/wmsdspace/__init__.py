@@ -18,9 +18,8 @@ __version__ = "0.1.0"
 # Every public name and the submodule that defines it.
 _HOME = {
     "AggregationKind": "aggregate", "Ranking": "aggregate",
-    "RankingComparison": "aggregate", "agg_rows": "aggregate",
-    "agg_values": "aggregate", "compare_rankings": "aggregate",
-    "rank_array": "aggregate",
+    "RankingComparison": "aggregate", "agg_values": "aggregate",
+    "compare_rankings": "aggregate", "rank_array": "aggregate",
     "WmsdError": "errors",
     "BoundaryEnvelope": "geometry", "Isoline": "geometry",
     "attainable": "geometry", "boundary": "geometry",
@@ -34,7 +33,7 @@ _HOME = {
     "render_overlay": "render", "render_panel_grid": "render",
     "render_wmsd_plot": "render",
     "utility_array": "spaces",
-    "mean_sd": "wmsd", "plane": "wmsd",
+    "plane": "wmsd",
 }
 
 __all__ = sorted(_HOME)

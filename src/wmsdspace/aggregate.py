@@ -2,14 +2,12 @@
 
 Three classic aggregations are supported, each scaled to [0, 1] and
 maximized: I (closeness to the ideal), A (distance from the anti-ideal),
-and R (relative closeness, the usual TOPSIS score).  One batched core,
-:func:`agg_rows`, scores every row of an (m, n) array of weighted points
-from its distances to the anti-ideal and ideal corners of the box;
-unweighted scoring is that core under all-ones weights.
-:func:`agg_values` gives the same aggregations from the (WM, WSD) plane
-coordinates plus mean(w), equal to the core up to floating noise; the
-renderer uses it to color the plane.  Rankings are computed on score
-arrays by :func:`rank_array`.
+and R (relative closeness, the usual TOPSIS score).  Every one of them
+is a function of an alternative's (WM, WSD) plane coordinates and
+mean(w) alone, so :func:`agg_values` scores the output of
+:func:`wmsdspace.wmsd.plane`; unweighted scoring is the same under
+all-ones weights.  Rankings are computed on score arrays by
+:func:`rank_array` and compared by :func:`compare_rankings`.
 """
 
 from __future__ import annotations
@@ -22,8 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import IdSetMismatch, NonFiniteScore
-from .model import WeightVector, _frozen
-from .spaces import _row_norms
+from .model import _frozen
 
 # Pair differences per block in :func:`_reversals`: a few MB of arrays
 # whatever the number of alternatives.
@@ -39,39 +36,24 @@ class AggregationKind(str, enum.Enum):
         return self.value
 
 
-def _combine(kind: AggregationKind, d_anti, d_ideal, mean_w: float):
-    """I, A or R from the scaled distances to the anti-ideal and ideal."""
-    if kind is AggregationKind.I:
-        return 1.0 - d_ideal / mean_w
-    if kind is AggregationKind.A:
-        return d_anti / mean_w
-    return d_anti / (d_ideal + d_anti)
-
-
-def agg_rows(kind: AggregationKind, v: np.ndarray,
-             w: WeightVector) -> np.ndarray:
-    """Aggregation of every row of an (m, n) array of weighted points.
-
-    The distances to the anti-ideal (all zeros) and the ideal (``w``
-    itself) are measured in the box and divided by ``s``.  This is the
-    primary scoring path; under :func:`uniform_weights` it is the
-    unweighted aggregation of utility rows, bit for bit.
-    """
-    d_ideal = _row_norms(v - w.weights) / w.s
-    d_anti = _row_norms(v) / w.s
-    return _combine(AggregationKind(kind), d_anti, d_ideal, w.mean_w)
-
-
 def agg_values(kind: AggregationKind, wm, wsd, mean_w: float):
-    """Vectorized aggregation over plane coordinates.
+    """Aggregation of plane points: the library's one scoring path.
 
-    ``wm`` and ``wsd`` may be scalars or arrays.  R's denominator is
+    ``wm`` and ``wsd`` may be scalars or arrays.  The distances to the
+    anti-ideal and ideal images, divided by ``s``, are
+    hypot(WM, WSD) and hypot(mean(w) - WM, WSD).  R's denominator is
     always positive: both distances vanish only if the anti-ideal and
     ideal images coincide, which mean(w) > 0 rules out.
     """
+    kind = AggregationKind(kind)
+    wm = np.asarray(wm, dtype=float)
+    if kind is AggregationKind.A:
+        return np.hypot(wm, wsd) / mean_w
+    d_ideal = np.hypot(mean_w - wm, wsd)
+    if kind is AggregationKind.I:
+        return 1.0 - d_ideal / mean_w
     d_anti = np.hypot(wm, wsd)
-    d_ideal = np.hypot(mean_w - np.asarray(wm, dtype=float), wsd)
-    return _combine(AggregationKind(kind), d_anti, d_ideal, mean_w)
+    return d_anti / (d_ideal + d_anti)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,13 +132,16 @@ def rank_array(ids: Sequence[str], scores: np.ndarray,
                    scores=_frozen(ranked), ranks=ranks)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankingComparison:
     """Per-id rank shifts between two rankings of the same ids.
 
-    ``deltas`` maps id to (rank in second) - (rank in first); positive
-    means the alternative dropped.  ``reversals`` lists pairs whose strict
-    relative order flips; pairs tied in either ranking do not count.
+    Rows are those of the first ranking.  ``order[k]`` is the row of the
+    second ranking that holds the id of row k, and ``deltas[k]`` is that
+    id's (rank in second) - (rank in first); positive means it dropped.
+    ``reversals`` has one row ``(i, j)`` per pair whose strict relative
+    order flips, ``i`` the one better in the first ranking; pairs tied
+    in either ranking do not count.
     ``kendall_tau`` is the tau-b correlation of the two rank vectors,
     which corrects for tied pairs (Knight 1966, as in scipy).  Of the
     n0 = m(m-1)/2 pairs, n1 are tied in the first ranking, n2 in the
@@ -166,9 +151,10 @@ class RankingComparison:
     (fewer than two ids, or a ranking that is one tie).
     """
 
-    deltas: dict[str, int]
+    order: np.ndarray
+    deltas: np.ndarray
     kendall_tau: float
-    reversals: tuple[tuple[str, str], ...]
+    reversals: np.ndarray
 
 
 def compare_rankings(r1: Ranking, r2: Ranking) -> RankingComparison:
@@ -179,15 +165,12 @@ def compare_rankings(r1: Ranking, r2: Ranking) -> RankingComparison:
         missing = sorted(ids1 ^ ids2)
         raise IdSetMismatch(f"rankings cover different ids: {missing}")
 
-    rank1 = dict(zip(r1.ids, r1.ranks.tolist()))
-    rank2 = dict(zip(r2.ids, r2.ranks.tolist()))
-    ordered = list(r1.ids)
-    deltas = {alt_id: rank2[alt_id] - rank1[alt_id] for alt_id in ordered}
-
-    ranks = np.array([[rank1[i], rank2[i]] for i in ordered],
-                     dtype=np.int64).reshape(-1, 2)
-    reversals = _reversals(ordered, ranks)
-    n0 = len(ordered) * (len(ordered) - 1) // 2
+    row2 = dict(zip(r2.ids, range(len(r2.ids))))
+    order = np.array([row2[i] for i in r1.ids], dtype=np.intp)
+    ranks = np.column_stack([r1.ranks, r2.ranks[order]])
+    deltas = ranks[:, 1] - ranks[:, 0]
+    reversals = _reversals(ranks)
+    n0 = len(ranks) * (len(ranks) - 1) // 2
     n1 = _tied_pairs(ranks[:, 0])
     n2 = _tied_pairs(ranks[:, 1])
     n3 = _tied_pairs(ranks)
@@ -197,22 +180,23 @@ def compare_rankings(r1: Ranking, r2: Ranking) -> RankingComparison:
     else:
         tau = (n0 - n1 - n2 + n3 - 2 * len(reversals)) / math.sqrt(denom)
         tau = min(1.0, max(-1.0, tau))
-    return RankingComparison(deltas=deltas, kendall_tau=tau,
+    for a in (order, deltas, reversals):
+        a.flags.writeable = False
+    return RankingComparison(order=order, deltas=deltas, kendall_tau=tau,
                              reversals=reversals)
 
 
-def _reversals(ids: Sequence[str], ranks: np.ndarray
-               ) -> tuple[tuple[str, str], ...]:
-    """Pairs ``i < j`` whose two ranks order them strictly and oppositely,
-    in row-major order, each as (better in the first ranking, other).
+def _reversals(ranks: np.ndarray) -> np.ndarray:
+    """Row pairs ``i < j`` whose two ranks order them strictly and
+    oppositely, in row-major order, each as (better in the first
+    ranking, other).
 
     Rows are taken ``_PAIR_BLOCK // m`` at a time, so each block of pair
     differences holds about ``_PAIR_BLOCK`` entries.
     """
-    m = len(ids)
-    ids_arr = np.array(ids, dtype=object)
+    m = len(ranks)
     step = max(1, _PAIR_BLOCK // max(m, 1))
-    firsts, seconds = [], []
+    pairs = [np.empty((0, 2), dtype=np.intp)]
     for a in range(0, m, step):
         b = min(a + step, m)
         d1 = ranks[a:b, None, 0] - ranks[None, a:, 0]
@@ -220,14 +204,9 @@ def _reversals(ids: Sequence[str], ranks: np.ndarray
         flip = (d1 * d2 < 0) & (np.arange(a, m) > np.arange(a, b)[:, None])
         i, j = np.nonzero(flip)
         lead = d1[i, j] < 0
-        i += a
-        j += a
-        firsts.append(ids_arr[np.where(lead, i, j)])
-        seconds.append(ids_arr[np.where(lead, j, i)])
-    if not firsts:
-        return ()
-    return tuple(zip(np.concatenate(firsts).tolist(),
-                     np.concatenate(seconds).tolist()))
+        pairs.append(np.column_stack([np.where(lead, i, j),
+                                      np.where(lead, j, i)]) + a)
+    return np.concatenate(pairs)
 
 
 def _tied_pairs(keys: np.ndarray) -> int:

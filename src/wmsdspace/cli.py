@@ -6,12 +6,17 @@ gain/cost kinds, and raw weights.  All commands are deterministic:
 identical inputs produce byte-identical outputs.  Numeric output is
 rounded to 6 decimal places.
 
+Every score is taken from the alternative's (WM, WSD) point, the point
+a plot draws, by :func:`agg_values`; ``transform`` writes both pairs of
+coordinates and the scores of each.
+
 Errors are emitted as single-line JSON records on stderr; the exit code
 is 0 on success, 1 for validation errors, 2 for refused computations,
 and 3 for I/O failures.
 
-Each command declares only the flags it reads.  A flag that overrides a
-config key is applied when the config is loaded, so a command sees one
+Each command declares only the flags it reads, and its parser refuses
+any other with a usage error that names the command.  A flag that
+overrides a config key is applied when the config is loaded, so a command sees one
 :class:`RunConfig` with its weights, aggregation, tie tolerance and
 clamping resolved.
 
@@ -37,7 +42,7 @@ import numpy as np
 from .aggregate import (
     AggregationKind,
     Ranking,
-    agg_rows,
+    agg_values,
     compare_rankings,
     rank_array,
 )
@@ -62,7 +67,7 @@ from .model import (
 )
 from ._text import _CHUNK_ROWS, rows as _rows
 from .spaces import utility_array
-from .wmsd import mean_sd, plane
+from .wmsd import plane
 
 if TYPE_CHECKING:
     from .render import PlotSpec
@@ -317,12 +322,19 @@ def _load_config(path, args: argparse.Namespace) -> RunConfig:
     return replace(config, **changes)
 
 
+def _plane_points(matrix: DecisionMatrix, w: WeightVector) -> tuple:
+    """Columns ``(ids, wm, wsd)``: every alternative's plane point under
+    ``w``, from which both its score and its plot marker are taken."""
+    u = utility_array(matrix.values, matrix.criteria)
+    return (matrix.ids, *plane(u * w.weights, w))
+
+
 def _ranking(matrix: DecisionMatrix, config: RunConfig) -> Ranking:
     """The alternatives ranked by the config's aggregation and weights."""
     w = config.weights
-    u = utility_array(matrix.values, matrix.criteria)
-    scores = agg_rows(config.aggregation, u * w.weights, w)
-    return rank_array(matrix.ids, scores, config.tie_tolerance)
+    ids, wm, wsd = _plane_points(matrix, w)
+    return rank_array(ids, agg_values(config.aggregation, wm, wsd, w.mean_w),
+                      config.tie_tolerance)
 
 
 _json_str = json.encoder.encode_basestring_ascii
@@ -415,11 +427,12 @@ def cmd_transform(args: argparse.Namespace) -> str:
               + ["m", "sd", "wm", "wsd", "i", "a", "r", "i_w", "a_w", "r_w"])
     u = utility_array(matrix.values, matrix.criteria)
     v = u * w.weights
-    ones = uniform_weights(matrix.n)  # u * ones.weights is u itself
+    m, sd = plane(u, uniform_weights(matrix.n))  # u is its own weighted row
+    wm, wsd = plane(v, w)
     table = np.column_stack(
-        [u, v, *mean_sd(u), *plane(v, w)]
-        + [agg_rows(k, u, ones) for k in AggregationKind]
-        + [agg_rows(k, v, w) for k in AggregationKind])
+        [u, v, m, sd, wm, wsd]
+        + [agg_values(k, m, sd, 1.0) for k in AggregationKind]
+        + [agg_values(k, wm, wsd, w.mean_w) for k in AggregationKind])
     if args.format == "json":
         item = _json_fields([("id", "%s")] + [(h, "%r") for h in header[1:]],
                             1)
@@ -446,18 +459,12 @@ def cmd_boundary(args: argparse.Namespace) -> str:
             + _rows("vertex,%.6f,%.6f\n", [env.vertex_images]))
 
 
-def _plot_points(matrix: DecisionMatrix, w: WeightVector) -> tuple:
-    """Marker columns ``(ids, wm, wsd)`` of every alternative."""
-    u = utility_array(matrix.values, matrix.criteria)
-    return (matrix.ids, *plane(u * w.weights, w))
-
-
 def _plot_spec(matrix: DecisionMatrix, config: RunConfig,
                args: argparse.Namespace) -> PlotSpec:
     from .render import PlotSpec
 
     w = config.weights
-    ids, wm, wsd = _plot_points(matrix, w)
+    ids, wm, wsd = _plane_points(matrix, w)
     return PlotSpec(
         weights=w, kind=config.aggregation, ids=ids, wm=wm, wsd=wsd,
         grid=args.grid, show_isolines=tuple(args.isolines),
@@ -494,8 +501,8 @@ def cmd_plot(args: argparse.Namespace) -> str:
                         show_isolines=tuple(args.isolines),
                         labels=args.labels, force=args.force)
         _check_markers(matrix_a.m + matrix_b.m)
-        return render_overlay(base, _plot_points(matrix_a, w),
-                              _plot_points(matrix_b, w))
+        return render_overlay(base, _plane_points(matrix_a, w),
+                              _plane_points(matrix_b, w))
 
     specs = []
     markers = 0
@@ -519,25 +526,22 @@ def cmd_compare(args: argparse.Namespace) -> str:
     ra = _ranking(matrix_a, config_a)
     rb = _ranking(matrix_b, config_b)
     cmp = compare_rankings(ra, rb)
-
-    # b's row of each id, in a's order; deltas are cmp.deltas as an array
-    b_at = dict(zip(rb.ids, range(len(rb.ids))))
-    b_order = np.array([b_at[i] for i in ra.ids], dtype=np.intp)
-    ranks_b = rb.ranks[b_order]
-    deltas = ranks_b - ra.ranks
+    # the ids of each reversal pair, first and second, as two columns
+    revs = np.array(ra.ids, dtype=object)[cmp.reversals].T.tolist()
     if args.format == "csv":
-        revs = list(zip(*cmp.reversals)) or [(), ()]
         return ("id,score_a,rank_a,score_b,rank_b,delta\n"
                 + _rows("%s,%.6f,%d,%.6f,%d,%d\n",
                         [_csv_fields(ra.ids), ra.scores, ra.ranks,
-                         rb.scores[b_order], ranks_b, deltas])
+                         rb.scores[cmp.order], rb.ranks[cmp.order],
+                         cmp.deltas])
                 + _rows("# kendall_tau=%.6f\n", [[cmp.kendall_tau]])
                 + _rows("# reversal=%s,%s\n", revs))
     tau = ("null" if math.isnan(cmp.kendall_tau)
            else repr(round(cmp.kendall_tau, 6)))
-    revs = [list(map(_json_str, c)) for c in zip(*cmp.reversals)] or [[], []]
+    revs = [list(map(_json_str, c)) for c in revs]
     deltas_json = _json_block("    %s: %d",
-                              [list(map(_json_str, ra.ids)), deltas], 1, "{}")
+                              [list(map(_json_str, ra.ids)), cmp.deltas], 1,
+                              "{}")
     return (f'{{\n  "ranking_a": {_entries_json(ra, 1)},\n'
             f'  "ranking_b": {_entries_json(rb, 1)},\n'
             f'  "deltas": {deltas_json},\n'
@@ -555,11 +559,24 @@ def _levels(text: str) -> list[float]:
         raise SchemaError(f"cannot parse isoline levels {text!r}")
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser.  It refuses an argument it does not declare
+    itself, so the usage line and the error name the command; argparse
+    would leave it to the top-level parser."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wmsdspace",
         description="TOPSIS rankings with 2-D (WM, WSD) explanations.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_CommandParser)
 
     # The flags that override a config key; each command declares the ones
     # it reads, in this order.

@@ -11,8 +11,9 @@ anti-ideal and ideal alternatives.
 Distances in weighted space are Euclidean divided by the weight scaling
 coefficient ``s``, so they range over [0, mean(w)] inside the
 hyperrectangle and reduce to Euclidean divided by sqrt(n) when all
-weights are 1; :func:`wmsdspace.aggregate.agg_rows` measures them to
-both corners for every row at once.
+weights are 1.  The distances to both corners are functions of a row's
+plane coordinates alone (see :func:`wmsdspace.wmsd.plane`), so no
+distance is measured in the box itself.
 """
 
 from __future__ import annotations

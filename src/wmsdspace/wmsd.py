@@ -6,9 +6,9 @@ orthogonal remainder.  Dividing the two component lengths by the scaling
 coefficient ``s`` yields the weight-scaled mean (WM) and weight-scaled
 standard deviation (WSD): the coordinates of the alternative in the 2-D
 explanation plane.  With all weights equal to 1 they reduce to the plain
-mean and population standard deviation of the utility coordinates.
-:func:`plane` computes both coordinates for every row of an (m, n)
-array, and :func:`mean_sd` the unweighted pair.
+mean and population standard deviation of the utility coordinates, so
+``plane(u, uniform_weights(n))`` is the unweighted pair.  :func:`plane`
+computes both coordinates for every row of an (m, n) array.
 
 The distances of ``v`` to the anti-ideal and ideal images are pure
 functions of (WM, WSD, mean(w)):
@@ -16,7 +16,8 @@ functions of (WM, WSD, mean(w)):
     d_anti  = sqrt(WM**2 + WSD**2)
     d_ideal = sqrt((mean(w) - WM)**2 + WSD**2)
 
-which is how :func:`wmsdspace.aggregate.agg_values` scores plane points.
+which is how :func:`wmsdspace.aggregate.agg_values` scores every
+alternative from its plane point.
 """
 
 from __future__ import annotations
@@ -47,13 +48,3 @@ def plane(v: np.ndarray, w: WeightVector) -> tuple[np.ndarray, np.ndarray]:
     """
     dots, _, rej = _split(v, w)
     return dots / (w.norm * w.s), _row_norms(rej) / w.s
-
-
-def mean_sd(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and population standard deviation of every row of ``u``.
-
-    Equal to :func:`plane` under all-ones weights up to floating noise;
-    the variance uses the divide-by-n convention, never n-1.
-    """
-    mean = u.mean(axis=1)
-    return mean, np.sqrt(((u - mean[:, None]) ** 2).mean(axis=1))

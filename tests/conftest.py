@@ -4,11 +4,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
 import wmsdspace
+from wmsdspace.aggregate import agg_values
 from wmsdspace.cli import main as cli_main, parse_config, read_matrix
+from wmsdspace.wmsd import plane
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -94,3 +97,32 @@ def random_weight_vectors(rng, count, n_range=(2, 10)):
         w[zeros] = 0.0
         out.append(w)
     return out
+
+
+def plane_scores(kind, v, w):
+    """The library's scores of weighted rows ``v``: each row's (WM, WSD)
+    point, aggregated."""
+    return agg_values(kind, *plane(v, w), w.mean_w)
+
+
+def box_distances(v, w):
+    """Textbook (d_anti, d_ideal) of each weighted row: its distances to
+    the anti-ideal 0 and to the ideal ``w``, measured in the weighted box
+    and divided by ``s``."""
+    v = np.asarray(v, dtype=float)
+    return (np.linalg.norm(v, axis=1) / w.s,
+            np.linalg.norm(v - w.weights, axis=1) / w.s)
+
+
+def box_scores(kind, v, w):
+    """Textbook TOPSIS I, A or R of each weighted row, from its box
+    distances: the oracle for :func:`plane_scores`."""
+    d_anti, d_ideal = box_distances(v, w)
+    return {"I": 1.0 - d_ideal / w.mean_w, "A": d_anti / w.mean_w,
+            "R": d_anti / (d_anti + d_ideal)}[str(kind)]
+
+
+def reversal_ids(cmp, r1):
+    """The reversal pairs of ``cmp``, a comparison against ``r1``, as
+    (id, id) tuples."""
+    return [(r1.ids[i], r1.ids[j]) for i, j in cmp.reversals.tolist()]

@@ -11,10 +11,16 @@ import re
 import numpy as np
 import pytest
 
-from conftest import load_config, load_matrix
+from conftest import (
+    box_distances,
+    box_scores,
+    load_config,
+    load_matrix,
+    plane_scores,
+    reversal_ids,
+)
 from wmsdspace.aggregate import (
     AggregationKind,
-    agg_rows,
     agg_values,
     compare_rankings,
     rank_array,
@@ -37,7 +43,7 @@ from wmsdspace.render import (
     render_panel_grid,
 )
 from wmsdspace.spaces import utility_array
-from wmsdspace.wmsd import _split, mean_sd, plane
+from wmsdspace.wmsd import _split, plane
 
 KINDS = list(AggregationKind)
 
@@ -45,7 +51,7 @@ KINDS = list(AggregationKind)
 def weighted_scores(matrix, w, kind="R"):
     """Scores of every alternative of ``matrix`` under ``w``."""
     u = utility_array(matrix.values, matrix.criteria)
-    return agg_rows(kind, u * w.weights, w)
+    return plane_scores(kind, u * w.weights, w)
 
 
 def report(num, name, failures):
@@ -146,11 +152,12 @@ def test_c01_students_reference_table(students):
     failures = []
     u = utility_array(matrix.values, matrix.criteria)
     v = u * w.weights
-    ones = uniform_weights(matrix.n)
+    m, sd = plane(u, uniform_weights(matrix.n))
+    wm, wsd = plane(v, w)
     table = np.column_stack(
-        [u, v, *mean_sd(u), *plane(v, w)]
-        + [agg_rows(k, u, ones) for k in KINDS]
-        + [agg_rows(k, v, w) for k in KINDS])
+        [u, v, m, sd, wm, wsd]
+        + [agg_values(k, m, sd, 1.0) for k in KINDS]
+        + [agg_values(k, wm, wsd, w.mean_w) for k in KINDS])
     for alt_id, row in zip(matrix.ids, table.tolist()):
         computed = dict(zip(STUDENT_COLUMNS, row))
         for col, ref in zip(STUDENT_COLUMNS, STUDENT_REFERENCE[alt_id]):
@@ -179,8 +186,8 @@ def test_c02_worked_example():
         failures.append(f"wm {wm:.6f} not within 1e-3 of 0.525")
     if abs(wsd - 0.075) > 1e-3:
         failures.append(f"wsd {wsd:.6f} not within 1e-3 of 0.075")
-    d_anti = agg_rows("A", v, w)[0] * w.mean_w
-    d_ideal = (1 - agg_rows("I", v, w)[0]) * w.mean_w
+    d_anti = agg_values("A", wm, wsd, w.mean_w) * w.mean_w
+    d_ideal = (1 - agg_values("I", wm, wsd, w.mean_w)) * w.mean_w
     if abs(d_anti - 0.53) > 0.005:
         failures.append(f"distance to anti-ideal {d_anti:.6f} vs 0.53")
     if abs(d_ideal - 0.24) > 0.005:
@@ -223,8 +230,9 @@ def test_c04_ia_identity_suite():
         wm, wsd = plane(v, w)
         d_anti = agg_values("A", wm, wsd, w.mean_w)[0] * w.mean_w
         d_ideal = (1 - agg_values("I", wm, wsd, w.mean_w)[0]) * w.mean_w
-        r_anti = abs(d_anti - agg_rows("A", v, w)[0] * w.mean_w)
-        r_ideal = abs(d_ideal - (1 - agg_rows("I", v, w)[0]) * w.mean_w)
+        (box_anti,), (box_ideal,) = box_distances(v, w)
+        r_anti = abs(d_anti - box_anti)
+        r_ideal = abs(d_ideal - box_ideal)
         if max(r_anti, r_ideal) >= 1e-12:
             failures.append(f"trial {trial}: residuals {r_anti:.2e}, "
                             f"{r_ideal:.2e}")
@@ -241,12 +249,11 @@ def test_c05_msd_reduction_suite():
         w = uniform_weights(n)
         v = u[None] * w.weights
         (wm,), (wsd,) = plane(v, w)
-        (m,), (sd,) = mean_sd(u[None])
-        if abs(wm - m) >= 1e-12 or abs(wsd - sd) >= 1e-12:
+        if abs(wm - u.mean()) >= 1e-12 or abs(wsd - u.std()) >= 1e-12:
             failures.append(f"trial {trial}: plane point off")
         for kind in KINDS:
-            if abs(agg_rows(kind, v, w)[0]
-                   - agg_values(kind, m, sd, 1.0)) >= 1e-12:
+            if abs(agg_values(kind, wm, wsd, w.mean_w)
+                   - box_scores(kind, v, w)[0]) >= 1e-12:
                 failures.append(f"trial {trial}: {kind} mismatch")
     report(5, "reduction to mean/std", failures)
 
@@ -361,8 +368,8 @@ def test_c08_zero_weight_elimination():
         v = u[None] * w.weights
         v_pad = np.append(u, rng.random())[None] * w_pad.weights
         for kind in KINDS:
-            dev = abs(agg_rows(kind, v_pad, w_pad)[0]
-                      - agg_rows(kind, v, w)[0])
+            dev = abs(plane_scores(kind, v_pad, w_pad)[0]
+                      - plane_scores(kind, v, w)[0])
             if dev >= 1e-12:
                 failures.append(f"trial {trial}: {kind} moved {dev:.2e}")
         (wm,), (wsd,) = plane(v, w)
@@ -434,9 +441,9 @@ def test_c10_ranking_reversals(students, countries):
     matrix, w = students
     scores_u = weighted_scores(matrix, uniform_weights(matrix.n))
     scores_w = weighted_scores(matrix, w)
-    cmp = compare_rankings(rank_array(matrix.ids, scores_u),
-                           rank_array(matrix.ids, scores_w))
-    if ("S8", "S9") not in cmp.reversals:
+    ranking_u = rank_array(matrix.ids, scores_u)
+    cmp = compare_rankings(ranking_u, rank_array(matrix.ids, scores_w))
+    if ("S8", "S9") not in reversal_ids(cmp, ranking_u):
         failures.append("(S8, S9) reversal not flagged")
 
     matrix_c, configs = countries
@@ -450,6 +457,7 @@ def test_c10_ranking_reversals(students, countries):
         failures.append("URY not 2nd under uniform weights")
     if rankings["w2"].position("URY") != 5:
         failures.append("URY not 5th under skewed weights")
-    if cmp.deltas["URY"] != 3:
-        failures.append(f"URY delta {cmp.deltas['URY']} != 3")
+    delta = cmp.deltas[rankings["w1"].ids.index("URY")]
+    if delta != 3:
+        failures.append(f"URY delta {delta} != 3")
     report(10, "ranking reversals", failures)

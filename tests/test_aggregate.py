@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import box_scores, plane_scores, reversal_ids
 from wmsdspace import aggregate
 from wmsdspace.aggregate import (
     AggregationKind,
-    agg_rows,
     agg_values,
     compare_rankings,
     rank_array,
@@ -17,7 +17,7 @@ from wmsdspace.aggregate import (
 from wmsdspace.errors import IdSetMismatch, NonFiniteScore
 from wmsdspace.model import normalize_weights, uniform_weights
 from wmsdspace.spaces import utility_array
-from wmsdspace.wmsd import mean_sd, plane
+from wmsdspace.wmsd import plane
 
 W3 = normalize_weights([0.5, 0.6, 1.0])
 KINDS = list(AggregationKind)
@@ -29,57 +29,53 @@ def scores_for(matrix, w, kind, weighted=True):
     u = utility_array(matrix.values, matrix.criteria)
     if not weighted:
         w = uniform_weights(matrix.n)
-    return agg_rows(kind, u * w.weights, w)
+    return plane_scores(kind, u * w.weights, w)
 
 
 class TestUnweighted:
     S8 = np.array([[0.9367, 0.81, 0.278]])
 
     def test_student_row(self):
-        assert agg_rows("I", self.S8, ONES3)[0] == pytest.approx(0.57,
-                                                                 abs=0.005)
-        assert agg_rows("A", self.S8, ONES3)[0] == pytest.approx(0.73,
-                                                                 abs=0.005)
-        assert agg_rows("R", self.S8, ONES3)[0] == pytest.approx(0.63,
-                                                                 abs=0.005)
+        for kind, want in zip("IAR", (0.57, 0.73, 0.63)):
+            assert plane_scores(kind, self.S8, ONES3)[0] == pytest.approx(
+                want, abs=0.005)
 
     def test_extremes(self):
         for kind in KINDS:
-            top, bottom = agg_rows(kind, np.array([[1.0, 1, 1], [0, 0, 0]]),
-                                   ONES3)
+            top, bottom = plane_scores(
+                kind, np.array([[1.0, 1, 1], [0, 0, 0]]), ONES3)
             assert top == pytest.approx(1.0)
             assert bottom == pytest.approx(0.0)
 
     def test_near_constant_midpoint(self):
         u = np.array([[0.4937, 0.506, 0.494]])
         for kind in KINDS:
-            assert agg_rows(kind, u, ONES3)[0] == pytest.approx(0.50,
-                                                                abs=0.005)
+            assert plane_scores(kind, u, ONES3)[0] == pytest.approx(
+                0.50, abs=0.005)
 
 
 class TestWeighted:
     def test_student_relative_score(self):
         v = np.array([[0.9367, 0.81, 0.278]]) * W3.weights
-        assert agg_rows("R", v, W3)[0] == pytest.approx(0.50, abs=0.005)
+        assert plane_scores("R", v, W3)[0] == pytest.approx(0.50, abs=0.005)
 
     def test_student_cross_route(self):
-        # the direct-distance route and the plane route must agree far
+        # textbook box distances and the plane route must agree far
         # below the table-rounding level
         v = np.array([[0.9367, 0.81, 0.278]]) * W3.weights
-        wm, wsd = plane(v, W3)
         for kind in KINDS:
-            assert agg_rows(kind, v, W3)[0] == pytest.approx(
-                agg_values(kind, wm, wsd, W3.mean_w)[0], abs=1e-12)
+            assert plane_scores(kind, v, W3)[0] == pytest.approx(
+                box_scores(kind, v, W3)[0], abs=1e-12)
 
     def test_chile_under_skewed_weights(self):
         w = normalize_weights([0.25, 1.0, 0.25, 0.5])
         v = np.array([[0.6243, 0.8243, 0.7537, 0.8127]]) * w.weights
-        assert agg_rows("R", v, w)[0] == pytest.approx(0.806, abs=0.001)
+        assert plane_scores("R", v, w)[0] == pytest.approx(0.806, abs=0.001)
 
     def test_ideal_image(self):
         for kind in KINDS:
-            assert agg_rows(kind, W3.weights[None], W3)[0] == pytest.approx(
-                1.0, abs=1e-12)
+            assert plane_scores(kind, W3.weights[None], W3)[0] == \
+                pytest.approx(1.0, abs=1e-12)
 
 
 class TestFromWmsd:
@@ -216,8 +212,9 @@ class TestCompareRankings:
         r = rank_array(["a", "b"], [0.9, 0.5])
         cmp = compare_rankings(r, r)
         assert cmp.kendall_tau == pytest.approx(1.0)
-        assert cmp.reversals == ()
-        assert cmp.deltas == {"a": 0, "b": 0}
+        assert cmp.reversals.shape == (0, 2)
+        assert cmp.order.tolist() == [0, 1]
+        assert cmp.deltas.tolist() == [0, 0]
 
     def test_id_mismatch(self):
         with pytest.raises(IdSetMismatch):
@@ -233,7 +230,8 @@ class TestCompareRankings:
         cmp = compare_rankings(r1, r2)
         assert r1.position("URY") == 2
         assert r2.position("URY") == 5
-        assert cmp.deltas["URY"] == 3
+        assert [r2.ids[k] for k in cmp.order] == list(r1.ids)
+        assert cmp.deltas[r1.ids.index("URY")] == 3
 
     def test_student_reversal(self, students_matrix):
         ids = students_matrix.ids
@@ -241,7 +239,7 @@ class TestCompareRankings:
                                                 weighted=False))
         weighted = rank_array(ids, scores_for(students_matrix, W3, "R"))
         cmp = compare_rankings(unweighted, weighted)
-        assert ("S8", "S9") in cmp.reversals
+        assert ("S8", "S9") in reversal_ids(cmp, unweighted)
         assert cmp.kendall_tau < 1.0
 
     @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
@@ -263,7 +261,7 @@ class TestCompareRankings:
                     expected.append((a, b) if d1 < 0 else (b, a))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(aggregate, "_PAIR_BLOCK", block)
-            assert compare_quietly(r1, r2).reversals == tuple(expected)
+            assert reversal_ids(compare_quietly(r1, r2), r1) == expected
 
 
 def tau_b_reference(x, y):
@@ -294,7 +292,7 @@ class TestKendallTau:
         assert [r1.position(k) for k in "abcde"] == [1, 2, 2, 4, 5]
         assert [r2.position(k) for k in "abcde"] == [2, 1, 3, 3, 3]
         cmp = compare_quietly(r1, r2)
-        assert cmp.reversals == (("a", "b"),)
+        assert reversal_ids(cmp, r1) == [("a", "b")]
         assert cmp.kendall_tau == pytest.approx(4 / math.sqrt(63), abs=1e-15)
         assert round(cmp.kendall_tau, 6) == 0.503953
 
@@ -304,7 +302,7 @@ class TestKendallTau:
         r1 = rank_array(list("abcd"), [2, 2, 1, 0])
         r2 = rank_array(list("abcd"), [2, 2, 0, 1])
         cmp = compare_quietly(r1, r2)
-        assert cmp.reversals == (("c", "d"),)
+        assert reversal_ids(cmp, r1) == [("c", "d")]
         assert cmp.kendall_tau == pytest.approx(0.6, abs=1e-15)
 
     def test_full_reversal(self):
@@ -322,7 +320,7 @@ class TestKendallTau:
         r1 = rank_array(list("abc"), [1, 1, 1])
         r2 = rank_array(list("abc"), [3, 2, 1])
         cmp = compare_quietly(r1, r2)
-        assert cmp.reversals == ()
+        assert len(cmp.reversals) == 0
         assert math.isnan(cmp.kendall_tau)
 
     @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
@@ -355,34 +353,49 @@ def utility_and_weights(draw):
     return u, normalize_weights(w_raw)
 
 
+@st.composite
+def box_rows(draw):
+    """Weighted rows and their weights: n from 1 to 20, zero weights,
+    cells of exactly 0 and 1, and the ideal and anti-ideal rows first."""
+    n = draw(st.integers(min_value=1, max_value=20))
+    unit = st.floats(min_value=0, max_value=1, allow_nan=False)
+    cell = st.one_of(st.sampled_from([0.0, 1.0]), unit)
+    w_raw = draw(st.lists(st.one_of(st.just(0.0), unit), min_size=n,
+                          max_size=n).filter(lambda xs: max(xs) > 1e-6))
+    rows = draw(st.lists(st.lists(cell, min_size=n, max_size=n),
+                         max_size=6))
+    w = normalize_weights(w_raw)
+    u = np.array([[1.0] * n, [0.0] * n] + rows)
+    return u * w.weights, w
+
+
 class TestAggregationProperties:
-    @given(utility_and_weights())
-    def test_cross_formulation(self, uw):
-        u, w = uw
-        v = np.array([u]) * w.weights
-        wm, wsd = plane(v, w)
+    @given(box_rows())
+    def test_cross_formulation(self, vw):
+        # the plane path is textbook TOPSIS on the box distances
+        v, w = vw
         for kind in KINDS:
-            assert abs(agg_rows(kind, v, w)[0]
-                       - agg_values(kind, wm, wsd, w.mean_w)[0]) < 1e-12
+            got = agg_values(kind, *plane(v, w), w.mean_w)
+            assert np.max(np.abs(got - box_scores(kind, v, w))) < 1e-12
 
     @given(st.lists(st.floats(min_value=0, max_value=1, allow_nan=False),
                     min_size=2, max_size=8))
     def test_reduction_to_unweighted(self, u):
         u = np.array([u])
         w = uniform_weights(u.shape[1])
-        m, sd = mean_sd(u)
         for kind in KINDS:
-            assert abs(agg_rows(kind, u * w.weights, w)[0]
-                       - agg_values(kind, m, sd, 1.0)[0]) < 1e-12
+            assert abs(plane_scores(kind, u * w.weights, w)[0]
+                       - agg_values(kind, u.mean(1), u.std(1), 1.0)[0]) \
+                < 1e-12
 
     @given(utility_and_weights())
     def test_range(self, uw):
         u, w = uw
         u = np.array([u])
         for kind in KINDS:
-            assert -1e-12 <= agg_rows(kind, u * w.weights, w)[0] \
+            assert -1e-12 <= plane_scores(kind, u * w.weights, w)[0] \
                 <= 1.0 + 1e-12
-            assert -1e-12 <= agg_rows(kind, u, uniform_weights(w.n))[0] \
+            assert -1e-12 <= plane_scores(kind, u, uniform_weights(w.n))[0] \
                 <= 1.0 + 1e-12
 
     @given(utility_and_weights(),
@@ -394,5 +407,5 @@ class TestAggregationProperties:
         v = np.array([u]) * w.weights
         v_pad = np.array([list(u) + [extra_u]]) * w_pad.weights
         for kind in KINDS:
-            assert abs(agg_rows(kind, v_pad, w_pad)[0]
-                       - agg_rows(kind, v, w)[0]) < 1e-12
+            assert abs(plane_scores(kind, v_pad, w_pad)[0]
+                       - plane_scores(kind, v, w)[0]) < 1e-12

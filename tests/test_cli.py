@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import FIXTURES, fresh_python, run_python
-from wmsdspace import cli, geometry
-from wmsdspace.aggregate import AggregationKind, agg_rows, agg_values
+from wmsdspace import aggregate, cli, geometry
+from wmsdspace.aggregate import AggregationKind, agg_values
 from wmsdspace.errors import (
     AllZeroWeights,
     BadNumber,
@@ -763,9 +764,9 @@ class TestCommandFlags:
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("usage: wmsdspace ")
-        assert err.endswith("wmsdspace: error: unrecognized arguments: "
-                            f"{' '.join(given)}\n")
+        assert err.startswith(f"usage: wmsdspace {command} ")
+        assert err.endswith(f"\nwmsdspace {command}: error: unrecognized "
+                            f"arguments: {' '.join(given)}\n")
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_command_runs_its_function(self, command):
@@ -1128,6 +1129,31 @@ class TestGoldenFiles:
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv", [
+    ["rank", "--data", FIXTURES / "countries.csv",
+     "--config", FIXTURES / "countries_w1.json"],
+    ["transform", "--data", FIXTURES / "students.csv",
+     "--config", FIXTURES / "students_config.json"],
+    ["compare", "--data", FIXTURES / "countries.csv",
+     "--config", FIXTURES / "countries_w1.json",
+     "--config-b", FIXTURES / "countries_w2.json"],
+], ids=["rank", "transform", "compare"])
+def test_every_score_comes_from_agg_values(monkeypatch, argv):
+    """With ``agg_values`` raising in every package namespace, each scoring
+    command fails: no second path scores an alternative."""
+    def refuse(*args):
+        raise RuntimeError("agg_values called")
+
+    scorer = aggregate.agg_values
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "wmsdspace":
+            for attr, value in list(vars(module).items()):
+                if value is scorer:
+                    monkeypatch.setattr(module, attr, refuse)
+    with pytest.raises(RuntimeError, match="agg_values called"):
+        cli.main(list(map(str, argv)))
+
+
 class TestBatchedCore:
     """Every command scores all rows with the batched core.
 
@@ -1221,8 +1247,9 @@ class TestBatchedCore:
         for raw in case["weights"] + [np.ones(self.N)]:
             w = normalize_weights(raw)
             ref, v = self.reference(u, raw)
-            got = [agg_rows(k, v, w) for k in AggregationKind]
-            got += list(plane(v, w))
+            wm, wsd = plane(v, w)
+            got = [agg_values(k, wm, wsd, w.mean_w) for k in AggregationKind]
+            got += [wm, wsd]
             assert np.max(np.abs(np.column_stack(got) - ref)) <= 1e-12
 
     @pytest.mark.parametrize("unweighted", [False, True])

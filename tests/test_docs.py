@@ -7,6 +7,7 @@ import importlib
 import json
 import pkgutil
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,6 +125,27 @@ def test_exports_resolve_and_removed_names_are_gone():
         assert not resolves(dotted), dotted
     # the check can see a name that is there
     assert resolves("DecisionMatrix.from_array") and resolves("plane")
+
+
+def docstring_references() -> set[str]:
+    """Every ``:func:`` and ``:class:`` target named in the package
+    source."""
+    package = Path(wmsdspace.__file__).parent
+    return {ref for path in sorted(package.glob("*.py"))
+            for ref in re.findall(r":(?:func|class):`([\w.]+)`",
+                                  path.read_text(encoding="utf-8"))}
+
+
+def test_docstring_references_resolve():
+    """A cross-reference names something the package defines; a dotted
+    ``wmsdspace.<module>.<name>`` is looked up through its module."""
+    refs = docstring_references()
+    assert len(refs) >= 20
+    assert "wmsdspace.wmsd.plane" in refs
+    for ref in refs:
+        assert resolves(ref.removeprefix("wmsdspace.")), ref
+    # the check can see a stale target
+    assert not resolves("aggregate.agg_rows") and not resolves("agg_rows")
 
 
 def test_star_import_binds_every_export():

@@ -19,7 +19,7 @@ from wmsdspace.geometry import (
     vertex_images,
 )
 from wmsdspace.model import normalize_weights, uniform_weights
-from wmsdspace.wmsd import mean_sd, plane
+from wmsdspace.wmsd import plane
 
 W11 = uniform_weights(2)
 W15 = normalize_weights([1.0, 0.5])
@@ -216,7 +216,7 @@ class TestIsolines:
         # level set of A through a country's plane position passes
         # through that very position
         w4 = uniform_weights(4)
-        (m,), (sd,) = mean_sd(np.array([[0.6243, 0.8243, 0.7537, 0.8127]]))
+        (m,), (sd,) = plane(np.array([[0.6243, 0.8243, 0.7537, 0.8127]]), w4)
         level = float(agg_values("A", m, sd, 1.0))
         iso = isoline("A", level, w4)
         assert iso.shape == "arc"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wmsdspace.aggregate import agg_rows
+from conftest import plane_scores
 from wmsdspace.errors import OutOfDomain
 from wmsdspace.model import CriterionSpec, DecisionMatrix, normalize_weights, \
     uniform_weights
@@ -24,10 +24,10 @@ def utilities(values, spec):
 
 
 def scaled_distance(a, b, w):
-    """|a - b| / s: the anti-ideal distance ``agg_rows`` measures for the
-    difference rows, rescaled from A."""
+    """|a - b| / s: the anti-ideal distance of the difference rows, taken
+    from their plane points as A times mean(w)."""
     diff = np.atleast_2d(np.asarray(a, dtype=float) - np.asarray(b, float))
-    return agg_rows("A", diff, w) * w.mean_w
+    return plane_scores("A", diff, w) * w.mean_w
 
 
 class TestToUtility:
@@ -117,31 +117,32 @@ class TestDistances:
         assert scaled_distance([0.3, 0.7], [0.3, 0.7], self.ONES2)[0] == 0.0
 
     def test_rescaled_extremes(self):
-        assert agg_rows("A", np.array([[1.0, 1, 1]]), uniform_weights(3))[0] \
-            == pytest.approx(1.0)
+        ones = np.array([[1.0, 1, 1]])
+        assert plane_scores("A", ones, uniform_weights(3))[0] == \
+            pytest.approx(1.0)
         assert scaled_distance([0.4, 0.2], [0.4, 0.2], self.ONES2)[0] == 0.0
 
     def test_rescaled_student(self):
         u = np.array([[0.9367, 0.81, 0.278]])
-        assert agg_rows("I", u, uniform_weights(3))[0] == pytest.approx(
+        assert plane_scores("I", u, uniform_weights(3))[0] == pytest.approx(
             0.57, abs=0.005)
 
     def test_weighted_worked_example(self):
         w = normalize_weights([1.0, 0.5])
         v = np.array([[0.75, 0.50]]) * w.weights
-        assert agg_rows("A", v, w)[0] * w.mean_w == pytest.approx(
+        assert plane_scores("A", v, w)[0] * w.mean_w == pytest.approx(
             0.53, abs=0.005)
-        assert (1 - agg_rows("I", v, w)[0]) * w.mean_w == pytest.approx(
+        assert (1 - plane_scores("I", v, w)[0]) * w.mean_w == pytest.approx(
             0.24, abs=0.005)
 
     def test_weighted_full_span(self):
         w = normalize_weights([0.3, 0.8, 1.0])
-        assert agg_rows("A", w.weights[None], w)[0] * w.mean_w == \
+        assert plane_scores("A", w.weights[None], w)[0] * w.mean_w == \
             pytest.approx(w.mean_w, abs=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            agg_rows("A", np.array([[1.0, 2.0, 3.0]]), self.ONES2)
+            plane(np.array([[1.0, 2.0, 3.0]]), self.ONES2)
 
 
 @st.composite

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wmsdspace.aggregate import AggregationKind, agg_rows, agg_values
+from conftest import box_distances, plane_scores
+from wmsdspace.aggregate import AggregationKind, agg_values
 from wmsdspace.model import normalize_weights, uniform_weights
-from wmsdspace.wmsd import _split, mean_sd, plane
+from wmsdspace.wmsd import _split, plane
 
 W2 = normalize_weights([1.0, 0.5])
 V2 = np.array([[0.75, 0.50]]) * W2.weights
@@ -16,12 +17,6 @@ def distances(wm, wsd, mean_w):
     """(d_anti, d_ideal) from plane coordinates, via A and I."""
     return (agg_values("A", wm, wsd, mean_w) * mean_w,
             (1 - agg_values("I", wm, wsd, mean_w)) * mean_w)
-
-
-def box_distances(v, w):
-    """(d_anti, d_ideal) of weighted rows, measured in the box."""
-    return (agg_rows("A", v, w) * w.mean_w,
-            (1 - agg_rows("I", v, w)) * w.mean_w)
 
 
 class TestWorkedExample:
@@ -66,6 +61,11 @@ class TestProjection:
         wm, wsd = plane(v, W3)
         assert wm[0] == pytest.approx(0.35, abs=0.005)
         assert wsd[0] == pytest.approx(0.20, abs=0.005)
+
+
+def mean_sd(u):
+    """The unweighted plane coordinates of utility rows ``u``."""
+    return plane(u, uniform_weights(u.shape[1]))
 
 
 class TestMsd:
@@ -139,15 +139,18 @@ class TestProperties:
         assert abs(d_anti[0] - direct_anti[0]) < 1e-12
         assert abs(d_ideal[0] - direct_ideal[0]) < 1e-12
 
-    @given(st.lists(st.floats(min_value=0, max_value=1, allow_nan=False),
-                    min_size=2, max_size=10))
+    @given(st.integers(min_value=1, max_value=20).flatmap(
+        lambda n: st.lists(st.lists(
+            st.one_of(st.sampled_from([0.0, 1.0]),
+                      st.floats(min_value=0, max_value=1, allow_nan=False)),
+            min_size=n, max_size=n), min_size=1, max_size=6)))
     def test_msd_reduction(self, u):
-        u = np.array([u])
-        w = uniform_weights(u.shape[1])
-        wm, wsd = plane(u * w.weights, w)
-        m, sd = mean_sd(u)
-        assert abs(wm[0] - m[0]) < 1e-12
-        assert abs(wsd[0] - sd[0]) < 1e-12
+        # under all-ones weights the plane is the mean and the population
+        # standard deviation of the utility row
+        u = np.array(u)
+        wm, wsd = plane(u, uniform_weights(u.shape[1]))
+        assert np.max(np.abs(wm - u.mean(axis=1))) < 1e-12
+        assert np.max(np.abs(wsd - u.std(axis=1))) < 1e-12
 
     @given(utility_and_weights(),
            st.floats(min_value=0, max_value=1, allow_nan=False))
@@ -164,5 +167,5 @@ class TestProperties:
         assert abs(wm_pad[0] - wm[0] * scale) < 1e-12
         assert abs(wsd_pad[0] - wsd[0] * scale) < 1e-12
         for kind in AggregationKind:
-            assert abs(agg_rows(kind, v_pad, w_pad)[0]
-                       - agg_rows(kind, v, w)[0]) < 1e-12
+            assert abs(plane_scores(kind, v_pad, w_pad)[0]
+                       - plane_scores(kind, v, w)[0]) < 1e-12
