@@ -65,7 +65,7 @@ from .model import (
     uniform_weights,
     validate_criteria,
 )
-from ._text import _CHUNK_ROWS, rows as _rows
+from ._text import rows as _rows
 from .spaces import utility_array
 from .wmsd import plane
 
@@ -197,19 +197,20 @@ def _config_float(value, message: str, path: str) -> float:
 
 def _read_data(path) -> str:
     """The text of a dataset file with its line endings untranslated, so a
-    carriage return inside a quoted field stays part of the field."""
-    with open(path, encoding="utf-8", newline="") as f:
+    carriage return inside a quoted field stays part of the field.  A
+    leading UTF-8 byte-order mark is dropped."""
+    with open(path, encoding="utf-8-sig", newline="") as f:
         return f.read()
 
 
 def read_matrix(csv_text: str, config: RunConfig) -> DecisionMatrix:
     """Parse a dataset CSV against the configured criteria.
 
-    Plain text (no ``"``, CR or NUL) with the expected header is split on
-    commas in one pass and its cells converted with ``float()``.  Other
-    text, and any text with a ragged row or a cell ``float()`` rejects,
-    goes through :func:`_read_matrix_csv`, which is the only path that
-    raises ingest errors; both give the same matrix.
+    Plain text (no ``"``, CR, NUL or ``\\x1c``-``\\x1f``) with the expected
+    header and n commas on every line is parsed by :func:`_split_plain`
+    with numpy's C text reader.  Other text, and any text with a cell that
+    reader refuses, goes through :func:`_read_matrix_csv`, which is the
+    only path that raises ingest errors; both give the same matrix.
     """
     split = _split_plain(csv_text, config.names)
     if split is None:
@@ -219,9 +220,20 @@ def read_matrix(csv_text: str, config: RunConfig) -> DecisionMatrix:
                                      clamp=config.clamp)
 
 
+# Characters that send a text to the csv module: a quote, CR and NUL need
+# its parsing, and numpy's reader strips \x1c-\x1f around a number where
+# ``float()`` refuses it.
+_NOT_PLAIN = '"\r\0\x1c\x1d\x1e\x1f'
+
+
 def _split_plain(csv_text: str, names: tuple[str, ...]):
-    """``(ids, values)`` of plain CSV text, or None to use the csv module."""
-    if '"' in csv_text or "\r" in csv_text or "\0" in csv_text:
+    """``(ids, values)`` of plain CSV text, or None to use the csv module.
+
+    The values come from ``np.loadtxt``, whose cells are bit-identical to
+    ``float()``'s wherever it accepts them; a cell it refuses (``1_0``,
+    non-ASCII digits, an empty cell) returns None.
+    """
+    if any(c in csv_text for c in _NOT_PLAIN):
         return None
     header, _, body = csv_text.partition("\n")
     if header.split(",") != ["id", *names]:
@@ -232,17 +244,14 @@ def _split_plain(csv_text: str, names: tuple[str, ...]):
     n = len(names)
     if set(map(str.count, lines, repeat(","))) - {n}:
         return None
-    ids = []
-    values = np.empty((len(lines), n))
-    for a in range(0, len(lines), _CHUNK_ROWS):
-        cells = ",".join(lines[a:a + _CHUNK_ROWS]).split(",")
-        ids += cells[::n + 1]
-        del cells[::n + 1]
-        try:
-            block = np.fromiter(map(float, cells), float, len(cells))
-        except ValueError:
-            return None
-        values[a:a + _CHUNK_ROWS] = block.reshape(-1, n)
+    ids = [line.partition(",")[0] for line in lines]
+    if not lines:  # loadtxt warns on empty input
+        return ids, np.empty((0, n))
+    try:
+        values = np.loadtxt(lines, delimiter=",", usecols=range(1, n + 1),
+                            comments=None, ndmin=2)
+    except ValueError:
+        return None
     return ids, values
 
 
@@ -308,7 +317,7 @@ def _csv_cells(csv_text: str, names: tuple[str, ...]):
 def _load_config(path, args: argparse.Namespace) -> RunConfig:
     """The config at ``path`` with every override flag the command
     declares, when given, applied over its config key."""
-    config = parse_config(Path(path).read_text(encoding="utf-8"))
+    config = parse_config(Path(path).read_text(encoding="utf-8-sig"))
     flags = vars(args)
     changes = {}
     if flags.get("aggregation") is not None:

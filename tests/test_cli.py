@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import FIXTURES, fresh_python, run_python
@@ -161,6 +161,14 @@ class TestReadMatrix:
         assert exc.value.row == 2
         assert exc.value.column == "Math"
 
+    @pytest.mark.parametrize("cell", ["3\x1c", "\x1d3", "3\x1e", "\x1f3"])
+    def test_separator_around_number_is_bad(self, students_config, cell):
+        """numpy's text reader strips \\x1c-\\x1f around a number, which
+        ``float()`` refuses."""
+        with pytest.raises(BadNumber) as exc:
+            read_matrix(f"id,Math,Bio,Art\nS1,{cell},3,4\n", students_config)
+        assert (exc.value.row, exc.value.column) == (1, "Math")
+
     def test_header_mismatch(self, students_config):
         text = "id,Math,Biology,Art\nS1,50,3,4\n"
         with pytest.raises(HeaderMismatch):
@@ -173,13 +181,17 @@ class TestReadMatrix:
 
 
 def _outcome(read, text, config):
-    """Ids and values of a parsed dataset, or its error's details."""
+    """Ids and value bytes of a parsed dataset, or its error's details.
+
+    The bytes tell ``-0.0`` from ``0.0``, which ``transform`` prints
+    differently.
+    """
     try:
         m = read(text, config)
     except WmsdError as e:
         return (type(e).__name__, getattr(e, "row", None),
                 getattr(e, "column", None), str(e))
-    return m.ids, m.values.tolist()
+    return m.ids, m.values.shape, m.values.tobytes()
 
 
 # Cells in domain for every students criterion repeat, so that about half
@@ -187,9 +199,10 @@ def _outcome(read, text, config):
 _CELLS = (["3", "4.5", "2", "5.25", "1", "6"] * 8
           + [" 3", "3 ", "\t2", "1_0", "2_5", "nan", "NaN", "inf", "-inf",
              "Infinity", "-Infinity", "\u0663", "\uff14", "\u00a05", "", "abc",
-             "150", "-5", "+3.5", "1e0", '"4"', '"1,5"', "0x1"])
+             "150", "-5", "+3.5", "1e0", '"4"', '"1,5"', "0x1", "-0", "1e400",
+             ".5", "5.", "1.5e", "3#", "3\x1c", "\x1f3", "\x0b3", "3\x0c"])
 _IDS = ["a", "b", "c", "d", "a b", "\u00e9t\u00e9", "", " pad ", '"q,1"',
-        '"x""y"', '"two\nlines"']
+        '"x""y"', '"two\nlines"', "a#b", "x\x1cy"]
 
 
 @st.composite
@@ -216,9 +229,12 @@ def _dataset_texts(draw):
 
 
 class TestPlainIngest:
-    """The one-split reader against the csv-module reader it falls back to."""
+    """The numpy-reader path against the csv-module reader it falls back
+    to."""
 
     @given(_dataset_texts(), st.booleans())
+    @example(text="id,Math,Bio,Art\na,-0,2,2\n", clamp=False)
+    @example(text="id,Math,Bio,Art\na,3\x1c,2,2\n", clamp=False)
     def test_equals_csv_path(self, students_config, text, clamp):
         config = dataclasses.replace(students_config, clamp=clamp)
         assert _outcome(read_matrix, text, config) == \
@@ -228,7 +244,7 @@ class TestPlainIngest:
         def refuse(*args):
             raise AssertionError("csv path used")
         monkeypatch.setattr(cli, "_read_matrix_csv", refuse)
-        # more rows than one split block, after a blank line
+        # many rows, after a blank line
         rows = [f"s{i},{i % 100},{1 + i % 5},{6 - i % 5}" for i in range(9000)]
         text = "id,Math,Bio,Art\n\n" + "\n".join(rows) + "\n"
         m = read_matrix(text, students_config)
@@ -1372,3 +1388,62 @@ def test_frozen_heap_loses_no_output(tmp_path):
     assert json.loads(result.stderr) == {
         "error": "SchemaError", "path": "criteria",
         "message": "criteria: must be a non-empty list"}
+
+
+# SHA-256 of stdout for a header-only and a one-row students dataset,
+# recorded from the per-cell float() reader that preceded numpy's reader.
+SMALL_OUTPUTS = {
+    ("rank", 0):
+        "55c1807ad2ec634f38af086220bf41f3f948d232fe88ac33db1fbe2bfc7ce857",
+    ("rank", 1):
+        "66c952dca7cfb5a1c8292f4d207f4e9a327aacc572dfb5d8ddd39ac972622cc8",
+    ("transform", 0):
+        "0da71d38465370836dbbb45c51818213a468a63ea66939b28c9ea2213ee675ed",
+    ("transform", 1):
+        "ebc14fa9b94a477a66dcae747628a082e6b5f255134cbdb2070e1b39ec835952",
+    ("compare", 0):
+        "fff3d4a2e5a2b6fb8c6fa33220d9202342d1fa89a89c46c515011d9b8fc09617",
+    ("compare", 1):
+        "d9c36e87df7f7e9f7e051ab3e2d781abe3ab5a983b275ba5be21f9be20b69517",
+}
+
+
+@pytest.mark.parametrize("command,rows", sorted(SMALL_OUTPUTS))
+def test_small_dataset_writes_no_warning(tmp_path, command, rows):
+    """A dataset with no data row or one row runs in a new process with
+    nothing on stderr, numpy's empty-input warning included."""
+    data = tmp_path / "small.csv"
+    data.write_text("id,Math,Bio,Art\n" + "only,50,3,4\n" * rows)
+    extra = (["--config-b", FIXTURES / "students_config_equal.json"]
+             if command == "compare" else [])
+    result = run_python("-m", "wmsdspace.cli", command, "--data", data,
+                        "--config", FIXTURES / "students_config.json", *extra)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert hashlib.sha256(result.stdout).hexdigest() == \
+        SMALL_OUTPUTS[command, rows]
+
+
+@pytest.mark.parametrize("flag", ["--data", "--config", "--config-b",
+                                  "--overlay"])
+def test_byte_order_mark_is_ignored(run_cli, tmp_path, flag):
+    """A file that starts with a UTF-8 byte-order mark, as spreadsheet
+    "CSV UTF-8" exports do, reads like the file without it."""
+    args = {"--data": FIXTURES / "students.csv",
+            "--config": FIXTURES / "students_config.json"}
+    if flag == "--config-b":
+        command = "compare"
+        args[flag] = FIXTURES / "students_config_equal.json"
+    elif flag == "--overlay":
+        command = "plot"
+        args[flag] = FIXTURES / "students.csv"
+    else:
+        command = "rank"
+    marked = tmp_path / args[flag].name
+    marked.write_bytes(b"\xef\xbb\xbf" + args[flag].read_bytes())
+
+    def run(paths):
+        return run_cli(command, *[a for item in paths.items() for a in item])
+
+    plain = run(args)
+    assert plain[0] == 0 and plain[2] == ""
+    assert run({**args, flag: marked}) == plain
