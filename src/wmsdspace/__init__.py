@@ -21,11 +21,9 @@ _HOME = {
     "RankingComparison": "aggregate", "agg_values": "aggregate",
     "compare_rankings": "aggregate", "rank_array": "aggregate",
     "WmsdError": "errors",
-    "BoundaryEnvelope": "geometry", "Isoline": "geometry",
-    "attainable": "geometry", "boundary": "geometry",
-    "boundary_sampled": "geometry", "envelope": "geometry",
-    "envelope_wsd": "geometry", "isoline": "geometry",
-    "vertex_images": "geometry",
+    "Isoline": "geometry", "attainable": "geometry",
+    "envelope": "geometry", "envelope_wsd": "geometry",
+    "isoline": "geometry", "vertex_images": "geometry",
     "CriterionSpec": "model", "DecisionMatrix": "model",
     "WeightVector": "model", "normalize_weights": "model",
     "uniform_weights": "model", "validate_criteria": "model",

@@ -349,9 +349,14 @@ def _ranking(matrix: DecisionMatrix, config: RunConfig) -> Ranking:
 _json_str = json.encoder.encode_basestring_ascii
 
 
+def _needs_quotes(text: str) -> bool:
+    return "," in text or '"' in text or "\n" in text or "\r" in text
+
+
 def _csv_field(text: str) -> str:
-    """``text`` as ``csv.writer`` writes a field (minimal quoting)."""
-    if "," in text or '"' in text or "\n" in text:
+    """``text`` as ``csv.writer`` writes a field (minimal quoting, with its
+    default ``\\r\\n`` terminator, so a CR is quoted as an LF is)."""
+    if _needs_quotes(text):
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -359,8 +364,7 @@ def _csv_field(text: str) -> str:
 def _csv_fields(texts: Sequence[str]) -> Sequence[str]:
     """:func:`_csv_field` of each text; the texts themselves if none
     needs quotes."""
-    joined = "".join(texts)
-    if "," in joined or '"' in joined or "\n" in joined:
+    if _needs_quotes("".join(texts)):
         return list(map(_csv_field, texts))
     return texts
 
@@ -453,19 +457,20 @@ def cmd_transform(args: argparse.Namespace) -> str:
 
 
 def cmd_boundary(args: argparse.Namespace) -> str:
-    from .geometry import boundary
+    from .geometry import envelope, vertex_images
 
     config = _load_config(args.config[0], args)
-    env = boundary(config.weights, args.resolution)
+    wm, wsd = envelope(config.weights, args.resolution)
+    vertices = vertex_images(config.weights)
     if args.format == "json":
-        return (f'{{\n  "wm": {_json_block("    %r", [env.wm], 1)},\n'
-                f'  "wsd": {_json_block("    %r", [env.wsd], 1)},\n'
+        return (f'{{\n  "wm": {_json_block("    %r", [wm], 1)},\n'
+                f'  "wsd": {_json_block("    %r", [wsd], 1)},\n'
                 f'  "vertices": '
-                f'{_json_block(_json_pair("%r", 2), [env.vertex_images], 1)}'
+                f'{_json_block(_json_pair("%r", 2), [vertices], 1)}'
                 f'\n}}\n')
     return ("section,wm,wsd\n"
-            + _rows("envelope,%.6f,%.6f\n", [env.wm, env.wsd])
-            + _rows("vertex,%.6f,%.6f\n", [env.vertex_images]))
+            + _rows("envelope,%.6f,%.6f\n", [wm, wsd])
+            + _rows("vertex,%.6f,%.6f\n", [vertices]))
 
 
 def _plot_spec(matrix: DecisionMatrix, config: RunConfig,
@@ -544,7 +549,7 @@ def cmd_compare(args: argparse.Namespace) -> str:
                          rb.scores[cmp.order], rb.ranks[cmp.order],
                          cmp.deltas])
                 + _rows("# kendall_tau=%.6f\n", [[cmp.kendall_tau]])
-                + _rows("# reversal=%s,%s\n", revs))
+                + _rows("# reversal=%s,%s\n", list(map(_csv_fields, revs))))
     tau = ("null" if math.isnan(cmp.kendall_tau)
            else repr(round(cmp.kendall_tau, 6)))
     revs = [list(map(_json_str, c)) for c in revs]

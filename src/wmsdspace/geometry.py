@@ -35,8 +35,8 @@ bounded by ``CACHE_BYTES``.
 
 The exact path enumerates 2^(n_p - 1) subset sums per distinct positive
 weight and is capped at ``EXACT_LIMIT`` positive weights; beyond the cap
-:func:`boundary_sampled` provides a Monte-Carlo fallback that
-underestimates the envelope and reports a crude looseness figure.
+every function here that needs the edge tables raises
+:class:`wmsdspace.errors.TooManyCriteria`.
 """
 
 from __future__ import annotations
@@ -48,12 +48,11 @@ import numpy as np
 from .aggregate import AggregationKind
 from .errors import LevelOutOfRange, TooManyCriteria
 from .model import WeightVector, _frozen
-from .wmsd import plane
 
 EXACT_LIMIT = 20
-# Upper bound on the bytes of edge tables kept between calls; one
-# n_p = 20 weight vector with distinct weights takes about 88 MiB.  The most recently built
-# entry is kept even when it alone exceeds the bound.
+# Upper bound on the bytes of edge tables kept between calls; one n_p = 20
+# weight vector with distinct weights takes about 88 MiB.  The most
+# recently built entry is kept even when it alone exceeds the bound.
 CACHE_BYTES = 256 * 2**20
 
 
@@ -128,7 +127,7 @@ def _edge_tables(w: WeightVector) -> _EdgeTables:
     if sq.size > EXACT_LIMIT:
         raise TooManyCriteria(
             f"{sq.size} positive weights exceed the exact-envelope cap of "
-            f"{EXACT_LIMIT}; drop criteria or use boundary_sampled")
+            f"{EXACT_LIMIT}; drop criteria")
     key = sq.tobytes()
     entry = _TABLE_CACHE.get(key)
     if entry is None:
@@ -198,30 +197,6 @@ def vertex_images(w: WeightVector) -> np.ndarray:
     return _frozen(np.column_stack([wm[keep], wsd[keep]]))
 
 
-@dataclass(frozen=True, eq=False)
-class BoundaryEnvelope:
-    """Sampled outline of the attainable region for one weight vector.
-
-    ``wm`` is a uniform grid from 0 to mean(w); ``wsd`` holds the upper
-    envelope at each grid point.  The lower boundary is the segment
-    WSD = 0.  ``method`` is "exact" for the edge-enumeration path and
-    "sampled" for the Monte-Carlo fallback, whose ``looseness`` reports
-    the largest jump between adjacent envelope estimates (a crude bound
-    on how far the estimate may sit below the true envelope).
-    """
-
-    wm: np.ndarray
-    wsd: np.ndarray
-    vertex_images: np.ndarray
-    weights: WeightVector
-    method: str = "exact"
-    looseness: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "wm", _frozen(self.wm))
-        object.__setattr__(self, "wsd", _frozen(self.wsd))
-
-
 def envelope(w: WeightVector, resolution: int = 512
              ) -> tuple[np.ndarray, np.ndarray]:
     """Exact upper envelope on a uniform WM grid from 0 to mean(w), as
@@ -233,13 +208,6 @@ def envelope(w: WeightVector, resolution: int = 512
     vals[0] = 0.0
     vals[-1] = 0.0
     return grid, vals
-
-
-def boundary(w: WeightVector, resolution: int = 512) -> BoundaryEnvelope:
-    """The :func:`envelope` plus the box's :func:`vertex_images`."""
-    grid, vals = envelope(w, resolution)
-    return BoundaryEnvelope(wm=grid, wsd=vals, vertex_images=vertex_images(w),
-                            weights=w)
 
 
 def attainable(w: WeightVector, wm, wsd, tol: float = 1e-9) -> np.ndarray:
@@ -336,87 +304,3 @@ def isoline(kind: AggregationKind, level: float, w: WeightVector,
     center = k2 * mean_w / (k2 - 1.0)
     radius = k * mean_w / abs(k2 - 1.0)
     return _arc(center, radius)
-
-
-def uniform_utilities(n: int, count: int, rng: np.random.Generator,
-                      bound_bias: float = 0.0) -> np.ndarray:
-    """Random utility points, optionally biased toward the box corners.
-
-    With ``bound_bias`` b, each coordinate is snapped to 0 or 1 with
-    probability b each and drawn uniformly otherwise.  Used to exercise
-    the envelope: corner-heavy samples reach the extreme configurations
-    that define it.
-    """
-    u = rng.random((count, n))
-    if bound_bias > 0.0:
-        mode = rng.random((count, n))
-        u = np.where(mode < bound_bias, 0.0, u)
-        u = np.where(mode >= 1.0 - bound_bias, 1.0, u)
-    return u
-
-
-def edge_sweep_utilities(w: WeightVector, per_edge: int,
-                         rng: np.random.Generator) -> np.ndarray:
-    """Jittered sweeps along every edge of the utility hypercube.
-
-    For each edge (one free coordinate, the other active coordinates held
-    at 0 or 1) the free coordinate takes ``per_edge`` stratified-random
-    values, guaranteeing samples near every part of the envelope.
-    Zero-weight coordinates are filled uniformly; they do not move the
-    image.  Requires n_p within the exact-enumeration cap.
-    """
-    active = np.flatnonzero(w.weights > 0)
-    n_p = active.size
-    if n_p > EXACT_LIMIT:
-        raise TooManyCriteria(f"{n_p} positive weights exceed {EXACT_LIMIT}")
-    rows = []
-    for j in active:
-        rest = [i for i in active if i != j]
-        for mask in range(1 << len(rest)):
-            u = rng.random((per_edge, w.n))  # zero-weight coords: any value
-            for bit, i in enumerate(rest):
-                u[:, i] = 1.0 if (mask >> bit) & 1 else 0.0
-            u[:, j] = (np.arange(per_edge) + rng.random(per_edge)) / per_edge
-            rows.append(u)
-    return np.vstack(rows)
-
-
-def boundary_sampled(w: WeightVector, resolution: int = 512,
-                     samples: int = 200_000,
-                     seed: int = 0) -> BoundaryEnvelope:
-    """Monte-Carlo envelope for weight vectors beyond the exact cap.
-
-    Estimates the envelope as the per-bin maximum WSD over random utility
-    points (uniform, corner-biased, and random edge sweeps).  The
-    estimate can only sit below the true envelope; ``looseness`` reports
-    the largest jump between adjacent bins as a rough scale of the error.
-    """
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
-    rng = np.random.default_rng(seed)
-    n = w.n
-    third = samples // 3
-    batches = [
-        uniform_utilities(n, third, rng),
-        uniform_utilities(n, third, rng, bound_bias=0.45),
-    ]
-    # Random edges: all active coordinates at random bounds, one free.
-    active = np.flatnonzero(w.weights > 0)
-    k = samples - 2 * third
-    u = np.where(rng.random((k, n)) < 0.5, 0.0, 1.0)
-    free = rng.choice(active, size=k)
-    u[np.arange(k), free] = rng.random(k)
-    batches.append(u)
-
-    wm, wsd = plane(np.vstack(batches) * w.weights, w)
-    grid = np.linspace(0.0, w.mean_w, resolution)
-    step = grid[1] - grid[0]
-    idx = np.clip(np.rint(wm / step).astype(int), 0, resolution - 1)
-    vals = np.zeros(resolution)
-    np.maximum.at(vals, idx, wsd)
-    vals[0] = 0.0
-    vals[-1] = 0.0
-    looseness = float(np.max(np.abs(np.diff(vals)))) if resolution > 1 else 0.0
-    return BoundaryEnvelope(wm=grid, wsd=vals,
-                            vertex_images=np.empty((0, 2)), weights=w,
-                            method="sampled", looseness=looseness)

@@ -16,6 +16,7 @@ boundary by more than one cell.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,6 +27,7 @@ from .errors import (
     LengthMismatch,
     LevelOutOfRange,
     UnattainablePoint,
+    ValidationError,
     WmsdError,
 )
 from .geometry import attainable, envelope, envelope_wsd, isoline
@@ -223,6 +225,20 @@ _LABEL = ('\n<text x="%.2f" y="%.2f" font-family="sans-serif" '
           'font-size="11">%s</text>')
 
 
+# Characters XML 1.0 cannot hold: C0 controls other than tab, LF and CR,
+# the surrogates, U+FFFE and U+FFFF.
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+def _check_labels(ids: Sequence[str]) -> None:
+    """Raise for the first id, in input order, that a label cannot hold."""
+    if _NOT_XML.search("".join(ids)) is None:
+        return
+    pid = next(pid for pid in map(str, ids) if _NOT_XML.search(pid))
+    raise ValidationError(f"label {pid!r} holds a character XML 1.0 "
+                          f"cannot hold", point_id=pid)
+
+
 def _markers_svg(frame: PlotFrame, ids: Sequence[str], wm: np.ndarray,
                  wsd: np.ndarray, paint: str, labels: bool) -> str:
     """One ``paint`` marker per point, each followed by its label with
@@ -231,6 +247,7 @@ def _markers_svg(frame: PlotFrame, ids: Sequence[str], wm: np.ndarray,
     marker = _MARKER.format(paint)
     if not labels:
         return rows(marker + "\n", [x, y])[:-1]
+    _check_labels(ids)
     return rows(marker + _LABEL + "\n",
                 [x, y, x + 6, y - 6, [_esc(pid) for pid in ids]])[:-1]
 

@@ -11,6 +11,7 @@ from hypothesis import settings
 import wmsdspace
 from wmsdspace.aggregate import agg_values
 from wmsdspace.cli import main as cli_main, parse_config, read_matrix
+from wmsdspace.geometry import EXACT_LIMIT
 from wmsdspace.wmsd import plane
 
 settings.register_profile("suite", deadline=None)
@@ -126,3 +127,44 @@ def reversal_ids(cmp, r1):
     """The reversal pairs of ``cmp``, a comparison against ``r1``, as
     (id, id) tuples."""
     return [(r1.ids[i], r1.ids[j]) for i, j in cmp.reversals.tolist()]
+
+
+def uniform_utilities(n: int, count: int, rng: np.random.Generator,
+                      bound_bias: float = 0.0) -> np.ndarray:
+    """Random utility points, optionally biased toward the box corners.
+
+    With ``bound_bias`` b, each coordinate is snapped to 0 or 1 with
+    probability b each and drawn uniformly otherwise.  Used to exercise
+    the envelope: corner-heavy samples reach the extreme configurations
+    that define it.
+    """
+    u = rng.random((count, n))
+    if bound_bias > 0.0:
+        mode = rng.random((count, n))
+        u = np.where(mode < bound_bias, 0.0, u)
+        u = np.where(mode >= 1.0 - bound_bias, 1.0, u)
+    return u
+
+
+def edge_sweep_utilities(w, per_edge: int,
+                         rng: np.random.Generator) -> np.ndarray:
+    """Jittered sweeps along every edge of the utility hypercube.
+
+    For each edge (one free coordinate, the other active coordinates held
+    at 0 or 1) the free coordinate takes ``per_edge`` stratified-random
+    values, guaranteeing samples near every part of the envelope.
+    Zero-weight coordinates are filled uniformly; they do not move the
+    image.  Requires n_p within the exact-envelope cap.
+    """
+    active = np.flatnonzero(w.weights > 0)
+    assert active.size <= EXACT_LIMIT, active.size
+    rows = []
+    for j in active:
+        rest = [i for i in active if i != j]
+        for mask in range(1 << len(rest)):
+            u = rng.random((per_edge, w.n))  # zero-weight coords: any value
+            for bit, i in enumerate(rest):
+                u[:, i] = 1.0 if (mask >> bit) & 1 else 0.0
+            u[:, j] = (np.arange(per_edge) + rng.random(per_edge)) / per_edge
+            rows.append(u)
+    return np.vstack(rows)

@@ -14,10 +14,12 @@ import pytest
 from conftest import (
     box_distances,
     box_scores,
+    edge_sweep_utilities,
     load_config,
     load_matrix,
     plane_scores,
     reversal_ids,
+    uniform_utilities,
 )
 from wmsdspace.aggregate import (
     AggregationKind,
@@ -25,13 +27,7 @@ from wmsdspace.aggregate import (
     compare_rankings,
     rank_array,
 )
-from wmsdspace.geometry import (
-    attainable,
-    boundary,
-    edge_sweep_utilities,
-    envelope_wsd,
-    uniform_utilities,
-)
+from wmsdspace.geometry import attainable, envelope, envelope_wsd
 from wmsdspace.model import normalize_weights, uniform_weights
 from wmsdspace.render import (
     MARGIN_L,
@@ -336,19 +332,19 @@ def test_c07_boundary_oracle():
             failures.append(f"{raw}: {bad} samples outside envelope "
                             f"(worst {overshoot.max():.2e})")
 
-        env = boundary(w, res)
-        step = env.wm[1] - env.wm[0]
+        env_wm, env_wsd = envelope(w, res)
+        step = env_wm[1] - env_wm[0]
         bins = np.clip(np.rint(wm_s / step).astype(int), 0, res - 1)
         best = np.zeros(res)
         np.maximum.at(best, bins, wsd_s)
-        gap = float(np.max(env.wsd - best))
+        gap = float(np.max(env_wsd - best))
         if gap >= 0.01:
             failures.append(f"{raw}: envelope looser than samples by "
                             f"{gap:.4f}")
 
         perm = normalize_weights(list(reversed(raw)))
-        env_perm = boundary(perm, res)
-        dev = float(np.max(np.abs(env.wsd - env_perm.wsd)))
+        _, env_perm = envelope(perm, res)
+        dev = float(np.max(np.abs(env_wsd - env_perm)))
         if dev >= 1e-9:
             failures.append(f"{raw}: permuted envelope differs by {dev:.2e}")
     report(7, "attainable-region oracle", failures)

@@ -7,6 +7,7 @@ import math
 import re
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -487,6 +488,39 @@ class TestPlotCommand:
         assert svg.count('class="marker"') == 8
         assert svg.count('class="arrow"') == 4
 
+    @pytest.mark.parametrize("bad", ["a\x01b", "\x1f", "x\ufffe", "\uffff"])
+    @pytest.mark.parametrize("overlay", [False, True])
+    def test_label_xml_cannot_hold_is_refused(self, run_cli, tmp_path, bad,
+                                              overlay):
+        """A labelled id with a character XML 1.0 cannot hold is refused
+        with its id; unlabelled, it never reaches the document."""
+        data = tmp_path / "ids.csv"
+        data.write_text(f"id,Math,Bio,Art\nS1,50,3,4\n{bad},60,4,5\n"
+                        f"tab\there,70,2,2\n", encoding="utf-8")
+        args = ["plot", "--data", data, "--grid", "16",
+                "--config", FIXTURES / "students_config.json"]
+        if overlay:
+            args += ["--overlay", data]
+        code, out, err = run_cli(*args, "--labels")
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1
+        record = json.loads(err)
+        assert record["error"] == "ValidationError" and record["id"] == bad
+        code, out, err = run_cli(*args)
+        assert code == 0, err
+        ElementTree.fromstring(out)
+
+    def test_tab_in_label_is_kept(self, run_cli, tmp_path):
+        data = tmp_path / "ids.csv"
+        data.write_text("id,Math,Bio,Art\nS1,50,3,4\ntab\there,70,2,2\n")
+        code, out, err = run_cli(
+            "plot", "--data", data, "--grid", "16", "--labels",
+            "--config", FIXTURES / "students_config.json")
+        assert code == 0, err
+        texts = [t.text for t in ElementTree.fromstring(out).iter(
+            "{http://www.w3.org/2000/svg}text")]
+        assert "tab\there" in texts
+
     def test_unweighted_flag_gives_msd_view(self, run_cli):
         code, out, _ = run_cli(
             "plot", "--data", FIXTURES / "students.csv",
@@ -620,6 +654,39 @@ class TestCompareCommand:
         assert code == 0
         assert out.startswith("id,score_a,rank_a,score_b,rank_b,delta")
         assert "# kendall_tau=" in out
+
+    def test_csv_reversal_ids_quoted(self, run_cli, tmp_path):
+        """Each reversal line reads back to exactly the two ids of the
+        JSON output's pair, whatever the ids hold."""
+        ids = ["x,1", "y\nz", "S3", 'q"r', "c\rr"]
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["id", "Math", "Bio", "Art"])
+        writer.writerows([[ids[0], 100, 1, 1], [ids[1], 0, 6, 6],
+                          [ids[2], 60, 3, 3], [ids[3], 90, 2, 1.5],
+                          [ids[4], 10, 5, 6]])
+        data = tmp_path / "ids.csv"
+        data.write_bytes(buf.getvalue().encode())
+        flipped = json.loads(STUDENTS_CONFIG)
+        for c in flipped["criteria"]:
+            c["weight"] = {"Math": 1.0, "Bio": 0.2, "Art": 0.1}[c["name"]]
+        config_b = tmp_path / "flipped.json"
+        config_b.write_text(json.dumps(flipped))
+        args = ["compare", "--data", data, "--config-b", config_b,
+                "--config", FIXTURES / "students_config.json"]
+        code, out, err = run_cli(*args, "--format", "json")
+        assert code == 0, err
+        expected = json.loads(out)["reversals"]
+        assert {i for pair in expected for i in pair} == set(ids)
+        code, out, err = run_cli(*args, "--format", "csv")
+        assert code == 0, err
+        table, tail = out.split("# kendall_tau=")
+        assert len(list(csv.reader(io.StringIO(table)))) == len(ids) + 1
+        pairs = []
+        for chunk in tail.split("# reversal=")[1:]:
+            (pair,) = csv.reader(io.StringIO(chunk))
+            pairs.append(pair)
+        assert pairs == expected
 
     @pytest.mark.parametrize("rows", [
         ["only,50,3,4"],                              # a single alternative
@@ -881,6 +948,27 @@ class TestErrorStream:
         assert code == 2
         assert json.loads(err)["error"] == "TooManyCriteria"
 
+    @pytest.mark.parametrize("command", ["boundary", "plot"])
+    def test_past_exact_cap_refused(self, run_cli, tmp_path, command):
+        """21 distinct positive weights: one past the exact-envelope cap."""
+        names = [f"c{i}" for i in range(21)]
+        config = tmp_path / "many.json"
+        config.write_text(json.dumps({"criteria": [
+            {"name": name, "kind": "gain", "min": 0, "max": 1,
+             "weight": 0.3 + 0.035 * i} for i, name in enumerate(names)]}))
+        data = tmp_path / "many.csv"
+        data.write_text("id," + ",".join(names) + "\nA," + ",".join(
+            ["0.5"] * 21) + "\n")
+        args = [command, "--config", config]
+        if command == "plot":
+            args += ["--data", data, "--grid", "16"]
+        code, out, err = run_cli(*args)
+        assert code == 2 and out == ""
+        record = json.loads(err)
+        assert record["error"] == "TooManyCriteria"
+        assert record["message"].startswith("21 positive weights exceed")
+        assert "boundary" not in record["message"].lower()
+
     def test_io_exit_code(self, run_cli):
         code, _, err = run_cli("rank", "--data", "/nonexistent/file.csv",
                                "--config", FIXTURES / "students_config.json")
@@ -1018,6 +1106,28 @@ class TestTableWriter:
         assert json.dumps(json.loads(out), indent=2) + "\n" == out
         if command == "rank":
             assert [len(g) for g in json.loads(out)["groups"]] == [2, 3, 3]
+
+    @pytest.mark.parametrize("command", ["rank", "transform", "compare"])
+    def test_carriage_return_ids_read_back(self, run_cli, tmp_path, command):
+        """An id holding a CR is quoted, as csv.writer's default terminator
+        quotes it, so the table reads back to the dataset's ids."""
+        ids = ["a\rb", "c\r\nd", "plain", "e\r", "\rf"]
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["id", "Math", "Bio", "Art"])
+        writer.writerows([i, 50 + k, 3, 4] for k, i in enumerate(ids))
+        data = tmp_path / "cr.csv"
+        data.write_bytes(buf.getvalue().encode())
+        args = [command, "--data", data, "--format", "csv",
+                "--config", FIXTURES / "students_config.json"]
+        if command == "compare":
+            args += ["--config-b", FIXTURES / "students_config_equal.json"]
+        code, out, err = run_cli(*args)
+        assert code == 0, err
+        rows = list(csv.reader(io.StringIO(out.split("# kendall_tau=")[0])))
+        assert len(rows) == len(ids) + 1
+        assert {len(row) for row in rows} == {len(rows[0])}
+        assert sorted(row[0] for row in rows[1:]) == sorted(ids)
 
 
 class TestGoldenFiles:

@@ -111,6 +111,12 @@ def test_library_blocks_run_in_order():
     assert ranking.scores.tolist() == sorted(scores.tolist(), reverse=True)
     assert np.allclose(namespace["same"], scores, atol=1e-12)
     assert namespace["inside"].all()
+    w, vertices = namespace["w"], namespace["vertices"]
+    env_wm, env_wsd = namespace["env_wm"], namespace["env_wsd"]
+    assert env_wm.shape == env_wsd.shape == (512,)
+    assert env_wsd[0] == env_wsd[-1] == 0.0 and env_wsd.max() > 0
+    assert vertices.shape == (2 ** w.n_p, 2)  # three distinct weights
+    assert wmsdspace.attainable(w, vertices[:, 0], vertices[:, 1]).all()
     assert namespace["svg"].count('class="marker"') == 2
     assert namespace["moved"].count('class="arrow"') == 2
 

@@ -5,17 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import edge_sweep_utilities, uniform_utilities
 from wmsdspace import geometry
 from wmsdspace.aggregate import agg_values
 from wmsdspace.errors import LevelOutOfRange, TooManyCriteria
 from wmsdspace.geometry import (
     attainable,
-    boundary,
-    boundary_sampled,
-    edge_sweep_utilities,
+    envelope,
     envelope_wsd,
     isoline,
-    uniform_utilities,
     vertex_images,
 )
 from wmsdspace.model import normalize_weights, uniform_weights
@@ -29,41 +27,52 @@ W3 = normalize_weights([0.5, 0.6, 1.0])
 class TestBoundary:
     def test_endpoints(self):
         for w in (W11, W15, W3):
-            env = boundary(w, 257)
-            assert env.wm[0] == 0.0 and env.wsd[0] == 0.0
-            assert env.wm[-1] == pytest.approx(w.mean_w, abs=1e-15)
-            assert env.wsd[-1] == 0.0
+            wm, wsd = envelope(w, 257)
+            assert wm[0] == 0.0 and wsd[0] == 0.0
+            assert wm[-1] == pytest.approx(w.mean_w, abs=1e-15)
+            assert wsd[-1] == 0.0
 
     def test_square_peak(self):
-        env = boundary(W11, 513)
-        i = int(np.argmax(env.wsd))
-        assert env.wm[i] == pytest.approx(0.5, abs=1e-12)
-        assert env.wsd[i] == pytest.approx(0.5, abs=1e-12)
+        wm, wsd = envelope(W11, 513)
+        i = int(np.argmax(wsd))
+        assert wm[i] == pytest.approx(0.5, abs=1e-12)
+        assert wsd[i] == pytest.approx(0.5, abs=1e-12)
 
     def test_vertices_on_or_below_envelope(self):
         for w in (W11, W15, W3):
-            env = boundary(w, 513)
-            for wm_v, wsd_v in env.vertex_images:
+            for wm_v, wsd_v in vertex_images(w):
                 assert wsd_v <= envelope_wsd(w, wm_v)[0] + 1e-9
 
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
-            boundary(W11, 1)
+            envelope(W11, 1)
 
     def test_too_many_criteria(self):
+        # 21 distinct positive weights: one past the exact cap.  Every
+        # function that needs the envelope refuses, and the message points
+        # at no removed function.
         w = normalize_weights(np.linspace(0.3, 1.0, 21))
-        with pytest.raises(TooManyCriteria):
-            boundary(w)
+        assert w.n_p == geometry.EXACT_LIMIT + 1
+        calls = [lambda: envelope(w), lambda: envelope_wsd(w, 0.3),
+                 lambda: vertex_images(w),
+                 lambda: attainable(w, 0.3, 0.1),
+                 lambda: isoline("A", 0.9, w)]
+        for call in calls:
+            with pytest.raises(TooManyCriteria) as info:
+                call()
+            message = str(info.value)
+            assert message.startswith("21 positive weights exceed")
+            assert "boundary" not in message.lower()
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(3)
         for base in ([1, 0.5], [0.5, 0.6, 1.0], [0.25, 1.0, 0.25, 0.5]):
             w = normalize_weights(base)
-            ref = boundary(w, 257)
+            _, ref = envelope(w, 257)
             for _ in range(3):
                 perm = normalize_weights(rng.permutation(base))
-                env = boundary(perm, 257)
-                assert np.max(np.abs(env.wsd - ref.wsd)) < 1e-9
+                _, wsd = envelope(perm, 257)
+                assert np.max(np.abs(wsd - ref)) < 1e-9
 
 
 class TestVertexImages:
@@ -187,12 +196,12 @@ class TestOracle:
         assert np.all(wsd_s <= envelope_wsd(w, wm_s) + 1e-9)
 
         res = 256
-        env = boundary(w, res)
-        step = env.wm[1] - env.wm[0]
+        env_wm, env_wsd = envelope(w, res)
+        step = env_wm[1] - env_wm[0]
         bins = np.clip(np.rint(wm_s / step).astype(int), 0, res - 1)
         best = np.zeros(res)
         np.maximum.at(best, bins, wsd_s)
-        assert np.max(env.wsd - best) < 0.01
+        assert np.max(env_wsd - best) < 0.01
 
 
 class TestIsolines:
@@ -243,26 +252,3 @@ class TestIsolines:
             isoline("A", 1.2, W3)
         with pytest.raises(LevelOutOfRange):
             isoline("I", -0.1, W3)
-
-
-class TestSampledFallback:
-    def test_underestimates_exact(self):
-        w = W3
-        res = 128
-        exact = boundary(w, res)
-        approx = boundary_sampled(w, res, samples=60000, seed=2)
-        assert approx.method == "sampled"
-        assert approx.looseness is not None
-        # samples land anywhere within a half-bin of each grid node, so
-        # compare against the exact envelope maximized over the bin
-        # (probed finitely; corners between probes explain the slack)
-        step = exact.wm[1] - exact.wm[0]
-        env_hi = exact.wsd.copy()
-        for off in np.linspace(-0.5, 0.5, 33) * step:
-            env_hi = np.maximum(env_hi, envelope_wsd(w, exact.wm + off))
-        assert np.all(approx.wsd <= env_hi + step / 2)
-
-    def test_beyond_cap_runs(self):
-        w = normalize_weights(np.linspace(0.3, 1.0, 24))
-        env = boundary_sampled(w, 64, samples=20000, seed=0)
-        assert env.wsd.max() > 0

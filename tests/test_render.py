@@ -303,7 +303,7 @@ class TestPanelGrid:
                         monkeypatch.setattr(module, key, counted)
         svg = render_panel_grid(self.make_specs(4), columns=2)
         assert svg.count("<g transform") == 4 and calls == []
-        geometry.boundary(W3, resolution=16)
+        geometry.vertex_images(W3)
         assert len(calls) == 1
 
     def test_single_panel_keeps_content_adds_legend(self):
