@@ -27,6 +27,7 @@ functions that use them, so each command loads only what it runs.
 from __future__ import annotations
 
 import argparse
+import codecs
 import gc
 import io
 import json
@@ -195,12 +196,18 @@ def _config_float(value, message: str, path: str) -> float:
                           path=path) from None
 
 
-def _read_data(path) -> str:
-    """The text of a dataset file with its line endings untranslated, so a
-    carriage return inside a quoted field stays part of the field.  A
-    leading UTF-8 byte-order mark is dropped."""
-    with open(path, encoding="utf-8-sig", newline="") as f:
-        return f.read()
+def _read_data(path, error: type[WmsdError] = ValidationError) -> str:
+    """The text of a UTF-8 file with its line endings untranslated, so a
+    carriage return inside a quoted field stays part of the field, and a
+    leading byte-order mark dropped.  Bytes that are not UTF-8 raise
+    ``error``, naming the file and the first bad byte's offset."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as e:
+        offset = e.start + 3 * data.startswith(codecs.BOM_UTF8)
+        raise error(f"{path}: byte {offset} is not UTF-8 ({e.reason})"
+                    ) from None
 
 
 def read_matrix(csv_text: str, config: RunConfig) -> DecisionMatrix:
@@ -317,7 +324,8 @@ def _csv_cells(csv_text: str, names: tuple[str, ...]):
 def _load_config(path, args: argparse.Namespace) -> RunConfig:
     """The config at ``path`` with every override flag the command
     declares, when given, applied over its config key."""
-    config = parse_config(Path(path).read_text(encoding="utf-8-sig"))
+    text = _read_data(path, SchemaError)  # line endings translated below
+    config = parse_config(io.StringIO(text, newline=None).read())
     flags = vars(args)
     changes = {}
     if flags.get("aggregation") is not None:
@@ -492,31 +500,22 @@ def _check_markers(count: int) -> None:
 
 
 def cmd_plot(args: argparse.Namespace) -> str:
-    from .render import (
-        PlotSpec,
-        render_overlay,
-        render_panel_grid,
-        render_wmsd_plot,
-    )
+    from .render import render_overlay, render_panel_grid, render_wmsd_plot
 
     configs = [_load_config(p, args) for p in args.config]
     data_text = _read_data(args.data)
 
     if args.overlay is not None:
         config = configs[0]
-        w = config.weights
         matrix_a = read_matrix(data_text, config)
         matrix_b = read_matrix(_read_data(args.overlay), config)
         if set(matrix_a.ids) != set(matrix_b.ids):
             diff = sorted(set(matrix_a.ids) ^ set(matrix_b.ids))
             raise IdSetMismatch(
                 f"overlay ids differ from dataset ids: {diff}")
-        base = PlotSpec(weights=w, kind=config.aggregation, grid=args.grid,
-                        show_isolines=tuple(args.isolines),
-                        labels=args.labels, force=args.force)
         _check_markers(matrix_a.m + matrix_b.m)
-        return render_overlay(base, _plane_points(matrix_a, w),
-                              _plane_points(matrix_b, w))
+        return render_overlay(_plot_spec(matrix_a, config, args),
+                              _plane_points(matrix_b, config.weights))
 
     specs = []
     markers = 0

@@ -20,7 +20,8 @@ largest feasible subset sums need to be inspected; with the subset sums
 of each "all but j" weight multiset precomputed and sorted, evaluating the
 envelope at any WM costs two binary searches per distinct weight value.
 :func:`attainable` tests a whole array of plane points against the region
-with one envelope evaluation; the isoline clipping uses it too.
+with one envelope evaluation; :func:`isoline` uses it to split each
+sampled level set into the runs of samples inside the region.
 
 A vertex of the box has its dot product with ``w`` equal to its squared
 norm, so its image depends only on its subset sum ``q``: every vertex
@@ -214,14 +215,21 @@ def attainable(w: WeightVector, wm, wsd, tol: float = 1e-9) -> np.ndarray:
     """Whether each plane point lies inside the attainable region.
 
     True where WM is within [0, mean(w)] and WSD is within
-    [0, envelope(WM)], each extended by ``tol``.  ``wm`` and ``wsd`` are
-    scalars or equal-shape arrays; the envelope is evaluated once for all
-    points.  Returns a 1-D boolean array.
+    [0, envelope(WM)], each extended by ``tol``, or where WSD^2 is within
+    (4n + 9) eps mean(w)^2 of envelope(WM)^2.  That slack bounds the
+    rounding of tau = WM / mean(w), in which the squared envelope has
+    slope at most 2, and of the squared envelope itself; near either end
+    of the WM range, where the envelope is the root of a difference that
+    cancels, it is far wider than ``tol``.
+    ``wm`` and ``wsd`` are scalars or equal-shape arrays; the envelope is
+    evaluated once for all points.  Returns a 1-D boolean array.
     """
     wm = np.atleast_1d(np.asarray(wm, dtype=float))
     wsd = np.atleast_1d(np.asarray(wsd, dtype=float))
+    env = envelope_wsd(w, wm)
+    slack = (4 * w.n + 9) * np.finfo(float).eps * w.mean_w ** 2
     inside = (wm >= -tol) & (wm <= w.mean_w + tol) & (wsd >= -tol)
-    return inside & (wsd <= envelope_wsd(w, wm) + tol)
+    return inside & ((wsd <= env + tol) | (wsd * wsd <= env * env + slack))
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,8 +238,9 @@ class Isoline:
 
     ``shape`` is "arc" (circle centered on the WM axis), "segment" (the
     vertical neutrality line of R at level 0.5), or "point" (degenerate
-    levels).  ``points`` holds the clipped samples as (WM, WSD) rows; it
-    may be empty when the whole level set falls outside the region.
+    levels).  ``runs`` holds the clipped samples as (k, 2) arrays of
+    (WM, WSD) rows, one per maximal stretch of consecutive samples inside
+    the region; it is empty when the whole level set falls outside.
     """
 
     kind: AggregationKind
@@ -239,17 +248,18 @@ class Isoline:
     shape: str
     center_wm: float
     radius: float
-    points: np.ndarray
+    runs: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "points", _frozen(self.points))
+        object.__setattr__(self, "runs", tuple(map(_frozen, self.runs)))
 
 
-def _clip_attainable(pts: np.ndarray, w: WeightVector,
-                     tol: float = 1e-9) -> np.ndarray:
-    if pts.size == 0:
-        return pts.reshape(0, 2)
-    return pts[attainable(w, pts[:, 0], pts[:, 1], tol)]
+def _inside_runs(pts: np.ndarray, w: WeightVector) -> list[np.ndarray]:
+    """Maximal stretches of consecutive rows of ``pts`` inside the region."""
+    keep = np.concatenate([[False], attainable(w, pts[:, 0], pts[:, 1]),
+                           [False]])
+    edges = np.flatnonzero(keep[1:] != keep[:-1]).reshape(-1, 2)
+    return [pts[start:stop] for start, stop in edges]
 
 
 def isoline(kind: AggregationKind, level: float, w: WeightVector,
@@ -271,7 +281,7 @@ def isoline(kind: AggregationKind, level: float, w: WeightVector,
 
     def _point(x: float) -> Isoline:
         return Isoline(kind=kind, level=level, shape="point", center_wm=x,
-                       radius=0.0, points=np.array([[x, 0.0]]))
+                       radius=0.0, runs=[[[x, 0.0]]])
 
     def _arc(center: float, radius: float) -> Isoline:
         if radius == 0.0:
@@ -280,7 +290,7 @@ def isoline(kind: AggregationKind, level: float, w: WeightVector,
         pts = np.column_stack([center + radius * np.cos(t),
                                radius * np.sin(t)])
         return Isoline(kind=kind, level=level, shape="arc", center_wm=center,
-                       radius=radius, points=_clip_attainable(pts, w))
+                       radius=radius, runs=_inside_runs(pts, w))
 
     if kind is AggregationKind.A:
         return _arc(0.0, level * mean_w)
@@ -298,7 +308,7 @@ def isoline(kind: AggregationKind, level: float, w: WeightVector,
         ys = np.linspace(0.0, top, samples)
         pts = np.column_stack([np.full(samples, x), ys])
         return Isoline(kind=kind, level=level, shape="segment", center_wm=x,
-                       radius=0.0, points=_frozen(pts))
+                       radius=0.0, runs=[pts])
     k = level / (1.0 - level)
     k2 = k * k
     center = k2 * mean_w / (k2 - 1.0)

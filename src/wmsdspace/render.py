@@ -181,8 +181,10 @@ def field_cells(spec: PlotSpec) -> FieldCells:
 
 
 def _esc(text: str) -> str:
+    """``text`` as XML character data; a CR is written as a reference,
+    since a parser reads a raw one back as LF."""
     return (text.replace("&", "&amp;").replace("<", "&lt;")
-            .replace(">", "&gt;"))
+            .replace(">", "&gt;").replace("\r", "&#13;"))
 
 
 def _svg(template: str, *columns) -> str:
@@ -197,23 +199,16 @@ def _path_data(x: np.ndarray, y: np.ndarray) -> str:
     return "M " + rows("%.2f %.2f L ", [x, y])[:-3]
 
 
-def _polyline_runs(points: np.ndarray, gap: float) -> list[np.ndarray]:
-    """Split clipped samples into contiguous runs at large jumps."""
-    if len(points) == 0:
-        return []
-    step = np.diff(points, axis=0)
-    jumps = np.flatnonzero(np.hypot(step[:, 0], step[:, 1]) > gap) + 1
-    return [r for r in np.split(points, jumps) if len(r) >= 2]
-
-
-def _check_points(spec: PlotSpec, ids: Sequence[str], wm: np.ndarray,
-                  wsd: np.ndarray) -> None:
-    """Raise for the first point, in input order, outside the region."""
-    if spec.force or not len(ids):
+def _check_points(spec: PlotSpec, layers: list[tuple]) -> None:
+    """Raise for the first point, in input order over the ``(ids, wm,
+    wsd)`` marker ``layers``, outside the region."""
+    wm, wsd = (np.concatenate([layer[i] for layer in layers]) for i in (1, 2))
+    if spec.force or not wm.size:
         return
     outside = np.flatnonzero(~attainable(spec.weights, wm, wsd, 1e-9))
     if outside.size:
         k = outside[0]
+        ids = [pid for layer in layers for pid in layer[0]]
         pid = str(ids[k])  # a plain str, also for a numpy string column
         raise UnattainablePoint(
             f"point {pid!r} at ({wm[k]:.6f}, {wsd[k]:.6f}) lies outside "
@@ -263,15 +258,24 @@ def _region_svg(spec: PlotSpec, frame: PlotFrame) -> list[str]:
             f'fill="none" stroke="#000000" stroke-width="1.2"/>']
 
 
-def _panel_body(spec: PlotSpec, regions: dict) -> list[str]:
+def _panel_body(spec: PlotSpec, regions: dict, second: tuple | None = None
+                ) -> list[str]:
     """All drawing elements of a single plot, in local coordinates.
 
     ``regions`` maps a (weights, kind, grid) key to its field and
-    outline text, so panels of one document share it.
+    outline text, so panels of one document share it.  ``second`` is an
+    optional second snapshot of ``(ids, wm, wsd)`` marker columns: it is
+    drawn hollow over the solid markers of ``spec``, labelled in their
+    place, and joined to them by arrows.
     """
     w = spec.weights
     frame = PlotFrame(spec)
-    _check_points(spec, spec.ids, spec.wm, spec.wsd)
+    layers = [(spec.ids, spec.wm, spec.wsd)]
+    if second is not None:
+        ids, wm, wsd = second
+        layers.append((ids, np.asarray(wm, dtype=float),
+                       np.asarray(wsd, dtype=float)))
+    _check_points(spec, layers)
     out = [f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" '
            f'fill="#ffffff"/>']
     key = (w.weights.tobytes(), spec.kind, spec.grid)
@@ -280,19 +284,45 @@ def _panel_body(spec: PlotSpec, regions: dict) -> list[str]:
     out.extend(regions[key])
 
     for level in spec.show_isolines:
-        iso = isoline(spec.kind, level, w, samples=361)
-        gap = (frame.wm_max / 20 if iso.shape != "arc"
-               else max(iso.radius * math.pi / 36, frame.wm_max / 50))
-        for run in _polyline_runs(iso.points, gap):
-            out.append(f'<path class="isoline" d="'
-                       f'{_path_data(frame.x(run[:, 0]), frame.y(run[:, 1]))}'
-                       f'" fill="none" stroke="#555555" stroke-width="1" '
-                       f'stroke-dasharray="4 3"/>')
+        for run in isoline(spec.kind, level, w, samples=361).runs:
+            if len(run) >= 2:
+                out.append(
+                    f'<path class="isoline" d="'
+                    f'{_path_data(frame.x(run[:, 0]), frame.y(run[:, 1]))}'
+                    f'" fill="none" stroke="#555555" stroke-width="1" '
+                    f'stroke-dasharray="4 3"/>')
 
     out.extend(_axes_svg(spec, frame))
-    out.append(_markers_svg(frame, spec.ids, spec.wm, spec.wsd, SOLID,
-                            spec.labels))
+    if second is not None:
+        out.append(_arrows_svg(frame, *layers))
+    for layer, paint in zip(layers, (SOLID, HOLLOW)):
+        out.append(_markers_svg(frame, *layer, paint,
+                                spec.labels and layer is layers[-1]))
     return out
+
+
+def _arrows_svg(frame: PlotFrame, first: tuple, second: tuple) -> str:
+    """An arrow from each point of ``first`` to the point of ``second``
+    with its id, in ``first``'s order, unless of negligible length."""
+    (ids_a, wm_a, wsd_a), (ids_b, wm_b, wsd_b) = first, second
+    row = dict(zip(ids_b, range(len(ids_b))))
+    kb = np.array([row.get(pid, -1) for pid in ids_a], dtype=np.intp)
+    ka = np.flatnonzero(kb >= 0)
+    kb = kb[ka]
+    far = np.hypot(wm_b[kb] - wm_a[ka], wsd_b[kb] - wsd_a[ka]) > 1e-12
+    x1, y1 = frame.x(wm_a[ka[far]]), frame.y(wsd_a[ka[far]])
+    x2, y2 = frame.x(wm_b[kb[far]]), frame.y(wsd_b[kb[far]])
+    # A plane step over 1e-12 is over 4e-10 pixels: d > 0 for finite ends.
+    d = np.hypot(x2 - x1, y2 - y1)
+    ux, uy = (x2 - x1) / d, (y2 - y1) / d
+    tipx, tipy = x2 - 5 * ux, y2 - 5 * uy
+    hx, hy = tipx - 5 * ux, tipy - 5 * uy
+    px, py = -uy * 2.5, ux * 2.5
+    return _svg('<line class="arrow" x1="%.2f" y1="%.2f" x2="%.2f" '
+                'y2="%.2f" stroke="#444444" stroke-width="1"/>\n'
+                '<polygon class="arrow-head" points="%.2f,%.2f %.2f,%.2f '
+                '%.2f,%.2f" fill="#444444"/>', x1, y1, tipx, tipy, tipx,
+                tipy, hx + px, hy + py, hx - px, hy - py)
 
 
 _LINE = ('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="#000000" '
@@ -390,53 +420,13 @@ def render_panel_grid(specs: Sequence[PlotSpec], columns: int = 2) -> str:
     return _document(total_w, total_h, body)
 
 
-def render_overlay(base: PlotSpec, snapshot_a: tuple, snapshot_b: tuple
-                   ) -> str:
-    """Two point snapshots on one plot: solid = first, hollow = second.
+def render_overlay(spec: PlotSpec, second: tuple) -> str:
+    """Two point snapshots on one plot: the markers of ``spec`` solid,
+    and ``second``, an ``(ids, wm, wsd)`` triple of marker columns,
+    hollow and labelled when ``spec.labels`` is set.
 
-    Each snapshot is an ``(ids, wm, wsd)`` triple of marker columns; the
-    markers of ``base`` are not drawn.  Matching ids are joined by an
-    arrow from the first to the second position; arrows of negligible
-    length are suppressed.
+    Each point of ``spec`` whose id ``second`` holds is joined by an
+    arrow to its second position; arrows of negligible length are
+    suppressed.
     """
-    ids_a, wm_a, wsd_a = snapshot_a
-    ids_b, wm_b, wsd_b = snapshot_b
-    wm_a, wsd_a, wm_b, wsd_b = (np.asarray(c, dtype=float)
-                                for c in (wm_a, wsd_a, wm_b, wsd_b))
-    _check_points(base, [*ids_a, *ids_b], np.concatenate([wm_a, wm_b]),
-                  np.concatenate([wsd_a, wsd_b]))
-
-    frame = PlotFrame(base)
-    field_spec = PlotSpec(
-        weights=base.weights, kind=base.kind, grid=base.grid,
-        show_isolines=base.show_isolines, labels=False, force=base.force)
-    body = _panel_body(field_spec, {})
-
-    b_by_id = {pid: (b_wm, b_wsd) for pid, b_wm, b_wsd
-               in zip(ids_b, wm_b.tolist(), wsd_b.tolist())}
-    arrows = []
-    for pid, a_wm, a_wsd in zip(ids_a, wm_a.tolist(), wsd_a.tolist()):
-        if pid not in b_by_id:
-            continue
-        b_wm, b_wsd = b_by_id[pid]
-        if math.hypot(b_wm - a_wm, b_wsd - a_wsd) <= 1e-12:
-            continue
-        x1, y1 = frame.x(a_wm), frame.y(a_wsd)
-        x2, y2 = frame.x(b_wm), frame.y(b_wsd)
-        d = math.hypot(x2 - x1, y2 - y1)
-        ux, uy = ((x2 - x1) / d, (y2 - y1) / d) if d > 0 else (1.0, 0.0)
-        tipx, tipy = x2 - 5 * ux, y2 - 5 * uy
-        hx, hy = tipx - 5 * ux, tipy - 5 * uy
-        px, py = -uy * 2.5, ux * 2.5
-        arrows.append((x1, y1, tipx, tipy, tipx, tipy, hx + px, hy + py,
-                       hx - px, hy - py))
-    if arrows:
-        body.append(_svg(
-            '<line class="arrow" x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
-            'stroke="#444444" stroke-width="1"/>\n'
-            '<polygon class="arrow-head" points="%.2f,%.2f %.2f,%.2f '
-            '%.2f,%.2f" fill="#444444"/>', *zip(*arrows)))
-    body.append(_markers_svg(frame, ids_a, wm_a, wsd_a, SOLID, labels=False))
-    body.append(_markers_svg(frame, ids_b, wm_b, wsd_b, HOLLOW,
-                             labels=base.labels))
-    return _document(WIDTH, HEIGHT, body)
+    return _document(WIDTH, HEIGHT, _panel_body(spec, {}, second))

@@ -43,8 +43,9 @@ def write_seeded_inputs(d: Path) -> None:
     ``plot.csv`` has 2,000 rows over five criteria (two costs, negative
     domains, uneven weights) with bound cells, repeated rows and ids that
     need quoting or escaping; ``snap_a.csv``/``snap_b.csv`` are 300 rows
-    moved between two snapshots, every tenth row left in place; ``np12``
-    has twelve positive weights.
+    moved between two snapshots, every tenth row left in place, and
+    ``snap_b_reversed.csv`` is ``snap_b.csv`` with its rows in reverse
+    order; ``np12`` has twelve positive weights.
     """
     rng = np.random.default_rng(20261018)
     lo = np.array([-40.0, 0.0, -5.5, 10.0, -200.0])
@@ -87,6 +88,7 @@ def write_seeded_inputs(d: Path) -> None:
     moved[::10] = snap[::10]
     write("snap_a.csv", ids[:300], snap)
     write("snap_b.csv", ids[:300], np.round(moved, 3))
+    write("snap_b_reversed.csv", ids[:300][::-1], np.round(moved, 3)[::-1])
 
 
 class TestParseConfig:
@@ -521,6 +523,32 @@ class TestPlotCommand:
             "{http://www.w3.org/2000/svg}text")]
         assert "tab\there" in texts
 
+    def test_carriage_return_in_label_read_back(self, run_cli, tmp_path):
+        data = tmp_path / "cr.csv"
+        data.write_bytes(b'id,Math,Bio,Art\n"a\rb",50,3,4\nS2,70,2,2\n')
+        code, out, err = run_cli(
+            "plot", "--data", data, "--grid", "16", "--labels",
+            "--config", FIXTURES / "students_config.json")
+        assert code == 0, err
+        texts = [t.text for t in ElementTree.fromstring(out).iter(
+            "{http://www.w3.org/2000/svg}text")]
+        assert "a\rb" in texts and "a\nb" not in texts
+
+    def test_in_box_row_under_wide_weights_plots(self, run_cli, tmp_path):
+        """A row in the box, 2.4e-14 below the ideal image's WM, overshoots
+        the computed envelope by 1.03e-9 under weights spanning six orders
+        of magnitude; it is plotted without --force."""
+        config = tmp_path / "wide.json"
+        config.write_text(json.dumps({"criteria": [
+            {"name": name, "kind": "gain", "min": 0, "max": 1, "weight": w}
+            for name, w in (("a", 0.1), ("b", 1), ("c", 0.000001))]}))
+        data = tmp_path / "row.csv"
+        data.write_text("id,a,b,c\nx,1,1,0.976\n")
+        code, out, err = run_cli("plot", "--data", data, "--config", config,
+                                 "--grid", "16")
+        assert code == 0, err
+        assert out.count('class="marker"') == 1
+
     def test_unweighted_flag_gives_msd_view(self, run_cli):
         code, out, _ = run_cli(
             "plot", "--data", FIXTURES / "students.csv",
@@ -888,7 +916,7 @@ class TestErrorStream:
         """The record has the fields that are set, a point's id as "id",
         and nothing else the exception carries, such as a note."""
         e = SchemaError("must be an object", path="criteria[0]")
-        e.add_note("while reading a config")
+        e.__notes__ = ["while reading a config"]  # add_note needs 3.11
         assert e.details() == {"error": "SchemaError",
                                "message": "criteria[0]: must be an object",
                                "path": "criteria[0]"}
@@ -997,6 +1025,33 @@ class TestErrorStream:
         record = json.loads(err)
         assert record["error"] == error
         assert record["row"] == 1 and record["column"] == "Math"
+
+    @pytest.mark.parametrize("command,flag", [
+        ("rank", "--data"), ("plot", "--overlay"), ("rank", "--config"),
+        ("compare", "--config-b")])
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"],
+                             ids=["plain", "bom"])
+    def test_file_not_utf8(self, run_cli, tmp_path, command, flag, bom):
+        """A file that is not UTF-8 gives one record naming the file and
+        the offset of its first bad byte, counted from the file's start."""
+        if flag in ("--data", "--overlay"):
+            head, tail = bom + b"id,Math,Bio,Art\nS", b"\xff1,50,3,4\n"
+            error = "ValidationError"
+        else:
+            head, tail = bom + b'{"criteria": "', b'\xe2\x82"}'
+            error = "SchemaError"
+        bad = tmp_path / "bad"
+        bad.write_bytes(head + tail)
+        paths = {"--data": FIXTURES / "students.csv",
+                 "--config": FIXTURES / "students_config.json", flag: bad}
+        code, out, err = run_cli(command, *[a for kv in paths.items()
+                                            for a in kv])
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1
+        record = json.loads(err)
+        assert record["error"] == error
+        assert record["message"].startswith(
+            f"{bad}: byte {len(head)} is not UTF-8 (")
 
     def test_field_count_row_skips_blank_lines(self, run_cli, tmp_path):
         data = tmp_path / "short.csv"
@@ -1157,7 +1212,9 @@ class TestGoldenFiles:
     # (paths under SEEDED), recorded from the per-element f-string plot
     # writer and the %-template table writer that preceded the array text
     # writer; and the unweighted-I and aggregation-A panel plots, recorded
-    # from the per-marker point objects that preceded the marker columns.
+    # from the per-marker point objects that preceded the marker columns;
+    # and the overlay whose second snapshot lists its ids in reverse order,
+    # recorded from the per-id arrow loop that preceded the id match.
     FROZEN_OUTPUTS = {
         "seeded-plot-labels-isolines": (
             ["plot", "--data", SEEDED / "plot.csv",
@@ -1170,6 +1227,13 @@ class TestGoldenFiles:
              "--overlay", SEEDED / "snap_b.csv", "--labels",
              "--isolines", "0.3,0.6", "--grid", "96"],
             "b597ca9bb8d5e9e157a0fa355adf48f57cd5e4ea13ac244452e8c1abf4b4c861"),
+        "seeded-overlay-reversed-ids": (
+            ["plot", "--data", SEEDED / "snap_a.csv",
+             "--config", SEEDED / "snap.json",
+             "--overlay", SEEDED / "snap_b_reversed.csv", "--labels",
+             "--aggregation", "R", "--isolines", "0.25,0.5,0.75",
+             "--grid", "64"],
+            "62c68cac4c3eaf755f1a7b679459381e8669f4fb5525e0dc91a81b387777a7ce"),
         "seeded-boundary-np12-csv": (
             ["boundary", "--config", SEEDED / "np12.json", "--format", "csv"],
             "4162f97903824b4c2715294d5884677c689b7b174e04e9658e58af64be493a8c"),

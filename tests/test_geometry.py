@@ -142,6 +142,42 @@ class TestAttainability:
             assert got.tolist() == [bool(attainable(w, a, b)[0])
                                     for a, b in zip(wm, wsd)]
 
+    def test_rounding_near_the_ideal_image_kept(self):
+        # WM sits 2.4e-14 below mean(w), where the envelope is the square
+        # root of a difference that cancels: the WSD overshoots the
+        # computed envelope by 1.03e-9, though the row is in the box.
+        w = normalize_weights([0.1, 1.0, 0.000001])
+        wm, wsd = plane(np.array([[1.0, 1.0, 0.976]]) * w.weights, w)
+        assert wsd[0] - envelope_wsd(w, wm)[0] > 1e-9
+        assert attainable(w, wm, wsd).tolist() == [True]
+
+    def test_slack_is_bounded(self):
+        # the squared-space slack is a few eps of mean(w)^2: a WSD of
+        # 1e-6 mean(w) above an envelope of zero stays outside
+        for w in (W11, W3, normalize_weights([0.1, 1.0, 0.000001])):
+            for wm in (0.0, w.mean_w):
+                assert attainable(w, wm, [1e-9, 1e-6 * w.mean_w]).tolist() \
+                    == [True, False]
+
+    @given(st.lists(st.one_of(st.sampled_from([1.0, 0.1, 1e-3, 1e-6, 1e-8]),
+                              st.floats(1e-8, 1.0)),
+                    min_size=2, max_size=8),
+           st.data())
+    def test_rows_in_the_box_never_refused(self, raw, data):
+        """Rows at, near and between box vertices, under weights that
+        span up to eight orders of magnitude, are all attainable."""
+        w = normalize_weights(raw)
+        near = st.one_of(
+            st.sampled_from([0.0, 1.0]),
+            st.integers(1, 15).map(lambda k: 1.0 - 10.0 ** -k),
+            st.integers(1, 15).map(lambda k: 10.0 ** -k),
+            st.floats(0.0, 1.0))
+        u = np.array(data.draw(st.lists(
+            st.lists(near, min_size=w.n, max_size=w.n),
+            min_size=1, max_size=20)))
+        wm, wsd = plane(u * w.weights, w)
+        assert attainable(w, wm, wsd).all()
+
     def test_msd_shape_for_two_criteria(self):
         # equal weights, n=2: the region is the triangle with peak (.5,.5)
         for m in np.linspace(0.05, 0.95, 19):
@@ -208,18 +244,20 @@ class TestIsolines:
     def test_neutral_vertical_segment(self):
         iso = isoline("R", 0.5, W3)
         assert iso.shape == "segment"
-        assert np.allclose(iso.points[:, 0], W3.mean_w / 2)
-        assert iso.points[:, 1].max() == pytest.approx(
+        (run,) = iso.runs
+        assert np.allclose(run[:, 0], W3.mean_w / 2)
+        assert run[:, 1].max() == pytest.approx(
             envelope_wsd(W3, W3.mean_w / 2)[0], abs=1e-12)
 
     def test_degenerate_top(self):
         iso = isoline("I", 1.0, W3)
         assert iso.shape == "point"
-        assert iso.points.tolist() == [[W3.mean_w, 0.0]]
+        assert [r.tolist() for r in iso.runs] == [[[W3.mean_w, 0.0]]]
 
     def test_degenerate_r_levels(self):
-        assert isoline("R", 0.0, W3).points.tolist() == [[0.0, 0.0]]
-        assert isoline("R", 1.0, W3).points.tolist() == [[W3.mean_w, 0.0]]
+        for level, wm in ((0.0, 0.0), (1.0, W3.mean_w)):
+            runs = isoline("R", level, W3).runs
+            assert [r.tolist() for r in runs] == [[[wm, 0.0]]]
 
     def test_arc_through_known_point(self):
         # level set of A through a country's plane position passes
@@ -236,19 +274,55 @@ class TestIsolines:
     @pytest.mark.parametrize("level", [0.2, 0.45, 0.62, 0.9])
     def test_points_evaluate_to_level(self, kind, level):
         for w in (W15, W3):
-            iso = isoline(kind, level, w, samples=211)
-            assert len(iso.points) > 0
-            vals = agg_values(kind, iso.points[:, 0], iso.points[:, 1],
-                              w.mean_w)
+            pts = np.concatenate(isoline(kind, level, w, samples=211).runs)
+            assert len(pts) > 0
+            vals = agg_values(kind, pts[:, 0], pts[:, 1], w.mean_w)
             assert np.max(np.abs(vals - level)) < 1e-9
 
     def test_clipped_to_region(self):
-        iso = isoline("A", 0.9, W3, samples=257)
-        assert attainable(W3, iso.points[:, 0], iso.points[:, 1],
-                          tol=1e-6).all()
+        pts = np.concatenate(isoline("A", 0.9, W3, samples=257).runs)
+        assert attainable(W3, pts[:, 0], pts[:, 1], tol=1e-6).all()
+
+    def test_runs_are_frozen_arrays(self):
+        for iso in (isoline("A", 0.4, W3), isoline("R", 0.5, W3),
+                    isoline("I", 1.0, W3)):
+            assert isinstance(iso.runs, tuple) and iso.runs
+            assert not hasattr(iso, "points")
+            for run in iso.runs:
+                assert run.ndim == 2 and run.shape[1] == 2
+                assert not run.flags.writeable
 
     def test_level_out_of_range(self):
         with pytest.raises(LevelOutOfRange):
             isoline("A", 1.2, W3)
         with pytest.raises(LevelOutOfRange):
             isoline("I", -0.1, W3)
+
+
+def inside_runs_loop(points, w):
+    """Reference: the runs of consecutive attainable rows, one row at a
+    time."""
+    runs, run = [], []
+    for wm, wsd in points:
+        if attainable(w, wm, wsd)[0]:
+            run.append([wm, wsd])
+        elif run:
+            runs.append(np.array(run))
+            run = []
+    if run:
+        runs.append(np.array(run))
+    return runs
+
+
+# W11's region is the triangle under (0.5, 0.5): these coordinates fall on
+# both sides of it, on its edges and beyond the WM range.
+COORD = st.one_of(st.floats(-0.2, 1.2), st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+
+
+@given(st.lists(st.tuples(COORD, COORD), max_size=40))
+def test_isoline_runs_equal_loop(coords):
+    points = np.array(coords, dtype=float).reshape(-1, 2)
+    got = geometry._inside_runs(points, W11)
+    expected = inside_runs_loop(points, W11)
+    assert len(got) == len(expected)
+    assert all(np.array_equal(a, b) for a, b in zip(got, expected))

@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -236,14 +237,14 @@ class TestBatchedChecks:
         assert str(exc.value) == self.message(*self.BAD[1])
 
     def test_overlay_checks_first_then_second_snapshot(self):
-        base = PlotSpec(weights=W3, kind="R", grid=16)
         snap = self.GOOD + self.BAD[:1]
         later = self.BAD[1:] + self.GOOD
         for a, b, bad in ((snap, later, snap[2]), (later, snap, later[0]),
                           (snap[:2], later, later[0])):
             with pytest.raises(UnattainablePoint) as exc:
-                render_overlay(base, tuple(columns(a).values()),
-                               tuple(columns(b).values()))
+                render_overlay(
+                    PlotSpec(weights=W3, kind="R", grid=16, **columns(a)),
+                    tuple(columns(b).values()))
             assert exc.value.point_id == bad[0]
             assert str(exc.value) == self.message(*bad)
 
@@ -267,9 +268,10 @@ class TestBatchedChecks:
         envelope_calls.clear()
         render_wmsd_plot(plain)  # no points, so no check
         assert len(envelope_calls) == forced_calls
-        bad = tuple(columns(self.BAD).values())
+        bad = columns(self.BAD)
         svg = render_overlay(PlotSpec(weights=W3, kind="R", grid=16,
-                                      force=True), bad, bad)
+                                      force=True, **bad),
+                             tuple(bad.values()))
         assert svg.count('class="marker"') == 4
 
 
@@ -327,29 +329,60 @@ class TestPanelGrid:
             render_panel_grid(specs + [bad], columns=2)
 
 
+def overlay(first, second, **options):
+    """``render_overlay`` of two ``(ids, wm, wsd)`` snapshots on W3."""
+    ids, wm, wsd = first
+    return render_overlay(PlotSpec(weights=W3, kind="R", grid=16, ids=ids,
+                                   wm=wm, wsd=wsd, **options), second)
+
+
 class TestOverlay:
-    BASE = PlotSpec(weights=W3, kind="R", grid=16)
     A = (("p1", "p2", "p3", "p4"), [0.20, 0.40, 0.55, 0.10],
          [0.05, 0.02, 0.01, 0.04])
     B = (("p1", "p2", "p3", "p4"), [0.25, 0.35, 0.60, 0.12],
          [0.06, 0.01, 0.02, 0.08])
 
     def test_marker_and_arrow_counts(self):
-        svg = render_overlay(self.BASE, self.A, self.B)
+        svg = overlay(self.A, self.B)
         assert svg.count('class="marker"') == 8
         assert svg.count('class="arrow"') == 4
         assert svg.count('class="arrow-head"') == 4
 
     def test_identical_snapshots_suppress_arrows(self):
-        svg = render_overlay(self.BASE, self.A, self.A)
+        svg = overlay(self.A, self.A)
         assert svg.count('class="marker"') == 8
         assert svg.count('class="arrow"') == 0
 
     def test_solid_then_hollow(self):
-        svg = render_overlay(self.BASE, self.A, self.B)
+        svg = overlay(self.A, self.B)
         markers = re.findall(r'<circle class="marker"[^/]*/>', svg)
         assert sum('fill="#000000"' in m for m in markers) == 4
         assert sum('fill="#ffffff"' in m for m in markers) == 4
+
+    def test_arrows_match_ids_not_rows(self):
+        reverse = tuple(c[::-1] for c in self.B)
+        assert overlay(self.A, reverse).count('class="arrow"') == 4
+        lines = lambda svg: re.findall(r'<line class="arrow"[^>]*>', svg)
+        assert lines(overlay(self.A, reverse)) == lines(overlay(self.A,
+                                                                self.B))
+
+    def test_id_only_in_first_snapshot_gets_no_arrow(self):
+        # p3 is missing from the second snapshot: its solid marker is
+        # drawn, and only the other three ids get arrows
+        second = tuple(c[:2] + c[3:] for c in self.B)
+        svg = overlay(self.A, second)
+        markers = re.findall(r'<circle class="marker"[^/]*/>', svg)
+        assert sum('fill="#000000"' in m for m in markers) == 4
+        assert sum('fill="#ffffff"' in m for m in markers) == 3
+        assert svg.count('class="arrow"') == 3
+        frame = PlotFrame(PlotSpec(weights=W3, kind="R"))
+        x3, y3 = f"{frame.x(0.55):.2f}", f"{frame.y(0.01):.2f}"
+        assert f'<circle class="marker" cx="{x3}" cy="{y3}"' in svg
+        assert f'x1="{x3}" y1="{y3}"' not in svg
+
+    def test_labels_on_the_second_snapshot_only(self):
+        svg = overlay(self.A, self.B, labels=True)
+        assert re.findall(r'>(p\d)</text>', svg) == list(self.B[0])
 
     def test_left_region_spread_gain(self):
         # moving a left-half point up in WSD raises its relative score
@@ -361,34 +394,91 @@ class TestOverlay:
     def test_unattainable_snapshot_point(self):
         bad = (("p1",), [0.69], [0.3])
         with pytest.raises(UnattainablePoint):
-            render_overlay(self.BASE, bad, bad)
+            overlay(bad, bad)
 
 
-def polyline_runs_loop(points, gap):
-    """The per-pair loop that render._polyline_runs replaced."""
-    if len(points) == 0:
-        return []
-    runs = []
-    start = 0
-    for i in range(1, len(points)):
-        if np.hypot(*(points[i] - points[i - 1])) > gap:
-            runs.append(points[start:i])
-            start = i
-    runs.append(points[start:])
-    return [r for r in runs if len(r) >= 2]
+def arrows_loop(frame, first, second):
+    """Reference: the per-id loop with scalar ``math.hypot`` that the id
+    match in ``render._arrows_svg`` replaced; one row of line and head
+    coordinates per arrow."""
+    (ids_a, wm_a, wsd_a), (ids_b, wm_b, wsd_b) = first, second
+    b_by_id = {pid: (b_wm, b_wsd) for pid, b_wm, b_wsd
+               in zip(ids_b, wm_b.tolist(), wsd_b.tolist())}
+    arrows = []
+    for pid, a_wm, a_wsd in zip(ids_a, wm_a.tolist(), wsd_a.tolist()):
+        if pid not in b_by_id:
+            continue
+        b_wm, b_wsd = b_by_id[pid]
+        if math.hypot(b_wm - a_wm, b_wsd - a_wsd) <= 1e-12:
+            continue
+        x1, y1 = frame.x(a_wm), frame.y(a_wsd)
+        x2, y2 = frame.x(b_wm), frame.y(b_wsd)
+        d = math.hypot(x2 - x1, y2 - y1)
+        ux, uy = ((x2 - x1) / d, (y2 - y1) / d) if d > 0 else (1.0, 0.0)
+        tipx, tipy = x2 - 5 * ux, y2 - 5 * uy
+        hx, hy = tipx - 5 * ux, tipy - 5 * uy
+        px, py = -uy * 2.5, ux * 2.5
+        arrows.append((x1, y1, tipx, tipy, tipx, tipy, hx + px, hy + py,
+                       hx - px, hy - py))
+    return np.array(arrows).reshape(-1, 10)
 
 
-COORD = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, 0.1, 0.3]))
+SNAP_IDS = [f"p{k}" for k in range(12)]
+SNAP_WM = st.one_of(st.floats(0.0, 0.7), st.sampled_from([0.1, 0.3]))
+SNAP_WSD = st.one_of(st.floats(0.0, 0.3), st.sampled_from([0.02, 0.05]))
 
 
-@given(st.lists(st.tuples(COORD, COORD), max_size=40),
-       st.sampled_from([0.0, 0.05, 0.1, 0.2, 1.0]))
-def test_polyline_runs_equal_loop(coords, gap):
-    points = np.array(coords, dtype=float).reshape(-1, 2)
-    got = render._polyline_runs(points, gap)
-    expected = polyline_runs_loop(points, gap)
-    assert len(got) == len(expected)
-    assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+@given(st.lists(st.tuples(SNAP_WM, SNAP_WSD), max_size=12), st.data())
+def test_arrows_equal_loop(first_points, data):
+    """Arrows match the reference loop for shuffled, partly missing and
+    partly unmoved ids (moves down to 1e-13); the loop and numpy may
+    round ``hypot`` differently in the last bit, so coordinates are
+    compared to the 0.005 of their two-decimal text."""
+    ids = SNAP_IDS[:len(first_points)]
+    wm_a, wsd_a = np.array(first_points, dtype=float).reshape(-1, 2).T
+    order = data.draw(st.permutations(range(len(ids))))
+    kept = order[:data.draw(st.integers(0, len(ids)))]
+    step = data.draw(st.lists(st.sampled_from([0.0, 1e-13, 1e-12, 1e-3,
+                                               0.05]),
+                              min_size=len(kept), max_size=len(kept)))
+    second = ([ids[k] for k in kept], wm_a[kept] + np.array(step),
+              wsd_a[kept] + np.array(step)[::-1])
+    frame = PlotFrame(PlotSpec(weights=W3, kind="R"))
+    first = (ids, wm_a, wsd_a)
+    got = render._arrows_svg(frame, first, second)
+    numbers = re.findall(r'[xy][12]="(-?[0-9.]+)"|(-?[0-9.]+),(-?[0-9.]+)',
+                         got)
+    values = [float(v) for groups in numbers for v in groups if v]
+    expected = arrows_loop(frame, first, second)
+    assert np.allclose(np.reshape(values, (-1, 10)), expected, rtol=0,
+                       atol=0.0051)
+
+
+class TestLabelText:
+    """Labels read back from the SVG as the ids they were drawn from."""
+
+    IDS = ("a\rb", "c\r\nd", "t\tab", "x&<y>", "plain")
+    WM = [0.20, 0.40, 0.55, 0.10, 0.30]
+    WSD = [0.05, 0.02, 0.01, 0.04, 0.03]
+
+    @staticmethod
+    def labels(svg):
+        return [t.text for t in ET.fromstring(svg).iter()
+                if t.tag.endswith("text") and t.get("font-size") == "11"
+                ][1:]  # skip the title
+
+    def test_plot(self):
+        spec = PlotSpec(weights=W3, kind="R", grid=16, ids=self.IDS,
+                        wm=self.WM, wsd=self.WSD, labels=True)
+        svg = render_wmsd_plot(spec)
+        assert "&#13;" in svg and "\r" not in svg
+        assert self.labels(svg) == list(self.IDS)
+
+    def test_overlay_second_snapshot(self):
+        first = (self.IDS, self.WM, self.WSD)
+        second = (self.IDS[::-1], self.WM, self.WSD)
+        svg = overlay(first, second, labels=True)
+        assert self.labels(svg) == list(self.IDS[::-1])
 
 
 class TestQuantizationStep:
