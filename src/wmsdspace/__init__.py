@@ -28,8 +28,7 @@ _HOME = {
     "WeightVector": "model", "normalize_weights": "model",
     "uniform_weights": "model", "validate_criteria": "model",
     "PlotSpec": "render", "colors_rgb": "render",
-    "render_overlay": "render", "render_panel_grid": "render",
-    "render_wmsd_plot": "render",
+    "render_panel_grid": "render", "render_wmsd_plot": "render",
     "utility_array": "spaces",
     "plane": "wmsd",
 }

@@ -75,13 +75,6 @@ class Ranking:
         starts = np.diff(self.ranks, prepend=0) != 0
         return np.cumsum(starts)
 
-    @property
-    def groups(self) -> tuple[tuple[str, ...], ...]:
-        """The ids partitioned into indifference groups, in rank order."""
-        starts = np.flatnonzero(np.diff(self.ranks, prepend=0)).tolist()
-        return tuple(self.ids[a:b]
-                     for a, b in zip(starts, starts[1:] + [len(self.ids)]))
-
     def position(self, alt_id: str) -> int:
         try:
             return int(self.ranks[self.ids.index(alt_id)])

@@ -216,13 +216,11 @@ def read_matrix(csv_text: str, config: RunConfig) -> DecisionMatrix:
     Plain text (no ``"``, CR, NUL or ``\\x1c``-``\\x1f``) with the expected
     header and n commas on every line is parsed by :func:`_split_plain`
     with numpy's C text reader.  Other text, and any text with a cell that
-    reader refuses, goes through :func:`_read_matrix_csv`, which is the
-    only path that raises ingest errors; both give the same matrix.
+    reader refuses, goes through :func:`_csv_cells`, which is the only
+    path that raises ingest errors; both give the same cells.
     """
-    split = _split_plain(csv_text, config.names)
-    if split is None:
-        return _read_matrix_csv(csv_text, config)
-    ids, values = split
+    ids, values = (_split_plain(csv_text, config.names)
+                   or _csv_cells(csv_text, config.names))
     return DecisionMatrix.from_array(ids, values, config.criteria,
                                      clamp=config.clamp)
 
@@ -262,40 +260,29 @@ def _split_plain(csv_text: str, names: tuple[str, ...]):
     return ids, values
 
 
-def _read_matrix_csv(csv_text: str, config: RunConfig) -> DecisionMatrix:
-    """Parse a dataset with the csv module; raises every ingest error."""
+def _csv_cells(csv_text: str, names: tuple[str, ...]):
+    """``(ids, values)`` of a dataset read with the csv module; raises
+    every ingest error."""
     import csv
 
     # The plain path reads cells of any length, so this one must too.  The
     # limit is process-wide, so it is put back.
     limit = csv.field_size_limit()
     csv.field_size_limit(max(limit, len(csv_text)))
-    try:
-        ids, values = _csv_cells(csv_text, config.names)
-    finally:
-        csv.field_size_limit(limit)
-    return DecisionMatrix.from_array(ids, values, config.criteria,
-                                     clamp=config.clamp)
-
-
-def _csv_cells(csv_text: str, names: tuple[str, ...]):
-    """``(ids, values)`` of a dataset read with the csv module."""
-    import csv
-
     reader = csv.reader(io.StringIO(csv_text))
-    try:
-        header = next(reader, None)
-    except csv.Error as e:
-        raise MalformedCsv(f"header: {e}") from None
-    if header is None:
-        raise HeaderMismatch("dataset is empty; expected a header row")
     expected = ["id", *names]
-    if header != expected:
-        raise HeaderMismatch(
-            f"header {header} does not match expected {expected}")
     ids, rows = [], []
     r = 0  # 1-based data row: blank lines are not counted
     try:
+        try:
+            header = next(reader, None)
+        except csv.Error as e:
+            raise MalformedCsv(f"header: {e}") from None
+        if header is None:
+            raise HeaderMismatch("dataset is empty; expected a header row")
+        if header != expected:
+            raise HeaderMismatch(
+                f"header {header} does not match expected {expected}")
         for record in reader:
             if not record:
                 continue
@@ -318,6 +305,8 @@ def _csv_cells(csv_text: str, names: tuple[str, ...]):
             ids.append(record[0])
     except csv.Error as e:
         raise MalformedCsv(f"row {r + 1}: {e}", row=r + 1) from None
+    finally:
+        csv.field_size_limit(limit)
     return ids, np.array(rows, dtype=float).reshape(len(ids), len(names))
 
 
@@ -490,7 +479,7 @@ def _plot_spec(matrix: DecisionMatrix, config: RunConfig,
     return PlotSpec(
         weights=w, kind=config.aggregation, ids=ids, wm=wm, wsd=wsd,
         grid=args.grid, show_isolines=tuple(args.isolines),
-        labels=args.labels, force=args.force)
+        labels=args.labels)
 
 
 def _check_markers(count: int) -> None:
@@ -500,7 +489,7 @@ def _check_markers(count: int) -> None:
 
 
 def cmd_plot(args: argparse.Namespace) -> str:
-    from .render import render_overlay, render_panel_grid, render_wmsd_plot
+    from .render import render_panel_grid, render_wmsd_plot
 
     configs = [_load_config(p, args) for p in args.config]
     data_text = _read_data(args.data)
@@ -514,8 +503,8 @@ def cmd_plot(args: argparse.Namespace) -> str:
             raise IdSetMismatch(
                 f"overlay ids differ from dataset ids: {diff}")
         _check_markers(matrix_a.m + matrix_b.m)
-        return render_overlay(_plot_spec(matrix_a, config, args),
-                              _plane_points(matrix_b, config.weights))
+        return render_wmsd_plot(_plot_spec(matrix_a, config, args),
+                                _plane_points(matrix_b, config.weights))
 
     specs = []
     markers = 0
@@ -644,8 +633,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--isolines", default="",
                         help="comma-separated aggregation levels")
     p_plot.add_argument("--labels", action="store_true")
-    p_plot.add_argument("--force", action="store_true",
-                        help="plot points even if unattainable")
 
     p_cmp = command("compare", cmd_compare, list(overrides),
                     default_fmt="json",
@@ -706,10 +693,14 @@ def main(argv=None) -> int:
     try:
         _validate_args(args)
         text = args.run(args)
-        if args.out is None:
-            sys.stdout.write(text)
-        else:
+        if args.out is not None:
             Path(args.out).write_text(text, encoding="utf-8")
+        elif hasattr(sys.stdout, "buffer"):
+            # UTF-8, as --out writes, whatever the locale's encoding
+            sys.stdout.flush()
+            sys.stdout.buffer.write(text.encode("utf-8"))
+        else:  # a text-only stream, such as io.StringIO
+            sys.stdout.write(text)
     except WmsdError as e:
         sys.stderr.write(json.dumps(e.details(), sort_keys=True) + "\n")
         return 1 if isinstance(e, ValidationError) else 2

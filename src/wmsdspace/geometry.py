@@ -37,7 +37,9 @@ bounded by ``CACHE_BYTES``.
 The exact path enumerates 2^(n_p - 1) subset sums per distinct positive
 weight and is capped at ``EXACT_LIMIT`` positive weights; beyond the cap
 every function here that needs the edge tables raises
-:class:`wmsdspace.errors.TooManyCriteria`.
+:class:`wmsdspace.errors.TooManyCriteria`.  A weight whose square
+underflows to 0 adds exactly 0 to every dot product and squared norm, so
+it is left out of the tables and does not count toward the cap.
 """
 
 from __future__ import annotations
@@ -51,6 +53,8 @@ from .errors import LevelOutOfRange, TooManyCriteria
 from .model import WeightVector, _frozen
 
 EXACT_LIMIT = 20
+# Samples along each isoline arc or segment.
+_SAMPLES = 361
 # Upper bound on the bytes of edge tables kept between calls; one n_p = 20
 # weight vector with distinct weights takes about 88 MiB.  The most
 # recently built entry is kept even when it alone exceeds the bound.
@@ -120,7 +124,10 @@ def _subset_sums(values: np.ndarray) -> np.ndarray:
 
 
 def _active_squares(w: WeightVector) -> np.ndarray:
-    return np.sort(w.weights[w.weights > 0]) ** 2
+    """The positive squared weights in ascending order; a square that
+    underflows to 0 is dropped, as the envelope divides by its root."""
+    sq = np.sort(w.weights) ** 2
+    return sq[sq > 0]
 
 
 def _edge_tables(w: WeightVector) -> _EdgeTables:
@@ -262,8 +269,7 @@ def _inside_runs(pts: np.ndarray, w: WeightVector) -> list[np.ndarray]:
     return [pts[start:stop] for start, stop in edges]
 
 
-def isoline(kind: AggregationKind, level: float, w: WeightVector,
-            samples: int = 181) -> Isoline:
+def isoline(kind: AggregationKind, level: float, w: WeightVector) -> Isoline:
     """Analytic level set of an aggregation in the plane.
 
     A-levels are circular arcs centered at the anti-ideal image (0, 0)
@@ -272,7 +278,8 @@ def isoline(kind: AggregationKind, level: float, w: WeightVector,
     arcs of the Apollonius circle of those two points with distance ratio
     level / (1 - level), except level 0.5, whose locus is the vertical
     segment WM = mean(w) / 2.  Levels 0 and 1 degenerate to single
-    points where the construction would divide by zero.
+    points where the construction would divide by zero.  An arc or the
+    segment is sampled at 361 evenly spaced points.
     """
     kind = AggregationKind(kind)
     if not (math.isfinite(level) and 0.0 <= level <= 1.0):
@@ -286,7 +293,7 @@ def isoline(kind: AggregationKind, level: float, w: WeightVector,
     def _arc(center: float, radius: float) -> Isoline:
         if radius == 0.0:
             return _point(center)
-        t = np.linspace(0.0, math.pi, samples)
+        t = np.linspace(0.0, math.pi, _SAMPLES)
         pts = np.column_stack([center + radius * np.cos(t),
                                radius * np.sin(t)])
         return Isoline(kind=kind, level=level, shape="arc", center_wm=center,
@@ -305,8 +312,8 @@ def isoline(kind: AggregationKind, level: float, w: WeightVector,
     if abs(level - 0.5) < 1e-9:
         x = mean_w * 0.5
         top = float(envelope_wsd(w, x)[0])
-        ys = np.linspace(0.0, top, samples)
-        pts = np.column_stack([np.full(samples, x), ys])
+        ys = np.linspace(0.0, top, _SAMPLES)
+        pts = np.column_stack([np.full(_SAMPLES, x), ys])
         return Isoline(kind=kind, level=level, shape="segment", center_wm=x,
                        radius=0.0, runs=[pts])
     k = level / (1.0 - level)

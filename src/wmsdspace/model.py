@@ -103,7 +103,6 @@ class WeightVector:
     distances; for the all-ones vector it equals sqrt(n).
     """
 
-    raw: np.ndarray
     weights: np.ndarray
     n_p: int
     norm: float
@@ -114,7 +113,7 @@ class WeightVector:
     def n(self) -> int:
         return self.weights.size
 
-    def __repr__(self) -> str:  # compact; raw vector omitted
+    def __repr__(self) -> str:  # compact
         ws = ", ".join(f"{w:g}" for w in self.weights)
         return f"WeightVector([{ws}], n_p={self.n_p}, s={self.s:.6g})"
 
@@ -140,7 +139,6 @@ def normalize_weights(raw: Sequence[float] | np.ndarray) -> WeightVector:
     norm = float(np.linalg.norm(weights))
     mean_w = float(weights.mean())
     return WeightVector(
-        raw=_frozen(arr),
         weights=_frozen(weights),
         n_p=int(np.count_nonzero(weights > 0)),
         norm=norm,

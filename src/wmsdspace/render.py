@@ -91,7 +91,6 @@ class PlotSpec:
     grid: int = 128
     show_isolines: tuple[float, ...] = ()
     labels: bool = False
-    force: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "wm", np.asarray(self.wm, dtype=float))
@@ -203,9 +202,9 @@ def _check_points(spec: PlotSpec, layers: list[tuple]) -> None:
     """Raise for the first point, in input order over the ``(ids, wm,
     wsd)`` marker ``layers``, outside the region."""
     wm, wsd = (np.concatenate([layer[i] for layer in layers]) for i in (1, 2))
-    if spec.force or not wm.size:
+    if not wm.size:
         return
-    outside = np.flatnonzero(~attainable(spec.weights, wm, wsd, 1e-9))
+    outside = np.flatnonzero(~attainable(spec.weights, wm, wsd))
     if outside.size:
         k = outside[0]
         ids = [pid for layer in layers for pid in layer[0]]
@@ -284,7 +283,7 @@ def _panel_body(spec: PlotSpec, regions: dict, second: tuple | None = None
     out.extend(regions[key])
 
     for level in spec.show_isolines:
-        for run in isoline(spec.kind, level, w, samples=361).runs:
+        for run in isoline(spec.kind, level, w).runs:
             if len(run) >= 2:
                 out.append(
                     f'<path class="isoline" d="'
@@ -367,9 +366,16 @@ def _document(width: int, height: int, body: list[str]) -> str:
     return "\n".join(filter(None, [head, *body, "</svg>"])) + "\n"
 
 
-def render_wmsd_plot(spec: PlotSpec) -> str:
-    """One plane plot as an SVG document."""
-    return _document(WIDTH, HEIGHT, _panel_body(spec, {}))
+def render_wmsd_plot(spec: PlotSpec, second: tuple | None = None) -> str:
+    """One plane plot as an SVG document.
+
+    ``second`` is an optional second snapshot, an ``(ids, wm, wsd)``
+    triple of marker columns: it is drawn hollow over the solid markers
+    of ``spec``, labelled in their place when ``spec.labels`` is set, and
+    each point of ``spec`` whose id it holds is joined by an arrow to its
+    second position; arrows of negligible length are suppressed.
+    """
+    return _document(WIDTH, HEIGHT, _panel_body(spec, {}, second))
 
 
 def _legend_svg(ox: float, oy: float, h: float) -> list[str]:
@@ -419,14 +425,3 @@ def render_panel_grid(specs: Sequence[PlotSpec], columns: int = 2) -> str:
     body.extend(_legend_svg(columns * WIDTH, 0, 300))
     return _document(total_w, total_h, body)
 
-
-def render_overlay(spec: PlotSpec, second: tuple) -> str:
-    """Two point snapshots on one plot: the markers of ``spec`` solid,
-    and ``second``, an ``(ids, wm, wsd)`` triple of marker columns,
-    hollow and labelled when ``spec.labels`` is set.
-
-    Each point of ``spec`` whose id ``second`` holds is joined by an
-    arrow to its second position; arrows of negligible length are
-    suppressed.
-    """
-    return _document(WIDTH, HEIGHT, _panel_body(spec, {}, second))

@@ -132,7 +132,7 @@ class TestRank:
         r = rank_array(["a", "b", "c", "d"], [0.9, 0.5, 0.5, 0.1])
         assert list(r.ids) == ["a", "b", "c", "d"]
         assert r.ranks.tolist() == [1, 2, 2, 4]
-        assert r.groups == (("a",), ("b", "c"), ("d",))
+        assert r.group_numbers.tolist() == [1, 2, 2, 3]
 
     def test_exact_ties_keep_input_order(self):
         r = rank_array(["z", "a", "m"], [0.5, 0.5, 0.5])
@@ -141,9 +141,11 @@ class TestRank:
 
     def test_tolerance_groups(self):
         r = rank_array(["a", "b"], [0.500000, 0.499999], tie_tolerance=1e-5)
-        assert r.groups == (("a", "b"),)
+        assert list(r.ids) == ["a", "b"]
+        assert r.group_numbers.tolist() == [1, 1]
         r = rank_array(["a", "b"], [0.500000, 0.499999], tie_tolerance=1e-9)
-        assert r.groups == (("a",), ("b",))
+        assert list(r.ids) == ["a", "b"]
+        assert r.group_numbers.tolist() == [1, 2]
 
     def test_single(self):
         r = rank_array(["only"], [0.4])

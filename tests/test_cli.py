@@ -28,7 +28,7 @@ from wmsdspace.errors import (
     WmsdError,
 )
 from wmsdspace.cli import parse_config, read_matrix
-from wmsdspace.model import normalize_weights
+from wmsdspace.model import DecisionMatrix, normalize_weights
 from wmsdspace.wmsd import plane
 
 STUDENTS_CONFIG = (FIXTURES / "students_config.json").read_text()
@@ -231,6 +231,12 @@ def _dataset_texts(draw):
     return end.join(lines) + draw(st.sampled_from([end, ""]))
 
 
+def _read_with_csv_module(text, config):
+    """The dataset as the csv-module reader alone parses it."""
+    return DecisionMatrix.from_array(*cli._csv_cells(text, config.names),
+                                     config.criteria, clamp=config.clamp)
+
+
 class TestPlainIngest:
     """The numpy-reader path against the csv-module reader it falls back
     to."""
@@ -241,12 +247,12 @@ class TestPlainIngest:
     def test_equals_csv_path(self, students_config, text, clamp):
         config = dataclasses.replace(students_config, clamp=clamp)
         assert _outcome(read_matrix, text, config) == \
-            _outcome(cli._read_matrix_csv, text, config)
+            _outcome(_read_with_csv_module, text, config)
 
     def test_plain_text_skips_csv_module(self, students_config, monkeypatch):
         def refuse(*args):
             raise AssertionError("csv path used")
-        monkeypatch.setattr(cli, "_read_matrix_csv", refuse)
+        monkeypatch.setattr(cli, "_csv_cells", refuse)
         # many rows, after a blank line
         rows = [f"s{i},{i % 100},{1 + i % 5},{6 - i % 5}" for i in range(9000)]
         text = "id,Math,Bio,Art\n\n" + "\n".join(rows) + "\n"
@@ -537,7 +543,7 @@ class TestPlotCommand:
     def test_in_box_row_under_wide_weights_plots(self, run_cli, tmp_path):
         """A row in the box, 2.4e-14 below the ideal image's WM, overshoots
         the computed envelope by 1.03e-9 under weights spanning six orders
-        of magnitude; it is plotted without --force."""
+        of magnitude; it is plotted."""
         config = tmp_path / "wide.json"
         config.write_text(json.dumps({"criteria": [
             {"name": name, "kind": "gain", "min": 0, "max": 1, "weight": w}
@@ -548,6 +554,20 @@ class TestPlotCommand:
                                  "--grid", "16")
         assert code == 0, err
         assert out.count('class="marker"') == 1
+
+    def test_weight_whose_square_underflows(self, tmp_path):
+        """A weight 1e-200 of the largest squares to 0; the row at the
+        anti-ideal image is plotted, with no warning on stderr."""
+        config = tmp_path / "tiny.json"
+        config.write_text(json.dumps({"criteria": [
+            {"name": name, "kind": "gain", "min": 0, "max": 1, "weight": w}
+            for name, w in (("a", 1), ("b", 1e-200), ("c", 0.5))]}))
+        data = tmp_path / "row.csv"
+        data.write_text("id,a,b,c\nq,0,1,0\n")
+        result = run_python("-m", "wmsdspace.cli", "plot", "--data", data,
+                            "--config", config, "--grid", "16")
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout.count(b'class="marker"') == 1
 
     def test_unweighted_flag_gives_msd_view(self, run_cli):
         code, out, _ = run_cli(
@@ -578,11 +598,10 @@ class TestPlotCommand:
             cli.main(["plot", "--help"])
         assert re.search(rf"16\s+to\s+{cli.MAX_GRID}", capsys.readouterr().out)
 
-    @pytest.mark.parametrize("force", [False, True])
-    def test_marker_cap(self, run_cli, capsys, monkeypatch, force):
-        """Every panel and both overlay snapshots count; --force does not
-        lift the cap, and the refusal comes before any SVG and before the
-        panel that passes the cap is laid out."""
+    def test_marker_cap(self, run_cli, capsys, monkeypatch):
+        """Every panel and both overlay snapshots count, and the refusal
+        comes before any SVG and before the panel that passes the cap is
+        laid out."""
         specs = []
         plot_spec = cli._plot_spec
 
@@ -592,7 +611,7 @@ class TestPlotCommand:
         monkeypatch.setattr(cli, "_plot_spec", counted)
         one = ["--config", FIXTURES / "countries_w1.json"]
         grid = ["plot", "--data", FIXTURES / "countries.csv", *one, *one,
-                "--grid", "16", *(["--force"] if force else [])]
+                "--grid", "16"]
         overlay = ["plot", "--data", FIXTURES / "countries_2019_subset.csv",
                    "--config", FIXTURES / "countries_w3.json", "--grid", "16",
                    "--overlay", FIXTURES / "countries_2023_synthetic.csv"]
@@ -867,9 +886,10 @@ class TestCommandFlags:
     def test_seven_pairings_are_not_declared(self):
         assert len(DECLARED_PAIRS) == 13 and len(REMOVED_PAIRS) == 7
 
-    @pytest.mark.parametrize("command,flag", REMOVED_PAIRS)
+    @pytest.mark.parametrize("command,flag",
+                             REMOVED_PAIRS + [("plot", "--force")])
     def test_undeclared_flag_is_a_usage_error(self, capsys, command, flag):
-        given = [flag, *OVERRIDES[flag]]
+        given = [flag, *OVERRIDES.get(flag, [])]
         with pytest.raises(SystemExit) as exc:
             cli.main([*map(str, self.COMMANDS[command]), *given])
         assert exc.value.code == 2
@@ -1562,6 +1582,24 @@ def test_frozen_heap_loses_no_output(tmp_path):
     assert json.loads(result.stderr) == {
         "error": "SchemaError", "path": "criteria",
         "message": "criteria: must be a non-empty list"}
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+def test_stdout_is_utf8_whatever_the_locale(tmp_path, monkeypatch, encoding):
+    """Stdout gets the bytes ``--out`` writes, also for an id the
+    locale's encoding cannot hold."""
+    data = tmp_path / "lodz.csv"
+    data.write_text("id,Math,Bio,Art\n\u0141\u00f3d\u017a,50,3,4\n"
+                    "S2,70,2,2\n", encoding="utf-8")
+    rank = ["-m", "wmsdspace.cli", "rank", "--data", data,
+            "--config", FIXTURES / "students_config.json"]
+    out = tmp_path / "rank.csv"
+    assert run_python(*rank, "--out", out).returncode == 0
+    monkeypatch.setenv("PYTHONIOENCODING", encoding)
+    result = run_python(*rank)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout == out.read_bytes()
+    assert "\u0141\u00f3d\u017a".encode("utf-8") in result.stdout
 
 
 # SHA-256 of stdout for a header-only and a one-row students dataset,

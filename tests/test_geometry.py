@@ -159,13 +159,15 @@ class TestAttainability:
                 assert attainable(w, wm, [1e-9, 1e-6 * w.mean_w]).tolist() \
                     == [True, False]
 
-    @given(st.lists(st.one_of(st.sampled_from([1.0, 0.1, 1e-3, 1e-6, 1e-8]),
+    @given(st.lists(st.one_of(st.sampled_from([1.0, 0.1, 1e-3, 1e-6, 1e-8,
+                                               1e-170, 1e-300]),
                               st.floats(1e-8, 1.0)),
                     min_size=2, max_size=8),
            st.data())
     def test_rows_in_the_box_never_refused(self, raw, data):
         """Rows at, near and between box vertices, under weights that
-        span up to eight orders of magnitude, are all attainable."""
+        span up to eight orders of magnitude or whose squares underflow,
+        are all attainable."""
         w = normalize_weights(raw)
         near = st.one_of(
             st.sampled_from([0.0, 1.0]),
@@ -177,6 +179,18 @@ class TestAttainability:
             min_size=1, max_size=20)))
         wm, wsd = plane(u * w.weights, w)
         assert attainable(w, wm, wsd).all()
+
+    def test_underflowing_square_is_a_zero_weight(self):
+        # 1e-200 squares to 0: the envelope is bit for bit the one with
+        # that weight at 0, with no division by its root
+        grid = np.linspace(-0.01, 0.6, 8193)
+        for tiny, zero in (([1.0, 1e-200, 0.5], [1.0, 0.0, 0.5]),
+                           ([0.3, 1e-170, 1.0, 0.7, 1e-300],
+                            [0.3, 0.0, 1.0, 0.7, 0.0])):
+            w_tiny, w_zero = normalize_weights(tiny), normalize_weights(zero)
+            assert w_tiny.mean_w == w_zero.mean_w
+            assert envelope_wsd(w_tiny, grid).tobytes() == \
+                envelope_wsd(w_zero, grid).tobytes()
 
     def test_msd_shape_for_two_criteria(self):
         # equal weights, n=2: the region is the triangle with peak (.5,.5)
@@ -274,13 +288,13 @@ class TestIsolines:
     @pytest.mark.parametrize("level", [0.2, 0.45, 0.62, 0.9])
     def test_points_evaluate_to_level(self, kind, level):
         for w in (W15, W3):
-            pts = np.concatenate(isoline(kind, level, w, samples=211).runs)
+            pts = np.concatenate(isoline(kind, level, w).runs)
             assert len(pts) > 0
             vals = agg_values(kind, pts[:, 0], pts[:, 1], w.mean_w)
             assert np.max(np.abs(vals - level)) < 1e-9
 
     def test_clipped_to_region(self):
-        pts = np.concatenate(isoline("A", 0.9, W3, samples=257).runs)
+        pts = np.concatenate(isoline("A", 0.9, W3).runs)
         assert attainable(W3, pts[:, 0], pts[:, 1], tol=1e-6).all()
 
     def test_runs_are_frozen_arrays(self):

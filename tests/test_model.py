@@ -63,7 +63,6 @@ class TestNormalizeWeights:
     def test_divides_by_max(self):
         w = normalize_weights([2, 1, 1])
         assert w.weights.tolist() == [1.0, 0.5, 0.5]
-        assert w.raw.tolist() == [2.0, 1.0, 1.0]
 
     def test_all_ones_coefficient(self):
         w = normalize_weights([1, 1, 1])

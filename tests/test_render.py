@@ -23,7 +23,6 @@ from wmsdspace.render import (
     COLOR_QUANT_STEP,
     colors_rgb,
     field_cells,
-    render_overlay,
     render_panel_grid,
     render_wmsd_plot,
 )
@@ -156,11 +155,6 @@ class TestSinglePlot:
             render_wmsd_plot(spec)
         assert exc.value.point_id == "ghost"
 
-    def test_force_plots_anyway(self):
-        bad = columns([("ghost", W3.mean_w, 0.3)])
-        spec = PlotSpec(weights=W3, kind="R", grid=16, force=True, **bad)
-        assert render_wmsd_plot(spec).count('class="marker"') == 1
-
     def test_array_ids_reported_as_str(self):
         spec = PlotSpec(weights=W3, kind="R", grid=16, ids=np.array(["a"]),
                         wm=[0.69], wsd=[0.3])
@@ -227,6 +221,15 @@ class TestBatchedChecks:
             counts.append(len(envelope_calls))
         assert counts[0] == counts[1]
 
+    def test_check_is_one_call_made_only_for_points(self, envelope_calls):
+        counts = []
+        for pts in ((), self.GOOD):
+            envelope_calls.clear()
+            render_wmsd_plot(PlotSpec(weights=W3, kind="R", grid=16,
+                                      **columns(pts)))
+            counts.append(len(envelope_calls))
+        assert counts[1] == counts[0] + 1
+
     def test_plot_reports_first_in_input_order(self):
         pts = self.GOOD[:1] + self.BAD[::-1] + self.GOOD[1:]
         spec = PlotSpec(weights=W3, kind="R", grid=16, **columns(pts))
@@ -242,7 +245,7 @@ class TestBatchedChecks:
         for a, b, bad in ((snap, later, snap[2]), (later, snap, later[0]),
                           (snap[:2], later, later[0])):
             with pytest.raises(UnattainablePoint) as exc:
-                render_overlay(
+                render_wmsd_plot(
                     PlotSpec(weights=W3, kind="R", grid=16, **columns(a)),
                     tuple(columns(b).values()))
             assert exc.value.point_id == bad[0]
@@ -257,22 +260,6 @@ class TestBatchedChecks:
         pid = self.BAD[1][0]
         assert exc.value.point_id == pid
         assert str(exc.value) == f"panel 1: {self.message(*self.BAD[1])}"
-
-    def test_force_skips_check(self, envelope_calls):
-        pts = self.GOOD + self.BAD
-        forced = PlotSpec(weights=W3, kind="R", grid=16, force=True,
-                          **columns(pts))
-        plain = PlotSpec(weights=W3, kind="R", grid=16)
-        assert render_wmsd_plot(forced).count('class="marker"') == 4
-        forced_calls = len(envelope_calls)
-        envelope_calls.clear()
-        render_wmsd_plot(plain)  # no points, so no check
-        assert len(envelope_calls) == forced_calls
-        bad = columns(self.BAD)
-        svg = render_overlay(PlotSpec(weights=W3, kind="R", grid=16,
-                                      force=True, **bad),
-                             tuple(bad.values()))
-        assert svg.count('class="marker"') == 4
 
 
 class TestPanelGrid:
@@ -330,10 +317,10 @@ class TestPanelGrid:
 
 
 def overlay(first, second, **options):
-    """``render_overlay`` of two ``(ids, wm, wsd)`` snapshots on W3."""
+    """``render_wmsd_plot`` of two ``(ids, wm, wsd)`` snapshots on W3."""
     ids, wm, wsd = first
-    return render_overlay(PlotSpec(weights=W3, kind="R", grid=16, ids=ids,
-                                   wm=wm, wsd=wsd, **options), second)
+    return render_wmsd_plot(PlotSpec(weights=W3, kind="R", grid=16, ids=ids,
+                                     wm=wm, wsd=wsd, **options), second)
 
 
 class TestOverlay:
