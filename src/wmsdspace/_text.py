@@ -5,8 +5,11 @@ columns, joined.  Numbers are written with integer digit arithmetic into
 a ``uint8`` grid padded with ``_PAD``, which is compressed and decoded
 once per block of ``_CHUNK_ROWS`` rows.  ``'%.Nf' % x`` is correctly
 rounded (half-even on the binary value), so the grid matches it byte for
-byte wherever ``rint(|x|·10^N)`` is provably that rounding; any other
-value is formatted by Python's ``%``, one at a time.
+byte: ``rint(|x|·10^N)`` is that rounding unless the product is exactly
+halfway between integers, where the sign of its rounding error, which
+Dekker's two-product gives exactly, decides.  A value that is not finite
+or whose product is at least 2^52 is formatted by Python's ``%``, one at
+a time.
 """
 
 from __future__ import annotations
@@ -135,6 +138,24 @@ def _limbs(k: np.ndarray, count: int) -> list[np.ndarray]:
     return [k] + out[::-1]
 
 
+def _product_error(a: np.ndarray, b: float, p: np.ndarray) -> np.ndarray:
+    """The exact ``a * b - p`` for ``p`` the rounded product and ``b`` a
+    float of at most 26 significant bits, as 10^N (N <= 9) is: Dekker's
+    two-product, where only ``a`` needs Veltkamp's split.  Products must
+    neither overflow nor underflow."""
+    c = 134217729.0 * a  # 2^27 + 1
+    a_hi = c - (c - a)
+    return (a_hi * b - p) + (a - a_hi) * b
+
+
+def _percent(values: list, decimals: int | None) -> list[bytes]:
+    """Python's ``'%.Nf' % x`` (N = ``decimals``), or ``'%d' % x``, of
+    each value: the text of values the digit arithmetic does not cover."""
+    if decimals is None:
+        return [("%d" % x).encode() for x in values]
+    return [("%.*f" % (decimals, x)).encode() for x in values]
+
+
 def _number_pieces(part, decimals: int | None) -> list[np.ndarray]:
     """``'%.Nf' % x`` (N = ``decimals``), or ``'%d' % i`` when ``decimals``
     is None, of each value: one row per value across the returned
@@ -149,21 +170,25 @@ def _number_pieces(part, decimals: int | None) -> list[np.ndarray]:
     else:
         v = np.asarray(part, dtype=float)
         neg = np.signbit(v)
-        # rint(s) is the correctly rounded result unless s is not finite,
-        # too large for exact integers, or within its own rounding error
-        # (at most s·2^-53) of a tie.
         with np.errstate(over="ignore", invalid="ignore"):
-            s = np.abs(v) * 10.0 ** n
-            slow = ~(s < 2.0 ** 52) | (np.abs(s - np.floor(s) - 0.5)
-                                      <= s * 2.0 ** -52)
+            a = np.abs(v)
+            s = a * 10.0 ** n
+            slow = ~(s < 2.0 ** 52)  # not finite, or past exact integers
             k = np.rint(s)
+            tie = np.flatnonzero(s - np.floor(s) == 0.5)
+        # The exact product s + err, |err| <= ulp(s)/2, cannot cross a
+        # half-integer other than s, so rint(s) is correctly rounded
+        # unless s is one: then the sign of err decides, and err = 0 is
+        # a true tie, which rint rounds to even as '%.Nf' does.
+        if tie.size:
+            err = _product_error(a[tie], 10.0 ** n, s[tie])
+            k[tie] = np.where(err == 0, k[tie], s[tie] + 0.5 * np.sign(err))
         k[slow] = 0
         k = k.astype(np.int64)
     rows = k.size
     pieces = []
     if slow.any():
-        texts = [("%.*f" % (n, x) if decimals is not None else "%d" % x)
-                 .encode() for x in v[slow].tolist()]
+        texts = _percent(v[slow].tolist(), decimals)
         fallback = np.full((rows, max(map(len, texts))), _PAD, np.uint8)
         for i, t in zip(np.flatnonzero(slow).tolist(), texts):
             fallback[i, :len(t)] = np.frombuffer(t, np.uint8)

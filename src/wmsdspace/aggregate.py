@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import IdSetMismatch, NonFiniteScore
-from .model import _frozen
+from .model import _Record, _frozen
 
 # Pair differences per block in :func:`_reversals`: a few MB of arrays
 # whatever the number of alternatives.
@@ -56,8 +55,7 @@ def agg_values(kind: AggregationKind, wm, wsd, mean_w: float):
     return d_anti / (d_ideal + d_anti)
 
 
-@dataclass(frozen=True, eq=False)
-class Ranking:
+class Ranking(_Record):
     """Scores sorted non-increasing, with competition ranks (1, 2, 2, 4).
 
     ``ids``, ``scores`` and ``ranks`` are aligned and in rank order.  Ids
@@ -66,9 +64,9 @@ class Ranking:
     run of equal ranks; ``group_numbers`` numbers the runs from 1.
     """
 
-    ids: tuple[str, ...]
-    scores: np.ndarray
-    ranks: np.ndarray
+    def __init__(self, ids: tuple[str, ...], scores: np.ndarray,
+                 ranks: np.ndarray):
+        vars(self).update(ids=ids, scores=scores, ranks=ranks)
 
     @property
     def group_numbers(self) -> np.ndarray:
@@ -125,8 +123,7 @@ def rank_array(ids: Sequence[str], scores: np.ndarray,
                    scores=_frozen(ranked), ranks=ranks)
 
 
-@dataclass(frozen=True, eq=False)
-class RankingComparison:
+class RankingComparison(_Record):
     """Per-id rank shifts between two rankings of the same ids.
 
     Rows are those of the first ranking.  ``order[k]`` is the row of the
@@ -144,10 +141,10 @@ class RankingComparison:
     (fewer than two ids, or a ranking that is one tie).
     """
 
-    order: np.ndarray
-    deltas: np.ndarray
-    kendall_tau: float
-    reversals: np.ndarray
+    def __init__(self, order: np.ndarray, deltas: np.ndarray,
+                 kendall_tau: float, reversals: np.ndarray):
+        vars(self).update(order=order, deltas=deltas,
+                          kendall_tau=kendall_tau, reversals=reversals)
 
 
 def compare_rankings(r1: Ranking, r2: Ranking) -> RankingComparison:

@@ -15,7 +15,8 @@ is 0 on success, 1 for validation errors, 2 for refused computations,
 and 3 for I/O failures.
 
 Each command declares only the flags it reads, and its parser refuses
-any other with a usage error that names the command.  A flag that
+any other with a usage error that names the command.  :func:`main`
+builds only the parser of the command it is given.  A flag that
 overrides a config key is applied when the config is loaded, so a command sees one
 :class:`RunConfig` with its weights, aggregation, tie tolerance and
 clamping resolved.
@@ -33,7 +34,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from functools import partial
 from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
@@ -62,6 +63,7 @@ from .model import (
     CriterionSpec,
     DecisionMatrix,
     WeightVector,
+    _Value,
     normalize_weights,
     uniform_weights,
     validate_criteria,
@@ -89,16 +91,22 @@ _CONFIG_KEYS = {"criteria", "aggregation", "weighted", "tie_tolerance",
                 "clamp"}
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_Value):
     """Validated run configuration: criteria plus scoring options."""
 
-    criteria: tuple[CriterionSpec, ...]
-    weight_vector: WeightVector
-    aggregation: AggregationKind = AggregationKind.R
-    weighted: bool = True
-    tie_tolerance: float = DEFAULT_TIE_TOLERANCE
-    clamp: bool = False
+    def __init__(self, criteria: tuple[CriterionSpec, ...],
+                 weight_vector: WeightVector,
+                 aggregation: AggregationKind = AggregationKind.R,
+                 weighted: bool = True,
+                 tie_tolerance: float = DEFAULT_TIE_TOLERANCE,
+                 clamp: bool = False):
+        vars(self).update(criteria=criteria, weight_vector=weight_vector,
+                          aggregation=aggregation, weighted=weighted,
+                          tie_tolerance=tie_tolerance, clamp=clamp)
+
+    def replace(self, **changes) -> RunConfig:
+        """A copy with the given fields changed."""
+        return RunConfig(**{**vars(self), **changes})
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -325,7 +333,7 @@ def _load_config(path, args: argparse.Namespace) -> RunConfig:
         changes["clamp"] = True
     if flags.get("tie_tol") is not None:
         changes["tie_tolerance"] = flags["tie_tol"]
-    return replace(config, **changes)
+    return config.replace(**changes)
 
 
 def _plane_points(matrix: DecisionMatrix, w: WeightVector) -> tuple:
@@ -573,73 +581,87 @@ class _CommandParser(argparse.ArgumentParser):
         return namespace, extras
 
 
-def build_parser() -> argparse.ArgumentParser:
+# The flags that override a config key; each command declares the ones it
+# reads, in this order.
+_OVERRIDES = {
+    "--aggregation": dict(choices=["I", "A", "R"], default=None),
+    "--unweighted": dict(action="store_true", help="score with all "
+                         "criteria equally important"),
+    "--clamp": dict(action="store_true",
+                    help="clamp out-of-domain values to the bounds"),
+    "--tie-tol": dict(type=float, default=None, dest="tie_tol"),
+}
+
+# Each command, run by ``cmd_<name>``: its line in the command list and
+# the override flags it reads.
+_COMMANDS = {
+    "rank": ("score and rank alternatives", list(_OVERRIDES)),
+    "transform": ("full coordinate table per alternative", ["--clamp"]),
+    "boundary": ("attainable-region envelope as CSV/JSON", ["--unweighted"]),
+    "plot": ("SVG plot of the plane",
+             ["--aggregation", "--unweighted", "--clamp"]),
+    "compare": ("compare rankings under two configs", list(_OVERRIDES)),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command; with ``command``, that command's
+    parser alone, which reads the arguments after the command name as
+    the full parser does, with the same usage, help and error text."""
+    if command is not None:
+        return _command_parser(
+            command, partial(_CommandParser, prog=f"wmsdspace {command}"))
     parser = argparse.ArgumentParser(
         prog="wmsdspace",
         description="TOPSIS rankings with 2-D (WM, WSD) explanations.")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_CommandParser)
-
-    # The flags that override a config key; each command declares the ones
-    # it reads, in this order.
-    overrides = {
-        "--aggregation": dict(choices=["I", "A", "R"], default=None),
-        "--unweighted": dict(action="store_true", help="score with all "
-                             "criteria equally important"),
-        "--clamp": dict(action="store_true",
-                        help="clamp out-of-domain values to the bounds"),
-        "--tie-tol": dict(type=float, default=None, dest="tie_tol"),
-    }
-
-    def command(name, run, flags, data=True, fmt=("csv", "json"),
-                default_fmt="csv", **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(run=run)
-        if data:
-            p.add_argument("--data", action="append", required=True,
-                           help="dataset CSV")
-        p.add_argument("--config", action="append", required=True,
-                       help="JSON config (repeatable for plot panels)")
-        p.add_argument("--out", default=None, help="output file (stdout "
-                       "when omitted)")
-        p.add_argument("--format", choices=fmt, default=default_fmt)
-        for flag in flags:
-            p.add_argument(flag, **overrides[flag])
-        return p
-
-    command("rank", cmd_rank, list(overrides),
-            help="score and rank alternatives")
-    command("transform", cmd_transform, ["--clamp"],
-            help="full coordinate table per alternative")
-    p_bd = command("boundary", cmd_boundary, ["--unweighted"], data=False,
-                   help="attainable-region envelope as CSV/JSON")
-    p_bd.add_argument("--resolution", type=int, default=512,
-                      help="envelope rows, from 2 to "
-                           f"{MAX_RESOLUTION} (default 512)")
-
-    p_plot = command(
-        "plot", cmd_plot, ["--aggregation", "--unweighted", "--clamp"],
-        fmt=("svg",), default_fmt="svg", help="SVG plot of the plane",
-        description=f"SVG plot of the plane: at most {MAX_MARKERS} markers "
-                    "per document, over every panel and both overlay "
-                    "snapshots.")
-    p_plot.add_argument("--grid", type=int, default=128,
-                        help="color-field resolution: cells across, from "
-                             f"16 to {MAX_GRID} (default 128)")
-    p_plot.add_argument("--columns", type=int, default=2,
-                        help="panel-grid columns for repeated --config")
-    p_plot.add_argument("--overlay", action="append",
-                        help="second snapshot CSV; draws arrows")
-    p_plot.add_argument("--isolines", default="",
-                        help="comma-separated aggregation levels")
-    p_plot.add_argument("--labels", action="store_true")
-
-    p_cmp = command("compare", cmd_compare, list(overrides),
-                    default_fmt="json",
-                    help="compare rankings under two configs")
-    p_cmp.add_argument("--config-b", action="append", required=True,
-                       dest="config_b")
+    for name, (line, _) in _COMMANDS.items():
+        _command_parser(name, partial(sub.add_parser, name, help=line))
     return parser
+
+
+def _command_parser(name: str, make) -> argparse.ArgumentParser:
+    """The parser of command ``name``, made by ``make(description=...)``,
+    with every argument the command declares.  Its ``run`` is the module's
+    ``cmd_<name>`` when the parser is built, so a wrapper set over it, as
+    a tracer sets one, is the function run."""
+    flags = _COMMANDS[name][1]
+    p = make(description=None if name != "plot" else (
+        f"SVG plot of the plane: at most {MAX_MARKERS} markers per "
+        "document, over every panel and both overlay snapshots."))
+    p.set_defaults(command=name, run=globals()[f"cmd_{name}"])
+    if name != "boundary":
+        p.add_argument("--data", action="append", required=True,
+                       help="dataset CSV")
+    p.add_argument("--config", action="append", required=True,
+                   help="JSON config (repeatable for plot panels)")
+    p.add_argument("--out", default=None, help="output file (stdout "
+                   "when omitted)")
+    fmt = ("svg",) if name == "plot" else ("csv", "json")
+    p.add_argument("--format", choices=fmt,
+                   default="json" if name == "compare" else fmt[0])
+    for flag in flags:
+        p.add_argument(flag, **_OVERRIDES[flag])
+    if name == "boundary":
+        p.add_argument("--resolution", type=int, default=512,
+                       help="envelope rows, from 2 to "
+                            f"{MAX_RESOLUTION} (default 512)")
+    elif name == "plot":
+        p.add_argument("--grid", type=int, default=128,
+                       help="color-field resolution: cells across, from "
+                            f"16 to {MAX_GRID} (default 128)")
+        p.add_argument("--columns", type=int, default=2,
+                       help="panel-grid columns for repeated --config")
+        p.add_argument("--overlay", action="append",
+                       help="second snapshot CSV; draws arrows")
+        p.add_argument("--isolines", default="",
+                       help="comma-separated aggregation levels")
+        p.add_argument("--labels", action="store_true")
+    elif name == "compare":
+        p.add_argument("--config-b", action="append", required=True,
+                       dest="config_b")
+    return p
 
 
 def _validate_args(args: argparse.Namespace) -> None:
@@ -689,7 +711,11 @@ def main(argv=None) -> int:
     """
     if gc.get_freeze_count() == 0:
         gc.freeze()
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in _COMMANDS:
+        args = build_parser(argv[0]).parse_args(argv[1:])
+    else:  # --help, no command or an unknown one
+        args = build_parser().parse_args(argv)
     try:
         _validate_args(args)
         text = args.run(args)

@@ -45,12 +45,11 @@ it is left out of the tables and does not count toward the cap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 import numpy as np
 
 from .aggregate import AggregationKind
 from .errors import LevelOutOfRange, TooManyCriteria
-from .model import WeightVector, _frozen
+from .model import WeightVector, _Record, _frozen
 
 EXACT_LIMIT = 20
 # Samples along each isoline arc or segment.
@@ -61,8 +60,7 @@ _SAMPLES = 361
 CACHE_BYTES = 256 * 2**20
 
 
-@dataclass(frozen=True, eq=False)
-class _EdgeTables:
+class _EdgeTables(_Record):
     """Subset-sum machinery for one multiset of positive weights.
 
     ``sq`` holds the squared weights in ascending order (the canonical
@@ -72,10 +70,11 @@ class _EdgeTables:
     exactly 1.0 at the top vertex.
     """
 
-    sq: np.ndarray
-    norm2: float
-    per_free: tuple[tuple[float, np.ndarray], ...]
-    vertex_sums: np.ndarray
+    def __init__(self, sq: np.ndarray, norm2: float,
+                 per_free: tuple[tuple[float, np.ndarray], ...],
+                 vertex_sums: np.ndarray):
+        vars(self).update(sq=sq, norm2=norm2, per_free=per_free,
+                          vertex_sums=vertex_sums)
 
     @property
     def nbytes(self) -> int:
@@ -239,8 +238,7 @@ def attainable(w: WeightVector, wm, wsd, tol: float = 1e-9) -> np.ndarray:
     return inside & ((wsd <= env + tol) | (wsd * wsd <= env * env + slack))
 
 
-@dataclass(frozen=True, eq=False)
-class Isoline:
+class Isoline(_Record):
     """One level set of an aggregation, clipped to the attainable region.
 
     ``shape`` is "arc" (circle centered on the WM axis), "segment" (the
@@ -250,15 +248,12 @@ class Isoline:
     the region; it is empty when the whole level set falls outside.
     """
 
-    kind: AggregationKind
-    level: float
-    shape: str
-    center_wm: float
-    radius: float
-    runs: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "runs", tuple(map(_frozen, self.runs)))
+    def __init__(self, kind: AggregationKind, level: float, shape: str,
+                 center_wm: float, radius: float,
+                 runs: tuple[np.ndarray, ...]):
+        vars(self).update(kind=kind, level=level, shape=shape,
+                          center_wm=center_wm, radius=radius,
+                          runs=tuple(map(_frozen, runs)))
 
 
 def _inside_runs(pts: np.ndarray, w: WeightVector) -> list[np.ndarray]:

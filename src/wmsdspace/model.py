@@ -9,13 +9,15 @@ the largest entry is exactly 1; the derived statistics (positive count
 ``s = norm / mean``) are what every downstream computation consumes.
 
 All types are immutable after construction and safe to share across
-threads.
+threads.  They are plain classes on :class:`_Record`, as are the other
+records of the package, with their methods written out in source: methods
+generated with ``exec`` at import would be compiled again by every
+process, a few milliseconds of each command's start.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -41,8 +43,36 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class CriterionSpec:
+class _Record:
+    """A record whose fields are the attributes ``__init__`` sets, in that
+    order.  Fields are read-only: assigning or deleting an attribute
+    raises ``AttributeError``.  ``repr`` shows every field; equality and
+    hashing are by identity (see :class:`_Value`)."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Value(_Record):
+    """A record that compares and hashes by the tuple of its fields."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return tuple(vars(self).values()) == tuple(vars(other).values())
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+
+class CriterionSpec(_Value):
     """One criterion: a bounded real domain with a preference direction.
 
     For a gain criterion the least preferred value is ``v_min`` and the
@@ -51,11 +81,10 @@ class CriterionSpec:
     max-normalization.
     """
 
-    name: str
-    v_min: float
-    v_max: float
-    kind: str  # GAIN or COST
-    raw_weight: float = 1.0
+    def __init__(self, name: str, v_min: float, v_max: float, kind: str,
+                 raw_weight: float = 1.0):
+        vars(self).update(name=name, v_min=v_min, v_max=v_max, kind=kind,
+                          raw_weight=raw_weight)
 
 
 def validate_criteria(specs: Sequence[CriterionSpec]) -> Sequence[CriterionSpec]:
@@ -92,8 +121,7 @@ def validate_criteria(specs: Sequence[CriterionSpec]) -> Sequence[CriterionSpec]
     return specs
 
 
-@dataclass(frozen=True, eq=False)
-class WeightVector:
+class WeightVector(_Record):
     """Max-normalized criteria weights plus derived statistics.
 
     ``weights`` always satisfies: all entries in [0, 1], the maximum entry
@@ -103,11 +131,10 @@ class WeightVector:
     distances; for the all-ones vector it equals sqrt(n).
     """
 
-    weights: np.ndarray
-    n_p: int
-    norm: float
-    mean_w: float
-    s: float
+    def __init__(self, weights: np.ndarray, n_p: int, norm: float,
+                 mean_w: float, s: float):
+        vars(self).update(weights=weights, n_p=n_p, norm=norm,
+                          mean_w=mean_w, s=s)
 
     @property
     def n(self) -> int:
@@ -152,13 +179,16 @@ def uniform_weights(n: int) -> WeightVector:
     return normalize_weights(np.ones(n))
 
 
-@dataclass(frozen=True, eq=False)
-class DecisionMatrix:
-    """m alternatives by n criteria of raw, in-domain values."""
+class DecisionMatrix(_Record):
+    """m alternatives by n criteria of raw, in-domain values; ``values``
+    has shape (m, n) and is read-only."""
 
-    ids: tuple[str, ...]
-    values: np.ndarray  # shape (m, n), read-only
-    criteria: tuple[CriterionSpec, ...] = field(repr=False)
+    def __init__(self, ids: tuple[str, ...], values: np.ndarray,
+                 criteria: tuple[CriterionSpec, ...]):
+        vars(self).update(ids=ids, values=values, criteria=criteria)
+
+    def __repr__(self) -> str:  # the criteria are left out
+        return f"DecisionMatrix(ids={self.ids!r}, values={self.values!r})"
 
     @property
     def m(self) -> int:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +30,7 @@ from .errors import (
     WmsdError,
 )
 from .geometry import attainable, envelope, envelope_wsd, isoline
-from .model import WeightVector
+from .model import WeightVector, _Record, _Value
 from ._text import rows
 
 # Marker paint of a layer: plots and first snapshots are solid, second
@@ -75,35 +74,30 @@ def colors_rgb(values) -> np.ndarray:
     return rgb.astype(np.int64)
 
 
-@dataclass(frozen=True, eq=False)
-class PlotSpec:
+class PlotSpec(_Record):
     """Everything needed to draw one plane plot.
 
     ``ids``, ``wm`` and ``wsd`` are the marker columns: marker k is
     alternative ``ids[k]`` at plane point ``(wm[k], wsd[k])``.
     """
 
-    weights: WeightVector
-    kind: AggregationKind
-    ids: Sequence[str] = ()
-    wm: np.ndarray = ()
-    wsd: np.ndarray = ()
-    grid: int = 128
-    show_isolines: tuple[float, ...] = ()
-    labels: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "wm", np.asarray(self.wm, dtype=float))
-        object.__setattr__(self, "wsd", np.asarray(self.wsd, dtype=float))
-        if not len(self.ids) == self.wm.size == self.wsd.size:
+    def __init__(self, weights: WeightVector, kind: AggregationKind,
+                 ids: Sequence[str] = (), wm: np.ndarray = (),
+                 wsd: np.ndarray = (), grid: int = 128,
+                 show_isolines: tuple[float, ...] = (), labels: bool = False):
+        wm = np.asarray(wm, dtype=float)
+        wsd = np.asarray(wsd, dtype=float)
+        if not len(ids) == wm.size == wsd.size:
             raise LengthMismatch(
-                f"{len(self.ids)} ids, {self.wm.size} WM and "
-                f"{self.wsd.size} WSD values")
-        if self.grid < 16:
+                f"{len(ids)} ids, {wm.size} WM and {wsd.size} WSD values")
+        if grid < 16:
             raise ValueError("grid resolution must be at least 16")
-        for level in self.show_isolines:
+        for level in show_isolines:
             if not 0.0 <= level <= 1.0:
                 raise LevelOutOfRange(f"isoline level {level} outside [0, 1]")
+        vars(self).update(weights=weights, kind=kind, ids=ids, wm=wm, wsd=wsd,
+                          grid=grid, show_isolines=show_isolines,
+                          labels=labels)
 
 
 # Size of one plot in pixels; a panel grid is a grid of plots this size.
@@ -112,11 +106,11 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 56, 16, 18, 44
 LEGEND_W = 74
 
 
-@dataclass(frozen=True)
-class PlotFrame:
+class PlotFrame(_Value):
     """Linear map from plane coordinates to pixel coordinates."""
 
-    spec: PlotSpec
+    def __init__(self, spec: PlotSpec):
+        vars(self).update(spec=spec)
 
     @property
     def plot_w(self) -> float:
@@ -144,8 +138,7 @@ class PlotFrame:
 class FieldCells:
     """The color field as columns: one entry per cell of ``wm``, ``wsd``,
     ``value``, ``rgb`` (rows of 8-bit channels) and pixel corner ``x``,
-    ``y``; every cell is ``w`` by ``h`` pixels.  (A plain class: a
-    dataclass would add about a millisecond to every command's start.)"""
+    ``y``; every cell is ``w`` by ``h`` pixels."""
 
     def __init__(self, wm: np.ndarray, wsd: np.ndarray, value: np.ndarray,
                  rgb: np.ndarray, x: np.ndarray, y: np.ndarray, w: float,

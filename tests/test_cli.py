@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -245,7 +244,7 @@ class TestPlainIngest:
     @example(text="id,Math,Bio,Art\na,-0,2,2\n", clamp=False)
     @example(text="id,Math,Bio,Art\na,3\x1c,2,2\n", clamp=False)
     def test_equals_csv_path(self, students_config, text, clamp):
-        config = dataclasses.replace(students_config, clamp=clamp)
+        config = students_config.replace(clamp=clamp)
         assert _outcome(read_matrix, text, config) == \
             _outcome(_read_with_csv_module, text, config)
 
@@ -833,6 +832,19 @@ REMOVED_PAIRS = [(c, f) for c in sorted(DECLARED) for f in OVERRIDES
                  if f not in DECLARED[c]]
 
 
+def parse_exit(capsys, parse, argv) -> tuple:
+    """``(exit code, stdout, stderr)`` of a ``parse(argv)`` that exits."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return (exc.value.code, *capsys.readouterr())
+
+
+def without_config(args: list) -> list[str]:
+    """A command line with its ``--config`` flag and value left out."""
+    i = args.index("--config")
+    return [str(a) for a in args[:i] + args[i + 2:]]
+
+
 class TestCommandFlags:
     """Each command declares the config-overriding flags it reads, each of
     them changes its output, and any other one is a usage error."""
@@ -887,23 +899,50 @@ class TestCommandFlags:
         assert len(DECLARED_PAIRS) == 13 and len(REMOVED_PAIRS) == 7
 
     @pytest.mark.parametrize("command,flag",
-                             REMOVED_PAIRS + [("plot", "--force")])
+                             REMOVED_PAIRS + [(c, "--force")
+                                              for c in sorted(COMMANDS)])
     def test_undeclared_flag_is_a_usage_error(self, capsys, command, flag):
+        """Refused by the command's own parser, which ``main`` builds
+        alone, with the bytes the full parser prints."""
         given = [flag, *OVERRIDES.get(flag, [])]
-        with pytest.raises(SystemExit) as exc:
-            cli.main([*map(str, self.COMMANDS[command]), *given])
-        assert exc.value.code == 2
-        out, err = capsys.readouterr()
+        argv = [*map(str, self.COMMANDS[command]), *given]
+        code, out, err = parse_exit(capsys, cli.main, argv)
+        assert code == 2
         assert out == ""
         assert err.startswith(f"usage: wmsdspace {command} ")
         assert err.endswith(f"\nwmsdspace {command}: error: unrecognized "
                             f"arguments: {' '.join(given)}\n")
+        assert parse_exit(capsys, cli.build_parser().parse_args, argv) == (
+            code, out, err)
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], [], ["nope"],
+        *([c, "--help"] for c in sorted(COMMANDS)),
+        *(without_config(args) for args in COMMANDS.values()),
+    ])
+    def test_parse_exit_prints_what_the_full_parser_prints(self, capsys,
+                                                           argv):
+        """Help, a missing command and a missing required flag: ``main``
+        prints the full parser's bytes and exits with its code."""
+        code, out, err = parse_exit(capsys, cli.main, argv)
+        assert parse_exit(capsys, cli.build_parser().parse_args, argv) == (
+            code, out, err)
+        if "--help" in argv:
+            assert (code, err) == (0, "") and out.startswith("usage: ")
+        else:
+            assert (code, out) == (2, "") and "error: " in err
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
-    def test_command_runs_its_function(self, command):
-        args = cli.build_parser().parse_args(
-            [str(a) for a in self.COMMANDS[command]])
+    def test_command_runs_its_function(self, command, monkeypatch):
+        """Both parsers run ``cmd_<command>`` as the module holds it when
+        they are built, so a wrapper set over it is the one run."""
+        argv = [str(a) for a in self.COMMANDS[command]]
+        args = cli.build_parser().parse_args(argv)
         assert args.run is getattr(cli, f"cmd_{command}")
+        monkeypatch.setattr(cli, f"cmd_{command}", lambda args: "wrapped")
+        for args in (cli.build_parser().parse_args(argv),
+                     cli.build_parser(command).parse_args(argv[1:])):
+            assert (args.command, args.run(args)) == (command, "wrapped")
 
 
 class TestErrorStream:
@@ -1542,6 +1581,28 @@ print(json.dumps(seen))
     seen = json.loads(fresh_python(code))
     assert seen == {"import": [], "rank": [], "transform": [], "compare": [],
                     "boundary": ["wmsdspace.geometry"]}
+
+
+def test_commands_define_records_without_dataclasses():
+    code = f"""
+import contextlib, io, json, sys
+import numpy
+seen = ["dataclasses" in sys.modules]
+import wmsdspace.cli as cli
+for argv in {[
+    ["rank", "--data", str(FIXTURES / "countries.csv"),
+     "--config", str(FIXTURES / "countries_w1.json")],
+    ["boundary", "--config", str(FIXTURES / "countries_w2.json")],
+    ["plot", "--data", str(FIXTURES / "countries.csv"),
+     "--config", str(FIXTURES / "countries_w1.json"), "--isolines", "0.5"],
+]!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    seen.append("dataclasses" in sys.modules)
+print(json.dumps(seen))
+"""
+    before, *after = json.loads(fresh_python(code))
+    assert after == [before] * 3
 
 
 def test_first_main_call_freezes_the_heap_once():

@@ -249,3 +249,73 @@ class TestDecisionMatrix:
         w = DecisionMatrix.from_array(["x"], [[1.0, 2.0]],
                                       criteria).weight_vector()
         assert w.weights.tolist() == [1.0, 0.5]
+
+
+def every_record(config, matrix) -> dict:
+    """One instance of each record type of the package, by type name."""
+    from wmsdspace import geometry
+    from wmsdspace.aggregate import compare_rankings, rank_array
+    from wmsdspace.render import PlotFrame, PlotSpec
+
+    w = config.weight_vector
+    ranking = rank_array(matrix.ids, matrix.values[:, 0])
+    spec = PlotSpec(weights=w, kind="R")
+    records = [config, config.criteria[0], w, matrix, ranking,
+               compare_rankings(ranking, ranking), spec, PlotFrame(spec),
+               geometry._edge_tables(w), geometry.isoline("R", 0.3, w)]
+    return {type(r).__name__: r for r in records}
+
+
+class TestRecords:
+    """What each record type keeps: read-only fields, a field-wise repr,
+    and value equality only for the records without arrays."""
+
+    NAMES = ["RunConfig", "CriterionSpec", "WeightVector", "DecisionMatrix",
+             "Ranking", "RankingComparison", "PlotSpec", "PlotFrame",
+             "_EdgeTables", "Isoline"]
+
+    def test_one_of_each(self, students_config, students_matrix):
+        assert sorted(every_record(students_config, students_matrix)) == \
+            sorted(self.NAMES)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_fields_are_read_only(self, students_config, students_matrix,
+                                  name):
+        record = every_record(students_config, students_matrix)[name]
+        fields = dict(vars(record))
+        field = next(iter(fields))
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        with pytest.raises(AttributeError):
+            record.no_such_field = 1
+        assert vars(record) == fields
+
+    def test_criterion_equality_and_hash_by_value(self):
+        a = CriterionSpec("a", 0, 1, "gain")
+        b = CriterionSpec(name="a", v_min=0.0, v_max=1.0, kind="gain",
+                          raw_weight=1.0)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != gain("a", hi=1.0, weight=0.5)
+        assert a != ("a", 0, 1, "gain", 1.0)
+        assert repr(b) == ("CriterionSpec(name='a', v_min=0.0, v_max=1.0, "
+                           "kind='gain', raw_weight=1.0)")
+
+    def test_config_equality_hash_and_replace(self, students_config):
+        same = students_config.replace()
+        assert same is not students_config
+        assert same == students_config
+        assert hash(same) == hash(students_config)
+        clamped = students_config.replace(clamp=True)
+        assert clamped.clamp and not students_config.clamp
+        assert clamped != students_config
+        assert vars(clamped) == {**vars(students_config), "clamp": True}
+        with pytest.raises(TypeError):
+            students_config.replace(no_such_field=1)
+
+    def test_array_records_compare_by_identity(self, students_matrix):
+        m = students_matrix
+        copy = DecisionMatrix(m.ids, m.values, m.criteria)
+        assert copy != m and copy == copy
+        assert repr(copy) == repr(m) and "criteria" not in repr(m)

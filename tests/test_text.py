@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from wmsdspace import _text
 
-DECIMALS = (1, 2, 6)
+DECIMALS = range(10)
 # One row per block, a few rows per block, and the production size.
 CHUNKS = st.sampled_from([1, 3, _text._CHUNK_ROWS])
 
@@ -42,6 +42,20 @@ def test_fixed_point_equals_percent(case, chunk):
     with mock.patch.object(_text, "_CHUNK_ROWS", chunk):
         got = _text.rows(f"%.{n}f\n", [np.array(xs, dtype=float)])
     assert got == "".join("%.*f\n" % (n, x) for x in xs)
+
+
+@given(st.sampled_from(DECIMALS).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(fixed_point_values(n),
+                                             max_size=30))))
+def test_fallback_takes_only_values_past_exact_integers(case):
+    """Python's ``%`` formats a value only when it is not finite or
+    |x|·10^N is at least 2^52; ties below that are decided in the grid."""
+    n, xs = case
+    with mock.patch.object(_text, "_percent", wraps=_text._percent) as spy:
+        _text.rows(f"%.{n}f\n", [np.array(xs, dtype=float)])
+    sent = [x for call in spy.call_args_list for x in call.args[0]]
+    assert list(map(repr, sent)) == [repr(x) for x in xs
+                                     if not abs(x) * 10.0 ** n < 2.0 ** 52]
 
 
 @given(st.lists(st.one_of(st.integers(-2 ** 63, 2 ** 63 - 1),
