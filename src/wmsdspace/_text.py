@@ -1,15 +1,15 @@
 """Row text formatted from arrays: the CLI's tables and SVG elements.
 
 :func:`rows` returns ``template % row`` for every row of equal-length
-columns, joined.  Numbers are written with integer digit arithmetic into
-a ``uint8`` grid padded with ``_PAD``, which is compressed and decoded
-once per block of ``_CHUNK_ROWS`` rows.  ``'%.Nf' % x`` is correctly
-rounded (half-even on the binary value), so the grid matches it byte for
-byte: ``rint(|x|·10^N)`` is that rounding unless the product is exactly
-halfway between integers, where the sign of its rounding error, which
-Dekker's two-product gives exactly, decides.  A value that is not finite
-or whose product is at least 2^52 is formatted by Python's ``%``, one at
-a time.
+columns, joined.  Numbers are written with integer digit arithmetic, and
+strings as their UTF-8 bytes, into a ``uint8`` grid padded with
+``_PAD``, which is compressed and decoded once per block of
+``_CHUNK_ROWS`` rows.  ``'%.Nf' % x`` is correctly rounded (half-even on
+the binary value), so the grid matches it byte for byte:
+``rint(|x|·10^N)`` is that rounding unless the product is exactly halfway
+between integers, where the sign of its rounding error, which Dekker's
+two-product gives exactly, decides.  A value that is not finite or whose
+product is at least 2^52 is formatted by Python's ``%``, one at a time.
 """
 
 from __future__ import annotations
@@ -23,10 +23,12 @@ import numpy as np
 # Rows per block, so the transient grids and string lists stay bounded.
 _CHUNK_ROWS = 4096
 
-# Neither byte occurs in UTF-8 text: _PAD fills grid cells that hold no
-# text, _MARK holds the place of a string field, and after decoding with
-# surrogateescape it reads as _SPLIT.
-_PAD, _MARK, _SPLIT = 0xFF, 0xFE, "\udcfe"
+# Never a byte of UTF-8 text: it fills grid cells that hold no text.
+_PAD = 0xFF
+# Most padded bytes of string cells in one block.  A block whose strings
+# would take more is written as two halves, so one long string cannot
+# widen every row of its block.
+_STRING_BYTES = 1 << 20
 _CONVERSION = re.compile(r"%(%|s|r|d|02x|\.(\d)f)")
 _LIMB = 10_000
 
@@ -81,44 +83,103 @@ def rows(template: str, columns: Sequence) -> str:
     if len(cols) != len(conversions):
         raise TypeError(f"{len(conversions)} conversions, {len(cols)} columns")
     m = len(cols[0]) if cols else 0
-    return "".join(_block(literals, conversions,
-                          [c[a:a + _CHUNK_ROWS] for c in cols])
-                   for a in range(0, m, _CHUNK_ROWS))
+    return "".join(chain.from_iterable(
+        _block(literals, conversions, [c[a:a + _CHUNK_ROWS] for c in cols])
+        for a in range(0, m, _CHUNK_ROWS)))
 
 
 def _block(literals: list[str], conversions: list[str | int],
-           parts: list) -> str:
-    """The text of one block of rows."""
+           parts: list) -> list[str]:
+    """The text of one block of rows, in one or more pieces."""
     k = len(parts[0])
-    strings = [_strings(part, conv == "r")
-               for conv, part in zip(conversions, parts) if conv in ("s", "r")]
+    strings = {i: _strings(part, conv == "r") for i, (conv, part)
+               in enumerate(zip(conversions, parts)) if conv in ("s", "r")}
     if len(strings) == len(conversions):
         # No numbers: the text around the strings is fixed, so % places
         # them without a grid.
-        return (("%s".join(t.replace("%", "%%") for t in literals) * k)
-                % tuple(chain.from_iterable(zip(*strings))))
+        return [("%s".join(t.replace("%", "%%") for t in literals) * k)
+                % tuple(chain.from_iterable(zip(*strings.values())))]
+    encoded = {i: _utf8(texts) for i, texts in strings.items()}
+    if k > 1 and k * sum(int(sizes.max()) for _, sizes in encoded.values()) \
+            > _STRING_BYTES:
+        del encoded  # each half encodes its own strings
+        half = k // 2
+        return (_block(literals, conversions, [p[:half] for p in parts])
+                + _block(literals, conversions, [p[half:] for p in parts]))
+    cells = np.concatenate(_grid(literals, conversions, parts, encoded),
+                           axis=1)
+    del encoded  # the grid holds its own copy of the bytes
+    return [cells[cells != _PAD].tobytes().decode()]
+
+
+def _grid(literals: list[str], conversions: list[str | int], parts: list,
+          encoded: dict) -> list[np.ndarray]:
+    """The grids of one block, left to right; ``encoded`` holds the
+    :func:`_utf8` bytes of each string column, by column index."""
+    k = len(parts[0])
     grid = [_literal(literals[0], k)]
-    for conv, part, lit in zip(conversions, parts, literals[1:]):
-        if conv in ("s", "r"):
-            grid.append(np.full((k, 1), _MARK, np.uint8))
-        elif conv == "02x":
-            grid.append(_HEX[np.asarray(part)])
+    i = 0
+    while i < len(conversions):
+        conv, j = conversions[i], i + 1
+        if i in encoded:
+            grid.append(_padded(*encoded[i]))
         else:
-            grid += _number_pieces(part, None if conv == "d" else conv)
-        grid.append(_literal(lit, k))
-    cells = np.concatenate(grid, axis=1)
-    data = cells[cells != _PAD].tobytes()
-    if not strings:
-        return data.decode()
-    pieces = data.decode("utf-8", "surrogateescape").split(_SPLIT)
-    return "".join(chain.from_iterable(
-        zip(pieces, chain.from_iterable(zip(*strings))))) + pieces[-1]
+            # Adjacent columns of one conversion with one literal between
+            # them are formatted together, as a k x (j - i) table.
+            while (j < len(conversions) and conversions[j] == conv
+                   and literals[j] == literals[i + 1]):
+                j += 1
+            grid.append(_run(conv, parts[i:j], literals[i + 1], k))
+        grid.append(_literal(literals[j], k))
+        i = j
+    return grid
+
+
+def _run(conv: str | int, parts: list, sep: str, k: int) -> np.ndarray:
+    """The grid of ``len(parts)`` columns of conversion ``conv`` with
+    ``sep`` between them: the values are formatted as one column of
+    ``k * len(parts)`` rows, each followed by ``sep``, and every
+    ``len(parts)`` of those rows are laid side by side, less the last
+    ``sep``."""
+    dtype = {"d": np.int64, "02x": None}.get(conv, float)
+    values = np.array([np.asarray(p, dtype) for p in parts]).T.ravel()
+    if conv == "02x":
+        pieces = [_HEX[values]]
+    else:
+        pieces = _number_pieces(values, None if conv == "d" else conv)
+    pieces.append(_literal(sep, values.size))
+    cells = np.concatenate(pieces, axis=1).reshape(k, -1)
+    return cells[:, :cells.shape[1] - len(sep.encode())]
 
 
 def _literal(text: str, k: int) -> np.ndarray:
     """``k`` rows of the UTF-8 bytes of ``text``."""
-    data = np.frombuffer(text.encode(), np.uint8)
-    return np.broadcast_to(data, (k, data.size))
+    data = text.encode()
+    return np.frombuffer(data * k, np.uint8).reshape(k, len(data))
+
+
+def _utf8(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The UTF-8 bytes of the texts, joined, and the byte size of each."""
+    joined = "".join(texts)
+    data = np.frombuffer(joined.encode(), np.uint8)
+    if data.size == len(joined):  # ASCII: one byte per character
+        sizes = np.fromiter(map(len, texts), np.intp, len(texts))
+    else:
+        sizes = np.fromiter(map(len, map(str.encode, texts)), np.intp,
+                            len(texts))
+    return data, sizes
+
+
+def _padded(data: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """One row per text of :func:`_utf8`'s bytes, padded with ``_PAD``."""
+    k, width = sizes.size, sizes.max()
+    # Row i is its sizes[i] bytes, then width - sizes[i] pads.
+    counts = np.empty(2 * k, np.intp)
+    counts[::2], counts[1::2] = sizes, width - sizes
+    filled = np.repeat(np.arange(2 * k) % 2 == 0, counts)
+    cells = np.full(k * width, _PAD, np.uint8)
+    cells[filled] = data
+    return cells.reshape(k, width)
 
 
 def _strings(part, json_floats: bool) -> list[str]:

@@ -96,8 +96,17 @@ def rank_array(ids: Sequence[str], scores: np.ndarray,
     if bad.any():
         k = int(np.argmax(bad))
         raise NonFiniteScore(f"score of {ids[k]!r} is {float(scores[k])}")
-    order = np.argsort(-scores, kind="stable")
+    # numpy's default sort is the fastest and not stable, so each run of
+    # equal scores is put back in input order afterwards.
+    order = np.argsort(-scores)
     ranked = scores[order]
+    # same[p]: position p holds the score of position p - 1
+    same = np.concatenate([[False], ranked[1:] == ranked[:-1], [False]])
+    if same.any():
+        tied = np.flatnonzero(same[:-1] | same[1:])
+        run = np.cumsum(~same[:-1])[tied]
+        order[tied] = order[tied][np.lexsort((order[tied], run))]
+        ranked[tied] = scores[order[tied]]  # 0.0 and -0.0 are equal
     # A score more than the tolerance below its predecessor is more than
     # the tolerance below any earlier leader, so it starts a group.  Only
     # runs of close gaps need the sequential leader rule.
@@ -107,13 +116,16 @@ def rank_array(ids: Sequence[str], scores: np.ndarray,
     if close.size:
         firsts = close[np.diff(close, prepend=-2) != 1]
         lasts = close[np.append(np.diff(close) != 1, True)]
-        vals = ranked.tolist()
+        # The first score of a run is close to its leader, the group start
+        # just before the run, so a run of one gap needs no check.
+        longer = lasts > firsts
         late = []
-        for first, last in zip(firsts.tolist(), lasts.tolist()):
-            leader = vals[first - 1]  # the group start just before the run
-            for pos in range(first, last + 1):
-                if leader - vals[pos] > tie_tolerance:
-                    leader = vals[pos]
+        for first, last in zip(firsts[longer].tolist(),
+                               lasts[longer].tolist()):
+            leader, *vals = ranked[first - 1:last + 1].tolist()
+            for pos, val in enumerate(vals, first):
+                if leader - val > tie_tolerance:
+                    leader = val
                     late.append(pos)
         start[late] = True
     ranks = np.maximum.accumulate(

@@ -37,7 +37,7 @@ import sys
 from functools import partial
 from itertools import repeat
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -85,6 +85,8 @@ MAX_RESOLUTION = 65536
 # Most markers in one plot document, over every panel and both overlay
 # snapshots: 100,000 circles are about 7.5 MB of SVG.
 MAX_MARKERS = 100_000
+# Rows scored per block by _plane_points.
+_SCORE_ROWS = 4096
 
 _CRITERION_KEYS = {"name", "kind", "min", "max", "weight"}
 _CONFIG_KEYS = {"criteria", "aggregation", "weighted", "tie_tolerance",
@@ -227,10 +229,22 @@ def read_matrix(csv_text: str, config: RunConfig) -> DecisionMatrix:
     reader refuses, goes through :func:`_csv_cells`, which is the only
     path that raises ingest errors; both give the same cells.
     """
-    ids, values = (_split_plain(csv_text, config.names)
-                   or _csv_cells(csv_text, config.names))
-    return DecisionMatrix.from_array(ids, values, config.criteria,
-                                     clamp=config.clamp)
+    return next(_read_matrices(csv_text, [config]))
+
+
+def _read_matrices(csv_text: str, configs: Sequence[RunConfig]
+                   ) -> Iterator[DecisionMatrix]:
+    """:func:`read_matrix` of one text under each config in turn.  The
+    text is split once per distinct tuple of criterion names, and each
+    matrix is built when the iteration reaches its config, so errors come
+    in config order."""
+    cells = {}
+    for config in configs:
+        if config.names not in cells:
+            cells[config.names] = (_split_plain(csv_text, config.names)
+                                   or _csv_cells(csv_text, config.names))
+        yield DecisionMatrix.from_array(*cells[config.names],
+                                        config.criteria, clamp=config.clamp)
 
 
 # Characters that send a text to the csv module: a quote, CR and NUL need
@@ -255,11 +269,13 @@ def _split_plain(csv_text: str, names: tuple[str, ...]):
     if "" in lines:
         lines = [line for line in lines if line]
     n = len(names)
-    if set(map(str.count, lines, repeat(","))) - {n}:
+    # loadtxt below refuses a line with fewer than n commas, so n commas
+    # per line in total means exactly n on every line.
+    if body.count(",") != n * len(lines):
         return None
-    ids = [line.partition(",")[0] for line in lines]
     if not lines:  # loadtxt warns on empty input
-        return ids, np.empty((0, n))
+        return [], np.empty((0, n))
+    ids = [cells[0] for cells in map(str.partition, lines, repeat(","))]
     try:
         values = np.loadtxt(lines, delimiter=",", usecols=range(1, n + 1),
                             comments=None, ndmin=2)
@@ -338,9 +354,15 @@ def _load_config(path, args: argparse.Namespace) -> RunConfig:
 
 def _plane_points(matrix: DecisionMatrix, w: WeightVector) -> tuple:
     """Columns ``(ids, wm, wsd)``: every alternative's plane point under
-    ``w``, from which both its score and its plot marker are taken."""
-    u = utility_array(matrix.values, matrix.criteria)
-    return (matrix.ids, *plane(u * w.weights, w))
+    ``w``, from which both its score and its plot marker are taken.  Rows
+    go through utility, weighted space and the plane ``_SCORE_ROWS`` at a
+    time, so the intermediate arrays stay in cache."""
+    wm, wsd = np.empty(matrix.m), np.empty(matrix.m)
+    for a in range(0, matrix.m, _SCORE_ROWS):
+        u = utility_array(matrix.values[a:a + _SCORE_ROWS], matrix.criteria)
+        wm[a:a + _SCORE_ROWS], wsd[a:a + _SCORE_ROWS] = plane(
+            u * w.weights, w)
+    return matrix.ids, wm, wsd
 
 
 def _ranking(matrix: DecisionMatrix, config: RunConfig) -> Ranking:
@@ -399,17 +421,18 @@ def _json_pair(spec: str, depth: int) -> str:
     return f"{pad}[\n{pad}  {spec},\n{pad}  {spec}\n{pad}]"
 
 
-def _entries_json(ranking: Ranking, depth: int) -> str:
-    """A ranking's ``{id, score, rank, group}`` objects as a JSON array."""
+def _entries_json(ranking: Ranking, ids: Sequence[str], depth: int) -> str:
+    """A ranking's ``{id, score, rank, group}`` objects as a JSON array;
+    ``ids`` are the JSON texts of ``ranking.ids``."""
     fields = [("id", "%s"), ("score", "%r"), ("rank", "%d"), ("group", "%d")]
     return _json_block(
         _json_fields(fields, depth + 1),
-        [list(map(_json_str, ranking.ids)), ranking.scores, ranking.ranks,
-         ranking.group_numbers], depth)
+        [ids, ranking.scores, ranking.ranks, ranking.group_numbers], depth)
 
 
-def _groups_json(ranking: Ranking, depth: int) -> str:
-    """A ranking's indifference groups as a JSON array of id arrays."""
+def _groups_json(ranking: Ranking, ids: Sequence[str], depth: int) -> str:
+    """A ranking's indifference groups as a JSON array of id arrays;
+    ``ids`` are the JSON texts of ``ranking.ids``."""
     if not ranking.ids:
         return "[]"
     pad = "  " * (depth + 1)
@@ -419,8 +442,7 @@ def _groups_json(ranking: Ranking, depth: int) -> str:
     closes = np.array([",\n", f"\n{pad}],\n"], dtype=object)[
         ends.astype(int)]
     closes[-1] = f"\n{pad}]"
-    body = _rows(f"%s{pad}  %s%s", [opens, list(map(_json_str, ranking.ids)),
-                                    closes])
+    body = _rows(f"%s{pad}  %s%s", [opens, ids, closes])
     return f"[\n{body}\n{'  ' * depth}]"
 
 
@@ -428,8 +450,9 @@ def cmd_rank(args: argparse.Namespace) -> str:
     config = _load_config(args.config[0], args)
     ranking = _ranking(read_matrix(_read_data(args.data), config), config)
     if args.format == "json":
-        return (f'{{\n  "entries": {_entries_json(ranking, 1)},\n'
-                f'  "groups": {_groups_json(ranking, 1)}\n}}\n')
+        ids = list(map(_json_str, ranking.ids))
+        return (f'{{\n  "entries": {_entries_json(ranking, ids, 1)},\n'
+                f'  "groups": {_groups_json(ranking, ids, 1)}\n}}\n')
     return "id,score,rank,group\n" + _rows(
         "%s,%.6f,%d,%d\n", [_csv_fields(ranking.ids), ranking.scores,
                             ranking.ranks, ranking.group_numbers])
@@ -516,8 +539,7 @@ def cmd_plot(args: argparse.Namespace) -> str:
 
     specs = []
     markers = 0
-    for config in configs:
-        matrix = read_matrix(data_text, config)
+    for config, matrix in zip(configs, _read_matrices(data_text, configs)):
         markers += matrix.m
         _check_markers(markers)
         specs.append(_plot_spec(matrix, config, args))
@@ -529,31 +551,30 @@ def cmd_plot(args: argparse.Namespace) -> str:
 def cmd_compare(args: argparse.Namespace) -> str:
     config_a = _load_config(args.config[0], args)
     config_b = _load_config(args.config_b, args)
-    data_text = _read_data(args.data)
-    matrix_a = read_matrix(data_text, config_a)
-    matrix_b = read_matrix(data_text, config_b)
-
+    matrix_a, matrix_b = _read_matrices(_read_data(args.data),
+                                        [config_a, config_b])
     ra = _ranking(matrix_a, config_a)
     rb = _ranking(matrix_b, config_b)
     cmp = compare_rankings(ra, rb)
-    # the ids of each reversal pair, first and second, as two columns
-    revs = np.array(ra.ids, dtype=object)[cmp.reversals].T.tolist()
-    if args.format == "csv":
+    # Each id is quoted or escaped once; the ids of each reversal pair,
+    # first and second, are two columns taken from those texts.
+    as_csv = args.format == "csv"
+    texts = np.array(_csv_fields(ra.ids) if as_csv
+                     else list(map(_json_str, ra.ids)), dtype=object)
+    revs = list(texts[cmp.reversals].T)
+    if as_csv:
         return ("id,score_a,rank_a,score_b,rank_b,delta\n"
                 + _rows("%s,%.6f,%d,%.6f,%d,%d\n",
-                        [_csv_fields(ra.ids), ra.scores, ra.ranks,
-                         rb.scores[cmp.order], rb.ranks[cmp.order],
-                         cmp.deltas])
+                        [texts, ra.scores, ra.ranks, rb.scores[cmp.order],
+                         rb.ranks[cmp.order], cmp.deltas])
                 + _rows("# kendall_tau=%.6f\n", [[cmp.kendall_tau]])
-                + _rows("# reversal=%s,%s\n", list(map(_csv_fields, revs))))
+                + _rows("# reversal=%s,%s\n", revs))
     tau = ("null" if math.isnan(cmp.kendall_tau)
            else repr(round(cmp.kendall_tau, 6)))
-    revs = [list(map(_json_str, c)) for c in revs]
-    deltas_json = _json_block("    %s: %d",
-                              [list(map(_json_str, ra.ids)), cmp.deltas], 1,
-                              "{}")
-    return (f'{{\n  "ranking_a": {_entries_json(ra, 1)},\n'
-            f'  "ranking_b": {_entries_json(rb, 1)},\n'
+    deltas_json = _json_block("    %s: %d", [texts, cmp.deltas], 1, "{}")
+    return (f'{{\n  "ranking_a": {_entries_json(ra, texts, 1)},\n'
+            f'  "ranking_b": '
+            f'{_entries_json(rb, list(map(_json_str, rb.ids)), 1)},\n'
             f'  "deltas": {deltas_json},\n'
             f'  "kendall_tau": {tau},\n'
             f'  "reversals": {_json_block(_json_pair("%s", 2), revs, 1)}'

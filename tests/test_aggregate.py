@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import box_scores, plane_scores, reversal_ids
@@ -187,6 +187,24 @@ class TestRank:
         want_ids, want_ranks = self.leader_loop(ids, scores, tol)
         assert list(got.ids) == want_ids
         assert got.ranks.tolist() == want_ranks
+
+    # Many exact duplicates, 0.0 beside -0.0, and scores 1e-10 apart, which
+    # fall in one group under the default tolerance.
+    TIED = [0.0, -0.0, 0.25, 0.5, 0.5 + 1e-10, 0.5 - 1e-10, 1.0, 5e-324,
+            -5e-324]
+
+    @given(st.lists(st.sampled_from(TIED), max_size=80),
+           st.sampled_from([0.0, 1e-9, 0.3]))
+    @example(scores=TIED * 6, tol=1e-9)
+    def test_order_is_stable_sort(self, scores, tol):
+        """The unstable sort plus the tie repair orders alternatives, and
+        their score bits, as a stable sort of the negated scores does."""
+        s = np.array(scores)
+        ids = [f"x{k}" for k in range(len(scores))]
+        got = rank_array(ids, s, tol)
+        order = np.argsort(-s, kind="stable")
+        assert list(got.ids) == [ids[k] for k in order]
+        assert got.scores.tobytes() == s[order].tobytes()
 
     def test_country_order(self, countries_matrix, countries_configs):
         scores = scores_for(countries_matrix,

@@ -28,6 +28,7 @@ from wmsdspace.errors import (
 )
 from wmsdspace.cli import parse_config, read_matrix
 from wmsdspace.model import DecisionMatrix, normalize_weights
+from wmsdspace.spaces import utility_array
 from wmsdspace.wmsd import plane
 
 STUDENTS_CONFIG = (FIXTURES / "students_config.json").read_text()
@@ -243,6 +244,16 @@ class TestPlainIngest:
     @given(_dataset_texts(), st.booleans())
     @example(text="id,Math,Bio,Art\na,-0,2,2\n", clamp=False)
     @example(text="id,Math,Bio,Art\na,3\x1c,2,2\n", clamp=False)
+    # The plain path counts the commas of all lines at once.  One line
+    # with n + 1 commas fails the count; lines with n + 1 and n - 1, or a
+    # whitespace-only line beside one with 2n, hold n per line in all,
+    # and the csv path must still be taken.
+    @example(text="id,Math,Bio,Art\na,1,2,3,4\n", clamp=False)
+    @example(text="id,Math,Bio,Art\na,1,2,3,4\nb,1,2\n", clamp=False)
+    @example(text="id,Math,Bio,Art\na,1,2\nb,1,2,3,4\n", clamp=False)
+    @example(text="id,Math,Bio,Art\na,1,2,3,1,2,3\n \nb,1,2,3\n",
+             clamp=False)
+    @example(text="id,Math,Bio,Art\na,1,2,3\n\n\n", clamp=False)
     def test_equals_csv_path(self, students_config, text, clamp):
         config = students_config.replace(clamp=clamp)
         assert _outcome(read_matrix, text, config) == \
@@ -734,6 +745,48 @@ class TestCompareCommand:
             pairs.append(pair)
         assert pairs == expected
 
+    @pytest.mark.parametrize("argv, splits", [
+        (["compare", "--data", FIXTURES / "countries.csv",
+          "--config", FIXTURES / "countries_w1.json",
+          "--config-b", FIXTURES / "countries_w2.json"], 1),
+        (["plot", "--data", FIXTURES / "countries.csv"]
+         + [a for k in (1, 2, 3, 4)
+            for a in ("--config", FIXTURES / f"countries_w{k}.json")], 1),
+        (["compare", "--data", FIXTURES / "students.csv",
+          "--config", FIXTURES / "students_config.json",
+          "--config-b", FIXTURES / "countries_w1.json"], 2),
+    ])
+    def test_dataset_split_once_per_criterion_names(self, run_cli,
+                                                    monkeypatch, argv,
+                                                    splits):
+        calls = []
+        split_plain = cli._split_plain
+
+        def split(text, names):
+            calls.append(names)
+            return split_plain(text, names)
+
+        monkeypatch.setattr(cli, "_split_plain", split)
+        run_cli(*argv)
+        assert len(calls) == splits
+
+    def test_second_config_error_as_rank_reports_it(self, run_cli,
+                                                    tmp_path):
+        """The text is split once, but each config still checks its own
+        domain, in config order, with the record rank gives."""
+        narrow = json.loads(STUDENTS_CONFIG)
+        narrow["criteria"][0]["max"] = 50
+        config_b = tmp_path / "narrow.json"
+        config_b.write_text(json.dumps(narrow))
+        data = FIXTURES / "students.csv"
+        code, _, err = run_cli("compare", "--data", data, "--config",
+                               FIXTURES / "students_config.json",
+                               "--config-b", config_b)
+        assert code == 1
+        assert (code, err) == run_cli("rank", "--data", data,
+                                      "--config", config_b)[::2]
+        assert json.loads(err)["error"] == "OutOfDomain"
+
     @pytest.mark.parametrize("rows", [
         ["only,50,3,4"],                              # a single alternative
         ["a,50,3,4", "b,50,3,4", "c,50,3,4"],         # one tie in both
@@ -1221,6 +1274,68 @@ class TestTableWriter:
         if command == "rank":
             assert [len(g) for g in json.loads(out)["groups"]] == [2, 3, 3]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_compare_quoted_ids_equal_reference(self, run_cli, tmp_path, fmt):
+        """compare quotes or escapes each id once and takes the reversal
+        pairs' texts from those; the document equals one written by the
+        csv and json modules."""
+        rows = list(csv.reader(io.StringIO(
+            (FIXTURES / "students.csv").read_text())))
+        tricky = ['S,1', 'say "S2"', "S3é", 'a,"é"']
+        ids = [tricky[k % 4] + str(k) if k % 3 else row[0]
+               for k, row in enumerate(rows[1:])]
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            [rows[0]] + [[i, *row[1:]] for i, row in zip(ids, rows[1:])])
+        data = tmp_path / "tricky.csv"
+        data.write_text(buf.getvalue(), encoding="utf-8")
+        paths = [FIXTURES / "students_config.json",
+                 FIXTURES / "students_config_equal.json"]
+        rankings = []
+        for path in paths:
+            config = parse_config(path.read_text())
+            m = read_matrix(data.read_text(encoding="utf-8"), config)
+            u = utility_array(m.values, m.criteria)
+            w = config.weight_vector
+            wm, wsd = plane(u * w.weights, w)
+            rankings.append(aggregate.rank_array(
+                m.ids, agg_values(config.aggregation, wm, wsd, w.mean_w),
+                config.tie_tolerance))
+        ra, rb = rankings
+        cmp = aggregate.compare_rankings(ra, rb)
+        pairs = [[ra.ids[i], ra.ids[j]] for i, j in cmp.reversals.tolist()]
+        assert pairs and any('"' in i and "," in i for p in pairs for i in p)
+        if fmt == "csv":
+            want = io.StringIO()
+            writer = csv.writer(want, lineterminator="\n")
+            writer.writerow(["id", "score_a", "rank_a", "score_b", "rank_b",
+                             "delta"])
+            writer.writerows(
+                [i, f"{ra.scores[k]:.6f}", ra.ranks[k],
+                 f"{rb.scores[cmp.order[k]]:.6f}", rb.ranks[cmp.order[k]],
+                 cmp.deltas[k]] for k, i in enumerate(ra.ids))
+            want.write(f"# kendall_tau={cmp.kendall_tau:.6f}\n")
+            for pair in pairs:
+                want.write("# reversal=")
+                writer.writerow(pair)
+            want = want.getvalue()
+        else:
+            def entries(r):
+                return [{"id": i, "score": round(float(s), 6),
+                         "rank": int(k), "group": int(g)}
+                        for i, s, k, g in zip(r.ids, r.scores, r.ranks,
+                                              r.group_numbers)]
+            want = json.dumps({
+                "ranking_a": entries(ra), "ranking_b": entries(rb),
+                "deltas": dict(zip(ra.ids, cmp.deltas.tolist())),
+                "kendall_tau": round(cmp.kendall_tau, 6),
+                "reversals": pairs}, indent=2) + "\n"
+        code, out, err = run_cli("compare", "--data", data,
+                                 "--config", paths[0], "--config-b",
+                                 paths[1], "--format", fmt)
+        assert code == 0, err
+        assert out == want
+
     @pytest.mark.parametrize("command", ["rank", "transform", "compare"])
     def test_carriage_return_ids_read_back(self, run_cli, tmp_path, command):
         """An id holding a CR is quoted, as csv.writer's default terminator
@@ -1535,6 +1650,20 @@ class TestBatchedCore:
                       "i_w", "a_w", "r_w"])
         got = np.array([[float(r[c]) for c in columns] for r in rows])
         assert np.max(np.abs(got - expected)) <= self.PRINTED
+
+    def test_plane_blocks_equal_whole_array(self, case, monkeypatch):
+        """Scoring a few rows at a time gives the bits of one pass over the
+        whole array."""
+        config = parse_config(case["configs"][0].read_text())
+        matrix = read_matrix(case["data"].read_text(), config)
+        w = config.weight_vector
+        wm, wsd = plane(utility_array(matrix.values, matrix.criteria)
+                        * w.weights, w)
+        monkeypatch.setattr(cli, "_SCORE_ROWS", 7)
+        ids, wm_blocks, wsd_blocks = cli._plane_points(matrix, w)
+        assert ids == matrix.ids
+        assert wm_blocks.tobytes() == wm.tobytes()
+        assert wsd_blocks.tobytes() == wsd.tobytes()
 
     def test_compare(self, run_cli, case):
         code, out, err = run_cli("compare", "--data", case["data"],

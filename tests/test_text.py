@@ -1,6 +1,7 @@
 """The array text writer against Python's ``%`` operator."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -99,3 +100,53 @@ def test_two_dimensional_columns():
 def test_unsupported_conversion(template):
     with pytest.raises(ValueError):
         _text.rows(template, [[1.0]])
+
+
+# Templates whose adjacent numeric columns share one conversion and one
+# literal, so each run of them is formatted as one table: the transform
+# table (an id and 26 floats, passed as one 2-D array), boundary vertex
+# rows and integer triples.
+LIKE_COLUMNS = {
+    "%s" + ",%.6f" * 26 + "\n": ["s"] + ["f"] * 26,
+    "vertex,%.6f,%.6f\n": ["f", "f"],
+    "%d,%d,%d\n": ["d"] * 3,
+}
+CELLS = {"s": IDS, "f": fixed_point_values(6),
+         "d": st.integers(-2 ** 63, 2 ** 63 - 1)}
+
+
+@given(st.sampled_from(sorted(LIKE_COLUMNS)).flatmap(
+    lambda t: st.tuples(st.just(t), st.lists(
+        st.tuples(*[CELLS[kind] for kind in LIKE_COLUMNS[t]]), max_size=12))),
+    CHUNKS)
+def test_like_columns_equal_template(case, chunk):
+    template, records = case
+    kinds = LIKE_COLUMNS[template]
+    numbers = np.array([r[kinds.count("s"):] for r in records],
+                       dtype=np.int64 if "d" in kinds else float)
+    columns = [numbers.reshape(len(records), len(kinds) - kinds.count("s"))]
+    if kinds[0] == "s":
+        columns.insert(0, [r[0] for r in records])
+    with mock.patch.object(_text, "_CHUNK_ROWS", chunk):
+        got = _text.rows(template, columns)
+    assert got == "".join(template % r for r in records)
+
+
+def test_long_string_cell_is_bounded():
+    """One 4 MiB id among 4,095 short ones: the block is split until the
+    long row's padding widens no other row, so the peak stays a small
+    multiple of the cell, where padding all 4,096 rows would take 16 GiB."""
+    size = 4 << 20
+    ids = [f"id{k}" for k in range(_text._CHUNK_ROWS)]
+    ids[1234] = "é" + "x" * (size - 2)
+    values = np.linspace(-1.0, 1.0, len(ids))
+    ranks = np.arange(len(ids))
+    tracemalloc.start()
+    try:
+        got = _text.rows("%s,%.6f,%d\n", [ids, values, ranks])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == "".join("%s,%.6f,%d\n" % row
+                          for row in zip(ids, values, ranks))
+    assert peak < 6 * size
