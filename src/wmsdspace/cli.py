@@ -16,8 +16,11 @@ and 3 for I/O failures.
 
 Each command declares only the flags it reads, and its parser refuses
 any other with a usage error that names the command.  :func:`main`
-builds only the parser of the command it is given.  A flag that
-overrides a config key is applied when the config is loaded, so a command sees one
+builds only the parser of the command it is given; the top-level parser,
+for help and for an argument list that does not start with a command,
+names the commands and declares none of their flags.  A flag that
+overrides a config key stores into the :class:`RunConfig` field of that
+key and is applied when the config is loaded, so a command sees one
 :class:`RunConfig` with its weights, aggregation, tie tolerance and
 clamping resolved.
 
@@ -33,8 +36,8 @@ import gc
 import io
 import json
 import math
+import os
 import sys
-from functools import partial
 from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Sequence
@@ -154,11 +157,10 @@ def parse_config(text: str) -> RunConfig:
             raise SchemaError("name must be a non-empty string", path=path)
         if entry["kind"] not in (GAIN, COST):
             raise SchemaError(
-                f"kind must be 'gain' or 'cost', got {entry['kind']!r}",
+                f"must be 'gain' or 'cost', got {entry['kind']!r}",
                 path=f"{path}.kind")
         v_min, v_max, weight = (
-            _config_float(entry[key], f"{key} must be a number",
-                          f"{path}.{key}")
+            _config_float(entry[key], "must be a number", f"{path}.{key}")
             for key in ("min", "max", "weight"))
         specs.append(CriterionSpec(
             name=entry["name"], v_min=v_min, v_max=v_max,
@@ -168,15 +170,15 @@ def parse_config(text: str) -> RunConfig:
 
     aggregation = doc.get("aggregation", "R")
     if aggregation not in ("I", "A", "R"):
-        raise SchemaError(f"aggregation must be one of I, A, R, "
+        raise SchemaError(f"must be one of I, A, R, "
                           f"got {aggregation!r}", path="aggregation")
     weighted = doc.get("weighted", True)
     if not isinstance(weighted, bool):
-        raise SchemaError("weighted must be a boolean", path="weighted")
+        raise SchemaError("must be a boolean", path="weighted")
     clamp = doc.get("clamp", False)
     if not isinstance(clamp, bool):
-        raise SchemaError("clamp must be a boolean", path="clamp")
-    message = "tie_tolerance must be a finite non-negative number"
+        raise SchemaError("must be a boolean", path="clamp")
+    message = "must be a finite non-negative number"
     tie_tolerance = _config_float(
         doc.get("tie_tolerance", DEFAULT_TIE_TOLERANCE), message,
         "tie_tolerance")
@@ -336,19 +338,13 @@ def _csv_cells(csv_text: str, names: tuple[str, ...]):
 
 def _load_config(path, args: argparse.Namespace) -> RunConfig:
     """The config at ``path`` with every override flag the command
-    declares, when given, applied over its config key."""
+    declares, when given, applied over the field it stores into."""
     text = _read_data(path, SchemaError)  # line endings translated below
     config = parse_config(io.StringIO(text, newline=None).read())
-    flags = vars(args)
-    changes = {}
-    if flags.get("aggregation") is not None:
-        changes["aggregation"] = AggregationKind(flags["aggregation"])
-    if flags.get("unweighted"):
-        changes["weighted"] = False
-    if flags.get("clamp"):
-        changes["clamp"] = True
-    if flags.get("tie_tol") is not None:
-        changes["tie_tolerance"] = flags["tie_tol"]
+    changes = {key: value for key, value in vars(args).items()
+               if key in vars(config) and value is not None}
+    if "aggregation" in changes:
+        changes["aggregation"] = AggregationKind(changes["aggregation"])
     return config.replace(**changes)
 
 
@@ -590,98 +586,77 @@ def _levels(text: str) -> list[float]:
         raise SchemaError(f"cannot parse isoline levels {text!r}")
 
 
-class _CommandParser(argparse.ArgumentParser):
-    """A command's parser.  It refuses an argument it does not declare
-    itself, so the usage line and the error name the command; argparse
-    would leave it to the top-level parser."""
-
-    def parse_known_args(self, args=None, namespace=None):
-        namespace, extras = super().parse_known_args(args, namespace)
-        if extras:
-            self.error(f"unrecognized arguments: {' '.join(extras)}")
-        return namespace, extras
-
-
-# The flags that override a config key; each command declares the ones it
-# reads, in this order.
-_OVERRIDES = {
-    "--aggregation": dict(choices=["I", "A", "R"], default=None),
-    "--unweighted": dict(action="store_true", help="score with all "
-                         "criteria equally important"),
-    "--clamp": dict(action="store_true",
+# Every flag a command can declare.  A flag that overrides a config key
+# stores into the RunConfig field of that key, and is None when not given.
+_FLAGS = {
+    "--data": dict(action="append", required=True, help="dataset CSV"),
+    "--config": dict(action="append", required=True,
+                     help="JSON config (repeatable for plot panels)"),
+    "--out": dict(help="output file (stdout when omitted)"),
+    "--format": None,  # the command's formats; the first is the default
+    "--aggregation": dict(choices=["I", "A", "R"]),
+    "--unweighted": dict(action="store_const", const=False, dest="weighted",
+                         help="score with all criteria equally important"),
+    "--clamp": dict(action="store_const", const=True,
                     help="clamp out-of-domain values to the bounds"),
-    "--tie-tol": dict(type=float, default=None, dest="tie_tol"),
+    "--tie-tol": dict(type=float, dest="tie_tolerance", metavar="TIE_TOL"),
+    "--resolution": dict(type=int, default=512, help="envelope rows, from 2 "
+                         f"to {MAX_RESOLUTION} (default 512)"),
+    "--grid": dict(type=int, default=128, help="color-field resolution: "
+                   f"cells across, from 16 to {MAX_GRID} (default 128)"),
+    "--columns": dict(type=int, default=2,
+                      help="panel-grid columns for repeated --config"),
+    "--overlay": dict(action="append",
+                      help="second snapshot CSV; draws arrows"),
+    "--isolines": dict(default="", help="comma-separated aggregation levels"),
+    "--labels": dict(action="store_true"),
+    "--config-b": dict(action="append", required=True),
 }
 
-# Each command, run by ``cmd_<name>``: its line in the command list and
-# the override flags it reads.
+# Each command, run by ``cmd_<name>``: its line in the command list, its
+# output formats and its flags, in the order its usage lists them.
 _COMMANDS = {
-    "rank": ("score and rank alternatives", list(_OVERRIDES)),
-    "transform": ("full coordinate table per alternative", ["--clamp"]),
-    "boundary": ("attainable-region envelope as CSV/JSON", ["--unweighted"]),
-    "plot": ("SVG plot of the plane",
-             ["--aggregation", "--unweighted", "--clamp"]),
-    "compare": ("compare rankings under two configs", list(_OVERRIDES)),
+    "rank": ("score and rank alternatives", ["csv", "json"],
+             "--data --config --out --format --aggregation --unweighted "
+             "--clamp --tie-tol"),
+    "transform": ("full coordinate table per alternative", ["csv", "json"],
+                  "--data --config --out --format --clamp"),
+    "boundary": ("attainable-region envelope as CSV/JSON", ["csv", "json"],
+                 "--config --out --format --unweighted --resolution"),
+    "plot": ("SVG plot of the plane", ["svg"],
+             "--data --config --out --format --aggregation --unweighted "
+             "--clamp --grid --columns --overlay --isolines --labels"),
+    "compare": ("compare rankings under two configs", ["json", "csv"],
+                "--data --config --out --format --aggregation --unweighted "
+                "--clamp --tie-tol --config-b"),
 }
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command; with ``command``, that command's
-    parser alone, which reads the arguments after the command name as
-    the full parser does, with the same usage, help and error text."""
-    if command is not None:
-        return _command_parser(
-            command, partial(_CommandParser, prog=f"wmsdspace {command}"))
-    parser = argparse.ArgumentParser(
-        prog="wmsdspace",
-        description="TOPSIS rankings with 2-D (WM, WSD) explanations.")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_CommandParser)
-    for name, (line, _) in _COMMANDS.items():
-        _command_parser(name, partial(sub.add_parser, name, help=line))
-    return parser
+    """The parser of ``command``, with every flag it declares; without
+    ``command``, the top-level parser, which names the commands and
+    declares none of their flags.
 
-
-def _command_parser(name: str, make) -> argparse.ArgumentParser:
-    """The parser of command ``name``, made by ``make(description=...)``,
-    with every argument the command declares.  Its ``run`` is the module's
-    ``cmd_<name>`` when the parser is built, so a wrapper set over it, as
-    a tracer sets one, is the function run."""
-    flags = _COMMANDS[name][1]
-    p = make(description=None if name != "plot" else (
-        f"SVG plot of the plane: at most {MAX_MARKERS} markers per "
-        "document, over every panel and both overlay snapshots."))
-    p.set_defaults(command=name, run=globals()[f"cmd_{name}"])
-    if name != "boundary":
-        p.add_argument("--data", action="append", required=True,
-                       help="dataset CSV")
-    p.add_argument("--config", action="append", required=True,
-                   help="JSON config (repeatable for plot panels)")
-    p.add_argument("--out", default=None, help="output file (stdout "
-                   "when omitted)")
-    fmt = ("svg",) if name == "plot" else ("csv", "json")
-    p.add_argument("--format", choices=fmt,
-                   default="json" if name == "compare" else fmt[0])
-    for flag in flags:
-        p.add_argument(flag, **_OVERRIDES[flag])
-    if name == "boundary":
-        p.add_argument("--resolution", type=int, default=512,
-                       help="envelope rows, from 2 to "
-                            f"{MAX_RESOLUTION} (default 512)")
-    elif name == "plot":
-        p.add_argument("--grid", type=int, default=128,
-                       help="color-field resolution: cells across, from "
-                            f"16 to {MAX_GRID} (default 128)")
-        p.add_argument("--columns", type=int, default=2,
-                       help="panel-grid columns for repeated --config")
-        p.add_argument("--overlay", action="append",
-                       help="second snapshot CSV; draws arrows")
-        p.add_argument("--isolines", default="",
-                       help="comma-separated aggregation levels")
-        p.add_argument("--labels", action="store_true")
-    elif name == "compare":
-        p.add_argument("--config-b", action="append", required=True,
-                       dest="config_b")
+    A command's ``run`` is the module's ``cmd_<name>`` when its parser is
+    built, so a wrapper set over it, as a tracer sets one, is the function
+    run."""
+    if command is None:
+        parser = argparse.ArgumentParser(
+            prog="wmsdspace",
+            description="TOPSIS rankings with 2-D (WM, WSD) explanations.")
+        sub = parser.add_subparsers(dest="command", required=True)
+        for name, (line, _, _) in _COMMANDS.items():
+            sub.add_parser(name, help=line, add_help=False)
+        return parser
+    _, formats, flags = _COMMANDS[command]
+    p = argparse.ArgumentParser(
+        prog=f"wmsdspace {command}", description=None if command != "plot"
+        else (f"SVG plot of the plane: at most {MAX_MARKERS} markers per "
+              "document, over every panel and both overlay snapshots."))
+    p.set_defaults(command=command, run=globals()[f"cmd_{command}"])
+    for flag in flags.split():
+        p.add_argument(flag, **(_FLAGS[flag] or dict(
+            choices=sorted(formats), default=formats[0])))
     return p
 
 
@@ -715,9 +690,31 @@ def _validate_args(args: argparse.Namespace) -> None:
         raise SchemaError(f"--resolution must be at most {MAX_RESOLUTION}")
     if getattr(args, "isolines", None) is not None:
         args.isolines = _levels(args.isolines)
-    if getattr(args, "tie_tol", None) is not None \
-            and not 0 <= args.tie_tol < math.inf:
+    if getattr(args, "tie_tolerance", None) is not None \
+            and not 0 <= args.tie_tolerance < math.inf:
         raise SchemaError("--tie-tol must be a finite non-negative number")
+
+
+def _write_stdout(text: str) -> None:
+    """``text`` to stdout in UTF-8, as ``--out`` writes it, whatever the
+    locale's encoding.  The bytes go to the descriptor until every one is
+    written: a write may take only part of them, and one to a full
+    non-blocking pipe waits until the pipe can take more.  A stream with
+    no descriptor, such as ``io.StringIO``, is given the text."""
+    try:
+        fd = sys.stdout.fileno()
+    except OSError:  # io.UnsupportedOperation
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    data = memoryview(text.encode("utf-8"))
+    while data:
+        try:
+            data = data[os.write(fd, data):]
+        except BlockingIOError:
+            import select
+
+            select.select([], [fd], [])
 
 
 def main(argv=None) -> int:
@@ -735,19 +732,15 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv and argv[0] in _COMMANDS:
         args = build_parser(argv[0]).parse_args(argv[1:])
-    else:  # --help, no command or an unknown one
+    else:  # --help, no command, an unknown one or an option before it
         args = build_parser().parse_args(argv)
     try:
         _validate_args(args)
         text = args.run(args)
         if args.out is not None:
             Path(args.out).write_text(text, encoding="utf-8")
-        elif hasattr(sys.stdout, "buffer"):
-            # UTF-8, as --out writes, whatever the locale's encoding
-            sys.stdout.flush()
-            sys.stdout.buffer.write(text.encode("utf-8"))
-        else:  # a text-only stream, such as io.StringIO
-            sys.stdout.write(text)
+        else:
+            _write_stdout(text)
     except WmsdError as e:
         sys.stderr.write(json.dumps(e.details(), sort_keys=True) + "\n")
         return 1 if isinstance(e, ValidationError) else 2

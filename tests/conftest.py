@@ -20,15 +20,23 @@ settings.load_profile("suite")
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
-def run_python(*args) -> subprocess.CompletedProcess:
-    """``python ARGS`` in a new interpreter that imports this checkout's
-    package, with buffered standard streams; output is captured as bytes."""
+def python_env(unbuffered: bool = False) -> dict:
+    """The environment of a new interpreter that imports this checkout's
+    package, with buffered standard streams unless ``unbuffered``."""
     src = str(Path(wmsdspace.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    return subprocess.run([sys.executable, *map(str, args)], env=env,
+    return env
+
+
+def run_python(*args) -> subprocess.CompletedProcess:
+    """``python ARGS`` in a new interpreter that imports this checkout's
+    package, with buffered standard streams; output is captured as bytes."""
+    return subprocess.run([sys.executable, *map(str, args)], env=python_env(),
                           capture_output=True, timeout=60)
 
 

@@ -151,6 +151,12 @@ class TestRank:
         r = rank_array(["only"], [0.4])
         assert r.ranks[0] == 1
 
+    def test_position_of_unknown_id(self):
+        r = rank_array(["a", "b"], [0.9, 0.5])
+        assert r.position("b") == 2
+        with pytest.raises(KeyError):
+            r.position("c")
+
     def test_non_finite(self):
         with pytest.raises(NonFiniteScore):
             rank_array(["a"], [math.nan])

@@ -1,10 +1,16 @@
+import argparse
 import csv
+import fcntl
 import hashlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
+import termios
+import time
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -13,7 +19,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, fresh_python, run_python
+from conftest import FIXTURES, fresh_python, python_env, run_python
 from wmsdspace import aggregate, cli, geometry
 from wmsdspace.aggregate import AggregationKind, agg_values
 from wmsdspace.errors import (
@@ -892,6 +898,30 @@ def parse_exit(capsys, parse, argv) -> tuple:
     return (exc.value.code, *capsys.readouterr())
 
 
+# ``main``'s exit code, stdout digest and stderr for each argv of the
+# corpus, by argv; "{fixtures}" stands for the fixtures directory.
+CORPUS = {tuple(case["argv"]): case for case in json.loads(
+    (Path(__file__).parent / "cli_corpus.json").read_text(
+        encoding="utf-8"))["cases"]}
+
+
+def corpus_record(capsys, monkeypatch, argv) -> dict:
+    """``main(argv)`` as the corpus records it, at the corpus's 80-column
+    help width."""
+    monkeypatch.setenv("COLUMNS", "80")
+    real = [str(a).replace("{fixtures}", str(FIXTURES)) for a in argv]
+    try:
+        code = cli.main(real)
+    except SystemExit as e:
+        code = e.code
+    out, err = capsys.readouterr()
+    return {"argv": [str(a).replace(str(FIXTURES), "{fixtures}")
+                     for a in argv],
+            "code": code,
+            "stdout_sha256": hashlib.sha256(out.encode()).hexdigest(),
+            "stderr": err.replace(str(FIXTURES), "{fixtures}")}
+
+
 def without_config(args: list) -> list[str]:
     """A command line with its ``--config`` flag and value left out."""
     i = args.index("--config")
@@ -954,9 +984,10 @@ class TestCommandFlags:
     @pytest.mark.parametrize("command,flag",
                              REMOVED_PAIRS + [(c, "--force")
                                               for c in sorted(COMMANDS)])
-    def test_undeclared_flag_is_a_usage_error(self, capsys, command, flag):
-        """Refused by the command's own parser, which ``main`` builds
-        alone, with the bytes the full parser prints."""
+    def test_undeclared_flag_is_a_usage_error(self, capsys, monkeypatch,
+                                              command, flag):
+        """Refused by the command's own parser, with the usage line and
+        the bytes the corpus records."""
         given = [flag, *OVERRIDES.get(flag, [])]
         argv = [*map(str, self.COMMANDS[command]), *given]
         code, out, err = parse_exit(capsys, cli.main, argv)
@@ -965,8 +996,8 @@ class TestCommandFlags:
         assert err.startswith(f"usage: wmsdspace {command} ")
         assert err.endswith(f"\nwmsdspace {command}: error: unrecognized "
                             f"arguments: {' '.join(given)}\n")
-        assert parse_exit(capsys, cli.build_parser().parse_args, argv) == (
-            code, out, err)
+        record = corpus_record(capsys, monkeypatch, argv)
+        assert CORPUS[tuple(record["argv"])] == record
 
     @pytest.mark.parametrize("argv", [
         ["--help"], [], ["nope"],
@@ -974,28 +1005,106 @@ class TestCommandFlags:
         *(without_config(args) for args in COMMANDS.values()),
     ])
     def test_parse_exit_prints_what_the_full_parser_prints(self, capsys,
-                                                           argv):
+                                                           monkeypatch, argv):
         """Help, a missing command and a missing required flag: ``main``
-        prints the full parser's bytes and exits with its code."""
-        code, out, err = parse_exit(capsys, cli.main, argv)
-        assert parse_exit(capsys, cli.build_parser().parse_args, argv) == (
-            code, out, err)
+        prints the bytes the corpus records."""
+        record = corpus_record(capsys, monkeypatch, argv)
+        assert CORPUS[tuple(record["argv"])] == record
         if "--help" in argv:
-            assert (code, err) == (0, "") and out.startswith("usage: ")
+            assert (record["code"], record["stderr"]) == (0, "")
         else:
-            assert (code, out) == (2, "") and "error: " in err
+            assert record["code"] == 2 and "error: " in record["stderr"]
+            assert record["stdout_sha256"] == hashlib.sha256().hexdigest()
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_command_runs_its_function(self, command, monkeypatch):
-        """Both parsers run ``cmd_<command>`` as the module holds it when
-        they are built, so a wrapper set over it is the one run."""
-        argv = [str(a) for a in self.COMMANDS[command]]
-        args = cli.build_parser().parse_args(argv)
+        """A command's parser runs ``cmd_<command>`` as the module holds it
+        when the parser is built, so a wrapper set over it is the one
+        run."""
+        argv = [str(a) for a in self.COMMANDS[command][1:]]
+        args = cli.build_parser(command).parse_args(argv)
         assert args.run is getattr(cli, f"cmd_{command}")
         monkeypatch.setattr(cli, f"cmd_{command}", lambda args: "wrapped")
-        for args in (cli.build_parser().parse_args(argv),
-                     cli.build_parser(command).parse_args(argv[1:])):
-            assert (args.command, args.run(args)) == (command, "wrapped")
+        args = cli.build_parser(command).parse_args(argv)
+        assert (args.command, args.run(args)) == (command, "wrapped")
+
+    def test_top_level_parser_declares_no_command_flag(self):
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub.choices) == list(cli._COMMANDS)
+        for command in sub.choices.values():
+            assert command._actions == []
+
+
+class TestArgvCorpus:
+    """``main`` gives each argv of the corpus the exit code, stdout and
+    stderr it records: help, usage errors, bad values and every override
+    flag's output.  An option before the command name is refused by the
+    top-level parser, which lists every argument it did not read."""
+
+    @pytest.mark.parametrize("argv", list(CORPUS), ids=" ".join)
+    def test_recorded(self, capsys, monkeypatch, argv):
+        assert corpus_record(capsys, monkeypatch, argv) == CORPUS[argv]
+
+
+def students_with(criterion: dict | None = None, **keys) -> str:
+    """The students config as JSON text, with its first criterion's
+    fields updated from ``criterion`` and its top-level ``keys`` set."""
+    doc = json.loads(STUDENTS_CONFIG)
+    doc["criteria"][0].update(criterion or {})
+    return json.dumps({**doc, **keys})
+
+
+def schema(message: str, path: str | None = None) -> dict:
+    record = {"error": "SchemaError", "message": message}
+    return record if path is None else {**record, "path": path}
+
+
+# A refused input of each kind no other test runs ``main`` on: a config
+# text, or None for the students config; a dataset text, or None for
+# the students dataset; more arguments; the record written to stderr.
+REFUSED = {
+    "config-is-a-list": ("[]", None, [],
+                         schema("config must be a JSON object")),
+    "config-without-criteria": ("{}", None, [], schema(
+        "criteria: missing required field", "criteria")),
+    "criterion-not-an-object": ('{"criteria": [1]}', None, [], schema(
+        "criteria[0]: must be an object", "criteria[0]")),
+    "unknown-criterion-field": (students_with({"colour": 1}), None, [],
+                                schema("criteria[0]: unknown fields "
+                                       "['colour']", "criteria[0]")),
+    "empty-name": (students_with({"name": ""}), None, [], schema(
+        "criteria[0]: name must be a non-empty string", "criteria[0]")),
+    "kind-up": (students_with({"kind": "up"}), None, [], schema(
+        "criteria[0].kind: must be 'gain' or 'cost', got 'up'",
+        "criteria[0].kind")),
+    "aggregation-x": (students_with(aggregation="X"), None, [], schema(
+        "aggregation: must be one of I, A, R, got 'X'", "aggregation")),
+    "weighted-1": (students_with(weighted=1), None, [], schema(
+        "weighted: must be a boolean", "weighted")),
+    "clamp-yes": (students_with(clamp="yes"), None, [], schema(
+        "clamp: must be a boolean", "clamp")),
+    "min-a-string": (students_with({"min": "0"}), None, [], schema(
+        "criteria[0].min: must be a number", "criteria[0].min")),
+    "tie-tolerance-negative": (students_with(tie_tolerance=-1), None, [],
+                               schema("tie_tolerance: must be a finite "
+                                      "non-negative number",
+                                      "tie_tolerance")),
+    # json.loads reads the NaN literal that json.dumps writes
+    "weight-nan": (students_with({"weight": math.nan}), None, [], {
+        "error": "NonFiniteWeight",
+        "message": "criterion 'Math': weight must be finite"}),
+    "empty-dataset": (None, "", [], {
+        "error": "HeaderMismatch",
+        "message": "dataset is empty; expected a header row"}),
+    "cr-in-header-cell": (None, "id,Ma\rth,Bio,Art\nS1,50,3,4\n", [], {
+        "error": "MalformedCsv",
+        "message": "header: new-line character seen in unquoted field - do "
+                   "you need to open the file in universal-newline mode?"}),
+    "plot-columns-0": (None, None, ["--columns", "0"],
+                       schema("--columns must be positive")),
+}
 
 
 class TestErrorStream:
@@ -1014,6 +1123,32 @@ class TestErrorStream:
                 long_id, "S2"}
         else:
             assert f'\n"{long_id}",' in out
+
+    @pytest.mark.parametrize("case", list(REFUSED))
+    def test_refused_input_record(self, run_cli, tmp_path, case):
+        config_text, data_text, extra, record = REFUSED[case]
+        config = FIXTURES / "students_config.json"
+        data = FIXTURES / "students.csv"
+        if config_text is not None:
+            config = tmp_path / "config.json"
+            config.write_text(config_text)
+        if data_text is not None:
+            data = tmp_path / "data.csv"
+            data.write_text(data_text)
+        command = "plot" if extra else "rank"
+        code, out, err = run_cli(command, "--data", data, "--config", config,
+                                 *extra)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == record
+
+    def test_header_only_dataset_ranks_as_empty_json(self, run_cli,
+                                                     tmp_path):
+        data = tmp_path / "header.csv"
+        data.write_text("id,Math,Bio,Art\n")
+        code, out, err = run_cli("rank", "--data", data, "--format", "json",
+                                 "--config", FIXTURES / "students_config.json")
+        assert (code, err) == (0, "")
+        assert out == json.dumps({"entries": [], "groups": []}, indent=2) + "\n"
 
     def test_malformed_csv_record(self, students_config):
         """A csv.Error becomes a record with its data row."""
@@ -1790,6 +1925,77 @@ def test_stdout_is_utf8_whatever_the_locale(tmp_path, monkeypatch, encoding):
     assert (result.returncode, result.stderr) == (0, b"")
     assert result.stdout == out.read_bytes()
     assert "\u0141\u00f3d\u017a".encode("utf-8") in result.stdout
+
+
+def pipe_output_case(tmp_path) -> tuple[list, bytes]:
+    """A ``rank`` command line whose output is four times a pipe's
+    capacity, and that output as ``--out`` writes it."""
+    r, w = os.pipe()
+    capacity = fcntl.fcntl(r, fcntl.F_GETPIPE_SZ)
+    os.close(r)
+    os.close(w)
+    rows = 4 * capacity // 20 + 1  # each row is at least 20 bytes
+    values = np.random.default_rng(7).random((rows, 3)).round(3)
+    data = tmp_path / "big.csv"
+    data.write_text("id,a,b,c\n" + "".join(
+        f"r{i},{x},{y},{z}\n" for i, (x, y, z) in enumerate(values)))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"criteria": [
+        {"name": c, "kind": "gain", "min": 0, "max": 1, "weight": 1}
+        for c in "abc"]}))
+    rank = ["-m", "wmsdspace.cli", "rank", "--data", data, "--config", config]
+    out = tmp_path / "rank.csv"
+    assert run_python(*rank, "--out", out).returncode == 0
+    assert out.stat().st_size > 4 * capacity
+    return rank, out.read_bytes()
+
+
+def start_filling_pipe(args, unbuffered: bool, nonblocking: bool):
+    """``python ARGS`` writing to a new pipe, returned once the pipe is
+    full: ``(process, read end)``."""
+    r, w = os.pipe()
+    os.set_blocking(w, not nonblocking)
+    capacity = fcntl.fcntl(r, fcntl.F_GETPIPE_SZ)
+    proc = subprocess.Popen([sys.executable, *map(str, args)], stdout=w,
+                            stderr=subprocess.PIPE,
+                            env=python_env(unbuffered))
+    os.close(w)
+    deadline = time.monotonic() + 60
+    queued = bytearray(4)
+    while time.monotonic() < deadline:
+        fcntl.ioctl(r, termios.FIONREAD, queued)
+        if int.from_bytes(queued, sys.byteorder) >= capacity:
+            break
+        time.sleep(0.01)
+    return proc, r
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_full_nonblocking_pipe_gets_every_byte(tmp_path, unbuffered):
+    """A non-blocking stdout that fills is waited on, with or without
+    ``PYTHONUNBUFFERED``: every byte arrives, not only the pipe-full
+    that one write can take."""
+    rank, expected = pipe_output_case(tmp_path)
+    proc, r = start_filling_pipe(rank, unbuffered, nonblocking=True)
+    with os.fdopen(r, "rb") as reader:
+        received = reader.read()
+    stderr = proc.communicate(timeout=60)[1]
+    assert (proc.returncode, stderr) == (0, b"")
+    assert received == expected
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_reader_that_closes_early_is_an_io_error(tmp_path, unbuffered):
+    """A reader that stops reading, as ``| head -1`` does, gives exit 3 and
+    one IOError record, not exit 0 after a write that took part of the
+    output."""
+    rank, _ = pipe_output_case(tmp_path)
+    proc, r = start_filling_pipe(rank, unbuffered, nonblocking=False)
+    os.close(r)
+    stderr = proc.communicate(timeout=60)[1]
+    assert proc.returncode == 3
+    (line,) = stderr.decode().splitlines()
+    assert json.loads(line)["error"] == "IOError"
 
 
 # SHA-256 of stdout for a header-only and a one-row students dataset,

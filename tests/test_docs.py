@@ -2,11 +2,11 @@
 loading each name from its module on first use, and the README flag table
 matches the CLI parser."""
 
-import argparse
 import importlib
 import json
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -71,12 +71,40 @@ def test_cli_states_each_cap():
     assert f"at most {cli.MAX_MARKERS} markers per document" in text
 
 
+def cli_block_commands() -> list[list[str]]:
+    """The argument lists of the commands in the README "CLI" sh block,
+    with continuation lines joined and ``wmsdspace`` dropped."""
+    (block,) = re.findall(r"```sh\n(.*?)```", section("CLI"), re.S)
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        words = shlex.split(line, comments=True)
+        if words:
+            assert words[0] == "wmsdspace", line
+            commands.append(words[1:])
+    return commands
+
+
+def test_cli_block_runs(capsys, monkeypatch, tmp_path):
+    """Each README CLI example runs from the repository root, with its
+    ``--out`` file written under ``tmp_path``."""
+    monkeypatch.chdir(FIXTURES.parent)
+    commands = cli_block_commands()
+    assert [c[0] for c in commands] == ["rank", "transform", "boundary",
+                                        "plot", "plot", "plot", "compare"]
+    for argv in commands:
+        argv = [tmp_path / Path(a).name if prev == "--out" else a
+                for prev, a in zip([None, *argv], argv)]
+        code = cli.main([str(a) for a in argv])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, ""), argv
+        assert out or "--out" in argv
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "overlay.svg", "panels.svg", "students.svg"]
+
+
 def subparsers() -> dict:
     """Each CLI command's argparse parser, by command name."""
-    parser = cli.build_parser()
-    (action,) = [a for a in parser._actions
-                 if isinstance(a, argparse._SubParsersAction)]
-    return action.choices
+    return {c: cli.build_parser(c) for c in cli._COMMANDS}
 
 
 def test_flag_table_matches_each_parser():

@@ -147,6 +147,7 @@ class TestSinglePlot:
         diag = math.hypot(frame.wm_max / nx, frame.wsd_max / max(8, nx // 2))
         cells = field_cells(students_spec)
         assert attainable(W3, cells.wm, cells.wsd, tol=diag).all()
+        assert len(cells) == cells.wm.size > 0
 
     def test_unattainable_point_raises(self):
         bad = columns([("ghost", W3.mean_w, 0.3)])
@@ -307,6 +308,11 @@ class TestPanelGrid:
     def test_determinism(self):
         specs = self.make_specs(4)
         assert render_panel_grid(specs, 2) == render_panel_grid(specs, 2)
+
+    @pytest.mark.parametrize("count,columns", [(0, 2), (2, 0)])
+    def test_refused_layout(self, count, columns):
+        with pytest.raises(ValueError):
+            render_panel_grid(self.make_specs(count), columns=columns)
 
     def test_cell_error_carries_index(self):
         specs = self.make_specs(2)

@@ -96,6 +96,12 @@ def test_two_dimensional_columns():
         "a:0.5,-0.000000\nb:0.0,0.000000\nc:123.5,-9.990000\n"
 
 
+@pytest.mark.parametrize("columns", [[], [[1.0], [2.0]]])
+def test_columns_must_match_conversions(columns):
+    with pytest.raises(TypeError):
+        _text.rows("%r\n", columns)
+
+
 @pytest.mark.parametrize("template", ["%f", "%x", "%5.2f", "%.10f", "%"])
 def test_unsupported_conversion(template):
     with pytest.raises(ValueError):
