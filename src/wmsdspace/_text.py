@@ -3,9 +3,10 @@
 :func:`rows` returns ``template % row`` for every row of equal-length
 columns, joined.  Numbers are written with integer digit arithmetic, and
 strings as their UTF-8 bytes, into a ``uint8`` grid padded with
-``_PAD``, which is compressed and decoded once per block of
-``_CHUNK_ROWS`` rows.  ``'%.Nf' % x`` is correctly rounded (half-even on
-the binary value), so the grid matches it byte for byte:
+``_PAD``; the pads, when there are any, are compressed out, and the grid
+is decoded once per block of ``_CHUNK_ROWS`` rows.  ``'%.Nf' % x`` is
+correctly rounded (half-even on the binary value), so the grid matches
+it byte for byte:
 ``rint(|x|·10^N)`` is that rounding unless the product is exactly halfway
 between integers, where the sign of its rounding error, which Dekker's
 two-product gives exactly, decides.  A value that is not finite or whose
@@ -109,6 +110,10 @@ def _block(literals: list[str], conversions: list[str | int],
     cells = np.concatenate(_grid(literals, conversions, parts, encoded),
                            axis=1)
     del encoded  # the grid holds its own copy of the bytes
+    # A block without pads, such as one of fixed-width numbers, needs no
+    # compress pass, which costs several times the decode.
+    if cells.max(initial=0) < _PAD:
+        return [cells.tobytes().decode()]
     return [cells[cells != _PAD].tobytes().decode()]
 
 

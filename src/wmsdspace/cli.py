@@ -79,8 +79,9 @@ if TYPE_CHECKING:
     from .render import PlotSpec
 
 DEFAULT_TIE_TOLERANCE = 1e-9
-# Largest plot --grid: the field has grid * grid / 2 cells, so 1024 gives
-# 524,288 rectangles (about 40 MB of SVG).
+# Largest plot --grid: it bounds one panel's field to grid * grid / 2
+# cells, 524,288 rectangles at 1024 (the students plot's SVG measured
+# 26 MB), but not the number of panels in a document.
 MAX_GRID = 1024
 # Largest boundary --resolution: 65,536 envelope rows are about 1.8 MB of
 # CSV, where an uncapped 1e7 wrote 270 MB and 1e8 ran out of memory.
@@ -492,9 +493,9 @@ def cmd_boundary(args: argparse.Namespace) -> str:
                 f'  "vertices": '
                 f'{_json_block(_json_pair("%r", 2), [vertices], 1)}'
                 f'\n}}\n')
-    return ("section,wm,wsd\n"
-            + _rows("envelope,%.6f,%.6f\n", [wm, wsd])
-            + _rows("vertex,%.6f,%.6f\n", [vertices]))
+    return "".join(["section,wm,wsd\n",
+                    _rows("envelope,%.6f,%.6f\n", [wm, wsd]),
+                    _rows("vertex,%.6f,%.6f\n", [vertices])])
 
 
 def _plot_spec(matrix: DecisionMatrix, config: RunConfig,

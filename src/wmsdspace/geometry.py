@@ -19,17 +19,28 @@ it ``v . w = q + alpha * w_j`` and ``|v|^2 = q + alpha^2`` with
 largest feasible subset sums need to be inspected; with the subset sums
 of each "all but j" weight multiset precomputed and sorted, evaluating the
 envelope at any WM costs two binary searches per distinct weight value.
-:func:`attainable` tests a whole array of plane points against the region
-with one envelope evaluation; :func:`isoline` uses it to split each
-sampled level set into the runs of samples inside the region.
+:func:`isoline` uses :func:`attainable` to split each sampled level set
+into the runs of samples inside the region.
+
+:func:`attainable` screens points before it evaluates the envelope.  In
+units of mean(w)^2 the squared envelope is X(tau) at tau = WM / mean(w),
+and X has slope at most 2: sliding the maximizing box point v toward the
+ideal corner w (or toward 0) by a fraction lam moves tau by
+lam (1 - tau) (or lam tau) and keeps (1 - lam)^2 of X(tau) <= tau (1 - tau),
+since |v|^2 <= v . w in the box.  The computed envelope is within E
+(:func:`_envelope_error`) of X, so the outline, the envelope at
+``_OUTLINE`` evenly spaced WM values, bounds it from below and above at
+every WM.  A point the acceptance test takes against the lower bound is
+inside, one it refuses against the upper bound is outside, and only the
+points between are evaluated: every answer is the exact envelope's.
 
 A vertex of the box has its dot product with ``w`` equal to its squared
 norm, so its image depends only on its subset sum ``q``: every vertex
 image lies on the Thales semicircle over the segment from the anti-ideal
 to the ideal image.  :func:`vertex_images` therefore works on the sorted
-1-D array of subset sums: it rounds WM and WSD to 12 places, sorts by
-(WM, WSD) and drops each row equal to its predecessor, without forming
-or sorting a 2-D array of rows.
+1-D array of subset sums: it rounds WM and WSD to 12 places, keeps the
+order of the sorted sums, in which WM never decreases, and drops each row
+equal to its predecessor, without forming or sorting a 2-D array of rows.
 
 The edge tables of recently used weight vectors are kept in an LRU cache
 bounded by ``CACHE_BYTES``.
@@ -54,10 +65,14 @@ from .model import WeightVector, _Record, _frozen
 EXACT_LIMIT = 20
 # Samples along each isoline arc or segment.
 _SAMPLES = 361
-# Upper bound on the bytes of edge tables kept between calls; one n_p = 20
-# weight vector with distinct weights takes about 88 MiB.  The most
-# recently built entry is kept even when it alone exceeds the bound.
+# Upper bound on the bytes of edge tables and outlines kept between calls;
+# one n_p = 20 weight vector with distinct weights takes about 88 MiB.  The
+# most recently used entry is kept even when it alone exceeds the bound.
 CACHE_BYTES = 256 * 2**20
+# WM values of the cached outline: ``envelope(w, _OUTLINE)`` and the
+# screen of :func:`attainable` read one evaluation per weight vector.
+_OUTLINE = 512
+_EPS = float(np.finfo(float).eps)
 
 
 class _EdgeTables(_Record):
@@ -67,19 +82,23 @@ class _EdgeTables(_Record):
     order makes every derived float bit-identical under permutation of
     the input weights).  ``norm2`` is the full subset sum, used instead
     of a separately computed squared norm so that ratios q / norm2 hit
-    exactly 1.0 at the top vertex.
+    exactly 1.0 at the top vertex.  ``outlines`` maps mean(w) to the
+    envelope at the ``_OUTLINE`` WM values from 0 to mean(w); weight
+    vectors that differ only in zero weights share the tables, not the
+    outline.
     """
 
     def __init__(self, sq: np.ndarray, norm2: float,
                  per_free: tuple[tuple[float, np.ndarray], ...],
                  vertex_sums: np.ndarray):
         vars(self).update(sq=sq, norm2=norm2, per_free=per_free,
-                          vertex_sums=vertex_sums)
+                          vertex_sums=vertex_sums, outlines={})
 
     @property
     def nbytes(self) -> int:
         return (self.sq.nbytes + self.vertex_sums.nbytes
-                + sum(qs.nbytes for _, qs in self.per_free))
+                + sum(qs.nbytes for _, qs in self.per_free)
+                + sum(v.nbytes for v in self.outlines.values()))
 
 
 class _TableCache:
@@ -105,7 +124,12 @@ class _TableCache:
 
     def put(self, key: bytes, entry: _EdgeTables) -> None:
         self.entries[key] = entry
-        self.nbytes += entry.nbytes
+        self.grow(entry.nbytes)
+
+    def grow(self, nbytes: int) -> None:
+        """Count ``nbytes`` more held by the newest entry, evicting the
+        oldest entries while the bound is exceeded."""
+        self.nbytes += nbytes
         while self.nbytes > self.limit and len(self.entries) > 1:
             oldest = next(iter(self.entries))
             self.nbytes -= self.entries.pop(oldest).nbytes
@@ -114,12 +138,19 @@ class _TableCache:
 _TABLE_CACHE = _TableCache(CACHE_BYTES)
 
 
-def _subset_sums(values: np.ndarray) -> np.ndarray:
-    """Sorted sums of all subsets of ``values`` (ascending input order)."""
-    sums = np.zeros(1)
-    for x in values:
-        sums = np.concatenate([sums, sums + x])
-    return np.sort(sums)
+def _subset_sums(values: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """Fill ``sums`` (2^len(values) slots) with the sorted sums of all
+    subsets of ``values`` (ascending input order) and return it.
+
+    The sums double in place: after value k the first 2^(k+1) slots hold
+    the sums of values 0..k, the upper half the lower half plus value k,
+    so each sum adds its values in input order.
+    """
+    sums[0] = 0.0
+    for k, x in enumerate(values.tolist()):
+        np.add(sums[:1 << k], x, out=sums[1 << k:2 << k])
+    sums.sort()
+    return sums
 
 
 def _active_squares(w: WeightVector) -> np.ndarray:
@@ -144,13 +175,18 @@ def _edge_tables(w: WeightVector) -> _EdgeTables:
 
 
 def _build_tables(sq: np.ndarray) -> _EdgeTables:
-    per_free = []
+    # One block holds every table, so a large one is mapped in a few huge
+    # pages rather than faulted in page by page.
     _, first = np.unique(sq, return_index=True)
-    for idx in first:
-        per_free.append((float(sq[idx]), _subset_sums(np.delete(sq, idx))))
-    vertex_sums = _subset_sums(sq)
+    half = 1 << (sq.size - 1)
+    block = np.empty((first.size + 2) * half)
+    per_free = tuple(
+        (float(sq[idx]), _subset_sums(np.delete(sq, idx),
+                                      block[i * half:(i + 1) * half]))
+        for i, idx in enumerate(first.tolist()))
+    vertex_sums = _subset_sums(sq, block[first.size * half:])
     return _EdgeTables(sq=sq, norm2=float(vertex_sums[-1]),
-                       per_free=tuple(per_free), vertex_sums=vertex_sums)
+                       per_free=per_free, vertex_sums=vertex_sums)
 
 
 def envelope_wsd(w: WeightVector, wm) -> np.ndarray:
@@ -190,18 +226,25 @@ def vertex_images(w: WeightVector) -> np.ndarray:
     weights held high, giving WM = mean(w) * q / |w|^2 and
     WSD = mean(w) * sqrt(t (1 - t)) with t = q / |w|^2.  Both are rounded
     to 12 decimal places; rows are sorted by (WM, WSD) and duplicates
-    dropped.  WM is monotone in the sorted subset sums but WSD is not
-    within rounded WM ties, hence the two-key sort.
+    dropped.  Every step from a subset sum to its rounded WM is monotone,
+    so the sorted sums give the rows in WM order; only a run of equal
+    rounded WM in which WSD falls (t > 1/2) is sorted again.
     """
     tables = _edge_tables(w)
     t = tables.vertex_sums / tables.norm2
     wm = np.round(w.mean_w * t, 12)
     wsd = np.round(w.mean_w * np.sqrt(np.maximum(t * (1.0 - t), 0.0)), 12)
-    order = np.lexsort((wsd, wm))
-    wm, wsd = wm[order], wsd[order]
+    tie = wm[1:] == wm[:-1]
+    falls = np.flatnonzero(tie & (wsd[1:] < wsd[:-1]))
+    if falls.size:
+        run = np.cumsum(np.concatenate([[True], ~tie]))
+        idx = np.flatnonzero(np.isin(run, run[falls]))
+        wsd[idx] = wsd[idx[np.lexsort((wsd[idx], run[idx]))]]
     keep = np.ones(wm.size, dtype=bool)
-    keep[1:] = (wm[1:] != wm[:-1]) | (wsd[1:] != wsd[:-1])
-    return _frozen(np.column_stack([wm[keep], wsd[keep]]))
+    keep[1:] = ~tie | (wsd[1:] != wsd[:-1])
+    rows = np.column_stack([wm[keep], wsd[keep]])
+    rows.flags.writeable = False
+    return rows
 
 
 def envelope(w: WeightVector, resolution: int = 512
@@ -211,10 +254,78 @@ def envelope(w: WeightVector, resolution: int = 512
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     grid = np.linspace(0.0, w.mean_w, resolution)
-    vals = envelope_wsd(w, grid)
+    vals = (_outline(w) if resolution == _OUTLINE
+            else envelope_wsd(w, grid)).copy()
     vals[0] = 0.0
     vals[-1] = 0.0
     return grid, vals
+
+
+def _outline(w: WeightVector) -> np.ndarray:
+    """The envelope at the ``_OUTLINE`` evenly spaced WM values from 0 to
+    mean(w), read-only, evaluated once and cached with the edge tables."""
+    tables = _edge_tables(w)
+    vals = tables.outlines.get(w.mean_w)
+    if vals is None:
+        vals = envelope_wsd(w, np.linspace(0.0, w.mean_w, _OUTLINE))
+        vals.flags.writeable = False
+        tables.outlines[w.mean_w] = vals
+        _TABLE_CACHE.grow(vals.nbytes)
+    return vals
+
+
+def _envelope_error(n_p: int) -> float:
+    """Bound E on |env^2 / mean(w)^2 - X(tau)|, where ``env`` is what
+    :func:`envelope_wsd` computes at a WM whose rounded, clipped
+    WM / mean(w) is tau, and X is the exact squared envelope of the box
+    whose squared sides are the rounded squares (N their sum).
+
+    With u = eps / 2, every table sum and ``norm2`` is within n_p u N of
+    exact and c = tau norm2 within (n_p + 1) u N of tau N.  So each
+    candidate is, within (n_p + 3) u N, the squared norm of an edge point
+    whose dot product with w is within (2 n_p + 4) u N of tau N; with the
+    slope 2 of X and of tau^2 it exceeds (X(tau) + tau^2) N by at most
+    (10 n_p + 20) u N.  The best point of the exact slice is found as
+    closely: its table sum lies inside the searched window, or it sits at
+    a box vertex T with sum near c.  If T's float sum exceeds c, T less
+    its largest weight, whose square that sum added last, passes that
+    weight's window; otherwise T plus its largest missing weight does,
+    unless every missing square is below the window error, and then
+    X(tau) <= 1 - tau < (n_p + 1)(n_p + 2) eps.  The final division,
+    square, difference and root add under 3 u.
+    """
+    return (n_p + 3) * (n_p + 4) * _EPS
+
+
+def _screen(w: WeightVector, tau: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Floats ``lo <= env <= hi`` around the envelope that
+    :func:`envelope_wsd` computes at each rounded, clipped
+    tau = WM / mean(w), read from the cached outline: in units of
+    mean(w)^2, the squared envelope at tau is within
+    2 E + 2 |tau - tau_k| of the outline value at tau_k squared, for the
+    outline values on both sides of tau, and 4 eps covers the roundings
+    of this function.
+    """
+    mean_w = w.mean_w
+    outline = _outline(w)
+    grid_tau = np.clip(np.linspace(0.0, mean_w, _OUTLINE) / mean_w, 0.0, 1.0)
+    k0 = np.minimum((tau * (_OUTLINE - 1)).astype(np.intp), _OUTLINE - 2)
+    margin = 2.0 * _envelope_error(w.n_p) + 4.0 * _EPS
+    scale = mean_w * mean_w
+    lo2, hi2 = -np.inf, np.inf
+    for k in (k0, k0 + 1):
+        g = outline[k]
+        band = scale * (2.0 * np.abs(tau - grid_tau[k]) + margin)
+        lo2 = np.maximum(lo2, g * g - band)
+        hi2 = np.minimum(hi2, g * g + band)
+    return np.sqrt(np.maximum(lo2, 0.0)), np.sqrt(hi2)
+
+
+def _accepted(wsd: np.ndarray, env: np.ndarray, tol: float,
+              slack: float) -> np.ndarray:
+    """The envelope test of :func:`attainable`; monotone in ``env``."""
+    return (wsd <= env + tol) | (wsd * wsd <= env * env + slack)
 
 
 def attainable(w: WeightVector, wm, wsd, tol: float = 1e-9) -> np.ndarray:
@@ -227,15 +338,30 @@ def attainable(w: WeightVector, wm, wsd, tol: float = 1e-9) -> np.ndarray:
     slope at most 2, and of the squared envelope itself; near either end
     of the WM range, where the envelope is the root of a difference that
     cancels, it is far wider than ``tol``.
-    ``wm`` and ``wsd`` are scalars or equal-shape arrays; the envelope is
-    evaluated once for all points.  Returns a 1-D boolean array.
+    ``wm`` and ``wsd`` are scalars or arrays that broadcast together;
+    the result has their broadcast shape, at least 1-D.  The envelope is
+    evaluated only for the points the outline screen leaves undecided,
+    in WM order.
     """
-    wm = np.atleast_1d(np.asarray(wm, dtype=float))
-    wsd = np.atleast_1d(np.asarray(wsd, dtype=float))
-    env = envelope_wsd(w, wm)
-    slack = (4 * w.n + 9) * np.finfo(float).eps * w.mean_w ** 2
-    inside = (wm >= -tol) & (wm <= w.mean_w + tol) & (wsd >= -tol)
-    return inside & ((wsd <= env + tol) | (wsd * wsd <= env * env + slack))
+    wm, wsd = np.broadcast_arrays(np.atleast_1d(np.asarray(wm, dtype=float)),
+                                  np.asarray(wsd, dtype=float))
+    shape = wm.shape
+    wm, wsd = wm.ravel(), wsd.ravel()
+    mean_w = w.mean_w
+    slack = (4 * w.n + 9) * _EPS * mean_w ** 2
+    inside = (wm >= -tol) & (wm <= mean_w + tol) & (wsd >= -tol)
+    # Each rounding step of the test is monotone, so a point accepted
+    # against lo is accepted against the envelope and a point refused
+    # against hi is refused against it.
+    tau = np.clip(np.where(inside, wm, 0.0) / mean_w, 0.0, 1.0)
+    lo, hi = _screen(w, tau)
+    inside &= _accepted(wsd, hi, tol, slack)
+    band = np.flatnonzero(inside & ~_accepted(wsd, lo, tol, slack))
+    if band.size:
+        band = band[np.argsort(wm[band])]
+        inside[band] = _accepted(wsd[band], envelope_wsd(w, wm[band]), tol,
+                                 slack)
+    return inside.reshape(shape)
 
 
 class Isoline(_Record):

@@ -213,15 +213,16 @@ _LABEL = ('\n<text x="%.2f" y="%.2f" font-family="sans-serif" '
 
 
 # Characters XML 1.0 cannot hold: C0 controls other than tab, LF and CR,
-# the surrogates, U+FFFE and U+FFFF.
-_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+# the surrogates, U+FFFE and U+FFFF.  Only --labels reads it, so it is
+# compiled on first use, through re's pattern cache.
+_NOT_XML = "[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
 
 
 def _check_labels(ids: Sequence[str]) -> None:
     """Raise for the first id, in input order, that a label cannot hold."""
-    if _NOT_XML.search("".join(ids)) is None:
+    if re.search(_NOT_XML, "".join(ids)) is None:
         return
-    pid = next(pid for pid in map(str, ids) if _NOT_XML.search(pid))
+    pid = next(pid for pid in map(str, ids) if re.search(_NOT_XML, pid))
     raise ValidationError(f"label {pid!r} holds a character XML 1.0 "
                           f"cannot hold", point_id=pid)
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -176,3 +177,45 @@ def edge_sweep_utilities(w, per_edge: int,
             u[:, j] = (np.arange(per_edge) + rng.random(per_edge)) / per_edge
             rows.append(u)
     return np.vstack(rows)
+
+
+def exact_subset_sums(squares) -> list:
+    """Every subset sum of ``squares`` as an exact ``Fraction``, one per
+    subset (repeats kept)."""
+    sums = [Fraction(0)]
+    for s in squares:
+        sums += [q + s for q in sums]
+    return sums
+
+
+def exact_squares(weights) -> list:
+    """The squares of the positive float weights, rounded to floats as the
+    geometry rounds them and then held exactly; a square that underflows
+    to 0 is left out, as the geometry leaves it out."""
+    return [Fraction(x * x) for x in sorted(map(float, weights)) if x * x > 0]
+
+
+def exact_envelope_sq(weights, taus) -> list:
+    """X(tau) = max |v|^2 / N - tau^2 over box points v with v . w = tau N,
+    exactly, for each float ``tau`` in [0, 1]: the squared envelope in
+    units of mean(w)^2 (N the full sum of the rounded squares).
+
+    Brute force over every edge of the box (n_p at most 7): an edge holds
+    the weights of a subset S of the others at their top, sum q, and
+    frees one weight with square s, so along it v . w = q + a sqrt(s) and
+    |v|^2 = q + a^2 for a in [0, sqrt(s)]; at v . w = c it takes
+    |v|^2 = q + (c - q)^2 / s where q <= c <= q + s.
+    """
+    sq = exact_squares(weights)
+    assert len(sq) <= 7
+    n_total = sum(sq)
+    edges = [(s, exact_subset_sums(sq[:j] + sq[j + 1:]))
+             for j, s in enumerate(sq)]
+    out = []
+    for tau in taus:
+        tau = Fraction(float(tau))
+        c = tau * n_total
+        best = max(q + (c - q) ** 2 / s for s, sums in edges for q in sums
+                   if q <= c <= q + s)
+        out.append(best / n_total - tau * tau)
+    return out

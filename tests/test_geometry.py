@@ -1,11 +1,19 @@
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import edge_sweep_utilities, uniform_utilities
+from conftest import (
+    edge_sweep_utilities,
+    exact_envelope_sq,
+    exact_squares,
+    exact_subset_sums,
+    uniform_utilities,
+)
 from wmsdspace import geometry
 from wmsdspace.aggregate import agg_values
 from wmsdspace.errors import LevelOutOfRange, TooManyCriteria
@@ -340,3 +348,168 @@ def test_isoline_runs_equal_loop(coords):
     expected = inside_runs_loop(points, W11)
     assert len(got) == len(expected)
     assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+
+def concat_subset_sums(values):
+    """Reference: the subset sums as concatenated and sorted before they
+    doubled in place."""
+    sums = np.zeros(1)
+    for x in values:
+        sums = np.concatenate([sums, sums + x])
+    return np.sort(sums)
+
+
+def lexsort_vertex_images(w):
+    """Reference: the vertex images sorted by (WM, WSD) with a two-key sort
+    of every row, as before they kept the order of the sorted sums."""
+    tables = geometry._edge_tables(w)
+    t = tables.vertex_sums / tables.norm2
+    wm = np.round(w.mean_w * t, 12)
+    wsd = np.round(w.mean_w * np.sqrt(np.maximum(t * (1.0 - t), 0.0)), 12)
+    order = np.lexsort((wsd, wm))
+    wm, wsd = wm[order], wsd[order]
+    keep = np.ones(wm.size, dtype=bool)
+    keep[1:] = (wm[1:] != wm[:-1]) | (wsd[1:] != wsd[:-1])
+    return np.column_stack([wm[keep], wsd[keep]])
+
+
+def reference_attainable(w, wm, wsd, tol=1e-9):
+    """Reference: every point tested against its exact envelope, as
+    before the outline screen."""
+    wm = np.atleast_1d(np.asarray(wm, dtype=float))
+    wsd = np.atleast_1d(np.asarray(wsd, dtype=float))
+    env = envelope_wsd(w, wm)
+    slack = (4 * w.n + 9) * np.finfo(float).eps * w.mean_w ** 2
+    inside = (wm >= -tol) & (wm <= w.mean_w + tol) & (wsd >= -tol)
+    return inside & ((wsd <= env + tol) | (wsd * wsd <= env * env + slack))
+
+
+# Repeated weights, weights whose squares sit below the rounding of the
+# subset sums (rounded WM ties in which WSD falls), and one whose square
+# underflows to 0.
+WEIGHT = st.sampled_from([1.0, 0.5, 0.25, 0.3, 0.7, 0.9, 1e-7, 3e-8, 1e-8,
+                          1e-170, 0.0])
+WEIGHTS = st.lists(st.one_of(WEIGHT, st.floats(1e-9, 1.0)), min_size=1,
+                   max_size=10).filter(lambda raw: max(raw) > 0.1)
+# At most 7 positive weights: the exact oracle enumerates every edge.
+ORACLE_WEIGHTS = [
+    [1.0], [1.0, 0.5], [0.5, 0.6, 1.0], [0.25, 1.0, 0.25, 0.5],
+    [1.0, 0.9, 0.7, 0.3, 1e-7, 3e-8], [0.1, 1.0, 0.000001],
+    [1.0, 1e-170, 0.5, 0.0, 0.3], [0.123, 0.456, 0.789, 1.0, 0.321, 0.654,
+                                    0.987],
+    [1.0, 1.0, 1.0, 0.1, 0.1, 0.1, 0.1],
+]
+# Weights with squares near 1e-14 put vertices at t within 1e-9 of 1.
+NEAR_IDEAL_VERTICES = [[1.0, 0.9, 0.7, 0.3, 1e-7, 3e-8], [0.1, 1.0, 0.000001]]
+
+
+class TestRewrittenKernels:
+    """The in-place subset sums and the vertex images in sum order against
+    copies of the kernels they replaced, bit for bit."""
+
+    @given(st.lists(st.one_of(WEIGHT, st.floats(0.0, 1.0)), max_size=12))
+    def test_subset_sums_bit_identical(self, raw):
+        values = np.sort(np.asarray(raw, dtype=float) ** 2)
+        got = geometry._subset_sums(values, np.empty(1 << values.size))
+        assert got.tobytes() == concat_subset_sums(values).tobytes()
+
+    @given(WEIGHTS)
+    def test_vertex_images_bit_identical(self, raw):
+        w = normalize_weights(raw)
+        got = vertex_images(w)
+        assert got.tobytes() == lexsort_vertex_images(w).tobytes()
+
+    @pytest.mark.parametrize("raw", [[1.0, 0.9, 0.7, 0.3, 1e-7, 3e-8],
+                                     [0.25, 1, 0.25, 0.5, 1e-7, 1e-7]])
+    def test_falling_wsd_in_wm_ties(self, raw):
+        # these weights do put WSD out of order within rounded WM ties, so
+        # the re-sort of those runs is exercised
+        w = normalize_weights(raw)
+        tables = geometry._edge_tables(w)
+        t = tables.vertex_sums / tables.norm2
+        wm = np.round(w.mean_w * t, 12)
+        wsd = np.round(w.mean_w * np.sqrt(np.maximum(t * (1 - t), 0.0)), 12)
+        assert np.all(np.diff(wm) >= 0)
+        assert np.any((wm[1:] == wm[:-1]) & (wsd[1:] < wsd[:-1]))
+        assert vertex_images(w).tobytes() == \
+            lexsort_vertex_images(w).tobytes()
+
+
+class TestExactOracle:
+    """Envelope, vertex images and the attainability screen against exact
+    rational arithmetic on the rounded squares of the float weights."""
+
+    @pytest.mark.parametrize("raw", ORACLE_WEIGHTS)
+    def test_envelope_within_derived_bound(self, raw):
+        w = normalize_weights(raw)
+        rng = np.random.default_rng(len(raw))
+        m = w.mean_w
+        wm = np.concatenate([[0.0, m], rng.random(24) * m,
+                             m * 10.0 ** -rng.uniform(3, 15, 4),
+                             m * (1 - 10.0 ** -rng.uniform(3, 15, 4))])
+        tau = np.clip(wm / m, 0.0, 1.0)  # the rounding envelope_wsd does
+        exact = exact_envelope_sq(w.weights, tau)
+        bound = Fraction(geometry._envelope_error(w.n_p))
+        for env, x in zip(envelope_wsd(w, wm), exact):
+            assert abs(Fraction(float(env)) ** 2 / Fraction(m) ** 2 - x) \
+                <= bound
+
+    @pytest.mark.parametrize("raw", [
+        pytest.param(raw, marks=pytest.mark.xfail(
+            strict=True, reason="1 - t is taken from the rounded t, so WSD "
+            "keeps few digits at t within 1e-9 of 1"))
+        if raw in NEAR_IDEAL_VERTICES else raw for raw in ORACLE_WEIGHTS])
+    def test_vertex_images_are_rounded_exact_images(self, raw):
+        w = normalize_weights(raw)
+        sq = exact_squares(w.weights)
+        norm2 = sum(sq)
+        rows = set()
+        with localcontext() as ctx:
+            ctx.prec = 40
+            m = Decimal(w.mean_w)
+            for q in exact_subset_sums(sq):
+                t = Decimal(q.numerator) / Decimal(q.denominator) \
+                    / (Decimal(norm2.numerator) / Decimal(norm2.denominator))
+                rows.add(tuple(float(round(x, 12))
+                               for x in (m * t, m * (t * (1 - t)).sqrt())))
+        assert vertex_images(w).tolist() == sorted(map(list, rows))
+
+    @pytest.mark.parametrize("raw", ORACLE_WEIGHTS)
+    def test_screen_equals_reference(self, raw):
+        w = normalize_weights(raw)
+        rng = np.random.default_rng(7)
+        m = w.mean_w
+        verts = vertex_images(w)
+        wm_r = rng.uniform(-0.05, 1.05, 400) * m
+        env_r = envelope_wsd(w, wm_r)
+        tol = 1e-9
+        wm = np.concatenate([verts[:, 0], wm_r, wm_r, wm_r, [0.0, m] * 3,
+                             [np.nan, 0.3 * m, np.nan],
+                             rng.uniform(-0.1, 1.1, 400) * m])
+        wsd = np.concatenate([
+            verts[:, 1], env_r, env_r + rng.uniform(0, 2 * tol, 400),
+            env_r * (1 + rng.uniform(-1e-12, 1e-12, 400)),
+            [0.0, 0.0, tol, tol, 2 * tol, 2 * tol], [0.1, np.nan, np.nan],
+            rng.uniform(-0.1, 0.6, 400) * m])
+        for t in (tol, 0.0, 1e-6):
+            got = attainable(w, wm, wsd, tol=t)
+            assert got.tolist() == reference_attainable(w, wm, wsd, t).tolist()
+
+
+def test_screen_sends_few_interior_points_to_the_envelope(monkeypatch):
+    """The outline screen decides interior points: of 10,000 in-box rows at
+    n_p = 12, only those within the outline's error band reach
+    envelope_wsd."""
+    rng = np.random.default_rng(12)
+    w = normalize_weights(np.round(rng.uniform(0.05, 1.0, 12), 4))
+    wm, wsd = plane(rng.random((10_000, 12)) * w.weights, w)
+    envelope(w)  # the outline, which a plot draws anyway
+    sent = []
+    env_fn = geometry.envelope_wsd
+
+    def counted(w, wm):
+        sent.append(np.size(wm))
+        return env_fn(w, wm)
+    monkeypatch.setattr(geometry, "envelope_wsd", counted)
+    assert attainable(w, wm, wsd).all()
+    assert sum(sent) <= 300

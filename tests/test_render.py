@@ -223,13 +223,18 @@ class TestBatchedChecks:
         assert counts[0] == counts[1]
 
     def test_check_is_one_call_made_only_for_points(self, envelope_calls):
+        # GOOD lies far inside, where the cached outline decides; points
+        # just under the envelope need the one exact evaluation.
+        near = [(f"n{k}", wm, 0.999 * geometry.envelope_wsd(W3, wm)[0])
+                for k, wm in enumerate((0.1, 0.35, 0.6))]
+        geometry.envelope(W3)
         counts = []
-        for pts in ((), self.GOOD):
+        for pts in ((), self.GOOD, near):
             envelope_calls.clear()
             render_wmsd_plot(PlotSpec(weights=W3, kind="R", grid=16,
                                       **columns(pts)))
             counts.append(len(envelope_calls))
-        assert counts[1] == counts[0] + 1
+        assert counts[1] == counts[0] and counts[2] == counts[0] + 1
 
     def test_plot_reports_first_in_input_order(self):
         pts = self.GOOD[:1] + self.BAD[::-1] + self.GOOD[1:]

@@ -90,6 +90,34 @@ def test_rows_equal_template(records, chunk):
                           for a, b, c, d, e, f, g in records)
 
 
+# Value ranges whose '%.6f' blocks hold no pad byte (one head digit, no
+# sign) and ranges whose blocks do: negative values, values of several
+# head widths.
+PAD_FREE = st.floats(0.0, 9.999999)
+PADDED = st.one_of(st.floats(-9.999999, 0.0), st.floats(10.0, 1e9),
+                   st.floats(-1e9, 1e9))
+
+
+@given(st.lists(st.tuples(PAD_FREE, PAD_FREE), max_size=30),
+       st.lists(st.tuples(PADDED, PAD_FREE), max_size=30), CHUNKS)
+def test_blocks_with_and_without_pads_equal_percent(free, padded, chunk):
+    template = "envelope,%.6f,%.6f\n"
+    for records in (free, padded, free + padded):
+        cols = np.array(records, dtype=float).reshape(-1, 2)
+        with mock.patch.object(_text, "_CHUNK_ROWS", chunk):
+            got = _text.rows(template, [cols])
+        assert got == "".join(template % r for r in records)
+
+
+@given(st.lists(st.tuples(IDS, PAD_FREE), max_size=30), CHUNKS)
+def test_id_blocks_equal_percent(records, chunk):
+    template = "%s,%.6f\n"
+    ids = [r[0] for r in records]
+    with mock.patch.object(_text, "_CHUNK_ROWS", chunk):
+        got = _text.rows(template, [ids, np.array([r[1] for r in records])])
+    assert got == "".join(template % r for r in records)
+
+
 def test_two_dimensional_columns():
     table = np.array([[0.5, -0.0], [1e-7, 2.5e-7], [123.456789, -9.99]])
     assert _text.rows("%s:%.1f,%.6f\n", [["a", "b", "c"], table]) == \
