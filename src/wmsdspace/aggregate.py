@@ -87,10 +87,11 @@ def rank_array(ids: Sequence[str], scores: np.ndarray,
     ``scores[k]`` is the score of ``ids[k]``.  Exact ties keep their
     input order.  A new group starts when a score drops more than
     ``tie_tolerance`` below the group leader's score.  The tolerance
-    must be finite.
+    must be finite and non-negative.
     """
-    if not math.isfinite(tie_tolerance):
-        raise ValueError(f"tie_tolerance must be finite, got {tie_tolerance}")
+    if not 0 <= tie_tolerance < math.inf:
+        raise ValueError(f"tie_tolerance must be finite and non-negative, "
+                         f"got {tie_tolerance}")
     scores = np.asarray(scores, dtype=float)
     bad = ~np.isfinite(scores)
     if bad.any():

@@ -6,9 +6,12 @@ gain/cost kinds, and raw weights.  All commands are deterministic:
 identical inputs produce byte-identical outputs.  Numeric output is
 rounded to 6 decimal places.
 
-Every score is taken from the alternative's (WM, WSD) point, the point
-a plot draws, by :func:`agg_values`; ``transform`` writes both pairs of
-coordinates and the scores of each.
+Every command scores through one loop, :func:`_score_blocks`, which takes
+``_SCORE_ROWS`` rows at a time through utility space, weighted space and
+the plane.  Every score is taken from the alternative's (WM, WSD) point,
+the point a plot draws, by :func:`agg_values`; ``transform`` writes both
+pairs of coordinates and the scores of each, formatting each block of
+rows as soon as it is scored.
 
 Errors are emitted as single-line JSON records on stderr; the exit code
 is 0 on success, 1 for validation errors, 2 for refused computations,
@@ -89,7 +92,7 @@ MAX_RESOLUTION = 65536
 # Most markers in one plot document, over every panel and both overlay
 # snapshots: 100,000 circles are about 7.5 MB of SVG.
 MAX_MARKERS = 100_000
-# Rows scored per block by _plane_points.
+# Rows per block of _score_blocks, the loop every command scores through.
 _SCORE_ROWS = 4096
 
 _CRITERION_KEYS = {"name", "kind", "min", "max", "weight"}
@@ -349,16 +352,25 @@ def _load_config(path, args: argparse.Namespace) -> RunConfig:
     return config.replace(**changes)
 
 
+def _score_blocks(matrix: DecisionMatrix,
+                  w: WeightVector) -> Iterator[tuple]:
+    """``(rows, u, v, wm, wsd)`` of each block of ``_SCORE_ROWS`` rows
+    under ``w``: the slice of the block, its utility and weighted rows and
+    its plane points.  Every command scores through this loop; a block's
+    intermediate arrays stay in cache."""
+    for a in range(0, matrix.m, _SCORE_ROWS):
+        rows = slice(a, a + _SCORE_ROWS)
+        u = utility_array(matrix.values[rows], matrix.criteria)
+        v = u * w.weights
+        yield (rows, u, v, *plane(v, w))
+
+
 def _plane_points(matrix: DecisionMatrix, w: WeightVector) -> tuple:
     """Columns ``(ids, wm, wsd)``: every alternative's plane point under
-    ``w``, from which both its score and its plot marker are taken.  Rows
-    go through utility, weighted space and the plane ``_SCORE_ROWS`` at a
-    time, so the intermediate arrays stay in cache."""
+    ``w``, from which both its score and its plot marker are taken."""
     wm, wsd = np.empty(matrix.m), np.empty(matrix.m)
-    for a in range(0, matrix.m, _SCORE_ROWS):
-        u = utility_array(matrix.values[a:a + _SCORE_ROWS], matrix.criteria)
-        wm[a:a + _SCORE_ROWS], wsd[a:a + _SCORE_ROWS] = plane(
-            u * w.weights, w)
+    for rows, _, _, block_wm, block_wsd in _score_blocks(matrix, w):
+        wm[rows], wsd[rows] = block_wm, block_wsd
     return matrix.ids, wm, wsd
 
 
@@ -398,10 +410,20 @@ def _json_block(item: str, columns: Sequence, depth: int,
     """A JSON array, or an object with ``brackets="{}"``, laid out as
     ``json.dumps(indent=2)`` does at nesting ``depth``, with one ``item``
     per row; ``%r`` floats print as ``repr(round(x, 6))``."""
-    body = _rows(item + ",\n", columns)
-    if not body:
-        return brackets
-    return f"{brackets[0]}\n{body[:-2]}\n{'  ' * depth}{brackets[1]}"
+    return "".join(_json_array([_rows(item + ",\n", columns)], depth,
+                               brackets))
+
+
+def _json_array(blocks: Sequence[str], depth: int,
+                brackets: str = "[]") -> list[str]:
+    """Blocks of rows, each row ending ``",\\n"``, as the pieces of a JSON
+    array (or object) at nesting ``depth``; joined, they are its text, so
+    the rows are copied once."""
+    blocks = [block for block in blocks if block]
+    if not blocks:
+        return [brackets]
+    return [brackets[0] + "\n", *blocks[:-1], blocks[-1][:-2],
+            f"\n{'  ' * depth}{brackets[1]}"]
 
 
 def _json_fields(fields: Sequence[tuple[str, str]], depth: int) -> str:
@@ -456,29 +478,33 @@ def cmd_rank(args: argparse.Namespace) -> str:
 
 
 def cmd_transform(args: argparse.Namespace) -> str:
-    """Full per-alternative coordinate and score table."""
+    """Full per-alternative coordinate and score table, each block of rows
+    formatted as soon as it is scored."""
     config = _load_config(args.config[0], args)
     matrix = read_matrix(_read_data(args.data), config)
     w = config.weight_vector
+    unit = uniform_weights(matrix.n)
     names = config.names
     header = (["id"] + [f"u_{n}" for n in names] + [f"v_{n}" for n in names]
               + ["m", "sd", "wm", "wsd", "i", "a", "r", "i_w", "a_w", "r_w"])
-    u = utility_array(matrix.values, matrix.criteria)
-    v = u * w.weights
-    m, sd = plane(u, uniform_weights(matrix.n))  # u is its own weighted row
-    wm, wsd = plane(v, w)
-    table = np.column_stack(
-        [u, v, m, sd, wm, wsd]
-        + [agg_values(k, m, sd, 1.0) for k in AggregationKind]
-        + [agg_values(k, wm, wsd, w.mean_w) for k in AggregationKind])
-    if args.format == "json":
-        item = _json_fields([("id", "%s")] + [(h, "%r") for h in header[1:]],
-                            1)
-        return _json_block(item, [list(map(_json_str, matrix.ids)), table],
-                           0) + "\n"
-    return ",".join(map(_csv_field, header)) + "\n" + _rows(
-        "%s" + ",%.6f" * (len(header) - 1) + "\n",
-        [_csv_fields(matrix.ids), table])
+    as_json = args.format == "json"
+    if as_json:
+        template = _json_fields(
+            [("id", "%s")] + [(h, "%r") for h in header[1:]], 1) + ",\n"
+    else:
+        template = "%s" + ",%.6f" * (len(header) - 1) + "\n"
+    blocks = []
+    for rows, u, v, wm, wsd in _score_blocks(matrix, w):
+        ids = matrix.ids[rows]
+        m, sd = plane(u, unit)  # u is its own weighted row
+        blocks.append(_rows(template, [
+            list(map(_json_str, ids)) if as_json else _csv_fields(ids),
+            u, v, m, sd, wm, wsd,
+            *(agg_values(k, m, sd, 1.0) for k in AggregationKind),
+            *(agg_values(k, wm, wsd, w.mean_w) for k in AggregationKind)]))
+    if as_json:
+        return "".join(_json_array(blocks, 0) + ["\n"])
+    return "".join([",".join(map(_csv_field, header)) + "\n", *blocks])
 
 
 def cmd_boundary(args: argparse.Namespace) -> str:

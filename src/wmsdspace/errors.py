@@ -51,7 +51,8 @@ class ComputationError(WmsdError):
 # -- model ------------------------------------------------------------------
 
 class DegenerateDomain(ValidationError):
-    """Criterion domain with v_min >= v_max."""
+    """Criterion domain with v_min >= v_max, or one whose span
+    v_max - v_min overflows to infinity."""
 
 
 class NonFiniteBound(ValidationError):

@@ -108,6 +108,10 @@ def validate_criteria(specs: Sequence[CriterionSpec]) -> Sequence[CriterionSpec]
             raise DegenerateDomain(
                 f"criterion {spec.name!r}: v_min ({spec.v_min}) must be "
                 f"strictly below v_max ({spec.v_max})")
+        if not math.isfinite(spec.v_max - spec.v_min):
+            raise DegenerateDomain(
+                f"criterion {spec.name!r}: domain span v_max - v_min "
+                f"({spec.v_max} - {spec.v_min}) overflows to infinity")
         if not math.isfinite(spec.raw_weight):
             raise NonFiniteWeight(
                 f"criterion {spec.name!r}: weight must be finite")

@@ -161,7 +161,7 @@ class TestRank:
         with pytest.raises(NonFiniteScore):
             rank_array(["a"], [math.nan])
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
     def test_non_finite_tolerance(self, tol):
         with pytest.raises(ValueError, match="tie_tolerance"):
             rank_array(["a", "b"], [0.5, 0.4], tol)

@@ -1085,6 +1085,11 @@ REFUSED = {
         "weighted: must be a boolean", "weighted")),
     "clamp-yes": (students_with(clamp="yes"), None, [], schema(
         "clamp: must be a boolean", "clamp")),
+    "domain-span-overflows": (students_with({"min": -1e308, "max": 1e308}),
+                              None, [], {
+        "error": "DegenerateDomain",
+        "message": "criterion 'Math': domain span v_max - v_min "
+                   "(1e+308 - -1e+308) overflows to infinity"}),
     "min-a-string": (students_with({"min": "0"}), None, [], schema(
         "criteria[0].min: must be a number", "criteria[0].min")),
     "tie-tolerance-negative": (students_with(tie_tolerance=-1), None, [],
@@ -1786,15 +1791,56 @@ class TestBatchedCore:
         got = np.array([[float(r[c]) for c in columns] for r in rows])
         assert np.max(np.abs(got - expected)) <= self.PRINTED
 
-    def test_plane_blocks_equal_whole_array(self, case, monkeypatch):
+    def test_plane_blocks_equal_whole_array(self, case, monkeypatch,
+                                            run_cli, tmp_path):
         """Scoring a few rows at a time gives the bits of one pass over the
-        whole array."""
+        whole array, and ``transform`` the bytes of one block: for 0, 1, 7,
+        8 and 15 rows in blocks of 7, with ids that need CSV quoting or
+        JSON escapes and a cell whose utility is -0.0."""
         config = parse_config(case["configs"][0].read_text())
         matrix = read_matrix(case["data"].read_text(), config)
         w = config.weight_vector
         wm, wsd = plane(utility_array(matrix.values, matrix.criteria)
                         * w.weights, w)
-        monkeypatch.setattr(cli, "_SCORE_ROWS", 7)
+
+        (tmp_path / "edge.json").write_text(json.dumps({"criteria": [
+            {"name": "g", "kind": "gain", "min": 0, "max": 10,
+             "weight": 0.3},
+            {"name": "c,d", "kind": "cost", "min": -5, "max": 5,
+             "weight": 1.0}]}))
+        edge_ids = ["a,b", 'q"t', "line\nbreak", "tab\there", "back\\slash",
+                    "caf\u00e9", "\u2603", "ctl\x01", "plain"]
+        edge_ids += [f"r{i}" for i in range(15 - len(edge_ids))]
+        cells = [[f"{i * 0.7:.1f}", f"{i * 0.6 - 4:.1f}"]
+                 for i in range(15)]
+        cells[3][0] = "-0"  # (-0.0 - 0) / 10 is -0.0
+        outputs = {}
+        for size in (cli._SCORE_ROWS, 7):
+            monkeypatch.setattr(cli, "_SCORE_ROWS", size)
+            for m in (0, 1, 7, 8, 15):
+                buf = io.StringIO()
+                csv.writer(buf).writerows(
+                    [["id", "g", "c,d"]]
+                    + [[i, *c] for i, c in zip(edge_ids[:m], cells[:m])])
+                data = tmp_path / f"edge_{m}.csv"
+                data.write_text(buf.getvalue(), newline="")
+                for fmt in ("csv", "json"):
+                    code, out, err = run_cli(
+                        "transform", "--data", data, "--format", fmt,
+                        "--config", tmp_path / "edge.json")
+                    assert code == 0, err
+                    outputs.setdefault((m, fmt), []).append(out)
+        for (m, fmt), (whole, blocks) in outputs.items():
+            assert blocks == whole, (m, fmt)
+        assert outputs[15, "csv"][0].startswith('id,u_g,"u_c,d",')
+        assert '\n"a,b",' in outputs[15, "csv"][0]
+        assert '\n"line\nbreak",' in outputs[15, "csv"][0]
+        assert ",-0.000000," in outputs[15, "csv"][0]
+        assert '"u_g": -0.0,' in outputs[15, "json"][0]
+        assert '"id": "ctl\\u0001",' in outputs[15, "json"][0]
+        assert json.loads(outputs[15, "json"][0])[4]["id"] == "back\\slash"
+        assert outputs[0, "json"][0] == "[]\n"
+
         ids, wm_blocks, wsd_blocks = cli._plane_points(matrix, w)
         assert ids == matrix.ids
         assert wm_blocks.tobytes() == wm.tobytes()

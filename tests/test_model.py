@@ -42,6 +42,12 @@ class TestValidateCriteria:
         with pytest.raises(DegenerateDomain):
             validate_criteria([gain(lo=6.0, hi=1.0)])
 
+    def test_domain_span_overflows(self):
+        # Both bounds are finite, but 1e308 - -1e308 is not: every utility
+        # of the criterion would be divided by inf.
+        with pytest.raises(DegenerateDomain, match="'wide'"):
+            validate_criteria([gain("wide", lo=-1e308, hi=1e308)])
+
     def test_non_finite_bound(self):
         with pytest.raises(NonFiniteBound):
             validate_criteria([gain(hi=math.inf)])
