@@ -1,23 +1,26 @@
 """Row text formatted from arrays: the CLI's tables and SVG elements.
 
-:func:`rows` returns ``template % row`` for every row of equal-length
-columns, joined.  Numbers are written with integer digit arithmetic, and
-strings as their UTF-8 bytes, into a ``uint8`` grid padded with
-``_PAD``; the pads, when there are any, are compressed out, and the grid
-is decoded once per block of ``_CHUNK_ROWS`` rows.  ``'%.Nf' % x`` is
+:func:`pieces` yields the UTF-8 bytes of ``template % row`` for every row
+of equal-length columns.  Numbers are written with integer digit
+arithmetic, and strings as their UTF-8 bytes, into a ``uint8`` grid
+padded with ``_PAD``; the pads, when there are any, are compressed out,
+and each block of ``_CHUNK_ROWS`` rows is one piece.  ``'%.Nf' % x`` is
 correctly rounded (half-even on the binary value), so the grid matches
 it byte for byte:
 ``rint(|x|·10^N)`` is that rounding unless the product is exactly halfway
 between integers, where the sign of its rounding error, which Dekker's
 two-product gives exactly, decides.  A value that is not finite or whose
 product is at least 2^52 is formatted by Python's ``%``, one at a time.
+Below that, ``repr(round(x, 6))`` is the ``%.6f`` text less the zeros that
+end its decimals (one kept), as no shorter text reads back as the same
+float; ``repr`` writes the values below 1e-4, which have an exponent.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import chain, repeat
-from typing import Sequence
+from itertools import chain
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -64,6 +67,12 @@ def rows(template: str, columns: Sequence) -> str:
     ``%02x`` (integers 0-255) and ``%.Nf`` (N from 0 to 9); ``%%`` is a
     literal ``%``.
     """
+    return b"".join(pieces(template, columns)).decode()
+
+
+def pieces(template: str, columns: Sequence) -> Iterator[bytes]:
+    """:func:`rows` as UTF-8 pieces of whole rows, each made when it is
+    reached; the template and columns are checked before this returns."""
     literals, conversions = [], []
     pos, text = 0, ""
     for match in _CONVERSION.finditer(template):
@@ -84,22 +93,23 @@ def rows(template: str, columns: Sequence) -> str:
     if len(cols) != len(conversions):
         raise TypeError(f"{len(conversions)} conversions, {len(cols)} columns")
     m = len(cols[0]) if cols else 0
-    return "".join(chain.from_iterable(
-        _block(literals, conversions, [c[a:a + _CHUNK_ROWS] for c in cols])
-        for a in range(0, m, _CHUNK_ROWS)))
+    return (piece for a in range(0, m, _CHUNK_ROWS) for piece in _block(
+        literals, conversions, [c[a:a + _CHUNK_ROWS] for c in cols]))
 
 
 def _block(literals: list[str], conversions: list[str | int],
-           parts: list) -> list[str]:
-    """The text of one block of rows, in one or more pieces."""
+           parts: list) -> list[bytes]:
+    """The bytes of one block of rows, in one or more pieces."""
     k = len(parts[0])
-    strings = {i: _strings(part, conv == "r") for i, (conv, part)
-               in enumerate(zip(conversions, parts)) if conv in ("s", "r")}
+    strings = {i: p.tolist() if isinstance(p, np.ndarray) else list(p)
+               for i, (conv, p) in enumerate(zip(conversions, parts))
+               if conv == "s"}
     if len(strings) == len(conversions):
         # No numbers: the text around the strings is fixed, so % places
         # them without a grid.
-        return [("%s".join(t.replace("%", "%%") for t in literals) * k)
-                % tuple(chain.from_iterable(zip(*strings.values())))]
+        row = "%s".join(t.replace("%", "%%") for t in literals)
+        cells = tuple(chain.from_iterable(zip(*strings.values())))
+        return [(row * k % cells).encode()]
     encoded = {i: _utf8(texts) for i, texts in strings.items()}
     if k > 1 and k * sum(int(sizes.max()) for _, sizes in encoded.values()) \
             > _STRING_BYTES:
@@ -111,10 +121,10 @@ def _block(literals: list[str], conversions: list[str | int],
                            axis=1)
     del encoded  # the grid holds its own copy of the bytes
     # A block without pads, such as one of fixed-width numbers, needs no
-    # compress pass, which costs several times the decode.
+    # compress pass, which costs several times the copy out.
     if cells.max(initial=0) < _PAD:
-        return [cells.tobytes().decode()]
-    return [cells[cells != _PAD].tobytes().decode()]
+        return [cells.tobytes()]
+    return [cells[cells != _PAD].tobytes()]
 
 
 def _grid(literals: list[str], conversions: list[str | int], parts: list,
@@ -187,13 +197,6 @@ def _padded(data: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return cells.reshape(k, width)
 
 
-def _strings(part, json_floats: bool) -> list[str]:
-    """The texts of a ``%s`` column, or of a ``%r`` one (``json_floats``)."""
-    part = part.tolist() if isinstance(part, np.ndarray) else list(part)
-    return list(map(repr, map(round, part, repeat(6)))) if json_floats \
-        else part
-
-
 def _limbs(k: np.ndarray, count: int) -> list[np.ndarray]:
     """Base-10^4 digits of non-negative ``k``, most significant first."""
     out = []
@@ -214,19 +217,21 @@ def _product_error(a: np.ndarray, b: float, p: np.ndarray) -> np.ndarray:
     return (a_hi * b - p) + (a - a_hi) * b
 
 
-def _percent(values: list, decimals: int | None) -> list[bytes]:
-    """Python's ``'%.Nf' % x`` (N = ``decimals``), or ``'%d' % x``, of
-    each value: the text of values the digit arithmetic does not cover."""
+def _percent(values: list, decimals: int | str | None) -> list[bytes]:
+    """Python's ``'%.Nf' % x`` (N = ``decimals``), ``'%d' % x`` (None) or
+    ``repr(round(x, 6))`` ("r") of each value the grid does not cover."""
     if decimals is None:
         return [("%d" % x).encode() for x in values]
+    if decimals == "r":
+        return [repr(round(x, 6)).encode() for x in values]
     return [("%.*f" % (decimals, x)).encode() for x in values]
 
 
-def _number_pieces(part, decimals: int | None) -> list[np.ndarray]:
-    """``'%.Nf' % x`` (N = ``decimals``), or ``'%d' % i`` when ``decimals``
-    is None, of each value: one row per value across the returned
-    ``_PAD``-padded grids."""
-    n = decimals or 0
+def _number_pieces(part, decimals: int | str | None) -> list[np.ndarray]:
+    """``'%.Nf' % x`` (N = ``decimals``), ``'%d' % i`` (None) or
+    ``repr(round(x, 6))`` ("r") of each value: one row per value across
+    the returned ``_PAD``-padded grids."""
+    n = 6 if decimals == "r" else decimals or 0
     if decimals is None:
         v = np.asarray(part, dtype=np.int64)
         neg = v < 0
@@ -249,6 +254,8 @@ def _number_pieces(part, decimals: int | None) -> list[np.ndarray]:
         if tie.size:
             err = _product_error(a[tie], 10.0 ** n, s[tie])
             k[tie] = np.where(err == 0, k[tie], s[tie] + 0.5 * np.sign(err))
+        if decimals == "r":  # repr writes these with an exponent
+            slow |= (k > 0) & (k < 100)
         k[slow] = 0
         k = k.astype(np.int64)
     rows = k.size
@@ -286,4 +293,7 @@ def _number_pieces(part, decimals: int | None) -> list[np.ndarray]:
         return pieces + [tail]
     point = np.full((rows, 1), ord("."), np.uint8)
     point[slow] = _PAD
+    if decimals == "r":  # the zeros after the first decimal that end a row
+        zeros = np.logical_and.accumulate(tail[:, :1:-1] == ord("0"), axis=1)
+        tail[:, 2:][zeros[:, ::-1]] = _PAD
     return pieces + [tail[:, :1], point, tail[:, 1:]]

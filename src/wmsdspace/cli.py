@@ -9,9 +9,9 @@ rounded to 6 decimal places.
 Every command scores through one loop, :func:`_score_blocks`, which takes
 ``_SCORE_ROWS`` rows at a time through utility space, weighted space and
 the plane.  Every score is taken from the alternative's (WM, WSD) point,
-the point a plot draws, by :func:`agg_values`; ``transform`` writes both
-pairs of coordinates and the scores of each, formatting each block of
-rows as soon as it is scored.
+the point a plot draws, by :func:`agg_values`.  Once all that can refuse
+it has run, a command returns its output as UTF-8 pieces that :func:`main`
+writes as they are made: ``transform`` scores a block when it is reached.
 
 Errors are emitted as single-line JSON records on stderr; the exit code
 is 0 on success, 1 for validation errors, 2 for refused computations,
@@ -41,9 +41,9 @@ import json
 import math
 import os
 import sys
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -74,7 +74,7 @@ from .model import (
     uniform_weights,
     validate_criteria,
 )
-from ._text import rows as _rows
+from ._text import pieces as _pieces
 from .spaces import utility_array
 from .wmsd import plane
 
@@ -235,7 +235,9 @@ def read_matrix(csv_text: str, config: RunConfig) -> DecisionMatrix:
     reader refuses, goes through :func:`_csv_cells`, which is the only
     path that raises ingest errors; both give the same cells.
     """
-    return next(_read_matrices(csv_text, [config]))
+    matrices = _read_matrices(csv_text, [config])
+    del csv_text  # the split holds the text only until it is parsed
+    return next(matrices)
 
 
 def _read_matrices(csv_text: str, configs: Sequence[RunConfig]
@@ -243,12 +245,14 @@ def _read_matrices(csv_text: str, configs: Sequence[RunConfig]
     """:func:`read_matrix` of one text under each config in turn.  The
     text is split once per distinct tuple of criterion names, and each
     matrix is built when the iteration reaches its config, so errors come
-    in config order."""
+    in config order.  The text is dropped once no split is left."""
     cells = {}
     for config in configs:
         if config.names not in cells:
             cells[config.names] = (_split_plain(csv_text, config.names)
                                    or _csv_cells(csv_text, config.names))
+            if {c.names for c in configs} <= cells.keys():
+                csv_text = None
         yield DecisionMatrix.from_array(*cells[config.names],
                                         config.criteria, clamp=config.clamp)
 
@@ -268,26 +272,36 @@ def _split_plain(csv_text: str, names: tuple[str, ...]):
     """
     if any(c in csv_text for c in _NOT_PLAIN):
         return None
-    header, _, body = csv_text.partition("\n")
-    if header.split(",") != ["id", *names]:
+    head = csv_text.find("\n") if "\n" in csv_text else len(csv_text)
+    if csv_text[:head].split(",") != ["id", *names]:
         return None
-    lines = body.split("\n")
-    if "" in lines:
-        lines = [line for line in lines if line]
     n = len(names)
-    # loadtxt below refuses a line with fewer than n commas, so n commas
-    # per line in total means exactly n on every line.
-    if body.count(",") != n * len(lines):
+    # A row per 2n + 1 characters at most; untouched rows take no memory.
+    ids, values = [], np.empty((len(csv_text) // (2 * n + 1) + 1, n))
+    commas, start, end = 0, head + 1, len(csv_text) - csv_text.endswith("\n")
+    while start < end:
+        stop = csv_text.find("\n", start + (1 << 20), end)  # ~1 MB blocks
+        stop = end if stop < 0 else stop
+        text = csv_text[start:stop]
+        commas += np.count_nonzero(np.frombuffer(text.encode(), "u1") == 44)
+        lines = text.split("\n")
+        start = stop + 1
+        if not any(lines):  # loadtxt warns on input without data
+            continue
+        try:
+            block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
+                               usecols=range(1, n + 1))
+        except ValueError:
+            return None
+        if len(block) < len(lines):  # loadtxt skips blank lines
+            lines = [line for line in lines if line]
+        values[len(ids):len(ids) + len(block)] = block
+        ids += [cells[0] for cells in map(str.partition, lines, repeat(","))]
+    # loadtxt refuses a line with fewer than n commas, so n commas per
+    # line in total means exactly n on every line.
+    if commas != n * len(ids):
         return None
-    if not lines:  # loadtxt warns on empty input
-        return [], np.empty((0, n))
-    ids = [cells[0] for cells in map(str.partition, lines, repeat(","))]
-    try:
-        values = np.loadtxt(lines, delimiter=",", usecols=range(1, n + 1),
-                            comments=None, ndmin=2)
-    except ValueError:
-        return None
-    return ids, values
+    return ids, values[:len(ids)]
 
 
 def _csv_cells(csv_text: str, names: tuple[str, ...]):
@@ -405,55 +419,48 @@ def _csv_fields(texts: Sequence[str]) -> Sequence[str]:
     return texts
 
 
-def _json_block(item: str, columns: Sequence, depth: int,
-                brackets: str = "[]") -> str:
+def _json_array(rows: Iterator[bytes], depth: int,
+                brackets: str = "[]") -> Iterable[bytes]:
     """A JSON array, or an object with ``brackets="{}"``, laid out as
-    ``json.dumps(indent=2)`` does at nesting ``depth``, with one ``item``
-    per row; ``%r`` floats print as ``repr(round(x, 6))``."""
-    return "".join(_json_array([_rows(item + ",\n", columns)], depth,
-                               brackets))
-
-
-def _json_array(blocks: Sequence[str], depth: int,
-                brackets: str = "[]") -> list[str]:
-    """Blocks of rows, each row ending ``",\\n"``, as the pieces of a JSON
-    array (or object) at nesting ``depth``; joined, they are its text, so
-    the rows are copied once."""
-    blocks = [block for block in blocks if block]
-    if not blocks:
-        return [brackets]
-    return [brackets[0] + "\n", *blocks[:-1], blocks[-1][:-2],
-            f"\n{'  ' * depth}{brackets[1]}"]
+    ``json.dumps(indent=2)`` does at nesting ``depth``, from pieces of rows
+    that each start ``",\\n"``, of which the first is made now."""
+    first = next(rows, None)
+    if first is None:
+        return [brackets.encode()]
+    return chain([brackets[0].encode(), first[1:]], rows,
+                 [f"\n{'  ' * depth}{brackets[1]}".encode()])
 
 
 def _json_fields(fields: Sequence[tuple[str, str]], depth: int) -> str:
-    """Row template of a JSON object at ``depth`` from ``(key, format)``."""
+    """:func:`_json_array` row of an object at ``depth``, ``(key, spec)``."""
     pad = "  " * depth
     lines = ",\n".join(f"{pad}  {_json_str(key).replace('%', '%%')}: {spec}"
                        for key, spec in fields)
-    return f"{pad}{{\n{lines}\n{pad}}}"
+    return f",\n{pad}{{\n{lines}\n{pad}}}"
 
 
 def _json_pair(spec: str, depth: int) -> str:
-    """Row template of a two-element JSON array at ``depth``."""
+    """:func:`_json_array` row of a two-element array at ``depth``."""
     pad = "  " * depth
-    return f"{pad}[\n{pad}  {spec},\n{pad}  {spec}\n{pad}]"
+    return f",\n{pad}[\n{pad}  {spec},\n{pad}  {spec}\n{pad}]"
 
 
-def _entries_json(ranking: Ranking, ids: Sequence[str], depth: int) -> str:
+def _entries_json(ranking: Ranking, ids: Sequence[str],
+                  depth: int) -> Iterable[bytes]:
     """A ranking's ``{id, score, rank, group}`` objects as a JSON array;
     ``ids`` are the JSON texts of ``ranking.ids``."""
     fields = [("id", "%s"), ("score", "%r"), ("rank", "%d"), ("group", "%d")]
-    return _json_block(
+    return _json_array(_pieces(
         _json_fields(fields, depth + 1),
-        [ids, ranking.scores, ranking.ranks, ranking.group_numbers], depth)
+        [ids, ranking.scores, ranking.ranks, ranking.group_numbers]), depth)
 
 
-def _groups_json(ranking: Ranking, ids: Sequence[str], depth: int) -> str:
+def _groups_json(ranking: Ranking, ids: Sequence[str],
+                 depth: int) -> Iterable[bytes]:
     """A ranking's indifference groups as a JSON array of id arrays;
     ``ids`` are the JSON texts of ``ranking.ids``."""
     if not ranking.ids:
-        return "[]"
+        return [b"[]"]
     pad = "  " * (depth + 1)
     starts = np.diff(ranking.ranks, prepend=0) != 0
     ends = np.append(starts[1:], True)
@@ -461,25 +468,26 @@ def _groups_json(ranking: Ranking, ids: Sequence[str], depth: int) -> str:
     closes = np.array([",\n", f"\n{pad}],\n"], dtype=object)[
         ends.astype(int)]
     closes[-1] = f"\n{pad}]"
-    body = _rows(f"%s{pad}  %s%s", [opens, ids, closes])
-    return f"[\n{body}\n{'  ' * depth}]"
+    return chain([b"[\n"], _pieces(f"%s{pad}  %s%s", [opens, ids, closes]),
+                 [f"\n{'  ' * depth}]".encode()])
 
 
-def cmd_rank(args: argparse.Namespace) -> str:
+def cmd_rank(args: argparse.Namespace) -> Iterable[bytes]:
     config = _load_config(args.config[0], args)
     ranking = _ranking(read_matrix(_read_data(args.data), config), config)
     if args.format == "json":
         ids = list(map(_json_str, ranking.ids))
-        return (f'{{\n  "entries": {_entries_json(ranking, ids, 1)},\n'
-                f'  "groups": {_groups_json(ranking, ids, 1)}\n}}\n')
-    return "id,score,rank,group\n" + _rows(
+        return chain([b'{\n  "entries": '], _entries_json(ranking, ids, 1),
+                     [b',\n  "groups": '], _groups_json(ranking, ids, 1),
+                     [b"\n}\n"])
+    return chain([b"id,score,rank,group\n"], _pieces(
         "%s,%.6f,%d,%d\n", [_csv_fields(ranking.ids), ranking.scores,
-                            ranking.ranks, ranking.group_numbers])
+                            ranking.ranks, ranking.group_numbers]))
 
 
-def cmd_transform(args: argparse.Namespace) -> str:
+def cmd_transform(args: argparse.Namespace) -> Iterable[bytes]:
     """Full per-alternative coordinate and score table, each block of rows
-    formatted as soon as it is scored."""
+    formatted when the writer reaches it, as soon as it is scored."""
     config = _load_config(args.config[0], args)
     matrix = read_matrix(_read_data(args.data), config)
     w = config.weight_vector
@@ -490,38 +498,41 @@ def cmd_transform(args: argparse.Namespace) -> str:
     as_json = args.format == "json"
     if as_json:
         template = _json_fields(
-            [("id", "%s")] + [(h, "%r") for h in header[1:]], 1) + ",\n"
+            [("id", "%s")] + [(h, "%r") for h in header[1:]], 1)
     else:
         template = "%s" + ",%.6f" * (len(header) - 1) + "\n"
-    blocks = []
-    for rows, u, v, wm, wsd in _score_blocks(matrix, w):
-        ids = matrix.ids[rows]
-        m, sd = plane(u, unit)  # u is its own weighted row
-        blocks.append(_rows(template, [
-            list(map(_json_str, ids)) if as_json else _csv_fields(ids),
-            u, v, m, sd, wm, wsd,
-            *(agg_values(k, m, sd, 1.0) for k in AggregationKind),
-            *(agg_values(k, wm, wsd, w.mean_w) for k in AggregationKind)]))
+
+    def blocks():
+        for rows, u, v, wm, wsd in _score_blocks(matrix, w):
+            ids = matrix.ids[rows]
+            m, sd = plane(u, unit)  # u is its own weighted row
+            yield from _pieces(template, [
+                list(map(_json_str, ids)) if as_json else _csv_fields(ids),
+                u, v, m, sd, wm, wsd,
+                *(agg_values(k, m, sd, 1.0) for k in AggregationKind),
+                *(agg_values(k, wm, wsd, w.mean_w) for k in AggregationKind)])
     if as_json:
-        return "".join(_json_array(blocks, 0) + ["\n"])
-    return "".join([",".join(map(_csv_field, header)) + "\n", *blocks])
+        return chain(_json_array(blocks(), 0), [b"\n"])
+    return chain([",".join(map(_csv_field, header)).encode() + b"\n"],
+                 blocks())
 
 
-def cmd_boundary(args: argparse.Namespace) -> str:
+def cmd_boundary(args: argparse.Namespace) -> Iterable[bytes]:
     from .geometry import envelope, vertex_images
 
     config = _load_config(args.config[0], args)
     wm, wsd = envelope(config.weights, args.resolution)
     vertices = vertex_images(config.weights)
     if args.format == "json":
-        return (f'{{\n  "wm": {_json_block("    %r", [wm], 1)},\n'
-                f'  "wsd": {_json_block("    %r", [wsd], 1)},\n'
-                f'  "vertices": '
-                f'{_json_block(_json_pair("%r", 2), [vertices], 1)}'
-                f'\n}}\n')
-    return "".join(["section,wm,wsd\n",
-                    _rows("envelope,%.6f,%.6f\n", [wm, wsd]),
-                    _rows("vertex,%.6f,%.6f\n", [vertices])])
+        item = ",\n    %r"
+        return chain([b'{\n  "wm": '], _json_array(_pieces(item, [wm]), 1),
+                     [b',\n  "wsd": '], _json_array(_pieces(item, [wsd]), 1),
+                     [b',\n  "vertices": '],
+                     _json_array(_pieces(_json_pair("%r", 2), [vertices]), 1),
+                     [b"\n}\n"])
+    return chain([b"section,wm,wsd\n"],
+                 _pieces("envelope,%.6f,%.6f\n", [wm, wsd]),
+                 _pieces("vertex,%.6f,%.6f\n", [vertices]))
 
 
 def _plot_spec(matrix: DecisionMatrix, config: RunConfig,
@@ -542,7 +553,7 @@ def _check_markers(count: int) -> None:
                           f"got {count}")
 
 
-def cmd_plot(args: argparse.Namespace) -> str:
+def cmd_plot(args: argparse.Namespace) -> list[bytes]:
     from .render import render_panel_grid, render_wmsd_plot
 
     configs = [_load_config(p, args) for p in args.config]
@@ -557,8 +568,9 @@ def cmd_plot(args: argparse.Namespace) -> str:
             raise IdSetMismatch(
                 f"overlay ids differ from dataset ids: {diff}")
         _check_markers(matrix_a.m + matrix_b.m)
-        return render_wmsd_plot(_plot_spec(matrix_a, config, args),
-                                _plane_points(matrix_b, config.weights))
+        svg = render_wmsd_plot(_plot_spec(matrix_a, config, args),
+                               _plane_points(matrix_b, config.weights))
+        return [svg.encode()]
 
     specs = []
     markers = 0
@@ -567,11 +579,11 @@ def cmd_plot(args: argparse.Namespace) -> str:
         _check_markers(markers)
         specs.append(_plot_spec(matrix, config, args))
     if len(specs) == 1:
-        return render_wmsd_plot(specs[0])
-    return render_panel_grid(specs, columns=args.columns)
+        return [render_wmsd_plot(specs[0]).encode()]
+    return [render_panel_grid(specs, columns=args.columns).encode()]
 
 
-def cmd_compare(args: argparse.Namespace) -> str:
+def cmd_compare(args: argparse.Namespace) -> Iterable[bytes]:
     config_a = _load_config(args.config[0], args)
     config_b = _load_config(args.config_b, args)
     matrix_a, matrix_b = _read_matrices(_read_data(args.data),
@@ -586,22 +598,23 @@ def cmd_compare(args: argparse.Namespace) -> str:
                      else list(map(_json_str, ra.ids)), dtype=object)
     revs = list(texts[cmp.reversals].T)
     if as_csv:
-        return ("id,score_a,rank_a,score_b,rank_b,delta\n"
-                + _rows("%s,%.6f,%d,%.6f,%d,%d\n",
-                        [texts, ra.scores, ra.ranks, rb.scores[cmp.order],
-                         rb.ranks[cmp.order], cmp.deltas])
-                + _rows("# kendall_tau=%.6f\n", [[cmp.kendall_tau]])
-                + _rows("# reversal=%s,%s\n", revs))
+        return chain([b"id,score_a,rank_a,score_b,rank_b,delta\n"],
+                     _pieces("%s,%.6f,%d,%.6f,%d,%d\n",
+                             [texts, ra.scores, ra.ranks, rb.scores[cmp.order],
+                              rb.ranks[cmp.order], cmp.deltas]),
+                     _pieces("# kendall_tau=%.6f\n", [[cmp.kendall_tau]]),
+                     _pieces("# reversal=%s,%s\n", revs))
     tau = ("null" if math.isnan(cmp.kendall_tau)
            else repr(round(cmp.kendall_tau, 6)))
-    deltas_json = _json_block("    %s: %d", [texts, cmp.deltas], 1, "{}")
-    return (f'{{\n  "ranking_a": {_entries_json(ra, texts, 1)},\n'
-            f'  "ranking_b": '
-            f'{_entries_json(rb, list(map(_json_str, rb.ids)), 1)},\n'
-            f'  "deltas": {deltas_json},\n'
-            f'  "kendall_tau": {tau},\n'
-            f'  "reversals": {_json_block(_json_pair("%s", 2), revs, 1)}'
-            f'\n}}\n')
+    return chain([b'{\n  "ranking_a": '], _entries_json(ra, texts, 1),
+                 [b',\n  "ranking_b": '],
+                 _entries_json(rb, list(map(_json_str, rb.ids)), 1),
+                 [b',\n  "deltas": '],
+                 _json_array(_pieces(",\n    %s: %d", [texts, cmp.deltas]),
+                             1, "{}"),
+                 [f',\n  "kendall_tau": {tau},\n  "reversals": '.encode()],
+                 _json_array(_pieces(_json_pair("%s", 2), revs), 1),
+                 [b"\n}\n"])
 
 
 def _levels(text: str) -> list[float]:
@@ -722,26 +735,46 @@ def _validate_args(args: argparse.Namespace) -> None:
         raise SchemaError("--tie-tol must be a finite non-negative number")
 
 
-def _write_stdout(text: str) -> None:
-    """``text`` to stdout in UTF-8, as ``--out`` writes it, whatever the
-    locale's encoding.  The bytes go to the descriptor until every one is
-    written: a write may take only part of them, and one to a full
-    non-blocking pipe waits until the pipe can take more.  A stream with
-    no descriptor, such as ``io.StringIO``, is given the text."""
+def _batches(pieces: Iterable[bytes]) -> Iterator[bytes]:
+    """Pieces in runs of 64 KiB or more, but the last, to fill pipe pages."""
+    batch, size = [], 0
+    for piece in pieces:
+        batch.append(piece)
+        size += len(piece)
+        if size >= 1 << 16:
+            yield b"".join(batch)
+            batch, size = [], 0
+    yield b"".join(batch)
+
+
+def _write(pieces: Iterable[bytes], out: str | None) -> None:
+    """The pieces to the file ``out``, created once the first run of them
+    is made, or to stdout whatever the locale's encoding.  A run goes to
+    stdout's descriptor until every byte is written: a write may take only
+    part of it, and one to a full non-blocking pipe waits until the pipe
+    can take more.  A stdout with no descriptor, such as ``io.StringIO``,
+    is given the text."""
+    runs = _batches(pieces)
+    runs = chain([next(runs)], runs)
+    if out is not None:
+        with open(out, "wb") as f:
+            f.writelines(runs)
+        return
     try:
         fd = sys.stdout.fileno()
     except OSError:  # io.UnsupportedOperation
-        sys.stdout.write(text)
+        sys.stdout.writelines(map(bytes.decode, runs))
         return
     sys.stdout.flush()
-    data = memoryview(text.encode("utf-8"))
-    while data:
-        try:
-            data = data[os.write(fd, data):]
-        except BlockingIOError:
-            import select
+    for run in runs:
+        data = memoryview(run)
+        while data:
+            try:
+                data = data[os.write(fd, data):]
+            except BlockingIOError:
+                import select
 
-            select.select([], [fd], [])
+                select.select([], [fd], [])
 
 
 def main(argv=None) -> int:
@@ -763,11 +796,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     try:
         _validate_args(args)
-        text = args.run(args)
-        if args.out is not None:
-            Path(args.out).write_text(text, encoding="utf-8")
-        else:
-            _write_stdout(text)
+        _write(args.run(args), args.out)
     except WmsdError as e:
         sys.stderr.write(json.dumps(e.details(), sort_keys=True) + "\n")
         return 1 if isinstance(e, ValidationError) else 2

@@ -33,9 +33,10 @@ def utility_array(values: np.ndarray,
     and v_max to 1; cost criteria map v_min to 1 and v_max to 0.
     """
     lo = np.array([c.v_min for c in criteria])
-    hi = np.array([c.v_max for c in criteria])
+    hi = np.array([c.v_max for c in criteria]) + 0.0  # a -0.0 max is 0.0
     cost = np.array([c.kind == COST for c in criteria])
-    return np.where(cost, hi - values, values - lo) / (hi - lo)
+    # values + (0.0 - lo) is values - lo, but 0.0 where that is -0.0
+    return np.where(cost, hi - values, values + (0.0 - lo)) / (hi - lo)
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -277,6 +277,22 @@ class TestPlainIngest:
         assert m.values[1].tolist() == [1.0, 2.0, 5.0]
         assert m.values[-1].tolist() == [99.0, 5.0, 2.0]
 
+    def test_text_of_several_blocks(self, students_config):
+        """Text parsed in several blocks of lines, with blank lines among
+        the rows, a run of them longer than a block, and more of them at
+        the end, gives the csv module's cells."""
+        rows = [f"s{i},{i % 100}.5,{1 + i % 5},{6 - i % 5}\n"
+                for i in range(150_000)]
+        for i in range(0, len(rows), 997):
+            rows[i] += "\n"
+        rows[60_000] += "\n" * (3 << 20)
+        text = "id,Math,Bio,Art\n" + "".join(rows) + "\n\n"
+        assert len(text) > 4 << 20
+        plain = cli._split_plain(text, students_config.names)
+        ids, values = cli._csv_cells(text, students_config.names)
+        assert plain[0] == ids and len(ids) == 150_000
+        assert plain[1].tobytes() == values.tobytes()
+
 
 class TestRankCommand:
     def test_countries_w1_csv(self, run_cli):
@@ -1146,6 +1162,64 @@ class TestErrorStream:
         assert (code, out) == (1, "")
         assert json.loads(err) == record
 
+    # Each command with a dataset cell outside its domain and with a
+    # dataset that is not UTF-8; boundary, which reads no dataset, with a
+    # config that is not UTF-8.
+    @pytest.mark.parametrize("command,fault", [
+        (command, fault) for command in ("rank", "transform", "compare",
+                                         "plot")
+        for fault in ("domain", "utf8")] + [("boundary", "utf8")])
+    def test_refused_command_writes_nothing(self, run_cli, tmp_path, command,
+                                            fault):
+        """A refused command leaves no ``--out`` file and an empty stdout."""
+        config = FIXTURES / "students_config.json"
+        data = tmp_path / "data.csv"
+        data.write_bytes(b"id,Math,Bio,Art\n" + (
+            b"S1,150,3,4\n" if fault == "domain" else b"S\xff1,50,3,4\n"))
+        if command == "boundary":
+            config = tmp_path / "config.json"
+            config.write_bytes(STUDENTS_CONFIG.encode().replace(
+                b"Math", b"Ma\xffth"))
+            args = ["boundary", "--config", config]
+        else:
+            args = [command, "--data", data, "--config", config]
+        if command == "compare":
+            args += ["--config-b", config]
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(*args, "--out", out)
+        assert (code, stdout) == (1, "")
+        assert not out.exists()
+        record = json.loads(err)
+        if fault == "domain":
+            assert record["error"] == "OutOfDomain"
+        else:
+            assert "is not UTF-8" in record["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["rank"], ["rank", "--format", "json"], ["transform"],
+        ["transform", "--format", "json"], ["compare"],
+        ["compare", "--format", "csv"], ["boundary"],
+        ["boundary", "--format", "json"]])
+    def test_out_gets_stdout_bytes(self, tmp_path, monkeypatch, argv):
+        """``--out`` gets the bytes a process writes to stdout, and a stdout
+        without a descriptor, such as ``io.StringIO``, gets their text."""
+        if argv[0] == "boundary":
+            argv = argv + ["--config", FIXTURES / "countries_w2.json"]
+        else:
+            argv = argv + ["--data", FIXTURES / "students.csv",
+                           "--config", FIXTURES / "students_config.json"]
+        if argv[0] == "compare":
+            argv += ["--config-b", FIXTURES / "students_config_equal.json"]
+        argv = list(map(str, argv))
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        result = run_python("-m", "wmsdspace.cli", *argv)
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout == out.read_bytes()
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        assert cli.main(argv) == 0
+        assert sys.stdout.getvalue().encode() == out.read_bytes()
+
     def test_header_only_dataset_ranks_as_empty_json(self, run_cli,
                                                      tmp_path):
         data = tmp_path / "header.csv"
@@ -1339,6 +1413,11 @@ class TestErrorStream:
         assert "S1" in out
 
 
+def text(pieces) -> str:
+    """The text of a command's output pieces."""
+    return b"".join(pieces).decode()
+
+
 class TestTableWriter:
     """The row-template writer against csv.writer and json.dumps(indent=2)."""
 
@@ -1352,9 +1431,9 @@ class TestTableWriter:
 
     def test_csv(self):
         header = ["id", "x,1", 'y"2']
-        got = ",".join(map(cli._csv_field, header)) + "\n" + cli._rows(
-            "%s,%.6f,%.6f\n",
-            [cli._csv_fields(self.IDS), np.array(self.VALUES)])
+        got = ",".join(map(cli._csv_field, header)) + "\n" + text(
+            cli._pieces("%s,%.6f,%.6f\n",
+                        [cli._csv_fields(self.IDS), np.array(self.VALUES)]))
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
@@ -1367,20 +1446,25 @@ class TestTableWriter:
         ids = list(map(cli._json_str, self.IDS))
         item = cli._json_fields([("id", "%s"), ("x%", "%r"), ("\u00e9", "%r")],
                                 1)
-        got = cli._json_block(item, [ids, np.array(self.VALUES)], 0)
+        got = text(cli._json_array(
+            cli._pieces(item, [ids, np.array(self.VALUES)]), 0))
         assert got == json.dumps(
             [{"id": i, "x%": round(a, 6), "\u00e9": round(b, 6)}
              for i, (a, b) in zip(self.IDS, self.VALUES)], indent=2)
         assert '"x%": -0.0,' in got
         doc = ('{\n  "pairs": '
-               + cli._json_block(cli._json_pair("%r", 2),
-                                 [np.array(self.VALUES)], 1)
+               + text(cli._json_array(cli._pieces(
+                   cli._json_pair("%r", 2), [np.array(self.VALUES)]), 1))
                + ',\n  "ints": '
-               + cli._json_block("    %s: %d", [ids, np.arange(8)], 1, "{}")
+               + text(cli._json_array(cli._pieces(
+                   ",\n    %s: %d", [ids, np.arange(8)]), 1, "{}"))
                + ',\n  "none": '
-               + cli._json_block("    %r", [np.empty(0)], 1)
+               + text(cli._json_array(
+                   cli._pieces(",\n    %r", [np.empty(0)]), 1))
                + ',\n  "empty": '
-               + cli._json_block("    %s: %d", [[], []], 1, "{}") + "\n}")
+               + text(cli._json_array(
+                   cli._pieces(",\n    %s: %d", [[], []]), 1, "{}"))
+               + "\n}")
         assert doc == json.dumps(
             {"pairs": [[round(a, 6), round(b, 6)] for a, b in self.VALUES],
              "ints": dict(zip(self.IDS, range(8))), "none": [], "empty": {}},
@@ -1791,12 +1875,37 @@ class TestBatchedCore:
         got = np.array([[float(r[c]) for c in columns] for r in rows])
         assert np.max(np.abs(got - expected)) <= self.PRINTED
 
+    def test_negative_zero_cell_has_zero_utility(self, run_cli, tmp_path):
+        """A gain cell ``-0`` at a domain min of 0, and a cost cell 0 at a
+        max of -0.0, have utility 0.0, not -0.0, in the transform table."""
+        config = tmp_path / "zero.json"
+        config.write_text(json.dumps({"criteria": [
+            {"name": "a", "kind": "gain", "min": 0, "max": 10, "weight": 1},
+            {"name": "b", "kind": "gain", "min": 0, "max": 10, "weight": 1},
+            {"name": "c", "kind": "cost", "min": -10, "max": -0.0,
+             "weight": 1}]}))
+        data = tmp_path / "zero.csv"
+        data.write_text("id,a,b,c\nx,-0,5,0\n")
+        outputs = {}
+        for fmt in ("csv", "json"):
+            code, outputs[fmt], err = run_cli(
+                "transform", "--data", data, "--config", config,
+                "--format", fmt)
+            assert (code, err) == (0, "")
+        assert outputs["csv"].splitlines()[1].startswith(
+            "x,0.000000,0.500000,0.000000,0.000000,0.500000,0.000000,")
+        assert "-0.0" not in outputs["csv"] + outputs["json"]
+        row = json.loads(outputs["json"])[0]
+        assert [row[f"{p}_{c}"] for p in "uv" for c in "abc"] == \
+            [0.0, 0.5, 0.0, 0.0, 0.5, 0.0]
+
     def test_plane_blocks_equal_whole_array(self, case, monkeypatch,
                                             run_cli, tmp_path):
         """Scoring a few rows at a time gives the bits of one pass over the
         whole array, and ``transform`` the bytes of one block: for 0, 1, 7,
         8 and 15 rows in blocks of 7, with ids that need CSV quoting or
-        JSON escapes and a cell whose utility is -0.0."""
+        JSON escapes and a cell ``-0`` at a domain min of 0, whose utility
+        is 0.0."""
         config = parse_config(case["configs"][0].read_text())
         matrix = read_matrix(case["data"].read_text(), config)
         w = config.weight_vector
@@ -1813,7 +1922,7 @@ class TestBatchedCore:
         edge_ids += [f"r{i}" for i in range(15 - len(edge_ids))]
         cells = [[f"{i * 0.7:.1f}", f"{i * 0.6 - 4:.1f}"]
                  for i in range(15)]
-        cells[3][0] = "-0"  # (-0.0 - 0) / 10 is -0.0
+        cells[3][0] = "-0"  # (-0.0 - 0) / 10 is -0.0 unless made +0.0
         outputs = {}
         for size in (cli._SCORE_ROWS, 7):
             monkeypatch.setattr(cli, "_SCORE_ROWS", size)
@@ -1835,8 +1944,9 @@ class TestBatchedCore:
         assert outputs[15, "csv"][0].startswith('id,u_g,"u_c,d",')
         assert '\n"a,b",' in outputs[15, "csv"][0]
         assert '\n"line\nbreak",' in outputs[15, "csv"][0]
-        assert ",-0.000000," in outputs[15, "csv"][0]
-        assert '"u_g": -0.0,' in outputs[15, "json"][0]
+        assert "\ntab\there,0.000000,0.720000,0.000000," in \
+            outputs[15, "csv"][0]
+        assert "-0.0" not in outputs[15, "csv"][0] + outputs[15, "json"][0]
         assert '"id": "ctl\\u0001",' in outputs[15, "json"][0]
         assert json.loads(outputs[15, "json"][0])[4]["id"] == "back\\slash"
         assert outputs[0, "json"][0] == "[]\n"
@@ -1973,9 +2083,11 @@ def test_stdout_is_utf8_whatever_the_locale(tmp_path, monkeypatch, encoding):
     assert "\u0141\u00f3d\u017a".encode("utf-8") in result.stdout
 
 
-def pipe_output_case(tmp_path) -> tuple[list, bytes]:
-    """A ``rank`` command line whose output is four times a pipe's
-    capacity, and that output as ``--out`` writes it."""
+def pipe_output_case(tmp_path, command="rank") -> tuple[list, bytes]:
+    """A ``command`` line whose output is over four times a pipe's capacity,
+    and that output as ``--out`` writes it.  The dataset holds several
+    blocks of rows, so ``transform`` writes several pieces, each larger
+    than the pipe."""
     r, w = os.pipe()
     capacity = fcntl.fcntl(r, fcntl.F_GETPIPE_SZ)
     os.close(r)
@@ -1989,11 +2101,12 @@ def pipe_output_case(tmp_path) -> tuple[list, bytes]:
     config.write_text(json.dumps({"criteria": [
         {"name": c, "kind": "gain", "min": 0, "max": 1, "weight": 1}
         for c in "abc"]}))
-    rank = ["-m", "wmsdspace.cli", "rank", "--data", data, "--config", config]
-    out = tmp_path / "rank.csv"
-    assert run_python(*rank, "--out", out).returncode == 0
+    argv = ["-m", "wmsdspace.cli", command, "--data", data, "--config",
+            config]
+    out = tmp_path / "out.csv"
+    assert run_python(*argv, "--out", out).returncode == 0
     assert out.stat().st_size > 4 * capacity
-    return rank, out.read_bytes()
+    return argv, out.read_bytes()
 
 
 def start_filling_pipe(args, unbuffered: bool, nonblocking: bool):
@@ -2016,13 +2129,16 @@ def start_filling_pipe(args, unbuffered: bool, nonblocking: bool):
     return proc, r
 
 
+@pytest.mark.parametrize("command", ["rank", "transform"])
 @pytest.mark.parametrize("unbuffered", [False, True])
-def test_full_nonblocking_pipe_gets_every_byte(tmp_path, unbuffered):
+def test_full_nonblocking_pipe_gets_every_byte(tmp_path, unbuffered,
+                                               command):
     """A non-blocking stdout that fills is waited on, with or without
     ``PYTHONUNBUFFERED``: every byte arrives, not only the pipe-full
-    that one write can take."""
-    rank, expected = pipe_output_case(tmp_path)
-    proc, r = start_filling_pipe(rank, unbuffered, nonblocking=True)
+    that one write can take, and a piece cut by a short write is resumed
+    where it was cut."""
+    argv, expected = pipe_output_case(tmp_path, command)
+    proc, r = start_filling_pipe(argv, unbuffered, nonblocking=True)
     with os.fdopen(r, "rb") as reader:
         received = reader.read()
     stderr = proc.communicate(timeout=60)[1]
@@ -2030,13 +2146,15 @@ def test_full_nonblocking_pipe_gets_every_byte(tmp_path, unbuffered):
     assert received == expected
 
 
+@pytest.mark.parametrize("command", ["rank", "transform"])
 @pytest.mark.parametrize("unbuffered", [False, True])
-def test_reader_that_closes_early_is_an_io_error(tmp_path, unbuffered):
+def test_reader_that_closes_early_is_an_io_error(tmp_path, unbuffered,
+                                                 command):
     """A reader that stops reading, as ``| head -1`` does, gives exit 3 and
     one IOError record, not exit 0 after a write that took part of the
     output."""
-    rank, _ = pipe_output_case(tmp_path)
-    proc, r = start_filling_pipe(rank, unbuffered, nonblocking=False)
+    argv, _ = pipe_output_case(tmp_path, command)
+    proc, r = start_filling_pipe(argv, unbuffered, nonblocking=False)
     os.close(r)
     stderr = proc.communicate(timeout=60)[1]
     assert proc.returncode == 3

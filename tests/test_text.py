@@ -184,3 +184,32 @@ def test_long_string_cell_is_bounded():
     assert got == "".join("%s,%.6f,%d\n" % row
                           for row in zip(ids, values, ranks))
     assert peak < 6 * size
+
+
+def json_float_values():
+    """Floats whose ``repr(round(x, 6))`` is hard to get right: those of
+    ``%.6f`` and signed zeros, values about the 1e-4 where ``repr`` starts
+    writing an exponent, and values near 2^52 / 10^6."""
+    limit = 2.0 ** 52 / 10 ** 6
+    return st.one_of(
+        fixed_point_values(6),
+        st.sampled_from([0.0, -0.0, 1e-5, -1e-5, 1e-4, -1e-4, 9.95e-5,
+                         -9.95e-5, 9.9e-5, 1.005e-4, limit, -limit]),
+        st.floats(-2e-4, 2e-4),
+        st.floats(0.999, 1.001).map(lambda f: f * limit),
+    ).flatmap(lambda x: st.sampled_from([x, math.nextafter(x, math.inf),
+                                         math.nextafter(x, -math.inf)]))
+
+
+@given(st.lists(json_float_values(), max_size=30), CHUNKS)
+def test_json_floats_equal_repr_round(xs, chunk):
+    """``%r`` is ``repr(round(x, 6))``, and Python formats only the values
+    it would write with an exponent or that are past exact integers."""
+    with mock.patch.object(_text, "_CHUNK_ROWS", chunk), \
+            mock.patch.object(_text, "_percent", wraps=_text._percent) as spy:
+        got = _text.rows("%r\n", [np.array(xs, dtype=float)])
+    assert got == "".join(repr(round(x, 6)) + "\n" for x in xs)
+    sent = [x for call in spy.call_args_list for x in call.args[0]]
+    assert list(map(repr, sent)) == [
+        repr(x) for x in xs
+        if not abs(x) * 10.0 ** 6 < 2.0 ** 52 or 0 < abs(round(x, 6)) < 1e-4]
