@@ -4,9 +4,9 @@
 of equal-length columns.  Numbers are written with integer digit
 arithmetic, and strings as their UTF-8 bytes, into a ``uint8`` grid
 padded with ``_PAD``; the pads, when there are any, are compressed out,
-and each block of ``_CHUNK_ROWS`` rows is one piece.  ``'%.Nf' % x`` is
-correctly rounded (half-even on the binary value), so the grid matches
-it byte for byte:
+and each block of rows, sized by ``model._BLOCK_BYTES`` for 16 bytes a
+column, is one piece.  ``'%.Nf' % x`` is correctly rounded (half-even on
+the binary value), so the grid matches it byte for byte:
 ``rint(|x|·10^N)`` is that rounding unless the product is exactly halfway
 between integers, where the sign of its rounding error, which Dekker's
 two-product gives exactly, decides.  A value that is not finite or whose
@@ -19,20 +19,14 @@ float; ``repr`` writes the values below 1e-4, which have an exponent.
 from __future__ import annotations
 
 import re
-from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
 
-# Rows per block, so the transient grids and string lists stay bounded.
-_CHUNK_ROWS = 4096
+from .model import _block_rows
 
 # Never a byte of UTF-8 text: it fills grid cells that hold no text.
 _PAD = 0xFF
-# Most padded bytes of string cells in one block.  A block whose strings
-# would take more is written as two halves, so one long string cannot
-# widen every row of its block.
-_STRING_BYTES = 1 << 20
 _CONVERSION = re.compile(r"%(%|s|r|d|02x|\.(\d)f)")
 _LIMB = 10_000
 
@@ -93,26 +87,22 @@ def pieces(template: str, columns: Sequence) -> Iterator[bytes]:
     if len(cols) != len(conversions):
         raise TypeError(f"{len(conversions)} conversions, {len(cols)} columns")
     m = len(cols[0]) if cols else 0
-    return (piece for a in range(0, m, _CHUNK_ROWS) for piece in _block(
-        literals, conversions, [c[a:a + _CHUNK_ROWS] for c in cols]))
+    step = _block_rows(16 * len(cols))  # a number's text and separator
+    return (piece for a in range(0, m, step) for piece in _block(
+        literals, conversions, [c[a:a + step] for c in cols]))
 
 
 def _block(literals: list[str], conversions: list[str | int],
            parts: list) -> list[bytes]:
-    """The bytes of one block of rows, in one or more pieces."""
+    """The bytes of one block of rows, in one or more pieces.  A block
+    whose padded strings would take more than the budget is written as
+    two halves, so one long string cannot widen every row of its block."""
     k = len(parts[0])
-    strings = {i: p.tolist() if isinstance(p, np.ndarray) else list(p)
+    encoded = {i: _utf8(p.tolist() if isinstance(p, np.ndarray) else list(p))
                for i, (conv, p) in enumerate(zip(conversions, parts))
                if conv == "s"}
-    if len(strings) == len(conversions):
-        # No numbers: the text around the strings is fixed, so % places
-        # them without a grid.
-        row = "%s".join(t.replace("%", "%%") for t in literals)
-        cells = tuple(chain.from_iterable(zip(*strings.values())))
-        return [(row * k % cells).encode()]
-    encoded = {i: _utf8(texts) for i, texts in strings.items()}
-    if k > 1 and k * sum(int(sizes.max()) for _, sizes in encoded.values()) \
-            > _STRING_BYTES:
+    width = sum(int(sizes.max()) for _, sizes in encoded.values())
+    if k > _block_rows(width):
         del encoded  # each half encodes its own strings
         half = k // 2
         return (_block(literals, conversions, [p[:half] for p in parts])
@@ -177,12 +167,9 @@ def _utf8(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """The UTF-8 bytes of the texts, joined, and the byte size of each."""
     joined = "".join(texts)
     data = np.frombuffer(joined.encode(), np.uint8)
-    if data.size == len(joined):  # ASCII: one byte per character
-        sizes = np.fromiter(map(len, texts), np.intp, len(texts))
-    else:
-        sizes = np.fromiter(map(len, map(str.encode, texts)), np.intp,
-                            len(texts))
-    return data, sizes
+    if data.size != len(joined):  # not ASCII: sizes in bytes, not characters
+        texts = list(map(str.encode, texts))
+    return data, np.fromiter(map(len, texts), np.intp, len(texts))
 
 
 def _padded(data: np.ndarray, sizes: np.ndarray) -> np.ndarray:

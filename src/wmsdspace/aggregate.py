@@ -19,11 +19,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import IdSetMismatch, NonFiniteScore
-from .model import _Record, _frozen
+from .model import _Record, _block_rows
 
-# Pair differences per block in :func:`_reversals`: a few MB of arrays
-# whatever the number of alternatives.
-_PAIR_BLOCK = 1 << 18
+# Scores within this of their group leader's share its rank by default.
+DEFAULT_TIE_TOLERANCE = 1e-9
 
 
 class AggregationKind(str, enum.Enum):
@@ -81,7 +80,7 @@ class Ranking(_Record):
 
 
 def rank_array(ids: Sequence[str], scores: np.ndarray,
-               tie_tolerance: float = 1e-9) -> Ranking:
+               tie_tolerance: float = DEFAULT_TIE_TOLERANCE) -> Ranking:
     """Order alternatives by score, grouping near-equal scores as ties.
 
     ``scores[k]`` is the score of ``ids[k]``.  Exact ties keep their
@@ -131,9 +130,9 @@ def rank_array(ids: Sequence[str], scores: np.ndarray,
         start[late] = True
     ranks = np.maximum.accumulate(
         np.where(start, np.arange(1, ranked.size + 1), 0))
-    ranks.flags.writeable = False
+    ranks.flags.writeable = ranked.flags.writeable = False
     return Ranking(ids=tuple(np.array(ids, dtype=object)[order].tolist()),
-                   scores=_frozen(ranked), ranks=ranks)
+                   scores=ranked, ranks=ranks)
 
 
 class RankingComparison(_Record):
@@ -194,11 +193,11 @@ def _reversals(ranks: np.ndarray) -> np.ndarray:
     oppositely, in row-major order, each as (better in the first
     ranking, other).
 
-    Rows are taken ``_PAIR_BLOCK // m`` at a time, so each block of pair
-    differences holds about ``_PAIR_BLOCK`` entries.
+    Rows are taken in blocks whose pair differences, one rank each, fit
+    the budget ``model._BLOCK_BYTES``.
     """
     m = len(ranks)
-    step = max(1, _PAIR_BLOCK // max(m, 1))
+    step = _block_rows(ranks.itemsize * m)
     pairs = [np.empty((0, 2), dtype=np.intp)]
     for a in range(0, m, step):
         b = min(a + step, m)

@@ -7,11 +7,10 @@ identical inputs produce byte-identical outputs.  Numeric output is
 rounded to 6 decimal places.
 
 Every command scores through one loop, :func:`_score_blocks`, which takes
-``_SCORE_ROWS`` rows at a time through utility space, weighted space and
-the plane.  Every score is taken from the alternative's (WM, WSD) point,
-the point a plot draws, by :func:`agg_values`.  Once all that can refuse
-it has run, a command returns its output as UTF-8 pieces that :func:`main`
-writes as they are made: ``transform`` scores a block when it is reached.
+blocks of rows, sized by ``model._BLOCK_BYTES``, through utility space,
+weighted space and the plane.  Every score is taken from the (WM, WSD)
+point a plot draws, by :func:`agg_values`.  Once all that can refuse it has
+run, a command returns UTF-8 pieces that :func:`main` writes as they are made.
 
 Errors are emitted as single-line JSON records on stderr; the exit code
 is 0 on success, 1 for validation errors, 2 for refused computations,
@@ -48,6 +47,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 import numpy as np
 
 from .aggregate import (
+    DEFAULT_TIE_TOLERANCE,
     AggregationKind,
     Ranking,
     agg_values,
@@ -70,6 +70,7 @@ from .model import (
     DecisionMatrix,
     WeightVector,
     _Value,
+    _block_rows,
     normalize_weights,
     uniform_weights,
     validate_criteria,
@@ -81,7 +82,6 @@ from .wmsd import plane
 if TYPE_CHECKING:
     from .render import PlotSpec
 
-DEFAULT_TIE_TOLERANCE = 1e-9
 # Largest plot --grid: it bounds one panel's field to grid * grid / 2
 # cells, 524,288 rectangles at 1024 (the students plot's SVG measured
 # 26 MB), but not the number of panels in a document.
@@ -92,8 +92,6 @@ MAX_RESOLUTION = 65536
 # Most markers in one plot document, over every panel and both overlay
 # snapshots: 100,000 circles are about 7.5 MB of SVG.
 MAX_MARKERS = 100_000
-# Rows per block of _score_blocks, the loop every command scores through.
-_SCORE_ROWS = 4096
 
 _CRITERION_KEYS = {"name", "kind", "min", "max", "weight"}
 _CONFIG_KEYS = {"criteria", "aggregation", "weighted", "tie_tolerance",
@@ -280,7 +278,7 @@ def _split_plain(csv_text: str, names: tuple[str, ...]):
     ids, values = [], np.empty((len(csv_text) // (2 * n + 1) + 1, n))
     commas, start, end = 0, head + 1, len(csv_text) - csv_text.endswith("\n")
     while start < end:
-        stop = csv_text.find("\n", start + (1 << 20), end)  # ~1 MB blocks
+        stop = csv_text.find("\n", start + _block_rows(1), end)  # a char a row
         stop = end if stop < 0 else stop
         text = csv_text[start:stop]
         commas += np.count_nonzero(np.frombuffer(text.encode(), "u1") == 44)
@@ -301,7 +299,9 @@ def _split_plain(csv_text: str, names: tuple[str, ...]):
     # line in total means exactly n on every line.
     if commas != n * len(ids):
         return None
-    return ids, values[:len(ids)]
+    values.resize((len(ids), n), refcheck=False)  # no view of it is alive
+    values.flags.writeable = False  # so the matrix keeps it without a copy
+    return ids, values
 
 
 def _csv_cells(csv_text: str, names: tuple[str, ...]):
@@ -368,12 +368,13 @@ def _load_config(path, args: argparse.Namespace) -> RunConfig:
 
 def _score_blocks(matrix: DecisionMatrix,
                   w: WeightVector) -> Iterator[tuple]:
-    """``(rows, u, v, wm, wsd)`` of each block of ``_SCORE_ROWS`` rows
-    under ``w``: the slice of the block, its utility and weighted rows and
-    its plane points.  Every command scores through this loop; a block's
-    intermediate arrays stay in cache."""
-    for a in range(0, matrix.m, _SCORE_ROWS):
-        rows = slice(a, a + _SCORE_ROWS)
+    """``(rows, u, v, wm, wsd)`` of each block of rows under ``w``: the
+    slice of the block, its utility and weighted rows and its plane
+    points.  Every command scores through this loop; a block's
+    intermediate arrays, of n floats a row, stay in cache."""
+    step = _block_rows(8 * matrix.n)
+    for a in range(0, matrix.m, step):
+        rows = slice(a, a + step)
         u = utility_array(matrix.values[rows], matrix.criteria)
         v = u * w.weights
         yield (rows, u, v, *plane(v, w))
@@ -641,7 +642,7 @@ _FLAGS = {
                     help="clamp out-of-domain values to the bounds"),
     "--tie-tol": dict(type=float, dest="tie_tolerance", metavar="TIE_TOL"),
     "--resolution": dict(type=int, default=512, help="envelope rows, from 2 "
-                         f"to {MAX_RESOLUTION} (default 512)"),
+                         f"to {MAX_RESOLUTION} (default %(default)s)"),
     "--grid": dict(type=int, default=128, help="color-field resolution: "
                    f"cells across, from 16 to {MAX_GRID} (default 128)"),
     "--columns": dict(type=int, default=2,

@@ -224,16 +224,17 @@ def vertex_images(w: WeightVector) -> np.ndarray:
     A vertex has every coordinate at 0 or w_i, so its dot product and
     squared norm coincide: both equal the subset sum q of the squared
     weights held high, giving WM = mean(w) * q / |w|^2 and
-    WSD = mean(w) * sqrt(t (1 - t)) with t = q / |w|^2.  Both are rounded
-    to 12 decimal places; rows are sorted by (WM, WSD) and duplicates
-    dropped.  Every step from a subset sum to its rounded WM is monotone,
-    so the sorted sums give the rows in WM order; only a run of equal
-    rounded WM in which WSD falls (t > 1/2) is sorted again.
+    WSD = mean(w) * sqrt(t (1 - t)) with t = q / |w|^2, 1 - t taken from the
+    complement's sum (the sums reversed), so it keeps its digits near t = 1.
+    Both are rounded to 12 decimal places; rows are sorted by (WM, WSD) and
+    duplicates dropped.  Every step from a subset sum to its rounded WM is
+    monotone, so the sorted sums give the rows in WM order; only a run of
+    equal rounded WM in which WSD falls (t > 1/2) is sorted again.
     """
     tables = _edge_tables(w)
     t = tables.vertex_sums / tables.norm2
     wm = np.round(w.mean_w * t, 12)
-    wsd = np.round(w.mean_w * np.sqrt(np.maximum(t * (1.0 - t), 0.0)), 12)
+    wsd = np.round(w.mean_w * np.sqrt(t * t[::-1]), 12)
     tie = wm[1:] == wm[:-1]
     falls = np.flatnonzero(tie & (wsd[1:] < wsd[:-1]))
     if falls.size:
@@ -247,7 +248,7 @@ def vertex_images(w: WeightVector) -> np.ndarray:
     return rows
 
 
-def envelope(w: WeightVector, resolution: int = 512
+def envelope(w: WeightVector, resolution: int = _OUTLINE
              ) -> tuple[np.ndarray, np.ndarray]:
     """Exact upper envelope on a uniform WM grid from 0 to mean(w), as
     ``(wm, wsd)``; both ends sit on WSD = 0."""

@@ -35,11 +35,22 @@ from .errors import (
 
 GAIN = "gain"
 COST = "cost"
+# Bytes of each transient array of every row-blocked loop (scoring, text
+# output, compare's pair scan, ingest), so its working set stays in cache.
+_BLOCK_BYTES = 1 << 18
+
+
+def _block_rows(row_bytes: int) -> int:
+    """Rows per block of a loop whose arrays take ``row_bytes`` a row."""
+    return max(1, _BLOCK_BYTES // max(row_bytes, 1))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float, copy=True)
-    a.flags.writeable = False
+    """``a`` read-only: a copy, unless ``a`` is read-only and owns its data."""
+    a = np.asarray(a, dtype=float)
+    if a.flags.writeable or not a.flags.owndata:
+        a = a.copy()
+        a.flags.writeable = False
     return a
 
 
@@ -252,6 +263,7 @@ class DecisionMatrix(_Record):
             raise row_fault
         if clamp:
             data = np.where(data < lo, lo, np.where(data > hi, hi, data))
+            data.flags.writeable = False  # no one else holds it
         return cls(ids=ids, values=_frozen(data), criteria=tuple(criteria))
 
     def weight_vector(self) -> WeightVector:

@@ -243,7 +243,7 @@ def _markers_svg(frame: PlotFrame, ids: Sequence[str], wm: np.ndarray,
 def _region_svg(spec: PlotSpec, frame: PlotFrame) -> list[str]:
     """The color field and the region outline."""
     cells = field_cells(spec)
-    env_wm, env_wsd = envelope(spec.weights, resolution=512)
+    env_wm, env_wsd = envelope(spec.weights)
     return [_svg('<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" '
                  'fill="#%02x%02x%02x"/>', cells.x, cells.y, cells.w + 0.3,
                  cells.h + 0.3, *cells.rgb.T),

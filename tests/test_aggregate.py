@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import box_scores, plane_scores, reversal_ids
-from wmsdspace import aggregate
+from wmsdspace import aggregate, model
 from wmsdspace.aggregate import (
     AggregationKind,
     agg_values,
@@ -270,10 +271,12 @@ class TestCompareRankings:
 
     @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
                     max_size=30),
-           st.sampled_from([1, 7, 64, aggregate._PAIR_BLOCK]))
+           st.sampled_from([1, 7, 64, None]))
     def test_reversals_equal_pair_loop(self, scores, block):
         """Every block size lists the pairs of the i < j loop over the
-        first ranking's order, in loop order and orientation."""
+        first ranking's order, in loop order and orientation: blocks of
+        1, 7 and 64 rows, each set by the budget for m ranks a row, and
+        the budget as it is."""
         ids = [f"x{i}" for i in range(len(scores))]
         r1 = rank_array(ids, [s for s, _ in scores])
         r2 = rank_array(ids, [s for _, s in scores])
@@ -286,8 +289,28 @@ class TestCompareRankings:
                 if d1 * d2 < 0:
                     expected.append((a, b) if d1 < 0 else (b, a))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(aggregate, "_PAIR_BLOCK", block)
+            if block:
+                mp.setattr(model, "_BLOCK_BYTES", block * 8 * len(scores))
             assert reversal_ids(compare_quietly(r1, r2), r1) == expected
+
+
+def test_reversals_stay_within_the_budget():
+    """The pair scan of 1,000 ranks holds a few budgets at its peak, where
+    blocks of 2^18 pair cells held 25."""
+    rng = np.random.default_rng(3)
+    first = np.arange(1, 1001)
+    second = first.copy()
+    swap = rng.choice(999, 20, replace=False)  # few pairs to list
+    second[swap], second[swap + 1] = second[swap + 1], second[swap]
+    ranks = np.column_stack([first, second])
+    tracemalloc.start()
+    try:
+        pairs = aggregate._reversals(ranks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) == 20
+    assert peak < 5 * model._BLOCK_BYTES
 
 
 def tau_b_reference(x, y):

@@ -2,6 +2,7 @@ import argparse
 import csv
 import fcntl
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -20,7 +21,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import FIXTURES, fresh_python, python_env, run_python
-from wmsdspace import aggregate, cli, geometry
+from wmsdspace import aggregate, cli, geometry, model
 from wmsdspace.aggregate import AggregationKind, agg_values
 from wmsdspace.errors import (
     AllZeroWeights,
@@ -1924,8 +1925,9 @@ class TestBatchedCore:
                  for i in range(15)]
         cells[3][0] = "-0"  # (-0.0 - 0) / 10 is -0.0 unless made +0.0
         outputs = {}
-        for size in (cli._SCORE_ROWS, 7):
-            monkeypatch.setattr(cli, "_SCORE_ROWS", size)
+        for rows in (None, 7):  # the budget as it is, then 7 rows of n = 2
+            if rows:
+                monkeypatch.setattr(model, "_BLOCK_BYTES", rows * 8 * 2)
             for m in (0, 1, 7, 8, 15):
                 buf = io.StringIO()
                 csv.writer(buf).writerows(
@@ -1951,6 +1953,7 @@ class TestBatchedCore:
         assert json.loads(outputs[15, "json"][0])[4]["id"] == "back\\slash"
         assert outputs[0, "json"][0] == "[]\n"
 
+        monkeypatch.setattr(model, "_BLOCK_BYTES", 7 * 8 * matrix.n)
         ids, wm_blocks, wsd_blocks = cli._plane_points(matrix, w)
         assert ids == matrix.ids
         assert wm_blocks.tobytes() == wm.tobytes()
@@ -2001,6 +2004,22 @@ print(json.dumps(seen))
     seen = json.loads(fresh_python(code))
     assert seen == {"import": [], "rank": [], "transform": [], "compare": [],
                     "boundary": ["wmsdspace.geometry"]}
+
+
+def test_defaults_are_the_library_defaults():
+    """``--resolution``'s default is the outline geometry caches, so
+    ``boundary`` reads the one ``plot`` and the screen read, and a config's
+    default tie tolerance is ``rank_array``'s; cli names the outline size
+    without importing geometry, which this ties to ``_OUTLINE``."""
+    resolution = cli.build_parser("boundary").get_default("resolution")
+    assert resolution == geometry._OUTLINE == inspect.signature(
+        geometry.envelope).parameters["resolution"].default
+    assert f"(default {resolution})" in \
+        cli.build_parser("boundary").format_help()
+    config = parse_config(json.dumps({"criteria": [
+        {"name": "a", "kind": "gain", "min": 0, "max": 1, "weight": 1}]}))
+    assert config.tie_tolerance == inspect.signature(
+        aggregate.rank_array).parameters["tie_tolerance"].default
 
 
 def test_commands_define_records_without_dataclasses():

@@ -211,3 +211,20 @@ def test_unknown_name_is_attribute_error(name):
         getattr(wmsdspace, name)
     assert str(info.value) == f"module 'wmsdspace' has no attribute {name!r}"
     assert name not in dir(wmsdspace)
+
+
+def test_startup_line_count_is_the_imported_modules():
+    """README "Start-up" names the modules every command imports and their
+    line count: the modules are those ``import wmsdspace.cli`` loads, and
+    the count is ``wc -l`` of them."""
+    text = " ".join(section("Start-up", "###").split())
+    match = re.search(r"\(((?:`\w+`,? )+and `\w+`), ([\d,]+) lines\)", text)
+    names = re.findall(r"`(\w+)`", match[1])
+    loaded = json.loads(fresh_python(
+        "import json, sys, wmsdspace.cli\n"
+        "print(json.dumps(sorted(m.split('.')[1] for m in sys.modules\n"
+        "                        if m.startswith('wmsdspace.'))))"))
+    assert sorted(names) == sorted(loaded + ["__init__"])
+    package = Path(wmsdspace.__file__).parent
+    assert int(match[2].replace(",", "")) == sum(
+        (package / f"{name}.py").read_bytes().count(b"\n") for name in names)

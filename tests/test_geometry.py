@@ -113,11 +113,7 @@ class TestVertexImages:
         # tiny weight puts subset sums within 1e-12 of each other, so WM
         # ties after rounding while WSD, decreasing for t > 1/2, differs.
         w = normalize_weights(raw)
-        tables = geometry._edge_tables(w)
-        t = tables.vertex_sums / tables.norm2
-        pairs = np.column_stack([
-            w.mean_w * t, w.mean_w * np.sqrt(np.maximum(t * (1.0 - t), 0.0))])
-        ref = np.unique(np.round(pairs, 12), axis=0)
+        ref = np.unique(np.column_stack(rounded_vertex_images(w)), axis=0)
         got = vertex_images(w)
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
@@ -359,13 +355,20 @@ def concat_subset_sums(values):
     return np.sort(sums)
 
 
+def rounded_vertex_images(w):
+    """WM and WSD of every vertex, in the order of the sorted sums, with
+    1 - t taken from the complement's sum, the sums reversed."""
+    tables = geometry._edge_tables(w)
+    t = tables.vertex_sums / tables.norm2
+    rest = tables.vertex_sums[::-1] / tables.norm2
+    return (np.round(w.mean_w * t, 12),
+            np.round(w.mean_w * np.sqrt(t * rest), 12))
+
+
 def lexsort_vertex_images(w):
     """Reference: the vertex images sorted by (WM, WSD) with a two-key sort
     of every row, as before they kept the order of the sorted sums."""
-    tables = geometry._edge_tables(w)
-    t = tables.vertex_sums / tables.norm2
-    wm = np.round(w.mean_w * t, 12)
-    wsd = np.round(w.mean_w * np.sqrt(np.maximum(t * (1.0 - t), 0.0)), 12)
+    wm, wsd = rounded_vertex_images(w)
     order = np.lexsort((wsd, wm))
     wm, wsd = wm[order], wsd[order]
     keep = np.ones(wm.size, dtype=bool)
@@ -392,6 +395,7 @@ WEIGHT = st.sampled_from([1.0, 0.5, 0.25, 0.3, 0.7, 0.9, 1e-7, 3e-8, 1e-8,
 WEIGHTS = st.lists(st.one_of(WEIGHT, st.floats(1e-9, 1.0)), min_size=1,
                    max_size=10).filter(lambda raw: max(raw) > 0.1)
 # At most 7 positive weights: the exact oracle enumerates every edge.
+# Weights with squares near 1e-14 put vertices at t within 1e-9 of 1.
 ORACLE_WEIGHTS = [
     [1.0], [1.0, 0.5], [0.5, 0.6, 1.0], [0.25, 1.0, 0.25, 0.5],
     [1.0, 0.9, 0.7, 0.3, 1e-7, 3e-8], [0.1, 1.0, 0.000001],
@@ -399,8 +403,6 @@ ORACLE_WEIGHTS = [
                                     0.987],
     [1.0, 1.0, 1.0, 0.1, 0.1, 0.1, 0.1],
 ]
-# Weights with squares near 1e-14 put vertices at t within 1e-9 of 1.
-NEAR_IDEAL_VERTICES = [[1.0, 0.9, 0.7, 0.3, 1e-7, 3e-8], [0.1, 1.0, 0.000001]]
 
 
 class TestRewrittenKernels:
@@ -425,10 +427,7 @@ class TestRewrittenKernels:
         # these weights do put WSD out of order within rounded WM ties, so
         # the re-sort of those runs is exercised
         w = normalize_weights(raw)
-        tables = geometry._edge_tables(w)
-        t = tables.vertex_sums / tables.norm2
-        wm = np.round(w.mean_w * t, 12)
-        wsd = np.round(w.mean_w * np.sqrt(np.maximum(t * (1 - t), 0.0)), 12)
+        wm, wsd = rounded_vertex_images(w)
         assert np.all(np.diff(wm) >= 0)
         assert np.any((wm[1:] == wm[:-1]) & (wsd[1:] < wsd[:-1]))
         assert vertex_images(w).tobytes() == \
@@ -454,11 +453,7 @@ class TestExactOracle:
             assert abs(Fraction(float(env)) ** 2 / Fraction(m) ** 2 - x) \
                 <= bound
 
-    @pytest.mark.parametrize("raw", [
-        pytest.param(raw, marks=pytest.mark.xfail(
-            strict=True, reason="1 - t is taken from the rounded t, so WSD "
-            "keeps few digits at t within 1e-9 of 1"))
-        if raw in NEAR_IDEAL_VERTICES else raw for raw in ORACLE_WEIGHTS])
+    @pytest.mark.parametrize("raw", ORACLE_WEIGHTS)
     def test_vertex_images_are_rounded_exact_images(self, raw):
         w = normalize_weights(raw)
         sq = exact_squares(w.weights)

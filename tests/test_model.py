@@ -250,6 +250,29 @@ class TestDecisionMatrix:
         with pytest.raises(ValueError):
             m.values[0, 0] = 0.0
 
+    def test_holders_cannot_change_the_matrix(self):
+        """A caller's writeable array, and the base of a read-only view,
+        are copied: writing them later leaves the matrix as it was.  A
+        read-only array that owns its data, as the CLI's reader hands over,
+        is kept without a copy."""
+        rows = [[50.0, 3.0, 4.0], [70.0, 2.0, 5.0]]
+        writeable = np.array(rows)
+        base = np.array(rows)
+        view = base[:]
+        view.flags.writeable = False
+        for values, holder in ((writeable, writeable), (view, base)):
+            m = DecisionMatrix.from_array(["S1", "S2"], values, self.CRITERIA)
+            holder[0, 0] = 60.0
+            assert m.values.tolist() == rows
+        owned = np.array(rows)
+        owned.flags.writeable = False
+        m = DecisionMatrix.from_array(["S1", "S2"], owned, self.CRITERIA)
+        assert m.values is owned
+        clamped = DecisionMatrix.from_array(["S1", "S2"], owned,
+                                            self.CRITERIA, clamp=True)
+        assert not clamped.values.flags.writeable
+        assert clamped.values.tolist() == rows
+
     def test_weight_vector(self):
         criteria = [gain("a", weight=2.0), gain("b", weight=1.0)]
         w = DecisionMatrix.from_array(["x"], [[1.0, 2.0]],

@@ -1,5 +1,7 @@
 """The array text writer against Python's ``%`` operator."""
 
+import contextlib
+import hashlib
 import math
 import tracemalloc
 from unittest import mock
@@ -9,11 +11,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wmsdspace import _text
+from wmsdspace import _text, model
 
 DECIMALS = range(10)
 # One row per block, a few rows per block, and the production size.
-CHUNKS = st.sampled_from([1, 3, _text._CHUNK_ROWS])
+CHUNKS = st.sampled_from([1, 3, None])
+
+
+def blocks_of(rows, template: str):
+    """Blocks of ``rows`` rows of ``template``'s columns, by setting the
+    budget they are sized from to ``rows`` rows of 16 bytes a column; None
+    keeps the budget."""
+    if rows is None:
+        return contextlib.nullcontext()
+    columns = sum(conv != "%" for conv, _ in
+                  _text._CONVERSION.findall(template))
+    return mock.patch.object(model, "_BLOCK_BYTES", rows * 16 * columns)
 
 
 def fixed_point_values(n: int):
@@ -40,7 +53,7 @@ def fixed_point_values(n: int):
                                              max_size=30))), CHUNKS)
 def test_fixed_point_equals_percent(case, chunk):
     n, xs = case
-    with mock.patch.object(_text, "_CHUNK_ROWS", chunk):
+    with blocks_of(chunk, f"%.{n}f\n"):
         got = _text.rows(f"%.{n}f\n", [np.array(xs, dtype=float)])
     assert got == "".join("%.*f\n" % (n, x) for x in xs)
 
@@ -63,7 +76,7 @@ def test_fallback_takes_only_values_past_exact_integers(case):
                           st.integers(-10 ** 6, 10 ** 6)), max_size=30),
        CHUNKS)
 def test_integers_equal_percent(ints, chunk):
-    with mock.patch.object(_text, "_CHUNK_ROWS", chunk):
+    with blocks_of(chunk, "%d;"):
         got = _text.rows("%d;", [np.array(ints, dtype=np.int64)])
     assert got == "".join("%d;" % i for i in ints)
 
@@ -80,7 +93,7 @@ IDS = st.text(st.sampled_from(["\0", "%", '"', ",", "\n", "a", "Z", "7",
 def test_rows_equal_template(records, chunk):
     template = "%s,%.6f;%.2f %d#%02x[%r]%% %s\n"
     cols = list(zip(*records)) or [[]] * 7
-    with mock.patch.object(_text, "_CHUNK_ROWS", chunk):
+    with blocks_of(chunk, template):
         got = _text.rows(template, [
             list(cols[0]), np.array(cols[1], dtype=float),
             np.array(cols[2], dtype=float), np.array(cols[3], dtype=np.int64),
@@ -104,7 +117,7 @@ def test_blocks_with_and_without_pads_equal_percent(free, padded, chunk):
     template = "envelope,%.6f,%.6f\n"
     for records in (free, padded, free + padded):
         cols = np.array(records, dtype=float).reshape(-1, 2)
-        with mock.patch.object(_text, "_CHUNK_ROWS", chunk):
+        with blocks_of(chunk, template):
             got = _text.rows(template, [cols])
         assert got == "".join(template % r for r in records)
 
@@ -113,7 +126,7 @@ def test_blocks_with_and_without_pads_equal_percent(free, padded, chunk):
 def test_id_blocks_equal_percent(records, chunk):
     template = "%s,%.6f\n"
     ids = [r[0] for r in records]
-    with mock.patch.object(_text, "_CHUNK_ROWS", chunk):
+    with blocks_of(chunk, template):
         got = _text.rows(template, [ids, np.array([r[1] for r in records])])
     assert got == "".join(template % r for r in records)
 
@@ -161,7 +174,7 @@ def test_like_columns_equal_template(case, chunk):
     columns = [numbers.reshape(len(records), len(kinds) - kinds.count("s"))]
     if kinds[0] == "s":
         columns.insert(0, [r[0] for r in records])
-    with mock.patch.object(_text, "_CHUNK_ROWS", chunk):
+    with blocks_of(chunk, template):
         got = _text.rows(template, columns)
     assert got == "".join(template % r for r in records)
 
@@ -171,7 +184,7 @@ def test_long_string_cell_is_bounded():
     long row's padding widens no other row, so the peak stays a small
     multiple of the cell, where padding all 4,096 rows would take 16 GiB."""
     size = 4 << 20
-    ids = [f"id{k}" for k in range(_text._CHUNK_ROWS)]
+    ids = [f"id{k}" for k in range(4096)]
     ids[1234] = "é" + "x" * (size - 2)
     values = np.linspace(-1.0, 1.0, len(ids))
     ranks = np.arange(len(ids))
@@ -184,6 +197,42 @@ def test_long_string_cell_is_bounded():
     assert got == "".join("%s,%.6f,%d\n" % row
                           for row in zip(ids, values, ranks))
     assert peak < 6 * size
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7])
+def test_budget_sets_rows_per_piece(rows):
+    """Each piece is one block of the rows the budget gives the template's
+    columns, the last block shorter."""
+    values = np.arange(20.0)
+    with blocks_of(rows, "%.6f,%d\n"):
+        got = list(_text.pieces("%.6f,%d\n", [values, values.astype(int)]))
+    sizes = [piece.count(b"\n") for piece in got]
+    assert sizes == [rows] * (20 // rows) + [20 % rows] * (20 % rows > 0)
+    assert b"".join(got).decode() == "".join(
+        "%.6f,%d\n" % (x, x) for x in values)
+
+
+def test_transform_table_stays_within_the_budget():
+    """A 27-column table of 20,000 rows, as ``transform`` writes, holds
+    fewer than 8 budgets at its peak, where blocks of 4,096 rows held 35;
+    the pieces are dropped as they are made."""
+    rng = np.random.default_rng(3)
+    ids = [f"alt{i:06d}" for i in range(20_000)]
+    table = rng.uniform(-1.0, 1.0, (20_000, 26))
+    template = "%s" + ",%.6f" * 26 + "\n"
+    digest = hashlib.sha256()
+    tracemalloc.start()
+    try:
+        for piece in _text.pieces(template, [ids, table]):
+            digest.update(piece)
+            del piece
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert digest.digest() == hashlib.sha256("".join(
+        template % (i, *r) for i, r in zip(ids, table.tolist())).encode()
+    ).digest()
+    assert peak < 8 * model._BLOCK_BYTES
 
 
 def json_float_values():
@@ -205,7 +254,7 @@ def json_float_values():
 def test_json_floats_equal_repr_round(xs, chunk):
     """``%r`` is ``repr(round(x, 6))``, and Python formats only the values
     it would write with an exponent or that are past exact integers."""
-    with mock.patch.object(_text, "_CHUNK_ROWS", chunk), \
+    with blocks_of(chunk, "%r\n"), \
             mock.patch.object(_text, "_percent", wraps=_text._percent) as spy:
         got = _text.rows("%r\n", [np.array(xs, dtype=float)])
     assert got == "".join(repr(round(x, 6)) + "\n" for x in xs)
