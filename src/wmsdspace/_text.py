@@ -52,21 +52,14 @@ def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _DIGITS4, _HEAD4, _HEX = _tables()
 
 
-def rows(template: str, columns: Sequence) -> str:
-    """``template % row`` for every row of equal-length columns, joined.
-
-    A column is a sequence or a numpy array; a 2-D array gives one column
-    per array column.  Conversions: ``%s`` (strings), ``%r`` (floats as
-    ``repr(round(x, 6))``, the JSON number text), ``%d`` (integers),
-    ``%02x`` (integers 0-255) and ``%.Nf`` (N from 0 to 9); ``%%`` is a
-    literal ``%``.
-    """
-    return b"".join(pieces(template, columns)).decode()
-
-
 def pieces(template: str, columns: Sequence) -> Iterator[bytes]:
-    """:func:`rows` as UTF-8 pieces of whole rows, each made when it is
-    reached; the template and columns are checked before this returns."""
+    """``template % row`` for every row of equal-length columns, as UTF-8
+    pieces of whole rows, each made when it is reached; the template and
+    columns are checked before this returns.  A column is a sequence or a
+    numpy array; a 2-D array gives one column per array column.
+    Conversions: ``%s`` (strings), ``%r`` (floats as ``repr(round(x, 6))``,
+    the JSON number text), ``%d`` (integers), ``%02x`` (integers 0-255) and
+    ``%.Nf`` (N from 0 to 9); ``%%`` is a literal ``%``."""
     literals, conversions = [], []
     pos, text = 0, ""
     for match in _CONVERSION.finditer(template):

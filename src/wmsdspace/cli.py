@@ -10,7 +10,8 @@ Every command scores through one loop, :func:`_score_blocks`, which takes
 blocks of rows, sized by ``model._BLOCK_BYTES``, through utility space,
 weighted space and the plane.  Every score is taken from the (WM, WSD)
 point a plot draws, by :func:`agg_values`.  Once all that can refuse it has
-run, a command returns UTF-8 pieces that :func:`main` writes as they are made.
+run, a command returns UTF-8 pieces that :func:`main` writes as they are
+made; ``plot`` builds all of its pieces first, so a refused plot writes none.
 
 Errors are emitted as single-line JSON records on stderr; the exit code
 is 0 on success, 1 for validation errors, 2 for refused computations,
@@ -351,7 +352,9 @@ def _csv_cells(csv_text: str, names: tuple[str, ...]):
         raise MalformedCsv(f"row {r + 1}: {e}", row=r + 1) from None
     finally:
         csv.field_size_limit(limit)
-    return ids, np.array(rows, dtype=float).reshape(len(ids), len(names))
+    values = np.array(rows, dtype=float) if rows else np.empty((0, len(names)))
+    values.flags.writeable = False  # so the matrix keeps it without a copy
+    return ids, values
 
 
 def _load_config(path, args: argparse.Namespace) -> RunConfig:
@@ -555,7 +558,7 @@ def _check_markers(count: int) -> None:
 
 
 def cmd_plot(args: argparse.Namespace) -> list[bytes]:
-    from .render import render_panel_grid, render_wmsd_plot
+    from .render import _grid_document, _plot_document
 
     configs = [_load_config(p, args) for p in args.config]
     data_text = _read_data(args.data)
@@ -569,9 +572,8 @@ def cmd_plot(args: argparse.Namespace) -> list[bytes]:
             raise IdSetMismatch(
                 f"overlay ids differ from dataset ids: {diff}")
         _check_markers(matrix_a.m + matrix_b.m)
-        svg = render_wmsd_plot(_plot_spec(matrix_a, config, args),
-                               _plane_points(matrix_b, config.weights))
-        return [svg.encode()]
+        return _plot_document(_plot_spec(matrix_a, config, args),
+                              _plane_points(matrix_b, config.weights))
 
     specs = []
     markers = 0
@@ -580,8 +582,8 @@ def cmd_plot(args: argparse.Namespace) -> list[bytes]:
         _check_markers(markers)
         specs.append(_plot_spec(matrix, config, args))
     if len(specs) == 1:
-        return [render_wmsd_plot(specs[0]).encode()]
-    return [render_panel_grid(specs, columns=args.columns).encode()]
+        return _plot_document(specs[0], None)
+    return _grid_document(specs, args.columns)
 
 
 def cmd_compare(args: argparse.Namespace) -> Iterable[bytes]:
@@ -719,16 +721,14 @@ def _validate_args(args: argparse.Namespace) -> None:
             raise SchemaError(f"{args.command} reads one {flag}, "
                               f"got {len(values)}")
         setattr(args, dest, values[0])
-    if getattr(args, "grid", 16) < 16:
-        raise SchemaError("--grid must be at least 16")
-    if getattr(args, "grid", 16) > MAX_GRID:
-        raise SchemaError(f"--grid must be at most {MAX_GRID}")
+    for dest, low, high in (("grid", 16, MAX_GRID),
+                            ("resolution", 2, MAX_RESOLUTION)):
+        value = getattr(args, dest, low)
+        if not low <= value <= high:
+            bound = f"least {low}" if value < low else f"most {high}"
+            raise SchemaError(f"--{dest} must be at {bound}")
     if getattr(args, "columns", 1) < 1:
         raise SchemaError("--columns must be positive")
-    if getattr(args, "resolution", 2) < 2:
-        raise SchemaError("--resolution must be at least 2")
-    if getattr(args, "resolution", 2) > MAX_RESOLUTION:
-        raise SchemaError(f"--resolution must be at most {MAX_RESOLUTION}")
     if getattr(args, "isolines", None) is not None:
         args.isolines = _levels(args.isolines)
     if getattr(args, "tie_tolerance", None) is not None \

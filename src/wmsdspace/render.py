@@ -31,7 +31,7 @@ from .errors import (
 )
 from .geometry import attainable, envelope, envelope_wsd, isoline
 from .model import WeightVector, _Record, _Value
-from ._text import rows
+from ._text import pieces
 
 # Marker paint of a layer: plots and first snapshots are solid, second
 # snapshots hollow.
@@ -179,16 +179,16 @@ def _esc(text: str) -> str:
             .replace(">", "&gt;").replace("\r", "&#13;"))
 
 
-def _svg(template: str, *columns) -> str:
-    """``template`` for each row of the broadcast numeric columns, as
-    lines."""
+def _svg(template: str, *columns) -> list[bytes]:
+    """``template`` for each row of the broadcast columns, as pieces."""
     cols = np.broadcast_arrays(*map(np.atleast_1d, columns))
-    return rows(template + "\n", cols)[:-1]
+    return list(pieces(template + "\n", cols))
 
 
-def _path_data(x: np.ndarray, y: np.ndarray) -> str:
-    """SVG path data ``M x0 y0 L x1 y1 ...`` through the pixel points."""
-    return "M " + rows("%.2f %.2f L ", [x, y])[:-3]
+def _path(head: str, x: np.ndarray, y: np.ndarray, tail: str) -> bytes:
+    """``head``, path data ``M x0 y0 L x1 ...`` of the points, ``tail``."""
+    return b"".join([*pieces(head + "M %.2f %.2f", [x[:1], y[:1]]),
+                     *pieces(" L %.2f %.2f", [x[1:], y[1:]]), tail.encode()])
 
 
 def _check_points(spec: PlotSpec, layers: list[tuple]) -> None:
@@ -228,35 +228,35 @@ def _check_labels(ids: Sequence[str]) -> None:
 
 
 def _markers_svg(frame: PlotFrame, ids: Sequence[str], wm: np.ndarray,
-                 wsd: np.ndarray, paint: str, labels: bool) -> str:
+                 wsd: np.ndarray, paint: str, labels: bool) -> list[bytes]:
     """One ``paint`` marker per point, each followed by its label with
     ``labels``."""
     x, y = frame.x(wm), frame.y(wsd)
     marker = _MARKER.format(paint)
     if not labels:
-        return rows(marker + "\n", [x, y])[:-1]
+        return list(pieces(marker + "\n", [x, y]))
     _check_labels(ids)
-    return rows(marker + _LABEL + "\n",
-                [x, y, x + 6, y - 6, [_esc(pid) for pid in ids]])[:-1]
+    return list(pieces(marker + _LABEL + "\n",
+                       [x, y, x + 6, y - 6, [_esc(pid) for pid in ids]]))
 
 
-def _region_svg(spec: PlotSpec, frame: PlotFrame) -> list[str]:
-    """The color field and the region outline."""
+def _region_svg(spec: PlotSpec, frame: PlotFrame) -> list[bytes]:
+    """The color field, its one cell size written once, and the outline."""
     cells = field_cells(spec)
     env_wm, env_wsd = envelope(spec.weights)
-    return [_svg('<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" '
-                 'fill="#%02x%02x%02x"/>', cells.x, cells.y, cells.w + 0.3,
-                 cells.h + 0.3, *cells.rgb.T),
-            f'<path d="{_path_data(frame.x(env_wm), frame.y(env_wsd))} Z" '
-            f'fill="none" stroke="#000000" stroke-width="1.2"/>']
+    return [*_svg(f'<rect x="%.2f" y="%.2f" width="{cells.w + 0.3:.2f}" '
+                  f'height="{cells.h + 0.3:.2f}" fill="#%02x%02x%02x"/>',
+                  cells.x, cells.y, *cells.rgb.T),
+            _path('<path d="', frame.x(env_wm), frame.y(env_wsd),
+                  ' Z" fill="none" stroke="#000000" stroke-width="1.2"/>\n')]
 
 
 def _panel_body(spec: PlotSpec, regions: dict, second: tuple | None = None
-                ) -> list[str]:
+                ) -> list[bytes]:
     """All drawing elements of a single plot, in local coordinates.
 
     ``regions`` maps a (weights, kind, grid) key to its field and
-    outline text, so panels of one document share it.  ``second`` is an
+    outline pieces, so panels of one document share it.  ``second`` is an
     optional second snapshot of ``(ids, wm, wsd)`` marker columns: it is
     drawn hollow over the solid markers of ``spec``, labelled in their
     place, and joined to them by arrows.
@@ -270,7 +270,7 @@ def _panel_body(spec: PlotSpec, regions: dict, second: tuple | None = None
                        np.asarray(wsd, dtype=float)))
     _check_points(spec, layers)
     out = [f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" '
-           f'fill="#ffffff"/>']
+           f'fill="#ffffff"/>\n'.encode()]
     key = (w.weights.tobytes(), spec.kind, spec.grid)
     if key not in regions:
         regions[key] = _region_svg(spec, frame)
@@ -279,22 +279,21 @@ def _panel_body(spec: PlotSpec, regions: dict, second: tuple | None = None
     for level in spec.show_isolines:
         for run in isoline(spec.kind, level, w).runs:
             if len(run) >= 2:
-                out.append(
-                    f'<path class="isoline" d="'
-                    f'{_path_data(frame.x(run[:, 0]), frame.y(run[:, 1]))}'
-                    f'" fill="none" stroke="#555555" stroke-width="1" '
-                    f'stroke-dasharray="4 3"/>')
+                out.append(_path(
+                    '<path class="isoline" d="', frame.x(run[:, 0]),
+                    frame.y(run[:, 1]), '" fill="none" stroke="#555555" '
+                    'stroke-width="1" stroke-dasharray="4 3"/>\n'))
 
     out.extend(_axes_svg(spec, frame))
     if second is not None:
-        out.append(_arrows_svg(frame, *layers))
+        out.extend(_arrows_svg(frame, *layers))
     for layer, paint in zip(layers, (SOLID, HOLLOW)):
-        out.append(_markers_svg(frame, *layer, paint,
+        out.extend(_markers_svg(frame, *layer, paint,
                                 spec.labels and layer is layers[-1]))
     return out
 
 
-def _arrows_svg(frame: PlotFrame, first: tuple, second: tuple) -> str:
+def _arrows_svg(frame: PlotFrame, first: tuple, second: tuple) -> list[bytes]:
     """An arrow from each point of ``first`` to the point of ``second``
     with its id, in ``first``'s order, unless of negligible length."""
     (ids_a, wm_a, wsd_a), (ids_b, wm_b, wsd_b) = first, second
@@ -324,7 +323,7 @@ _TICK = ('\n<text x="%.2f" y="%.2f" font-family="sans-serif" font-size="10" '
          'text-anchor="{}">%.2f</text>')
 
 
-def _axes_svg(spec: PlotSpec, frame: PlotFrame) -> list[str]:
+def _axes_svg(spec: PlotSpec, frame: PlotFrame) -> list[bytes]:
     x0, x1 = frame.x(0.0), frame.x(frame.wm_max)
     y0, y1 = frame.y(0.0), frame.y(frame.wsd_max)
     tx = np.linspace(0.0, frame.wm_max, 5)
@@ -332,32 +331,35 @@ def _axes_svg(spec: PlotSpec, frame: PlotFrame) -> list[str]:
     px, py = frame.x(tx), frame.y(ty)
     cx = (x0 + x1) / 2
     cy = (y0 + y1) / 2
-    ws = rows("%.2f, ", [spec.weights.weights])[:-2]
+    ws = ", ".join(f"{x:.2f}" for x in spec.weights.weights)
     return [
-        _svg(_LINE, x0, y0, [x1, x0], [y0, y1]),
-        _svg(_LINE + _TICK.format("middle"), px, y0, px, y0 + 4, px, y0 + 16,
-             tx),
-        _svg(_LINE + _TICK.format("end"), x0 - 4, py, x0, py, x0 - 7, py + 3,
-             ty),
-        _svg('<text x="%.2f" y="%.2f" font-family="sans-serif" '
-             'font-size="12" text-anchor="middle">WM</text>\n'
-             '<text x="%.2f" y="%.2f" font-family="sans-serif" '
-             'font-size="12" text-anchor="middle" '
-             'transform="rotate(-90 %.2f %.2f)">WSD</text>\n'
-             '<text x="%.2f" y="%.2f" font-family="sans-serif" '
-             'font-size="11">' + f"{spec.kind} w=[{ws}]".replace("%", "%%")
-             + '</text>', cx, y0 + 32, x0 - 40, cy, x0 - 40, cy, x0,
-             MARGIN_T - 5),
+        *_svg(_LINE, x0, y0, [x1, x0], [y0, y1]),
+        *_svg(_LINE + _TICK.format("middle"), px, y0, px, y0 + 4, px,
+              y0 + 16, tx),
+        *_svg(_LINE + _TICK.format("end"), x0 - 4, py, x0, py, x0 - 7,
+              py + 3, ty),
+        *_svg('<text x="%.2f" y="%.2f" font-family="sans-serif" '
+              'font-size="12" text-anchor="middle">WM</text>\n'
+              '<text x="%.2f" y="%.2f" font-family="sans-serif" '
+              'font-size="12" text-anchor="middle" '
+              'transform="rotate(-90 %.2f %.2f)">WSD</text>\n'
+              '<text x="%.2f" y="%.2f" font-family="sans-serif" '
+              'font-size="11">' + f"{spec.kind} w=[{ws}]".replace("%", "%%")
+              + '</text>', cx, y0 + 32, x0 - 40, cy, x0 - 40, cy, x0,
+              MARGIN_T - 5),
     ]
 
 
-def _document(width: int, height: int, body: list[str]) -> str:
-    """The SVG document of ``body``, one element or element group per
-    entry; empty entries (a field or marker layer with no rows) are
-    left out."""
+def _document(width: int, height: int, body: list[bytes]) -> list[bytes]:
+    """The SVG document around ``body``, UTF-8 pieces of whole lines."""
     head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-            f'height="{height}" viewBox="0 0 {width} {height}">')
-    return "\n".join(filter(None, [head, *body, "</svg>"])) + "\n"
+            f'height="{height}" viewBox="0 0 {width} {height}">\n')
+    return [head.encode(), *body, b"</svg>\n"]
+
+
+def _plot_document(spec: PlotSpec, second: tuple | None) -> list[bytes]:
+    """:func:`render_wmsd_plot` as UTF-8 pieces."""
+    return _document(WIDTH, HEIGHT, _panel_body(spec, {}, second))
 
 
 def render_wmsd_plot(spec: PlotSpec, second: tuple | None = None) -> str:
@@ -369,10 +371,10 @@ def render_wmsd_plot(spec: PlotSpec, second: tuple | None = None) -> str:
     each point of ``spec`` whose id it holds is joined by an arrow to its
     second position; arrows of negligible length are suppressed.
     """
-    return _document(WIDTH, HEIGHT, _panel_body(spec, {}, second))
+    return b"".join(_plot_document(spec, second)).decode()
 
 
-def _legend_svg(ox: float, oy: float, h: float) -> list[str]:
+def _legend_svg(ox: float, oy: float, h: float) -> list[bytes]:
     steps = 64
     bar_h = h - 30
     step_h = bar_h / steps
@@ -381,20 +383,25 @@ def _legend_svg(ox: float, oy: float, h: float) -> list[str]:
     y = oy + 10 + bar_h - (i + 1) * step_h
     v = np.array([0.0, 0.5, 1.0])
     return [
-        _svg('<rect x="%.2f" y="%.2f" width="18" height="%.2f" '
-             'fill="#%02x%02x%02x"/>', ox + 12, y, step_h + 0.3, *rgb.T),
-        _svg('<rect x="%.2f" y="%.2f" width="18" height="%.2f" fill="none" '
-             'stroke="#000000" stroke-width="1"/>', ox + 12, oy + 10, bar_h),
-        _svg('<text x="%.2f" y="%.2f" font-family="sans-serif" '
-             'font-size="10">%.1f</text>', ox + 34,
-             oy + 10 + bar_h * (1.0 - v) + 3, v),
-        _svg('<text x="%.2f" y="%.2f" font-family="sans-serif" '
-             'font-size="11">score</text>', ox + 12, oy + h - 6),
+        *_svg('<rect x="%.2f" y="%.2f" width="18" height="%.2f" '
+              'fill="#%02x%02x%02x"/>', ox + 12, y, step_h + 0.3, *rgb.T),
+        *_svg('<rect x="%.2f" y="%.2f" width="18" height="%.2f" fill="none" '
+              'stroke="#000000" stroke-width="1"/>', ox + 12, oy + 10, bar_h),
+        *_svg('<text x="%.2f" y="%.2f" font-family="sans-serif" '
+              'font-size="10">%.1f</text>', ox + 34,
+              oy + 10 + bar_h * (1.0 - v) + 3, v),
+        *_svg('<text x="%.2f" y="%.2f" font-family="sans-serif" '
+              'font-size="11">score</text>', ox + 12, oy + h - 6),
     ]
 
 
 def render_panel_grid(specs: Sequence[PlotSpec], columns: int = 2) -> str:
     """Several plots in a row-major grid sharing one colormap legend."""
+    return b"".join(_grid_document(specs, columns)).decode()
+
+
+def _grid_document(specs: Sequence[PlotSpec], columns: int) -> list[bytes]:
+    """:func:`render_panel_grid` as UTF-8 pieces."""
     if len(specs) == 0:
         raise ValueError("at least one plot spec is required")
     if columns < 1:
@@ -403,7 +410,7 @@ def render_panel_grid(specs: Sequence[PlotSpec], columns: int = 2) -> str:
     total_w = columns * WIDTH + LEGEND_W
     total_h = rows * HEIGHT
     body = [f'<rect x="0" y="0" width="{total_w}" height="{total_h}" '
-            f'fill="#ffffff"/>']
+            f'fill="#ffffff"/>\n'.encode()]
     regions = {}
     for i, spec in enumerate(specs):
         ox = (i % columns) * WIDTH
@@ -413,9 +420,8 @@ def render_panel_grid(specs: Sequence[PlotSpec], columns: int = 2) -> str:
         except WmsdError as e:
             e.args = (f"panel {i}: {e}",)
             raise
-        body.append(f'<g transform="translate({ox} {oy})">')
-        body.extend(panel)
-        body.append("</g>")
+        body += [f'<g transform="translate({ox} {oy})">\n'.encode(), *panel,
+                 b"</g>\n"]
     body.extend(_legend_svg(columns * WIDTH, 0, 300))
     return _document(total_w, total_h, body)
 

@@ -197,8 +197,9 @@ def exact_squares(weights) -> list:
 
 def exact_envelope_sq(weights, taus) -> list:
     """X(tau) = max |v|^2 / N - tau^2 over box points v with v . w = tau N,
-    exactly, for each float ``tau`` in [0, 1]: the squared envelope in
-    units of mean(w)^2 (N the full sum of the rounded squares).
+    exactly, for each ``tau`` in [0, 1], a float or a ``Fraction``: the
+    squared envelope in units of mean(w)^2 (N the full sum of the rounded
+    squares).
 
     Brute force over every edge of the box (n_p at most 7): an edge holds
     the weights of a subset S of the others at their top, sum q, and
@@ -213,7 +214,7 @@ def exact_envelope_sq(weights, taus) -> list:
              for j, s in enumerate(sq)]
     out = []
     for tau in taus:
-        tau = Fraction(float(tau))
+        tau = Fraction(tau)
         c = tau * n_total
         best = max(q + (c - q) ** 2 / s for s, sums in edges for q in sums
                    if q <= c <= q + s)

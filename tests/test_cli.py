@@ -294,6 +294,31 @@ class TestPlainIngest:
         assert plain[0] == ids and len(ids) == 150_000
         assert plain[1].tobytes() == values.tobytes()
 
+    def test_csv_path_array_is_kept_without_a_copy(self, monkeypatch,
+                                                   students_config):
+        """The csv module's path hands over a read-only array that owns
+        its data, zero rows too, and the matrix keeps it; a caller's
+        writeable array is still copied."""
+        made = []
+
+        def csv_cells(text, names):
+            made.append(csv_cells_of(text, names))
+            return made[-1]
+
+        csv_cells_of = cli._csv_cells
+        monkeypatch.setattr(cli, "_csv_cells", csv_cells)
+        for text in ('id,Math,Bio,Art\n"S,1",50,3,4\nS2,60,4,5\n',
+                     '"id",Math,Bio,Art\n'):
+            matrix = read_matrix(text, students_config)
+            values = made[-1][1]
+            assert values.flags.owndata and not values.flags.writeable
+            assert matrix.values is values
+            assert values.shape == (len(matrix.ids), 3)
+        writeable = np.array([[50.0, 3.0, 4.0]])
+        matrix = DecisionMatrix.from_array(["S1"], writeable,
+                                           students_config.criteria)
+        assert matrix.values is not writeable
+
 
 class TestRankCommand:
     def test_countries_w1_csv(self, run_cli):
@@ -1200,13 +1225,24 @@ class TestErrorStream:
         ["rank"], ["rank", "--format", "json"], ["transform"],
         ["transform", "--format", "json"], ["compare"],
         ["compare", "--format", "csv"], ["boundary"],
-        ["boundary", "--format", "json"]])
+        ["boundary", "--format", "json"],
+        ["plot", "--data", FIXTURES / "students.csv",
+         "--config", FIXTURES / "students_config.json", "--labels",
+         "--isolines", "0.25,0.5,0.75"],
+        ["plot", "--data", FIXTURES / "countries.csv", "--columns", "2"]
+        + [a for k in (1, 2, 3, 4)
+           for a in ("--config", FIXTURES / f"countries_w{k}.json")],
+        ["plot", "--data", FIXTURES / "countries_2019_subset.csv",
+         "--config", FIXTURES / "countries_w3.json",
+         "--overlay", FIXTURES / "countries_2023_synthetic.csv"]])
     def test_out_gets_stdout_bytes(self, tmp_path, monkeypatch, argv):
         """``--out`` gets the bytes a process writes to stdout, and a stdout
-        without a descriptor, such as ``io.StringIO``, gets their text."""
+        without a descriptor, such as ``io.StringIO``, gets their text.  A
+        plot's bytes are the encoded text of ``render_wmsd_plot`` or
+        ``render_panel_grid``."""
         if argv[0] == "boundary":
             argv = argv + ["--config", FIXTURES / "countries_w2.json"]
-        else:
+        elif argv[0] != "plot":
             argv = argv + ["--data", FIXTURES / "students.csv",
                            "--config", FIXTURES / "students_config.json"]
         if argv[0] == "compare":
@@ -1220,6 +1256,51 @@ class TestErrorStream:
         monkeypatch.setattr(sys, "stdout", io.StringIO())
         assert cli.main(argv) == 0
         assert sys.stdout.getvalue().encode() == out.read_bytes()
+        if argv[0] == "plot":
+            assert rendered_plot(argv) == out.read_bytes()
+
+    # Recorded from the writer that joined the whole document as one str.
+    @pytest.mark.parametrize("extra, digest", [
+        (["--labels", "--isolines", "0.5"],
+         "892a5aa3c7342b8e96f1e1745739939112a06eb50786b78468b6dd18663575b3"),
+        (["--config", FIXTURES / "students_config.json"],
+         "f6d8277b539fe3c7ee9ac99c02470d704edc82edeacd867e46a275ee66f260e2"),
+        (["--overlay", None, "--labels"],
+         "2a3ae0762485bb64f6de642c3a934a8bcbac184ea4693f15bd5b059800e69f6d"),
+    ], ids=["single", "panels", "overlay"])
+    def test_header_only_dataset_plots_as_before(self, run_cli, tmp_path,
+                                                 extra, digest):
+        """A header-only dataset draws no marker, and its empty marker
+        layers add no piece: the document is byte-identical to the one
+        written before plots were pieces."""
+        data = tmp_path / "header.csv"
+        data.write_text("id,Math,Bio,Art\n")
+        code, out, err = run_cli(
+            "plot", "--data", data, "--config",
+            FIXTURES / "students_config.json",
+            *[data if a is None else a for a in extra])
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_plot_returns_pieces_of_lines(self, tmp_path):
+        """A 2,000-marker plot comes back as many pieces of whole lines,
+        which together hold every marker."""
+        rng = np.random.default_rng(5)
+        data = tmp_path / "many.csv"
+        with open(data, "w", newline="") as f:
+            writer = csv.writer(f, lineterminator="\n")
+            writer.writerow(["id", "Math", "Bio", "Art"])
+            writer.writerows([f"A{k}", *np.round(row, 2)] for k, row in
+                             enumerate(rng.uniform([0, 1, 1], [100, 6, 6],
+                                                   (2000, 3))))
+        args = cli.build_parser("plot").parse_args(
+            ["--data", str(data),
+             "--config", str(FIXTURES / "students_config.json")])
+        cli._validate_args(args)
+        got = cli.cmd_plot(args)
+        assert len(got) > 1
+        assert all(p.endswith(b"\n") for p in got)
+        assert b"".join(got).count(b'class="marker"') == 2000
 
     def test_header_only_dataset_ranks_as_empty_json(self, run_cli,
                                                      tmp_path):
@@ -1716,6 +1797,25 @@ class TestGoldenFiles:
                                    for a in args])
         assert code == 0, err
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def rendered_plot(argv: list[str]) -> bytes:
+    """The document of a ``plot`` argv as ``render_wmsd_plot`` or
+    ``render_panel_grid`` draws it, encoded."""
+    from wmsdspace.render import render_panel_grid, render_wmsd_plot
+
+    args = cli.build_parser("plot").parse_args(argv[1:])
+    cli._validate_args(args)
+    configs = [cli._load_config(p, args) for p in args.config]
+    specs = [cli._plot_spec(read_matrix(cli._read_data(args.data), c), c,
+                            args) for c in configs]
+    if args.overlay is not None:
+        snap = read_matrix(cli._read_data(args.overlay), configs[0])
+        second = cli._plane_points(snap, configs[0].weights)
+        return render_wmsd_plot(specs[0], second).encode()
+    if len(specs) == 1:
+        return render_wmsd_plot(specs[0]).encode()
+    return render_panel_grid(specs, columns=args.columns).encode()
 
 
 @pytest.mark.parametrize("argv", [

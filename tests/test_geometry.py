@@ -470,6 +470,54 @@ class TestExactOracle:
         assert vertex_images(w).tolist() == sorted(map(list, rows))
 
     @pytest.mark.parametrize("raw", ORACLE_WEIGHTS)
+    def test_attainable_is_exact_off_the_band(self, raw):
+        """``attainable`` gives the exact decision for every point off the
+        band around the exact boundary.  With X the exact squared envelope
+        at a point's exact WM, a point at WM in [0, mean(w)] is inside when
+        0 <= WSD and WSD^2 < X - slack, and outside when WSD > tol and
+        (WSD - tol)^2 > X + 2 slack: the float envelope's square may sit
+        a slack from X, and the test adds its own slack and ``tol``.  A
+        point with WM outside [-tol, mean(w) + tol] or WSD < -tol is
+        outside.  Points inside the band may go either way."""
+        w = normalize_weights(raw)
+        rng = np.random.default_rng(len(raw) + 11)
+        m = w.mean_w
+        tau = np.concatenate([[0.0, 1.0], rng.random(20),
+                              10.0 ** -rng.uniform(3, 15, 3),
+                              1 - 10.0 ** -rng.uniform(3, 15, 3)])
+        wm = tau * m
+        exact = exact_envelope_sq(
+            w.weights, [Fraction(x) / Fraction(m) for x in wm])
+        env = envelope_wsd(w, wm)
+        step = np.array([0.0, 1e-13, 1e-10, 1e-7, 1e-3, 0.1])
+        wsd = np.concatenate([env[:, None] * (1 + step),
+                              env[:, None] * (1 - step),
+                              env[:, None] + [[2e-9, -2e-9, 1e-6]],
+                              rng.uniform(0, 0.6 * m, (tau.size, 4))], axis=1)
+        slack = Fraction((4 * w.n + 9) * np.finfo(float).eps * m ** 2)
+        outside_wm = np.array([-1.0, -1e-3, -2e-9, m + 2e-9, m * 1.001,
+                               m + 1.0])
+        for tol in (1e-9, 0.0):
+            t = Fraction(tol)
+            pts, want = [], []
+            for x, row, e in zip(wm, wsd, exact):
+                e = e * Fraction(m) ** 2
+                for y in row:
+                    d = Fraction(float(y))
+                    if d >= 0 and d * d < e - slack:
+                        pts.append((x, y)), want.append(True)
+                    elif d > t and (d - t) ** 2 > e + 2 * slack:
+                        pts.append((x, y)), want.append(False)
+            # WSD = 0 is under the envelope at the end WM is clipped to
+            pts += [(x, 0.0) for x in outside_wm] + [(0.5 * m, -1e-3)]
+            want += [False] * (outside_wm.size + 1)
+            # one positive weight: the region is the segment WSD = 0
+            assert want.count(False) > 100
+            assert sum(want) > 100 or w.n_p == 1
+            got = attainable(w, *np.array(pts).T, tol=tol)
+            assert got.tolist() == want
+
+    @pytest.mark.parametrize("raw", ORACLE_WEIGHTS)
     def test_screen_equals_reference(self, raw):
         w = normalize_weights(raw)
         rng = np.random.default_rng(7)

@@ -443,7 +443,7 @@ def test_arrows_equal_loop(first_points, data):
               wsd_a[kept] + np.array(step)[::-1])
     frame = PlotFrame(PlotSpec(weights=W3, kind="R"))
     first = (ids, wm_a, wsd_a)
-    got = render._arrows_svg(frame, first, second)
+    got = b"".join(render._arrows_svg(frame, first, second)).decode()
     numbers = re.findall(r'[xy][12]="(-?[0-9.]+)"|(-?[0-9.]+),(-?[0-9.]+)',
                          got)
     values = [float(v) for groups in numbers for v in groups if v]

@@ -29,6 +29,11 @@ def blocks_of(rows, template: str):
     return mock.patch.object(model, "_BLOCK_BYTES", rows * 16 * columns)
 
 
+def joined(template: str, columns) -> str:
+    """The pieces of ``template`` over ``columns``, joined and decoded."""
+    return b"".join(_text.pieces(template, columns)).decode()
+
+
 def fixed_point_values(n: int):
     """Floats whose ``%.nf`` text is hard to get right."""
     limit = 2.0 ** 52 / 10 ** n
@@ -54,7 +59,7 @@ def fixed_point_values(n: int):
 def test_fixed_point_equals_percent(case, chunk):
     n, xs = case
     with blocks_of(chunk, f"%.{n}f\n"):
-        got = _text.rows(f"%.{n}f\n", [np.array(xs, dtype=float)])
+        got = joined(f"%.{n}f\n", [np.array(xs, dtype=float)])
     assert got == "".join("%.*f\n" % (n, x) for x in xs)
 
 
@@ -66,7 +71,7 @@ def test_fallback_takes_only_values_past_exact_integers(case):
     |x|·10^N is at least 2^52; ties below that are decided in the grid."""
     n, xs = case
     with mock.patch.object(_text, "_percent", wraps=_text._percent) as spy:
-        _text.rows(f"%.{n}f\n", [np.array(xs, dtype=float)])
+        joined(f"%.{n}f\n", [np.array(xs, dtype=float)])
     sent = [x for call in spy.call_args_list for x in call.args[0]]
     assert list(map(repr, sent)) == [repr(x) for x in xs
                                      if not abs(x) * 10.0 ** n < 2.0 ** 52]
@@ -77,7 +82,7 @@ def test_fallback_takes_only_values_past_exact_integers(case):
        CHUNKS)
 def test_integers_equal_percent(ints, chunk):
     with blocks_of(chunk, "%d;"):
-        got = _text.rows("%d;", [np.array(ints, dtype=np.int64)])
+        got = joined("%d;", [np.array(ints, dtype=np.int64)])
     assert got == "".join("%d;" % i for i in ints)
 
 
@@ -94,7 +99,7 @@ def test_rows_equal_template(records, chunk):
     template = "%s,%.6f;%.2f %d#%02x[%r]%% %s\n"
     cols = list(zip(*records)) or [[]] * 7
     with blocks_of(chunk, template):
-        got = _text.rows(template, [
+        got = joined(template, [
             list(cols[0]), np.array(cols[1], dtype=float),
             np.array(cols[2], dtype=float), np.array(cols[3], dtype=np.int64),
             np.array(cols[4], dtype=np.int64), np.array(cols[5], dtype=float),
@@ -118,7 +123,7 @@ def test_blocks_with_and_without_pads_equal_percent(free, padded, chunk):
     for records in (free, padded, free + padded):
         cols = np.array(records, dtype=float).reshape(-1, 2)
         with blocks_of(chunk, template):
-            got = _text.rows(template, [cols])
+            got = joined(template, [cols])
         assert got == "".join(template % r for r in records)
 
 
@@ -127,26 +132,26 @@ def test_id_blocks_equal_percent(records, chunk):
     template = "%s,%.6f\n"
     ids = [r[0] for r in records]
     with blocks_of(chunk, template):
-        got = _text.rows(template, [ids, np.array([r[1] for r in records])])
+        got = joined(template, [ids, np.array([r[1] for r in records])])
     assert got == "".join(template % r for r in records)
 
 
 def test_two_dimensional_columns():
     table = np.array([[0.5, -0.0], [1e-7, 2.5e-7], [123.456789, -9.99]])
-    assert _text.rows("%s:%.1f,%.6f\n", [["a", "b", "c"], table]) == \
+    assert joined("%s:%.1f,%.6f\n", [["a", "b", "c"], table]) == \
         "a:0.5,-0.000000\nb:0.0,0.000000\nc:123.5,-9.990000\n"
 
 
 @pytest.mark.parametrize("columns", [[], [[1.0], [2.0]]])
 def test_columns_must_match_conversions(columns):
     with pytest.raises(TypeError):
-        _text.rows("%r\n", columns)
+        joined("%r\n", columns)
 
 
 @pytest.mark.parametrize("template", ["%f", "%x", "%5.2f", "%.10f", "%"])
 def test_unsupported_conversion(template):
     with pytest.raises(ValueError):
-        _text.rows(template, [[1.0]])
+        joined(template, [[1.0]])
 
 
 # Templates whose adjacent numeric columns share one conversion and one
@@ -175,7 +180,7 @@ def test_like_columns_equal_template(case, chunk):
     if kinds[0] == "s":
         columns.insert(0, [r[0] for r in records])
     with blocks_of(chunk, template):
-        got = _text.rows(template, columns)
+        got = joined(template, columns)
     assert got == "".join(template % r for r in records)
 
 
@@ -190,7 +195,7 @@ def test_long_string_cell_is_bounded():
     ranks = np.arange(len(ids))
     tracemalloc.start()
     try:
-        got = _text.rows("%s,%.6f,%d\n", [ids, values, ranks])
+        got = joined("%s,%.6f,%d\n", [ids, values, ranks])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -256,7 +261,7 @@ def test_json_floats_equal_repr_round(xs, chunk):
     it would write with an exponent or that are past exact integers."""
     with blocks_of(chunk, "%r\n"), \
             mock.patch.object(_text, "_percent", wraps=_text._percent) as spy:
-        got = _text.rows("%r\n", [np.array(xs, dtype=float)])
+        got = joined("%r\n", [np.array(xs, dtype=float)])
     assert got == "".join(repr(round(x, 6)) + "\n" for x in xs)
     sent = [x for call in spy.call_args_list for x in call.args[0]]
     assert list(map(repr, sent)) == [
