@@ -42,8 +42,8 @@ to the ideal image.  :func:`vertex_images` therefore works on the sorted
 order of the sorted sums, in which WM never decreases, and drops each row
 equal to its predecessor, without forming or sorting a 2-D array of rows.
 
-The edge tables of recently used weight vectors are kept in an LRU cache
-bounded by ``CACHE_BYTES``.
+The edge tables of the two most recently used weight vectors are kept in
+a ``functools.lru_cache``, at most 2 x 88 MiB at ``EXACT_LIMIT``.
 
 The exact path enumerates 2^(n_p - 1) subset sums per distinct positive
 weight and is capped at ``EXACT_LIMIT`` positive weights; beyond the cap
@@ -55,6 +55,7 @@ it is left out of the tables and does not count toward the cap.
 
 from __future__ import annotations
 
+import functools
 import math
 import numpy as np
 
@@ -65,10 +66,6 @@ from .model import WeightVector, _Record, _frozen
 EXACT_LIMIT = 20
 # Samples along each isoline arc or segment.
 _SAMPLES = 361
-# Upper bound on the bytes of edge tables and outlines kept between calls;
-# one n_p = 20 weight vector with distinct weights takes about 88 MiB.  The
-# most recently used entry is kept even when it alone exceeds the bound.
-CACHE_BYTES = 256 * 2**20
 # WM values of the cached outline: ``envelope(w, _OUTLINE)`` and the
 # screen of :func:`attainable` read one evaluation per weight vector.
 _OUTLINE = 512
@@ -93,49 +90,6 @@ class _EdgeTables(_Record):
                  vertex_sums: np.ndarray):
         vars(self).update(sq=sq, norm2=norm2, per_free=per_free,
                           vertex_sums=vertex_sums, outlines={})
-
-    @property
-    def nbytes(self) -> int:
-        return (self.sq.nbytes + self.vertex_sums.nbytes
-                + sum(qs.nbytes for _, qs in self.per_free)
-                + sum(v.nbytes for v in self.outlines.values()))
-
-
-class _TableCache:
-    """Least-recently-used edge tables, bounded by the bytes they hold.
-
-    Keys are the bytes of the sorted squared positive weights.  ``hits``
-    counts lookups served from the cache and ``nbytes`` the bytes of the
-    arrays currently held.
-    """
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.entries: dict[bytes, _EdgeTables] = {}  # oldest use first
-        self.nbytes = 0
-        self.hits = 0
-
-    def get(self, key: bytes) -> _EdgeTables | None:
-        entry = self.entries.pop(key, None)
-        if entry is not None:
-            self.entries[key] = entry
-            self.hits += 1
-        return entry
-
-    def put(self, key: bytes, entry: _EdgeTables) -> None:
-        self.entries[key] = entry
-        self.grow(entry.nbytes)
-
-    def grow(self, nbytes: int) -> None:
-        """Count ``nbytes`` more held by the newest entry, evicting the
-        oldest entries while the bound is exceeded."""
-        self.nbytes += nbytes
-        while self.nbytes > self.limit and len(self.entries) > 1:
-            oldest = next(iter(self.entries))
-            self.nbytes -= self.entries.pop(oldest).nbytes
-
-
-_TABLE_CACHE = _TableCache(CACHE_BYTES)
 
 
 def _subset_sums(values: np.ndarray, sums: np.ndarray) -> np.ndarray:
@@ -166,12 +120,16 @@ def _edge_tables(w: WeightVector) -> _EdgeTables:
         raise TooManyCriteria(
             f"{sq.size} positive weights exceed the exact-envelope cap of "
             f"{EXACT_LIMIT}; drop criteria")
-    key = sq.tobytes()
-    entry = _TABLE_CACHE.get(key)
-    if entry is None:
-        entry = _build_tables(sq)
-        _TABLE_CACHE.put(key, entry)
-    return entry
+    # Keyed by the sorted positive squares, so weight vectors that differ
+    # only in order or in zero weights share one entry.
+    return _cached_tables(sq.tobytes())
+
+
+# Two entries: a command reuses at most two weight vectors (a panel grid
+# that alternates them), and at ``EXACT_LIMIT`` one entry takes 88 MiB.
+@functools.lru_cache(maxsize=2)
+def _cached_tables(key: bytes) -> _EdgeTables:
+    return _build_tables(np.frombuffer(key))
 
 
 def _build_tables(sq: np.ndarray) -> _EdgeTables:
@@ -271,7 +229,6 @@ def _outline(w: WeightVector) -> np.ndarray:
         vals = envelope_wsd(w, np.linspace(0.0, w.mean_w, _OUTLINE))
         vals.flags.writeable = False
         tables.outlines[w.mean_w] = vals
-        _TABLE_CACHE.grow(vals.nbytes)
     return vals
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import settings
 
 import wmsdspace
+from wmsdspace import geometry
 from wmsdspace.aggregate import agg_values
 from wmsdspace.cli import main as cli_main, parse_config, read_matrix
 from wmsdspace.geometry import EXACT_LIMIT
@@ -81,6 +82,16 @@ def countries_configs():
 @pytest.fixture(scope="session")
 def countries_matrix(countries_configs):
     return load_matrix("countries.csv", countries_configs["w1"])
+
+
+@pytest.fixture
+def fresh_tables():
+    """The edge-table cache, empty at the start and the end of the test:
+    the cache is process-wide, so builds and hits counted through it
+    then count the test's own calls alone."""
+    geometry._cached_tables.cache_clear()
+    yield geometry._cached_tables
+    geometry._cached_tables.cache_clear()
 
 
 @pytest.fixture

@@ -514,23 +514,15 @@ class TestPlotCommand:
         assert svg.count("<g transform") == 4
         assert svg.count('class="marker"') == 48
 
-    def test_repeated_configs_build_two_tables(self, run_cli, monkeypatch):
-        monkeypatch.setattr(geometry, "_TABLE_CACHE",
-                            geometry._TableCache(geometry.CACHE_BYTES))
-        built = []
-        build = geometry._build_tables
-
-        def counted(sq):
-            built.append(sq)
-            return build(sq)
-        monkeypatch.setattr(geometry, "_build_tables", counted)
+    def test_repeated_configs_build_two_tables(self, run_cli, fresh_tables):
         code, out, err = run_cli(
             "plot", "--data", FIXTURES / "countries.csv",
             *[a for k in (1, 2, 1, 2)
               for a in ("--config", FIXTURES / f"countries_w{k}.json")])
         assert code == 0, err
         assert out.count("<g transform") == 4
-        assert len(built) == 2 and geometry._TABLE_CACHE.hits > 0
+        info = fresh_tables.cache_info()
+        assert info.misses == 2 and info.hits > 0
 
     def test_overlay_id_mismatch(self, run_cli):
         code, _, err = run_cli(

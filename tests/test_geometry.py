@@ -204,33 +204,42 @@ class TestAttainability:
 
 
 class TestTableCache:
-    def test_lru_eviction_by_bytes(self):
-        a, b, c = (geometry._build_tables(np.arange(1.0, k + 1.0) ** 2)
+    def test_two_most_recent_kept(self, fresh_tables):
+        a, b, c = (normalize_weights(np.arange(1.0, k + 1.0))
                    for k in (6, 7, 8))
-        cache = geometry._TableCache(a.nbytes + b.nbytes + c.nbytes - 1)
-        cache.put(b"a", a)
-        cache.put(b"b", b)
-        assert cache.get(b"a") is a  # "b" is now least recently used
-        cache.put(b"c", c)
-        assert list(cache.entries) == [b"a", b"c"]
-        assert cache.nbytes == a.nbytes + c.nbytes
-        assert cache.get(b"b") is None and cache.hits == 1
+        for w in (a, b, c):
+            envelope_wsd(w, 0.3)
+        envelope_wsd(a, 0.3)  # evicted by c: built again, evicting b
+        assert fresh_tables.cache_info()[:2] == (0, 4)
+        envelope_wsd(c, 0.3)
+        info = fresh_tables.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 4, 2)
 
-    def test_oversized_entry_kept_alone(self):
-        a, b = (geometry._build_tables(np.arange(1.0, k + 1.0) ** 2)
-                for k in (4, 9))
-        cache = geometry._TableCache(b.nbytes - 1)
-        cache.put(b"a", a)
-        cache.put(b"b", b)
-        assert list(cache.entries) == [b"b"] and cache.nbytes == b.nbytes
-
-    def test_repeated_weights_hit(self, monkeypatch):
-        cache = geometry._TableCache(geometry.CACHE_BYTES)
-        monkeypatch.setattr(geometry, "_TABLE_CACHE", cache)
+    def test_permuted_weights_hit(self, fresh_tables):
         envelope_wsd(W3, 0.3)
         envelope_wsd(normalize_weights([1.0, 0.5, 0.6]), 0.3)  # same multiset
-        assert cache.hits == 1 and len(cache.entries) == 1
-        assert cache.nbytes == next(iter(cache.entries.values())).nbytes
+        info = fresh_tables.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+    def test_zero_weight_shares_tables_not_outline(self, fresh_tables):
+        w0 = normalize_weights([0.5, 0.0, 0.6, 1.0])
+        fresh = geometry._outline(w0).tobytes()
+        fresh_tables.cache_clear()
+        tables = geometry._edge_tables(W3)
+        geometry._outline(W3)
+        assert geometry._edge_tables(w0) is tables
+        assert geometry._outline(w0).tobytes() == fresh
+        assert set(tables.outlines) == {W3.mean_w, w0.mean_w}
+        info = fresh_tables.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+
+    def test_refused_vector_is_not_cached(self, fresh_tables):
+        envelope_wsd(W3, 0.3)
+        before = fresh_tables.cache_info()
+        w = normalize_weights(np.arange(1.0, geometry.EXACT_LIMIT + 2.0))
+        with pytest.raises(TooManyCriteria):
+            envelope_wsd(w, 0.3)
+        assert fresh_tables.cache_info() == before
 
 
 class TestOracle:
