@@ -42,6 +42,7 @@ import math
 import os
 import sys
 from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -229,10 +230,9 @@ def read_matrix(csv_text: str, config: RunConfig) -> DecisionMatrix:
     """Parse a dataset CSV against the configured criteria.
 
     Plain text (no ``"``, CR, NUL or ``\\x1c``-``\\x1f``) with the expected
-    header and n commas on every line is parsed by :func:`_split_plain`
-    with numpy's C text reader.  Other text, and any text with a cell that
-    reader refuses, goes through :func:`_csv_cells`, which is the only
-    path that raises ingest errors; both give the same cells.
+    header and n cells after each id is parsed by :func:`_split_plain` with
+    numpy's C text reader; any other text goes through :func:`_csv_cells`,
+    the only path that raises ingest errors.  Both give the same cells.
     """
     matrices = _read_matrices(csv_text, [config])
     del csv_text  # the split holds the text only until it is parsed
@@ -265,9 +265,9 @@ _NOT_PLAIN = '"\r\0\x1c\x1d\x1e\x1f'
 def _split_plain(csv_text: str, names: tuple[str, ...]):
     """``(ids, values)`` of plain CSV text, or None to use the csv module.
 
-    The values come from ``np.loadtxt``, whose cells are bit-identical to
-    ``float()``'s wherever it accepts them; a cell it refuses (``1_0``,
-    non-ASCII digits, an empty cell) returns None.
+    ``np.loadtxt`` reads the cells after each line's first comma, bit for
+    bit as ``float()`` wherever it accepts them.  A cell it refuses (``1_0``,
+    non-ASCII digits, empty) or a row without exactly n cells returns None.
     """
     if any(c in csv_text for c in _NOT_PLAIN):
         return None
@@ -277,29 +277,27 @@ def _split_plain(csv_text: str, names: tuple[str, ...]):
     n = len(names)
     # A row per 2n + 1 characters at most; untouched rows take no memory.
     ids, values = [], np.empty((len(csv_text) // (2 * n + 1) + 1, n))
-    commas, start, end = 0, head + 1, len(csv_text) - csv_text.endswith("\n")
+    start, end = head + 1, len(csv_text) - csv_text.endswith("\n")
     while start < end:
         stop = csv_text.find("\n", start + _block_rows(1), end)  # a char a row
         stop = end if stop < 0 else stop
-        text = csv_text[start:stop]
-        commas += text.count(",")
-        lines = text.split("\n")
+        lines = csv_text[start:stop].split("\n")
         start = stop + 1
         if not any(lines):  # loadtxt warns on input without data
             continue
+        cells = [*map(itemgetter(2), map(str.partition, lines, repeat(",")))]
+        if not any(cells):  # ids alone, and nothing for loadtxt to read
+            return None
         try:
-            block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
-                               usecols=range(1, n + 1))
+            block = np.loadtxt(cells, delimiter=",", comments=None, ndmin=2)
         except ValueError:
             return None
         if len(block) < len(lines):  # loadtxt skips blank lines
             lines = [line for line in lines if line]
+        if block.shape != (len(lines), n):
+            return None
         values[len(ids):len(ids) + len(block)] = block
-        ids += [cells[0] for cells in map(str.partition, lines, repeat(","))]
-    # loadtxt refuses a line with fewer than n commas, so n commas per
-    # line in total means exactly n on every line.
-    if commas != n * len(ids):
-        return None
+        ids += map(itemgetter(0), map(str.partition, lines, repeat(",")))
     values.resize((len(ids), n), refcheck=False)  # no view of it is alive
     values.flags.writeable = False  # so the matrix keeps it without a copy
     return ids, values
@@ -737,7 +735,8 @@ def _validate_args(args: argparse.Namespace) -> None:
 
 
 def _batches(pieces: Iterable[bytes]) -> Iterator[bytes]:
-    """Pieces in runs of 64 KiB or more, but the last, to fill pipe pages."""
+    """Pieces in runs of 64 KiB or more, but the last: only such a first run
+    fills a 64 KiB pipe, which unbatched pieces left blocked short of full."""
     batch, size = [], 0
     for piece in pieces:
         batch.append(piece)

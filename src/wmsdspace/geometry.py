@@ -75,20 +75,17 @@ _EPS = float(np.finfo(float).eps)
 class _EdgeTables(_Record):
     """Subset-sum machinery for one multiset of positive weights.
 
-    ``sq`` holds the squared weights in ascending order (the canonical
-    order makes every derived float bit-identical under permutation of
-    the input weights).  ``norm2`` is the full subset sum, used instead
-    of a separately computed squared norm so that ratios q / norm2 hit
-    exactly 1.0 at the top vertex.  ``outlines`` maps mean(w) to the
-    envelope at the ``_OUTLINE`` WM values from 0 to mean(w); weight
-    vectors that differ only in zero weights share the tables, not the
-    outline.
+    ``norm2`` is the full subset sum, used instead of a separately
+    computed squared norm so that ratios q / norm2 hit exactly 1.0 at the
+    top vertex.  ``outlines`` maps mean(w) to the envelope at the
+    ``_OUTLINE`` WM values from 0 to mean(w); weight vectors that differ
+    only in zero weights share the tables, not the outline.
     """
 
-    def __init__(self, sq: np.ndarray, norm2: float,
+    def __init__(self, norm2: float,
                  per_free: tuple[tuple[float, np.ndarray], ...],
                  vertex_sums: np.ndarray):
-        vars(self).update(sq=sq, norm2=norm2, per_free=per_free,
+        vars(self).update(norm2=norm2, per_free=per_free,
                           vertex_sums=vertex_sums, outlines={})
 
 
@@ -120,8 +117,9 @@ def _edge_tables(w: WeightVector) -> _EdgeTables:
         raise TooManyCriteria(
             f"{sq.size} positive weights exceed the exact-envelope cap of "
             f"{EXACT_LIMIT}; drop criteria")
-    # Keyed by the sorted positive squares, so weight vectors that differ
-    # only in order or in zero weights share one entry.
+    # Keyed by the positive squares in ascending order: weight vectors that
+    # differ only in order or in zero weights share one entry, and every
+    # float derived from it is bit-identical under permutation.
     return _cached_tables(sq.tobytes())
 
 
@@ -143,7 +141,7 @@ def _build_tables(sq: np.ndarray) -> _EdgeTables:
                                       block[i * half:(i + 1) * half]))
         for i, idx in enumerate(first.tolist()))
     vertex_sums = _subset_sums(sq, block[first.size * half:])
-    return _EdgeTables(sq=sq, norm2=float(vertex_sums[-1]),
+    return _EdgeTables(norm2=float(vertex_sums[-1]),
                        per_free=per_free, vertex_sums=vertex_sums)
 
 

@@ -251,10 +251,14 @@ class TestPlainIngest:
     @given(_dataset_texts(), st.booleans())
     @example(text="id,Math,Bio,Art\na,-0,2,2\n", clamp=False)
     @example(text="id,Math,Bio,Art\na,3\x1c,2,2\n", clamp=False)
-    # The plain path counts the commas of all lines at once.  One line
-    # with n + 1 commas fails the count; lines with n + 1 and n - 1, or a
-    # whitespace-only line beside one with 2n, hold n per line in all,
-    # and the csv path must still be taken.
+    # The plain path reads the cells after each id and takes a block only
+    # as n cells on each non-blank line.  Rows that all hold n + 1 cells,
+    # rows of mixed widths, an id alone, with or without its comma, and a
+    # whitespace-only line must all still take the csv path.
+    @example(text="id,Math,Bio,Art\na\n", clamp=False)
+    @example(text="id,Math,Bio,Art\na,\n", clamp=False)
+    @example(text="id,Math,Bio,Art\na,1,2,3\nb\n", clamp=False)
+    @example(text="id,Math,Bio,Art\na,1,2,3,4\nb,5,6,7,8\n", clamp=False)
     @example(text="id,Math,Bio,Art\na,1,2,3,4\n", clamp=False)
     @example(text="id,Math,Bio,Art\na,1,2,3,4\nb,1,2\n", clamp=False)
     @example(text="id,Math,Bio,Art\na,1,2\nb,1,2,3,4\n", clamp=False)
@@ -293,6 +297,19 @@ class TestPlainIngest:
         ids, values = cli._csv_cells(text, students_config.names)
         assert plain[0] == ids and len(ids) == 150_000
         assert plain[1].tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("cells", ["1,2,3,4", "1,2"])
+    def test_every_block_is_checked(self, students_config, monkeypatch,
+                                    cells):
+        """A second block whose rows all hold n + 1 cells, or all n - 1,
+        after a first block of n, is refused as the first would be, and
+        the csv module's error is raised."""
+        good = "".join(f"s{i},1,2,3\n" for i in range(5))
+        text = "id,Math,Bio,Art\n" + good + f"t,{cells}\n" * 5
+        monkeypatch.setattr(model, "_BLOCK_BYTES", len(good) - 1)
+        assert cli._split_plain(text, students_config.names) is None
+        assert _outcome(read_matrix, text, students_config) == \
+            _outcome(_read_with_csv_module, text, students_config)
 
     def test_csv_path_array_is_kept_without_a_copy(self, monkeypatch,
                                                    students_config):
@@ -2222,7 +2239,8 @@ def pipe_output_case(tmp_path, command="rank") -> tuple[list, bytes]:
 
 def start_filling_pipe(args, unbuffered: bool, nonblocking: bool):
     """``python ARGS`` writing to a new pipe, returned once the pipe is
-    full: ``(process, read end)``."""
+    full: ``(process, read end)``.  The test fails if the process exits
+    first, or if the pipe is not full within 20 s."""
     r, w = os.pipe()
     os.set_blocking(w, not nonblocking)
     capacity = fcntl.fcntl(r, fcntl.F_GETPIPE_SZ)
@@ -2230,14 +2248,19 @@ def start_filling_pipe(args, unbuffered: bool, nonblocking: bool):
                             stderr=subprocess.PIPE,
                             env=python_env(unbuffered))
     os.close(w)
-    deadline = time.monotonic() + 60
+    deadline = time.monotonic() + 20
     queued = bytearray(4)
-    while time.monotonic() < deadline:
+    while proc.poll() is None and time.monotonic() < deadline:
         fcntl.ioctl(r, termios.FIONREAD, queued)
         if int.from_bytes(queued, sys.byteorder) >= capacity:
-            break
+            return proc, r
         time.sleep(0.01)
-    return proc, r
+    proc.kill()
+    stderr = proc.communicate()[1]
+    os.close(r)
+    pytest.fail(f"pipe holds {int.from_bytes(queued, sys.byteorder)} of "
+                f"{capacity} bytes, exit code {proc.returncode}, "
+                f"stderr {stderr!r}")
 
 
 @pytest.mark.parametrize("command", ["rank", "transform"])
