@@ -229,10 +229,11 @@ def _read_data(path, error: type[WmsdError] = ValidationError) -> str:
 def read_matrix(csv_text: str, config: RunConfig) -> DecisionMatrix:
     """Parse a dataset CSV against the configured criteria.
 
-    Plain text (no ``"``, CR, NUL or ``\\x1c``-``\\x1f``) with the expected
-    header and n cells after each id is parsed by :func:`_split_plain` with
-    numpy's C text reader; any other text goes through :func:`_csv_cells`,
-    the only path that raises ingest errors.  Both give the same cells.
+    Plain text (no ``"``, NUL, ``\\x1c``-``\\x1f`` or carriage return that
+    does not end a CRLF line or the text) with the expected header and n
+    cells after each id is parsed by :func:`_split_plain` with numpy's C
+    text reader; any other text goes through :func:`_csv_cells`, the only
+    path that raises ingest errors.  Both give the same cells.
     """
     matrices = _read_matrices(csv_text, [config])
     del csv_text  # the split holds the text only until it is parsed
@@ -256,10 +257,10 @@ def _read_matrices(csv_text: str, configs: Sequence[RunConfig]
                                         config.criteria, clamp=config.clamp)
 
 
-# Characters that send a text to the csv module: a quote, CR and NUL need
-# its parsing, and numpy's reader strips \x1c-\x1f around a number where
-# ``float()`` refuses it.
-_NOT_PLAIN = '"\r\0\x1c\x1d\x1e\x1f'
+# Characters that send a text to the csv module: a quote and NUL need its
+# parsing, and numpy's reader strips \x1c-\x1f around a number where
+# ``float()`` refuses it.  A CR that ends a CRLF line or the text is plain.
+_NOT_PLAIN = '"\0\x1c\x1d\x1e\x1f'
 
 
 def _split_plain(csv_text: str, names: tuple[str, ...]):
@@ -268,12 +269,17 @@ def _split_plain(csv_text: str, names: tuple[str, ...]):
     ``np.loadtxt`` reads the cells after each line's first comma, bit for
     bit as ``float()`` wherever it accepts them.  A cell it refuses (``1_0``,
     non-ASCII digits, empty) or a row without exactly n cells returns None.
+    CRLF line ends read as LF ones.
     """
     if any(c in csv_text for c in _NOT_PLAIN):
         return None
+    # The csv module also ends a line at a CR that no LF follows, so such
+    # a CR anywhere but at the end of the text returns None.
     head = csv_text.find("\n") if "\n" in csv_text else len(csv_text)
-    if csv_text[:head].split(",") != ["id", *names]:
+    header = csv_text[:head].removesuffix("\r")
+    if "\r" in header or header.split(",") != ["id", *names]:
         return None
+    crlf = "\r" in csv_text
     n = len(names)
     # A row per 2n + 1 characters at most; untouched rows take no memory.
     ids, values = [], np.empty((len(csv_text) // (2 * n + 1) + 1, n))
@@ -281,7 +287,12 @@ def _split_plain(csv_text: str, names: tuple[str, ...]):
     while start < end:
         stop = csv_text.find("\n", start + _block_rows(1), end)  # a char a row
         stop = end if stop < 0 else stop
-        lines = csv_text[start:stop].split("\n")
+        chunk = csv_text[start:stop]  # an LF or the end of the text follows
+        if crlf:
+            chunk = chunk.replace("\r\n", "\n").removesuffix("\r")
+            if "\r" in chunk:
+                return None
+        lines = chunk.split("\n")
         start = stop + 1
         if not any(lines):  # loadtxt warns on input without data
             continue

@@ -104,15 +104,10 @@ def _subset_sums(values: np.ndarray, sums: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _active_squares(w: WeightVector) -> np.ndarray:
-    """The positive squared weights in ascending order; a square that
-    underflows to 0 is dropped, as the envelope divides by its root."""
-    sq = np.sort(w.weights) ** 2
-    return sq[sq > 0]
-
-
 def _edge_tables(w: WeightVector) -> _EdgeTables:
-    sq = _active_squares(w)
+    # A square underflowing to 0 is dropped: the envelope divides by its root.
+    sq = np.sort(w.weights) ** 2
+    sq = sq[sq > 0]
     if sq.size > EXACT_LIMIT:
         raise TooManyCriteria(
             f"{sq.size} positive weights exceed the exact-envelope cap of "
@@ -125,14 +120,12 @@ def _edge_tables(w: WeightVector) -> _EdgeTables:
 
 # Two entries: a command reuses at most two weight vectors (a panel grid
 # that alternates them), and at ``EXACT_LIMIT`` one entry takes 88 MiB.
+# One block holds every table, so a large one is mapped in a few huge
+# pages; each table is sorted on its own, as merge-doubling with subset
+# masks and one argsort filtered per weight were slower at n_p = 16-20.
 @functools.lru_cache(maxsize=2)
 def _cached_tables(key: bytes) -> _EdgeTables:
-    return _build_tables(np.frombuffer(key))
-
-
-def _build_tables(sq: np.ndarray) -> _EdgeTables:
-    # One block holds every table, so a large one is mapped in a few huge
-    # pages rather than faulted in page by page.
+    sq = np.frombuffer(key)
     _, first = np.unique(sq, return_index=True)
     half = 1 << (sq.size - 1)
     block = np.empty((first.size + 2) * half)

@@ -265,18 +265,30 @@ class TestPlainIngest:
     @example(text="id,Math,Bio,Art\na,1,2,3,1,2,3\n \nb,1,2,3\n",
              clamp=False)
     @example(text="id,Math,Bio,Art\na,1,2,3\n\n\n", clamp=False)
+    # CRLF line ends, blank CRLF lines among and after the rows, LF lines
+    # among them and a CR that ends the text take the plain path; a CR
+    # that does not end a CRLF line or the text, as in \r\r\n, takes the
+    # csv path.
+    @example(text="id,Math,Bio,Art\r\na,1,2,3\r\nb,4,5,6\r\n", clamp=False)
+    @example(text="id,Math,Bio,Art\r\na,1,2,3\r\n\r\nb,4,5,6\r\n\r\n",
+             clamp=False)
+    @example(text="id,Math,Bio,Art\r\r\na,1,2,3\r\r\n", clamp=False)
+    @example(text="id,Math,Bio,Art\r\na,1,2,3\r\nb,4,5,6\r", clamp=False)
+    @example(text="id,Math,Bio,Art\na,1,2,3\r\nb,4,5,6\n", clamp=False)
     def test_equals_csv_path(self, students_config, text, clamp):
         config = students_config.replace(clamp=clamp)
         assert _outcome(read_matrix, text, config) == \
             _outcome(_read_with_csv_module, text, config)
 
-    def test_plain_text_skips_csv_module(self, students_config, monkeypatch):
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_plain_text_skips_csv_module(self, students_config, monkeypatch,
+                                         end):
         def refuse(*args):
             raise AssertionError("csv path used")
         monkeypatch.setattr(cli, "_csv_cells", refuse)
         # many rows, after a blank line
         rows = [f"s{i},{i % 100},{1 + i % 5},{6 - i % 5}" for i in range(9000)]
-        text = "id,Math,Bio,Art\n\n" + "\n".join(rows) + "\n"
+        text = end.join(["id,Math,Bio,Art", "", *rows, ""])
         m = read_matrix(text, students_config)
         assert m.m == 9000 and m.ids[-1] == "s8999"
         assert m.values[1].tolist() == [1.0, 2.0, 5.0]
@@ -2085,9 +2097,12 @@ class TestBatchedCore:
                                  for i in ranks[0]}
 
 
-def test_commands_import_only_what_they_run():
-    # rank, transform and compare run on plain CSV, which needs no csv
-    # module; only plot draws, so only plot loads render.
+def test_commands_import_only_what_they_run(tmp_path):
+    # rank, transform and compare run on plain CSV, LF or CRLF, which needs
+    # no csv module; only plot draws, so only plot loads render.
+    crlf = tmp_path / "countries_crlf.csv"
+    crlf.write_bytes((FIXTURES / "countries.csv").read_bytes()
+                     .replace(b"\n", b"\r\n"))
     code = f"""
 import contextlib, io, json, sys
 import wmsdspace.cli as cli
@@ -2095,23 +2110,27 @@ def loaded():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
                   or m in ("csv", "wmsdspace.geometry", "wmsdspace.render"))
 seen = {{"import": loaded()}}
-for argv in {[
-    ["rank", "--data", str(FIXTURES / "countries.csv"),
-     "--config", str(FIXTURES / "countries_w1.json")],
-    ["transform", "--data", str(FIXTURES / "students.csv"),
-     "--config", str(FIXTURES / "students_config.json")],
-    ["compare", "--data", str(FIXTURES / "countries.csv"),
-     "--config", str(FIXTURES / "countries_w1.json"),
-     "--config-b", str(FIXTURES / "countries_w2.json")],
-    ["boundary", "--config", str(FIXTURES / "countries_w2.json")],
-]!r}:
+for name, argv in { {
+    "rank": ["rank", "--data", str(FIXTURES / "countries.csv"),
+             "--config", str(FIXTURES / "countries_w1.json")],
+    "rank crlf": ["rank", "--data", str(crlf),
+                  "--config", str(FIXTURES / "countries_w1.json")],
+    "transform": ["transform", "--data", str(FIXTURES / "students.csv"),
+                  "--config", str(FIXTURES / "students_config.json")],
+    "compare": ["compare", "--data", str(FIXTURES / "countries.csv"),
+                "--config", str(FIXTURES / "countries_w1.json"),
+                "--config-b", str(FIXTURES / "countries_w2.json")],
+    "boundary": ["boundary", "--config",
+                 str(FIXTURES / "countries_w2.json")],
+}!r}.items():
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
-    seen[argv[0]] = loaded()
+    seen[name] = loaded()
 print(json.dumps(seen))
 """
     seen = json.loads(fresh_python(code))
-    assert seen == {"import": [], "rank": [], "transform": [], "compare": [],
+    assert seen == {"import": [], "rank": [], "rank crlf": [],
+                    "transform": [], "compare": [],
                     "boundary": ["wmsdspace.geometry"]}
 
 
