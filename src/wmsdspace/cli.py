@@ -232,12 +232,11 @@ def _read_data(path, error: type[WmsdError] = ValidationError) -> str:
 def read_matrix(csv_text: str, config: RunConfig) -> DecisionMatrix:
     """Parse a dataset CSV against the configured criteria.
 
-    Plain text (no NUL, ``\\x1c``-``\\x1f`` or carriage return that does
-    not end a CRLF line or the text) with the expected header and n cells
-    after each id is parsed by :func:`_split_plain` with numpy's C text
-    reader, each line with a ``"`` split first by the csv module; any
-    other text goes through :func:`_csv_cells`, the only path that raises
-    ingest errors.  Both give the same cells.
+    Plain text (no ``"``, NUL, ``\\x1c``-``\\x1f`` or carriage return that
+    does not end a CRLF line or the text) with the expected header and n
+    cells after each id is parsed by :func:`_split_plain` with numpy's C
+    text reader; any other text goes through :func:`_csv_cells`, the only
+    path that raises ingest errors.  Both give the same cells.
     """
     matrices = _read_matrices(csv_text, [config])
     del csv_text  # the split holds the text only until it is parsed
@@ -261,22 +260,19 @@ def _read_matrices(csv_text: str, configs: Sequence[RunConfig]
                                         config.criteria, clamp=config.clamp)
 
 
-# Characters that send a text to the csv module: NUL needs its parsing,
-# and numpy's reader strips \x1c-\x1f around a number where ``float()``
-# refuses it.  A CR that ends a CRLF line or the text is plain, and a line
-# with a quote is read alone by the csv module.
-_NOT_PLAIN = '\0\x1c\x1d\x1e\x1f'
+# Characters that send a text to the csv module: a quote and NUL need its
+# parsing, and numpy's reader strips \x1c-\x1f around a number where
+# ``float()`` refuses it.  A CR that ends a CRLF line or the text is plain.
+_NOT_PLAIN = '"\0\x1c\x1d\x1e\x1f'
 
 
 def _split_plain(csv_text: str, names: tuple[str, ...]):
     """``(ids, values)`` of plain CSV text, or None to use the csv module.
 
     ``np.loadtxt`` reads each block of lines as records of an id and n
-    cells, the cells bit for bit as ``float()`` wherever it accepts them.
-    A cell it refuses (``1_0``, non-ASCII digits, empty) or a non-blank
-    line without exactly n + 1 fields returns None.  CRLF line ends read
-    as LF ones, and a line with a quote takes its fields from the csv
-    module, which must close every quoted field on the line.
+    cells, bit for bit as ``float()`` wherever it accepts a cell.  A cell
+    it refuses (``1_0``, non-ASCII digits, empty) or a non-blank line
+    without exactly n + 1 fields returns None; CRLF reads as LF.
     """
     if any(c in csv_text for c in _NOT_PLAIN):
         return None
@@ -284,7 +280,7 @@ def _split_plain(csv_text: str, names: tuple[str, ...]):
     # a CR anywhere but at the end of the text returns None.
     head = csv_text.find("\n") if "\n" in csv_text else len(csv_text)
     header = csv_text[:head].removesuffix("\r")
-    if "\r" in header or '"' in header or header.split(",") != ["id", *names]:
+    if "\r" in header or header.split(",") != ["id", *names]:
         return None
     crlf = "\r" in csv_text
     n = len(names)
@@ -302,12 +298,6 @@ def _split_plain(csv_text: str, names: tuple[str, ...]):
                 return None
         lines = chunk.split("\n")
         start = stop + 1
-        quoted = {}
-        if '"' in chunk:
-            lines = [*filter(None, lines)]  # so a line's index is its row
-            quoted = _quoted_lines(lines)
-            if quoted is None:
-                return None
         if not any(lines):  # loadtxt warns on input without data
             continue
         try:
@@ -315,40 +305,11 @@ def _split_plain(csv_text: str, names: tuple[str, ...]):
                                dtype=record)
         except ValueError:
             return None
-        block["id"][list(quoted)] = list(quoted.values())
         values[len(ids):len(ids) + len(block)] = block["v"]
         ids += block["id"].tolist()
     values.resize((len(ids), n), refcheck=False)  # no view of it is alive
     values.flags.writeable = False  # so the matrix keeps it without a copy
     return ids, values
-
-
-def _quoted_lines(lines: list[str]) -> dict[int, str] | None:
-    """Each line of ``lines`` that holds a quote, read alone by the csv
-    module and put back as ``,`` and its cells; returns their ids by
-    index, or None if a quoted field is not closed on its line."""
-    import csv
-
-    at = [i for i, line in enumerate(lines) if '"' in line]
-    quoted = [lines[i] + "\n" for i in at]
-    limit = csv.field_size_limit()  # as in _csv_cells
-    csv.field_size_limit(max(limit, *map(len, quoted)))
-    try:
-        # strict, as the csv module otherwise closes a field the input
-        # ends in; a field closed on a later line makes fewer records.
-        records = list(csv.reader(quoted, strict=True))
-    except csv.Error:
-        return None
-    finally:
-        csv.field_size_limit(limit)
-    if len(records) != len(at):
-        return None
-    ids = {}
-    for i, (id_, *cells) in zip(at, records):
-        if any("," in cell for cell in cells):  # numpy would split it
-            return None
-        ids[i], lines[i] = id_, "," + ",".join(cells)
-    return ids
 
 
 def _csv_cells(csv_text: str, names: tuple[str, ...]):

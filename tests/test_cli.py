@@ -278,54 +278,24 @@ class TestPlainIngest:
     # numpy's record read keeps each id verbatim.
     @example(text="id,Math,Bio,Art\n pad ,1,2,3\n\tt\t,1,2,3\n"
                   "u\x85,1,2,3\n#,1,2,3\na#b,1,2,3\n", clamp=False)
-    # A line with a quote is read alone by the csv module: a quoted id
-    # holding a comma or a doubled quote, a quoted cell and a cell holding
-    # a comma.  A field that the line does not close takes the csv path:
-    # one the text ends in, one a later quote line closes, also across a
-    # plain line, and one numpy's quote handling would join without the
-    # line break.
-    @example(text='id,Math,Bio,Art\n"q,1",1,2,3\n"x""y",4,5,6\n',
-             clamp=False)
-    @example(text='id,Math,Bio,Art\na,"1",2,3\nb,4,5,6\n', clamp=False)
-    @example(text='id,Math,Bio,Art\na,1,"2,3"\n', clamp=False)
-    @example(text='id,Math,Bio,Art\na,1,2,"3\nb,4,5,6\n', clamp=False)
-    @example(text='id,Math,Bio,Art\n"b\n",4,5,6\n', clamp=False)
-    @example(text='id,Math,Bio,Art\n"a\nb,1,2,3\nc",1,2,3\n', clamp=False)
     def test_equals_csv_path(self, students_config, text, clamp):
         config = students_config.replace(clamp=clamp)
         assert _outcome(read_matrix, text, config) == \
             _outcome(_read_with_csv_module, text, config)
 
-    @pytest.mark.parametrize("end, quote", [("\n", ""), ("\r\n", ""),
-                                            ("\n", '"')],
-                             ids=["\n", "\r\n", "quoted"])
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
     def test_plain_text_skips_csv_module(self, students_config, monkeypatch,
-                                         end, quote):
+                                         end):
         def refuse(*args):
             raise AssertionError("csv path used")
         monkeypatch.setattr(cli, "_csv_cells", refuse)
         # many rows, after a blank line
-        rows = [f"{quote}s{i}{quote},{i % 100},{1 + i % 5},{6 - i % 5}"
-                for i in range(9000)]
+        rows = [f"s{i},{i % 100},{1 + i % 5},{6 - i % 5}" for i in range(9000)]
         text = end.join(["id,Math,Bio,Art", "", *rows, ""])
         m = read_matrix(text, students_config)
         assert m.m == 9000 and m.ids[-1] == "s8999"
         assert m.values[1].tolist() == [1.0, 2.0, 5.0]
         assert m.values[-1].tolist() == [99.0, 5.0, 2.0]
-
-    @pytest.mark.parametrize("cut, plain", [(",", True), ("\n", False)],
-                             ids=["plain", "csv"])
-    def test_quoted_id_beyond_field_limit(self, students_config, cut, plain):
-        """A quoted id longer than the csv module's default field limit is
-        read whole, on the plain path unless it holds a line break, and the
-        process-wide limit is put back."""
-        long_id = f"x{cut}" + "y" * 140_000
-        limit = csv.field_size_limit()
-        text = f'id,Math,Bio,Art\n"{long_id}",50,3,4\nS2,60,3,4\n'
-        split = cli._split_plain(text, students_config.names)
-        assert (split is not None) == plain
-        assert list(read_matrix(text, students_config).ids) == [long_id, "S2"]
-        assert csv.field_size_limit() == limit
 
     def test_text_of_several_blocks(self, students_config):
         """Text parsed in several blocks of lines, with blank lines among
@@ -343,31 +313,18 @@ class TestPlainIngest:
         assert plain[0] == ids and len(ids) == 150_000
         assert plain[1].tobytes() == values.tobytes()
 
-    @pytest.mark.parametrize("first, second", [
-        ("", "t,1,2,3,4\n" * 5), ("", "t,1,2\n" * 5), ('"s\n', '5",1,2,3\n')],
-        ids=["1,2,3,4", "1,2", "quoted"])
+    @pytest.mark.parametrize("cells", ["1,2,3,4", "1,2"])
     def test_every_block_is_checked(self, students_config, monkeypatch,
-                                    first, second):
+                                    cells):
         """A second block whose rows all hold n + 1 cells, or all n - 1,
         after a first block of n, is refused as the first would be, and
-        the csv module's error is raised; a quoted id that the first
-        block opens and the second closes takes the csv path too."""
-        good = "".join(f"s{i},1,2,3\n" for i in range(5)) + first
-        text = "id,Math,Bio,Art\n" + good + second
+        the csv module's error is raised."""
+        good = "".join(f"s{i},1,2,3\n" for i in range(5))
+        text = "id,Math,Bio,Art\n" + good + f"t,{cells}\n" * 5
         monkeypatch.setattr(model, "_BLOCK_BYTES", len(good) - 1)
         assert cli._split_plain(text, students_config.names) is None
         assert _outcome(read_matrix, text, students_config) == \
             _outcome(_read_with_csv_module, text, students_config)
-
-    def test_header_with_a_quote_takes_csv_path(self):
-        """A criterion name may hold quotes, but the csv module reads a
-        header field ``"a"`` as ``a``, so such a header is not plain."""
-        config = parse_config(json.dumps({"criteria": [
-            {"name": '"a"', "kind": "gain", "min": 0, "max": 9,
-             "weight": 1}]}))
-        text = 'id,"a"\nx,1\n'
-        assert cli._split_plain(text, config.names) is None
-        assert _outcome(read_matrix, text, config)[0] == "HeaderMismatch"
 
     def test_csv_path_array_is_kept_without_a_copy(self, monkeypatch,
                                                    students_config):
@@ -382,7 +339,7 @@ class TestPlainIngest:
 
         csv_cells_of = cli._csv_cells
         monkeypatch.setattr(cli, "_csv_cells", csv_cells)
-        for text in ('id,Math,Bio,Art\n"S\n1",50,3,4\nS2,60,4,5\n',
+        for text in ('id,Math,Bio,Art\n"S,1",50,3,4\nS2,60,4,5\n',
                      '"id",Math,Bio,Art\n'):
             matrix = read_matrix(text, students_config)
             values = made[-1][1]
