@@ -232,11 +232,9 @@ def _read_data(path, error: type[WmsdError] = ValidationError) -> str:
 def read_matrix(csv_text: str, config: RunConfig) -> DecisionMatrix:
     """Parse a dataset CSV against the configured criteria.
 
-    Plain text (no ``"``, NUL, ``\\x1c``-``\\x1f`` or carriage return that
-    does not end a CRLF line or the text) with the expected header and n
-    cells after each id is parsed by :func:`_split_plain` with numpy's C
-    text reader; any other text goes through :func:`_csv_cells`, the only
-    path that raises ingest errors.  Both give the same cells.
+    :func:`_cells` reads it with numpy's C text reader for as long as it
+    is plain, and with the csv module from where it is not; both give the
+    same cells, and only the csv module raises ingest errors.
     """
     matrices = _read_matrices(csv_text, [config])
     del csv_text  # the split holds the text only until it is parsed
@@ -246,95 +244,89 @@ def read_matrix(csv_text: str, config: RunConfig) -> DecisionMatrix:
 def _read_matrices(csv_text: str, configs: Sequence[RunConfig]
                    ) -> Iterator[DecisionMatrix]:
     """:func:`read_matrix` of one text under each config in turn.  The
-    text is split once per distinct tuple of criterion names, and each
+    text is read once per distinct tuple of criterion names, and each
     matrix is built when the iteration reaches its config, so errors come
-    in config order.  The text is dropped once no split is left."""
+    in config order.  The text is dropped once no read is left."""
     cells = {}
     for config in configs:
         if config.names not in cells:
-            cells[config.names] = (_split_plain(csv_text, config.names)
-                                   or _csv_cells(csv_text, config.names))
+            cells[config.names] = _cells(csv_text, config.names)
             if {c.names for c in configs} <= cells.keys():
                 csv_text = None
         yield DecisionMatrix.from_array(*cells[config.names],
                                         config.criteria, clamp=config.clamp)
 
 
-# Characters that send a text to the csv module: a quote and NUL need its
+# Characters that send a block to the csv module: a quote and NUL need its
 # parsing, and numpy's reader strips \x1c-\x1f around a number where
-# ``float()`` refuses it.  A CR that ends a CRLF line or the text is plain.
+# ``float()`` refuses it.  numpy refuses any CR that does not end a line.
 _NOT_PLAIN = '"\0\x1c\x1d\x1e\x1f'
 
 
-def _split_plain(csv_text: str, names: tuple[str, ...]):
-    """``(ids, values)`` of plain CSV text, or None to use the csv module.
-
-    ``np.loadtxt`` reads each block of lines as records of an id and n
-    cells, bit for bit as ``float()`` wherever it accepts a cell.  A cell
-    it refuses (``1_0``, non-ASCII digits, empty) or a non-blank line
-    without exactly n + 1 fields returns None; CRLF reads as LF.
-    """
-    if any(c in csv_text for c in _NOT_PLAIN):
-        return None
-    # The csv module also ends a line at a CR that no LF follows, so such
-    # a CR anywhere but at the end of the text returns None.
+def _cells(csv_text: str, names: tuple[str, ...]):
+    """``(ids, values)`` of a dataset, ``values`` read-only and owning its
+    data.  ``np.loadtxt`` reads blocks of lines, bit for bit as ``float()``
+    where it accepts a cell, while the header and each block are plain; the
+    csv module reads on from the first block that holds a ``_NOT_PLAIN``
+    character or that numpy refuses, or from a header that is not plain."""
+    n = len(names)
     head = csv_text.find("\n") if "\n" in csv_text else len(csv_text)
     header = csv_text[:head].removesuffix("\r")
-    if "\r" in header or header.split(",") != ["id", *names]:
-        return None
-    crlf = "\r" in csv_text
-    n = len(names)
+    plain = header.split(",") == ["id", *names] and not any(
+        c in header for c in _NOT_PLAIN + "\r")
     record = [("id", "O"), ("v", "f8", (n,))]
-    # A row per 2n + 1 characters at most; untouched rows take no memory.
+    # A row per 2n + 1 characters at most, as a row either reader accepts
+    # holds n non-empty cells and n commas; untouched rows take no memory.
     ids, values = [], np.empty((len(csv_text) // (2 * n + 1) + 1, n))
-    start, end = head + 1, len(csv_text) - csv_text.endswith("\n")
-    while start < end:
+    start = head + 1 if plain else 0
+    end = len(csv_text) - csv_text.endswith("\n")
+    while plain and start < end:
         stop = csv_text.find("\n", start + _block_rows(1), end)  # a char a row
         stop = end if stop < 0 else stop
         chunk = csv_text[start:stop]  # an LF or the end of the text follows
-        if crlf:
-            chunk = chunk.replace("\r\n", "\n").removesuffix("\r")
-            if "\r" in chunk:
-                return None
-        lines = chunk.split("\n")
+        if any(c in chunk for c in _NOT_PLAIN):
+            break
+        if chunk.lstrip("\r\n"):  # loadtxt warns on input without data
+            try:
+                block = np.loadtxt(chunk.split("\n"), delimiter=",",
+                                   comments=None, ndmin=1, dtype=record)
+            except ValueError:
+                break
+            values[len(ids):len(ids) + len(block)] = block["v"]
+            ids += block["id"].tolist()
         start = stop + 1
-        if not any(lines):  # loadtxt warns on input without data
-            continue
-        try:
-            block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=1,
-                               dtype=record)
-        except ValueError:
-            return None
-        values[len(ids):len(ids) + len(block)] = block["v"]
-        ids += block["id"].tolist()
+    if start < end or not plain:
+        _csv_records(csv_text, start, names, ids, values)
     values.resize((len(ids), n), refcheck=False)  # no view of it is alive
     values.flags.writeable = False  # so the matrix keeps it without a copy
     return ids, values
 
 
-def _csv_cells(csv_text: str, names: tuple[str, ...]):
-    """``(ids, values)`` of a dataset read with the csv module; raises
-    every ingest error."""
+def _csv_records(csv_text: str, start: int, names: tuple[str, ...],
+                 ids: list, values: np.ndarray) -> None:
+    """Add to ``ids`` and ``values`` the records the csv module reads from
+    offset ``start`` (the header first at 0); raises every ingest error.
+    ``start`` begins a record, and ``ids`` has one per non-blank line."""
     import csv
 
-    # The plain path reads cells of any length, so this one must too.  The
+    # numpy reads cells of any length, so the csv module must too.  The
     # limit is process-wide, so it is put back.
     limit = csv.field_size_limit()
     csv.field_size_limit(max(limit, len(csv_text)))
-    reader = csv.reader(io.StringIO(csv_text))
+    reader = csv.reader(_lines(csv_text, start))
     expected = ["id", *names]
-    ids, rows = [], []
-    r = 0  # 1-based data row: blank lines are not counted
+    r = len(ids)  # 1-based data row: blank lines are not counted
     try:
-        try:
-            header = next(reader, None)
-        except csv.Error as e:
-            raise MalformedCsv(f"header: {e}") from None
-        if header is None:
-            raise HeaderMismatch("dataset is empty; expected a header row")
-        if header != expected:
-            raise HeaderMismatch(
-                f"header {header} does not match expected {expected}")
+        if not start:
+            try:
+                header = next(reader, None)
+            except csv.Error as e:
+                raise MalformedCsv(f"header: {e}") from None
+            if header is None:
+                raise HeaderMismatch("dataset is empty; expected a header row")
+            if header != expected:
+                raise HeaderMismatch(
+                    f"header {header} does not match expected {expected}")
         for record in reader:
             if not record:
                 continue
@@ -344,7 +336,7 @@ def _csv_cells(csv_text: str, names: tuple[str, ...]):
                     f"row {r}: expected {len(expected)} fields, "
                     f"got {len(record)}")
             try:
-                rows.append(list(map(float, record[1:])))
+                values[r - 1] = list(map(float, record[1:]))
             except ValueError:
                 for name, cell in zip(names, record[1:]):
                     try:
@@ -359,9 +351,14 @@ def _csv_cells(csv_text: str, names: tuple[str, ...]):
         raise MalformedCsv(f"row {r + 1}: {e}", row=r + 1) from None
     finally:
         csv.field_size_limit(limit)
-    values = np.array(rows, dtype=float) if rows else np.empty((0, len(names)))
-    values.flags.writeable = False  # so the matrix keeps it without a copy
-    return ids, values
+
+
+def _lines(text: str, start: int) -> Iterator[str]:
+    """The lines of ``text`` from offset ``start``, each with its LF."""
+    while start < len(text):
+        stop = text.find("\n", start) + 1 or len(text)
+        yield text[start:stop]
+        start = stop
 
 
 def _load_config(path, args: argparse.Namespace) -> RunConfig:

@@ -12,7 +12,9 @@ import subprocess
 import sys
 import termios
 import time
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 from xml.etree import ElementTree
 
 import numpy as np
@@ -204,6 +206,65 @@ def _outcome(read, text, config):
     return m.ids, m.values.shape, m.values.tobytes()
 
 
+def _reference_cells(csv_text, names):
+    """``(ids, values)`` of a dataset as the csv module reads the whole
+    text, raising every ingest error: the reference ingest must match."""
+    limit = csv.field_size_limit()
+    csv.field_size_limit(max(limit, len(csv_text)))
+    reader = csv.reader(io.StringIO(csv_text))
+    expected = ["id", *names]
+    ids, rows = [], []
+    r = 0  # 1-based data row: blank lines are not counted
+    try:
+        try:
+            header = next(reader, None)
+        except csv.Error as e:
+            raise MalformedCsv(f"header: {e}") from None
+        if header is None:
+            raise HeaderMismatch("dataset is empty; expected a header row")
+        if header != expected:
+            raise HeaderMismatch(
+                f"header {header} does not match expected {expected}")
+        for record in reader:
+            if not record:
+                continue
+            r += 1
+            if len(record) != len(expected):
+                raise HeaderMismatch(
+                    f"row {r}: expected {len(expected)} fields, "
+                    f"got {len(record)}")
+            try:
+                rows.append(list(map(float, record[1:])))
+            except ValueError:
+                for name, cell in zip(names, record[1:]):
+                    try:
+                        float(cell)
+                    except ValueError:
+                        raise BadNumber(
+                            f"row {r}, column {name!r}: cannot parse "
+                            f"{cell!r} as a number", row=r,
+                            column=name) from None
+            ids.append(record[0])
+    except csv.Error as e:
+        raise MalformedCsv(f"row {r + 1}: {e}", row=r + 1) from None
+    finally:
+        csv.field_size_limit(limit)
+    values = np.array(rows, dtype=float) if rows else np.empty((0, len(names)))
+    values.flags.writeable = False
+    return ids, values
+
+
+def _cells_outcome(read, text, names):
+    """Ids, value bytes, shape and flags of ``read``'s cells, or its
+    error's class, message and row."""
+    try:
+        ids, values = read(text, names)
+    except WmsdError as e:
+        return type(e).__name__, str(e), getattr(e, "row", None)
+    return (ids, values.tobytes(), values.shape, values.flags.owndata,
+            values.flags.writeable)
+
+
 # Cells in domain for every students criterion repeat, so that about half
 # the generated datasets parse.
 _CELLS = (["3", "4.5", "2", "5.25", "1", "6"] * 8
@@ -238,23 +299,79 @@ def _dataset_texts(draw):
     return end.join(lines) + draw(st.sampled_from([end, ""]))
 
 
+# Fields that only the csv module reads, or that make it refuse the text.
+_ODD_IDS = ['"x,y"', '""', '"c""d"', '"two\nlines"', "a\0", "x\x1cy",
+            "a\rb", 'x"y', '"open']
+_ODD_CELLS = ['"1,5"', '""', '"4"', '"c""d"', '"3\n"', "1_0", "\x1f3",
+              "3\0", "\u0663", "", "abc", "3\r", "150"]
+_PLAIN_CELLS = ["3", "4.5", "2", "5.25", "1", "-0", " 3"]
+
+
+@st.composite
+def _block_texts(draw):
+    """Texts whose plain rows fill several blocks at a small block budget,
+    followed by lines that only the csv module reads or that make it
+    refuse the text (quotes, a quoted field over two lines, NUL,
+    ``\\x1c``, a lone CR, ``\\r\\r\\n``, ``1_0``, ragged lines) and more
+    plain rows; some have a quoted or wrong header, and some end in an
+    unterminated quote."""
+    header = draw(st.sampled_from(
+        ["id,Math,Bio,Art"] * 8 + ['"id",Math,Bio,Art', "id,Math,Bio",
+                                  "id,Math,Bio,Art\r\r", 'i"d,Math,Bio,Art']))
+    plain_end = st.sampled_from(["\n"] * 5 + ["\r\n"])
+    parts = [header, draw(plain_end)]
+    plain = st.builds(",".join, st.tuples(
+        st.integers(0, 99).map("s{}".format),
+        *[st.sampled_from(_PLAIN_CELLS)] * 3))
+    odd = st.builds(lambda i, cells: ",".join([i, *cells]),
+                    st.sampled_from(_ODD_IDS + ["a", "", " pad "]),
+                    st.lists(st.sampled_from(_ODD_CELLS + _PLAIN_CELLS * 3),
+                             min_size=2, max_size=4))
+    for count, line, end in ((12, plain, plain_end),
+                             (4, odd, st.sampled_from(
+                                 ["\n"] * 4 + ["\r\n", "\r\r\n", "\r"])),
+                             (4, plain, plain_end)):
+        for _ in range(draw(st.integers(0, count))):
+            parts += [draw(st.one_of(*[line] * 5,
+                                     st.sampled_from(["", "\r", " "]))),
+                      draw(end)]
+    if draw(st.booleans()):
+        parts.pop()
+    if draw(st.integers(0, 9)) == 0:
+        parts.append('"open,1,2,3')
+    return "".join(parts)
+
+
 def _read_with_csv_module(text, config):
-    """The dataset as the csv-module reader alone parses it."""
-    return DecisionMatrix.from_array(*cli._csv_cells(text, config.names),
+    """The dataset as the reference csv-module reader parses it."""
+    return DecisionMatrix.from_array(*_reference_cells(text, config.names),
                                      config.criteria, clamp=config.clamp)
 
 
+def _spy_csv_records(monkeypatch):
+    """The offsets the csv module is started at, one per call."""
+    starts = []
+    csv_records = cli._csv_records
+
+    def spy(text, start, *args):
+        starts.append(start)
+        return csv_records(text, start, *args)
+
+    monkeypatch.setattr(cli, "_csv_records", spy)
+    return starts
+
+
 class TestPlainIngest:
-    """The numpy-reader path against the csv-module reader it falls back
-    to."""
+    """The numpy-reader blocks and the csv module that reads on from them
+    against the whole-text csv-module reader."""
 
     @given(_dataset_texts(), st.booleans())
     @example(text="id,Math,Bio,Art\na,-0,2,2\n", clamp=False)
     @example(text="id,Math,Bio,Art\na,3\x1c,2,2\n", clamp=False)
-    # The plain path reads the cells after each id and takes a block only
-    # as n cells on each non-blank line.  Rows that all hold n + 1 cells,
-    # rows of mixed widths, an id alone, with or without its comma, and a
-    # whitespace-only line must all still take the csv path.
+    # numpy reads the cells after each id and takes a block only as n
+    # cells on each non-blank line.  Rows that all hold n + 1 cells, rows
+    # of mixed widths, an id alone, with or without its comma, and a
+    # whitespace-only line must all still reach the csv module.
     @example(text="id,Math,Bio,Art\na\n", clamp=False)
     @example(text="id,Math,Bio,Art\na,\n", clamp=False)
     @example(text="id,Math,Bio,Art\na,1,2,3\nb\n", clamp=False)
@@ -266,9 +383,8 @@ class TestPlainIngest:
              clamp=False)
     @example(text="id,Math,Bio,Art\na,1,2,3\n\n\n", clamp=False)
     # CRLF line ends, blank CRLF lines among and after the rows, LF lines
-    # among them and a CR that ends the text take the plain path; a CR
-    # that does not end a CRLF line or the text, as in \r\r\n, takes the
-    # csv path.
+    # among them and a CR that ends the text are read by numpy; a CR that
+    # does not end a line, as in \r\r\n, reaches the csv module.
     @example(text="id,Math,Bio,Art\r\na,1,2,3\r\nb,4,5,6\r\n", clamp=False)
     @example(text="id,Math,Bio,Art\r\na,1,2,3\r\n\r\nb,4,5,6\r\n\r\n",
              clamp=False)
@@ -283,12 +399,31 @@ class TestPlainIngest:
         assert _outcome(read_matrix, text, config) == \
             _outcome(_read_with_csv_module, text, config)
 
+    @given(_block_texts())
+    @example(text='id,Math,Bio,Art\ns1,3,2,1\ns2,3,2,1\n"x,y",3,2,1\n'
+                  's3,3,2,1\n')
+    @example(text='id,Math,Bio,Art\ns1,3,2,1\ns2,3,2,1\n"two\nlines",3,2,1'
+                  '\ns3,1_0,2,1\n')
+    @example(text="id,Math,Bio,Art\ns1,3,2,1\ns2,3,2,1\na\rb,3,2,1\n")
+    @example(text='id,Math,Bio,Art\ns1,3,2,1\ns2,3,2,1\n"open,1,2,3')
+    def test_blocks_then_csv_module_equal_reference(self, students_config,
+                                                    text):
+        """At every block budget, the cells, their flags and every error
+        are the whole-text csv reader's, wherever the csv module starts."""
+        names = students_config.names
+        want = _cells_outcome(_reference_cells, text, names)
+        if isinstance(want[0], list):
+            assert want[3:] == (True, False)
+        for block_bytes in (1 << 18, 8, 24, 64):
+            with mock.patch.object(model, "_BLOCK_BYTES", block_bytes):
+                assert _cells_outcome(cli._cells, text, names) == want
+
     @pytest.mark.parametrize("end", ["\n", "\r\n"])
     def test_plain_text_skips_csv_module(self, students_config, monkeypatch,
                                          end):
         def refuse(*args):
-            raise AssertionError("csv path used")
-        monkeypatch.setattr(cli, "_csv_cells", refuse)
+            raise AssertionError("csv module used")
+        monkeypatch.setattr(cli, "_csv_records", refuse)
         # many rows, after a blank line
         rows = [f"s{i},{i % 100},{1 + i % 5},{6 - i % 5}" for i in range(9000)]
         text = end.join(["id,Math,Bio,Art", "", *rows, ""])
@@ -297,10 +432,24 @@ class TestPlainIngest:
         assert m.values[1].tolist() == [1.0, 2.0, 5.0]
         assert m.values[-1].tolist() == [99.0, 5.0, 2.0]
 
-    def test_text_of_several_blocks(self, students_config):
+    @pytest.mark.parametrize("text", ["id,Math,Bio,Art\r\n\r\r\n",
+                                      "id,Math,Bio,Art\r\n\r\n\r\r\n\r",
+                                      "id,Math,Bio,Art\n\n"])
+    def test_blank_lines_skip_csv_module(self, students_config, monkeypatch,
+                                         text):
+        """Blocks of blank lines of CRs and LFs alone are skipped before
+        numpy, which warns on them, and never reach the csv module; nor
+        does the blank line that ends a header-only text."""
+        starts = _spy_csv_records(monkeypatch)
+        names = students_config.names
+        assert _cells_outcome(cli._cells, text, names) == \
+            _cells_outcome(_reference_cells, text, names)
+        assert starts == []
+
+    def test_text_of_several_blocks(self, students_config, monkeypatch):
         """Text parsed in several blocks of lines, with blank lines among
         the rows, a run of them longer than a block, and more of them at
-        the end, gives the csv module's cells."""
+        the end, is read by numpy alone and gives the csv module's cells."""
         rows = [f"s{i},{i % 100}.5,{1 + i % 5},{6 - i % 5}\n"
                 for i in range(150_000)]
         for i in range(0, len(rows), 997):
@@ -308,38 +457,43 @@ class TestPlainIngest:
         rows[60_000] += "\n" * (3 << 20)
         text = "id,Math,Bio,Art\n" + "".join(rows) + "\n\n"
         assert len(text) > 4 << 20
-        plain = cli._split_plain(text, students_config.names)
-        ids, values = cli._csv_cells(text, students_config.names)
-        assert plain[0] == ids and len(ids) == 150_000
-        assert plain[1].tobytes() == values.tobytes()
+        names = students_config.names
+        starts = _spy_csv_records(monkeypatch)
+        got = _cells_outcome(cli._cells, text, names)
+        assert starts == []
+        assert got == _cells_outcome(_reference_cells, text, names)
+        assert len(got[0]) == 150_000
 
     @pytest.mark.parametrize("cells", ["1,2,3,4", "1,2"])
     def test_every_block_is_checked(self, students_config, monkeypatch,
                                     cells):
         """A second block whose rows all hold n + 1 cells, or all n - 1,
-        after a first block of n, is refused as the first would be, and
-        the csv module's error is raised."""
-        good = "".join(f"s{i},1,2,3\n" for i in range(5))
-        text = "id,Math,Bio,Art\n" + good + f"t,{cells}\n" * 5
+        after a first block of n, is refused as the first would be: the
+        csv module starts at the second block and raises its error."""
+        head, good = "id,Math,Bio,Art\n", "".join(f"s{i},1,2,3\n"
+                                                 for i in range(5))
+        text = head + good + f"t,{cells}\n" * 5
         monkeypatch.setattr(model, "_BLOCK_BYTES", len(good) - 1)
-        assert cli._split_plain(text, students_config.names) is None
+        starts = _spy_csv_records(monkeypatch)
         assert _outcome(read_matrix, text, students_config) == \
             _outcome(_read_with_csv_module, text, students_config)
+        assert starts == [len(head + good)]
 
-    def test_csv_path_array_is_kept_without_a_copy(self, monkeypatch,
-                                                   students_config):
-        """The csv module's path hands over a read-only array that owns
-        its data, zero rows too, and the matrix keeps it; a caller's
-        writeable array is still copied."""
+    def test_array_is_kept_without_a_copy(self, monkeypatch,
+                                          students_config):
+        """The reader hands over a read-only array that owns its data, from
+        numpy's blocks, from the csv module and with zero rows, and the
+        matrix keeps it; a caller's writeable array is still copied."""
         made = []
 
-        def csv_cells(text, names):
-            made.append(csv_cells_of(text, names))
+        def cells(text, names):
+            made.append(cells_of(text, names))
             return made[-1]
 
-        csv_cells_of = cli._csv_cells
-        monkeypatch.setattr(cli, "_csv_cells", csv_cells)
-        for text in ('id,Math,Bio,Art\n"S,1",50,3,4\nS2,60,4,5\n',
+        cells_of = cli._cells
+        monkeypatch.setattr(cli, "_cells", cells)
+        for text in ('id,Math,Bio,Art\nS1,50,3,4\nS2,60,4,5\n',
+                     'id,Math,Bio,Art\n"S,1",50,3,4\nS2,60,4,5\n',
                      '"id",Math,Bio,Art\n'):
             matrix = read_matrix(text, students_config)
             values = made[-1][1]
@@ -350,6 +504,22 @@ class TestPlainIngest:
         matrix = DecisionMatrix.from_array(["S1"], writeable,
                                            students_config.criteria)
         assert matrix.values is not writeable
+
+    def test_quoted_id_memory_is_bounded(self, students_config):
+        """A quoted first id costs no more memory than the same rows
+        unquoted: the csv module fills the one value array row by row."""
+        rows = "".join(f"s{i},{i % 100},{1 + i % 5},{6 - i % 5}\n"
+                       for i in range(1, 50_000))
+        peaks = []
+        for first in ("s0", '"s0"'):
+            text = f"id,Math,Bio,Art\n{first},1,2,3\n" + rows
+            tracemalloc.start()
+            try:
+                read_matrix(text, students_config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
 
 
 class TestRankCommand:
@@ -832,13 +1002,13 @@ class TestCompareCommand:
                                                     monkeypatch, argv,
                                                     splits):
         calls = []
-        split_plain = cli._split_plain
+        cells_of = cli._cells
 
-        def split(text, names):
+        def cells(text, names):
             calls.append(names)
-            return split_plain(text, names)
+            return cells_of(text, names)
 
-        monkeypatch.setattr(cli, "_split_plain", split)
+        monkeypatch.setattr(cli, "_cells", cells)
         run_cli(*argv)
         assert len(calls) == splits
 
