@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import Counter
 from typing import Sequence
 
 import numpy as np
 
-from .errors import IdSetMismatch, NonFiniteScore
+from .errors import IdSetMismatch, LengthMismatch, NonFiniteScore
 from .model import _Record, _block_rows
 
 # Scores within this of their group leader's share its rank by default.
@@ -83,15 +84,19 @@ def rank_array(ids: Sequence[str], scores: np.ndarray,
                tie_tolerance: float = DEFAULT_TIE_TOLERANCE) -> Ranking:
     """Order alternatives by score, grouping near-equal scores as ties.
 
-    ``scores[k]`` is the score of ``ids[k]``.  Exact ties keep their
-    input order.  A new group starts when a score drops more than
-    ``tie_tolerance`` below the group leader's score.  The tolerance
-    must be finite and non-negative.
+    ``scores[k]`` is the score of ``ids[k]``, and scores of any shape
+    but ``(len(ids),)`` are refused.  Exact ties keep their input order.
+    A new group starts when a score drops more than ``tie_tolerance``
+    below the group leader's score.  The tolerance must be finite and
+    non-negative.
     """
     if not 0 <= tie_tolerance < math.inf:
         raise ValueError(f"tie_tolerance must be finite and non-negative, "
                          f"got {tie_tolerance}")
     scores = np.asarray(scores, dtype=float)
+    if scores.shape != (len(ids),):
+        raise LengthMismatch(
+            f"{len(ids)} ids and scores of shape {scores.shape}")
     bad = ~np.isfinite(scores)
     if bad.any():
         k = int(np.argmax(bad))
@@ -160,22 +165,20 @@ class RankingComparison(_Record):
 
 
 def compare_rankings(r1: Ranking, r2: Ranking) -> RankingComparison:
-    """Compare two rankings over the same set of alternatives."""
-    ids1 = set(r1.ids)
-    ids2 = set(r2.ids)
-    if ids1 != ids2:
-        missing = sorted(ids1 ^ ids2)
-        raise IdSetMismatch(f"rankings cover different ids: {missing}")
-
+    """Compare two rankings that hold the same ids, each once."""
     row2 = dict(zip(r2.ids, range(len(r2.ids))))
-    order = np.array([row2[i] for i in r1.ids], dtype=np.intp)
+    # With no miss and equal lengths, every entry of row2 was popped.
+    order = np.array([row2.pop(i, -1) for i in r1.ids], dtype=np.intp)
+    if len(r1.ids) != len(r2.ids) or (order < 0).any():
+        raise _id_mismatch(r1.ids, r2.ids)
     ranks = np.column_stack([r1.ranks, r2.ranks[order]])
     deltas = ranks[:, 1] - ranks[:, 0]
     reversals = _reversals(ranks)
     n0 = len(ranks) * (len(ranks) - 1) // 2
     n1 = _tied_pairs(ranks[:, 0])
     n2 = _tied_pairs(ranks[:, 1])
-    n3 = _tied_pairs(ranks)
+    # Ranks run from 1 to m, so one key per pair of ranks.
+    n3 = _tied_pairs(ranks[:, 0] * (len(ranks) + 1) + ranks[:, 1])
     denom = (n0 - n1) * (n0 - n2)
     if denom == 0:
         tau = math.nan
@@ -211,7 +214,20 @@ def _reversals(ranks: np.ndarray) -> np.ndarray:
     return np.concatenate(pairs)
 
 
+def _id_mismatch(ids1: tuple[str, ...],
+                 ids2: tuple[str, ...]) -> IdSetMismatch:
+    """The error for rankings that do not hold the same ids, each once."""
+    missing = sorted(set(ids1) ^ set(ids2))
+    if missing:
+        return IdSetMismatch(f"rankings cover different ids: {missing}")
+    for ids, which in ((ids1, "first"), (ids2, "second")):
+        repeated = [i for i, count in Counter(ids).items() if count > 1]
+        if repeated:
+            return IdSetMismatch(f"id {repeated[0]!r} occurs more than once "
+                                 f"in the {which} ranking")
+
+
 def _tied_pairs(keys: np.ndarray) -> int:
-    """Number of unordered pairs of equal entries (rows, for 2-D keys)."""
-    counts = np.unique(keys, axis=0, return_counts=True)[1]
+    """Number of unordered pairs of equal entries of a 1-D array."""
+    counts = np.unique(keys, return_counts=True)[1]
     return int((counts * (counts - 1) // 2).sum())

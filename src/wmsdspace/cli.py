@@ -598,8 +598,8 @@ def cmd_compare(args: argparse.Namespace) -> Iterable[bytes]:
     ra = _ranking(matrix_a, config_a)
     rb = _ranking(matrix_b, config_b)
     cmp = compare_rankings(ra, rb)
-    # Each id is quoted or escaped once; the ids of each reversal pair,
-    # first and second, are two columns taken from those texts.
+    # Each id is quoted or escaped once; ranking_b's ids, in its order,
+    # and the two ids of each reversal pair are taken from those texts.
     as_csv = args.format == "csv"
     texts = np.array(_csv_fields(ra.ids) if as_csv
                      else list(map(_json_str, ra.ids)), dtype=object)
@@ -615,7 +615,7 @@ def cmd_compare(args: argparse.Namespace) -> Iterable[bytes]:
            else repr(round(cmp.kendall_tau, 6)))
     return chain([b'{\n  "ranking_a": '], _entries_json(ra, texts, 1),
                  [b',\n  "ranking_b": '],
-                 _entries_json(rb, list(map(_json_str, rb.ids)), 1),
+                 _entries_json(rb, texts[np.argsort(cmp.order)], 1),
                  [b',\n  "deltas": '],
                  _json_array(_pieces(",\n    %s: %d", [texts, cmp.deltas]),
                              1, "{}"),

@@ -342,52 +342,41 @@ def _inside_runs(pts: np.ndarray, w: WeightVector) -> list[np.ndarray]:
 def isoline(kind: AggregationKind, level: float, w: WeightVector) -> Isoline:
     """Analytic level set of an aggregation in the plane.
 
-    A-levels are circular arcs centered at the anti-ideal image (0, 0)
-    with radius level * mean(w); I-levels are arcs centered at the ideal
-    image (mean(w), 0) with radius (1 - level) * mean(w); R-levels are
-    arcs of the Apollonius circle of those two points with distance ratio
-    level / (1 - level), except level 0.5, whose locus is the vertical
-    segment WM = mean(w) / 2.  Levels 0 and 1 degenerate to single
-    points where the construction would divide by zero.  An arc or the
-    segment is sampled at 361 evenly spaced points.
+    Each kind and level gives a center on the WM axis and a radius: A's
+    circle is centered at the anti-ideal image (0, 0) with radius
+    level * mean(w), I's at the ideal image (mean(w), 0) with radius
+    (1 - level) * mean(w), and R's is the Apollonius circle of those two
+    points with distance ratio level / (1 - level), of radius 0 at R's
+    levels 0 and 1.  Radius 0 is a point; R's level 0.5 (within 1e-9) is
+    the vertical segment WM = mean(w) / 2 up to the envelope; any other
+    circle is sampled at 361 points along its upper half and clipped.
     """
     kind = AggregationKind(kind)
     if not (math.isfinite(level) and 0.0 <= level <= 1.0):
         raise LevelOutOfRange(f"level must be in [0, 1], got {level}")
     mean_w = w.mean_w
-
-    def _point(x: float) -> Isoline:
-        return Isoline(kind=kind, level=level, shape="point", center_wm=x,
-                       radius=0.0, runs=[[[x, 0.0]]])
-
-    def _arc(center: float, radius: float) -> Isoline:
-        if radius == 0.0:
-            return _point(center)
-        t = np.linspace(0.0, math.pi, _SAMPLES)
-        pts = np.column_stack([center + radius * np.cos(t),
-                               radius * np.sin(t)])
-        return Isoline(kind=kind, level=level, shape="arc", center_wm=center,
-                       radius=radius, runs=_inside_runs(pts, w))
-
+    neutral = kind is AggregationKind.R and abs(level - 0.5) < 1e-9
     if kind is AggregationKind.A:
-        return _arc(0.0, level * mean_w)
-    if kind is AggregationKind.I:
-        return _arc(mean_w, (1.0 - level) * mean_w)
-
-    # R: endpoints first, then the neutral vertical, then Apollonius.
-    if level == 0.0:
-        return _point(0.0)
-    if level == 1.0:
-        return _point(mean_w)
-    if abs(level - 0.5) < 1e-9:
-        x = mean_w * 0.5
-        top = float(envelope_wsd(w, x)[0])
-        ys = np.linspace(0.0, top, _SAMPLES)
-        pts = np.column_stack([np.full(_SAMPLES, x), ys])
-        return Isoline(kind=kind, level=level, shape="segment", center_wm=x,
-                       radius=0.0, runs=[pts])
-    k = level / (1.0 - level)
-    k2 = k * k
-    center = k2 * mean_w / (k2 - 1.0)
-    radius = k * mean_w / abs(k2 - 1.0)
-    return _arc(center, radius)
+        center, radius = 0.0, level * mean_w
+    elif kind is AggregationKind.I:
+        center, radius = mean_w, (1.0 - level) * mean_w
+    elif neutral:
+        center, radius = mean_w * 0.5, 0.0
+    elif level in (0.0, 1.0):
+        center, radius = (mean_w if level else 0.0), 0.0  # -0.0 gives +0.0
+    else:
+        k = level / (1.0 - level)
+        k2 = k * k
+        center, radius = k2 * mean_w / (k2 - 1.0), k * mean_w / abs(k2 - 1.0)
+    if neutral:
+        top = float(envelope_wsd(w, center)[0])
+        shape, runs = "segment", [np.column_stack(
+            [np.full(_SAMPLES, center), np.linspace(0.0, top, _SAMPLES)])]
+    elif radius == 0.0:
+        shape, radius, runs = "point", 0.0, [[[center, 0.0]]]
+    else:
+        t = np.linspace(0.0, math.pi, _SAMPLES)
+        shape, runs = "arc", _inside_runs(np.column_stack(
+            [center + radius * np.cos(t), radius * np.sin(t)]), w)
+    return Isoline(kind=kind, level=level, shape=shape, center_wm=center,
+                   radius=radius, runs=runs)

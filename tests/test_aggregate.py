@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -15,7 +16,7 @@ from wmsdspace.aggregate import (
     compare_rankings,
     rank_array,
 )
-from wmsdspace.errors import IdSetMismatch, NonFiniteScore
+from wmsdspace.errors import IdSetMismatch, LengthMismatch, NonFiniteScore
 from wmsdspace.model import normalize_weights, uniform_weights
 from wmsdspace.spaces import utility_array
 from wmsdspace.wmsd import plane
@@ -162,6 +163,17 @@ class TestRank:
         with pytest.raises(NonFiniteScore):
             rank_array(["a"], [math.nan])
 
+    @pytest.mark.parametrize("ids, scores", [
+        (["a", "b", "c"], [1.0, 2.0]),    # too few scores: c was dropped
+        (["a"], [1.0, 2.0]),              # too few ids: an IndexError
+        (["a", "b"], [[1.0, 2.0]]),       # 2-D scores: a numpy ValueError
+        (["a", "b"], [[1.0], [2.0]]),
+        (["a"], 1.0),
+    ])
+    def test_scores_must_line_up_with_ids(self, ids, scores):
+        with pytest.raises(LengthMismatch, match=f"{len(ids)} ids"):
+            rank_array(ids, scores)
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
     def test_non_finite_tolerance(self, tol):
         with pytest.raises(ValueError, match="tie_tolerance"):
@@ -244,9 +256,27 @@ class TestCompareRankings:
         assert cmp.deltas.tolist() == [0, 0]
 
     def test_id_mismatch(self):
-        with pytest.raises(IdSetMismatch):
-            compare_rankings(rank_array(["a"], [0.9]),
-                             rank_array(["b"], [0.9]))
+        for first, second in ((["a"], ["b"]), (["a", "b"], ["a"]),
+                              (["a"], ["a", "b"]), (["x", "z"], ["x", "x"])):
+            missing = sorted(set(first) ^ set(second))
+            with pytest.raises(IdSetMismatch, match=re.escape(
+                    f"rankings cover different ids: {missing}")):
+                compare_rankings(rank_array(first, np.zeros(len(first))),
+                                 rank_array(second, np.zeros(len(second))))
+
+    @pytest.mark.parametrize("first, second, which, dup", [
+        (["x", "y"], ["x", "y", "y"], "second", "y"),  # was tau -1.0
+        (["x", "y", "y"], ["x", "y"], "first", "y"),
+        (["x", "x"], ["x", "x"], "first", "x"),
+        (["y", "x", "y"], ["x", "y", "x"], "first", "y"),
+    ])
+    def test_repeated_id_is_named(self, first, second, which, dup):
+        r1 = rank_array(first, np.zeros(len(first)))
+        r2 = rank_array(second, np.arange(len(second), 0, -1.0))
+        with pytest.raises(IdSetMismatch) as info:
+            compare_rankings(r1, r2)
+        assert str(info.value) == (f"id {dup!r} occurs more than once in "
+                                   f"the {which} ranking")
 
     def test_uruguay_shift(self, countries_matrix, countries_configs):
         ids = countries_matrix.ids

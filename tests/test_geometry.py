@@ -15,7 +15,7 @@ from conftest import (
     uniform_utilities,
 )
 from wmsdspace import geometry
-from wmsdspace.aggregate import agg_values
+from wmsdspace.aggregate import AggregationKind, agg_values
 from wmsdspace.errors import LevelOutOfRange, TooManyCriteria
 from wmsdspace.geometry import (
     attainable,
@@ -324,6 +324,96 @@ class TestIsolines:
             isoline("A", 1.2, W3)
         with pytest.raises(LevelOutOfRange):
             isoline("I", -0.1, W3)
+
+
+def _reference_isoline(kind, level, w):
+    """Reference: the isoline builder with a closure per shape and R's
+    own level-0 and level-1 points, as before one tail built every
+    shape."""
+    kind = AggregationKind(kind)
+    if not (math.isfinite(level) and 0.0 <= level <= 1.0):
+        raise LevelOutOfRange(f"level must be in [0, 1], got {level}")
+    mean_w = w.mean_w
+
+    def _point(x):
+        return geometry.Isoline(kind=kind, level=level, shape="point",
+                                center_wm=x, radius=0.0, runs=[[[x, 0.0]]])
+
+    def _arc(center, radius):
+        if radius == 0.0:
+            return _point(center)
+        t = np.linspace(0.0, math.pi, geometry._SAMPLES)
+        pts = np.column_stack([center + radius * np.cos(t),
+                               radius * np.sin(t)])
+        return geometry.Isoline(kind=kind, level=level, shape="arc",
+                                center_wm=center, radius=radius,
+                                runs=geometry._inside_runs(pts, w))
+
+    if kind is AggregationKind.A:
+        return _arc(0.0, level * mean_w)
+    if kind is AggregationKind.I:
+        return _arc(mean_w, (1.0 - level) * mean_w)
+    if level == 0.0:
+        return _point(0.0)
+    if level == 1.0:
+        return _point(mean_w)
+    if abs(level - 0.5) < 1e-9:
+        x = mean_w * 0.5
+        top = float(envelope_wsd(w, x)[0])
+        ys = np.linspace(0.0, top, geometry._SAMPLES)
+        pts = np.column_stack([np.full(geometry._SAMPLES, x), ys])
+        return geometry.Isoline(kind=kind, level=level, shape="segment",
+                                center_wm=x, radius=0.0, runs=[pts])
+    k = level / (1.0 - level)
+    k2 = k * k
+    center = k2 * mean_w / (k2 - 1.0)
+    radius = k * mean_w / abs(k2 - 1.0)
+    return _arc(center, radius)
+
+
+# All ones, W3, a zero weight, a seeded vector of 12 positive weights and
+# a single criterion.
+ISOLINE_WEIGHTS = [
+    uniform_weights(3), W3, normalize_weights([1.0, 0.0, 0.5, 0.25]),
+    normalize_weights(np.random.default_rng(12).uniform(0.05, 1.0, 12)),
+    uniform_weights(1),
+]
+# Both zeros, levels whose radius or center underflows, both sides of the
+# neutral band's edges, and the ends of the range.
+ISOLINE_LEVELS = [0.0, -0.0, 5e-324, 1e-300, 1e-12, 0.2, 0.45, 0.5 - 1e-9,
+                  0.5 + 1e-9, 0.5 - 1e-10, 0.5 + 1e-10, 0.5, 0.5 + 1e-7,
+                  0.62, 0.9, 1.0 - 1e-12, 1.0]
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def assert_same_isoline(got, want):
+    """Equal fields, bit for bit with the sign of zero, and equal runs."""
+    assert got.kind is want.kind
+    assert got.shape == want.shape
+    for field in ("level", "center_wm", "radius"):
+        assert _bits(getattr(got, field)) == _bits(getattr(want, field)), \
+            field
+    assert len(got.runs) == len(want.runs)
+    for a, b in zip(got.runs, want.runs):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("w", ISOLINE_WEIGHTS, ids=range(5))
+def test_isoline_equals_reference(w):
+    for kind in "AIR":
+        for level in ISOLINE_LEVELS:
+            assert_same_isoline(isoline(kind, level, w),
+                                _reference_isoline(kind, level, w))
+
+
+@given(st.sampled_from("AIR"), st.floats(0.0, 1.0),
+       st.sampled_from(ISOLINE_WEIGHTS))
+def test_isoline_equals_reference_at_any_level(kind, level, w):
+    assert_same_isoline(isoline(kind, level, w),
+                        _reference_isoline(kind, level, w))
 
 
 def inside_runs_loop(points, w):
