@@ -19,7 +19,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import IdSetMismatch, LengthMismatch, NonFiniteScore
+from .errors import (
+    DuplicateName,
+    IdSetMismatch,
+    LengthMismatch,
+    NonFiniteScore,
+)
 from .model import _Record, _block_rows
 
 # Scores within this of their group leader's share its rank by default.
@@ -74,10 +79,15 @@ class Ranking(_Record):
         return np.cumsum(starts)
 
     def position(self, alt_id: str) -> int:
+        """The rank of ``alt_id``; an id held more than once has none."""
         try:
-            return int(self.ranks[self.ids.index(alt_id)])
+            k = self.ids.index(alt_id)
         except ValueError:
             raise KeyError(alt_id) from None
+        if self.ids.count(alt_id) > 1:
+            raise DuplicateName(f"id {alt_id!r} occurs more than once in "
+                                f"the ranking")
+        return int(self.ranks[k])
 
 
 def rank_array(ids: Sequence[str], scores: np.ndarray,
@@ -88,7 +98,9 @@ def rank_array(ids: Sequence[str], scores: np.ndarray,
     but ``(len(ids),)`` are refused.  Exact ties keep their input order.
     A new group starts when a score drops more than ``tie_tolerance``
     below the group leader's score.  The tolerance must be finite and
-    non-negative.
+    non-negative.  Repeated ids are kept, each with its own score and
+    rank; :meth:`Ranking.position` and :func:`compare_rankings` refuse
+    them.
     """
     if not 0 <= tie_tolerance < math.inf:
         raise ValueError(f"tie_tolerance must be finite and non-negative, "

@@ -64,7 +64,8 @@ class NegativeWeight(ValidationError):
 
 
 class DuplicateName(ValidationError):
-    """Two criteria share a name."""
+    """Two criteria, or two alternatives, share a name; a ranking gives
+    no position for an id it holds more than once."""
 
 
 class AllZeroWeights(ValidationError):

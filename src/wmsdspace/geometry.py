@@ -19,8 +19,8 @@ it ``v . w = q + alpha * w_j`` and ``|v|^2 = q + alpha^2`` with
 largest feasible subset sums need to be inspected; with the subset sums
 of each "all but j" weight multiset precomputed and sorted, evaluating the
 envelope at any WM costs two binary searches per distinct weight value.
-:func:`isoline` uses :func:`attainable` to split each sampled level set
-into the runs of samples inside the region.
+:func:`isoline` needs none of it: each level set is a circle centered on
+the WM axis, given by its center and radius.
 
 :func:`attainable` screens points before it evaluates the envelope.  In
 units of mean(w)^2 the squared envelope is X(tau) at tau = WM / mean(w),
@@ -61,11 +61,9 @@ import numpy as np
 
 from .aggregate import AggregationKind
 from .errors import LevelOutOfRange, TooManyCriteria
-from .model import WeightVector, _Record, _frozen
+from .model import WeightVector, _Record
 
 EXACT_LIMIT = 20
-# Samples along each isoline arc or segment.
-_SAMPLES = 361
 # WM values of the cached outline: ``envelope(w, _OUTLINE)`` and the
 # screen of :func:`attainable` read one evaluation per weight vector.
 _OUTLINE = 512
@@ -314,29 +312,14 @@ def attainable(w: WeightVector, wm, wsd, tol: float = 1e-9) -> np.ndarray:
 
 
 class Isoline(_Record):
-    """One level set of an aggregation, clipped to the attainable region.
-
-    ``shape`` is "arc" (circle centered on the WM axis), "segment" (the
-    vertical neutrality line of R at level 0.5), or "point" (degenerate
-    levels).  ``runs`` holds the clipped samples as (k, 2) arrays of
-    (WM, WSD) rows, one per maximal stretch of consecutive samples inside
-    the region; it is empty when the whole level set falls outside.
-    """
+    """One level set of an aggregation, unclipped: ``shape`` "arc" is the
+    circle of ``radius`` centered at (``center_wm``, 0), "segment" R's
+    neutral line WM = ``center_wm`` and "point" (``center_wm``, 0)."""
 
     def __init__(self, kind: AggregationKind, level: float, shape: str,
-                 center_wm: float, radius: float,
-                 runs: tuple[np.ndarray, ...]):
+                 center_wm: float, radius: float):
         vars(self).update(kind=kind, level=level, shape=shape,
-                          center_wm=center_wm, radius=radius,
-                          runs=tuple(map(_frozen, runs)))
-
-
-def _inside_runs(pts: np.ndarray, w: WeightVector) -> list[np.ndarray]:
-    """Maximal stretches of consecutive rows of ``pts`` inside the region."""
-    keep = np.concatenate([[False], attainable(w, pts[:, 0], pts[:, 1]),
-                           [False]])
-    edges = np.flatnonzero(keep[1:] != keep[:-1]).reshape(-1, 2)
-    return [pts[start:stop] for start, stop in edges]
+                          center_wm=center_wm, radius=radius)
 
 
 def isoline(kind: AggregationKind, level: float, w: WeightVector) -> Isoline:
@@ -347,36 +330,27 @@ def isoline(kind: AggregationKind, level: float, w: WeightVector) -> Isoline:
     level * mean(w), I's at the ideal image (mean(w), 0) with radius
     (1 - level) * mean(w), and R's is the Apollonius circle of those two
     points with distance ratio level / (1 - level), of radius 0 at R's
-    levels 0 and 1.  Radius 0 is a point; R's level 0.5 (within 1e-9) is
-    the vertical segment WM = mean(w) / 2 up to the envelope; any other
-    circle is sampled at 361 points along its upper half and clipped.
+    levels 0 and 1.  Radius 0 is a point, and R's level 0.5 (within
+    1e-9) the vertical line WM = mean(w) / 2.  Only mean(w) is read.
     """
     kind = AggregationKind(kind)
     if not (math.isfinite(level) and 0.0 <= level <= 1.0):
         raise LevelOutOfRange(f"level must be in [0, 1], got {level}")
     mean_w = w.mean_w
-    neutral = kind is AggregationKind.R and abs(level - 0.5) < 1e-9
+    shape = "arc"
     if kind is AggregationKind.A:
         center, radius = 0.0, level * mean_w
     elif kind is AggregationKind.I:
         center, radius = mean_w, (1.0 - level) * mean_w
-    elif neutral:
-        center, radius = mean_w * 0.5, 0.0
+    elif abs(level - 0.5) < 1e-9:
+        shape, center, radius = "segment", mean_w * 0.5, 0.0
     elif level in (0.0, 1.0):
         center, radius = (mean_w if level else 0.0), 0.0  # -0.0 gives +0.0
     else:
         k = level / (1.0 - level)
         k2 = k * k
         center, radius = k2 * mean_w / (k2 - 1.0), k * mean_w / abs(k2 - 1.0)
-    if neutral:
-        top = float(envelope_wsd(w, center)[0])
-        shape, runs = "segment", [np.column_stack(
-            [np.full(_SAMPLES, center), np.linspace(0.0, top, _SAMPLES)])]
-    elif radius == 0.0:
-        shape, radius, runs = "point", 0.0, [[[center, 0.0]]]
-    else:
-        t = np.linspace(0.0, math.pi, _SAMPLES)
-        shape, runs = "arc", _inside_runs(np.column_stack(
-            [center + radius * np.cos(t), radius * np.sin(t)]), w)
+    if shape == "arc" and radius == 0.0:
+        shape, radius = "point", 0.0
     return Isoline(kind=kind, level=level, shape=shape, center_wm=center,
-                   radius=radius, runs=runs)
+                   radius=radius)

@@ -185,12 +185,6 @@ def _svg(template: str, *columns) -> list[bytes]:
     return list(pieces(template + "\n", cols))
 
 
-def _path(head: str, x: np.ndarray, y: np.ndarray, tail: str) -> bytes:
-    """``head``, path data ``M x0 y0 L x1 ...`` of the points, ``tail``."""
-    return b"".join([*pieces(head + "M %.2f %.2f", [x[:1], y[:1]]),
-                     *pieces(" L %.2f %.2f", [x[1:], y[1:]]), tail.encode()])
-
-
 def _check_points(spec: PlotSpec, layers: list[tuple]) -> None:
     """Raise for the first point, in input order over the ``(ids, wm,
     wsd)`` marker ``layers``, outside the region."""
@@ -240,26 +234,64 @@ def _markers_svg(frame: PlotFrame, ids: Sequence[str], wm: np.ndarray,
                        [x, y, x + 6, y - 6, [_esc(pid) for pid in ids]]))
 
 
-def _region_svg(spec: PlotSpec, frame: PlotFrame) -> list[bytes]:
-    """The color field, its one cell size written once, and the outline."""
+def _region_svg(spec: PlotSpec, frame: PlotFrame
+                ) -> tuple[list[bytes], bytes]:
+    """The color field, its one cell size written once, and the outline,
+    with the outline's path data."""
     cells = field_cells(spec)
     env_wm, env_wsd = envelope(spec.weights)
+    x, y = frame.x(env_wm), frame.y(env_wsd)
+    outline = b"".join([*pieces("M %.2f %.2f", [x[:1], y[:1]]),
+                        *pieces(" L %.2f %.2f", [x[1:], y[1:]]), b" Z"])
     return [*_svg(f'<rect x="%.2f" y="%.2f" width="{cells.w + 0.3:.2f}" '
                   f'height="{cells.h + 0.3:.2f}" fill="#%02x%02x%02x"/>',
                   cells.x, cells.y, *cells.rgb.T),
-            _path('<path d="', frame.x(env_wm), frame.y(env_wsd),
-                  ' Z" fill="none" stroke="#000000" stroke-width="1.2"/>\n')]
+            b'<path d="%s" fill="none" stroke="#000000" '
+            b'stroke-width="1.2"/>\n' % outline], outline
 
 
-def _panel_body(spec: PlotSpec, regions: dict, second: tuple | None = None
-                ) -> list[bytes]:
+def _isolines_svg(spec: PlotSpec, frame: PlotFrame, outline: bytes,
+                  clip: str) -> list[bytes]:
+    """One element per isoline of ``spec`` but a point, in a group clipped
+    by the region ``outline`` as ``clip``.  A circle of pixel radii rx and
+    ry > plot_h strays at most rx (1 - sqrt(1 - t^2)), t = plot_h / ry,
+    from the vertical line through its WM-axis crossing below the plot
+    top: under 0.005 px it is drawn as that line, as R's neutral line is."""
+    body = []
+    for level in spec.show_isolines:
+        iso = isoline(spec.kind, level, spec.weights)
+        if iso.shape == "point":
+            continue
+        x, y = frame.x(iso.center_wm), frame.y(0.0)
+        rx = iso.radius / frame.wm_max * frame.plot_w
+        ry = iso.radius / frame.wsd_max * frame.plot_h
+        line = iso.shape == "segment"
+        if ry > frame.plot_h:
+            t2 = (frame.plot_h / ry) ** 2
+            line = rx * t2 / (1.0 + math.sqrt(1.0 - t2)) < 0.005
+        if line:
+            x = x + rx if iso.center_wm < frame.wm_max / 2 else x - rx
+            body += _svg('<path class="isoline" d="M %.2f %.2f '
+                         'L %.2f %.2f"/>', x, y, x, MARGIN_T)
+        else:
+            body += _svg('<ellipse class="isoline" cx="%.2f" cy="%.2f" '
+                         'rx="%.2f" ry="%.2f"/>', x, y, rx, ry)
+    head = (f'<clipPath id="{clip}"><path d="%s"/></clipPath>\n'
+            f'<g clip-path="url(#{clip})" fill="none" stroke="#555555" '
+            f'stroke-width="1" stroke-dasharray="4 3">\n').encode()
+    return [head % outline, *body, b"</g>\n"] if body else []
+
+
+def _panel_body(spec: PlotSpec, regions: dict, second: tuple | None = None,
+                panel: int = 0) -> list[bytes]:
     """All drawing elements of a single plot, in local coordinates.
 
     ``regions`` maps a (weights, kind, grid) key to its field and
-    outline pieces, so panels of one document share it.  ``second`` is an
-    optional second snapshot of ``(ids, wm, wsd)`` marker columns: it is
-    drawn hollow over the solid markers of ``spec``, labelled in their
-    place, and joined to them by arrows.
+    outline pieces and the outline's path data, so panels of one
+    document share it; ``panel`` numbers the plot's clip path.
+    ``second`` is an optional second snapshot of ``(ids, wm, wsd)``
+    marker columns: it is drawn hollow over the solid markers of
+    ``spec``, labelled in their place, and joined to them by arrows.
     """
     w = spec.weights
     frame = PlotFrame(spec)
@@ -274,16 +306,9 @@ def _panel_body(spec: PlotSpec, regions: dict, second: tuple | None = None
     key = (w.weights.tobytes(), spec.kind, spec.grid)
     if key not in regions:
         regions[key] = _region_svg(spec, frame)
-    out.extend(regions[key])
-
-    for level in spec.show_isolines:
-        for run in isoline(spec.kind, level, w).runs:
-            if len(run) >= 2:
-                out.append(_path(
-                    '<path class="isoline" d="', frame.x(run[:, 0]),
-                    frame.y(run[:, 1]), '" fill="none" stroke="#555555" '
-                    'stroke-width="1" stroke-dasharray="4 3"/>\n'))
-
+    region, outline = regions[key]
+    out += region
+    out += _isolines_svg(spec, frame, outline, f"outline{panel}")
     out.extend(_axes_svg(spec, frame))
     if second is not None:
         out.extend(_arrows_svg(frame, *layers))
@@ -416,7 +441,7 @@ def _grid_document(specs: Sequence[PlotSpec], columns: int) -> list[bytes]:
         ox = (i % columns) * WIDTH
         oy = (i // columns) * HEIGHT
         try:
-            panel = _panel_body(spec, regions)
+            panel = _panel_body(spec, regions, panel=i)
         except WmsdError as e:
             e.args = (f"panel {i}: {e}",)
             raise

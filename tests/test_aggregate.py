@@ -16,7 +16,12 @@ from wmsdspace.aggregate import (
     compare_rankings,
     rank_array,
 )
-from wmsdspace.errors import IdSetMismatch, LengthMismatch, NonFiniteScore
+from wmsdspace.errors import (
+    DuplicateName,
+    IdSetMismatch,
+    LengthMismatch,
+    NonFiniteScore,
+)
 from wmsdspace.model import normalize_weights, uniform_weights
 from wmsdspace.spaces import utility_array
 from wmsdspace.wmsd import plane
@@ -158,6 +163,13 @@ class TestRank:
         assert r.position("b") == 2
         with pytest.raises(KeyError):
             r.position("c")
+
+    def test_position_of_repeated_id(self):
+        # "y" holds ranks 1 and 3: it has no one position.
+        r = rank_array(["x", "y", "y"], [0.2, 0.9, 0.1])
+        assert r.ranks.tolist() == [1, 2, 3] and r.position("x") == 2
+        with pytest.raises(DuplicateName, match="'y'"):
+            r.position("y")
 
     def test_non_finite(self):
         with pytest.raises(NonFiniteScore):

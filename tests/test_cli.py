@@ -406,6 +406,13 @@ class TestPlainIngest:
                   '\ns3,1_0,2,1\n')
     @example(text="id,Math,Bio,Art\ns1,3,2,1\ns2,3,2,1\na\rb,3,2,1\n")
     @example(text='id,Math,Bio,Art\ns1,3,2,1\ns2,3,2,1\n"open,1,2,3')
+    # Where np.loadtxt(quotechar='"') reads differently from the csv
+    # module: a quoted id that ends right after a line break, and an
+    # unterminated quote before blank lines.
+    @example(text='id,Math,Bio,Art\ns1,3,2,1\ns2,3,2,1\n"x\n",3,2,1\n'
+                  's3,3,2,1\n')
+    @example(text='id,Math,Bio,Art\ns1,3,2,1\ns2,3,2,1\n"open,1,2,3\n\n\n'
+                  's3,3,2,1\n')
     def test_blocks_then_csv_module_equal_reference(self, students_config,
                                                     text):
         """At every block budget, the cells, their flags and every error
@@ -1453,10 +1460,12 @@ class TestErrorStream:
         if argv[0] == "plot":
             assert rendered_plot(argv) == out.read_bytes()
 
-    # Recorded from the writer that joined the whole document as one str.
+    # Recorded from the writer that joined the whole document as one str;
+    # "single" draws an isoline and was recorded again when each isoline
+    # became one element clipped by the region outline.
     @pytest.mark.parametrize("extra, digest", [
         (["--labels", "--isolines", "0.5"],
-         "892a5aa3c7342b8e96f1e1745739939112a06eb50786b78468b6dd18663575b3"),
+         "3490d54abd43b45c42be761cf052dba8ff7b8194b0089b2cddd7847bc8ed7c49"),
         (["--config", FIXTURES / "students_config.json"],
          "f6d8277b539fe3c7ee9ac99c02470d704edc82edeacd867e46a275ee66f260e2"),
         (["--overlay", None, "--labels"],
@@ -1888,26 +1897,29 @@ class TestGoldenFiles:
     # writer; and the unweighted-I and aggregation-A panel plots, recorded
     # from the per-marker point objects that preceded the marker columns;
     # and the overlay whose second snapshot lists its ids in reverse order,
-    # recorded from the per-id arrow loop that preceded the id match.
+    # recorded from the per-id arrow loop that preceded the id match.  The
+    # four plots with isolines ("students" and the three seeded ones) were
+    # recorded again when each isoline became one element clipped by the
+    # region outline, in place of runs of sampled points.
     FROZEN_OUTPUTS = {
         "seeded-plot-labels-isolines": (
             ["plot", "--data", SEEDED / "plot.csv",
              "--config", SEEDED / "plot.json", "--labels",
              "--isolines", "0.1,0.25,0.5,0.75,0.9"],
-            "a867475c16f184e3f64cafa2e6189165d552cdda23c35364a9e60c16cb853042"),
+            "bac99fb9e5a57a3256d44e55f24b40e23cdca19d741a0b1664decbab3de508bc"),
         "seeded-overlay-arrows": (
             ["plot", "--data", SEEDED / "snap_a.csv",
              "--config", SEEDED / "snap.json",
              "--overlay", SEEDED / "snap_b.csv", "--labels",
              "--isolines", "0.3,0.6", "--grid", "96"],
-            "b597ca9bb8d5e9e157a0fa355adf48f57cd5e4ea13ac244452e8c1abf4b4c861"),
+            "1c55e58e11880fb39eb26af1a01203a88e9befc8bbb30dffed5202003c5ae110"),
         "seeded-overlay-reversed-ids": (
             ["plot", "--data", SEEDED / "snap_a.csv",
              "--config", SEEDED / "snap.json",
              "--overlay", SEEDED / "snap_b_reversed.csv", "--labels",
              "--aggregation", "R", "--isolines", "0.25,0.5,0.75",
              "--grid", "64"],
-            "62c68cac4c3eaf755f1a7b679459381e8669f4fb5525e0dc91a81b387777a7ce"),
+            "979f9be7a1346b6ced9ea0fba02623633e03c3367e96e55d0b884071aa3c515d"),
         "seeded-boundary-np12-csv": (
             ["boundary", "--config", SEEDED / "np12.json", "--format", "csv"],
             "4162f97903824b4c2715294d5884677c689b7b174e04e9658e58af64be493a8c"),
@@ -1941,7 +1953,7 @@ class TestGoldenFiles:
             ["plot", "--data", FIXTURES / "students.csv",
              "--config", FIXTURES / "students_config.json",
              "--isolines", "0.25,0.5,0.75", "--labels"],
-            "af11a57a8eac02c4b302f88f58fe29251357691ad65f368f2a0c2e612d783c3b"),
+            "5f55e0d1cefa443f91ecafb0da789ea229608d9cb13ff5b37f9cd85b15d278bf"),
         "panels": (
             ["plot", "--data", FIXTURES / "countries.csv"]
             + [a for k in (1, 2, 3, 4)

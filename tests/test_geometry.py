@@ -63,8 +63,7 @@ class TestBoundary:
         assert w.n_p == geometry.EXACT_LIMIT + 1
         calls = [lambda: envelope(w), lambda: envelope_wsd(w, 0.3),
                  lambda: vertex_images(w),
-                 lambda: attainable(w, 0.3, 0.1),
-                 lambda: isoline("A", 0.9, w)]
+                 lambda: attainable(w, 0.3, 0.1)]
         for call in calls:
             with pytest.raises(TooManyCriteria) as info:
                 call()
@@ -270,21 +269,19 @@ class TestOracle:
 class TestIsolines:
     def test_neutral_vertical_segment(self):
         iso = isoline("R", 0.5, W3)
-        assert iso.shape == "segment"
-        (run,) = iso.runs
-        assert np.allclose(run[:, 0], W3.mean_w / 2)
-        assert run[:, 1].max() == pytest.approx(
-            envelope_wsd(W3, W3.mean_w / 2)[0], abs=1e-12)
+        assert (iso.shape, iso.center_wm, iso.radius) == (
+            "segment", W3.mean_w / 2, 0.0)
 
     def test_degenerate_top(self):
         iso = isoline("I", 1.0, W3)
-        assert iso.shape == "point"
-        assert [r.tolist() for r in iso.runs] == [[[W3.mean_w, 0.0]]]
+        assert (iso.shape, iso.center_wm, iso.radius) == (
+            "point", W3.mean_w, 0.0)
 
     def test_degenerate_r_levels(self):
         for level, wm in ((0.0, 0.0), (1.0, W3.mean_w)):
-            runs = isoline("R", level, W3).runs
-            assert [r.tolist() for r in runs] == [[[wm, 0.0]]]
+            iso = isoline("R", level, W3)
+            assert (iso.shape, iso.center_wm, iso.radius) == (
+                "point", wm, 0.0)
 
     def test_arc_through_known_point(self):
         # level set of A through a country's plane position passes
@@ -300,24 +297,29 @@ class TestIsolines:
     @pytest.mark.parametrize("kind", ["I", "A", "R"])
     @pytest.mark.parametrize("level", [0.2, 0.45, 0.62, 0.9])
     def test_points_evaluate_to_level(self, kind, level):
+        # Points on the upper half of each circle, ends included.
+        t = np.linspace(0.0, math.pi, 97)
         for w in (W15, W3):
-            pts = np.concatenate(isoline(kind, level, w).runs)
-            assert len(pts) > 0
-            vals = agg_values(kind, pts[:, 0], pts[:, 1], w.mean_w)
+            iso = isoline(kind, level, w)
+            assert iso.shape == "arc"
+            wm = iso.center_wm + iso.radius * np.cos(t)
+            wsd = iso.radius * np.sin(t)
+            vals = agg_values(kind, wm, wsd, w.mean_w)
             assert np.max(np.abs(vals - level)) < 1e-9
 
-    def test_clipped_to_region(self):
-        pts = np.concatenate(isoline("A", 0.9, W3).runs)
-        assert attainable(W3, pts[:, 0], pts[:, 1], tol=1e-6).all()
-
-    def test_runs_are_frozen_arrays(self):
+    def test_fields_are_the_closed_form(self):
         for iso in (isoline("A", 0.4, W3), isoline("R", 0.5, W3),
                     isoline("I", 1.0, W3)):
-            assert isinstance(iso.runs, tuple) and iso.runs
-            assert not hasattr(iso, "points")
-            for run in iso.runs:
-                assert run.ndim == 2 and run.shape[1] == 2
-                assert not run.flags.writeable
+            assert list(vars(iso)) == ["kind", "level", "shape",
+                                       "center_wm", "radius"]
+
+    def test_past_the_exact_cap(self):
+        # Only mean(w) is read: 21 positive weights give their circle.
+        w = normalize_weights(np.linspace(0.3, 1.0, 21))
+        assert w.n_p == geometry.EXACT_LIMIT + 1
+        iso = isoline("A", 0.9, w)
+        assert (iso.shape, iso.center_wm, iso.radius) == (
+            "arc", 0.0, 0.9 * w.mean_w)
 
     def test_level_out_of_range(self):
         with pytest.raises(LevelOutOfRange):
@@ -337,17 +339,13 @@ def _reference_isoline(kind, level, w):
 
     def _point(x):
         return geometry.Isoline(kind=kind, level=level, shape="point",
-                                center_wm=x, radius=0.0, runs=[[[x, 0.0]]])
+                                center_wm=x, radius=0.0)
 
     def _arc(center, radius):
         if radius == 0.0:
             return _point(center)
-        t = np.linspace(0.0, math.pi, geometry._SAMPLES)
-        pts = np.column_stack([center + radius * np.cos(t),
-                               radius * np.sin(t)])
         return geometry.Isoline(kind=kind, level=level, shape="arc",
-                                center_wm=center, radius=radius,
-                                runs=geometry._inside_runs(pts, w))
+                                center_wm=center, radius=radius)
 
     if kind is AggregationKind.A:
         return _arc(0.0, level * mean_w)
@@ -358,12 +356,8 @@ def _reference_isoline(kind, level, w):
     if level == 1.0:
         return _point(mean_w)
     if abs(level - 0.5) < 1e-9:
-        x = mean_w * 0.5
-        top = float(envelope_wsd(w, x)[0])
-        ys = np.linspace(0.0, top, geometry._SAMPLES)
-        pts = np.column_stack([np.full(geometry._SAMPLES, x), ys])
         return geometry.Isoline(kind=kind, level=level, shape="segment",
-                                center_wm=x, radius=0.0, runs=[pts])
+                                center_wm=mean_w * 0.5, radius=0.0)
     k = level / (1.0 - level)
     k2 = k * k
     center = k2 * mean_w / (k2 - 1.0)
@@ -390,15 +384,12 @@ def _bits(x):
 
 
 def assert_same_isoline(got, want):
-    """Equal fields, bit for bit with the sign of zero, and equal runs."""
+    """Equal fields, bit for bit with the sign of zero."""
     assert got.kind is want.kind
     assert got.shape == want.shape
     for field in ("level", "center_wm", "radius"):
         assert _bits(getattr(got, field)) == _bits(getattr(want, field)), \
             field
-    assert len(got.runs) == len(want.runs)
-    for a, b in zip(got.runs, want.runs):
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("w", ISOLINE_WEIGHTS, ids=range(5))
@@ -414,35 +405,6 @@ def test_isoline_equals_reference(w):
 def test_isoline_equals_reference_at_any_level(kind, level, w):
     assert_same_isoline(isoline(kind, level, w),
                         _reference_isoline(kind, level, w))
-
-
-def inside_runs_loop(points, w):
-    """Reference: the runs of consecutive attainable rows, one row at a
-    time."""
-    runs, run = [], []
-    for wm, wsd in points:
-        if attainable(w, wm, wsd)[0]:
-            run.append([wm, wsd])
-        elif run:
-            runs.append(np.array(run))
-            run = []
-    if run:
-        runs.append(np.array(run))
-    return runs
-
-
-# W11's region is the triangle under (0.5, 0.5): these coordinates fall on
-# both sides of it, on its edges and beyond the WM range.
-COORD = st.one_of(st.floats(-0.2, 1.2), st.sampled_from([0.0, 0.25, 0.5, 1.0]))
-
-
-@given(st.lists(st.tuples(COORD, COORD), max_size=40))
-def test_isoline_runs_equal_loop(coords):
-    points = np.array(coords, dtype=float).reshape(-1, 2)
-    got = geometry._inside_runs(points, W11)
-    expected = inside_runs_loop(points, W11)
-    assert len(got) == len(expected)
-    assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
 
 def concat_subset_sums(values):

@@ -174,6 +174,121 @@ class TestSinglePlot:
             PlotSpec(weights=W3, kind="R", grid=8)
 
 
+SVG = "{http://www.w3.org/2000/svg}"
+
+
+def isoline_elements(root):
+    """The isoline elements of a parsed document, in document order."""
+    return [e for e in root.iter() if e.get("class") == "isoline"]
+
+
+def clipped_groups(root):
+    """Each group that clips by a path, with its clip path and the
+    stroked outline in the same panel, in document order."""
+    panels = [g for g in root if g.tag == SVG + "g"
+              and g.get("transform") is not None] or [root]
+    found = []
+    for panel in panels:
+        clips = {c.get("id"): c for c in panel.iter(SVG + "clipPath")}
+        (outline,) = [p for p in panel.iter(SVG + "path")
+                      if p.get("stroke") == "#000000"]
+        for group in panel.iter(SVG + "g"):
+            if group.get("clip-path") is not None:
+                key = re.fullmatch(r"url\(#(.+)\)", group.get("clip-path"))[1]
+                found.append((group, clips[key], outline))
+    return found
+
+
+def students_levels(spec, *levels):
+    """``spec``, the students plot, drawing ``levels`` as isolines."""
+    return PlotSpec(weights=spec.weights, kind=spec.kind, ids=spec.ids,
+                    wm=spec.wm, wsd=spec.wsd, grid=spec.grid,
+                    show_isolines=levels)
+
+
+class TestIsolineElements:
+    LEVELS = (0.1, 0.25, 0.4, 0.75, 0.9)
+
+    @pytest.mark.parametrize("kind", ["A", "I", "R"])
+    def test_ellipses_are_frame_images(self, kind):
+        spec = PlotSpec(weights=W3, kind=kind, grid=16,
+                        show_isolines=self.LEVELS)
+        frame = PlotFrame(spec)
+        got = isoline_elements(ET.fromstring(render_wmsd_plot(spec)))
+        assert [e.tag for e in got] == [SVG + "ellipse"] * len(self.LEVELS)
+        for level, e in zip(self.LEVELS, got):
+            iso = geometry.isoline(kind, level, W3)
+            cx, cy = frame.x(iso.center_wm), frame.y(0.0)
+            want = [cx, cy, frame.x(iso.center_wm + iso.radius) - cx,
+                    cy - frame.y(iso.radius)]
+            numbers = [float(e.get(k)) for k in ("cx", "cy", "rx", "ry")]
+            assert np.allclose(numbers, want, rtol=0, atol=0.01)
+
+    def test_clip_path_is_the_outline(self, students_spec):
+        root = ET.fromstring(render_wmsd_plot(students_spec))
+        ((group, clip, outline),) = clipped_groups(root)
+        (path,) = clip
+        assert path.get("d") == outline.get("d")
+        assert list(group) == isoline_elements(root)
+        assert (group.get("fill"), group.get("stroke"),
+                group.get("stroke-dasharray")) == ("none", "#555555", "4 3")
+
+    def test_grid_clip_ids_unique(self):
+        a, b = W3, normalize_weights([1.0, 0.5])
+        specs = [PlotSpec(weights=w, kind="R", grid=16,
+                          show_isolines=(0.25, 0.5)) for w in (a, b, a, b)]
+        root = ET.fromstring(render_panel_grid(specs, 2))
+        found = clipped_groups(root)
+        assert len(found) == 4
+        for group, clip, outline in found:
+            assert clip[0].get("d") == outline.get("d")
+        ids = [e.get("id") for e in root.iter() if e.get("id") is not None]
+        assert len(ids) == len(set(ids)) == 4
+        outlines = [outline.get("d") for _, _, outline in found]
+        assert outlines[0] == outlines[2] != outlines[1] == outlines[3]
+
+    @pytest.mark.parametrize("level", [0.5 - 1e-7, 0.5 + 1e-7, 0.5 - 1e-12,
+                                       0.5 + 1e-12, 0.5 - 8e-6, 0.5 + 8e-6,
+                                       0.5 - 9e-6, 0.5 + 9e-6, 0.51])
+    def test_near_neutral_r_draws_one_element(self, students_spec, level):
+        """A vertical line where the circle strays less than 0.005 px from
+        it up to the plot top, within about 8.8e-6 of R = 0.5; else an
+        ellipse."""
+        spec = students_levels(students_spec, level)
+        frame = PlotFrame(spec)
+        (element,) = isoline_elements(ET.fromstring(render_wmsd_plot(spec)))
+        iso = geometry.isoline("R", level, W3)
+        line = iso.shape == "segment"
+        if not line:
+            side = 1.0 if iso.center_wm > W3.mean_w / 2 else -1.0
+            top = iso.center_wm - side * math.sqrt(
+                iso.radius ** 2 - frame.wsd_max ** 2)
+            cross = iso.center_wm - side * iso.radius
+            line = abs(frame.x(top) - frame.x(cross)) < 0.005
+        assert line == (abs(level - 0.5) < 8.8e-6)
+        assert element.tag == SVG + ("path" if line else "ellipse")
+
+    def test_near_neutral_line_follows_its_circle(self, students_spec):
+        level = 0.5 + 1e-7
+        spec = students_levels(students_spec, level)
+        frame = PlotFrame(spec)
+        (element,) = isoline_elements(ET.fromstring(render_wmsd_plot(spec)))
+        x1, y1, x2, y2 = map(float, re.fullmatch(
+            r"M (\S+) (\S+) L (\S+) (\S+)", element.get("d")).groups())
+        assert x1 == x2 and (y1, y2) == (frame.y(0.0), MARGIN_T)
+        iso = geometry.isoline("R", level, W3)
+        assert iso.center_wm > W3.mean_w
+        # The circle from the WM axis up to the plot top.
+        wsd = np.linspace(0.0, frame.wsd_max, 101)
+        wm = iso.center_wm - np.sqrt((iso.radius - wsd) * (iso.radius + wsd))
+        assert np.max(np.abs(frame.x(wm) - x1)) < 0.005
+
+    def test_points_draw_nothing(self, students_spec):
+        svg = render_wmsd_plot(students_levels(students_spec, 0.0, 1.0))
+        assert svg == render_wmsd_plot(students_levels(students_spec))
+        assert "<clipPath" not in svg and "<g" not in svg
+
+
 class TestBatchedChecks:
     """Every point set is checked with one envelope evaluation."""
 
