@@ -14,6 +14,8 @@ product is at least 2^52 is formatted by Python's ``%``, one at a time.
 Below that, ``repr(round(x, 6))`` is the ``%.6f`` text less the zeros that
 end its decimals (one kept), as no shorter text reads back as the same
 float; ``repr`` writes the values below 1e-4, which have an exponent.
+Integers, such as ranks, are written as ``%.0f``, which below 2^52 is
+their decimal integer text.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .model import _block_rows
 
 # Never a byte of UTF-8 text: it fills grid cells that hold no text.
 _PAD = 0xFF
-_CONVERSION = re.compile(r"%(%|s|r|d|02x|\.(\d)f)")
+_CONVERSION = re.compile(r"%(%|s|r|02x|\.(\d)f)")
 _LIMB = 10_000
 
 
@@ -58,8 +60,9 @@ def pieces(template: str, columns: Sequence) -> Iterator[bytes]:
     columns are checked before this returns.  A column is a sequence or a
     numpy array; a 2-D array gives one column per array column.
     Conversions: ``%s`` (strings), ``%r`` (floats as ``repr(round(x, 6))``,
-    the JSON number text), ``%d`` (integers), ``%02x`` (integers 0-255) and
-    ``%.Nf`` (N from 0 to 9); ``%%`` is a literal ``%``."""
+    the JSON number text), ``%02x`` (integers 0-255) and ``%.Nf`` (N from
+    0 to 9; integers are written as ``%.0f``); ``%%`` is a literal
+    ``%``."""
     literals, conversions = [], []
     pos, text = 0, ""
     for match in _CONVERSION.finditer(template):
@@ -139,12 +142,9 @@ def _run(conv: str | int, parts: list, sep: str, k: int) -> np.ndarray:
     ``k * len(parts)`` rows, each followed by ``sep``, and every
     ``len(parts)`` of those rows are laid side by side, less the last
     ``sep``."""
-    dtype = {"d": np.int64, "02x": None}.get(conv, float)
-    values = np.array([np.asarray(p, dtype) for p in parts]).T.ravel()
-    if conv == "02x":
-        pieces = [_HEX[values]]
-    else:
-        pieces = _number_pieces(values, None if conv == "d" else conv)
+    values = np.array([np.asarray(p, None if conv == "02x" else float)
+                       for p in parts]).T.ravel()
+    pieces = [_HEX[values]] if conv == "02x" else _number_pieces(values, conv)
     pieces.append(_literal(sep, values.size))
     cells = np.concatenate(pieces, axis=1).reshape(k, -1)
     return cells[:, :cells.shape[1] - len(sep.encode())]
@@ -197,47 +197,38 @@ def _product_error(a: np.ndarray, b: float, p: np.ndarray) -> np.ndarray:
     return (a_hi * b - p) + (a - a_hi) * b
 
 
-def _percent(values: list, decimals: int | str | None) -> list[bytes]:
-    """Python's ``'%.Nf' % x`` (N = ``decimals``), ``'%d' % x`` (None) or
-    ``repr(round(x, 6))`` ("r") of each value the grid does not cover."""
-    if decimals is None:
-        return [("%d" % x).encode() for x in values]
+def _percent(values: list, decimals: int | str) -> list[bytes]:
+    """Python's ``'%.Nf' % x`` (N = ``decimals``) or ``repr(round(x, 6))``
+    ("r") of each value the grid does not cover."""
     if decimals == "r":
         return [repr(round(x, 6)).encode() for x in values]
     return [("%.*f" % (decimals, x)).encode() for x in values]
 
 
-def _number_pieces(part, decimals: int | str | None) -> list[np.ndarray]:
-    """``'%.Nf' % x`` (N = ``decimals``), ``'%d' % i`` (None) or
-    ``repr(round(x, 6))`` ("r") of each value: one row per value across
-    the returned ``_PAD``-padded grids."""
-    n = 6 if decimals == "r" else decimals or 0
-    if decimals is None:
-        v = np.asarray(part, dtype=np.int64)
-        neg = v < 0
-        k = np.abs(v)
-        slow = k < 0  # abs of the most negative int64 wraps
-        k[slow] = 0
-    else:
-        v = np.asarray(part, dtype=float)
-        neg = np.signbit(v)
-        with np.errstate(over="ignore", invalid="ignore"):
-            a = np.abs(v)
-            s = a * 10.0 ** n
-            slow = ~(s < 2.0 ** 52)  # not finite, or past exact integers
-            k = np.rint(s)
-            tie = np.flatnonzero(s - np.floor(s) == 0.5)
-        # The exact product s + err, |err| <= ulp(s)/2, cannot cross a
-        # half-integer other than s, so rint(s) is correctly rounded
-        # unless s is one: then the sign of err decides, and err = 0 is
-        # a true tie, which rint rounds to even as '%.Nf' does.
-        if tie.size:
-            err = _product_error(a[tie], 10.0 ** n, s[tie])
-            k[tie] = np.where(err == 0, k[tie], s[tie] + 0.5 * np.sign(err))
-        if decimals == "r":  # repr writes these with an exponent
-            slow |= (k > 0) & (k < 100)
-        k[slow] = 0
-        k = k.astype(np.int64)
+def _number_pieces(part, decimals: int | str) -> list[np.ndarray]:
+    """``'%.Nf' % x`` (N = ``decimals``; N = 0 writes an integer below 2^52
+    as its decimal integer text) or ``repr(round(x, 6))`` ("r") of each
+    value: one row per value across the returned ``_PAD``-padded grids."""
+    n = 6 if decimals == "r" else decimals
+    v = np.asarray(part, dtype=float)
+    neg = np.signbit(v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = np.abs(v)
+        s = a * 10.0 ** n
+        slow = ~(s < 2.0 ** 52)  # not finite, or past exact integers
+        k = np.rint(s)
+        tie = np.flatnonzero(s - np.floor(s) == 0.5)
+    # The exact product s + err, |err| <= ulp(s)/2, cannot cross a
+    # half-integer other than s, so rint(s) is correctly rounded unless
+    # s is one: then the sign of err decides, and err = 0 is a true tie,
+    # which rint rounds to even as '%.Nf' does.
+    if tie.size:
+        err = _product_error(a[tie], 10.0 ** n, s[tie])
+        k[tie] = np.where(err == 0, k[tie], s[tie] + 0.5 * np.sign(err))
+    if decimals == "r":  # repr writes these with an exponent
+        slow |= (k > 0) & (k < 100)
+    k[slow] = 0
+    k = k.astype(np.int64)
     rows = k.size
     pieces = []
     if slow.any():

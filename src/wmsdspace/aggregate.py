@@ -208,21 +208,21 @@ def _reversals(ranks: np.ndarray) -> np.ndarray:
     oppositely, in row-major order, each as (better in the first
     ranking, other).
 
-    Rows are taken in blocks whose pair differences, one rank each, fit
-    the budget ``model._BLOCK_BYTES``.
+    Rows must come in the first ranking's order, as
+    :func:`compare_rankings` passes them: ``ranks[:, 0]`` never
+    decreases, so row ``i`` is the better one of a reversed pair, and
+    the pair is reversed exactly when ``ranks[i, 0] < ranks[j, 0]`` and
+    ``ranks[i, 1] > ranks[j, 1]``.  Rows are taken in blocks whose
+    pairs, one rank's bytes each, fit the budget ``model._BLOCK_BYTES``.
     """
     m = len(ranks)
     step = _block_rows(ranks.itemsize * m)
     pairs = [np.empty((0, 2), dtype=np.intp)]
     for a in range(0, m, step):
-        b = min(a + step, m)
-        d1 = ranks[a:b, None, 0] - ranks[None, a:, 0]
-        d2 = ranks[a:b, None, 1] - ranks[None, a:, 1]
-        flip = (d1 * d2 < 0) & (np.arange(a, m) > np.arange(a, b)[:, None])
-        i, j = np.nonzero(flip)
-        lead = d1[i, j] < 0
-        pairs.append(np.column_stack([np.where(lead, i, j),
-                                      np.where(lead, j, i)]) + a)
+        # A column j <= i fails the first test: ranks[:, 0] never decreases.
+        flip = ((ranks[a:a + step, None, 0] < ranks[None, a:, 0])
+                & (ranks[a:a + step, None, 1] > ranks[None, a:, 1]))
+        pairs.append(np.argwhere(flip) + a)
     return np.concatenate(pairs)
 
 

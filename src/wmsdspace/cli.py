@@ -457,7 +457,8 @@ def _entries_json(ranking: Ranking, ids: Sequence[str],
                   depth: int) -> Iterable[bytes]:
     """A ranking's ``{id, score, rank, group}`` objects as a JSON array;
     ``ids`` are the JSON texts of ``ranking.ids``."""
-    fields = [("id", "%s"), ("score", "%r"), ("rank", "%d"), ("group", "%d")]
+    fields = [("id", "%s"), ("score", "%r"), ("rank", "%.0f"),
+              ("group", "%.0f")]
     return _json_array(_pieces(
         _json_fields(fields, depth + 1),
         [ids, ranking.scores, ranking.ranks, ranking.group_numbers]), depth)
@@ -489,8 +490,8 @@ def cmd_rank(args: argparse.Namespace) -> Iterable[bytes]:
                      [b',\n  "groups": '], _groups_json(ranking, ids, 1),
                      [b"\n}\n"])
     return chain([b"id,score,rank,group\n"], _pieces(
-        "%s,%.6f,%d,%d\n", [_csv_fields(ranking.ids), ranking.scores,
-                            ranking.ranks, ranking.group_numbers]))
+        "%s,%.6f,%.0f,%.0f\n", [_csv_fields(ranking.ids), ranking.scores,
+                                ranking.ranks, ranking.group_numbers]))
 
 
 def cmd_transform(args: argparse.Namespace) -> Iterable[bytes]:
@@ -606,7 +607,7 @@ def cmd_compare(args: argparse.Namespace) -> Iterable[bytes]:
     revs = list(texts[cmp.reversals].T)
     if as_csv:
         return chain([b"id,score_a,rank_a,score_b,rank_b,delta\n"],
-                     _pieces("%s,%.6f,%d,%.6f,%d,%d\n",
+                     _pieces("%s,%.6f,%.0f,%.6f,%.0f,%.0f\n",
                              [texts, ra.scores, ra.ranks, rb.scores[cmp.order],
                               rb.ranks[cmp.order], cmp.deltas]),
                      _pieces("# kendall_tau=%.6f\n", [[cmp.kendall_tau]]),
@@ -617,7 +618,7 @@ def cmd_compare(args: argparse.Namespace) -> Iterable[bytes]:
                  [b',\n  "ranking_b": '],
                  _entries_json(rb, texts[np.argsort(cmp.order)], 1),
                  [b',\n  "deltas": '],
-                 _json_array(_pieces(",\n    %s: %d", [texts, cmp.deltas]),
+                 _json_array(_pieces(",\n    %s: %.0f", [texts, cmp.deltas]),
                              1, "{}"),
                  [f',\n  "kendall_tau": {tau},\n  "reversals": '.encode()],
                  _json_array(_pieces(_json_pair("%s", 2), revs), 1),

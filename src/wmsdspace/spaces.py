@@ -37,13 +37,3 @@ def utility_array(values: np.ndarray,
     cost = np.array([c.kind == COST for c in criteria])
     # values + (0.0 - lo) is values - lo, but 0.0 where that is -0.0
     return np.where(cost, hi - values, values + (0.0 - lo)) / (hi - lo)
-
-
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot product of each row of ``a`` with ``b`` (a vector or rows)."""
-    return np.einsum("ij,ij->i", a, np.broadcast_to(b, a.shape))
-
-
-def _row_norms(a: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of an (m, n) array."""
-    return np.sqrt(_row_dots(a, a))

@@ -25,7 +25,16 @@ from __future__ import annotations
 import numpy as np
 
 from .model import WeightVector
-from .spaces import _row_dots, _row_norms
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row of ``a`` with ``b`` (a vector or rows)."""
+    return np.einsum("ij,ij->i", a, np.broadcast_to(b, a.shape))
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of an (m, n) array."""
+    return np.sqrt(_row_dots(a, a))
 
 
 def _split(v: np.ndarray, w: WeightVector):

@@ -314,6 +314,11 @@ class TestCompareRankings:
     @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
                     max_size=30),
            st.sampled_from([1, 7, 64, None]))
+    # The first ranking one tie, the second strict: no pairs.
+    @example([(0, s) for s in range(6)], None)
+    # Two strict rankings in reverse order: all 435 pairs of 30 ids.
+    @example([(s, -s) for s in range(30)], None)
+    @example([(s, -s) for s in range(30)], 1)
     def test_reversals_equal_pair_loop(self, scores, block):
         """Every block size lists the pairs of the i < j loop over the
         first ranking's order, in loop order and orientation: blocks of

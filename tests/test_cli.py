@@ -1742,13 +1742,13 @@ class TestTableWriter:
                    cli._json_pair("%r", 2), [np.array(self.VALUES)]), 1))
                + ',\n  "ints": '
                + text(cli._json_array(cli._pieces(
-                   ",\n    %s: %d", [ids, np.arange(8)]), 1, "{}"))
+                   ",\n    %s: %.0f", [ids, np.arange(8)]), 1, "{}"))
                + ',\n  "none": '
                + text(cli._json_array(
                    cli._pieces(",\n    %r", [np.empty(0)]), 1))
                + ',\n  "empty": '
                + text(cli._json_array(
-                   cli._pieces(",\n    %s: %d", [[], []]), 1, "{}"))
+                   cli._pieces(",\n    %s: %.0f", [[], []]), 1, "{}"))
                + "\n}")
         assert doc == json.dumps(
             {"pairs": [[round(a, 6), round(b, 6)] for a, b in self.VALUES],

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from wmsdspace import _text, model
@@ -77,12 +77,22 @@ def test_fallback_takes_only_values_past_exact_integers(case):
                                      if not abs(x) * 10.0 ** n < 2.0 ** 52]
 
 
-@given(st.lists(st.one_of(st.integers(-2 ** 63, 2 ** 63 - 1),
+EXACT = 2 ** 52 - 1  # integers whose %.0f text is their %d text
+
+
+@given(st.lists(st.one_of(st.integers(-EXACT, EXACT),
                           st.integers(-10 ** 6, 10 ** 6)), max_size=30),
        CHUNKS)
+@example([0], None)
+@example([1], None)
+@example([-1], None)
+@example([EXACT], None)
+@example([-EXACT], None)
 def test_integers_equal_percent(ints, chunk):
-    with blocks_of(chunk, "%d;"):
-        got = joined("%d;", [np.array(ints, dtype=np.int64)])
+    """Integers, as the CLI writes ranks, groups and deltas, are written
+    through ``%.0f`` as their ``%d`` text."""
+    with blocks_of(chunk, "%.0f;"):
+        got = joined("%.0f;", [np.array(ints, dtype=np.int64)])
     assert got == "".join("%d;" % i for i in ints)
 
 
@@ -96,7 +106,7 @@ IDS = st.text(st.sampled_from(["\0", "%", '"', ",", "\n", "a", "Z", "7",
                 max_size=20),
        CHUNKS)
 def test_rows_equal_template(records, chunk):
-    template = "%s,%.6f;%.2f %d#%02x[%r]%% %s\n"
+    template = "%s,%.6f;%.2f %.0f#%02x[%r]%% %s\n"
     cols = list(zip(*records)) or [[]] * 7
     with blocks_of(chunk, template):
         got = joined(template, [
@@ -148,7 +158,8 @@ def test_columns_must_match_conversions(columns):
         joined("%r\n", columns)
 
 
-@pytest.mark.parametrize("template", ["%f", "%x", "%5.2f", "%.10f", "%"])
+@pytest.mark.parametrize("template",
+                         ["%f", "%x", "%d", "%5.2f", "%.10f", "%"])
 def test_unsupported_conversion(template):
     with pytest.raises(ValueError):
         joined(template, [[1.0]])
@@ -157,14 +168,14 @@ def test_unsupported_conversion(template):
 # Templates whose adjacent numeric columns share one conversion and one
 # literal, so each run of them is formatted as one table: the transform
 # table (an id and 26 floats, passed as one 2-D array), boundary vertex
-# rows and integer triples.
+# rows and integer triples, as ``%.0f``.
 LIKE_COLUMNS = {
     "%s" + ",%.6f" * 26 + "\n": ["s"] + ["f"] * 26,
     "vertex,%.6f,%.6f\n": ["f", "f"],
-    "%d,%d,%d\n": ["d"] * 3,
+    "%.0f,%.0f,%.0f\n": ["i"] * 3,
 }
 CELLS = {"s": IDS, "f": fixed_point_values(6),
-         "d": st.integers(-2 ** 63, 2 ** 63 - 1)}
+         "i": st.integers(-2 ** 63, 2 ** 63 - 1)}
 
 
 @given(st.sampled_from(sorted(LIKE_COLUMNS)).flatmap(
@@ -175,7 +186,7 @@ def test_like_columns_equal_template(case, chunk):
     template, records = case
     kinds = LIKE_COLUMNS[template]
     numbers = np.array([r[kinds.count("s"):] for r in records],
-                       dtype=np.int64 if "d" in kinds else float)
+                       dtype=np.int64 if "i" in kinds else float)
     columns = [numbers.reshape(len(records), len(kinds) - kinds.count("s"))]
     if kinds[0] == "s":
         columns.insert(0, [r[0] for r in records])
@@ -195,11 +206,11 @@ def test_long_string_cell_is_bounded():
     ranks = np.arange(len(ids))
     tracemalloc.start()
     try:
-        got = joined("%s,%.6f,%d\n", [ids, values, ranks])
+        got = joined("%s,%.6f,%.0f\n", [ids, values, ranks])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert got == "".join("%s,%.6f,%d\n" % row
+    assert got == "".join("%s,%.6f,%.0f\n" % row
                           for row in zip(ids, values, ranks))
     assert peak < 6 * size
 
@@ -209,12 +220,12 @@ def test_budget_sets_rows_per_piece(rows):
     """Each piece is one block of the rows the budget gives the template's
     columns, the last block shorter."""
     values = np.arange(20.0)
-    with blocks_of(rows, "%.6f,%d\n"):
-        got = list(_text.pieces("%.6f,%d\n", [values, values.astype(int)]))
+    with blocks_of(rows, "%.6f,%.0f\n"):
+        got = list(_text.pieces("%.6f,%.0f\n", [values, values.astype(int)]))
     sizes = [piece.count(b"\n") for piece in got]
     assert sizes == [rows] * (20 // rows) + [20 % rows] * (20 % rows > 0)
     assert b"".join(got).decode() == "".join(
-        "%.6f,%d\n" % (x, x) for x in values)
+        "%.6f,%.0f\n" % (x, x) for x in values)
 
 
 def test_transform_table_stays_within_the_budget():
