@@ -104,17 +104,17 @@ _CONFIG_KEYS = {"criteria", "aggregation", "weighted", "tie_tolerance",
 
 
 class RunConfig(_Value):
-    """Validated run configuration: criteria plus scoring options."""
+    """Validated run configuration: criteria plus scoring options.  The
+    weights are not a field: they follow from the criteria."""
 
     def __init__(self, criteria: tuple[CriterionSpec, ...],
-                 weight_vector: WeightVector,
                  aggregation: AggregationKind = AggregationKind.R,
                  weighted: bool = True,
                  tie_tolerance: float = DEFAULT_TIE_TOLERANCE,
                  clamp: bool = False):
-        vars(self).update(criteria=criteria, weight_vector=weight_vector,
-                          aggregation=aggregation, weighted=weighted,
-                          tie_tolerance=tie_tolerance, clamp=clamp)
+        vars(self).update(criteria=criteria, aggregation=aggregation,
+                          weighted=weighted, tie_tolerance=tie_tolerance,
+                          clamp=clamp)
 
     def replace(self, **changes) -> RunConfig:
         """A copy with the given fields changed."""
@@ -123,6 +123,11 @@ class RunConfig(_Value):
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.criteria)
+
+    @property
+    def weight_vector(self) -> WeightVector:
+        """The criteria's raw weights, max-normalized."""
+        return normalize_weights([c.raw_weight for c in self.criteria])
 
     @property
     def weights(self) -> WeightVector:
@@ -192,15 +197,16 @@ def parse_config(text: str) -> RunConfig:
     if not 0 <= tie_tolerance < math.inf:
         raise SchemaError(message, path="tie_tolerance")
 
+    config = RunConfig(criteria=tuple(specs),
+                       aggregation=AggregationKind(aggregation),
+                       weighted=weighted, tie_tolerance=tie_tolerance,
+                       clamp=clamp)
     try:
-        weight_vector = normalize_weights([c.raw_weight for c in specs])
+        config.weight_vector  # refused here, not where a command scores
     except ValidationError as e:
         e.args = (f"criteria[*].weight: {e}",)
         raise
-    return RunConfig(criteria=tuple(specs), weight_vector=weight_vector,
-                     aggregation=AggregationKind(aggregation),
-                     weighted=weighted, tie_tolerance=tie_tolerance,
-                     clamp=clamp)
+    return config
 
 
 def _config_float(value, message: str, path: str) -> float:
@@ -566,11 +572,10 @@ def cmd_plot(args: argparse.Namespace) -> list[bytes]:
     from .render import _grid_document, _plot_document
 
     configs = [_load_config(p, args) for p in args.config]
-    data_text = _read_data(args.data)
-
+    # The dataset text is not bound here, so it is dropped once parsed.
     if args.overlay is not None:
         config = configs[0]
-        matrix_a = read_matrix(data_text, config)
+        matrix_a = read_matrix(_read_data(args.data), config)
         matrix_b = read_matrix(_read_data(args.overlay), config)
         if set(matrix_a.ids) != set(matrix_b.ids):
             diff = sorted(set(matrix_a.ids) ^ set(matrix_b.ids))
@@ -582,7 +587,8 @@ def cmd_plot(args: argparse.Namespace) -> list[bytes]:
 
     specs = []
     markers = 0
-    for config, matrix in zip(configs, _read_matrices(data_text, configs)):
+    matrices = _read_matrices(_read_data(args.data), configs)
+    for config, matrix in zip(configs, matrices):
         markers += matrix.m
         _check_markers(markers)
         specs.append(_plot_spec(matrix, config, args))

@@ -3,10 +3,10 @@
 A ranking problem is described by a list of :class:`CriterionSpec` (name,
 bounded real domain, gain/cost direction, raw weight), a
 :class:`DecisionMatrix` of raw values, and a :class:`WeightVector` derived
-from the raw weights.  Weights are always re-scaled at construction so that
-the largest entry is exactly 1; the derived statistics (positive count
-``n_p``, Euclidean norm, arithmetic mean, scaling coefficient
-``s = norm / mean``) are what every downstream computation consumes.
+from the raw weights.  :func:`normalize_weights` re-scales them so that the
+largest entry is exactly 1; a weight vector derives its statistics (positive
+count ``n_p``, Euclidean norm, arithmetic mean, scaling coefficient
+``s = norm / mean``), which every downstream computation consumes.
 
 All types are immutable after construction and safe to share across
 threads.  They are plain classes on :class:`_Record`, as are the other
@@ -137,19 +137,23 @@ def validate_criteria(specs: Sequence[CriterionSpec]) -> Sequence[CriterionSpec]
 
 
 class WeightVector(_Record):
-    """Max-normalized criteria weights plus derived statistics.
+    """Max-normalized criteria weights plus statistics derived from them.
 
-    ``weights`` always satisfies: all entries in [0, 1], the maximum entry
-    exactly 1, and at least one positive entry.  ``mean_w`` is the
-    arithmetic mean over *all* entries, zeros included.  ``s`` is the
+    ``weights``, as :func:`normalize_weights` makes it, has all entries in
+    [0, 1], the maximum entry exactly 1 and at least one positive entry;
+    it is kept read-only.  ``n_p`` counts the positive entries, ``mean_w``
+    is the mean over *all* entries, zeros included, and ``s`` is the
     scaling coefficient ``norm / mean_w`` that normalizes weighted
     distances; for the all-ones vector it equals sqrt(n).
     """
 
-    def __init__(self, weights: np.ndarray, n_p: int, norm: float,
-                 mean_w: float, s: float):
-        vars(self).update(weights=weights, n_p=n_p, norm=norm,
-                          mean_w=mean_w, s=s)
+    def __init__(self, weights: np.ndarray):
+        weights = _frozen(weights)
+        norm = float(np.linalg.norm(weights))
+        mean_w = float(weights.mean())
+        vars(self).update(weights=weights,
+                          n_p=int(np.count_nonzero(weights > 0)), norm=norm,
+                          mean_w=mean_w, s=norm / mean_w)
 
     @property
     def n(self) -> int:
@@ -177,16 +181,7 @@ def normalize_weights(raw: Sequence[float] | np.ndarray) -> WeightVector:
     top = float(arr.max())
     if top == 0.0:
         raise AllZeroWeights("at least one weight must be positive")
-    weights = arr / top
-    norm = float(np.linalg.norm(weights))
-    mean_w = float(weights.mean())
-    return WeightVector(
-        weights=_frozen(weights),
-        n_p=int(np.count_nonzero(weights > 0)),
-        norm=norm,
-        mean_w=mean_w,
-        s=norm / mean_w,
-    )
+    return WeightVector(arr / top)
 
 
 def uniform_weights(n: int) -> WeightVector:

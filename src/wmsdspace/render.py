@@ -8,6 +8,11 @@ marker per alternative.  Markers come in as columns (ids, WM, WSD), as
 with no external resources; identical inputs produce byte-identical
 documents.
 
+Every plot is ``WIDTH`` x ``HEIGHT`` pixels, and its ``PLOT_W`` x
+``PLOT_H`` plot area spans WM in [0, mean(w)] and WSD in [0, mean(w) / 2],
+so the weights alone fix the map from plane to pixels:
+:meth:`PlotSpec.x` and :meth:`PlotSpec.y`.
+
 The color field is a grid of filled rectangles whose centers lie strictly
 inside the attainable region, so no paint ever extends beyond the
 boundary by more than one cell.
@@ -30,7 +35,7 @@ from .errors import (
     WmsdError,
 )
 from .geometry import attainable, envelope, envelope_wsd, isoline
-from .model import WeightVector, _Record, _Value
+from .model import WeightVector, _Record
 from ._text import pieces
 
 # Marker paint of a layer: plots and first snapshots are solid, second
@@ -74,11 +79,21 @@ def colors_rgb(values) -> np.ndarray:
     return rgb.astype(np.int64)
 
 
+# Size of one plot in pixels; a panel grid is a grid of plots this size.
+WIDTH, HEIGHT = 640, 480
+MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 56, 16, 18, 44
+# Pixel size of the plot area, which spans WM in [0, mean(w)] and WSD in
+# [0, mean(w) / 2].
+PLOT_W, PLOT_H = WIDTH - MARGIN_L - MARGIN_R, HEIGHT - MARGIN_T - MARGIN_B
+LEGEND_W = 74
+
+
 class PlotSpec(_Record):
     """Everything needed to draw one plane plot.
 
     ``ids``, ``wm`` and ``wsd`` are the marker columns: marker k is
-    alternative ``ids[k]`` at plane point ``(wm[k], wsd[k])``.
+    alternative ``ids[k]`` at plane point ``(wm[k], wsd[k])``.  ``x`` and
+    ``y`` map plane coordinates to pixels through mean(w) alone.
     """
 
     def __init__(self, weights: WeightVector, kind: AggregationKind,
@@ -99,43 +114,16 @@ class PlotSpec(_Record):
                           grid=grid, show_isolines=show_isolines,
                           labels=labels)
 
+    def x(self, wm):
+        """The pixel column of plane coordinate ``wm``."""
+        return MARGIN_L + wm / self.weights.mean_w * PLOT_W
 
-# Size of one plot in pixels; a panel grid is a grid of plots this size.
-WIDTH, HEIGHT = 640, 480
-MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 56, 16, 18, 44
-LEGEND_W = 74
-
-
-class PlotFrame(_Value):
-    """Linear map from plane coordinates to pixel coordinates."""
-
-    def __init__(self, spec: PlotSpec):
-        vars(self).update(spec=spec)
-
-    @property
-    def plot_w(self) -> float:
-        return WIDTH - MARGIN_L - MARGIN_R
-
-    @property
-    def plot_h(self) -> float:
-        return HEIGHT - MARGIN_T - MARGIN_B
-
-    @property
-    def wm_max(self) -> float:
-        return self.spec.weights.mean_w
-
-    @property
-    def wsd_max(self) -> float:
-        return self.spec.weights.mean_w / 2.0
-
-    def x(self, wm: float) -> float:
-        return MARGIN_L + wm / self.wm_max * self.plot_w
-
-    def y(self, wsd: float) -> float:
-        return MARGIN_T + (1.0 - wsd / self.wsd_max) * self.plot_h
+    def y(self, wsd):
+        """The pixel row of plane coordinate ``wsd``."""
+        return MARGIN_T + (1.0 - wsd / (self.weights.mean_w / 2.0)) * PLOT_H
 
 
-class FieldCells:
+class FieldCells(_Record):
     """The color field as columns: one entry per cell of ``wm``, ``wsd``,
     ``value``, ``rgb`` (rows of 8-bit channels) and pixel corner ``x``,
     ``y``; every cell is ``w`` by ``h`` pixels."""
@@ -143,8 +131,8 @@ class FieldCells:
     def __init__(self, wm: np.ndarray, wsd: np.ndarray, value: np.ndarray,
                  rgb: np.ndarray, x: np.ndarray, y: np.ndarray, w: float,
                  h: float):
-        self.wm, self.wsd, self.value, self.rgb = wm, wsd, value, rgb
-        self.x, self.y, self.w, self.h = x, y, w, h
+        vars(self).update(wm=wm, wsd=wsd, value=value, rgb=rgb, x=x, y=y,
+                          w=w, h=h)
 
     def __len__(self) -> int:
         return self.wm.size
@@ -153,11 +141,10 @@ class FieldCells:
 def field_cells(spec: PlotSpec) -> FieldCells:
     """Color-field cells whose centers lie inside the attainable region."""
     w = spec.weights
-    frame = PlotFrame(spec)
     nx = spec.grid
     ny = max(8, spec.grid // 2)
-    wm_step = frame.wm_max / nx
-    wsd_step = frame.wsd_max / ny
+    wm_step = w.mean_w / nx
+    wsd_step = w.mean_w / 2.0 / ny
     wm_centers = (np.arange(nx) + 0.5) * wm_step
     wsd_centers = (np.arange(ny) + 0.5) * wsd_step
     env = envelope_wsd(w, wm_centers)
@@ -167,9 +154,9 @@ def field_cells(spec: PlotSpec) -> FieldCells:
     wm_c, wsd_c = wm_centers[ii], wsd_centers[jj]
     vals = agg_values(spec.kind, wm_c, wsd_c, w.mean_w)
     return FieldCells(wm=wm_c, wsd=wsd_c, value=vals, rgb=colors_rgb(vals),
-                      x=frame.x(wm_c - wm_step / 2),
-                      y=frame.y(wsd_c + wsd_step / 2),
-                      w=frame.plot_w / nx, h=frame.plot_h / ny)
+                      x=spec.x(wm_c - wm_step / 2),
+                      y=spec.y(wsd_c + wsd_step / 2),
+                      w=PLOT_W / nx, h=PLOT_H / ny)
 
 
 def _esc(text: str) -> str:
@@ -221,11 +208,11 @@ def _check_labels(ids: Sequence[str]) -> None:
                           f"cannot hold", point_id=pid)
 
 
-def _markers_svg(frame: PlotFrame, ids: Sequence[str], wm: np.ndarray,
+def _markers_svg(spec: PlotSpec, ids: Sequence[str], wm: np.ndarray,
                  wsd: np.ndarray, paint: str, labels: bool) -> list[bytes]:
     """One ``paint`` marker per point, each followed by its label with
     ``labels``."""
-    x, y = frame.x(wm), frame.y(wsd)
+    x, y = spec.x(wm), spec.y(wsd)
     marker = _MARKER.format(paint)
     if not labels:
         return list(pieces(marker + "\n", [x, y]))
@@ -234,13 +221,12 @@ def _markers_svg(frame: PlotFrame, ids: Sequence[str], wm: np.ndarray,
                        [x, y, x + 6, y - 6, [_esc(pid) for pid in ids]]))
 
 
-def _region_svg(spec: PlotSpec, frame: PlotFrame
-                ) -> tuple[list[bytes], bytes]:
+def _region_svg(spec: PlotSpec) -> tuple[list[bytes], bytes]:
     """The color field, its one cell size written once, and the outline,
     with the outline's path data."""
     cells = field_cells(spec)
     env_wm, env_wsd = envelope(spec.weights)
-    x, y = frame.x(env_wm), frame.y(env_wsd)
+    x, y = spec.x(env_wm), spec.y(env_wsd)
     outline = b"".join([*pieces("M %.2f %.2f", [x[:1], y[:1]]),
                         *pieces(" L %.2f %.2f", [x[1:], y[1:]]), b" Z"])
     return [*_svg(f'<rect x="%.2f" y="%.2f" width="{cells.w + 0.3:.2f}" '
@@ -250,27 +236,27 @@ def _region_svg(spec: PlotSpec, frame: PlotFrame
             b'stroke-width="1.2"/>\n' % outline], outline
 
 
-def _isolines_svg(spec: PlotSpec, frame: PlotFrame, outline: bytes,
-                  clip: str) -> list[bytes]:
+def _isolines_svg(spec: PlotSpec, outline: bytes, clip: str) -> list[bytes]:
     """One element per isoline of ``spec`` but a point, in a group clipped
     by the region ``outline`` as ``clip``.  A circle of pixel radii rx and
-    ry > plot_h strays at most rx (1 - sqrt(1 - t^2)), t = plot_h / ry,
+    ry > PLOT_H strays at most rx (1 - sqrt(1 - t^2)), t = PLOT_H / ry,
     from the vertical line through its WM-axis crossing below the plot
     top: under 0.005 px it is drawn as that line, as R's neutral line is."""
+    mean_w = spec.weights.mean_w
     body = []
     for level in spec.show_isolines:
         iso = isoline(spec.kind, level, spec.weights)
         if iso.shape == "point":
             continue
-        x, y = frame.x(iso.center_wm), frame.y(0.0)
-        rx = iso.radius / frame.wm_max * frame.plot_w
-        ry = iso.radius / frame.wsd_max * frame.plot_h
+        x, y = spec.x(iso.center_wm), spec.y(0.0)
+        rx = iso.radius / mean_w * PLOT_W
+        ry = iso.radius / (mean_w / 2.0) * PLOT_H
         line = iso.shape == "segment"
-        if ry > frame.plot_h:
-            t2 = (frame.plot_h / ry) ** 2
+        if ry > PLOT_H:
+            t2 = (PLOT_H / ry) ** 2
             line = rx * t2 / (1.0 + math.sqrt(1.0 - t2)) < 0.005
         if line:
-            x = x + rx if iso.center_wm < frame.wm_max / 2 else x - rx
+            x = x + rx if iso.center_wm < mean_w / 2 else x - rx
             body += _svg('<path class="isoline" d="M %.2f %.2f '
                          'L %.2f %.2f"/>', x, y, x, MARGIN_T)
         else:
@@ -294,7 +280,6 @@ def _panel_body(spec: PlotSpec, regions: dict, second: tuple | None = None,
     ``spec``, labelled in their place, and joined to them by arrows.
     """
     w = spec.weights
-    frame = PlotFrame(spec)
     layers = [(spec.ids, spec.wm, spec.wsd)]
     if second is not None:
         ids, wm, wsd = second
@@ -305,20 +290,20 @@ def _panel_body(spec: PlotSpec, regions: dict, second: tuple | None = None,
            f'fill="#ffffff"/>\n'.encode()]
     key = (w.weights.tobytes(), spec.kind, spec.grid)
     if key not in regions:
-        regions[key] = _region_svg(spec, frame)
+        regions[key] = _region_svg(spec)
     region, outline = regions[key]
     out += region
-    out += _isolines_svg(spec, frame, outline, f"outline{panel}")
-    out.extend(_axes_svg(spec, frame))
+    out += _isolines_svg(spec, outline, f"outline{panel}")
+    out.extend(_axes_svg(spec))
     if second is not None:
-        out.extend(_arrows_svg(frame, *layers))
+        out.extend(_arrows_svg(spec, *layers))
     for layer, paint in zip(layers, (SOLID, HOLLOW)):
-        out.extend(_markers_svg(frame, *layer, paint,
+        out.extend(_markers_svg(spec, *layer, paint,
                                 spec.labels and layer is layers[-1]))
     return out
 
 
-def _arrows_svg(frame: PlotFrame, first: tuple, second: tuple) -> list[bytes]:
+def _arrows_svg(spec: PlotSpec, first: tuple, second: tuple) -> list[bytes]:
     """An arrow from each point of ``first`` to the point of ``second``
     with its id, in ``first``'s order, unless of negligible length."""
     (ids_a, wm_a, wsd_a), (ids_b, wm_b, wsd_b) = first, second
@@ -327,8 +312,8 @@ def _arrows_svg(frame: PlotFrame, first: tuple, second: tuple) -> list[bytes]:
     ka = np.flatnonzero(kb >= 0)
     kb = kb[ka]
     far = np.hypot(wm_b[kb] - wm_a[ka], wsd_b[kb] - wsd_a[ka]) > 1e-12
-    x1, y1 = frame.x(wm_a[ka[far]]), frame.y(wsd_a[ka[far]])
-    x2, y2 = frame.x(wm_b[kb[far]]), frame.y(wsd_b[kb[far]])
+    x1, y1 = spec.x(wm_a[ka[far]]), spec.y(wsd_a[ka[far]])
+    x2, y2 = spec.x(wm_b[kb[far]]), spec.y(wsd_b[kb[far]])
     # A plane step over 1e-12 is over 4e-10 pixels: d > 0 for finite ends.
     d = np.hypot(x2 - x1, y2 - y1)
     ux, uy = (x2 - x1) / d, (y2 - y1) / d
@@ -348,12 +333,14 @@ _TICK = ('\n<text x="%.2f" y="%.2f" font-family="sans-serif" font-size="10" '
          'text-anchor="{}">%.2f</text>')
 
 
-def _axes_svg(spec: PlotSpec, frame: PlotFrame) -> list[bytes]:
-    x0, x1 = frame.x(0.0), frame.x(frame.wm_max)
-    y0, y1 = frame.y(0.0), frame.y(frame.wsd_max)
-    tx = np.linspace(0.0, frame.wm_max, 5)
-    ty = np.linspace(0.0, frame.wsd_max, 5)
-    px, py = frame.x(tx), frame.y(ty)
+def _axes_svg(spec: PlotSpec) -> list[bytes]:
+    wm_max = spec.weights.mean_w
+    wsd_max = wm_max / 2.0
+    x0, x1 = spec.x(0.0), spec.x(wm_max)
+    y0, y1 = spec.y(0.0), spec.y(wsd_max)
+    tx = np.linspace(0.0, wm_max, 5)
+    ty = np.linspace(0.0, wsd_max, 5)
+    px, py = spec.x(tx), spec.y(ty)
     cx = (x0 + x1) / 2
     cy = (y0 + y1) / 2
     ws = ", ".join(f"{x:.2f}" for x in spec.weights.weights)

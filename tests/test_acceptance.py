@@ -32,7 +32,8 @@ from wmsdspace.model import normalize_weights, uniform_weights
 from wmsdspace.render import (
     MARGIN_L,
     MARGIN_T,
-    PlotFrame,
+    PLOT_H,
+    PLOT_W,
     PlotSpec,
     colors_rgb,
     field_cells,
@@ -402,18 +403,18 @@ def test_c09_rendering(countries):
     spec = specs[0]
     from wmsdspace.render import render_wmsd_plot
     svg = render_wmsd_plot(spec)
-    frame = PlotFrame(spec)
+    wm_max = spec.weights.mean_w
+    wsd_max = wm_max / 2.0
     nx = spec.grid
     ny = max(8, nx // 2)
-    cell_w, cell_h = frame.plot_w / nx, frame.plot_h / ny
+    cell_w, cell_h = PLOT_W / nx, PLOT_H / ny
     rects = [m for m in RECT_RE.findall(svg) if m[4] != "#ffffff"]
     rng = np.random.default_rng(606)
     for i in rng.choice(len(rects), size=100, replace=False):
         x, y, _, _, fill = rects[i]
-        wm_v = ((float(x) + cell_w / 2) - MARGIN_L) / frame.plot_w \
-            * frame.wm_max
-        wsd_v = (1.0 - (float(y) + cell_h / 2 - MARGIN_T) / frame.plot_h) \
-            * frame.wsd_max
+        wm_v = ((float(x) + cell_w / 2) - MARGIN_L) / PLOT_W * wm_max
+        wsd_v = (1.0 - (float(y) + cell_h / 2 - MARGIN_T) / PLOT_H) \
+            * wsd_max
         value = agg_values("R", wm_v, wsd_v, spec.weights.mean_w)
         expected = tuple(colors_rgb(value)[0].tolist())
         got = tuple(int(fill[k:k + 2], 16) for k in (1, 3, 5))
@@ -421,8 +422,9 @@ def test_c09_rendering(countries):
             failures.append(f"cell at ({wm_v:.4f},{wsd_v:.4f}): {got} vs "
                             f"{expected}")
 
-    for spec in specs:
-        diag = math.hypot(frame.wm_max / nx, frame.wsd_max / ny)
+    for spec in specs:  # each panel's own cell diagonal
+        mean_w = spec.weights.mean_w
+        diag = math.hypot(mean_w / nx, mean_w / 2.0 / ny)
         cells = field_cells(spec)
         inside = attainable(spec.weights, cells.wm, cells.wsd, tol=diag)
         for wm_v, wsd_v in zip(cells.wm[~inside], cells.wsd[~inside]):

@@ -13,6 +13,7 @@ import sys
 import termios
 import time
 import tracemalloc
+import weakref
 from pathlib import Path
 from unittest import mock
 from xml.etree import ElementTree
@@ -754,6 +755,44 @@ class TestPlotCommand:
         svg = out_path.read_text()
         assert svg.count('class="marker"') == 8
         assert svg.count('class="arrow"') == 4
+
+    @pytest.mark.parametrize("extra", [
+        [], ["--overlay", FIXTURES / "countries_2023_synthetic.csv"],
+        ["--config", FIXTURES / "countries_w2.json"]],
+        ids=["single", "overlay", "panels"])
+    def test_dataset_text_is_dropped_before_drawing(self, run_cli,
+                                                    monkeypatch, extra):
+        """No reference to the dataset's text outlives its parse: the
+        document is drawn without it."""
+        from wmsdspace import render
+
+        class Text(str):  # a str subclass can be weakly referenced
+            pass
+
+        texts, alive = {}, []
+        read_data = cli._read_data
+
+        def read(path, *rest):
+            text = Text(read_data(path, *rest))
+            texts[str(path)] = weakref.ref(text)
+            return text
+
+        def watched(draw):
+            def wrapper(*a):
+                alive.append(texts[str(data)]() is not None)
+                return draw(*a)
+            return wrapper
+
+        monkeypatch.setattr(cli, "_read_data", read)
+        for name in ("_plot_document", "_grid_document"):
+            monkeypatch.setattr(render, name, watched(getattr(render, name)))
+        data = FIXTURES / "countries_2019_subset.csv"
+        code, out, err = run_cli(
+            "plot", "--data", data, "--config",
+            FIXTURES / "countries_w3.json", *extra, "--grid", "16")
+        assert code == 0, err
+        assert out.count('class="marker"') == 4 + 4 * bool(extra)
+        assert alive == [False]
 
     @pytest.mark.parametrize("bad", ["a\x01b", "\x1f", "x\ufffe", "\uffff"])
     @pytest.mark.parametrize("overlay", [False, True])

@@ -228,3 +228,25 @@ def test_startup_line_count_is_the_imported_modules():
     package = Path(wmsdspace.__file__).parent
     assert int(match[2].replace(",", "")) == sum(
         (package / f"{name}.py").read_bytes().count(b"\n") for name in names)
+
+
+def test_startup_names_every_record():
+    """README "Start-up" names every record class of the package, and
+    those that compare by value."""
+    from wmsdspace.model import _Record, _Value
+
+    package_modules()  # every record class is defined once its module is
+    paragraph = next(p for p in section("Start-up", "###").split("\n\n")
+                     if "records are plain classes" in p)
+    listed, *rest = " ".join(paragraph.split()).split(". ")
+    by_value = next(s for s in rest if "compare and hash by value" in s)
+    classes, todo = set(), [_Record]
+    while todo:
+        subs = todo.pop().__subclasses__()
+        classes.update(subs)
+        todo += subs
+    records = {c.__name__ for c in classes - {_Value}}
+    values = {c.__name__ for c in classes - {_Value} if issubclass(c, _Value)}
+    assert set(re.findall(r"`(\w+)`", listed)) == records
+    assert set(re.findall(r"`(\w+)`", by_value)) == values
+    assert "FieldCells" in records and "RunConfig" in values

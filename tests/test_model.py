@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import FIXTURES, random_weight_vectors
 from wmsdspace.errors import (
     AllZeroWeights,
     DegenerateDomain,
@@ -15,9 +17,11 @@ from wmsdspace.errors import (
     NonFiniteWeight,
     OutOfDomain,
 )
+from wmsdspace.cli import _ranking, parse_config
 from wmsdspace.model import (
     CriterionSpec,
     DecisionMatrix,
+    WeightVector,
     normalize_weights,
     uniform_weights,
     validate_criteria,
@@ -64,6 +68,12 @@ class TestValidateCriteria:
         with pytest.raises(DegenerateDomain):
             validate_criteria([CriterionSpec("x", 0, 1, "maximize", 1.0)])
 
+    def test_empty(self):
+        with pytest.raises(DegenerateDomain, match="criteria list is empty"):
+            validate_criteria([])
+        with pytest.raises(DegenerateDomain, match="criteria list is empty"):
+            DecisionMatrix.from_array(["a"], np.empty((1, 0)), [])
+
 
 class TestNormalizeWeights:
     def test_divides_by_max(self):
@@ -107,6 +117,22 @@ class TestNormalizeWeights:
         assert w.n == 4
         # mean is over all entries, zeros included
         assert w.mean_w == pytest.approx(1.99 / 4, abs=1e-12)
+
+    def test_weight_vector_derives_its_statistics(self):
+        """``WeightVector(w)`` of normalized weights holds, bit for bit,
+        the statistics ``normalize_weights`` gives them, and the ones
+        written out from ``w``."""
+        rng = np.random.default_rng(35)
+        for raw in random_weight_vectors(rng, 200):
+            w = raw / raw.max()
+            got, want = WeightVector(w), normalize_weights(w)
+            norm, mean_w = float(np.linalg.norm(w)), float(w.mean())
+            assert np.array_equal(got.weights, want.weights)
+            assert not got.weights.flags.writeable
+            for stats in ((got.n_p, got.norm, got.mean_w, got.s),
+                          (want.n_p, want.norm, want.mean_w, want.s)):
+                assert stats == (int(np.count_nonzero(w > 0)), norm,
+                                 mean_w, norm / mean_w)
 
 
 class TestScalingCoefficient:
@@ -284,13 +310,13 @@ def every_record(config, matrix) -> dict:
     """One instance of each record type of the package, by type name."""
     from wmsdspace import geometry
     from wmsdspace.aggregate import compare_rankings, rank_array
-    from wmsdspace.render import PlotFrame, PlotSpec
+    from wmsdspace.render import PlotSpec, field_cells
 
     w = config.weight_vector
     ranking = rank_array(matrix.ids, matrix.values[:, 0])
-    spec = PlotSpec(weights=w, kind="R")
+    spec = PlotSpec(weights=w, kind="R", grid=16)
     records = [config, config.criteria[0], w, matrix, ranking,
-               compare_rankings(ranking, ranking), spec, PlotFrame(spec),
+               compare_rankings(ranking, ranking), spec, field_cells(spec),
                geometry._edge_tables(w), geometry.isoline("R", 0.3, w)]
     return {type(r).__name__: r for r in records}
 
@@ -300,7 +326,7 @@ class TestRecords:
     and value equality only for the records without arrays."""
 
     NAMES = ["RunConfig", "CriterionSpec", "WeightVector", "DecisionMatrix",
-             "Ranking", "RankingComparison", "PlotSpec", "PlotFrame",
+             "Ranking", "RankingComparison", "PlotSpec", "FieldCells",
              "_EdgeTables", "Isoline"]
 
     def test_one_of_each(self, students_config, students_matrix):
@@ -342,6 +368,32 @@ class TestRecords:
         assert vars(clamped) == {**vars(students_config), "clamp": True}
         with pytest.raises(TypeError):
             students_config.replace(no_such_field=1)
+
+    @pytest.mark.parametrize("name", sorted(
+        p.name for p in FIXTURES.glob("*.json")))
+    def test_parsed_configs_compare_by_value(self, name):
+        text = (FIXTURES / name).read_text()
+        a, b = parse_config(text), parse_config(text)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_replace_criteria_scores_with_their_weights(
+            self, students_config, students_matrix):
+        criteria = tuple(CriterionSpec(c.name, c.v_min, c.v_max, c.kind,
+                                       weight)
+                         for c, weight in zip(students_config.criteria,
+                                              (1.0, 0.2, 0.4)))
+        changed = students_config.replace(criteria=criteria)
+        assert changed.weights.weights.tolist() == [1.0, 0.2, 0.4]
+        doc = json.loads((FIXTURES / "students_config.json").read_text())
+        for entry, weight in zip(doc["criteria"], (1.0, 0.2, 0.4)):
+            entry["weight"] = weight
+        parsed = parse_config(json.dumps(doc))
+        assert changed == parsed
+        got, want = (_ranking(students_matrix, c) for c in (changed, parsed))
+        assert got.scores.tolist() == want.scores.tolist()
+        assert got.scores.tolist() != _ranking(
+            students_matrix, students_config).scores.tolist()
 
     def test_array_records_compare_by_identity(self, students_matrix):
         m = students_matrix

@@ -17,7 +17,8 @@ from wmsdspace.model import normalize_weights
 from wmsdspace.render import (
     MARGIN_L,
     MARGIN_T,
-    PlotFrame,
+    PLOT_H,
+    PLOT_W,
     PlotSpec,
     COLOR_ANCHORS,
     COLOR_QUANT_STEP,
@@ -104,6 +105,14 @@ class TestColormap:
 
 
 class TestSinglePlot:
+    def test_plane_corners_map_to_plot_area_corners(self, students_spec):
+        spec, mean_w = students_spec, W3.mean_w
+        assert (spec.x(0.0), spec.x(mean_w)) == (MARGIN_L, MARGIN_L + PLOT_W)
+        assert (spec.y(0.0), spec.y(mean_w / 2)) == (MARGIN_T + PLOT_H,
+                                                     MARGIN_T)
+        wm = np.linspace(0.0, mean_w, 7)
+        assert np.array_equal(spec.x(wm), [spec.x(v) for v in wm])
+
     def test_marker_count(self, students_spec):
         svg = render_wmsd_plot(students_spec)
         assert svg.count('class="marker"') == 15
@@ -114,8 +123,7 @@ class TestSinglePlot:
 
     def test_neutral_isoline_pixel_column(self, students_spec):
         svg = render_wmsd_plot(students_spec)
-        frame = PlotFrame(students_spec)
-        expected_px = frame.x(W3.mean_w / 2)
+        expected_px = students_spec.x(W3.mean_w / 2)
         iso_paths = re.findall(r'<path class="isoline" d="([^"]+)"', svg)
         assert iso_paths
         xs = [float(m) for m in re.findall(r'[ML] ([0-9.]+)', iso_paths[0])]
@@ -123,28 +131,27 @@ class TestSinglePlot:
 
     def test_field_colors_match_aggregation(self, students_spec):
         svg = render_wmsd_plot(students_spec)
-        frame = PlotFrame(students_spec)
         nx = students_spec.grid
-        cell_w = frame.plot_w / nx
-        cell_h = frame.plot_h / max(8, nx // 2)
+        cell_w = PLOT_W / nx
+        cell_h = PLOT_H / max(8, nx // 2)
         rng = np.random.default_rng(0)
         rects = [m for m in RECT_RE.findall(svg) if m[4] != "#ffffff"]
         assert len(rects) > 500
         for i in rng.choice(len(rects), size=100, replace=False):
             x, y, _, _, fill = rects[i]
-            wm_v = ((float(x) + cell_w / 2) - MARGIN_L) / frame.plot_w \
-                * frame.wm_max
+            wm_v = ((float(x) + cell_w / 2) - MARGIN_L) / PLOT_W \
+                * W3.mean_w
             wsd_v = (1.0 - (float(y) + cell_h / 2 - MARGIN_T)
-                     / frame.plot_h) * frame.wsd_max
+                     / PLOT_H) * (W3.mean_w / 2.0)
             value = float(agg_values("R", wm_v, wsd_v, W3.mean_w))
             expected = rgb(value)
             got = tuple(int(fill[k:k + 2], 16) for k in (1, 3, 5))
             assert max(abs(a - b) for a, b in zip(expected, got)) <= 1
 
     def test_no_cell_outside_region(self, students_spec):
-        frame = PlotFrame(students_spec)
         nx = students_spec.grid
-        diag = math.hypot(frame.wm_max / nx, frame.wsd_max / max(8, nx // 2))
+        diag = math.hypot(W3.mean_w / nx,
+                          W3.mean_w / 2.0 / max(8, nx // 2))
         cells = field_cells(students_spec)
         assert attainable(W3, cells.wm, cells.wsd, tol=diag).all()
         assert len(cells) == cells.wm.size > 0
@@ -213,14 +220,13 @@ class TestIsolineElements:
     def test_ellipses_are_frame_images(self, kind):
         spec = PlotSpec(weights=W3, kind=kind, grid=16,
                         show_isolines=self.LEVELS)
-        frame = PlotFrame(spec)
         got = isoline_elements(ET.fromstring(render_wmsd_plot(spec)))
         assert [e.tag for e in got] == [SVG + "ellipse"] * len(self.LEVELS)
         for level, e in zip(self.LEVELS, got):
             iso = geometry.isoline(kind, level, W3)
-            cx, cy = frame.x(iso.center_wm), frame.y(0.0)
-            want = [cx, cy, frame.x(iso.center_wm + iso.radius) - cx,
-                    cy - frame.y(iso.radius)]
+            cx, cy = spec.x(iso.center_wm), spec.y(0.0)
+            want = [cx, cy, spec.x(iso.center_wm + iso.radius) - cx,
+                    cy - spec.y(iso.radius)]
             numbers = [float(e.get(k)) for k in ("cx", "cy", "rx", "ry")]
             assert np.allclose(numbers, want, rtol=0, atol=0.01)
 
@@ -255,33 +261,31 @@ class TestIsolineElements:
         it up to the plot top, within about 8.8e-6 of R = 0.5; else an
         ellipse."""
         spec = students_levels(students_spec, level)
-        frame = PlotFrame(spec)
         (element,) = isoline_elements(ET.fromstring(render_wmsd_plot(spec)))
         iso = geometry.isoline("R", level, W3)
         line = iso.shape == "segment"
         if not line:
             side = 1.0 if iso.center_wm > W3.mean_w / 2 else -1.0
             top = iso.center_wm - side * math.sqrt(
-                iso.radius ** 2 - frame.wsd_max ** 2)
+                iso.radius ** 2 - (W3.mean_w / 2.0) ** 2)
             cross = iso.center_wm - side * iso.radius
-            line = abs(frame.x(top) - frame.x(cross)) < 0.005
+            line = abs(spec.x(top) - spec.x(cross)) < 0.005
         assert line == (abs(level - 0.5) < 8.8e-6)
         assert element.tag == SVG + ("path" if line else "ellipse")
 
     def test_near_neutral_line_follows_its_circle(self, students_spec):
         level = 0.5 + 1e-7
         spec = students_levels(students_spec, level)
-        frame = PlotFrame(spec)
         (element,) = isoline_elements(ET.fromstring(render_wmsd_plot(spec)))
         x1, y1, x2, y2 = map(float, re.fullmatch(
             r"M (\S+) (\S+) L (\S+) (\S+)", element.get("d")).groups())
-        assert x1 == x2 and (y1, y2) == (frame.y(0.0), MARGIN_T)
+        assert x1 == x2 and (y1, y2) == (spec.y(0.0), MARGIN_T)
         iso = geometry.isoline("R", level, W3)
         assert iso.center_wm > W3.mean_w
         # The circle from the WM axis up to the plot top.
-        wsd = np.linspace(0.0, frame.wsd_max, 101)
+        wsd = np.linspace(0.0, W3.mean_w / 2.0, 101)
         wm = iso.center_wm - np.sqrt((iso.radius - wsd) * (iso.radius + wsd))
-        assert np.max(np.abs(frame.x(wm) - x1)) < 0.005
+        assert np.max(np.abs(spec.x(wm) - x1)) < 0.005
 
     def test_points_draw_nothing(self, students_spec):
         svg = render_wmsd_plot(students_levels(students_spec, 0.0, 1.0))
@@ -488,8 +492,8 @@ class TestOverlay:
         assert sum('fill="#000000"' in m for m in markers) == 4
         assert sum('fill="#ffffff"' in m for m in markers) == 3
         assert svg.count('class="arrow"') == 3
-        frame = PlotFrame(PlotSpec(weights=W3, kind="R"))
-        x3, y3 = f"{frame.x(0.55):.2f}", f"{frame.y(0.01):.2f}"
+        spec = PlotSpec(weights=W3, kind="R")
+        x3, y3 = f"{spec.x(0.55):.2f}", f"{spec.y(0.01):.2f}"
         assert f'<circle class="marker" cx="{x3}" cy="{y3}"' in svg
         assert f'x1="{x3}" y1="{y3}"' not in svg
 
@@ -510,7 +514,7 @@ class TestOverlay:
             overlay(bad, bad)
 
 
-def arrows_loop(frame, first, second):
+def arrows_loop(spec, first, second):
     """Reference: the per-id loop with scalar ``math.hypot`` that the id
     match in ``render._arrows_svg`` replaced; one row of line and head
     coordinates per arrow."""
@@ -524,8 +528,8 @@ def arrows_loop(frame, first, second):
         b_wm, b_wsd = b_by_id[pid]
         if math.hypot(b_wm - a_wm, b_wsd - a_wsd) <= 1e-12:
             continue
-        x1, y1 = frame.x(a_wm), frame.y(a_wsd)
-        x2, y2 = frame.x(b_wm), frame.y(b_wsd)
+        x1, y1 = spec.x(a_wm), spec.y(a_wsd)
+        x2, y2 = spec.x(b_wm), spec.y(b_wsd)
         d = math.hypot(x2 - x1, y2 - y1)
         ux, uy = ((x2 - x1) / d, (y2 - y1) / d) if d > 0 else (1.0, 0.0)
         tipx, tipy = x2 - 5 * ux, y2 - 5 * uy
@@ -556,13 +560,13 @@ def test_arrows_equal_loop(first_points, data):
                               min_size=len(kept), max_size=len(kept)))
     second = ([ids[k] for k in kept], wm_a[kept] + np.array(step),
               wsd_a[kept] + np.array(step)[::-1])
-    frame = PlotFrame(PlotSpec(weights=W3, kind="R"))
+    spec = PlotSpec(weights=W3, kind="R")
     first = (ids, wm_a, wsd_a)
-    got = b"".join(render._arrows_svg(frame, first, second)).decode()
+    got = b"".join(render._arrows_svg(spec, first, second)).decode()
     numbers = re.findall(r'[xy][12]="(-?[0-9.]+)"|(-?[0-9.]+),(-?[0-9.]+)',
                          got)
     values = [float(v) for groups in numbers for v in groups if v]
-    expected = arrows_loop(frame, first, second)
+    expected = arrows_loop(spec, first, second)
     assert np.allclose(np.reshape(values, (-1, 10)), expected, rtol=0,
                        atol=0.0051)
 
