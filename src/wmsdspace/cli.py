@@ -76,8 +76,6 @@ from .model import (
     WeightVector,
     _Value,
     _block_rows,
-    normalize_weights,
-    uniform_weights,
     validate_criteria,
 )
 from ._text import pieces as _pieces
@@ -127,14 +125,14 @@ class RunConfig(_Value):
     @property
     def weight_vector(self) -> WeightVector:
         """The criteria's raw weights, max-normalized."""
-        return normalize_weights([c.raw_weight for c in self.criteria])
+        return WeightVector([c.raw_weight for c in self.criteria])
 
     @property
     def weights(self) -> WeightVector:
         """The weights to score with: all ones when unweighted."""
         if self.weighted:
             return self.weight_vector
-        return uniform_weights(len(self.criteria))
+        return WeightVector(np.ones(len(self.criteria)))
 
 
 def parse_config(text: str) -> RunConfig:
@@ -506,7 +504,7 @@ def cmd_transform(args: argparse.Namespace) -> Iterable[bytes]:
     config = _load_config(args.config[0], args)
     matrix = read_matrix(_read_data(args.data), config)
     w = config.weight_vector
-    unit = uniform_weights(matrix.n)
+    unit = WeightVector(np.ones(matrix.n))
     names = config.names
     header = (["id"] + [f"u_{n}" for n in names] + [f"v_{n}" for n in names]
               + ["m", "sd", "wm", "wsd", "i", "a", "r", "i_w", "a_w", "r_w"])
@@ -535,9 +533,9 @@ def cmd_transform(args: argparse.Namespace) -> Iterable[bytes]:
 def cmd_boundary(args: argparse.Namespace) -> Iterable[bytes]:
     from .geometry import envelope, vertex_images
 
-    config = _load_config(args.config[0], args)
-    wm, wsd = envelope(config.weights, args.resolution)
-    vertices = vertex_images(config.weights)
+    w = _load_config(args.config[0], args).weights
+    wm, wsd = envelope(w, args.resolution)
+    vertices = vertex_images(w)
     if args.format == "json":
         item = ",\n    %r"
         return chain([b'{\n  "wm": '], _json_array(_pieces(item, [wm]), 1),
@@ -582,8 +580,8 @@ def cmd_plot(args: argparse.Namespace) -> list[bytes]:
             raise IdSetMismatch(
                 f"overlay ids differ from dataset ids: {diff}")
         _check_markers(matrix_a.m + matrix_b.m)
-        return _plot_document(_plot_spec(matrix_a, config, args),
-                              _plane_points(matrix_b, config.weights))
+        spec = _plot_spec(matrix_a, config, args)
+        return _plot_document(spec, _plane_points(matrix_b, spec.weights))
 
     specs = []
     markers = 0

@@ -2,11 +2,13 @@
 
 A ranking problem is described by a list of :class:`CriterionSpec` (name,
 bounded real domain, gain/cost direction, raw weight), a
-:class:`DecisionMatrix` of raw values, and a :class:`WeightVector` derived
-from the raw weights.  :func:`normalize_weights` re-scales them so that the
-largest entry is exactly 1; a weight vector derives its statistics (positive
-count ``n_p``, Euclidean norm, arithmetic mean, scaling coefficient
-``s = norm / mean``), which every downstream computation consumes.
+:class:`DecisionMatrix` of raw values, and a :class:`WeightVector` built
+from the raw weights.  ``WeightVector(raw)`` refuses raw weights that are
+not finite, non-negative and not all zero, and re-scales them so that the
+largest entry is exactly 1, the scale the WMSD-space is defined on; it
+derives its statistics (positive count ``n_p``, Euclidean norm, arithmetic
+mean, scaling coefficient ``s = norm / mean``), which every downstream
+computation consumes.
 
 All types are immutable after construction and safe to share across
 threads.  They are plain classes on :class:`_Record`, as are the other
@@ -139,16 +141,32 @@ def validate_criteria(specs: Sequence[CriterionSpec]) -> Sequence[CriterionSpec]
 class WeightVector(_Record):
     """Max-normalized criteria weights plus statistics derived from them.
 
-    ``weights``, as :func:`normalize_weights` makes it, has all entries in
-    [0, 1], the maximum entry exactly 1 and at least one positive entry;
-    it is kept read-only.  ``n_p`` counts the positive entries, ``mean_w``
-    is the mean over *all* entries, zeros included, and ``s`` is the
-    scaling coefficient ``norm / mean_w`` that normalizes weighted
-    distances; for the all-ones vector it equals sqrt(n).
+    ``WeightVector(raw)`` takes raw weights, a non-empty 1-D sequence or
+    array of finite, non-negative numbers, not all zero, and raises
+    :class:`LengthMismatch`, :class:`NonFiniteWeight`,
+    :class:`NegativeWeight` or :class:`AllZeroWeights` on the first of
+    these it finds broken.  ``weights`` is ``raw`` divided by its maximum:
+    every entry lies in [0, 1] and the largest is exactly 1, so building a
+    vector from an already-normalized one changes nothing; it is kept
+    read-only.  ``n_p`` counts the positive entries, ``mean_w`` is the mean
+    over *all* entries, zeros included, and ``s`` is the scaling
+    coefficient ``norm / mean_w`` that normalizes weighted distances; for
+    the all-ones vector it equals sqrt(n).
     """
 
-    def __init__(self, weights: np.ndarray):
-        weights = _frozen(weights)
+    def __init__(self, raw: Sequence[float] | np.ndarray):
+        arr = np.asarray(raw, dtype=float)
+        if arr.ndim != 1 or arr.size == 0:
+            raise LengthMismatch("weights must be a non-empty 1-D sequence")
+        if not np.all(np.isfinite(arr)):
+            raise NonFiniteWeight("weights must all be finite")
+        if np.any(arr < 0):
+            raise NegativeWeight("weights must all be non-negative")
+        top = float(arr.max())
+        if top == 0.0:
+            raise AllZeroWeights("at least one weight must be positive")
+        weights = arr / top
+        weights.flags.writeable = False  # no one else holds it
         norm = float(np.linalg.norm(weights))
         mean_w = float(weights.mean())
         vars(self).update(weights=weights,
@@ -162,31 +180,6 @@ class WeightVector(_Record):
     def __repr__(self) -> str:  # compact
         ws = ", ".join(f"{w:g}" for w in self.weights)
         return f"WeightVector([{ws}], n_p={self.n_p}, s={self.s:.6g})"
-
-
-def normalize_weights(raw: Sequence[float] | np.ndarray) -> WeightVector:
-    """Re-scale raw weights so the maximum entry is exactly 1.
-
-    The raw weights must be finite, non-negative, and not all zero.
-    Division by the maximum maps the largest entry to exactly 1.0 and is
-    idempotent: normalizing an already-normalized vector changes nothing.
-    """
-    arr = np.asarray(raw, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise LengthMismatch("weights must be a non-empty 1-D sequence")
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteWeight("weights must all be finite")
-    if np.any(arr < 0):
-        raise NegativeWeight("weights must all be non-negative")
-    top = float(arr.max())
-    if top == 0.0:
-        raise AllZeroWeights("at least one weight must be positive")
-    return WeightVector(arr / top)
-
-
-def uniform_weights(n: int) -> WeightVector:
-    """The all-ones weight vector of length ``n``."""
-    return normalize_weights(np.ones(n))
 
 
 class DecisionMatrix(_Record):
@@ -260,8 +253,3 @@ class DecisionMatrix(_Record):
             data = np.where(data < lo, lo, np.where(data > hi, hi, data))
             data.flags.writeable = False  # no one else holds it
         return cls(ids=ids, values=_frozen(data), criteria=tuple(criteria))
-
-    def weight_vector(self) -> WeightVector:
-        """Weights taken from the criteria, max-normalized."""
-        return normalize_weights([c.raw_weight for c in self.criteria])
-

@@ -5,10 +5,13 @@ into a component along the main diagonal of the weighted space and an
 orthogonal remainder.  Dividing the two component lengths by the scaling
 coefficient ``s`` yields the weight-scaled mean (WM) and weight-scaled
 standard deviation (WSD): the coordinates of the alternative in the 2-D
-explanation plane.  With all weights equal to 1 they reduce to the plain
+explanation plane.  ``w`` is a :class:`WeightVector`, whose constructor
+max-normalizes the weights (the largest is exactly 1), so WM lies in
+[0, mean(w)] and WSD in [0, mean(w)/2], the scale of the paper's
+WMSD-space.  With all weights equal to 1 they reduce to the plain
 mean and population standard deviation of the utility coordinates, so
-``plane(u, uniform_weights(n))`` is the unweighted pair.  :func:`plane`
-computes both coordinates for every row of an (m, n) array.
+``plane(u, WeightVector(np.ones(n)))`` is the unweighted pair.
+:func:`plane` computes both coordinates for every row of an (m, n) array.
 
 The distances of ``v`` to the anti-ideal and ideal images are pure
 functions of (WM, WSD, mean(w)):
@@ -32,19 +35,6 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, np.broadcast_to(b, a.shape))
 
 
-def _row_norms(a: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of an (m, n) array."""
-    return np.sqrt(_row_dots(a, a))
-
-
-def _split(v: np.ndarray, w: WeightVector):
-    """Dot products of the rows of ``v`` with ``w``, their projections
-    onto ``w`` and the rejections from it."""
-    dots = _row_dots(v, w.weights)
-    proj = np.outer(dots / (w.norm * w.norm), w.weights)
-    return dots, proj, v - proj
-
-
 def plane(v: np.ndarray, w: WeightVector) -> tuple[np.ndarray, np.ndarray]:
     """(WM, WSD) of every row of an (m, n) array of weighted points.
 
@@ -55,5 +45,6 @@ def plane(v: np.ndarray, w: WeightVector) -> tuple[np.ndarray, np.ndarray]:
     sqrt(|v|^2/s^2 - WM^2), which loses precision when the rejection is
     small.
     """
-    dots, _, rej = _split(v, w)
-    return dots / (w.norm * w.s), _row_norms(rej) / w.s
+    dots = _row_dots(v, w.weights)
+    rej = v - np.outer(dots / (w.norm * w.norm), w.weights)
+    return dots / (w.norm * w.s), np.sqrt(_row_dots(rej, rej)) / w.s

@@ -126,6 +126,14 @@ def plane_scores(kind, v, w):
     return agg_values(kind, *plane(v, w), w.mean_w)
 
 
+def projection(v, w):
+    """Textbook split of each weighted row of ``v``: its projection onto
+    ``w`` and the rejection from it, whose lengths divided by ``s`` are the
+    row's (WM, WSD)."""
+    proj = np.outer(v @ w.weights / (w.norm * w.norm), w.weights)
+    return proj, v - proj
+
+
 def box_distances(v, w):
     """Textbook (d_anti, d_ideal) of each weighted row: its distances to
     the anti-ideal 0 and to the ideal ``w``, measured in the weighted box

@@ -18,6 +18,7 @@ from conftest import (
     load_config,
     load_matrix,
     plane_scores,
+    projection,
     reversal_ids,
     uniform_utilities,
 )
@@ -28,7 +29,7 @@ from wmsdspace.aggregate import (
     rank_array,
 )
 from wmsdspace.geometry import attainable, envelope, envelope_wsd
-from wmsdspace.model import normalize_weights, uniform_weights
+from wmsdspace.model import WeightVector
 from wmsdspace.render import (
     MARGIN_L,
     MARGIN_T,
@@ -40,7 +41,7 @@ from wmsdspace.render import (
     render_panel_grid,
 )
 from wmsdspace.spaces import utility_array
-from wmsdspace.wmsd import _split, plane
+from wmsdspace.wmsd import plane
 
 KINDS = list(AggregationKind)
 
@@ -149,7 +150,7 @@ def test_c01_students_reference_table(students):
     failures = []
     u = utility_array(matrix.values, matrix.criteria)
     v = u * w.weights
-    m, sd = plane(u, uniform_weights(matrix.n))
+    m, sd = plane(u, WeightVector(np.ones(matrix.n)))
     wm, wsd = plane(v, w)
     table = np.column_stack(
         [u, v, m, sd, wm, wsd]
@@ -169,9 +170,9 @@ def test_c01_students_reference_table(students):
 def test_c02_worked_example():
     """Projection pair, scaling coefficient, plane point, distances."""
     failures = []
-    w = normalize_weights([1.0, 0.5])
+    w = WeightVector([1.0, 0.5])
     v = np.array([[0.75, 0.50]]) * w.weights
-    _, (proj,), (rej,) = _split(v, w)
+    (proj,), (rej,) = projection(v, w)
     if np.max(np.abs(proj - [0.70, 0.35])) > 1e-12:
         failures.append(f"projection {proj.tolist()} != [0.70, 0.35]")
     if np.max(np.abs(rej - [0.05, -0.10])) > 1e-12:
@@ -222,7 +223,7 @@ def test_c04_ia_identity_suite():
         u = rng.random(n)
         raw = rng.random(n)
         raw[int(rng.integers(n))] = 1.0
-        w = normalize_weights(raw)
+        w = WeightVector(raw)
         v = u[None] * w.weights
         wm, wsd = plane(v, w)
         d_anti = agg_values("A", wm, wsd, w.mean_w)[0] * w.mean_w
@@ -243,7 +244,7 @@ def test_c05_msd_reduction_suite():
     for trial in range(1000):
         n = int(rng.integers(2, 11))
         u = rng.random(n)
-        w = uniform_weights(n)
+        w = WeightVector(np.ones(n))
         v = u[None] * w.weights
         (wm,), (wsd,) = plane(v, w)
         if abs(wm - u.mean()) >= 1e-12 or abs(wsd - u.std()) >= 1e-12:
@@ -272,7 +273,7 @@ def test_c06_interplay_suite():
     failures = []
     rng = np.random.default_rng(303)
     for raw in ([1, 0.5], [0.5, 0.6, 1.0], [0.25, 1, 0.25, 0.5]):
-        w = normalize_weights(raw)
+        w = WeightVector(raw)
         mean_w = w.mean_w
         pts = _interior_points(w, rng, 200)
 
@@ -313,7 +314,7 @@ def test_c07_boundary_oracle():
     failures = []
     res = 512
     for raw in BOUNDARY_WEIGHTS:
-        w = normalize_weights(raw)
+        w = WeightVector(raw)
         rng = np.random.default_rng(404)
         n_edges = w.n_p * 2 ** (w.n_p - 1)
         per_edge = 40_000 // n_edges
@@ -343,7 +344,7 @@ def test_c07_boundary_oracle():
             failures.append(f"{raw}: envelope looser than samples by "
                             f"{gap:.4f}")
 
-        perm = normalize_weights(list(reversed(raw)))
+        perm = WeightVector(list(reversed(raw)))
         _, env_perm = envelope(perm, res)
         dev = float(np.max(np.abs(env_wsd - env_perm)))
         if dev >= 1e-9:
@@ -360,8 +361,8 @@ def test_c08_zero_weight_elimination():
         u = rng.random(n)
         raw = rng.random(n)
         raw[int(rng.integers(n))] = 1.0
-        w = normalize_weights(raw)
-        w_pad = normalize_weights(list(raw) + [0.0])
+        w = WeightVector(raw)
+        w_pad = WeightVector(list(raw) + [0.0])
         v = u[None] * w.weights
         v_pad = np.append(u, rng.random())[None] * w_pad.weights
         for kind in KINDS:
@@ -437,7 +438,7 @@ def test_c10_ranking_reversals(students, countries):
     """Weight-induced reversals are detected and quantified."""
     failures = []
     matrix, w = students
-    scores_u = weighted_scores(matrix, uniform_weights(matrix.n))
+    scores_u = weighted_scores(matrix, WeightVector(np.ones(matrix.n)))
     scores_w = weighted_scores(matrix, w)
     ranking_u = rank_array(matrix.ids, scores_u)
     cmp = compare_rankings(ranking_u, rank_array(matrix.ids, scores_w))

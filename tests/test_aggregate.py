@@ -22,20 +22,20 @@ from wmsdspace.errors import (
     LengthMismatch,
     NonFiniteScore,
 )
-from wmsdspace.model import normalize_weights, uniform_weights
+from wmsdspace.model import WeightVector
 from wmsdspace.spaces import utility_array
 from wmsdspace.wmsd import plane
 
-W3 = normalize_weights([0.5, 0.6, 1.0])
+W3 = WeightVector([0.5, 0.6, 1.0])
 KINDS = list(AggregationKind)
-ONES3 = uniform_weights(3)
+ONES3 = WeightVector(np.ones(3))
 
 
 def scores_for(matrix, w, kind, weighted=True):
     """Scores of every alternative, in matrix order."""
     u = utility_array(matrix.values, matrix.criteria)
     if not weighted:
-        w = uniform_weights(matrix.n)
+        w = WeightVector(np.ones(matrix.n))
     return plane_scores(kind, u * w.weights, w)
 
 
@@ -75,7 +75,7 @@ class TestWeighted:
                 box_scores(kind, v, W3)[0], abs=1e-12)
 
     def test_chile_under_skewed_weights(self):
-        w = normalize_weights([0.25, 1.0, 0.25, 0.5])
+        w = WeightVector([0.25, 1.0, 0.25, 0.5])
         v = np.array([[0.6243, 0.8243, 0.7537, 0.8127]]) * w.weights
         assert plane_scores("R", v, w)[0] == pytest.approx(0.806, abs=0.001)
 
@@ -446,7 +446,7 @@ def utility_and_weights(draw):
     w_raw = draw(st.lists(
         st.floats(min_value=0, max_value=1, allow_nan=False),
         min_size=n, max_size=n).filter(lambda xs: max(xs) > 1e-6))
-    return u, normalize_weights(w_raw)
+    return u, WeightVector(w_raw)
 
 
 @st.composite
@@ -460,7 +460,7 @@ def box_rows(draw):
                           max_size=n).filter(lambda xs: max(xs) > 1e-6))
     rows = draw(st.lists(st.lists(cell, min_size=n, max_size=n),
                          max_size=6))
-    w = normalize_weights(w_raw)
+    w = WeightVector(w_raw)
     u = np.array([[1.0] * n, [0.0] * n] + rows)
     return u * w.weights, w
 
@@ -478,7 +478,7 @@ class TestAggregationProperties:
                     min_size=2, max_size=8))
     def test_reduction_to_unweighted(self, u):
         u = np.array([u])
-        w = uniform_weights(u.shape[1])
+        w = WeightVector(np.ones(u.shape[1]))
         for kind in KINDS:
             assert abs(plane_scores(kind, u * w.weights, w)[0]
                        - agg_values(kind, u.mean(1), u.std(1), 1.0)[0]) \
@@ -488,18 +488,18 @@ class TestAggregationProperties:
     def test_range(self, uw):
         u, w = uw
         u = np.array([u])
+        ones = WeightVector(np.ones(w.n))
         for kind in KINDS:
             assert -1e-12 <= plane_scores(kind, u * w.weights, w)[0] \
                 <= 1.0 + 1e-12
-            assert -1e-12 <= plane_scores(kind, u, uniform_weights(w.n))[0] \
-                <= 1.0 + 1e-12
+            assert -1e-12 <= plane_scores(kind, u, ones)[0] <= 1.0 + 1e-12
 
     @given(utility_and_weights(),
            st.floats(min_value=0, max_value=1, allow_nan=False))
     @settings(max_examples=50)
     def test_zero_weight_criterion_invariance(self, uw, extra_u):
         u, w = uw
-        w_pad = normalize_weights(list(w.weights) + [0.0])
+        w_pad = WeightVector(list(w.weights) + [0.0])
         v = np.array([u]) * w.weights
         v_pad = np.array([list(u) + [extra_u]]) * w_pad.weights
         for kind in KINDS:

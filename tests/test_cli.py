@@ -37,7 +37,7 @@ from wmsdspace.errors import (
     WmsdError,
 )
 from wmsdspace.cli import parse_config, read_matrix
-from wmsdspace.model import DecisionMatrix, normalize_weights
+from wmsdspace.model import DecisionMatrix, WeightVector
 from wmsdspace.spaces import utility_array
 from wmsdspace.wmsd import plane
 
@@ -2179,7 +2179,7 @@ class TestBatchedCore:
     def test_core_matches_reference(self, case):
         u = case["u"]
         for raw in case["weights"] + [np.ones(self.N)]:
-            w = normalize_weights(raw)
+            w = WeightVector(raw)
             ref, v = self.reference(u, raw)
             wm, wsd = plane(v, w)
             got = [agg_values(k, wm, wsd, w.mean_w) for k in AggregationKind]

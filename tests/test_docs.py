@@ -161,6 +161,30 @@ def test_exports_resolve_and_removed_names_are_gone():
     assert resolves("DecisionMatrix.from_array") and resolves("plane")
 
 
+def test_removed_names_are_not_called():
+    """No undotted name of the "Removed names" table is called in a README
+    example, in the table's array forms or in the package source."""
+    names = [name for name in removed_names() if "." not in name]
+    call = re.compile(r"(?<!\w)(%s)\(" % "|".join(map(re.escape, names)))
+    table = section("Removed names", "###")
+    texts = {
+        "README examples": "\n".join(
+            re.findall(r"```(?:python|sh)\n(.*?)```", README, re.S)),
+        "array forms": "\n".join("|".join(line.split("|")[2:])
+                                 for line in table.splitlines()
+                                 if line.startswith("| `")),
+    }
+    package = Path(wmsdspace.__file__).parent
+    texts.update((path.name, path.read_text(encoding="utf-8"))
+                 for path in sorted(package.glob("*.py")))
+    found = {where: calls for where, text in texts.items()
+             if (calls := call.findall(text))}
+    assert not found, found
+    # the check can see a stale call, also through a module prefix
+    assert call.findall("plane(u, ws.uniform_weights(n))") == [
+        "uniform_weights"]
+
+
 def docstring_references() -> set[str]:
     """Every ``:func:`` and ``:class:`` target named in the package
     source."""

@@ -24,12 +24,12 @@ from wmsdspace.geometry import (
     isoline,
     vertex_images,
 )
-from wmsdspace.model import normalize_weights, uniform_weights
+from wmsdspace.model import WeightVector
 from wmsdspace.wmsd import plane
 
-W11 = uniform_weights(2)
-W15 = normalize_weights([1.0, 0.5])
-W3 = normalize_weights([0.5, 0.6, 1.0])
+W11 = WeightVector(np.ones(2))
+W15 = WeightVector([1.0, 0.5])
+W3 = WeightVector([0.5, 0.6, 1.0])
 
 
 class TestBoundary:
@@ -59,7 +59,7 @@ class TestBoundary:
         # 21 distinct positive weights: one past the exact cap.  Every
         # function that needs the envelope refuses, and the message points
         # at no removed function.
-        w = normalize_weights(np.linspace(0.3, 1.0, 21))
+        w = WeightVector(np.linspace(0.3, 1.0, 21))
         assert w.n_p == geometry.EXACT_LIMIT + 1
         calls = [lambda: envelope(w), lambda: envelope_wsd(w, 0.3),
                  lambda: vertex_images(w),
@@ -74,10 +74,10 @@ class TestBoundary:
     def test_permutation_invariance(self):
         rng = np.random.default_rng(3)
         for base in ([1, 0.5], [0.5, 0.6, 1.0], [0.25, 1.0, 0.25, 0.5]):
-            w = normalize_weights(base)
+            w = WeightVector(base)
             _, ref = envelope(w, 257)
             for _ in range(3):
-                perm = normalize_weights(rng.permutation(base))
+                perm = WeightVector(rng.permutation(base))
                 _, wsd = envelope(perm, 257)
                 assert np.max(np.abs(wsd - ref)) < 1e-9
 
@@ -97,7 +97,7 @@ class TestVertexImages:
             assert len(vertex_images(w)) <= 2 ** w.n_p
 
     def test_zero_weights_dropped(self):
-        w_pad = normalize_weights([1.0, 0.5, 0.0])
+        w_pad = WeightVector([1.0, 0.5, 0.0])
         pts = vertex_images(w_pad)
         # same shape as the 2-D rectangle, rescaled by the mean ratio
         ref = vertex_images(W15) * (w_pad.mean_w / W15.mean_w)
@@ -111,7 +111,7 @@ class TestVertexImages:
         # reference: the 2-D row dedup the sorted 1-D path replaced.  A
         # tiny weight puts subset sums within 1e-12 of each other, so WM
         # ties after rounding while WSD, decreasing for t > 1/2, differs.
-        w = normalize_weights(raw)
+        w = WeightVector(raw)
         ref = np.unique(np.column_stack(rounded_vertex_images(w)), axis=0)
         got = vertex_images(w)
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
@@ -149,7 +149,7 @@ class TestAttainability:
         # WM sits 2.4e-14 below mean(w), where the envelope is the square
         # root of a difference that cancels: the WSD overshoots the
         # computed envelope by 1.03e-9, though the row is in the box.
-        w = normalize_weights([0.1, 1.0, 0.000001])
+        w = WeightVector([0.1, 1.0, 0.000001])
         wm, wsd = plane(np.array([[1.0, 1.0, 0.976]]) * w.weights, w)
         assert wsd[0] - envelope_wsd(w, wm)[0] > 1e-9
         assert attainable(w, wm, wsd).tolist() == [True]
@@ -157,7 +157,7 @@ class TestAttainability:
     def test_slack_is_bounded(self):
         # the squared-space slack is a few eps of mean(w)^2: a WSD of
         # 1e-6 mean(w) above an envelope of zero stays outside
-        for w in (W11, W3, normalize_weights([0.1, 1.0, 0.000001])):
+        for w in (W11, W3, WeightVector([0.1, 1.0, 0.000001])):
             for wm in (0.0, w.mean_w):
                 assert attainable(w, wm, [1e-9, 1e-6 * w.mean_w]).tolist() \
                     == [True, False]
@@ -171,7 +171,7 @@ class TestAttainability:
         """Rows at, near and between box vertices, under weights that
         span up to eight orders of magnitude or whose squares underflow,
         are all attainable."""
-        w = normalize_weights(raw)
+        w = WeightVector(raw)
         near = st.one_of(
             st.sampled_from([0.0, 1.0]),
             st.integers(1, 15).map(lambda k: 1.0 - 10.0 ** -k),
@@ -190,7 +190,7 @@ class TestAttainability:
         for tiny, zero in (([1.0, 1e-200, 0.5], [1.0, 0.0, 0.5]),
                            ([0.3, 1e-170, 1.0, 0.7, 1e-300],
                             [0.3, 0.0, 1.0, 0.7, 0.0])):
-            w_tiny, w_zero = normalize_weights(tiny), normalize_weights(zero)
+            w_tiny, w_zero = WeightVector(tiny), WeightVector(zero)
             assert w_tiny.mean_w == w_zero.mean_w
             assert envelope_wsd(w_tiny, grid).tobytes() == \
                 envelope_wsd(w_zero, grid).tobytes()
@@ -204,7 +204,7 @@ class TestAttainability:
 
 class TestTableCache:
     def test_two_most_recent_kept(self, fresh_tables):
-        a, b, c = (normalize_weights(np.arange(1.0, k + 1.0))
+        a, b, c = (WeightVector(np.arange(1.0, k + 1.0))
                    for k in (6, 7, 8))
         for w in (a, b, c):
             envelope_wsd(w, 0.3)
@@ -216,12 +216,12 @@ class TestTableCache:
 
     def test_permuted_weights_hit(self, fresh_tables):
         envelope_wsd(W3, 0.3)
-        envelope_wsd(normalize_weights([1.0, 0.5, 0.6]), 0.3)  # same multiset
+        envelope_wsd(WeightVector([1.0, 0.5, 0.6]), 0.3)  # same multiset
         info = fresh_tables.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
     def test_zero_weight_shares_tables_not_outline(self, fresh_tables):
-        w0 = normalize_weights([0.5, 0.0, 0.6, 1.0])
+        w0 = WeightVector([0.5, 0.0, 0.6, 1.0])
         fresh = geometry._outline(w0).tobytes()
         fresh_tables.cache_clear()
         tables = geometry._edge_tables(W3)
@@ -235,7 +235,7 @@ class TestTableCache:
     def test_refused_vector_is_not_cached(self, fresh_tables):
         envelope_wsd(W3, 0.3)
         before = fresh_tables.cache_info()
-        w = normalize_weights(np.arange(1.0, geometry.EXACT_LIMIT + 2.0))
+        w = WeightVector(np.arange(1.0, geometry.EXACT_LIMIT + 2.0))
         with pytest.raises(TooManyCriteria):
             envelope_wsd(w, 0.3)
         assert fresh_tables.cache_info() == before
@@ -247,7 +247,7 @@ class TestOracle:
     def test_samples_inside_and_tight(self, raw):
         # edge sweeps must outnumber the bins for the tightness half of
         # the check; the acceptance suite runs the full-size version
-        w = normalize_weights(raw)
+        w = WeightVector(raw)
         rng = np.random.default_rng(11)
         u = np.vstack([
             uniform_utilities(w.n, 20000, rng),
@@ -286,7 +286,7 @@ class TestIsolines:
     def test_arc_through_known_point(self):
         # level set of A through a country's plane position passes
         # through that very position
-        w4 = uniform_weights(4)
+        w4 = WeightVector(np.ones(4))
         (m,), (sd,) = plane(np.array([[0.6243, 0.8243, 0.7537, 0.8127]]), w4)
         level = float(agg_values("A", m, sd, 1.0))
         iso = isoline("A", level, w4)
@@ -315,7 +315,7 @@ class TestIsolines:
 
     def test_past_the_exact_cap(self):
         # Only mean(w) is read: 21 positive weights give their circle.
-        w = normalize_weights(np.linspace(0.3, 1.0, 21))
+        w = WeightVector(np.linspace(0.3, 1.0, 21))
         assert w.n_p == geometry.EXACT_LIMIT + 1
         iso = isoline("A", 0.9, w)
         assert (iso.shape, iso.center_wm, iso.radius) == (
@@ -368,9 +368,9 @@ def _reference_isoline(kind, level, w):
 # All ones, W3, a zero weight, a seeded vector of 12 positive weights and
 # a single criterion.
 ISOLINE_WEIGHTS = [
-    uniform_weights(3), W3, normalize_weights([1.0, 0.0, 0.5, 0.25]),
-    normalize_weights(np.random.default_rng(12).uniform(0.05, 1.0, 12)),
-    uniform_weights(1),
+    WeightVector(np.ones(3)), W3, WeightVector([1.0, 0.0, 0.5, 0.25]),
+    WeightVector(np.random.default_rng(12).uniform(0.05, 1.0, 12)),
+    WeightVector(np.ones(1)),
 ]
 # Both zeros, levels whose radius or center underflows, both sides of the
 # neutral band's edges, and the ends of the range.
@@ -478,7 +478,7 @@ class TestRewrittenKernels:
 
     @given(WEIGHTS)
     def test_vertex_images_bit_identical(self, raw):
-        w = normalize_weights(raw)
+        w = WeightVector(raw)
         got = vertex_images(w)
         assert got.tobytes() == lexsort_vertex_images(w).tobytes()
 
@@ -487,7 +487,7 @@ class TestRewrittenKernels:
     def test_falling_wsd_in_wm_ties(self, raw):
         # these weights do put WSD out of order within rounded WM ties, so
         # the re-sort of those runs is exercised
-        w = normalize_weights(raw)
+        w = WeightVector(raw)
         wm, wsd = rounded_vertex_images(w)
         assert np.all(np.diff(wm) >= 0)
         assert np.any((wm[1:] == wm[:-1]) & (wsd[1:] < wsd[:-1]))
@@ -501,7 +501,7 @@ class TestExactOracle:
 
     @pytest.mark.parametrize("raw", ORACLE_WEIGHTS)
     def test_envelope_within_derived_bound(self, raw):
-        w = normalize_weights(raw)
+        w = WeightVector(raw)
         rng = np.random.default_rng(len(raw))
         m = w.mean_w
         wm = np.concatenate([[0.0, m], rng.random(24) * m,
@@ -516,7 +516,7 @@ class TestExactOracle:
 
     @pytest.mark.parametrize("raw", ORACLE_WEIGHTS)
     def test_vertex_images_are_rounded_exact_images(self, raw):
-        w = normalize_weights(raw)
+        w = WeightVector(raw)
         sq = exact_squares(w.weights)
         norm2 = sum(sq)
         rows = set()
@@ -540,7 +540,7 @@ class TestExactOracle:
         a slack from X, and the test adds its own slack and ``tol``.  A
         point with WM outside [-tol, mean(w) + tol] or WSD < -tol is
         outside.  Points inside the band may go either way."""
-        w = normalize_weights(raw)
+        w = WeightVector(raw)
         rng = np.random.default_rng(len(raw) + 11)
         m = w.mean_w
         tau = np.concatenate([[0.0, 1.0], rng.random(20),
@@ -580,7 +580,7 @@ class TestExactOracle:
 
     @pytest.mark.parametrize("raw", ORACLE_WEIGHTS)
     def test_screen_equals_reference(self, raw):
-        w = normalize_weights(raw)
+        w = WeightVector(raw)
         rng = np.random.default_rng(7)
         m = w.mean_w
         verts = vertex_images(w)
@@ -605,7 +605,7 @@ def test_screen_sends_few_interior_points_to_the_envelope(monkeypatch):
     n_p = 12, only those within the outline's error band reach
     envelope_wsd."""
     rng = np.random.default_rng(12)
-    w = normalize_weights(np.round(rng.uniform(0.05, 1.0, 12), 4))
+    w = WeightVector(np.round(rng.uniform(0.05, 1.0, 12), 4))
     wm, wsd = plane(rng.random((10_000, 12)) * w.weights, w)
     envelope(w)  # the outline, which a plot draws anyway
     sent = []

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,14 +17,13 @@ from wmsdspace.errors import (
     NonFiniteBound,
     NonFiniteWeight,
     OutOfDomain,
+    ValidationError,
 )
 from wmsdspace.cli import _ranking, parse_config
 from wmsdspace.model import (
     CriterionSpec,
     DecisionMatrix,
     WeightVector,
-    normalize_weights,
-    uniform_weights,
     validate_criteria,
 )
 
@@ -76,76 +76,102 @@ class TestValidateCriteria:
 
 
 class TestNormalizeWeights:
+    """``WeightVector(raw)`` checks raw weights and divides them by their
+    maximum."""
+
     def test_divides_by_max(self):
-        w = normalize_weights([2, 1, 1])
+        w = WeightVector([2, 1, 1])
         assert w.weights.tolist() == [1.0, 0.5, 0.5]
 
     def test_all_ones_coefficient(self):
-        w = normalize_weights([1, 1, 1])
+        w = WeightVector([1, 1, 1])
         assert w.weights.tolist() == [1.0, 1.0, 1.0]
         assert w.s == pytest.approx(1.7321, abs=1e-4)
 
     def test_all_zero(self):
         with pytest.raises(AllZeroWeights):
-            normalize_weights([0, 0])
+            WeightVector([0, 0])
 
     def test_nan(self):
         with pytest.raises(NonFiniteWeight):
-            normalize_weights([1, math.nan])
+            WeightVector([1, math.nan])
 
     def test_infinite(self):
         with pytest.raises(NonFiniteWeight):
-            normalize_weights([1, math.inf])
+            WeightVector([1, math.inf])
 
     def test_negative(self):
         with pytest.raises(NegativeWeight):
-            normalize_weights([1, -0.5])
+            WeightVector([1, -0.5])
 
     def test_empty(self):
         with pytest.raises(LengthMismatch):
-            normalize_weights([])
+            WeightVector([])
 
     def test_statistics(self):
-        w = normalize_weights([0.5, 0.6, 1.0])
+        w = WeightVector([0.5, 0.6, 1.0])
         assert w.n_p == 3
         assert w.norm == pytest.approx(math.sqrt(1.61), abs=1e-12)
         assert w.mean_w == pytest.approx(0.7, abs=1e-12)
 
     def test_zero_entries_kept(self):
-        w = normalize_weights([1.0, 0.66, 0.33, 0.0])
+        w = WeightVector([1.0, 0.66, 0.33, 0.0])
         assert w.n_p == 3
         assert w.n == 4
         # mean is over all entries, zeros included
         assert w.mean_w == pytest.approx(1.99 / 4, abs=1e-12)
 
+    @pytest.mark.parametrize("raw, record", [
+        ([], ("LengthMismatch", "weights must be a non-empty 1-D sequence")),
+        ([[1.0, 2.0]],
+         ("LengthMismatch", "weights must be a non-empty 1-D sequence")),
+        ([math.nan, 1.0], ("NonFiniteWeight", "weights must all be finite")),
+        ([math.inf, 1.0], ("NonFiniteWeight", "weights must all be finite")),
+        ([-1.0, 1.0], ("NegativeWeight", "weights must all be non-negative")),
+        ([0.0, 0.0],
+         ("AllZeroWeights", "at least one weight must be positive")),
+    ], ids=["empty", "2-d", "nan", "inf", "negative", "all-zero"])
+    def test_refuses_bad_weights(self, raw, record):
+        """Each bad input, as a list or an array, gets its error record,
+        raised before any arithmetic could divide by zero or warn."""
+        error, message = record
+        for arg in (raw, np.array(raw)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValidationError) as info:
+                    WeightVector(arg)
+            assert info.value.details() == {"error": error,
+                                            "message": message}
+
     def test_weight_vector_derives_its_statistics(self):
-        """``WeightVector(w)`` of normalized weights holds, bit for bit,
-        the statistics ``normalize_weights`` gives them, and the ones
-        written out from ``w``."""
+        """``WeightVector(raw)`` holds, bit for bit, ``raw / raw.max()``
+        and the statistics written out from it; built again from its own
+        weights it is unchanged."""
         rng = np.random.default_rng(35)
         for raw in random_weight_vectors(rng, 200):
             w = raw / raw.max()
-            got, want = WeightVector(w), normalize_weights(w)
             norm, mean_w = float(np.linalg.norm(w)), float(w.mean())
-            assert np.array_equal(got.weights, want.weights)
+            got = WeightVector(raw)
+            again = WeightVector(got.weights)
             assert not got.weights.flags.writeable
-            for stats in ((got.n_p, got.norm, got.mean_w, got.s),
-                          (want.n_p, want.norm, want.mean_w, want.s)):
-                assert stats == (int(np.count_nonzero(w > 0)), norm,
-                                 mean_w, norm / mean_w)
+            for v in (got, again):
+                assert v.weights.tobytes() == w.tobytes()
+                assert (v.n_p, v.norm, v.mean_w, v.s) == (
+                    int(np.count_nonzero(w > 0)), norm, mean_w,
+                    norm / mean_w)
 
 
 class TestScalingCoefficient:
     def test_worked_pair(self):
-        assert normalize_weights([1.0, 0.5]).s == \
+        assert WeightVector([1.0, 0.5]).s == \
             pytest.approx(1.4907, abs=5e-5)
 
     def test_four_ones(self):
-        assert normalize_weights([1, 1, 1, 1]).s == \
+        assert WeightVector([1, 1, 1, 1]).s == \
             pytest.approx(2.0, abs=1e-12)
 
     def test_students_weights(self):
-        assert normalize_weights([0.5, 0.6, 1.0]).s == \
+        assert WeightVector([0.5, 0.6, 1.0]).s == \
             pytest.approx(1.8127, abs=5e-5)
 
 
@@ -161,30 +187,30 @@ raw_weight_lists = st.lists(
 class TestWeightProperties:
     @given(raw_weight_lists)
     def test_idempotent_exactly(self, raw):
-        w1 = normalize_weights(raw)
-        w2 = normalize_weights(w1.weights)
+        w1 = WeightVector(raw)
+        w2 = WeightVector(w1.weights)
         assert np.array_equal(w1.weights, w2.weights)
 
     @given(raw_weight_lists,
            st.floats(min_value=1e-3, max_value=1e3, allow_nan=False))
     def test_scale_invariant(self, raw, c):
-        w1 = normalize_weights(raw)
-        w2 = normalize_weights([c * x for x in raw])
+        w1 = WeightVector(raw)
+        w2 = WeightVector([c * x for x in raw])
         assert np.max(np.abs(w1.weights - w2.weights)) < 1e-12
 
     @pytest.mark.parametrize("n", range(1, 33))
     def test_all_ones_s_is_sqrt_n(self, n):
-        assert abs(uniform_weights(n).s - math.sqrt(n)) < 1e-12
+        assert abs(WeightVector(np.ones(n)).s - math.sqrt(n)) < 1e-12
 
     @given(raw_weight_lists)
     def test_np_preserved(self, raw):
-        w = normalize_weights(raw)
+        w = WeightVector(raw)
         assert w.n_p == sum(1 for x in raw if x > 0)
         assert w.n_p == int(np.count_nonzero(w.weights > 0))
 
     @given(raw_weight_lists)
     def test_max_exactly_one(self, raw):
-        w = normalize_weights(raw)
+        w = WeightVector(raw)
         assert w.weights.max() == 1.0
         assert w.weights.min() >= 0.0
         assert 0.0 < w.mean_w <= 1.0
@@ -301,8 +327,8 @@ class TestDecisionMatrix:
 
     def test_weight_vector(self):
         criteria = [gain("a", weight=2.0), gain("b", weight=1.0)]
-        w = DecisionMatrix.from_array(["x"], [[1.0, 2.0]],
-                                      criteria).weight_vector()
+        m = DecisionMatrix.from_array(["x"], [[1.0, 2.0]], criteria)
+        w = WeightVector([c.raw_weight for c in m.criteria])
         assert w.weights.tolist() == [1.0, 0.5]
 
 

@@ -13,7 +13,7 @@ from wmsdspace import geometry, render
 from wmsdspace.aggregate import agg_values
 from wmsdspace.errors import LengthMismatch, UnattainablePoint
 from wmsdspace.geometry import attainable
-from wmsdspace.model import normalize_weights
+from wmsdspace.model import WeightVector
 from wmsdspace.render import (
     MARGIN_L,
     MARGIN_T,
@@ -30,7 +30,7 @@ from wmsdspace.render import (
 from wmsdspace.spaces import utility_array
 from wmsdspace.wmsd import plane
 
-W3 = normalize_weights([0.5, 0.6, 1.0])
+W3 = WeightVector([0.5, 0.6, 1.0])
 
 RECT_RE = re.compile(r'<rect x="([0-9.]+)" y="([0-9.]+)" '
                      r'width="([0-9.]+)" height="([0-9.]+)" '
@@ -240,7 +240,7 @@ class TestIsolineElements:
                 group.get("stroke-dasharray")) == ("none", "#555555", "4 3")
 
     def test_grid_clip_ids_unique(self):
-        a, b = W3, normalize_weights([1.0, 0.5])
+        a, b = W3, WeightVector([1.0, 0.5])
         specs = [PlotSpec(weights=w, kind="R", grid=16,
                           show_isolines=(0.25, 0.5)) for w in (a, b, a, b)]
         root = ET.fromstring(render_panel_grid(specs, 2))

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import plane_scores
 from wmsdspace.errors import OutOfDomain
-from wmsdspace.model import CriterionSpec, DecisionMatrix, normalize_weights, \
-    uniform_weights
+from wmsdspace.model import CriterionSpec, DecisionMatrix, WeightVector
 from wmsdspace.spaces import utility_array
 from wmsdspace.wmsd import plane
 
@@ -82,27 +81,27 @@ class TestMatrixToUtility:
 
 class TestToWeighted:
     def test_worked_example(self):
-        w = normalize_weights([1.0, 0.5])
+        w = WeightVector([1.0, 0.5])
         v = np.array([0.75, 0.50]) * w.weights
         assert v.tolist() == [0.75, 0.25]
 
     def test_identity_weights(self):
-        w = uniform_weights(3)
+        w = WeightVector(np.ones(3))
         u = [0.2, 0.9, 0.4]
         assert (np.array(u) * w.weights).tolist() == u
 
     def test_students_row(self):
-        w = normalize_weights([0.5, 0.6, 1.0])
+        w = WeightVector([0.5, 0.6, 1.0])
         v = np.array([0.9367, 0.81, 0.278]) * w.weights
         assert np.allclose(v, [0.47, 0.49, 0.28], atol=0.005)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            plane(np.array([[0.1, 0.2, 0.3]]), normalize_weights([1.0, 0.5]))
+            plane(np.array([[0.1, 0.2, 0.3]]), WeightVector([1.0, 0.5]))
 
 
 class TestDistances:
-    ONES2 = uniform_weights(2)
+    ONES2 = WeightVector(np.ones(2))
 
     def test_euclid_diagonal(self):
         # |a - b| = s * scaled distance; s = sqrt(n) under all-ones weights
@@ -118,17 +117,17 @@ class TestDistances:
 
     def test_rescaled_extremes(self):
         ones = np.array([[1.0, 1, 1]])
-        assert plane_scores("A", ones, uniform_weights(3))[0] == \
+        assert plane_scores("A", ones, WeightVector(np.ones(3)))[0] == \
             pytest.approx(1.0)
         assert scaled_distance([0.4, 0.2], [0.4, 0.2], self.ONES2)[0] == 0.0
 
     def test_rescaled_student(self):
         u = np.array([[0.9367, 0.81, 0.278]])
-        assert plane_scores("I", u, uniform_weights(3))[0] == pytest.approx(
-            0.57, abs=0.005)
+        assert plane_scores("I", u, WeightVector(np.ones(3)))[0] == \
+            pytest.approx(0.57, abs=0.005)
 
     def test_weighted_worked_example(self):
-        w = normalize_weights([1.0, 0.5])
+        w = WeightVector([1.0, 0.5])
         v = np.array([[0.75, 0.50]]) * w.weights
         assert plane_scores("A", v, w)[0] * w.mean_w == pytest.approx(
             0.53, abs=0.005)
@@ -136,7 +135,7 @@ class TestDistances:
             0.24, abs=0.005)
 
     def test_weighted_full_span(self):
-        w = normalize_weights([0.3, 0.8, 1.0])
+        w = WeightVector([0.3, 0.8, 1.0])
         assert plane_scores("A", w.weights[None], w)[0] * w.mean_w == \
             pytest.approx(w.mean_w, abs=1e-12)
 
@@ -157,14 +156,14 @@ class TestDistanceProperties:
     @given(utility_pairs())
     def test_all_ones_reduction(self, pair):
         a, b = map(np.array, pair)
-        w = uniform_weights(len(a))
+        w = WeightVector(np.ones(len(a)))
         d = scaled_distance(a * w.weights, b * w.weights, w)[0]
         assert abs(d - np.linalg.norm(a - b) / math.sqrt(len(a))) < 1e-12
 
     @given(utility_pairs())
     def test_weighted_range(self, pair):
         a, b = map(np.array, pair)
-        w = normalize_weights(np.linspace(0.2, 1.0, len(a)))
+        w = WeightVector(np.linspace(0.2, 1.0, len(a)))
         d = scaled_distance(a * w.weights, b * w.weights, w)[0]
         assert 0.0 <= d <= w.mean_w + 1e-12
 
@@ -173,8 +172,8 @@ class TestDistanceProperties:
         for _ in range(200):
             n = rng.integers(2, 7)
             a, b, c = rng.random((3, n))
-            w = normalize_weights(rng.random(n) + 0.05)
-            for ww in (uniform_weights(n), w):
+            w = WeightVector(rng.random(n) + 0.05)
+            for ww in (WeightVector(np.ones(n)), w):
                 def dist(x, y):
                     return scaled_distance(x, y, ww)[0]
                 assert dist(a, b) == pytest.approx(dist(b, a), abs=1e-15)

@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import box_distances, plane_scores
+from conftest import box_distances, plane_scores, projection
 from wmsdspace.aggregate import AggregationKind, agg_values
-from wmsdspace.model import normalize_weights, uniform_weights
-from wmsdspace.wmsd import _split, plane
+from wmsdspace.model import WeightVector
+from wmsdspace.wmsd import plane
 
-W2 = normalize_weights([1.0, 0.5])
+W2 = WeightVector([1.0, 0.5])
 V2 = np.array([[0.75, 0.50]]) * W2.weights
-W3 = normalize_weights([0.5, 0.6, 1.0])
+W3 = WeightVector([0.5, 0.6, 1.0])
 
 
 def distances(wm, wsd, mean_w):
@@ -21,11 +21,11 @@ def distances(wm, wsd, mean_w):
 
 class TestWorkedExample:
     def test_projection(self):
-        _, proj, _ = _split(V2, W2)
+        proj, _ = projection(V2, W2)
         assert np.max(np.abs(proj[0] - [0.70, 0.35])) < 1e-12
 
     def test_rejection(self):
-        _, _, rej = _split(V2, W2)
+        _, rej = projection(V2, W2)
         assert np.max(np.abs(rej[0] - [0.05, -0.10])) < 1e-12
 
     def test_wm(self):
@@ -43,8 +43,9 @@ class TestWorkedExample:
 class TestProjection:
     def test_diagonal_point_has_no_rejection(self):
         v = 0.37 * W2.weights[None]
-        _, _, rej = _split(v, W2)
+        _, rej = projection(v, W2)
         assert np.max(np.abs(rej)) < 1e-15
+        assert plane(v, W2)[1][0] < 1e-15
 
     def test_ideal_image(self):
         wm, wsd = plane(W3.weights[None], W3)
@@ -65,7 +66,7 @@ class TestProjection:
 
 def mean_sd(u):
     """The unweighted plane coordinates of utility rows ``u``."""
-    return plane(u, uniform_weights(u.shape[1]))
+    return plane(u, WeightVector(np.ones(u.shape[1])))
 
 
 class TestMsd:
@@ -109,7 +110,7 @@ def utility_and_weights(draw):
     w_raw = draw(st.lists(
         st.floats(min_value=0, max_value=1, allow_nan=False),
         min_size=n, max_size=n).filter(lambda xs: max(xs) > 1e-6))
-    return np.array([u]), normalize_weights(w_raw)
+    return np.array([u]), WeightVector(w_raw)
 
 
 class TestProperties:
@@ -117,15 +118,18 @@ class TestProperties:
     def test_reconstruction_and_orthogonality(self, uw):
         u, w = uw
         v = u * w.weights
-        _, proj, rej = _split(v, w)
+        proj, rej = projection(v, w)
         assert np.max(np.abs((proj + rej) - v)) < 1e-12
         assert abs(float(proj[0] @ rej[0])) < 1e-12
+        wm, wsd = plane(v, w)
+        assert abs(wm[0] - np.linalg.norm(proj[0]) / w.s) < 1e-12
+        assert abs(wsd[0] - np.linalg.norm(rej[0]) / w.s) < 1e-12
 
     @given(utility_and_weights())
     def test_pythagoras(self, uw):
         u, w = uw
         v = u * w.weights
-        _, proj, rej = _split(v, w)
+        proj, rej = projection(v, w)
         lhs = float(proj[0] @ proj[0]) + float(rej[0] @ rej[0])
         rhs = float(np.dot(v[0], v[0]))
         assert abs(lhs - rhs) < 1e-10
@@ -148,7 +152,7 @@ class TestProperties:
         # under all-ones weights the plane is the mean and the population
         # standard deviation of the utility row
         u = np.array(u)
-        wm, wsd = plane(u, uniform_weights(u.shape[1]))
+        wm, wsd = plane(u, WeightVector(np.ones(u.shape[1])))
         assert np.max(np.abs(wm - u.mean(axis=1))) < 1e-12
         assert np.max(np.abs(wsd - u.std(axis=1))) < 1e-12
 
@@ -158,7 +162,7 @@ class TestProperties:
     def test_zero_weight_padding(self, uw, extra_u):
         u, w = uw
         n = w.n
-        w_pad = normalize_weights(list(w.weights) + [0.0])
+        w_pad = WeightVector(list(w.weights) + [0.0])
         v = u * w.weights
         v_pad = np.append(u, [[extra_u]], axis=1) * w_pad.weights
         wm, wsd = plane(v, w)
