@@ -25,7 +25,7 @@ _HOME = {
     "envelope": "geometry", "envelope_wsd": "geometry",
     "isoline": "geometry", "vertex_images": "geometry",
     "CriterionSpec": "model", "DecisionMatrix": "model",
-    "WeightVector": "model", "validate_criteria": "model",
+    "WeightVector": "model",
     "PlotSpec": "render", "colors_rgb": "render",
     "render_panel_grid": "render", "render_wmsd_plot": "render",
     "utility_array": "spaces",

@@ -24,6 +24,7 @@ from .errors import (
     IdSetMismatch,
     LengthMismatch,
     NonFiniteScore,
+    ValidationError,
 )
 from .model import _Record, _block_rows
 
@@ -103,8 +104,8 @@ def rank_array(ids: Sequence[str], scores: np.ndarray,
     them.
     """
     if not 0 <= tie_tolerance < math.inf:
-        raise ValueError(f"tie_tolerance must be finite and non-negative, "
-                         f"got {tie_tolerance}")
+        raise ValidationError(f"tie_tolerance must be finite and "
+                              f"non-negative, got {tie_tolerance}")
     scores = np.asarray(scores, dtype=float)
     if scores.shape != (len(ids),):
         raise LengthMismatch(

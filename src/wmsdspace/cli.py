@@ -76,7 +76,7 @@ from .model import (
     WeightVector,
     _Value,
     _block_rows,
-    validate_criteria,
+    _criteria,
 )
 from ._text import pieces as _pieces
 from .spaces import utility_array
@@ -152,7 +152,7 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(raw_criteria, list) or not raw_criteria:
         raise SchemaError("must be a non-empty list", path="criteria")
 
-    specs = []
+    fields = []
     for i, entry in enumerate(raw_criteria):
         path = f"criteria[{i}]"
         if not isinstance(entry, dict):
@@ -172,11 +172,9 @@ def parse_config(text: str) -> RunConfig:
         v_min, v_max, weight = (
             _config_float(entry[key], "must be a number", f"{path}.{key}")
             for key in ("min", "max", "weight"))
-        specs.append(CriterionSpec(
-            name=entry["name"], v_min=v_min, v_max=v_max,
-            kind=entry["kind"], raw_weight=weight))
-
-    validate_criteria(specs)
+        fields.append((entry["name"], v_min, v_max, entry["kind"], weight))
+    # each spec checks itself when built, before the next name is compared
+    criteria = _criteria(CriterionSpec(*f) for f in fields)
 
     aggregation = doc.get("aggregation", "R")
     if aggregation not in ("I", "A", "R"):
@@ -195,7 +193,7 @@ def parse_config(text: str) -> RunConfig:
     if not 0 <= tie_tolerance < math.inf:
         raise SchemaError(message, path="tie_tolerance")
 
-    config = RunConfig(criteria=tuple(specs),
+    config = RunConfig(criteria=criteria,
                        aggregation=AggregationKind(aggregation),
                        weighted=weighted, tie_tolerance=tie_tolerance,
                        clamp=clamp)
@@ -257,8 +255,8 @@ def _read_matrices(csv_text: str, configs: Sequence[RunConfig]
             cells[config.names] = _cells(csv_text, config.names)
             if {c.names for c in configs} <= cells.keys():
                 csv_text = None
-        yield DecisionMatrix.from_array(*cells[config.names],
-                                        config.criteria, clamp=config.clamp)
+        yield DecisionMatrix(*cells[config.names], config.criteria,
+                             clamp=config.clamp)
 
 
 # Characters that send a block to the csv module: a quote and NUL need its

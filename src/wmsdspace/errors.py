@@ -4,6 +4,8 @@ Errors fall into two families: :class:`ValidationError` for malformed
 inputs (bad domains, weights, schemas, CSV cells) and
 :class:`ComputationError` for requests the library refuses to compute
 (too many criteria for the exact envelope, unattainable plot points).
+Every refusal of the package is one of these records: a function's, and
+a record's constructor's, since each record checks its input when built.
 The CLI maps the families to exit codes 1 and 2 respectively.
 """
 

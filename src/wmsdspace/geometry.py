@@ -60,7 +60,7 @@ import math
 import numpy as np
 
 from .aggregate import AggregationKind
-from .errors import LevelOutOfRange, TooManyCriteria
+from .errors import LevelOutOfRange, TooManyCriteria, ValidationError
 from .model import WeightVector, _Record
 
 EXACT_LIMIT = 20
@@ -200,7 +200,7 @@ def envelope(w: WeightVector, resolution: int = _OUTLINE
     """Exact upper envelope on a uniform WM grid from 0 to mean(w), as
     ``(wm, wsd)``; both ends sit on WSD = 0."""
     if resolution < 2:
-        raise ValueError("resolution must be at least 2")
+        raise ValidationError("resolution must be at least 2")
     grid = np.linspace(0.0, w.mean_w, resolution)
     vals = (_outline(w) if resolution == _OUTLINE
             else envelope_wsd(w, grid)).copy()

@@ -3,8 +3,13 @@
 A ranking problem is described by a list of :class:`CriterionSpec` (name,
 bounded real domain, gain/cost direction, raw weight), a
 :class:`DecisionMatrix` of raw values, and a :class:`WeightVector` built
-from the raw weights.  ``WeightVector(raw)`` refuses raw weights that are
-not finite, non-negative and not all zero, and re-scales them so that the
+from the raw weights.  Each constructor checks its own input and raises
+a :class:`ValidationError` record for the first broken rule, so no record
+can break the WMSD-space's preconditions: a criterion has a finite domain
+with ``v_min < v_max`` and a finite, non-negative raw weight; a matrix has
+distinct criterion names, distinct ids and every cell finite and inside
+its domain.  ``WeightVector(raw)`` refuses raw weights that are not
+finite, non-negative and not all zero, and re-scales them so that the
 largest entry is exactly 1, the scale the WMSD-space is defined on; it
 derives its statistics (positive count ``n_p``, Euclidean norm, arithmetic
 mean, scaling coefficient ``s = norm / mean``), which every downstream
@@ -20,7 +25,7 @@ process, a few milliseconds of each command's start.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -91,51 +96,50 @@ class CriterionSpec(_Value):
     For a gain criterion the least preferred value is ``v_min`` and the
     most preferred is ``v_max``; for a cost criterion the roles swap.
     ``raw_weight`` is the weight as supplied by the user, before
-    max-normalization.
+    max-normalization.  The first broken rule, in this order, is refused:
+    a kind other than 'gain' or 'cost' (:class:`DegenerateDomain`), a
+    bound that is not finite (:class:`NonFiniteBound`), ``v_min`` not
+    strictly below ``v_max`` or a span ``v_max - v_min`` that overflows
+    (:class:`DegenerateDomain`), a weight that is not finite
+    (:class:`NonFiniteWeight`) or one below zero (:class:`NegativeWeight`).
     """
 
     def __init__(self, name: str, v_min: float, v_max: float, kind: str,
                  raw_weight: float = 1.0):
+        at = f"criterion {name!r}"
+        if kind not in (GAIN, COST):
+            raise DegenerateDomain(
+                f"{at}: kind must be 'gain' or 'cost', got {kind!r}")
+        if not (math.isfinite(v_min) and math.isfinite(v_max)):
+            raise NonFiniteBound(f"{at}: domain bounds must be finite")
+        if not v_min < v_max:
+            raise DegenerateDomain(f"{at}: v_min ({v_min}) must be strictly "
+                                   f"below v_max ({v_max})")
+        if not math.isfinite(v_max - v_min):
+            raise DegenerateDomain(f"{at}: domain span v_max - v_min ({v_max}"
+                                   f" - {v_min}) overflows to infinity")
+        if not math.isfinite(raw_weight):
+            raise NonFiniteWeight(f"{at}: weight must be finite")
+        if raw_weight < 0:
+            raise NegativeWeight(
+                f"{at}: weight must be non-negative, got {raw_weight}")
         vars(self).update(name=name, v_min=v_min, v_max=v_max, kind=kind,
                           raw_weight=raw_weight)
 
 
-def validate_criteria(specs: Sequence[CriterionSpec]) -> Sequence[CriterionSpec]:
-    """Check every criterion invariant; return the specs unchanged.
-
-    Raises DegenerateDomain, NonFiniteBound, NegativeWeight, or
-    DuplicateName on the first violation found.
-    """
-    if len(specs) == 0:
-        raise DegenerateDomain("criteria list is empty")
-    seen = set()
+def _criteria(specs: Iterable[CriterionSpec]) -> tuple[CriterionSpec, ...]:
+    """``specs`` as a tuple, taken one at a time: a repeated name raises
+    :class:`DuplicateName` before a generator builds the next spec, and an
+    empty list raises :class:`DegenerateDomain`."""
+    criteria, seen = [], set()
     for spec in specs:
-        if spec.kind not in (GAIN, COST):
-            raise DegenerateDomain(
-                f"criterion {spec.name!r}: kind must be 'gain' or 'cost', "
-                f"got {spec.kind!r}")
-        if not (math.isfinite(spec.v_min) and math.isfinite(spec.v_max)):
-            raise NonFiniteBound(
-                f"criterion {spec.name!r}: domain bounds must be finite")
-        if not spec.v_min < spec.v_max:
-            raise DegenerateDomain(
-                f"criterion {spec.name!r}: v_min ({spec.v_min}) must be "
-                f"strictly below v_max ({spec.v_max})")
-        if not math.isfinite(spec.v_max - spec.v_min):
-            raise DegenerateDomain(
-                f"criterion {spec.name!r}: domain span v_max - v_min "
-                f"({spec.v_max} - {spec.v_min}) overflows to infinity")
-        if not math.isfinite(spec.raw_weight):
-            raise NonFiniteWeight(
-                f"criterion {spec.name!r}: weight must be finite")
-        if spec.raw_weight < 0:
-            raise NegativeWeight(
-                f"criterion {spec.name!r}: weight must be non-negative, "
-                f"got {spec.raw_weight}")
         if spec.name in seen:
             raise DuplicateName(f"duplicate criterion name {spec.name!r}")
         seen.add(spec.name)
-    return specs
+        criteria.append(spec)
+    if not criteria:
+        raise DegenerateDomain("criteria list is empty")
+    return tuple(criteria)
 
 
 class WeightVector(_Record):
@@ -183,42 +187,24 @@ class WeightVector(_Record):
 
 
 class DecisionMatrix(_Record):
-    """m alternatives by n criteria of raw, in-domain values; ``values``
-    has shape (m, n) and is read-only."""
+    """m alternatives by n criteria of raw, in-domain values.
 
-    def __init__(self, ids: tuple[str, ...], values: np.ndarray,
-                 criteria: tuple[CriterionSpec, ...]):
-        vars(self).update(ids=ids, values=values, criteria=criteria)
+    ``DecisionMatrix(ids, values, criteria, clamp=False)`` takes ids and
+    an (m, n) value array.  The criteria must be a non-empty list with
+    distinct names, the ids must be distinct, and every value must be
+    finite and lie inside its criterion's domain.  With ``clamp=True``
+    finite out-of-domain values are mapped to the nearest bound instead
+    of raising :class:`OutOfDomain`; NaN and infinite values are refused
+    either way.  Of several faults in the cells and ids, the first in
+    row-major order is reported: a bad cell in a row before the first
+    repeated id, else the repeat.  ``ids`` is kept as a tuple and
+    ``values``, of shape (m, n), as a read-only float array: a read-only
+    array that owns its data is kept without a copy.
+    """
 
-    def __repr__(self) -> str:  # the criteria are left out
-        return f"DecisionMatrix(ids={self.ids!r}, values={self.values!r})"
-
-    @property
-    def m(self) -> int:
-        return len(self.ids)
-
-    @property
-    def n(self) -> int:
-        return len(self.criteria)
-
-    @classmethod
-    def from_array(
-        cls,
-        ids: Sequence[str],
-        values: np.ndarray,
-        criteria: Sequence[CriterionSpec],
-        clamp: bool = False,
-    ) -> "DecisionMatrix":
-        """Build and validate a matrix from ids and an (m, n) value array.
-
-        Every value must be finite and lie inside its criterion's domain.
-        With ``clamp=True`` finite out-of-domain values are mapped to the
-        nearest bound instead of raising :class:`OutOfDomain`; NaN and
-        infinite values are refused either way.  Ids must be distinct.
-        Of several faults the first in row-major order is reported: a bad
-        cell in a row before the first repeated id, else the repeat.
-        """
-        validate_criteria(criteria)
+    def __init__(self, ids: Sequence[str], values: np.ndarray,
+                 criteria: Sequence[CriterionSpec], clamp: bool = False):
+        criteria = _criteria(criteria)
         ids = tuple(ids)
         m, n = len(ids), len(criteria)
         data = np.asarray(values, dtype=float)
@@ -252,4 +238,15 @@ class DecisionMatrix(_Record):
         if clamp:
             data = np.where(data < lo, lo, np.where(data > hi, hi, data))
             data.flags.writeable = False  # no one else holds it
-        return cls(ids=ids, values=_frozen(data), criteria=tuple(criteria))
+        vars(self).update(ids=ids, values=_frozen(data), criteria=criteria)
+
+    def __repr__(self) -> str:  # the criteria are left out
+        return f"DecisionMatrix(ids={self.ids!r}, values={self.values!r})"
+
+    @property
+    def m(self) -> int:
+        return len(self.ids)
+
+    @property
+    def n(self) -> int:
+        return len(self.criteria)

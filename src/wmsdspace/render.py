@@ -106,7 +106,7 @@ class PlotSpec(_Record):
             raise LengthMismatch(
                 f"{len(ids)} ids, {wm.size} WM and {wsd.size} WSD values")
         if grid < 16:
-            raise ValueError("grid resolution must be at least 16")
+            raise ValidationError("grid resolution must be at least 16")
         for level in show_isolines:
             if not 0.0 <= level <= 1.0:
                 raise LevelOutOfRange(f"isoline level {level} outside [0, 1]")
@@ -415,9 +415,9 @@ def render_panel_grid(specs: Sequence[PlotSpec], columns: int = 2) -> str:
 def _grid_document(specs: Sequence[PlotSpec], columns: int) -> list[bytes]:
     """:func:`render_panel_grid` as UTF-8 pieces."""
     if len(specs) == 0:
-        raise ValueError("at least one plot spec is required")
+        raise ValidationError("at least one plot spec is required")
     if columns < 1:
-        raise ValueError("columns must be positive")
+        raise ValidationError("columns must be positive")
     rows = math.ceil(len(specs) / columns)
     total_w = columns * WIDTH + LEGEND_W
     total_h = rows * HEIGHT

@@ -21,6 +21,7 @@ from wmsdspace.errors import (
     IdSetMismatch,
     LengthMismatch,
     NonFiniteScore,
+    ValidationError,
 )
 from wmsdspace.model import WeightVector
 from wmsdspace.spaces import utility_array
@@ -188,8 +189,12 @@ class TestRank:
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
     def test_non_finite_tolerance(self, tol):
-        with pytest.raises(ValueError, match="tie_tolerance"):
+        with pytest.raises(ValidationError) as exc:
             rank_array(["a", "b"], [0.5, 0.4], tol)
+        assert exc.value.details() == {
+            "error": "ValidationError",
+            "message": f"tie_tolerance must be finite and non-negative, "
+                       f"got {tol}"}
 
     @staticmethod
     def leader_loop(ids, scores, tie_tolerance):

@@ -345,8 +345,8 @@ def _block_texts(draw):
 
 def _read_with_csv_module(text, config):
     """The dataset as the reference csv-module reader parses it."""
-    return DecisionMatrix.from_array(*_reference_cells(text, config.names),
-                                     config.criteria, clamp=config.clamp)
+    return DecisionMatrix(*_reference_cells(text, config.names),
+                          config.criteria, clamp=config.clamp)
 
 
 def _spy_csv_records(monkeypatch):
@@ -509,8 +509,7 @@ class TestPlainIngest:
             assert matrix.values is values
             assert values.shape == (len(matrix.ids), 3)
         writeable = np.array([[50.0, 3.0, 4.0]])
-        matrix = DecisionMatrix.from_array(["S1"], writeable,
-                                           students_config.criteria)
+        matrix = DecisionMatrix(["S1"], writeable, students_config.criteria)
         assert matrix.values is not writeable
 
     def test_quoted_id_memory_is_bounded(self, students_config):
@@ -1338,6 +1337,12 @@ def students_with(criterion: dict | None = None, **keys) -> str:
     return json.dumps({**doc, **keys})
 
 
+def entry(name: str, v_min=0, v_max=1, weight=1.0) -> dict:
+    """A gain criterion's config entry; ``weight=None`` leaves it out."""
+    fields = {"name": name, "kind": "gain", "min": v_min, "max": v_max}
+    return fields if weight is None else {**fields, "weight": weight}
+
+
 def schema(message: str, path: str | None = None) -> dict:
     record = {"error": "SchemaError", "message": message}
     return record if path is None else {**record, "path": path}
@@ -1391,6 +1396,25 @@ REFUSED = {
                    "you need to open the file in universal-newline mode?"}),
     "plot-columns-0": (None, None, ["--columns", "0"],
                        schema("--columns must be positive")),
+    # Configs with two faults, of which the first in parse_config's order
+    # is reported: every entry's schema, then each criterion's own checks
+    # and its name against those before it, then the top-level keys.
+    "schema-before-domain": (json.dumps({"criteria": [
+        entry("a", 5, 1), entry("b", weight=None)]}), None, [], schema(
+            "criteria[1]: missing fields ['weight']", "criteria[1]")),
+    "repeat-before-later-domain": (json.dumps({"criteria": [
+        entry("a"), entry("a"), entry("b", 5, 1)]}), None, [], {
+            "error": "DuplicateName",
+            "message": "duplicate criterion name 'a'"}),
+    "domain-before-repeat": (json.dumps({"criteria": [
+        entry("a"), entry("a", 5, 1)]}), None, [], {
+            "error": "DegenerateDomain",
+            "message": "criterion 'a': v_min (5.0) must be strictly below "
+                       "v_max (1.0)"}),
+    "repeat-before-aggregation": (json.dumps({"criteria": [
+        entry("a"), entry("a")], "aggregation": "X"}), None, [], {
+            "error": "DuplicateName",
+            "message": "duplicate criterion name 'a'"}),
 }
 
 

@@ -158,7 +158,7 @@ def test_exports_resolve_and_removed_names_are_gone():
         assert dotted not in wmsdspace.__all__, dotted
         assert not resolves(dotted), dotted
     # the check can see a name that is there
-    assert resolves("DecisionMatrix.from_array") and resolves("plane")
+    assert resolves("DecisionMatrix.m") and resolves("plane")
 
 
 def test_removed_names_are_not_called():
@@ -227,6 +227,45 @@ print(json.dumps([before, module.__name__, "numpy" in sys.modules,
 """
     assert json.loads(fresh_python(code)) == [[], "wmsdspace.geometry",
                                               True, False]
+
+
+# One malformed input of each public record a caller builds from its own
+# input, and the error record its constructor raises for it.
+MALFORMED = {
+    "CriterionSpec": (lambda: wmsdspace.CriterionSpec("x", 5.0, 1.0, "gain"),
+                      "DegenerateDomain"),
+    "DecisionMatrix": (lambda: wmsdspace.DecisionMatrix(
+        ["a", "a"], [[0.5], [0.5]], [wmsdspace.CriterionSpec("x", 0, 1,
+                                                             "gain")]),
+        "DuplicateName"),
+    "WeightVector": (lambda: wmsdspace.WeightVector([-1.0, 1.0]),
+                     "NegativeWeight"),
+    "PlotSpec": (lambda: wmsdspace.PlotSpec(wmsdspace.WeightVector([1.0]),
+                                            "R", grid=8),
+                 "ValidationError"),
+}
+
+
+@pytest.mark.parametrize("record", sorted(MALFORMED))
+def test_record_refuses_malformed_input(record):
+    """A public record checks the input it is built from: a malformed one
+    raises an error record, so no unchecked record can be built."""
+    build, error = MALFORMED[record]
+    with pytest.raises(wmsdspace.WmsdError) as exc:
+        build()
+    assert exc.type.__name__ == exc.value.details()["error"] == error
+
+
+def test_every_public_record_is_checked_or_computed():
+    """Each public record class is either built from a caller's input, and
+    then in ``MALFORMED``, or returned by a function of the package."""
+    from wmsdspace.model import _Record
+
+    public = {name for name in wmsdspace.__all__
+              if isinstance(obj := getattr(wmsdspace, name), type)
+              and issubclass(obj, _Record)}
+    computed = {"Ranking", "RankingComparison", "Isoline"}
+    assert public == set(MALFORMED) | computed
 
 
 @pytest.mark.parametrize("name", ["no_such_name", "to_utility"])

@@ -16,7 +16,7 @@ from conftest import (
 )
 from wmsdspace import geometry
 from wmsdspace.aggregate import AggregationKind, agg_values
-from wmsdspace.errors import LevelOutOfRange, TooManyCriteria
+from wmsdspace.errors import LevelOutOfRange, TooManyCriteria, ValidationError
 from wmsdspace.geometry import (
     attainable,
     envelope,
@@ -52,8 +52,11 @@ class TestBoundary:
                 assert wsd_v <= envelope_wsd(w, wm_v)[0] + 1e-9
 
     def test_resolution_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError) as exc:
             envelope(W11, 1)
+        assert exc.value.details() == {
+            "error": "ValidationError",
+            "message": "resolution must be at least 2"}
 
     def test_too_many_criteria(self):
         # 21 distinct positive weights: one past the exact cap.  Every

@@ -24,7 +24,6 @@ from wmsdspace.model import (
     CriterionSpec,
     DecisionMatrix,
     WeightVector,
-    validate_criteria,
 )
 
 
@@ -33,46 +32,69 @@ def gain(name="c", lo=0.0, hi=100.0, weight=1.0):
                          raw_weight=weight)
 
 
-class TestValidateCriteria:
+class TestCriterionSpec:
+    """``CriterionSpec(...)`` refuses a broken criterion, and
+    ``DecisionMatrix(...)`` an empty or repeated-name criteria list."""
+
     def test_well_formed(self):
         specs = [gain("a"), gain("b", 1, 6, 0.5)]
-        assert validate_criteria(specs) is specs
+        m = DecisionMatrix([], np.empty((0, 2)), specs)
+        assert m.criteria == tuple(specs)
+        assert all(a is b for a, b in zip(m.criteria, specs))
 
     def test_degenerate_domain(self):
         with pytest.raises(DegenerateDomain):
-            validate_criteria([gain(lo=5.0, hi=5.0)])
+            gain(lo=5.0, hi=5.0)
 
     def test_inverted_domain(self):
         with pytest.raises(DegenerateDomain):
-            validate_criteria([gain(lo=6.0, hi=1.0)])
+            gain(lo=6.0, hi=1.0)
 
     def test_domain_span_overflows(self):
         # Both bounds are finite, but 1e308 - -1e308 is not: every utility
         # of the criterion would be divided by inf.
         with pytest.raises(DegenerateDomain, match="'wide'"):
-            validate_criteria([gain("wide", lo=-1e308, hi=1e308)])
+            gain("wide", lo=-1e308, hi=1e308)
 
     def test_non_finite_bound(self):
         with pytest.raises(NonFiniteBound):
-            validate_criteria([gain(hi=math.inf)])
+            gain(hi=math.inf)
+
+    def test_non_finite_weight(self):
+        with pytest.raises(NonFiniteWeight):
+            gain(weight=math.nan)
 
     def test_negative_weight(self):
         with pytest.raises(NegativeWeight):
-            validate_criteria([gain(weight=-0.1)])
+            gain(weight=-0.1)
 
     def test_duplicate_name(self):
         with pytest.raises(DuplicateName):
-            validate_criteria([gain("x"), gain("x")])
+            DecisionMatrix([], np.empty((0, 2)), [gain("x"), gain("x")])
 
     def test_bad_kind(self):
         with pytest.raises(DegenerateDomain):
-            validate_criteria([CriterionSpec("x", 0, 1, "maximize", 1.0)])
+            CriterionSpec("x", 0, 1, "maximize", 1.0)
 
     def test_empty(self):
         with pytest.raises(DegenerateDomain, match="criteria list is empty"):
-            validate_criteria([])
-        with pytest.raises(DegenerateDomain, match="criteria list is empty"):
-            DecisionMatrix.from_array(["a"], np.empty((1, 0)), [])
+            DecisionMatrix(["a"], np.empty((1, 0)), [])
+
+    @pytest.mark.parametrize("args,record", [
+        (("x", 5.0, 1.0, "gain"), {
+            "error": "DegenerateDomain",
+            "message": "criterion 'x': v_min (5.0) must be strictly below "
+                       "v_max (1.0)"}),
+        # the kind is checked before the weight
+        (("y", 0.0, 1.0, "maximize", -2.0), {
+            "error": "DegenerateDomain",
+            "message": "criterion 'y': kind must be 'gain' or 'cost', "
+                       "got 'maximize'"}),
+    ])
+    def test_refused_record(self, args, record):
+        with pytest.raises(DegenerateDomain) as exc:
+            CriterionSpec(*args)
+        assert exc.value.details() == record
 
 
 class TestNormalizeWeights:
@@ -221,33 +243,38 @@ class TestDecisionMatrix:
     CRITERIA = [gain("Math", 0, 100), gain("Bio", 1, 6), gain("Art", 1, 6)]
 
     def test_from_rows(self):
-        m = DecisionMatrix.from_array(
-            ["S1", "S2"], [[50.0, 3.0, 4.0], [70.0, 2.0, 5.0]],
-            self.CRITERIA)
+        m = DecisionMatrix(["S1", "S2"], [[50.0, 3.0, 4.0], [70.0, 2.0, 5.0]],
+                           self.CRITERIA)
         assert m.m == 2 and m.n == 3
         assert m.ids == ("S1", "S2")
         assert m.values.shape == (2, 3)
 
+    def test_lists_become_a_tuple_and_a_read_only_array(self):
+        m = DecisionMatrix(["a"], [[50.0, 3.0, 4.0]], self.CRITERIA)
+        assert type(m.ids) is tuple and type(m.criteria) is tuple
+        assert type(m.values) is np.ndarray and m.values.dtype == np.float64
+        assert not m.values.flags.writeable
+
     def test_out_of_domain(self):
         with pytest.raises(OutOfDomain) as exc:
-            DecisionMatrix.from_array(["S1"], [[120.0, 3.0, 4.0]],
-                                      self.CRITERIA)
+            DecisionMatrix(["S1"], [[120.0, 3.0, 4.0]], self.CRITERIA)
         assert exc.value.row == 1
         assert exc.value.column == "Math"
 
     def test_clamp(self):
-        m = DecisionMatrix.from_array(["S1"], [[120.0, 0.5, 4.0]],
-                                      self.CRITERIA, clamp=True)
+        m = DecisionMatrix(["S1"], [[120.0, 0.5, 4.0]], self.CRITERIA,
+                           clamp=True)
         assert m.values[0, 0] == 100.0
         assert m.values[0, 1] == 1.0
+        assert "clamp" not in vars(m)
 
     @pytest.mark.parametrize("clamp", [False, True])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_refused(self, value, clamp):
         with pytest.raises(OutOfDomain, match="not finite") as exc:
-            DecisionMatrix.from_array(
-                ["S1", "S2"], [[50.0, 3.0, 4.0], [50.0, value, 4.0]],
-                self.CRITERIA, clamp=clamp)
+            DecisionMatrix(["S1", "S2"],
+                           [[50.0, 3.0, 4.0], [50.0, value, 4.0]],
+                           self.CRITERIA, clamp=clamp)
         assert exc.value.row == 2
         assert exc.value.column == "Bio"
 
@@ -258,47 +285,70 @@ class TestDecisionMatrix:
                            [math.nan, 3.0, 4.0],
                            [50.0, 3.0, 4.0]])
         with pytest.raises(OutOfDomain) as exc:
-            DecisionMatrix.from_array(ids, values, self.CRITERIA)
+            DecisionMatrix(ids, values, self.CRITERIA)
         assert (exc.value.row, exc.value.column) == (2, "Art")
         with pytest.raises(OutOfDomain) as exc:
-            DecisionMatrix.from_array(ids, values, self.CRITERIA, clamp=True)
+            DecisionMatrix(ids, values, self.CRITERIA, clamp=True)
         assert (exc.value.row, exc.value.column) == (3, "Math")
         with pytest.raises(DuplicateName):
-            DecisionMatrix.from_array(ids[:2] + ids[3:], values[[0, 1, 3]],
-                                      self.CRITERIA, clamp=True)
+            DecisionMatrix(ids[:2] + ids[3:], values[[0, 1, 3]],
+                           self.CRITERIA, clamp=True)
 
-    def test_from_array(self):
-        m = DecisionMatrix.from_array(["S1", "S2"],
-                                      np.array([[50.0, 3.0, 4.0],
-                                                [70.0, 2.0, 5.0]]),
-                                      self.CRITERIA)
+    def test_array_input(self):
+        m = DecisionMatrix(["S1", "S2"],
+                           np.array([[50.0, 3.0, 4.0], [70.0, 2.0, 5.0]]),
+                           self.CRITERIA)
         assert m.ids == ("S1", "S2")
         assert m.values.tolist() == [[50.0, 3.0, 4.0], [70.0, 2.0, 5.0]]
         with pytest.raises(LengthMismatch):
-            DecisionMatrix.from_array(["S1"], np.ones((1, 2)), self.CRITERIA)
+            DecisionMatrix(["S1"], np.ones((1, 2)), self.CRITERIA)
         # a bad cell before the first repeated id is reported first
         values = np.array([[50.0, 3.0, 4.0], [50.0, 3.0, 9.0],
                            [50.0, 3.0, 4.0]])
         with pytest.raises(OutOfDomain) as exc:
-            DecisionMatrix.from_array(["S1", "S2", "S1"], values,
-                                      self.CRITERIA)
+            DecisionMatrix(["S1", "S2", "S1"], values, self.CRITERIA)
         assert (exc.value.row, exc.value.column) == (2, "Art")
         with pytest.raises(DuplicateName, match="'S1'"):
-            DecisionMatrix.from_array(["S1", "S2", "S1"], values,
-                                      self.CRITERIA, clamp=True)
+            DecisionMatrix(["S1", "S2", "S1"], values, self.CRITERIA,
+                           clamp=True)
 
     def test_duplicate_id(self):
         with pytest.raises(DuplicateName):
-            DecisionMatrix.from_array(
-                ["S1", "S1"], [[1.0, 2, 3], [2.0, 3, 4]], self.CRITERIA)
+            DecisionMatrix(["S1", "S1"], [[1.0, 2, 3], [2.0, 3, 4]],
+                           self.CRITERIA)
 
     def test_row_length(self):
         with pytest.raises(LengthMismatch):
-            DecisionMatrix.from_array(["S1"], [[1.0, 2]], self.CRITERIA)
+            DecisionMatrix(["S1"], [[1.0, 2]], self.CRITERIA)
+
+    @pytest.mark.parametrize("clamp", [False, True])
+    @pytest.mark.parametrize("lo,hi,record", [
+        # the inverted domain is refused before any cell or id is read
+        (5.0, 1.0, {
+            "error": "DegenerateDomain",
+            "message": "criterion 'x': v_min (5.0) must be strictly below "
+                       "v_max (1.0)"}),
+        # the NaN in row 1 comes before the repeat in row 2
+        (1.0, 5.0, {
+            "error": "OutOfDomain",
+            "message": "alternative 'a', criterion 'x': value nan is not "
+                       "finite", "row": 1, "column": "x"}),
+    ])
+    def test_repeat_nan_and_domain_record(self, lo, hi, record, clamp):
+        with pytest.raises(ValidationError) as exc:
+            DecisionMatrix(("a", "a"), np.array([[math.nan], [7.0]]),
+                           (CriterionSpec("x", lo, hi, "gain"),), clamp=clamp)
+        assert exc.value.details() == record
+
+    def test_shape_record(self):
+        with pytest.raises(LengthMismatch) as exc:
+            DecisionMatrix(["a"], [[1.0, 2.0]], [gain("c", 0, 10)])
+        assert exc.value.details() == {
+            "error": "LengthMismatch",
+            "message": "values have shape (1, 2), expected (1, 1)"}
 
     def test_values_read_only(self):
-        m = DecisionMatrix.from_array(["S1"], [[50.0, 3.0, 4.0]],
-                                      self.CRITERIA)
+        m = DecisionMatrix(["S1"], [[50.0, 3.0, 4.0]], self.CRITERIA)
         with pytest.raises(ValueError):
             m.values[0, 0] = 0.0
 
@@ -313,21 +363,21 @@ class TestDecisionMatrix:
         view = base[:]
         view.flags.writeable = False
         for values, holder in ((writeable, writeable), (view, base)):
-            m = DecisionMatrix.from_array(["S1", "S2"], values, self.CRITERIA)
+            m = DecisionMatrix(["S1", "S2"], values, self.CRITERIA)
             holder[0, 0] = 60.0
             assert m.values.tolist() == rows
         owned = np.array(rows)
         owned.flags.writeable = False
-        m = DecisionMatrix.from_array(["S1", "S2"], owned, self.CRITERIA)
+        m = DecisionMatrix(["S1", "S2"], owned, self.CRITERIA)
         assert m.values is owned
-        clamped = DecisionMatrix.from_array(["S1", "S2"], owned,
-                                            self.CRITERIA, clamp=True)
+        clamped = DecisionMatrix(["S1", "S2"], owned, self.CRITERIA,
+                                 clamp=True)
         assert not clamped.values.flags.writeable
         assert clamped.values.tolist() == rows
 
     def test_weight_vector(self):
         criteria = [gain("a", weight=2.0), gain("b", weight=1.0)]
-        m = DecisionMatrix.from_array(["x"], [[1.0, 2.0]], criteria)
+        m = DecisionMatrix(["x"], [[1.0, 2.0]], criteria)
         w = WeightVector([c.raw_weight for c in m.criteria])
         assert w.weights.tolist() == [1.0, 0.5]
 
@@ -425,4 +475,9 @@ class TestRecords:
         m = students_matrix
         copy = DecisionMatrix(m.ids, m.values, m.criteria)
         assert copy != m and copy == copy
+        # field by field the same: the checked values are kept, not copied
+        assert list(vars(copy)) == list(vars(m)) == ["ids", "values",
+                                                     "criteria"]
+        assert copy.ids == m.ids and copy.criteria == m.criteria
+        assert copy.values is m.values
         assert repr(copy) == repr(m) and "criteria" not in repr(m)

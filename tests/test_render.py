@@ -11,7 +11,11 @@ from hypothesis import strategies as st
 from conftest import FIXTURES
 from wmsdspace import geometry, render
 from wmsdspace.aggregate import agg_values
-from wmsdspace.errors import LengthMismatch, UnattainablePoint
+from wmsdspace.errors import (
+    LengthMismatch,
+    UnattainablePoint,
+    ValidationError,
+)
 from wmsdspace.geometry import attainable
 from wmsdspace.model import WeightVector
 from wmsdspace.render import (
@@ -177,8 +181,11 @@ class TestSinglePlot:
                      wsd=[0.05])
 
     def test_grid_floor(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError) as exc:
             PlotSpec(weights=W3, kind="R", grid=8)
+        assert exc.value.details() == {
+            "error": "ValidationError",
+            "message": "grid resolution must be at least 16"}
 
 
 SVG = "{http://www.w3.org/2000/svg}"
@@ -433,10 +440,14 @@ class TestPanelGrid:
         specs = self.make_specs(4)
         assert render_panel_grid(specs, 2) == render_panel_grid(specs, 2)
 
-    @pytest.mark.parametrize("count,columns", [(0, 2), (2, 0)])
-    def test_refused_layout(self, count, columns):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("count,columns,message", [
+        (0, 2, "at least one plot spec is required"),
+        (2, 0, "columns must be positive")])
+    def test_refused_layout(self, count, columns, message):
+        with pytest.raises(ValidationError) as exc:
             render_panel_grid(self.make_specs(count), columns=columns)
+        assert exc.value.details() == {"error": "ValidationError",
+                                       "message": message}
 
     def test_cell_error_carries_index(self):
         specs = self.make_specs(2)

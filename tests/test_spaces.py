@@ -40,11 +40,10 @@ class TestToUtility:
 
     def test_out_of_domain(self):
         with pytest.raises(OutOfDomain):
-            DecisionMatrix.from_array(["x"], [[101.0]], [MATH])
+            DecisionMatrix(["x"], [[101.0]], [MATH])
 
     def test_clamp(self):
-        m = DecisionMatrix.from_array(["x", "y"], [[101.0], [-5.0]], [MATH],
-                                      clamp=True)
+        m = DecisionMatrix(["x", "y"], [[101.0], [-5.0]], [MATH], clamp=True)
         assert utility_array(m.values, m.criteria)[:, 0].tolist() == \
             [1.0, 0.0]
 
@@ -63,7 +62,7 @@ class TestToUtility:
 
 class TestMatrixToUtility:
     def test_extremes(self):
-        m = DecisionMatrix.from_array(
+        m = DecisionMatrix(
             ["S10", "S12"], [[0.0, 1.0, 1.0], [100.0, 6.0, 6.0]],
             [MATH, BIO, ART])
         us = utility_array(m.values, m.criteria)
@@ -73,8 +72,7 @@ class TestMatrixToUtility:
     def test_percent_domains(self):
         crit = [CriterionSpec(n, 0, 100, "gain", 1.0)
                 for n in ("a", "b", "c", "d")]
-        m = DecisionMatrix.from_array(["CHL"], [[62.43, 82.43, 75.37, 81.27]],
-                                      crit)
+        m = DecisionMatrix(["CHL"], [[62.43, 82.43, 75.37, 81.27]], crit)
         u = utility_array(m.values, m.criteria)[0]
         assert np.allclose(u, [0.6243, 0.8243, 0.7537, 0.8127], atol=1e-12)
 
