@@ -2,9 +2,10 @@
 
 Datasets are CSV files whose header is ``id`` followed by the criterion
 names declared in a JSON config; configs carry the criterion domains,
-gain/cost kinds, and raw weights.  All commands are deterministic:
-identical inputs produce byte-identical outputs.  Numeric output is
-rounded to 6 decimal places.
+gain/cost kinds, and raw weights.  Every command reads each dataset file
+once, by :func:`read_matrix`, under all the configs it scores it by.
+All commands are deterministic: identical inputs produce byte-identical
+outputs.  Numeric output is rounded to 6 decimal places.
 
 Every command scores through one loop, :func:`_score_blocks`, which takes
 blocks of rows, sized by ``model._BLOCK_BYTES``, through utility space,
@@ -102,17 +103,18 @@ _CONFIG_KEYS = {"criteria", "aggregation", "weighted", "tie_tolerance",
 
 
 class RunConfig(_Value):
-    """Validated run configuration: criteria plus scoring options.  The
-    weights are not a field: they follow from the criteria."""
+    """Validated run configuration: criteria, checked as a list, plus
+    scoring options.  The weights are not a field: they follow from the
+    criteria."""
 
     def __init__(self, criteria: tuple[CriterionSpec, ...],
                  aggregation: AggregationKind = AggregationKind.R,
                  weighted: bool = True,
                  tie_tolerance: float = DEFAULT_TIE_TOLERANCE,
                  clamp: bool = False):
-        vars(self).update(criteria=criteria, aggregation=aggregation,
-                          weighted=weighted, tie_tolerance=tie_tolerance,
-                          clamp=clamp)
+        vars(self).update(criteria=_criteria(criteria),
+                          aggregation=aggregation, weighted=weighted,
+                          tie_tolerance=tie_tolerance, clamp=clamp)
 
     def replace(self, **changes) -> RunConfig:
         """A copy with the given fields changed."""
@@ -231,32 +233,23 @@ def _read_data(path, error: type[WmsdError] = ValidationError) -> str:
                     ) from None
 
 
-def read_matrix(csv_text: str, config: RunConfig) -> DecisionMatrix:
-    """Parse a dataset CSV against the configured criteria.
+def read_matrix(path, configs: Sequence[RunConfig]) -> list[DecisionMatrix]:
+    """The dataset CSV at ``path`` under each config, in config order.
 
-    :func:`_cells` reads it with numpy's C text reader for as long as it
-    is plain, and with the csv module from where it is not; both give the
-    same cells, and only the csv module raises ingest errors.
+    The file is read once, and its text is parsed by :func:`_cells` once
+    per distinct tuple of criterion names and dropped once no parse is
+    left.  Each matrix is built when its config is reached, so errors
+    come in config order.
     """
-    matrices = _read_matrices(csv_text, [config])
-    del csv_text  # the split holds the text only until it is parsed
-    return next(matrices)
-
-
-def _read_matrices(csv_text: str, configs: Sequence[RunConfig]
-                   ) -> Iterator[DecisionMatrix]:
-    """:func:`read_matrix` of one text under each config in turn.  The
-    text is read once per distinct tuple of criterion names, and each
-    matrix is built when the iteration reaches its config, so errors come
-    in config order.  The text is dropped once no read is left."""
-    cells = {}
+    csv_text, cells, matrices = _read_data(path), {}, []
     for config in configs:
         if config.names not in cells:
             cells[config.names] = _cells(csv_text, config.names)
             if {c.names for c in configs} <= cells.keys():
                 csv_text = None
-        yield DecisionMatrix(*cells[config.names], config.criteria,
-                             clamp=config.clamp)
+        matrices.append(DecisionMatrix(*cells[config.names], config.criteria,
+                                       clamp=config.clamp))
+    return matrices
 
 
 # Characters that send a block to the csv module: a quote and NUL need its
@@ -485,7 +478,7 @@ def _groups_json(ranking: Ranking, ids: Sequence[str],
 
 def cmd_rank(args: argparse.Namespace) -> Iterable[bytes]:
     config = _load_config(args.config[0], args)
-    ranking = _ranking(read_matrix(_read_data(args.data), config), config)
+    ranking = _ranking(read_matrix(args.data, [config])[0], config)
     if args.format == "json":
         ids = list(map(_json_str, ranking.ids))
         return chain([b'{\n  "entries": '], _entries_json(ranking, ids, 1),
@@ -500,7 +493,7 @@ def cmd_transform(args: argparse.Namespace) -> Iterable[bytes]:
     """Full per-alternative coordinate and score table, each block of rows
     formatted when the writer reaches it, as soon as it is scored."""
     config = _load_config(args.config[0], args)
-    matrix = read_matrix(_read_data(args.data), config)
+    [matrix] = read_matrix(args.data, [config])
     w = config.weight_vector
     unit = WeightVector(np.ones(matrix.n))
     names = config.names
@@ -568,11 +561,10 @@ def cmd_plot(args: argparse.Namespace) -> list[bytes]:
     from .render import _grid_document, _plot_document
 
     configs = [_load_config(p, args) for p in args.config]
-    # The dataset text is not bound here, so it is dropped once parsed.
     if args.overlay is not None:
         config = configs[0]
-        matrix_a = read_matrix(_read_data(args.data), config)
-        matrix_b = read_matrix(_read_data(args.overlay), config)
+        [matrix_a] = read_matrix(args.data, [config])
+        [matrix_b] = read_matrix(args.overlay, [config])
         if set(matrix_a.ids) != set(matrix_b.ids):
             diff = sorted(set(matrix_a.ids) ^ set(matrix_b.ids))
             raise IdSetMismatch(
@@ -583,8 +575,7 @@ def cmd_plot(args: argparse.Namespace) -> list[bytes]:
 
     specs = []
     markers = 0
-    matrices = _read_matrices(_read_data(args.data), configs)
-    for config, matrix in zip(configs, matrices):
+    for config, matrix in zip(configs, read_matrix(args.data, configs)):
         markers += matrix.m
         _check_markers(markers)
         specs.append(_plot_spec(matrix, config, args))
@@ -596,8 +587,7 @@ def cmd_plot(args: argparse.Namespace) -> list[bytes]:
 def cmd_compare(args: argparse.Namespace) -> Iterable[bytes]:
     config_a = _load_config(args.config[0], args)
     config_b = _load_config(args.config_b, args)
-    matrix_a, matrix_b = _read_matrices(_read_data(args.data),
-                                        [config_a, config_b])
+    matrix_a, matrix_b = read_matrix(args.data, [config_a, config_b])
     ra = _ranking(matrix_a, config_a)
     rb = _ranking(matrix_b, config_b)
     cmp = compare_rankings(ra, rb)

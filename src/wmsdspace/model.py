@@ -5,15 +5,15 @@ bounded real domain, gain/cost direction, raw weight), a
 :class:`DecisionMatrix` of raw values, and a :class:`WeightVector` built
 from the raw weights.  Each constructor checks its own input and raises
 a :class:`ValidationError` record for the first broken rule, so no record
-can break the WMSD-space's preconditions: a criterion has a finite domain
-with ``v_min < v_max`` and a finite, non-negative raw weight; a matrix has
-distinct criterion names, distinct ids and every cell finite and inside
-its domain.  ``WeightVector(raw)`` refuses raw weights that are not
-finite, non-negative and not all zero, and re-scales them so that the
-largest entry is exactly 1, the scale the WMSD-space is defined on; it
-derives its statistics (positive count ``n_p``, Euclidean norm, arithmetic
-mean, scaling coefficient ``s = norm / mean``), which every downstream
-computation consumes.
+can break the WMSD-space's preconditions: a criterion has a non-empty
+string name, a finite domain with ``v_min < v_max`` and a finite,
+non-negative raw weight; a matrix has distinct criterion names, distinct
+ids and every cell finite and inside its domain.  ``WeightVector(raw)``
+refuses raw weights that are not finite, non-negative and not all zero,
+and re-scales them so that the largest entry is exactly 1, the scale the
+WMSD-space is defined on; it derives its statistics (positive count
+``n_p``, Euclidean norm, arithmetic mean, scaling coefficient
+``s = norm / mean``), which every downstream computation consumes.
 
 All types are immutable after construction and safe to share across
 threads.  They are plain classes on :class:`_Record`, as are the other
@@ -38,6 +38,7 @@ from .errors import (
     NonFiniteBound,
     NonFiniteWeight,
     OutOfDomain,
+    ValidationError,
 )
 
 GAIN = "gain"
@@ -97,7 +98,8 @@ class CriterionSpec(_Value):
     most preferred is ``v_max``; for a cost criterion the roles swap.
     ``raw_weight`` is the weight as supplied by the user, before
     max-normalization.  The first broken rule, in this order, is refused:
-    a kind other than 'gain' or 'cost' (:class:`DegenerateDomain`), a
+    a name that is not a non-empty string (:class:`ValidationError`), a
+    kind other than 'gain' or 'cost' (:class:`DegenerateDomain`), a
     bound that is not finite (:class:`NonFiniteBound`), ``v_min`` not
     strictly below ``v_max`` or a span ``v_max - v_min`` that overflows
     (:class:`DegenerateDomain`), a weight that is not finite
@@ -107,6 +109,8 @@ class CriterionSpec(_Value):
     def __init__(self, name: str, v_min: float, v_max: float, kind: str,
                  raw_weight: float = 1.0):
         at = f"criterion {name!r}"
+        if not isinstance(name, str) or not name:
+            raise ValidationError(f"{at}: name must be a non-empty string")
         if kind not in (GAIN, COST):
             raise DegenerateDomain(
                 f"{at}: kind must be 'gain' or 'cost', got {kind!r}")

@@ -55,7 +55,7 @@ def load_config(name):
 
 
 def load_matrix(csv_name, config):
-    return read_matrix((FIXTURES / csv_name).read_text(), config)
+    return read_matrix(FIXTURES / csv_name, [config])[0]
 
 
 @pytest.fixture(scope="session")

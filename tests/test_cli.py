@@ -29,6 +29,8 @@ from wmsdspace.aggregate import AggregationKind, agg_values
 from wmsdspace.errors import (
     AllZeroWeights,
     BadNumber,
+    DegenerateDomain,
+    DuplicateName,
     HeaderMismatch,
     MalformedCsv,
     OutOfDomain,
@@ -37,7 +39,7 @@ from wmsdspace.errors import (
     WmsdError,
 )
 from wmsdspace.cli import parse_config, read_matrix
-from wmsdspace.model import DecisionMatrix, WeightVector
+from wmsdspace.model import CriterionSpec, DecisionMatrix, WeightVector
 from wmsdspace.spaces import utility_array
 from wmsdspace.wmsd import plane
 
@@ -139,6 +141,17 @@ class TestParseConfig:
         with pytest.raises(SchemaError):
             parse_config("{not json")
 
+    def test_config_checks_its_criteria(self):
+        """A config built with a repeated criterion name, or none, is
+        refused where it is built, not where a dataset is read."""
+        config = parse_config(STUDENTS_CONFIG)
+        a = CriterionSpec("a", 0, 1, "gain")
+        with pytest.raises(DuplicateName):
+            config.replace(criteria=(a, a))
+        with pytest.raises(DegenerateDomain):
+            config.replace(criteria=())
+        assert config.replace(criteria=[a]).criteria == (a,)
+
     @pytest.mark.parametrize("field", ["min", "max", "weight",
                                        "tie_tolerance"])
     def test_integer_beyond_float_range(self, run_cli, tmp_path, field):
@@ -156,41 +169,97 @@ class TestParseConfig:
         assert record["error"] == "SchemaError" and record["path"] == path
 
 
+def read_text(text, config):
+    """The matrix of dataset ``text`` under ``config``, built from the
+    cells :func:`read_matrix` parses from a file's text."""
+    return DecisionMatrix(*cli._cells(text, config.names), config.criteria,
+                          clamp=config.clamp)
+
+
 class TestReadMatrix:
+    @pytest.fixture
+    def read(self, tmp_path):
+        """:func:`read_matrix` of a file holding ``text``, under one
+        config."""
+        def read(text, config):
+            path = tmp_path / "data.csv"
+            path.write_bytes(text.encode("utf-8"))
+            return read_matrix(path, [config])[0]
+        return read
+
+    @pytest.mark.parametrize("command,extra", [
+        ("rank", []), ("transform", []),
+        ("compare", ["--config-b", FIXTURES / "countries_w2.json"]),
+        ("plot", ["--grid", "16"]),
+        ("plot", ["--grid", "16", "--config", FIXTURES / "countries_w2.json"]),
+        ("plot", ["--grid", "16", "--overlay",
+                  FIXTURES / "countries_2023_synthetic.csv"])],
+        ids=["rank", "transform", "compare", "plot", "panels", "overlay"])
+    def test_one_call_per_dataset_file(self, run_cli, monkeypatch, command,
+                                       extra):
+        """Each dataset file is read by one call of ``read_matrix``, set
+        over the module attribute as a tracer sets its wrapper, and is
+        decoded inside that call."""
+        read_matrix_of, read_data = cli.read_matrix, cli._read_data
+        calls, reading, decoded = [], [], []
+
+        def traced(path, configs):
+            calls.append(str(path))
+            reading.append(str(path))
+            try:
+                return read_matrix_of(path, configs)
+            finally:
+                reading.pop()
+
+        def read(path, *rest):
+            decoded.append((str(path), list(reading)))
+            return read_data(path, *rest)
+
+        monkeypatch.setattr(cli, "read_matrix", traced)
+        monkeypatch.setattr(cli, "_read_data", read)
+        data = str(FIXTURES / "countries_2019_subset.csv")
+        code, _, err = run_cli(command, "--data", data, "--config",
+                               FIXTURES / "countries_w3.json", *extra)
+        assert code == 0, err
+        files = [data] + [str(p) for p in extra if str(p).endswith(".csv")]
+        assert calls == files
+        assert [d for d in decoded if d[0].endswith(".csv")] == \
+            [(f, [f]) for f in files]
+
     def test_students(self, students_config):
-        m = read_matrix((FIXTURES / "students.csv").read_text(),
-                        students_config)
+        [m] = read_matrix(FIXTURES / "students.csv", [students_config])
         assert m.m == 15 and m.n == 3
 
     def test_countries(self, countries_configs):
-        m = read_matrix((FIXTURES / "countries.csv").read_text(),
-                        countries_configs["w1"])
+        [m] = read_matrix(FIXTURES / "countries.csv",
+                          [countries_configs["w1"]])
         assert m.m == 12 and m.n == 4
 
-    def test_bad_number_coordinates(self, students_config):
+    def test_bad_number_coordinates(self, students_config, read):
         text = "id,Math,Bio,Art\nS1,50,3,4\nS2,abc,3,4\n"
         with pytest.raises(BadNumber) as exc:
-            read_matrix(text, students_config)
+            read(text, students_config)
         assert exc.value.row == 2
         assert exc.value.column == "Math"
 
     @pytest.mark.parametrize("cell", ["3\x1c", "\x1d3", "3\x1e", "\x1f3"])
-    def test_separator_around_number_is_bad(self, students_config, cell):
+    def test_separator_around_number_is_bad(self, students_config, cell,
+                                            read):
         """numpy's text reader strips \\x1c-\\x1f around a number, which
         ``float()`` refuses."""
         with pytest.raises(BadNumber) as exc:
-            read_matrix(f"id,Math,Bio,Art\nS1,{cell},3,4\n", students_config)
+            read(f"id,Math,Bio,Art\nS1,{cell},3,4\n", students_config)
         assert (exc.value.row, exc.value.column) == (1, "Math")
 
-    def test_header_mismatch(self, students_config):
+    def test_header_mismatch(self, students_config, read):
         text = "id,Math,Biology,Art\nS1,50,3,4\n"
         with pytest.raises(HeaderMismatch):
-            read_matrix(text, students_config)
+            read(text, students_config)
 
-    def test_out_of_domain(self, students_config):
+    def test_out_of_domain(self, students_config, read):
         text = "id,Math,Bio,Art\nS1,150,3,4\n"
         with pytest.raises(OutOfDomain):
-            read_matrix(text, students_config)
+            read(text, students_config)
 
 
 def _outcome(read, text, config):
@@ -397,7 +466,7 @@ class TestPlainIngest:
                   "u\x85,1,2,3\n#,1,2,3\na#b,1,2,3\n", clamp=False)
     def test_equals_csv_path(self, students_config, text, clamp):
         config = students_config.replace(clamp=clamp)
-        assert _outcome(read_matrix, text, config) == \
+        assert _outcome(read_text, text, config) == \
             _outcome(_read_with_csv_module, text, config)
 
     @given(_block_texts())
@@ -435,7 +504,7 @@ class TestPlainIngest:
         # many rows, after a blank line
         rows = [f"s{i},{i % 100},{1 + i % 5},{6 - i % 5}" for i in range(9000)]
         text = end.join(["id,Math,Bio,Art", "", *rows, ""])
-        m = read_matrix(text, students_config)
+        m = read_text(text, students_config)
         assert m.m == 9000 and m.ids[-1] == "s8999"
         assert m.values[1].tolist() == [1.0, 2.0, 5.0]
         assert m.values[-1].tolist() == [99.0, 5.0, 2.0]
@@ -483,11 +552,11 @@ class TestPlainIngest:
         text = head + good + f"t,{cells}\n" * 5
         monkeypatch.setattr(model, "_BLOCK_BYTES", len(good) - 1)
         starts = _spy_csv_records(monkeypatch)
-        assert _outcome(read_matrix, text, students_config) == \
+        assert _outcome(read_text, text, students_config) == \
             _outcome(_read_with_csv_module, text, students_config)
         assert starts == [len(head + good)]
 
-    def test_array_is_kept_without_a_copy(self, monkeypatch,
+    def test_array_is_kept_without_a_copy(self, monkeypatch, tmp_path,
                                           students_config):
         """The reader hands over a read-only array that owns its data, from
         numpy's blocks, from the csv module and with zero rows, and the
@@ -503,7 +572,8 @@ class TestPlainIngest:
         for text in ('id,Math,Bio,Art\nS1,50,3,4\nS2,60,4,5\n',
                      'id,Math,Bio,Art\n"S,1",50,3,4\nS2,60,4,5\n',
                      '"id",Math,Bio,Art\n'):
-            matrix = read_matrix(text, students_config)
+            (tmp_path / "data.csv").write_text(text)
+            [matrix] = read_matrix(tmp_path / "data.csv", [students_config])
             values = made[-1][1]
             assert values.flags.owndata and not values.flags.writeable
             assert matrix.values is values
@@ -522,7 +592,7 @@ class TestPlainIngest:
             text = f"id,Math,Bio,Art\n{first},1,2,3\n" + rows
             tracemalloc.start()
             try:
-                read_matrix(text, students_config)
+                read_text(text, students_config)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -930,6 +1000,26 @@ class TestPlotCommand:
             cli.main(["plot", "--help"])
         assert re.search(rf"at most\s+{markers - 1}\s+markers",
                          capsys.readouterr().out)
+
+    def test_refused_cell_before_marker_cap(self, run_cli, monkeypatch,
+                                            tmp_path):
+        """Every panel's matrix is built before markers are counted: a
+        third config that refuses a cell is reported, though the second
+        panel already passes the cap."""
+        doc = json.loads((FIXTURES / "countries_w1.json").read_text())
+        doc["criteria"][0]["max"] = 1
+        narrow = tmp_path / "narrow.json"
+        narrow.write_text(json.dumps(doc))
+        one = ["--config", FIXTURES / "countries_w1.json"]
+        monkeypatch.setattr(cli, "MAX_MARKERS", 23)
+        code, out, err = run_cli(
+            "plot", "--data", FIXTURES / "countries.csv", *one, *one,
+            "--config", narrow, "--grid", "16")
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "OutOfDomain", "row": 1, "column": "RuleOfLaw",
+            "message": "alternative 'ARG', criterion 'RuleOfLaw': value "
+                       "41.93 outside [0.0, 1.0]"}
 
     def test_bad_isoline_level(self, run_cli):
         code, _, err = run_cli(
@@ -1581,7 +1671,7 @@ class TestErrorStream:
         """A csv.Error becomes a record with its data row."""
         text = 'id,Math,Bio,Art\n"S1",50,3,4\n\nS2,6\r0,3,4\n'
         with pytest.raises(MalformedCsv) as exc:
-            read_matrix(text, students_config)
+            read_text(text, students_config)
         record = exc.value.details()
         assert record["error"] == "MalformedCsv" and record["row"] == 2
         assert "\n" not in json.dumps(record)
@@ -1866,7 +1956,7 @@ class TestTableWriter:
         rankings = []
         for path in paths:
             config = parse_config(path.read_text())
-            m = read_matrix(data.read_text(encoding="utf-8"), config)
+            [m] = read_matrix(data, [config])
             u = utility_array(m.values, m.criteria)
             w = config.weight_vector
             wm, wsd = plane(u * w.weights, w)
@@ -2076,10 +2166,10 @@ def rendered_plot(argv: list[str]) -> bytes:
     args = cli.build_parser("plot").parse_args(argv[1:])
     cli._validate_args(args)
     configs = [cli._load_config(p, args) for p in args.config]
-    specs = [cli._plot_spec(read_matrix(cli._read_data(args.data), c), c,
-                            args) for c in configs]
+    specs = [cli._plot_spec(m, c, args)
+             for c, m in zip(configs, read_matrix(args.data, configs))]
     if args.overlay is not None:
-        snap = read_matrix(cli._read_data(args.overlay), configs[0])
+        [snap] = read_matrix(args.overlay, configs[:1])
         second = cli._plane_points(snap, configs[0].weights)
         return render_wmsd_plot(specs[0], second).encode()
     if len(specs) == 1:
@@ -2277,7 +2367,7 @@ class TestBatchedCore:
         JSON escapes and a cell ``-0`` at a domain min of 0, whose utility
         is 0.0."""
         config = parse_config(case["configs"][0].read_text())
-        matrix = read_matrix(case["data"].read_text(), config)
+        [matrix] = read_matrix(case["data"], [config])
         w = config.weight_vector
         wm, wsd = plane(utility_array(matrix.values, matrix.criteria)
                         * w.weights, w)

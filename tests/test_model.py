@@ -96,6 +96,17 @@ class TestCriterionSpec:
             CriterionSpec(*args)
         assert exc.value.details() == record
 
+    @pytest.mark.parametrize("name", ["", 3])
+    def test_name_is_a_non_empty_string(self, name):
+        """The name is checked before the kind, domain and weight."""
+        for args in ((0, 1, "gain"), (1, 0, "maximize", -1.0)):
+            with pytest.raises(ValidationError) as exc:
+                CriterionSpec(name, *args)
+            assert exc.value.details() == {
+                "error": "ValidationError",
+                "message": f"criterion {name!r}: name must be a non-empty "
+                           "string"}
+
 
 class TestNormalizeWeights:
     """``WeightVector(raw)`` checks raw weights and divides them by their
